@@ -33,8 +33,7 @@ def main():
         print(f"  t = {t:4.2f}  {'#' * min(int(v), 70)}")
 
     unit = TraceSingularityPrediction(
-        L=1.0, L0=1.0, k=3, n=2, order=1.5, coefficient=1.0 + 0.0j,
-        model="power")
+        L=1.0, L0=1.0, k=3, n=2, order=1.5, coefficient=1.0 + 0.0j)
     cut = CutoffSpec()
 
     def fit(length):

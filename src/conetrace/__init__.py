@@ -15,7 +15,6 @@ from .links import (  # noqa: F401
     DiffractionValue,
     LinkSpectrum,
     SummationPolicy,
-    TabulatedMode,
     a0_b0_coefficients,
     abel_extrapolate,
     cos_sin_pi_nu_kernels,
@@ -52,9 +51,7 @@ from .geodesics import (  # noqa: F401
 from .jacobi import (  # noqa: F401
     JacobiField,
     JacobiSolution,
-    b_jacobi_from_tip,
     broken_hessian,
-    broken_hessian_index,
     integrate_jacobi,
     morse_index,
     shape_operator,

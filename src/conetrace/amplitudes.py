@@ -107,8 +107,17 @@ class TraceSingularityPrediction:
     n: int
     order: float
     coefficient: complex
-    model: str  # "inverse_sqrt" | "log" | "power"
     length_convention: str = "L0"
+
+    @property
+    def model(self) -> str:
+        """Model kernel family of the order: "inverse_sqrt" (1/2), "log"
+        (1) or "power" (any other)."""
+        if self.order == 0.5:
+            return "inverse_sqrt"
+        if self.order == 1.0:
+            return "log"
+        return "power"
 
 
 def _dvalue(d) -> complex:
@@ -225,16 +234,9 @@ def trace_singularity(geodesic, invariants=None, n: int = 2,
     length = geodesic.primitive_length if length_convention == "L0" else geodesic.length
     coeff = (length * (2 * np.pi) ** (k * n / 2)
              * np.exp(1j * k * np.pi * (n - 3) / 4) * prod)
-    order = k * (n - 1) / 2
-    if order == 0.5:
-        model = "inverse_sqrt"
-    elif order == 1.0:
-        model = "log"
-    else:
-        model = "power"
     return TraceSingularityPrediction(
         L=geodesic.length, L0=geodesic.primitive_length, k=k, n=n,
-        order=order, coefficient=coeff, model=model,
+        order=k * (n - 1) / 2, coefficient=coeff,
         length_convention=length_convention,
     )
 

@@ -14,24 +14,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verify
 from .amplitudes import (
     CutoffSpec,
     TraceSingularityPrediction,
-    interior_amplitude,
     invariants_for,
     trace_singularity,
     model_kernel,
-)
-from .composition import (
-    brute_force_composition,
-    flat_collinear_geometry,
-    sphere_arc_geometry,
 )
 from .config import (
     grid_from_config,
@@ -50,13 +43,7 @@ from .errors import (
     WallInfluenceError,
 )
 from .geodesics import build_closed_diffractive
-from .links import (
-    LinkSpectrum,
-    SummationPolicy,
-    abel_extrapolate,
-    diffraction_kernel,
-    singular_set_distance,
-)
+from .links import SummationPolicy, diffraction_kernel
 from .spectra import (
     doubled_square_spectrum,
     fit_trace_singularity,
@@ -85,31 +72,6 @@ def _write_lines(out_path, lines):
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
-
-
-def _parse_tols(pairs):
-    tols = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ConfigError(f"--tol expects KEY=VAL, got {item!r}")
-        key, _, val = item.partition("=")
-        try:
-            tols[key] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"--tol value for {key!r} is not a number") from exc
-    return tols
-
-
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("CONETRACE_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError("CONETRACE_THREADS must be an integer") from exc
-    return 1
 
 
 def cmd_link_kernel(args) -> int:
@@ -235,8 +197,7 @@ def cmd_spectral_trace(args) -> int:
         k = fit_cfg.get("k", 1)
         unit = TraceSingularityPrediction(
             L=float(length), L0=float(length), k=k, n=2, order=k / 2.0,
-            coefficient=1.0 + 0.0j,
-            model="inverse_sqrt" if k == 1 else "power")
+            coefficient=1.0 + 0.0j)
         C, resid = fit_trace_singularity(
             trace, float(length), unit, CutoffSpec(),
             window=fit_cfg.get("window", 0.35))
@@ -247,133 +208,23 @@ def cmd_spectral_trace(args) -> int:
     return EXIT_OK
 
 
-def _off_singular_grid(rho, margin, count):
-    link = LinkSpectrum.circle(rho)
-    grid = np.linspace(0.01, rho - 0.01, 4 * count)
-    keep = [float(u) for u in grid
-            if singular_set_distance(link, np.pi, float(u), 0.0) >= margin]
-    return link, keep[:count]
-
-
-def _suite_link(tols):
-    results = []
-    policy = SummationPolicy.closed_form()
-    tol = tols.get("link", 1e-6)
-    for rho in (3 * np.pi / 2, 5 * np.pi / 2, 7.0):
-        link, us = _off_singular_grid(rho, 0.1, 50)
-        worst = 0.0
-        for u in us:
-            closed = diffraction_kernel(link, 2, u, 0.0, policy).value
-            series = abel_extrapolate(
-                lambda r: diffraction_kernel(
-                    link, 2, u, 0.0, SummationPolicy.abel(r=r)).value)
-            worst = max(worst, abs(closed - series))
-        results.append({
-            "name": f"closed-vs-abel rho={rho:.6g}",
-            "passed": bool(worst <= tol),
-            "detail": f"max deviation {worst:.3e}",
-        })
-    vanish_tol = tols.get("orbifold", 1e-10)
-    for rho in (np.pi, 2 * np.pi, 2 * np.pi / 3):
-        link, us = _off_singular_grid(rho, 0.02, 50)
-        worst = max(
-            abs(diffraction_kernel(link, 2, u, 0.0, policy).value)
-            for u in us
-        )
-        results.append({
-            "name": f"orbifold-vanishing rho={rho:.6g}",
-            "passed": bool(worst <= vanish_tol),
-            "detail": f"max |D| {worst:.3e}",
-        })
-    return results
-
-
-def _suite_composition(tols):
-    results = []
-    geom = flat_collinear_geometry(1.0, 1.0)
-    a_leg = interior_amplitude(1.0, 0, 1.0).scalar
-    val = brute_force_composition(geom, a_leg * a_leg, 200.0)
-    pred = interior_amplitude(2.0, 0, 1.0).scalar * np.sqrt(200.0)
-    err = abs(val / pred - 1.0)
-    results.append({
-        "name": "flat-collinear xi=200",
-        "passed": bool(err <= tols.get("composition", 0.02)),
-        "detail": f"relative error {err:.4f}",
-    })
-    d1, d2 = 5 * np.pi / 4, np.pi / 4
-    theta = lambda d: abs(np.sin(d)) / d
-    a12 = (interior_amplitude(d1, 1, theta(d1)).scalar
-           * interior_amplitude(d2, 0, theta(d2)).scalar)
-    val = brute_force_composition(sphere_arc_geometry(d1, d2), a12, 200.0)
-    pred = interior_amplitude(d1 + d2, 1, theta(d1 + d2)).scalar * np.sqrt(200.0)
-    phase_deg = abs(np.degrees(np.angle(val / pred)))
-    results.append({
-        "name": "sphere conjugate-point phase",
-        "passed": bool(phase_deg <= tols.get("phase_deg", 3.0)),
-        "detail": f"phase deviation {phase_deg:.3f} degrees",
-    })
-    return results
-
-
-def _suite_spectral(tols):
-    sigma = 40.0
-    eigs = doubled_square_spectrum(5.5 * sigma)
-    unit = TraceSingularityPrediction(
-        L=1.0, L0=1.0, k=1, n=2, order=0.5, coefficient=1.0 + 0.0j,
-        model="inverse_sqrt")
-    cut = CutoffSpec()
-
-    def measure(length):
-        ts = np.arange(length - 0.3, length + 0.3, 0.004)
-        tr = smoothed_wave_trace(eigs, sigma, ts)
-        return fit_trace_singularity(tr, length, unit, cut, window=0.3)
-
-    corner = 2.0 + np.sqrt(2.0)
-    c_corner, _ = measure(corner)
-    baseline = np.mean([measure(L)[1] for L in (1.4, 3.3, 3.55)])
-    c_geo, _ = measure(2.0)
-    results = [
-        {
-            "name": "corner-loop silence",
-            "passed": bool(abs(c_corner) <= 5.0 * baseline),
-            "detail": f"|C|={abs(c_corner):.4f} vs baseline {baseline:.4f}",
-        },
-        {
-            "name": "geometric-length discrimination",
-            "passed": bool(abs(c_geo) >= 10.0 * abs(c_corner)),
-            "detail": f"|C(2)|={abs(c_geo):.4f} vs corner {abs(c_corner):.4f}",
-        },
-    ]
-    return results
-
-
-_SUITES = {
-    "link": _suite_link,
-    "composition": _suite_composition,
-    "spectral": _suite_spectral,
-}
-
-
 def cmd_verify(args) -> int:
-    tols = _parse_tols(args.tol)
     if args.suite == "all":
-        names = sorted(_SUITES)
-    elif args.suite in _SUITES:
+        names = list(verify.SUITES)
+    elif args.suite in verify.SUITES:
         names = [args.suite]
     else:
         sys.stderr.write(
             f"unknown suite {args.suite!r}; "
-            f"choose from {sorted(_SUITES) + ['all']}\n")
+            f"choose from {list(verify.SUITES) + ['all']}\n")
         return EXIT_CONFIG
-    results = []
-    for name in names:
-        results.extend(_SUITES[name](tols))
-    ok = all(r["passed"] for r in results)
+    verdicts = [verify.run(c) for name in names for c in verify.SUITES[name]]
+    ok = all(v.passed for v in verdicts)
     report = {
         "version": __version__,
         "suite": args.suite,
         "passed": ok,
-        "results": results,
+        "results": [v.report() for v in verdicts],
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out is None:
@@ -392,16 +243,9 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="JSON run configuration")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", action="append", metavar="KEY=VAL",
-                       help="tolerance override, repeatable")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count (CONETRACE_THREADS fallback)")
-        p.add_argument("--convention", choices=("L0", "L"), default=None,
-                       help="length prefactor convention")
 
     p = sub.add_parser("link-kernel", help="tabulate a diffraction kernel")
     common(p)
@@ -411,13 +255,16 @@ def _build_parser():
     p.set_defaults(fn=cmd_find_geodesics)
     p = sub.add_parser("predict-trace", help="predict a trace singularity")
     common(p)
+    p.add_argument("--convention", choices=("L0", "L"), default=None,
+                   help="length prefactor convention")
     p.set_defaults(fn=cmd_predict_trace)
     p = sub.add_parser("spectral-trace", help="smoothed trace from a spectrum")
     common(p)
     p.set_defaults(fn=cmd_spectral_trace)
     p = sub.add_parser("verify", help="run a verification suite")
-    common(p, config_required=False)
-    p.add_argument("--suite", required=True, help="suite name or 'all'")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--suite", required=True,
+                   help="suite name (link, composition, spectral) or 'all'")
     p.set_defaults(fn=cmd_verify)
     return parser
 
@@ -426,7 +273,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_count(args)  # validated even though execution is single-process
         return args.fn(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

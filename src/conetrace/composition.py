@@ -168,7 +168,7 @@ def _quadrature(geom, amp12, xi, sigma_eta, scale):
             * np.exp(1j * (d1 + d2 - d_tot) * xi)
             * (wu[:, None] * wv[None, :]))
     total = 0.0 + 0.0j
-    chunk = 64
+    chunk = 16  # eta nodes per block: each temporary is n_u x n_v x chunk
     for k0 in range(0, n_eta, chunk):
         et = eta[k0:k0 + chunk]
         wt = we[k0:k0 + chunk]

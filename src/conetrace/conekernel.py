@@ -112,30 +112,19 @@ def smoothed_heaviside(tau, damping: float):
     return 0.5 * (1.0 + erf(np.asarray(tau, dtype=float) * damping / np.sqrt(2.0)))
 
 
+def _safe_log(z):
+    return math.log(max(abs(z), 1e-300))
+
+
 def smoothed_log(tau, damping: float):
     """log|tau| convolved with the same Gaussian window."""
-    sig = 1.0 / damping
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = np.empty_like(taus)
-
-    def density(s):
-        return np.exp(-(s**2) / (2 * sig**2)) / (sig * np.sqrt(2 * np.pi))
-
-    for i, tv in enumerate(taus):
-        # keep the singular point clear of the quadrature endpoints
-        lim = max(8 * sig, abs(tv) + 2 * sig)
-        pts = [tv] if abs(tv) < lim else []
-        out[i] = quad(
-            lambda s: math.log(max(abs(tv - s), 1e-300)) * density(s),
-            -lim,
-            lim,
-            points=pts,
-            limit=200,
-        )[0]
+    out = _smoothed(_safe_log, np.atleast_1d(np.asarray(tau, dtype=float)),
+                    damping)
     return out if np.asarray(tau).ndim else float(out[0])
 
 
 def _smoothed(fn, tau, damping: float):
+    """fn convolved with the Gaussian window, by quadrature at each tau."""
     sig = 1.0 / damping
 
     def density(s):
@@ -143,6 +132,7 @@ def _smoothed(fn, tau, damping: float):
 
     out = np.empty_like(tau)
     for i, tv in enumerate(tau):
+        # keep the singular point clear of the quadrature endpoints
         lim = max(8 * sig, abs(tv) + 2 * sig)
         pts = [tv] if abs(tv) < lim else []
         out[i] = quad(
@@ -164,16 +154,15 @@ def conormal_basis(tau, damping: float) -> np.ndarray:
     practical fit window, and without them the step coefficient
     absorbs a large bias.
     """
-    safe_log = lambda z: math.log(max(abs(z), 1e-300))
     cols = [
         np.ones_like(tau),
         tau,
         smoothed_heaviside(tau, damping),
         smoothed_log(tau, damping),
         _smoothed(abs, tau, damping),
-        _smoothed(lambda z: z * safe_log(z), tau, damping),
+        _smoothed(lambda z: z * _safe_log(z), tau, damping),
         tau**2,
-        _smoothed(lambda z: z * z * safe_log(z), tau, damping),
+        _smoothed(lambda z: z * z * _safe_log(z), tau, damping),
         _smoothed(lambda z: z * abs(z), tau, damping),
     ]
     return np.column_stack(cols)

@@ -42,10 +42,6 @@ class SeriesStartFailureError(ConetraceError):
     """Tip chart lacks the radial expansion needed to start a field."""
 
 
-class CurvatureEvaluationFailureError(ConetraceError):
-    """Gauss curvature could not be evaluated along the path."""
-
-
 class NotStrictlyDiffractiveError(ConetraceError):
     """A junction of the closed geodesic admits a geometric continuation."""
 

@@ -28,13 +28,11 @@ __all__ = [
     "JacobiSolution",
     "integrate_jacobi",
     "b_jacobi_solution",
-    "b_jacobi_from_tip",
     "theta_spreading",
     "morse_index",
     "theta_symmetric_check",
     "shape_operator",
     "broken_hessian",
-    "broken_hessian_index",
     "wronskian_drift",
 ]
 
@@ -103,10 +101,6 @@ def b_jacobi_solution(path, s1: float = None, *,
     return integrate_jacobi(path, x_start, s1, j0, jp0, **kw)
 
 
-def b_jacobi_from_tip(path, s1: float = None, **kw) -> JacobiSolution:
-    return b_jacobi_solution(path, s1, **kw)
-
-
 def _field_from(path, s0: float, s1: float, **kw) -> JacobiSolution:
     if s0 == 0.0 and path.start_kind == "tip":
         return b_jacobi_solution(path, s1, **kw)
@@ -165,11 +159,6 @@ def broken_hessian(path, s_cut: float, **kw) -> float:
     if abs(fa.j) < 1e-12 or abs(fb.j) < 1e-12:
         raise ConjugateDegeneracyError("cut point is conjugate to an endpoint")
     return fa.jprime / fa.j + fb.jprime / fb.j
-
-
-def broken_hessian_index(path, s_cut: float, **kw) -> int:
-    """1 when breaking at s_cut lowers the length Hessian (H < 0), else 0."""
-    return 1 if broken_hessian(path, s_cut, **kw) < 0 else 0
 
 
 def wronskian_drift(path, s0: float = 0.0, s1: float = None,

@@ -1,9 +1,8 @@
 """Spectral model of a cone link and its functional-calculus kernels.
 
 A cone point of a conic surface is described by its link: a circle of some
-circumference rho (or, more generally, a closed manifold given by tabulated
-eigendata).  Everything the wave trace needs from the link is a kernel of a
-function of nu = sqrt(Delta_link + ((2-n)/2)^2):
+circumference rho.  Everything the wave trace needs from the link is a
+kernel of a function of nu = sqrt(Delta_link + ((2-n)/2)^2):
 
 * the diffraction coefficient, the kernel of exp(-i pi nu),
 * the half-Klein-Gordon propagator exp(-i t nu) at general time t,
@@ -12,7 +11,7 @@ function of nu = sqrt(Delta_link + ((2-n)/2)^2):
   from them.
 
 Mode sums are distributional and need a summation policy: a closed form
-(circle links only), Abel damping r^nu with r < 1, or Gaussian damping
+(n = 2 only), Abel damping r^nu with r < 1, or Gaussian damping
 exp(-nu^2 / (2 sigma^2)).  The closed form is validated against the Abel
 series in the test suite before anything else relies on it.
 
@@ -40,7 +39,6 @@ __all__ = [
     "LinkSpectrum",
     "SummationPolicy",
     "DiffractionValue",
-    "TabulatedMode",
     "nu_values",
     "diffraction_kernel",
     "half_kg_kernel",
@@ -58,55 +56,28 @@ REGULARITY_BAND = 1e-3
 
 
 @dataclass(frozen=True)
-class TabulatedMode:
-    """One eigenmode of the link Laplacian: eigenvalue and evaluator."""
-
-    mu: float
-    eigenfunction: Callable[[float], complex]
-
-
-@dataclass(frozen=True)
 class LinkSpectrum:
-    """Eigendata of the link Laplacian.
+    """Eigendata of a circle link, fully described by its circumference.
 
-    Circle links are fully described by their circumference; eigenvalues
-    are (2 pi k / circumference)^2 with eigenfunctions
+    Eigenvalues are (2 pi k / circumference)^2 with eigenfunctions
     exp(2 pi i k y / circumference) / sqrt(circumference), y being arc
-    length along the link.  Tabulated links carry an explicit mode list,
-    nondecreasing in eigenvalue and starting at mu = 0.
+    length along the link.
     """
 
-    kind: str  # "circle" | "tabulated"
-    circumference: float | None = None
-    modes: tuple[TabulatedMode, ...] = ()
-    dim_link: int = 1
+    circumference: float
 
     @staticmethod
     def circle(circumference: float) -> "LinkSpectrum":
         if circumference <= 0:
             raise NonPositiveRadiusError("circumference must be positive")
-        return LinkSpectrum(kind="circle", circumference=float(circumference))
-
-    @staticmethod
-    def tabulated(
-        modes: Sequence[TabulatedMode], dim_link: int = 1
-    ) -> "LinkSpectrum":
-        modes = tuple(modes)
-        if not modes:
-            raise ValueError("tabulated link needs at least one mode")
-        mus = [m.mu for m in modes]
-        if any(b < a for a, b in zip(mus, mus[1:])):
-            raise ValueError("tabulated eigenvalues must be nondecreasing")
-        if abs(mus[0]) > 1e-12:
-            raise ValueError("first tabulated eigenvalue must be 0")
-        return LinkSpectrum(kind="tabulated", modes=modes, dim_link=dim_link)
+        return LinkSpectrum(circumference=float(circumference))
 
 
 @dataclass(frozen=True)
 class SummationPolicy:
     """How to sum a distributional mode series.
 
-    kind "closed_form" (circle links, n = 2 only), "abel" with damping
+    kind "closed_form" (n = 2 only), "abel" with damping
     r^nu, or "gaussian" with damping exp(-nu^2/(2 sigma^2)); mode_cutoff
     bounds the number of angular modes actually summed.
     """
@@ -159,20 +130,18 @@ def _nu_shift(n: int) -> float:
 def nu_values(link: LinkSpectrum, n: int, cutoff: int) -> list[float]:
     """Sorted values of nu = sqrt(mu + ((2-n)/2)^2), one per mode.
 
-    For circle links, modes up to angular index ``cutoff`` inclusive are
-    listed (index k >= 1 appears twice).
+    Modes up to angular index ``cutoff`` inclusive are listed (index
+    k >= 1 appears twice).
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     s2 = _nu_shift(n) ** 2
-    if link.kind == "circle":
-        rho = link.circumference
-        out = [np.sqrt(s2)]
-        for k in range(1, cutoff + 1):
-            nu = np.sqrt((2 * np.pi * k / rho) ** 2 + s2)
-            out.extend([nu, nu])
-        return out
-    return sorted(np.sqrt(m.mu + s2) for m in link.modes[:cutoff])
+    rho = link.circumference
+    out = [np.sqrt(s2)]
+    for k in range(1, cutoff + 1):
+        nu = np.sqrt((2 * np.pi * k / rho) ** 2 + s2)
+        out.extend([nu, nu])
+    return out
 
 
 def _wrap(u: float, rho: float) -> float:
@@ -190,8 +159,6 @@ def singular_set_distance(link: LinkSpectrum, t: float, y: float, y_prime: float
     from y' to y has length |t|, i.e. where y - y' = +-t modulo the
     circumference.
     """
-    if link.kind != "circle":
-        raise PolicyMismatchError("singular-set distance needs a circle link")
     rho = link.circumference
     u = y - y_prime
     return min(abs(_wrap(u - t, rho)), abs(_wrap(u + t, rho)))
@@ -225,13 +192,17 @@ def _mode_weights(nus: np.ndarray, policy: SummationPolicy) -> np.ndarray:
     raise PolicyMismatchError("closed_form policy has no mode weights")
 
 
-def _circle_weighted_sum(
+def _kernel_of(
     link: LinkSpectrum,
     n: int,
     weight_of_nu: Callable[[np.ndarray], np.ndarray],
-    u: float,
+    y: float,
+    y_prime: float,
     policy: SummationPolicy,
 ) -> complex:
+    if policy.kind == "closed_form":
+        raise PolicyMismatchError("closed form only applies to exp(-i t nu) kernels")
+    u = y - y_prime
     rho = link.circumference
     s2 = _nu_shift(n) ** 2
     ks = np.arange(1, policy.mode_cutoff + 1)
@@ -243,24 +214,6 @@ def _circle_weighted_sum(
     total = weight_of_nu(np.array([nu0]))[0] * _mode_weights(np.array([nu0]), policy)[0] / rho
     total += np.sum(weight_of_nu(nus) * damp * 2.0 * np.cos(2 * np.pi * ks * u / rho)) / rho
     return complex(total)
-
-
-def _tabulated_weighted_sum(link, n, weight_of_nu, y, y_prime, policy):
-    s2 = _nu_shift(n) ** 2
-    modes = link.modes[: policy.mode_cutoff]
-    nus = np.array([np.sqrt(m.mu + s2) for m in modes])
-    damp = _mode_weights(nus, policy)
-    phis = np.array([m.eigenfunction(y) for m in modes], dtype=complex)
-    phips = np.array([np.conj(m.eigenfunction(y_prime)) for m in modes], dtype=complex)
-    return complex(np.sum(weight_of_nu(nus) * damp * phis * phips))
-
-
-def _kernel_of(link, n, weight_of_nu, y, y_prime, policy):
-    if policy.kind == "closed_form":
-        raise PolicyMismatchError("closed form only applies to exp(-i t nu) kernels")
-    if link.kind == "circle":
-        return _circle_weighted_sum(link, n, weight_of_nu, y - y_prime, policy)
-    return _tabulated_weighted_sum(link, n, weight_of_nu, y, y_prime, policy)
 
 
 def _abel_half_kg_circle(
@@ -297,15 +250,12 @@ def half_kg_kernel(
     is an actual pole there; damped policies return the finite smoothed
     value and leave flagging to the caller.
     """
-    if link.kind == "circle" and policy.kind == "closed_form":
-        _check_geometric(link, t, y, y_prime)
     if policy.kind == "closed_form":
-        if link.kind != "circle":
-            raise PolicyMismatchError("closed form requires a circle link")
+        _check_geometric(link, t, y, y_prime)
         if n != 2:
             raise PolicyMismatchError("closed form requires ambient dimension 2")
         return _closed_form_half_kg(link.circumference, t, y - y_prime)
-    if policy.kind == "abel" and link.kind == "circle" and _nu_shift(n) == 0.0:
+    if policy.kind == "abel" and _nu_shift(n) == 0.0:
         return _abel_half_kg_circle(
             link.circumference, t, y - y_prime, policy.r, min(policy.mode_cutoff, 100_000)
         )
@@ -321,10 +271,7 @@ def diffraction_kernel(
 ) -> DiffractionValue:
     """Diffraction coefficient: the kernel of exp(-i pi nu)."""
     value = half_kg_kernel(link, n, np.pi, y, y_prime, policy)
-    if link.kind == "circle":
-        regular = singular_set_distance(link, np.pi, y, y_prime) > REGULARITY_BAND
-    else:
-        regular = True
+    regular = singular_set_distance(link, np.pi, y, y_prime) > REGULARITY_BAND
     return DiffractionValue(value=value, at_pair=(y, y_prime), regular=regular)
 
 
@@ -407,8 +354,7 @@ def a0_b0_coefficients(
         raise PolicyMismatchError(
             "the constant coefficient has no closed form; use abel or gaussian"
         )
-    if link.kind == "circle":
-        _check_geometric(link, np.pi, y, y_prime)
+    _check_geometric(link, np.pi, y, y_prime)
 
     def weight_i(nus: np.ndarray) -> np.ndarray:
         return np.array([_mode_integral(float(nu)) for nu in nus])

@@ -11,7 +11,7 @@ control for the trace-singularity machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,10 +25,15 @@ __all__ = [
     "fit_trace_singularity",
 ]
 
+_TRACE_ROWS = 32  # t values per block of the trace's matrix product
+
 
 @dataclass(frozen=True)
 class SmoothedTrace:
-    """Gaussian-damped sum over sqrt-Laplace eigenvalues on a t grid."""
+    """Gaussian-damped sum over sqrt-Laplace eigenvalues on a t grid.
+
+    eigenvalues holds the distinct eigenvalues the sum kept.
+    """
 
     eigenvalues: np.ndarray
     sigma: float
@@ -54,21 +59,25 @@ def doubled_square_spectrum(lambda_max: float) -> np.ndarray:
 def smoothed_wave_trace(eigs, sigma: float, t_grid) -> SmoothedTrace:
     """Sum of exp(-lam^2/(2 sigma^2)) e^{-i t lam} over the spectrum.
 
-    The eigenvalue order is fixed (sorted ascending) and the reduction
-    uses numpy's pairwise summation, so repeated runs are bit-identical.
+    Terms damped below 1e-18 of the largest damping are dropped, and
+    repeated eigenvalues are merged into one term whose weight is their
+    summed damping; the sum is then a matrix product, taken over
+    _TRACE_ROWS t values at a time to bound memory.  The operation
+    sequence is fixed, so repeated runs on one machine are bit-identical.
     """
     if sigma <= 0:
         raise ValueError("need sigma > 0")
-    eigs = np.sort(np.asarray(eigs, dtype=float), kind="stable")
+    eigs = np.asarray(eigs, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     damp = np.exp(-(eigs**2) / (2.0 * sigma**2))
-    keep = damp > 1e-300
-    eigs = eigs[keep]
-    damp = damp[keep]
+    keep = damp > 1e-18 * damp.max(initial=0.0)
+    lam, which = np.unique(eigs[keep], return_inverse=True)
+    weights = np.bincount(which, weights=damp[keep])
     samples = np.empty(len(t_grid), dtype=complex)
-    for i, t in enumerate(t_grid):
-        samples[i] = np.sum(damp * np.exp(-1j * t * eigs))
-    return SmoothedTrace(eigs, sigma, t_grid, samples)
+    for i in range(0, len(t_grid), _TRACE_ROWS):
+        rows = t_grid[i:i + _TRACE_ROWS]
+        samples[i:i + _TRACE_ROWS] = np.exp(-1j * np.outer(rows, lam)) @ weights
+    return SmoothedTrace(lam, sigma, t_grid, samples)
 
 
 def fit_trace_singularity(trace: SmoothedTrace, length: float, prediction,
@@ -83,12 +92,7 @@ def fit_trace_singularity(trace: SmoothedTrace, length: float, prediction,
     mask = np.abs(trace.t_grid - length) <= window
     ts = trace.t_grid[mask]
     vals = trace.samples[mask]
-    unit = type(prediction)(
-        L=length, L0=length, k=prediction.k, n=prediction.n,
-        order=prediction.order, coefficient=1.0 + 0.0j,
-        model=prediction.model,
-        length_convention=prediction.length_convention,
-    )
+    unit = replace(prediction, L=length, L0=length, coefficient=1.0 + 0.0j)
     kernel = model_kernel(unit, cutoff, ts, damping_sigma=trace.sigma)
     design = np.column_stack([kernel, np.ones_like(ts), ts - length])
     cond = np.linalg.cond(design)

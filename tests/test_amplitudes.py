@@ -180,6 +180,10 @@ class TestTraceCoefficient:
         p3 = trace_singularity(geo(3), invariants=[seg] * 3)
         assert p3.model == "power"
         assert p3.order == 1.5
+        # the label follows the order wherever the prediction is built
+        built = TraceSingularityPrediction(L=2.0, L0=2.0, k=2, n=2, order=1.0,
+                                           coefficient=1.0 + 0.0j)
+        assert built.model == "log"
 
     def test_length_convention_ratio(self):
         link = LinkSpectrum.circle(1.5 * np.pi)
@@ -222,13 +226,13 @@ class TestTwoPathConsistency:
 class TestModelKernel:
     CUT = CutoffSpec()
 
-    def pred(self, order, model, coeff=1.0 + 0.0j, L=5.0):
+    def pred(self, order, coeff=1.0 + 0.0j, L=5.0):
         return TraceSingularityPrediction(
-            L=L, L0=L, k=1, n=2, order=order, coefficient=coeff, model=model
+            L=L, L0=L, k=1, n=2, order=order, coefficient=coeff
         )
 
     def test_log_model_slope(self):
-        p = self.pred(1.0, "log")
+        p = self.pred(1.0)
         u = 2.0 ** -np.arange(6.0, 22.0)
         y = np.real(model_kernel(p, self.CUT, p.L + u))
         x = np.log(u)
@@ -240,7 +244,7 @@ class TestModelKernel:
         assert r2 > 0.999
 
     def test_inverse_sqrt_dyadic_ratios(self):
-        p = self.pred(0.5, "inverse_sqrt")
+        p = self.pred(0.5)
         u = 2.0 ** -np.arange(10.0, 18.0)
         mags = np.abs(model_kernel(p, self.CUT, p.L + u))
         ratios = mags[1:] / mags[:-1]
@@ -248,33 +252,33 @@ class TestModelKernel:
 
     def test_linear_in_coefficient(self):
         t = np.array([5.01, 5.1, 4.9])
-        a = model_kernel(self.pred(0.5, "inverse_sqrt"), self.CUT, t)
+        a = model_kernel(self.pred(0.5), self.CUT, t)
         b = model_kernel(
-            self.pred(0.5, "inverse_sqrt", coeff=3.0 - 2.0j), self.CUT, t
+            self.pred(0.5, coeff=3.0 - 2.0j), self.CUT, t
         )
         assert np.allclose(b, (3.0 - 2.0j) * a, rtol=1e-13)
 
     def test_conjugate_symmetry(self):
-        p = self.pred(0.5, "inverse_sqrt")
+        p = self.pred(0.5)
         us = np.array([0.003, 0.07, 0.4, 2.0])
         plus = model_kernel(p, self.CUT, p.L + us)
         minus = model_kernel(p, self.CUT, p.L - us)
         assert np.allclose(minus, np.conj(plus), rtol=1e-10, atol=1e-12)
 
     def test_damped_finite_on_singularity(self):
-        p = self.pred(0.5, "inverse_sqrt")
+        p = self.pred(0.5)
         val = model_kernel(p, self.CUT, [p.L], damping_sigma=30.0)[0]
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
     def test_undamped_diverges_on_singularity(self):
-        p = self.pred(0.5, "inverse_sqrt")
+        p = self.pred(0.5)
         with pytest.raises(QuadratureFailureError):
             model_kernel(p, self.CUT, [p.L])
 
     def test_damped_matches_undamped_off_singularity(self):
         # heavy damping only suppresses the far tail; off the front the
         # two quadratures should agree once sigma is large
-        p = self.pred(1.0, "log")
+        p = self.pred(1.0)
         t = p.L + 0.5
         free = model_kernel(p, self.CUT, [t])[0]
         damped = model_kernel(p, self.CUT, [t], damping_sigma=400.0)[0]

@@ -132,16 +132,22 @@ class TestExitCodes:
     def test_unknown_suite_exit_2(self):
         assert main(["verify", "--suite", "nope"]) == 2
 
-    def test_bad_threads_env_exit_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONETRACE_THREADS", "many")
-        cfg = write_config(tmp_path, "lk.json", {
-            "link": {"circumference": RHO},
-            "u_grid": {"min": 0.3, "max": 1.0, "count": 3},
-        })
-        assert main(["link-kernel", "--config", cfg]) == 2
-
-    def test_bad_tol_flag_exit_2(self):
-        assert main(["verify", "--suite", "link", "--tol", "oops"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["link-kernel", "--config", "c.json", "--threads", "2"],
+        ["verify", "--suite", "link", "--tol", "link=1e-3"],
+        ["link-kernel", "--config", "c.json", "--convention", "L"],
+        ["find-geodesics", "--config", "c.json", "--convention", "L"],
+        ["spectral-trace", "--config", "c.json", "--convention", "L"],
+        ["verify", "--suite", "link", "--convention", "L"],
+        ["verify", "--suite", "link", "--config", "c.json"],
+    ], ids=["threads", "tol", "convention-link-kernel",
+            "convention-find-geodesics", "convention-spectral-trace",
+            "convention-verify", "config-verify"])
+    def test_unread_option_rejected(self, argv):
+        # options no command reads are not accepted: argparse exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +185,26 @@ class TestGeodesicCommands:
         got = complex(float(rows[0][5]), float(rows[0][6]))
         assert abs(got - pred.coefficient) <= 1e-6 * abs(pred.coefficient)
         assert float(rows[0][4]) == pred.order
+
+
+class TestVerifyCommand:
+    @pytest.mark.parametrize("suite,criterion", [("composition", 8),
+                                                 ("spectral", 10)])
+    def test_suite_report(self, tmp_path, suite, criterion):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["verify", "--suite", suite, "--out", str(a)]) == 0
+        assert main(["verify", "--suite", suite, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        report = json.loads(a.read_text())
+        assert report["passed"] and report["suite"] == suite
+        [result] = report["results"]
+        # no elapsed time: reruns must compare byte for byte
+        assert set(result) == {"criterion", "name", "passed", "measurements"}
+        assert result["criterion"] == criterion and result["passed"]
+        assert result["measurements"]
+        for m in result["measurements"]:
+            assert np.isfinite(m["value"])
+            assert m["min"] is not None or m["max"] is not None
 
 
 class TestSpectralTraceCommand:

@@ -70,11 +70,11 @@ class TestSpreading:
         chart = surface.chart(tip_b.chart)
         s_sec = path.length - 0.1
         st = path.state(s_sec)
-        jf = jacobi.b_jacobi_from_tip(path, s_sec).at(s_sec)
+        jf = jacobi.b_jacobi_solution(path, s_sec).at(s_sec)
         sq = chart.sqrt_q(st.p)
         dsq_dr = float(chart.sqrt_q_grad(st.p)[0])
         deriv = 0.75 * (jf.jprime * sq * st.v[0] - jf.j * dsq_dr)
-        j_end = jacobi.b_jacobi_from_tip(path).at(path.length).j
+        j_end = jacobi.b_jacobi_solution(path).at(path.length).j
         assert abs(abs(deriv) - 0.75 * tip_b.a0 * abs(j_end)) < 1e-6
 
     def test_shape_operator_flat_cone(self):
@@ -140,9 +140,9 @@ class TestBrokenHessian:
         # non-product tip: curvature ~ c/x, the series start must absorb it
         surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5", 10.0)
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
-        a = jacobi.b_jacobi_from_tip(path, 1.5, x_start=1e-4).at(1.5)
-        b = jacobi.b_jacobi_from_tip(path, 1.5, x_start=1e-5).at(1.5)
-        c = jacobi.b_jacobi_from_tip(path, 1.5, x_start=1e-6).at(1.5)
+        a = jacobi.b_jacobi_solution(path, 1.5, x_start=1e-4).at(1.5)
+        b = jacobi.b_jacobi_solution(path, 1.5, x_start=1e-5).at(1.5)
+        c = jacobi.b_jacobi_solution(path, 1.5, x_start=1e-6).at(1.5)
         assert abs(a.j - b.j) < 1e-8
         assert abs(b.j - c.j) < 1e-9
         assert abs(a.jprime - b.jprime) < 1e-8

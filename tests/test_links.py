@@ -9,7 +9,6 @@ from conetrace import (
     LinkSpectrum,
     PolicyMismatchError,
     SummationPolicy,
-    TabulatedMode,
     a0_b0_coefficients,
     abel_extrapolate,
     cos_sin_pi_nu_kernels,
@@ -84,13 +83,6 @@ class TestDiffractionKernel:
         link = LinkSpectrum.circle(3 * np.pi)
         assert diffraction_kernel(link, 2, 1.0, 0.0, CF).regular
         assert not diffraction_kernel(link, 2, np.pi + 1e-4, 0.0, CF).regular
-
-    def test_closed_form_needs_circle(self):
-        link = LinkSpectrum.tabulated(
-            [TabulatedMode(0.0, lambda y: 1.0 / np.sqrt(2 * np.pi))]
-        )
-        with pytest.raises(PolicyMismatchError):
-            diffraction_kernel(link, 2, 0.3, 0.0, CF)
 
 
 class TestHalfKgKernel:

@@ -77,6 +77,19 @@ class TestSmoothedTrace:
         assert np.allclose(shifted.samples,
                            base.samples * np.exp(-1j * ts * 0.7), atol=1e-9)
 
+    @pytest.mark.parametrize("lambda_max", [220.0, 2000.0])
+    def test_matches_per_t_loop(self, lambda_max):
+        # reference: the plain sum over every eigenvalue, one t at a time;
+        # dropping terms damped below 1e-18 and merging repeats only
+        # reorders and truncates the sum at rounding level
+        sigma = 40.0
+        eigs = doubled_square_spectrum(lambda_max)
+        ts = np.linspace(1.3, 3.7, 41)
+        damp = np.exp(-(eigs**2) / (2.0 * sigma**2))
+        ref = np.array([np.sum(damp * np.exp(-1j * t * eigs)) for t in ts])
+        got = smoothed_wave_trace(eigs, sigma, ts).samples
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_determinism(self):
         eigs = doubled_square_spectrum(80.0)
         ts = np.linspace(1.0, 2.0, 33)
@@ -94,7 +107,7 @@ class TestFitTraceSingularity:
         sigma = 40.0
         pred = TraceSingularityPrediction(
             L=1.7, L0=1.7, k=1, n=2, order=0.5,
-            coefficient=0.8 - 0.3j, model="inverse_sqrt")
+            coefficient=0.8 - 0.3j)
         cut = CutoffSpec()
         ts = np.arange(1.35, 2.05, 0.004)
         vals = model_kernel(pred, cut, ts, damping_sigma=sigma) \
