@@ -6,7 +6,7 @@ computation.  Sampling that sum across t = x + x' and fitting the
 smoothed step-plus-log basis recovers the front coefficients, which are
 then compared with the closed-form prediction of the link machinery.
 
-Uses a light frequency damping so the mode build takes ~10 s; the
+Uses a light frequency damping so the mode build takes about a second; the
 acceptance suite runs the sharper version.
 """
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     ChainMismatchError,
@@ -34,6 +33,7 @@ from .errors import (
 )
 from .jacobi import b_jacobi_solution, morse_index, theta_spreading
 from .links import DiffractionValue, SummationPolicy, diffraction_kernel
+from .quadrature import gauss_legendre
 
 __all__ = [
     "CutoffSpec",
@@ -50,6 +50,9 @@ __all__ = [
     "trace_singularity_cut_route",
     "model_kernel",
 ]
+
+# length prefactor of the trace coefficient: primitive length or full length
+LENGTH_CONVENTIONS = ("L0", "L")
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,15 @@ def trace_singularity(geodesic, invariants=None, n: int = 2,
                       policy: SummationPolicy = None,
                       length_convention: str = "L0") -> TraceSingularityPrediction:
     """Leading coefficient of the wave-trace singularity at the length of
-    a strictly diffractive closed geodesic."""
+    a strictly diffractive closed geodesic.
+
+    length_convention "L0" scales by the primitive length, "L" by the
+    full length; any other value raises ValueError.
+    """
+    if length_convention not in LENGTH_CONVENTIONS:
+        raise ValueError(
+            f"length_convention must be one of {LENGTH_CONVENTIONS}, "
+            f"not {length_convention!r}")
     if not geodesic.strictly_diffractive:
         raise NotStrictlyDiffractiveError(
             "trace singularity requires a strictly diffractive geodesic"
@@ -267,7 +278,7 @@ def trace_singularity_cut_route(geodesic, n: int = 2,
         diffraction_kernel(j.link, n, j.link_in, j.link_out, policy).value
         for j in geodesic.junctions
     ]
-    gl_x, gl_w = leggauss(nodes)
+    gl_x, gl_w = gauss_legendre(nodes)
 
     total = 0.0 + 0.0j
     for c, seg in enumerate(geodesic.segments):
@@ -334,7 +345,7 @@ def model_kernel(prediction, cutoff: CutoffSpec, t_grid,
 
 def _panel_gl(f, a, b, n_osc, nodes=64):
     panels = max(4, int(np.ceil(n_osc)) * 2)
-    gl_x, gl_w = leggauss(nodes)
+    gl_x, gl_w = gauss_legendre(nodes)
     edges = np.linspace(a, b, panels + 1)
     total = 0.0 + 0.0j
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -9,9 +9,14 @@ that is also used as ground truth.  Two regimes:
 * Schlaefli's integral representation elsewhere,
       J_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt
               - sin(nu pi)/pi int_0^inf exp(-nu t - x sinh t) dt,
-  with Gauss-Legendre on the oscillatory part (node count tracks the
-  total phase variation nu pi + 2 x) and scaled Gauss-Laguerre on the
-  monotone tail.
+  with Gauss-Legendre on the oscillatory part and scaled Gauss-Laguerre
+  on the monotone tail.  The Legendre node count tracks the total phase
+  variation nu pi + 2 x, rounded up to the next rung of a ladder of
+  multiples of 128 nodes, so that the many (nu, x) of a mode build share
+  a handful of rules from the package's cached rule source
+  (`quadrature.gauss_legendre`).  A phase variation that would need more
+  than the ladder's top (3072 nodes, nu pi + 2 x above about 3360) raises
+  BesselFailureError rather than integrating with too few nodes.
 
 Zeros are located by a pi/4-spaced scan starting just below the first
 zero bound x = nu, then polished by Newton with the analytic derivative.
@@ -24,22 +29,17 @@ import math
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .errors import BesselFailureError
+from .quadrature import gauss_legendre
 
 __all__ = ["bessel_j", "bessel_j_prime", "bessel_j_pair", "bessel_j_zeros"]
 
 _SERIES_X_MAX = 10.0
 _LAG = laggauss(80)
-_GL_CACHE: dict = {}
-
-
-def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = leggauss(n)
-    return _GL_CACHE[n]
+_GL_RUNG = 128  # Legendre node counts are multiples of this
+_GL_TOP = 3072  # largest rule the Schlaefli integral will use
 
 
 def _series(nu: float, x: np.ndarray, deriv: bool) -> np.ndarray:
@@ -67,8 +67,12 @@ def _series(nu: float, x: np.ndarray, deriv: bool) -> np.ndarray:
 def _schlaefli(nu: float, x: np.ndarray, deriv) -> np.ndarray:
     """deriv in {False, True, "both"}; "both" shares the phase matrix."""
     span = nu * np.pi + 2.0 * float(np.max(x, initial=0.0))
-    n = int(min(3000, max(128, 0.9 * span + 48)))
-    t, w = _gl(n)
+    n = _GL_RUNG * math.ceil((0.9 * span + 48) / _GL_RUNG)
+    if n > _GL_TOP:
+        raise BesselFailureError(
+            f"phase variation {span:.6g} needs more than {_GL_TOP} "
+            f"Gauss-Legendre nodes")
+    t, w = gauss_legendre(n)
     theta = 0.5 * np.pi * (t + 1.0)
     wt = 0.5 * np.pi * w
     sin_theta = np.sin(theta)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, verify
 from .amplitudes import (
+    LENGTH_CONVENTIONS,
     CutoffSpec,
     TraceSingularityPrediction,
     invariants_for,
@@ -132,8 +133,11 @@ def cmd_find_geodesics(args) -> int:
 
 def cmd_predict_trace(args) -> int:
     cfg = load_config(args.config)
-    geo = _build_geodesic(cfg)
     convention = args.convention or cfg.get("convention", "L0")
+    if convention not in LENGTH_CONVENTIONS:
+        raise ConfigError(
+            f"'convention' must be one of {list(LENGTH_CONVENTIONS)}")
+    geo = _build_geodesic(cfg)
     invs = invariants_for(geo)
     pred = trace_singularity(geo, invs, length_convention=convention)
     policy = SummationPolicy.closed_form()
@@ -195,12 +199,17 @@ def cmd_spectral_trace(args) -> int:
         if not isinstance(length, (int, float)):
             raise ConfigError("fit needs a numeric 'L'")
         k = fit_cfg.get("k", 1)
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ConfigError("fit 'k' must be a positive integer")
+        window = fit_cfg.get("window", 0.35)
+        if (isinstance(window, bool) or not isinstance(window, (int, float))
+                or not window > 0):
+            raise ConfigError("fit 'window' must be a positive number")
         unit = TraceSingularityPrediction(
             L=float(length), L0=float(length), k=k, n=2, order=k / 2.0,
             coefficient=1.0 + 0.0j)
         C, resid = fit_trace_singularity(
-            trace, float(length), unit, CutoffSpec(),
-            window=fit_cfg.get("window", 0.35))
+            trace, float(length), unit, CutoffSpec(), window=float(window))
         lines.append("# fit: L,re_coeff,im_coeff,residual_rms")
         lines.append("# " + ",".join(
             [_fmt(length), _fmt(C.real), _fmt(C.imag), _fmt(resid)]))
@@ -255,7 +264,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_find_geodesics)
     p = sub.add_parser("predict-trace", help="predict a trace singularity")
     common(p)
-    p.add_argument("--convention", choices=("L0", "L"), default=None,
+    p.add_argument("--convention", choices=LENGTH_CONVENTIONS, default=None,
                    help="length prefactor convention")
     p.set_defaults(fn=cmd_predict_trace)
     p = sub.add_parser("spectral-trace", help="smoothed trace from a spectrum")

@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NoCriticalPointError, QuadratureDivergenceError
+from .quadrature import gauss_legendre
 
 __all__ = [
     "CompositionGeometry",
@@ -150,9 +150,9 @@ def _quadrature(geom, amp12, xi, sigma_eta, scale):
     n_v = nodes(xi * hvv * b**2)
     n_eta = nodes(a * eta_max * 2)
 
-    tu, wu = leggauss(n_u)
-    tv, wv = leggauss(n_v)
-    te, we = leggauss(n_eta)
+    tu, wu = gauss_legendre(n_u)
+    tv, wv = gauss_legendre(n_v)
+    te, we = gauss_legendre(n_eta)
     u = a * tu
     v = b * tv
     eta = eta_max * te

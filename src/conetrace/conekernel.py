@@ -15,6 +15,7 @@ window before the least squares.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,6 @@ __all__ = [
 
 DEFAULT_DAMPING = 40.0
 WALL_MARGIN = 0.1
-_MODE_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,8 @@ def front_coordinates(t: float, x: float, xp: float) -> FrontCoordinates:
     return FrontCoordinates(u, delta)
 
 
+@functools.lru_cache(maxsize=8)
 def _mode_data(rho, wall_r, x, xp, damping, mode_cutoff, zero_cutoff):
-    key = (rho, wall_r, x, xp, damping, mode_cutoff, zero_cutoff)
-    if key in _MODE_CACHE:
-        return _MODE_CACHE[key]
     lam_max = 5.0 * damping if zero_cutoff is None else zero_cutoff
     z_arg = lam_max * max(x, xp)
     nu_max = z_arg + 8.0 * max(z_arg, 1.0) ** (1.0 / 3.0) + 10.0
@@ -76,7 +74,6 @@ def _mode_data(rho, wall_r, x, xp, damping, mode_cutoff, zero_cutoff):
         radial = norm * bessel_j(nu, lams * x) * bessel_j(nu, lams * xp)
         damp = np.exp(-(lams**2) / (2.0 * damping**2))
         modes.append((k, lams, radial * damp))
-    _MODE_CACHE[key] = modes
     return modes
 
 

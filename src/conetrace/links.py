@@ -79,7 +79,9 @@ class SummationPolicy:
 
     kind "closed_form" (n = 2 only), "abel" with damping
     r^nu, or "gaussian" with damping exp(-nu^2/(2 sigma^2)); mode_cutoff
-    bounds the number of angular modes actually summed.
+    bounds the number of angular modes actually summed (the Abel series
+    of exp(-i t nu) on a circle link in n = 2 is geometric and is summed
+    in closed form).
     """
 
     kind: str
@@ -216,23 +218,19 @@ def _kernel_of(
     return complex(total)
 
 
-def _abel_half_kg_circle(
-    rho: float, t: float, u: float, r: float, cutoff: int
-) -> complex:
+def _abel_half_kg_circle(rho: float, t: float, u: float, r: float) -> complex:
     """Abel-damped exp(-i t nu) mode series on a circle link (n = 2).
 
-    The damped series is a pair of geometric series in the mode index;
-    the head is summed term by term and the remainder beyond the cutoff
-    is added via the elementary geometric tail, so the value at each r
-    is exact rather than truncated.
+    The damped series is a pair of geometric series in the mode index,
+    sum_{k >= 1} z^k = z / (1 - z) with |z| = r^(2 pi / rho) < 1, so each
+    is summed exactly.  The closed form in `_closed_form_half_kg` is the
+    r -> 1 limit of this value; comparing it with `abel_extrapolate` of
+    this value checks the cotangent derivation behind the closed form.
     """
     c = 2 * np.pi / rho
     z_plus = r**c * np.exp(1j * c * (u - t))
     z_minus = r**c * np.exp(1j * c * (-u - t))
-    ks = np.arange(1, cutoff + 1)
-    total = 1.0 + np.sum(z_plus**ks) + np.sum(z_minus**ks)
-    for z in (z_plus, z_minus):
-        total += z ** (cutoff + 1) / (1.0 - z)
+    total = 1.0 + z_plus / (1.0 - z_plus) + z_minus / (1.0 - z_minus)
     return complex(total / rho)
 
 
@@ -256,9 +254,7 @@ def half_kg_kernel(
             raise PolicyMismatchError("closed form requires ambient dimension 2")
         return _closed_form_half_kg(link.circumference, t, y - y_prime)
     if policy.kind == "abel" and _nu_shift(n) == 0.0:
-        return _abel_half_kg_circle(
-            link.circumference, t, y - y_prime, policy.r, min(policy.mode_cutoff, 100_000)
-        )
+        return _abel_half_kg_circle(link.circumference, t, y - y_prime, policy.r)
     return _kernel_of(link, n, lambda nus: np.exp(-1j * t * nus), y, y_prime, policy)
 
 

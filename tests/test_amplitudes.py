@@ -195,6 +195,17 @@ class TestTraceCoefficient:
         b = trace_singularity(geo, invariants=[seg] * 2, length_convention="L")
         assert b.coefficient / a.coefficient == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("convention", ["l0", "bogus"])
+    def test_unknown_length_convention_rejected(self, convention):
+        link = LinkSpectrum.circle(1.5 * np.pi)
+        seg = SegmentInvariants(d=2.0, morse=0, theta=1.0)
+        geo = FakeGeodesic(
+            (seg,) * 2, (FakeJunction(link, 0.0, 0.6),) * 2, 8.0, 4.0
+        )
+        with pytest.raises(ValueError, match="length_convention"):
+            trace_singularity(geo, invariants=[seg] * 2,
+                              length_convention=convention)
+
     def test_flat_cone_value_explicit(self):
         # one segment of length d through a single cone point: the
         # coefficient is L0 * 2 pi * e^{-i pi/4} * D * d^{-1/2}

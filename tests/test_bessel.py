@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from conetrace import besselj
 from conetrace.besselj import (
     bessel_j,
     bessel_j_pair,
@@ -97,3 +98,40 @@ class TestZeros:
         ref = float(mpmath.besseljzero(3, 5))
         zs = bessel_j_zeros(3.0, 30.0)
         assert zs[4] == pytest.approx(ref, abs=1e-9)
+
+
+class TestRegimeEdges:
+    """Both sides of each switch: series vs Schlaefli integral, and the
+    top of the Gauss-Legendre node ladder."""
+
+    X_MAX = besselj._SERIES_X_MAX
+
+    @pytest.mark.parametrize("nu,x", [
+        (2.5, X_MAX * (1 - 1e-9)), (2.5, X_MAX * (1 + 1e-9)),
+        (0.0, X_MAX * (1 - 1e-9)), (0.0, X_MAX * (1 + 1e-9)),
+        (40.0, 20.0), (40.0, 20.0 * (1 + 1e-9)),
+        (64.0 / 3.0, 32.0 / 3.0), (64.0 / 3.0, 32.0 / 3.0 + 1e-6),
+    ], ids=["series-max-below", "series-max-above",
+            "series-max-below-nu0", "series-max-above-nu0",
+            "half-order-below", "half-order-above",
+            "half-order-below-frac", "half-order-above-frac"])
+    def test_switch_against_multiprecision(self, nu, x):
+        j, jp = bessel_j_pair(nu, x)
+        assert j == pytest.approx(float(mpmath.besselj(nu, x)),
+                                  abs=1e-10, rel=1e-9)
+        assert jp == pytest.approx(
+            float(mpmath.besselj(nu, x, derivative=1)), abs=1e-10, rel=1e-9)
+
+    def test_below_ladder_top(self):
+        # nu pi + 2 x = 3359.6 asks for 3072 nodes, the top rung
+        x = 1679.0
+        assert 0.5 * np.pi + 2 * x < 3360.0
+        ref = float(mpmath.besselj(0.5, x))
+        assert bessel_j(0.5, x) == pytest.approx(ref, abs=1e-10, rel=1e-9)
+
+    def test_above_ladder_top_raises(self):
+        # nu pi + 2 x = 3361.6 would need more nodes than the top rung
+        with pytest.raises(BesselFailureError, match="Gauss-Legendre"):
+            bessel_j(0.5, 1680.0)
+        with pytest.raises(BesselFailureError):
+            bessel_j_zeros(0.5, 1700.0)

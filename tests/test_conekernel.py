@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conetrace.conekernel import (
+    _mode_data,
     conormal_basis,
     extract_front_coefficients,
     flat_cone_sine_kernel_series,
@@ -82,6 +83,22 @@ class TestKernelSeries:
         with pytest.raises(WallInfluenceError):
             flat_cone_sine_kernel_series(RHO, 1.1, 1.6, 0.35, 0.0, 0.35, 1.0,
                                          damping=LIGHT["damping"])
+
+    def test_mode_cache_bounded(self):
+        # one more distinct config than the cache holds evicts the
+        # oldest; rebuilding it gives the same value
+        args = (RHO, 1.1, 0.8, 0.3, 0.2, 0.4, 1.1)
+        _mode_data.cache_clear()
+        first = flat_cone_sine_kernel_series(*args, damping=8.0)
+        size = _mode_data.cache_info().maxsize
+        for i in range(size):
+            flat_cone_sine_kernel_series(RHO, 1.1, 0.8, 0.3, 0.2,
+                                         0.4 + 0.01 * (i + 1), 1.1,
+                                         damping=8.0)
+        info = _mode_data.cache_info()
+        assert info.currsize == size and info.misses == size + 1
+        assert flat_cone_sine_kernel_series(*args, damping=8.0) == first
+        assert _mode_data.cache_info().misses == size + 2
 
     def test_kernel_is_real(self):
         val = flat_cone_sine_kernel_series(RHO, 1.1, 0.8, 0.3, 0.0, 0.4, 0.9,

@@ -132,6 +132,33 @@ class TestExitCodes:
     def test_unknown_suite_exit_2(self):
         assert main(["verify", "--suite", "nope"]) == 2
 
+    @pytest.mark.parametrize("fit", [
+        {"k": "3"}, {"k": 0}, {"k": 1.5}, {"k": True},
+        {"window": "0.3"}, {"window": 0.0},
+    ], ids=["k-string", "k-zero", "k-fraction", "k-bool",
+            "window-string", "window-zero"])
+    def test_bad_fit_config_exit_2(self, tmp_path, capsys, fit):
+        cfg = write_config(tmp_path, "sp.json", {
+            "eigenvalues": {"doubled_square": {"lambda_max": 60.0}},
+            "sigma": 12.0,
+            "t_grid": {"min": 0.5, "max": 1.5, "count": 11},
+            "fit": {"L": 1.0, **fit},
+        })
+        assert main(["spectral-trace", "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("convention", ["l0", "bogus", 1])
+    def test_unknown_convention_exit_2(self, tmp_path, capsys, convention):
+        cfg = write_config(tmp_path, "td.json", {
+            "surface": {"builtin": "teardrop"},
+            "tip_sequence": ["tip"],
+            "seeds": [A0 * (np.pi / 4 + 0.02)],
+            "options": {"length_cap": 12.0},
+            "convention": convention,
+        })
+        assert main(["predict-trace", "--config", cfg]) == 2
+        assert "convention" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["link-kernel", "--config", "c.json", "--threads", "2"],
         ["verify", "--suite", "link", "--tol", "link=1e-3"],
