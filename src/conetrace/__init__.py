@@ -56,7 +56,6 @@ from .jacobi import (  # noqa: F401
     morse_index,
     shape_operator,
     theta_spreading,
-    theta_symmetric_check,
     wronskian_drift,
 )
 from .amplitudes import (  # noqa: F401

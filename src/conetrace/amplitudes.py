@@ -31,7 +31,7 @@ from .errors import (
     NotStrictlyDiffractiveError,
     QuadratureFailureError,
 )
-from .jacobi import b_jacobi_solution, morse_index, theta_spreading
+from .jacobi import morse_index, theta_spreading
 from .links import DiffractionValue, SummationPolicy, diffraction_kernel
 from .quadrature import gauss_legendre
 
@@ -199,20 +199,21 @@ def compose_frequency_orders(o1: float, o2: float, n: int = 2) -> float:
     return o1 + o2 - (n - 1) / 2
 
 
-def segment_invariants(result, **kw) -> SegmentInvariants:
-    """Invariant bundle of one converged tip-to-tip connection."""
+def segment_invariants(result) -> SegmentInvariants:
+    """Invariant bundle of one converged tip-to-tip connection; the Morse
+    index and Theta both read the path's one tip field."""
     path = result.path
     return SegmentInvariants(
         d=result.length,
-        morse=morse_index(path, **kw),
-        theta=theta_spreading(path, **kw),
+        morse=morse_index(path),
+        theta=theta_spreading(path),
         q_out=result.link_a,
         q_in=result.link_b,
     )
 
 
-def invariants_for(geodesic, **kw):
-    return [segment_invariants(seg, **kw) for seg in geodesic.segments]
+def invariants_for(geodesic):
+    return [segment_invariants(seg) for seg in geodesic.segments]
 
 
 def trace_singularity(geodesic, invariants=None, n: int = 2,
@@ -263,6 +264,15 @@ def trace_singularity_cut_route(geodesic, n: int = 2,
     break Hessian) is recomputed from the two tip-launched Jacobi fields
     of the cut segment, so agreement with trace_singularity certifies
     the shape-operator and Wronskian identities behind the assembly.
+
+    Both fields are the ones kept on the path (`path.tip_field` and
+    `path.reversed().tip_field`), the same solves trace_singularity's
+    invariants read.  The check stays independent: the direct route
+    reads only the forward field's zeros and its value at the far tip,
+    while this route reads both fields at interior cut points and
+    combines them through the break Hessian; a deterministic solve
+    shared by the two routes changes none of their numbers.
+
     n = 2 only (scalar Jacobi backend).
     """
     if n != 2:
@@ -284,8 +294,8 @@ def trace_singularity_cut_route(geodesic, n: int = 2,
     for c, seg in enumerate(geodesic.segments):
         path = seg.path
         d_c = seg.length
-        sol_a = b_jacobi_solution(path)
-        sol_b = b_jacobi_solution(path.reversed())
+        sol_a = path.tip_field
+        sol_b = path.reversed().tip_field
         zeros_a = np.array(sol_a.zeros())
         zeros_b = np.array(sol_b.zeros())
 

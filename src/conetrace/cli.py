@@ -13,6 +13,7 @@ guard, 4 search failure, 5 degeneracy.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -31,6 +32,7 @@ from .config import (
     grid_from_config,
     link_from_config,
     load_config,
+    number_from_config,
     policy_from_config,
     surface_from_config,
 )
@@ -43,7 +45,7 @@ from .errors import (
     NotStrictlyDiffractiveError,
     WallInfluenceError,
 )
-from .geodesics import build_closed_diffractive
+from .geodesics import build_closed_diffractive, connect_tips
 from .links import SummationPolicy, diffraction_kernel
 from .spectra import (
     doubled_square_spectrum,
@@ -100,8 +102,16 @@ def cmd_link_kernel(args) -> int:
     return EXIT_OK
 
 
+# config "options": the keyword parameters of the closed-geodesic search
+GEODESIC_OPTIONS = tuple(
+    name
+    for fn in (build_closed_diffractive, connect_tips)
+    for name, par in inspect.signature(fn).parameters.items()
+    if par.kind is inspect.Parameter.KEYWORD_ONLY
+)
+
+
 def _build_geodesic(cfg):
-    surface = surface_from_config(cfg.get("surface", {}))
     tips = cfg.get("tip_sequence")
     seeds = cfg.get("seeds")
     if not isinstance(tips, list) or not isinstance(seeds, list):
@@ -109,6 +119,11 @@ def _build_geodesic(cfg):
     options = cfg.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError("'options' must be an object")
+    unknown = sorted(set(options) - set(GEODESIC_OPTIONS))
+    if unknown:
+        raise ConfigError(f"unknown option {unknown[0]!r} in 'options'; "
+                          f"choose from {list(GEODESIC_OPTIONS)}")
+    surface = surface_from_config(cfg.get("surface", {}))
     return build_closed_diffractive(surface, tips, seeds, **options)
 
 
@@ -185,31 +200,25 @@ def _load_eigenvalues(spec):
 def cmd_spectral_trace(args) -> int:
     cfg = load_config(args.config)
     eigs = _load_eigenvalues(cfg.get("eigenvalues", {}))
-    sigma = cfg.get("sigma")
-    if not isinstance(sigma, (int, float)) or sigma <= 0:
-        raise ConfigError("'sigma' must be a positive number")
+    sigma = number_from_config(cfg.get("sigma"), "'sigma'", positive=True)
     ts = grid_from_config(cfg.get("t_grid", {}), "t_grid")
-    trace = smoothed_wave_trace(eigs, float(sigma), ts)
+    trace = smoothed_wave_trace(eigs, sigma, ts)
     lines = [_HEADER_NOTE, "t,re_trace,im_trace"]
     for t, v in zip(trace.t_grid, trace.samples):
         lines.append(",".join([_fmt(t), _fmt(v.real), _fmt(v.imag)]))
     fit_cfg = cfg.get("fit")
     if fit_cfg is not None:
-        length = fit_cfg.get("L")
-        if not isinstance(length, (int, float)):
-            raise ConfigError("fit needs a numeric 'L'")
+        length = number_from_config(fit_cfg.get("L"), "fit 'L'")
         k = fit_cfg.get("k", 1)
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ConfigError("fit 'k' must be a positive integer")
-        window = fit_cfg.get("window", 0.35)
-        if (isinstance(window, bool) or not isinstance(window, (int, float))
-                or not window > 0):
-            raise ConfigError("fit 'window' must be a positive number")
+        window = number_from_config(fit_cfg.get("window", 0.35), "fit 'window'",
+                                    positive=True)
         unit = TraceSingularityPrediction(
-            L=float(length), L0=float(length), k=k, n=2, order=k / 2.0,
+            L=length, L0=length, k=k, n=2, order=k / 2.0,
             coefficient=1.0 + 0.0j)
         C, resid = fit_trace_singularity(
-            trace, float(length), unit, CutoffSpec(), window=float(window))
+            trace, length, unit, CutoffSpec(), window=window)
         lines.append("# fit: L,re_coeff,im_coeff,residual_rms")
         lines.append("# " + ",".join(
             [_fmt(length), _fmt(C.real), _fmt(C.imag), _fmt(resid)]))

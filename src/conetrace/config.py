@@ -9,6 +9,7 @@ are circles given by their circumference.
 from __future__ import annotations
 
 import json
+import math
 
 from . import surfaces
 from .errors import ConfigError
@@ -20,6 +21,7 @@ __all__ = [
     "link_from_config",
     "policy_from_config",
     "grid_from_config",
+    "number_from_config",
 ]
 
 _BUILTINS = {
@@ -55,6 +57,16 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def number_from_config(value, what: str, *, positive: bool = False) -> float:
+    """A finite JSON number as a float.  Booleans are refused although
+    Python counts them as integers, so `true` never runs as 1."""
+    kind = "a positive number" if positive else "a number"
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (positive and not value > 0)):
+        raise ConfigError(f"{what} must be {kind}, not {value!r}")
+    return float(value)
+
+
 def surface_from_config(spec) -> surfaces.Surface:
     if not isinstance(spec, dict):
         raise ConfigError("surface spec must be an object")
@@ -87,10 +99,9 @@ def surface_from_config(spec) -> surfaces.Surface:
 def link_from_config(spec) -> LinkSpectrum:
     if not isinstance(spec, dict) or "circumference" not in spec:
         raise ConfigError("link spec needs a 'circumference' entry")
-    rho = spec["circumference"]
-    if not isinstance(rho, (int, float)) or rho <= 0:
-        raise ConfigError("link circumference must be a positive number")
-    return LinkSpectrum.circle(float(rho))
+    rho = number_from_config(spec["circumference"], "link circumference",
+                             positive=True)
+    return LinkSpectrum.circle(rho)
 
 
 def policy_from_config(spec) -> SummationPolicy:
@@ -122,11 +133,11 @@ def grid_from_config(spec, where: str = "grid"):
 
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} spec must be an object")
-    lo = _require(spec, "min", where)
-    hi = _require(spec, "max", where)
+    lo = number_from_config(_require(spec, "min", where), f"{where} min")
+    hi = number_from_config(_require(spec, "max", where), f"{where} max")
     count = _require(spec, "count", where)
     if not isinstance(count, int) or count < 2:
         raise ConfigError(f"{where} count must be an integer >= 2")
     if not hi > lo:
         raise ConfigError(f"{where} needs max > min")
-    return np.linspace(float(lo), float(hi), count)
+    return np.linspace(lo, hi, count)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -76,7 +77,17 @@ class TipEnd:
     s_tip: float  # parameter value of the tip point itself
 
 
-class GeodesicPath:
+class _TipFieldMixin:
+    @cached_property
+    def tip_field(self):
+        """Tip-launched Jacobi field over the whole path, solved on first
+        use and kept; the path must not change after that."""
+        from .jacobi import b_jacobi_solution  # local import; jacobi imports nothing here
+
+        return b_jacobi_solution(self)
+
+
+class GeodesicPath(_TipFieldMixin):
     """Unit-speed geodesic as chart legs with dense output.
 
     The parameter s is arc length.  If an end is a tip, the legs stop at
@@ -101,6 +112,7 @@ class GeodesicPath:
         self._start_cap = start_cap  # TipEnd or None
         self._end_cap = end_cap
         self._leg_starts = [leg.s0 for leg in legs]
+        self._reversed = None
 
     def state(self, s: float) -> ChartState:
         if self.legs and s < self.legs[0].s0 and self._start_cap is not None:
@@ -142,10 +154,13 @@ class GeodesicPath:
         return worst
 
     def reversed(self) -> "ReversedPath":
-        return ReversedPath(self)
+        """The one ReversedPath of this path, so its tip field is kept too."""
+        if self._reversed is None:
+            self._reversed = ReversedPath(self)
+        return self._reversed
 
 
-class ReversedPath:
+class ReversedPath(_TipFieldMixin):
     """Same curve traversed backwards; shares the underlying legs."""
 
     def __init__(self, base: GeodesicPath):
@@ -334,8 +349,6 @@ def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: floa
     Works for tip_a == tip_b (a loop): the section event only arms once
     the trajectory has left and re-entered the reference band.
     """
-    from .jacobi import b_jacobi_solution  # local import; jacobi imports nothing here
-
     ta, tb = surface.tips[tip_a], surface.tips[tip_b]
     chart_b = surface.chart(tb.chart)
     if not isinstance(chart_b, OrthogonalChart):
@@ -357,7 +370,7 @@ def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: floa
         sq = chart_b.sqrt_q(st.p)
         miss = sq * sq * st.v[1]  # p_theta about the target tip
 
-        jf = b_jacobi_solution(path, s_sec).at(s_sec)
+        jf = path.tip_field.at(s_sec)  # a stop-ended shot has length s_sec
         # variation of p_theta under the launch angle, via the Killing field
         # of the symmetric band: eps0 tracks the parallel frame orientation
         # fixed at launch, v[0] the radial sense at the section

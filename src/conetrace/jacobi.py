@@ -11,6 +11,14 @@ Conventions: the normalized spreading between parameters s0 < s1 is
 Theta = |j(s1)| / (s1 - s0) for the field with j(s0) = 0, j'(s0) = 1,
 so Theta = 1 on flat surfaces.  The Morse index counts interior zeros
 of that field on the open interval.
+
+A tip-start path's tip field is solved once, over the whole path, and
+kept on the path (`path.tip_field`; the reverse field is
+`path.reversed().tip_field`).  Every function here that starts a field
+at s0 = 0 on a tip-start path reads that one solve, so Theta, the Morse
+index, the shape operator and the broken Hessian share it.  All fields
+are integrated at the fixed tolerances JACOBI_RTOL and JACOBI_ATOL,
+which is what makes the shared solve the same for every caller.
 """
 
 from __future__ import annotations
@@ -30,13 +38,16 @@ __all__ = [
     "b_jacobi_solution",
     "theta_spreading",
     "morse_index",
-    "theta_symmetric_check",
     "shape_operator",
     "broken_hessian",
     "wronskian_drift",
 ]
 
 FROBENIUS_START_X = 1e-4
+JACOBI_RTOL = 1e-11
+JACOBI_ATOL = 1e-13
+# |j(s1)| below this times (s1 - s0) counts as a conjugate endpoint
+MORSE_DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -76,21 +87,23 @@ class JacobiSolution:
         return out
 
 
-def integrate_jacobi(path, s0: float, s1: float, j0: float, jprime0: float, *,
-                     rtol: float = 1e-11, atol: float = 1e-13) -> JacobiSolution:
+def integrate_jacobi(path, s0: float, s1: float, j0: float,
+                     jprime0: float) -> JacobiSolution:
     def rhs(s, y):
         return (y[1], -path.curvature(s) * y[0])
 
     sol = solve_ivp(rhs, (s0, s1), [j0, jprime0], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+                    rtol=JACOBI_RTOL, atol=JACOBI_ATOL, dense_output=True)
     if not sol.success:
         raise StepFailureError(f"Jacobi integrator failed: {sol.message}")
     return JacobiSolution(sol.sol, s0, s1)
 
 
 def b_jacobi_solution(path, s1: float = None, *,
-                      x_start: float = FROBENIUS_START_X, **kw) -> JacobiSolution:
-    """Tip-normalized Jacobi field (j ~ x near the tip) along a tip-start path."""
+                      x_start: float = FROBENIUS_START_X) -> JacobiSolution:
+    """Tip-normalized Jacobi field (j ~ x near the tip) along a tip-start
+    path, solved afresh on every call; `path.tip_field` keeps the solve
+    over the whole path."""
     if path.start_kind != "tip":
         raise StepFailureError("b-Jacobi field needs a path starting at a tip")
     tip = path.surface.tips[path.start_tip]
@@ -98,28 +111,31 @@ def b_jacobi_solution(path, s1: float = None, *,
     j0 = x_start * (1.0 + c1 * x_start)
     jp0 = 1.0 + 2.0 * c1 * x_start
     s1 = path.length if s1 is None else s1
-    return integrate_jacobi(path, x_start, s1, j0, jp0, **kw)
+    return integrate_jacobi(path, x_start, s1, j0, jp0)
 
 
-def _field_from(path, s0: float, s1: float, **kw) -> JacobiSolution:
+def _field_from(path, s0: float, s1: float) -> JacobiSolution:
+    # the kept tip field ends at the path's end and would clamp past it
+    if not 0.0 <= s0 < s1 <= path.length:
+        raise ValueError(f"need 0 <= s0 < s1 <= length {path.length:.6g}, "
+                         f"got s0 = {s0:.6g}, s1 = {s1:.6g}")
     if s0 == 0.0 and path.start_kind == "tip":
-        return b_jacobi_solution(path, s1, **kw)
-    return integrate_jacobi(path, s0, s1, 0.0, 1.0, **kw)
+        return path.tip_field
+    return integrate_jacobi(path, s0, s1, 0.0, 1.0)
 
 
-def theta_spreading(path, s0: float = 0.0, s1: float = None, **kw) -> float:
+def theta_spreading(path, s0: float = 0.0, s1: float = None) -> float:
     """Normalized geodesic spreading |j(s1)|/(s1 - s0); 1 on flat surfaces."""
     s1 = path.length if s1 is None else s1
-    field = _field_from(path, s0, s1, **kw)
+    field = _field_from(path, s0, s1)
     return abs(field.at(s1).j) / (s1 - s0)
 
 
-def morse_index(path, s0: float = 0.0, s1: float = None, *,
-                degeneracy_tol: float = 1e-8, **kw) -> int:
+def morse_index(path, s0: float = 0.0, s1: float = None) -> int:
     """Interior zero count of the spreading field on (s0, s1)."""
     s1 = path.length if s1 is None else s1
-    field = _field_from(path, s0, s1, **kw)
-    if abs(field.at(s1).j) < degeneracy_tol * (s1 - s0):
+    field = _field_from(path, s0, s1)
+    if abs(field.at(s1).j) < MORSE_DEGENERACY_TOL * (s1 - s0):
         raise ConjugateDegeneracyError(
             "endpoint is conjugate: Morse index undefined at this tolerance"
         )
@@ -127,23 +143,14 @@ def morse_index(path, s0: float = 0.0, s1: float = None, *,
     return len(field.zeros(start, s1))
 
 
-def theta_symmetric_check(path, s0: float = 0.0, s1: float = None, **kw):
-    """(Theta forward, Theta backward); equal within 1e-8 by the Wronskian
-    identity relating the two endpoint-vanishing families."""
-    s1 = path.length if s1 is None else s1
-    fwd = theta_spreading(path, s0, s1, **kw)
-    rev = theta_spreading(path.reversed(), path.length - s1, path.length - s0, **kw)
-    return fwd, rev
-
-
-def shape_operator(path, s: float, **kw) -> float:
+def shape_operator(path, s: float) -> float:
     """j'/j at s for the tip-launched field: the second fundamental form of
     the geodesic circle about the start tip."""
-    f = b_jacobi_solution(path, s, **kw).at(s)
+    f = path.tip_field.at(s)
     return f.jprime / f.j
 
 
-def broken_hessian(path, s_cut: float, **kw) -> float:
+def broken_hessian(path, s_cut: float) -> float:
     """Second variation of length at a one-point break of the path.
 
     H = ja'/ja + jb'/jb with ja the spreading field from the start and
@@ -152,21 +159,21 @@ def broken_hessian(path, s_cut: float, **kw) -> float:
     negative H adds one to the Morse index of the concatenation:
     index(whole) = index(part1) + index(part2) + [H < 0].
     """
-    fa = _field_from(path, 0.0, s_cut, **kw).at(s_cut)
+    fa = _field_from(path, 0.0, s_cut).at(s_cut)
     rev = path.reversed()
     s_rev = path.length - s_cut
-    fb = _field_from(rev, 0.0, s_rev, **kw).at(s_rev)
+    fb = _field_from(rev, 0.0, s_rev).at(s_rev)
     if abs(fa.j) < 1e-12 or abs(fb.j) < 1e-12:
         raise ConjugateDegeneracyError("cut point is conjugate to an endpoint")
     return fa.jprime / fa.j + fb.jprime / fb.j
 
 
 def wronskian_drift(path, s0: float = 0.0, s1: float = None,
-                    checks: int = 20, **kw) -> float:
+                    checks: int = 20) -> float:
     """Max |W - 1| of the fundamental pair; 0 for an exact integration."""
     s1 = path.length if s1 is None else s1
-    a = integrate_jacobi(path, s0, s1, 1.0, 0.0, **kw)
-    b = integrate_jacobi(path, s0, s1, 0.0, 1.0, **kw)
+    a = integrate_jacobi(path, s0, s1, 1.0, 0.0)
+    b = integrate_jacobi(path, s0, s1, 0.0, 1.0)
     worst = 0.0
     for s in np.linspace(s0, s1, checks):
         fa, fb = a.at(s), b.at(s)

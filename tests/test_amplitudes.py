@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conetrace import amplitudes as amp
+from conetrace import jacobi
 from conetrace.amplitudes import (
     CutoffSpec,
     SegmentInvariants,
@@ -24,7 +25,10 @@ from conetrace.errors import (
     NotStrictlyDiffractiveError,
     QuadratureFailureError,
 )
+from conetrace.geodesics import build_closed_diffractive
 from conetrace.links import LinkSpectrum, SummationPolicy, diffraction_kernel
+
+A0 = 0.75
 
 
 @dataclass(frozen=True)
@@ -232,6 +236,28 @@ class TestTwoPathConsistency:
         pred = trace_singularity(teardrop_closed)
         route = trace_singularity_cut_route(teardrop_closed)
         assert abs(route - pred.coefficient) / abs(pred.coefficient) < 1e-8
+
+    def test_one_tip_solve_per_direction(self, teardrop, monkeypatch):
+        # built here, not taken from the shared fixture, so that no tip
+        # field is already kept on its paths by an earlier test
+        geo = build_closed_diffractive(
+            teardrop, ["tip"], [A0 * (np.pi / 4 + 0.02)], length_cap=12.0)
+        solves = []
+        solve = jacobi.integrate_jacobi
+
+        def counted(*args):
+            solves.append(args[1:3])
+            return solve(*args)
+
+        monkeypatch.setattr(jacobi, "integrate_jacobi", counted)
+        amp.invariants_for(geo)
+        amp.invariants_for(geo)
+        trace_singularity(geo)
+        trace_singularity_cut_route(geo)
+        # one forward and one reverse field per segment
+        assert len(solves) <= 2 * len(geo.segments)
+        for seg in geo.segments:
+            assert seg.path.reversed() is seg.path.reversed()
 
 
 class TestModelKernel:

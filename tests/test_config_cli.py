@@ -159,6 +159,44 @@ class TestExitCodes:
         assert main(["predict-trace", "--config", cfg]) == 2
         assert "convention" in capsys.readouterr().err
 
+    def test_unknown_geodesic_option_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "td.json", {
+            "surface": {"builtin": "teardrop"},
+            "tip_sequence": ["tip"],
+            "seeds": [A0 * (np.pi / 4 + 0.02)],
+            "options": {"length_cap": 12.0, "bogus": 1},
+        })
+        assert main(["find-geodesics", "--config", cfg]) == 2
+        assert "'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,payload", [
+        ("spectral-trace", {"sigma": True}),
+        ("spectral-trace", {"sigma": "12"}),
+        ("spectral-trace", {"fit": {"L": True}}),
+        ("spectral-trace", {"fit": {"L": float("nan")}}),
+        ("spectral-trace", {"fit": {"window": True}}),
+        ("link-kernel", {"link": {"circumference": True}}),
+        ("link-kernel", {"u_grid": {"min": 0.3, "max": "4", "count": 9}}),
+        ("link-kernel", {"u_grid": {"min": False, "max": 4.0, "count": 9}}),
+    ], ids=["sigma-bool", "sigma-string", "fit-L-bool", "fit-L-nan",
+            "fit-window-bool", "circumference-bool", "grid-max-string",
+            "grid-min-bool"])
+    def test_non_number_exit_2(self, tmp_path, capsys, command, payload):
+        base = {
+            "spectral-trace": {
+                "eigenvalues": {"doubled_square": {"lambda_max": 60.0}},
+                "sigma": 12.0,
+                "t_grid": {"min": 0.5, "max": 1.5, "count": 11},
+            },
+            "link-kernel": {
+                "link": {"circumference": RHO},
+                "u_grid": {"min": 0.3, "max": RHO - 0.3, "count": 9},
+            },
+        }[command]
+        cfg = write_config(tmp_path, "c.json", {**base, **payload})
+        assert main([command, "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["link-kernel", "--config", "c.json", "--threads", "2"],
         ["verify", "--suite", "link", "--tol", "link=1e-3"],

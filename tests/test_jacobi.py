@@ -37,6 +37,13 @@ class TestSpreading:
         path = shoot_from_tip(fc, "tip", 0.2, 4.0)
         assert jacobi.theta_spreading(path) == pytest.approx(1.0, abs=1e-8)
 
+    def test_interval_outside_path_rejected(self):
+        fc = surfaces.flat_cone(1.5 * np.pi)
+        path = shoot_from_tip(fc, "tip", 0.2, 4.0)
+        for s0, s1 in ((0.0, path.length + 2.0), (1.0, 1.0), (-0.5, 1.0)):
+            with pytest.raises(ValueError):
+                jacobi.theta_spreading(path, s0, s1)
+
     def test_symmetry_forward_reverse(self, spindle_closed, teardrop_closed, sphere):
         rng = np.random.default_rng(3)
         paths = [
@@ -56,7 +63,9 @@ class TestSpreading:
                 assert abs(fwd - rev) < 1e-8
 
     def test_symmetric_check_pair(self, spindle_closed):
-        fwd, bwd = jacobi.theta_symmetric_check(spindle_closed.segments[0].path)
+        path = spindle_closed.segments[0].path
+        fwd = jacobi.theta_spreading(path)
+        bwd = jacobi.theta_spreading(path.reversed())
         assert abs(fwd - bwd) < 1e-8
 
     def test_newton_derivative_matches_endpoint_jacobi(self, spindle_closed):
@@ -108,6 +117,18 @@ class TestMorse:
     def test_conjugate_endpoint_refused(self, sphere):
         with pytest.raises(ConjugateDegeneracyError):
             jacobi.morse_index(sphere_arc(sphere, np.pi))
+
+    # on the unit sphere |j(pi +- delta)| = sin(delta) and the guard refuses
+    # |j| < MORSE_DEGENERACY_TOL * length: delta below about tol * pi
+    @pytest.mark.parametrize("side,expect", [(-1, 0), (1, 1)],
+                             ids=["short", "long"])
+    def test_degeneracy_guard_edge(self, sphere, side, expect):
+        edge = jacobi.MORSE_DEGENERACY_TOL * np.pi
+        outside = sphere_arc(sphere, np.pi + side * 2.0 * edge)
+        assert jacobi.morse_index(outside) == expect
+        inside = sphere_arc(sphere, np.pi + side * 0.5 * edge)
+        with pytest.raises(ConjugateDegeneracyError):
+            jacobi.morse_index(inside)
 
     def test_additivity_with_cut_correction(self, sphere):
         path = sphere_arc(sphere, 1.5 * np.pi)
