@@ -136,8 +136,9 @@ class GeodesicPath(_TipFieldMixin):
         return self.state(s).p
 
     def curvature(self, s: float) -> float:
-        # unsimplified chart curvature is 0/0 exactly at a tip; K is
-        # continuous there, so evaluate a hair inside
+        # unsimplified chart curvature is 0/0 exactly at a tip (the chart
+        # raises StepFailureError there); K is continuous, so evaluate a
+        # hair inside
         if self._start_cap is not None:
             s = max(s, self._start_cap.s_tip + 1e-9)
         if self._end_cap is not None:

@@ -10,15 +10,20 @@ Charts come in two flavors:
 
 * OrthogonalChart: metric P^2 dp0^2 + Q^2 dp1^2 given by sympy
   expressions for P and Q.  Christoffel symbols and the Gauss curvature
-  are derived symbolically and lambdified; writing the curvature in
-  terms of P and Q (not P^2, Q^2) keeps it numerically clean down to
+  are derived symbolically and compiled to scalar Python code on the
+  `math` module (a Piecewise becomes a conditional expression), which
+  is what the ODE right-hand sides call point by point; a point off the
+  chart's real domain raises StepFailureError.  Writing the curvature
+  in terms of P and Q (not P^2, Q^2) keeps it numerically clean down to
   x ~ 1e-7 at tips.
 * CapChart: a Cartesian chart covering a smooth rotationally symmetric
   pole (the far end of a teardrop surface), where polar coordinates
   degenerate.  The metric is delta_ij + Q(u)(u^2 delta_ij - x_i x_j)
-  with Q built from the profile; a Taylor series (generated once with
-  sympy) evaluates Q, its radial derivative, and the curvature without
-  cancellation near the pole.
+  with Q built from the profile; a Taylor series evaluates Q, its
+  radial derivative, and the curvature without cancellation near the
+  pole.  Sympy expands only the profile f; the series of (f/u)^2 and
+  -f''/f follow from it by truncated power-series products and a
+  division.
 
 Builtins: flat cone, plane, sphere band, perturbed/symmetric spindle,
 teardrop.  The spindle and teardrop perturb g_rr by
@@ -35,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 import sympy as sp
 
-from .errors import SeriesStartFailureError
+from .errors import SeriesStartFailureError, StepFailureError
 from .links import LinkSpectrum
 
 __all__ = [
@@ -68,7 +73,9 @@ def _sympify(expr):
 
 
 def _lambdify(expr):
-    return sp.lambdify((_P0, _P1), expr, modules="numpy")
+    """Scalar code for expr(p0, p1): `math` calls on Python floats, so a
+    Piecewise compiles to a conditional expression."""
+    return sp.lambdify((_P0, _P1), expr, modules="math")
 
 
 class Chart:
@@ -91,7 +98,11 @@ class Chart:
 
 
 class OrthogonalChart(Chart):
-    """Metric P(p0,p1)^2 dp0^2 + Q(p0,p1)^2 dp1^2 from sympy expressions."""
+    """Metric P(p0,p1)^2 dp0^2 + Q(p0,p1)^2 dp1^2 from sympy expressions.
+
+    Every evaluation runs on Python floats; a point where the chart has
+    no real value raises StepFailureError.
+    """
 
     def __init__(self, name: str, sqrt_e, sqrt_q):
         self.name = name
@@ -111,38 +122,54 @@ class OrthogonalChart(Chart):
         curv = -(sp.diff(Q0 / P, _P0) + sp.diff(P1 / Q, _P1)) / (P * Q)
         self._p = _lambdify(P)
         self._q = _lambdify(Q)
-        self._q_grad = sp.lambdify((_P0, _P1), [Q0, Q1], modules="numpy")
-        self._gammas = sp.lambdify((_P0, _P1), gammas, modules="numpy")
-        self._curv = sp.lambdify((_P0, _P1), curv, modules="numpy")
+        self._q_grad = _lambdify([Q0, Q1])
+        self._gammas = _lambdify(gammas)
+        self._curv = _lambdify(curv)
+
+    def _eval(self, fn, p):
+        """fn at the chart point p: a float, or a list of floats."""
+        p0, p1 = float(p[0]), float(p[1])
+        try:
+            out = fn(p0, p1)
+            if isinstance(out, list):
+                return [float(v) for v in out]
+            return float(out)
+        # off the chart's real domain `math` code raises a domain error or
+        # divides by zero, and float() refuses the complex value that
+        # Python's (-x)**0.5 gives
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise StepFailureError(
+                f"chart '{self.name}' has no real value at p = "
+                f"({p0:.6g}, {p1:.6g}): {exc}"
+            ) from exc
 
     def metric(self, p) -> np.ndarray:
-        e = self._p(p[0], p[1]) ** 2
-        g = self._q(p[0], p[1]) ** 2
+        e = self._eval(self._p, p) ** 2
+        g = self._eval(self._q, p) ** 2
         return np.array([[e, 0.0], [0.0, g]])
 
     def christoffel(self, p) -> np.ndarray:
-        g000, g001, g011, g100, g101, g111 = self._gammas(p[0], p[1])
+        g000, g001, g011, g100, g101, g111 = self._eval(self._gammas, p)
         out = np.empty((2, 2, 2))
         out[0] = [[g000, g001], [g001, g011]]
         out[1] = [[g100, g101], [g101, g111]]
         return out
 
     def geodesic_rhs(self, s, yv):
-        p0, p1, v0, v1 = yv
-        g000, g001, g011, g100, g101, g111 = self._gammas(p0, p1)
+        p0, p1, v0, v1 = yv.tolist()
+        g000, g001, g011, g100, g101, g111 = self._eval(self._gammas, (p0, p1))
         a0 = -(g000 * v0 * v0 + 2 * g001 * v0 * v1 + g011 * v1 * v1)
         a1 = -(g100 * v0 * v0 + 2 * g101 * v0 * v1 + g111 * v1 * v1)
-        return (v0, v1, a0, a1)
+        return [v0, v1, a0, a1]
 
     def curvature(self, p) -> float:
-        with np.errstate(all="ignore"):
-            return float(self._curv(p[0], p[1]))
+        return self._eval(self._curv, p)
 
     def sqrt_q(self, p) -> float:
-        return float(self._q(p[0], p[1]))
+        return self._eval(self._q, p)
 
     def sqrt_q_grad(self, p) -> np.ndarray:
-        return np.array(self._q_grad(p[0], p[1]), dtype=float)
+        return np.array(self._eval(self._q_grad, p))
 
 
 class CapChart(Chart):
@@ -151,7 +178,7 @@ class CapChart(Chart):
     Built from a radial profile ftilde(u) (distance u from the pole,
     circle length 2 pi ftilde(u)) with ftilde(u) = u + O(u^3) and odd.
     The metric is g_ij = delta_ij + Q(u)(u^2 delta_ij - x_i x_j) with
-    Q = (ftilde^2 - u^4 ... ) / u^4, evaluated by series for small u.
+    Q = ((ftilde/u)^2 - 1) / u^2, evaluated by series for small u.
     """
 
     SERIES_SWITCH = 0.35
@@ -161,29 +188,31 @@ class CapChart(Chart):
         self.name = name
         u = var
         f = _sympify(profile_expr)
-        self._f = sp.lambdify(u, f, modules="numpy")
-        self._fp = sp.lambdify(u, sp.diff(f, u), modules="numpy")
-        self._fpp = sp.lambdify(u, sp.diff(f, u, 2), modules="numpy")
-        # series in u^2: (f/u)^2 = 1 + sum m_j u^(2j), Q = sum m_{j+1} u^(2j)
-        order = 2 * self.SERIES_ORDER + 4
-        m_series = sp.series((f / u) ** 2, u, 0, order).removeO().expand()
-        poly = sp.Poly(m_series, u)
-        coeffs = {int(k[0]): float(v) for k, v in poly.as_dict().items()}
-        if abs(coeffs.get(0, 0.0) - 1.0) > 1e-12 or any(k % 2 for k in coeffs):
+        self._f = sp.lambdify(u, f, modules="math")
+        self._fp = sp.lambdify(u, sp.diff(f, u), modules="math")
+        self._fpp = sp.lambdify(u, sp.diff(f, u, 2), modules="math")
+        # f/u = sum a_i u^(2i), a_0 = 1, through u^(2n): one series of f,
+        # the rest by truncated power-series products and a division
+        n = self.SERIES_ORDER
+        f_series = sp.series(f, u, 0, 2 * n + 2).removeO()
+        c = {int(k[0]): float(v) for k, v in sp.Poly(f_series, u).as_dict().items()}
+        if abs(c.get(1, 0.0) - 1.0) > 1e-12 or any(k % 2 == 0 for k in c):
             raise SeriesStartFailureError("cap profile must satisfy f(u) = u + O(u^3), odd")
+        a = [c.get(2 * i + 1, 0.0) for i in range(n + 1)]
+        # (f/u)^2 = 1 + sum m_j u^(2j), Q = sum m_{j+1} u^(2j)
         self._q_coeffs = np.array(
-            [coeffs.get(2 * (j + 1), 0.0) for j in range(self.SERIES_ORDER)]
+            [sum(a[i] * a[j - i] for i in range(j + 1)) for j in range(1, n + 1)]
         )
         # R = Q'(u)/u as a series in u^2: coefficient of u^(2i) is 2(i+1) q_{i+1}
         self._r_coeffs = np.array(
-            [2 * (i + 1) * self._q_coeffs[i + 1] for i in range(len(self._q_coeffs) - 1)]
+            [2 * (i + 1) * self._q_coeffs[i + 1] for i in range(n - 1)]
         )
-        k_series = sp.series(-sp.diff(f, u, 2) / f, u, 0, order).removeO().expand()
-        kpoly = sp.Poly(k_series, u) if k_series != 0 else None
-        kc = {int(k[0]): float(v) for k, v in kpoly.as_dict().items()} if kpoly else {}
-        self._k_coeffs = np.array(
-            [kc.get(2 * j, 0.0) for j in range(self.SERIES_ORDER)]
-        )
+        # -f''/f = -(f''/u) / (f/u) with f''/u = sum (2j+3)(2j+2) a_{j+1} u^(2j)
+        k: list[float] = []
+        for j in range(n):
+            b = (2 * j + 3) * (2 * j + 2) * a[j + 1]
+            k.append(-b - sum(a[i] * k[j - i] for i in range(1, j + 1)))
+        self._k_coeffs = np.array(k)
 
     def _q_r(self, u: float) -> tuple[float, float]:
         """Q(u) and R(u) = Q'(u)/u."""

@@ -252,6 +252,22 @@ class TestGeodesicCommands:
         assert float(rows[0][4]) == pred.order
 
 
+    def test_teardrop_other_cone_angle(self, tmp_path):
+        # the cap series of a0 = 0.8 used to fail inside sympy
+        a0 = 0.8
+        cfg = write_config(tmp_path, "td.json", {
+            "surface": {"builtin": "teardrop", "params": {"a0": a0}},
+            "tip_sequence": ["tip"],
+            "seeds": [a0 * (np.pi / 4 + 0.02)],
+            "options": {"length_cap": 12.0},
+        })
+        out = tmp_path / "geo.csv"
+        assert main(["find-geodesics", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 1
+        assert rows[0][-1] == "strictly_diffractive"
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite,criterion", [("composition", 8),
                                                  ("spectral", 10)])

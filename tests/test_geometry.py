@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.integrate import quad
 
 from conetrace import surfaces
@@ -9,6 +10,7 @@ from conetrace.errors import (
     ConjugateDegeneracyError,
     LeftAtlasError,
     SeriesStartFailureError,
+    StepFailureError,
 )
 from conetrace.geodesics import (
     ChartState,
@@ -183,3 +185,111 @@ class TestTipData:
     def test_degenerate_tip_rejected(self):
         with pytest.raises(SeriesStartFailureError):
             surfaces.cone_chart_surface("p0", 10.0)  # sqrt(G) ~ x^2
+
+
+def _numpy_reference(chart):
+    """The chart's metric, Christoffel symbols, K, sqrt(G) and its gradient,
+    derived here from its P and Q and lambdified with numpy."""
+    p0, p1 = sp.symbols("p0 p1", real=True)  # the symbols charts are built on
+    P, Q = chart.sqrt_e_expr, chart.sqrt_q_expr
+    coords = (p0, p1)
+    g = sp.diag(P**2, Q**2)
+    ginv = sp.diag(1 / P**2, 1 / Q**2)
+    gammas = [
+        [[sum(ginv[a, l] * (sp.diff(g[l, j], coords[i]) + sp.diff(g[l, i], coords[j])
+                            - sp.diff(g[i, j], coords[l])) for l in range(2)) / 2
+          for j in range(2)] for i in range(2)]
+        for a in range(2)
+    ]
+    curv = -(sp.diff(sp.diff(Q, p0) / P, p0) + sp.diff(sp.diff(P, p1) / Q, p1)) / (P * Q)
+    funcs = {
+        "metric": [[P**2, 0], [0, Q**2]],
+        "christoffel": gammas,
+        "curvature": curv,
+        "sqrt_q": Q,
+        "sqrt_q_grad": [sp.diff(Q, p0), sp.diff(Q, p1)],
+    }
+    return {name: sp.lambdify(coords, expr, modules="numpy")
+            for name, expr in funcs.items()}
+
+
+@pytest.fixture(scope="module")
+def cone_chart():
+    return surfaces.cone_chart_surface("1.2*(1+p0)**0.5", 10.0)
+
+
+class TestCompiledCharts:
+    """Charts run as scalar `math` code; numpy code of the same
+    expressions is the reference, just inside and outside each bump edge."""
+
+    REL, ABS = 1e-13, 1e-15
+
+    # the spindle's bump edges are 0.7 and pi - 0.7, the teardrop's 0.7 and 2.0
+    EDGES = (0.7, np.pi - 0.7, 2.0)
+
+    @pytest.mark.parametrize("surface", ["spindle", "teardrop", "cone_chart"])
+    def test_matches_numpy_reference(self, request, surface):
+        chart = request.getfixturevalue(surface).chart("polar")
+        ref = _numpy_reference(chart)
+        for edge in self.EDGES:
+            for r in (edge - 1e-3, edge - 1e-9, edge + 1e-9, edge + 1e-3):
+                for theta in (0.3, np.pi / 4 + 0.1, 4.0):
+                    p = np.array([r, theta])
+                    for method in ref:
+                        got = np.asarray(getattr(chart, method)(p), dtype=float)
+                        want = np.asarray(ref[method](r, theta), dtype=float)
+                        assert got.shape == want.shape
+                        assert np.allclose(got, want, rtol=self.REL, atol=self.ABS), (
+                            surface, method, r, theta)
+
+    def test_off_domain_raises_step_failure(self):
+        # sqrt(G) = 1.2 p0 (1.5 - p0)^0.5 has no real value past p0 = 1.5
+        surf = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5", 10.0)
+        with pytest.raises(StepFailureError):
+            shoot_from_tip(surf, "tip", 0.3, 3.0)
+
+    def test_path_curvature_finite_at_tip_ends(self, spindle_closed):
+        # the chart's K is 0/0 exactly at a tip
+        path = spindle_closed.segments[0].path
+        assert np.isfinite(path.curvature(0.0))
+        assert np.isfinite(path.curvature(path.length))
+
+
+@pytest.fixture(scope="module", params=[0.3, 0.6, 0.75, 0.9],
+                ids=lambda a0: f"a0={a0}")
+def teardrop_at(request):
+    """(a0, teardrop(a0)); a0 = 0.6 and 0.9 used to fail inside sympy's
+    series expansion."""
+    return request.param, surfaces.teardrop(request.param)
+
+
+def test_teardrop_builds_for_cone_angle(teardrop_at):
+    a0, surf = teardrop_at
+    assert set(surf.charts) == {"polar", "cap"}
+    assert surf.tips["tip"].a0 == a0
+
+
+class TestCapSeries:
+    """The cap series comes from the profile alone, by power-series
+    products and a division; check it at its edges."""
+
+    def test_pole_curvature(self, teardrop_at):
+        a0, surf = teardrop_at
+        assert surf.chart("cap").curvature([0.0, 0.0]) == pytest.approx(
+            1.0 + 1.5 * (1.0 - a0), rel=1e-13, abs=1e-13)
+
+    def test_branches_agree_at_switch(self, teardrop_at):
+        cap = teardrop_at[1].chart("cap")
+        below = cap.SERIES_SWITCH * (1 - 1e-12)
+        above = cap.SERIES_SWITCH * (1 + 1e-12)
+        for series, closed in zip(cap._q_r(below), cap._q_r(above)):
+            assert series == pytest.approx(closed, rel=1e-11)
+        assert cap.curvature([below, 0.0]) == pytest.approx(
+            cap.curvature([above, 0.0]), rel=1e-11)
+
+    @pytest.mark.parametrize("profile", ["u + u**2", "2*u"],
+                             ids=["not-odd", "wrong-slope"])
+    def test_bad_profile_rejected(self, profile):
+        u = sp.Symbol("u", positive=True)
+        with pytest.raises(SeriesStartFailureError):
+            surfaces.CapChart("cap", sp.sympify(profile, locals={"u": u}), u)
