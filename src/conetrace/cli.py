@@ -7,13 +7,12 @@ spectral traces.  All runs are deterministic: identical configs give
 byte-identical outputs.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 domain
-guard, 4 search failure, 5 degeneracy.
+guard or chart/atlas failure, 4 search failure, 5 degeneracy.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
@@ -40,12 +39,15 @@ from .errors import (
     ConfigError,
     ConjugateDegeneracyError,
     GeometricSetError,
+    LeftAtlasError,
     NoConvergenceError,
     NonPositiveRadiusError,
     NotStrictlyDiffractiveError,
+    SeriesStartFailureError,
+    StepFailureError,
     WallInfluenceError,
 )
-from .geodesics import build_closed_diffractive, connect_tips
+from .geodesics import build_closed_diffractive
 from .links import SummationPolicy, diffraction_kernel
 from .spectra import (
     doubled_square_spectrum,
@@ -103,12 +105,7 @@ def cmd_link_kernel(args) -> int:
 
 
 # config "options": the keyword parameters of the closed-geodesic search
-GEODESIC_OPTIONS = tuple(
-    name
-    for fn in (build_closed_diffractive, connect_tips)
-    for name, par in inspect.signature(fn).parameters.items()
-    if par.kind is inspect.Parameter.KEYWORD_ONLY
-)
+GEODESIC_OPTIONS = ("length_cap",)
 
 
 def _build_geodesic(cfg):
@@ -295,7 +292,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (GeometricSetError, WallInfluenceError, NonPositiveRadiusError) as exc:
+    except (GeometricSetError, WallInfluenceError, NonPositiveRadiusError,
+            StepFailureError, LeftAtlasError, SeriesStartFailureError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
     except NoConvergenceError as exc:

@@ -11,13 +11,16 @@ symmetric reference band, and measure the conserved angular momentum
 p_theta = G theta' about the target tip as the miss.  Newton steps use
 the exact derivative d p_theta / d theta0 = a0 (j' sqrt(G) - j
 d sqrt(G)/ds) supplied by the tip Jacobi field j, so conjugate tips are
-detected (and refused) rather than silently iterated on.
+detected (and refused) rather than silently iterated on.  The converged
+shot is the segment: inside the band the metric is dx^2 + G dy^2, so
+radial curves are geodesics and the shot, radial to within its miss, is
+finished straight into the tip.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +30,6 @@ from .errors import (
     ConjugateDegeneracyError,
     LeftAtlasError,
     NoConvergenceError,
-    NotStrictlyDiffractiveError,
     StepFailureError,
 )
 from .links import GEOMETRIC_TOL, LinkSpectrum, singular_set_distance
@@ -48,6 +50,12 @@ __all__ = [
 
 TIP_HIT_X = 1e-7
 TIP_START_X = 1e-6
+RTOL, ATOL = 1e-11, 1e-12  # DOP853 tolerances of every leg
+MAX_LEGS = 400  # chart switches allowed in one flow
+D_REF = 0.1  # x at which a shot enters the target tip's reference band
+NEWTON_TOL = 1e-9  # |p_theta| miss at which a shot has converged
+MAX_NEWTON = 50
+DEGENERACY_TOL = 1e-8  # |d p_theta / d theta0| below this: conjugate tips
 
 
 @dataclass
@@ -91,14 +99,14 @@ class GeodesicPath(_TipFieldMixin):
     """Unit-speed geodesic as chart legs with dense output.
 
     The parameter s is arc length.  If an end is a tip, the legs stop at
-    x = 1e-6 (start) or 1e-7 (end) and the remaining radial sliver is
-    filled in exactly; s = 0 and s = length then sit at the tips.
+    x = 1e-6 (start) or 1e-7 (end; D_REF for a segment from
+    connect_tips) and the remaining radial stretch is filled in exactly;
+    s = 0 and s = length then sit at the tips.
     """
 
     def __init__(self, surface, legs, length, start_kind="interior", end_kind="length",
                  start_tip=None, end_tip=None, start_link_point=None,
-                 end_link_point=None, end_payload=None,
-                 start_cap=None, end_cap=None):
+                 end_link_point=None, start_cap=None, end_cap=None):
         self.surface = surface
         self.legs = legs
         self.length = length
@@ -108,7 +116,6 @@ class GeodesicPath(_TipFieldMixin):
         self.end_tip = end_tip
         self.start_link_point = start_link_point
         self.end_link_point = end_link_point
-        self.end_payload = end_payload
         self._start_cap = start_cap  # TipEnd or None
         self._end_cap = end_cap
         self._leg_starts = [leg.s0 for leg in legs]
@@ -197,9 +204,7 @@ def _make_event(value_fn, direction):
 
 
 def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
-                  rtol: float = 1e-11, atol: float = 1e-12,
-                  stop_rules=(), x_hit: float = TIP_HIT_X,
-                  max_legs: int = 400, normalize: bool = True) -> GeodesicPath:
+                  stop_rules=()) -> GeodesicPath:
     """Integrate the unit-speed geodesic from `start` for at most `length`.
 
     Ends on: exhausted length, a tip hit, or a caller stop rule.
@@ -209,16 +214,15 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
     chart_name = start.chart
     p = np.asarray(start.p, dtype=float)
     v = np.asarray(start.v, dtype=float)
-    if normalize:
-        v = v / surface.chart(chart_name).norm(p, v)
+    v = v / surface.chart(chart_name).norm(p, v)
 
-    tip_rules = surface.tip_rules(x_hit)
+    tip_rules = surface.tip_rules(TIP_HIT_X)
     legs: list[PathLeg] = []
     s_cur = 0.0
     s_end = length
     end_kind, end_payload = "length", None
 
-    for _ in range(max_legs):
+    for _ in range(MAX_LEGS):
         chart = surface.chart(chart_name)
         rules = [r for r in tip_rules if r.chart == chart_name]
         rules += [r for r in surface.atlas_rules if r.chart == chart_name]
@@ -234,8 +238,8 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
             (s_cur, s_end),
             np.concatenate([p, v]),
             method="DOP853",
-            rtol=rtol,
-            atol=atol,
+            rtol=RTOL,
+            atol=ATOL,
             dense_output=True,
             events=events or None,
         )
@@ -268,35 +272,40 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
     else:
         raise StepFailureError("geodesic exceeded the chart-switch budget")
 
-    path = GeodesicPath(surface, legs, legs[-1].s1, end_kind=end_kind,
-                        end_payload=end_payload)
+    path = GeodesicPath(surface, legs, legs[-1].s1, end_kind=end_kind)
     if end_kind == "tip":
-        tip = surface.tips[end_payload]
-        st = path.state(path.legs[-1].s1)
-        s_tip = path.legs[-1].s1 + tip.x_of(st.p)
-        path.end_kind = "tip"
-        path.end_tip = tip.tip_id
-        path.end_link_point = tip.link_coord(st.p[1])
-        path._end_cap = TipEnd(tip.tip_id, tip.chart, tip.axis_value, tip.sign,
-                               st.p[1], s_tip)
-        path.length = s_tip
+        _end_at_tip(path, surface.tips[end_payload])
     return path
 
 
+def _end_at_tip(path: GeodesicPath, tip: Tip) -> None:
+    """End `path` at `tip` along the radial line from its last leg's end,
+    which must lie in the tip's designer band (radial curves are
+    geodesics there)."""
+    s_end = path.legs[-1].s1
+    st = path.state(s_end)
+    path.length = s_end + tip.x_of(st.p)
+    path.end_kind = "tip"
+    path.end_tip = tip.tip_id
+    path.end_link_point = tip.link_coord(st.p[1])
+    path._end_cap = TipEnd(tip.tip_id, tip.chart, tip.axis_value, tip.sign,
+                           st.p[1], path.length)
+
+
 def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
-                   length: float, *, eps: float = TIP_START_X,
-                   stop_rules=(), **kw) -> GeodesicPath:
+                   length: float, *, stop_rules=()) -> GeodesicPath:
     """Radial launch from a tip at link arc coordinate `link_point`.
 
-    s = 0 is the tip itself; integration starts at x = eps with the
-    head sliver filled in exactly (radial in the designer band).
+    s = 0 is the tip itself; integration starts at x = TIP_START_X with
+    the head sliver filled in exactly (radial in the designer band).
     """
+    eps = TIP_START_X
     tip = surface.tips[tip_id]
     theta0 = tip.angle_of_link(link_point)
     p = np.array([tip.axis_value + tip.sign * eps, theta0])
     v = np.array([tip.sign, 0.0])
     start = ChartState(tip.chart, p, v)
-    path = geodesic_flow(surface, start, length - eps, stop_rules=stop_rules, **kw)
+    path = geodesic_flow(surface, start, length - eps, stop_rules=stop_rules)
     # re-root the parameter at the tip
     shifted = [PathLeg(l.chart, l.s0 + eps, l.s1 + eps, _ShiftedSol(l.sol, eps))
                for l in path.legs]
@@ -305,7 +314,7 @@ def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
         start_kind="tip", start_tip=tip_id,
         start_link_point=float(np.remainder(link_point, tip.link.circumference)),
         end_kind=path.end_kind, end_tip=path.end_tip,
-        end_link_point=path.end_link_point, end_payload=path.end_payload,
+        end_link_point=path.end_link_point,
         start_cap=TipEnd(tip_id, tip.chart, tip.axis_value, tip.sign, theta0, 0.0),
         end_cap=(None if path._end_cap is None
                  else replace(path._end_cap, s_tip=path._end_cap.s_tip + eps)),
@@ -331,20 +340,17 @@ class ConnectResult:
     miss: float
 
 
-def _band_entry_rule(tip: Tip, d_ref: float) -> StopRule:
+def _band_entry_rule(tip: Tip) -> StopRule:
     return StopRule(
         chart=tip.chart,
-        value=lambda p, v, _t=tip, _d=d_ref: _t.x_of(p) - _d,
+        value=lambda p, v, _t=tip: _t.x_of(p) - D_REF,
         direction=-1.0,
         kind="stop",
-        payload="band-entry",
     )
 
 
 def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: float,
-                 *, d_ref: float = 0.1, tol: float = 1e-9, max_iter: int = 50,
-                 degeneracy_tol: float = 1e-8, length_cap: float = 50.0,
-                 **flow_kw) -> ConnectResult:
+                 *, length_cap: float = 50.0) -> ConnectResult:
     """Newton-shoot a geodesic from tip_a into tip_b.
 
     Works for tip_a == tip_b (a loop): the section event only arms once
@@ -354,13 +360,12 @@ def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: floa
     chart_b = surface.chart(tb.chart)
     if not isinstance(chart_b, OrthogonalChart):
         raise StepFailureError("target tip must live in an orthogonal polar chart")
-    rule = _band_entry_rule(tb, d_ref)
-    q = float(seed_link_point)
-    theta0 = ta.angle_of_link(q)
+    rule = _band_entry_rule(tb)
+    theta0 = ta.angle_of_link(float(seed_link_point))
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON + 1):
         path = shoot_from_tip(surface, tip_a, ta.a0 * theta0, length_cap,
-                              stop_rules=[rule], **flow_kw)
+                              stop_rules=[rule])
         if path.end_kind != "stop":
             raise NoConvergenceError(
                 f"shot from '{tip_a}' never entered the reference band of "
@@ -370,38 +375,28 @@ def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: floa
         st = path.state(s_sec)
         sq = chart_b.sqrt_q(st.p)
         miss = sq * sq * st.v[1]  # p_theta about the target tip
+        converged = abs(miss) < NEWTON_TOL
+        if converged:
+            # before the tip field is read, so its one solve spans the segment
+            _end_at_tip(path, tb)
 
-        jf = path.tip_field.at(s_sec)  # a stop-ended shot has length s_sec
+        jf = path.tip_field.at(s_sec)
         # variation of p_theta under the launch angle, via the Killing field
         # of the symmetric band: eps0 tracks the parallel frame orientation
         # fixed at launch, v[0] the radial sense at the section
         dsq_dr = float(chart_b.sqrt_q_grad(st.p)[0])
         deriv = ta.sign * ta.a0 * (jf.jprime * sq * st.v[0] - jf.j * dsq_dr)
-        if abs(deriv) < degeneracy_tol:
+        if abs(deriv) < DEGENERACY_TOL:
             raise ConjugateDegeneracyError(
                 f"tips '{tip_a}' and '{tip_b}' are conjugate along this shot "
                 f"(transverse derivative {deriv:.3e})"
             )
-        if abs(miss) < tol:
-            final = shoot_from_tip(surface, tip_a, ta.a0 * theta0,
-                                   s_sec + d_ref + 1.0, **flow_kw)
-            if final.end_kind != "tip" or final.end_tip != tip_b:
-                raise NoConvergenceError(
-                    "converged shot failed to terminate at the target tip"
-                )
-            # read the arrival link coordinate at moderate x: theta at the
-            # x = 1e-7 cutoff carries an O(p_theta / x) whip-around error
-            s_ref = final.length - min(d_ref / 2, final.length / 4)
-            link_b = tb.link_coord(final.state(s_ref).p[1])
-            final.end_link_point = link_b
-            if final._end_cap is not None:
-                final._end_cap = replace(final._end_cap,
-                                         angle=tb.angle_of_link(link_b))
+        if converged:
             return ConnectResult(
-                path=final,
-                link_a=final.start_link_point,
-                link_b=link_b,
-                length=final.length,
+                path=path,
+                link_a=path.start_link_point,
+                link_b=path.end_link_point,
+                length=path.length,
                 iterations=it,
                 miss=abs(miss),
             )
@@ -409,7 +404,7 @@ def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: floa
 
     raise NoConvergenceError(
         f"tip connection '{tip_a}' -> '{tip_b}' did not converge in "
-        f"{max_iter} Newton steps (last miss {miss:.3e})"
+        f"{MAX_NEWTON} Newton steps (last miss {miss:.3e})"
     )
 
 
@@ -447,8 +442,7 @@ class DiffractiveGeodesic:
 
 
 def build_closed_diffractive(surface: Surface, tip_sequence, seeds, *,
-                             require_strict: bool = False,
-                             **kw) -> DiffractiveGeodesic:
+                             length_cap: float = 50.0) -> DiffractiveGeodesic:
     """Assemble a closed geodesic through the given cyclic tip sequence.
 
     seeds[j] is the launch link coordinate for the segment from
@@ -459,7 +453,7 @@ def build_closed_diffractive(surface: Surface, tip_sequence, seeds, *,
         raise ValueError("need one seed per segment")
     segments = [
         connect_tips(surface, tip_sequence[j], tip_sequence[(j + 1) % k],
-                     seeds[j], **kw)
+                     seeds[j], length_cap=length_cap)
         for j in range(k)
     ]
     junctions = []
@@ -472,11 +466,6 @@ def build_closed_diffractive(surface: Surface, tip_sequence, seeds, *,
             Junction(tip.tip_id, q_in, q_out, tip.link,
                      singular_set_distance(tip.link, np.pi, q_in, q_out), kind)
         )
-    if require_strict and any(j.kind != "strictly_diffractive" for j in junctions):
-        raise NotStrictlyDiffractiveError(
-            "closed geodesic has a geometric continuation at a cone point"
-        )
-
     sig = [
         (tip_sequence[j], tip_sequence[(j + 1) % k],
          round(segments[j].link_a, 6), round(segments[j].link_b, 6),

@@ -343,7 +343,7 @@ class Surface:
     def chart(self, name: str) -> Chart:
         return self.charts[name]
 
-    def tip_rules(self, x_hit: float = 1e-7) -> list[StopRule]:
+    def tip_rules(self, x_hit: float) -> list[StopRule]:
         rules = []
         for tip in self.tips.values():
             rules.append(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conetrace import amplitudes as amp
-from conetrace import jacobi
+from conetrace import geodesics, jacobi
 from conetrace.amplitudes import (
     CutoffSpec,
     SegmentInvariants,
@@ -254,10 +254,24 @@ class TestTwoPathConsistency:
         amp.invariants_for(geo)
         trace_singularity(geo)
         trace_singularity_cut_route(geo)
-        # one forward and one reverse field per segment
-        assert len(solves) <= 2 * len(geo.segments)
+        # the build solved each forward field; only the reverse ones are left
+        assert len(solves) == len(geo.segments)
         for seg in geo.segments:
             assert seg.path.reversed() is seg.path.reversed()
+
+    def test_one_shot_per_newton_iteration(self, teardrop, monkeypatch):
+        # the converged shot is the segment: no re-shoot after convergence
+        shots = []
+        shoot = geodesics.shoot_from_tip
+
+        def counted(*args, **kwargs):
+            shots.append(args[1])
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "shoot_from_tip", counted)
+        geo = build_closed_diffractive(
+            teardrop, ["tip"], [A0 * (np.pi / 4 + 0.02)], length_cap=12.0)
+        assert len(shots) == sum(seg.iterations for seg in geo.segments)
 
 
 class TestModelKernel:

@@ -159,6 +159,16 @@ class TestExitCodes:
         assert main(["predict-trace", "--config", cfg]) == 2
         assert "convention" in capsys.readouterr().err
 
+    def test_chart_failure_exit_3(self, tmp_path, capsys):
+        # the shot leaves the chart's real domain at p0 = 1.5
+        cfg = write_config(tmp_path, "cone.json", {
+            "surface": {"cone_chart": {"sqrt_h": "1.2*(1.5-p0)**0.5"}},
+            "tip_sequence": ["tip"],
+            "seeds": [0.3],
+        })
+        assert main(["find-geodesics", "--config", cfg]) == 3
+        assert "domain error:" in capsys.readouterr().err
+
     def test_unknown_geodesic_option_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "td.json", {
             "surface": {"builtin": "teardrop"},

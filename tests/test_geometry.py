@@ -13,6 +13,7 @@ from conetrace.errors import (
     StepFailureError,
 )
 from conetrace.geodesics import (
+    D_REF,
     ChartState,
     build_closed_diffractive,
     classify_continuation,
@@ -134,6 +135,20 @@ class TestConnectTips:
             lambda r: np.sqrt(1 + 0.05 * bump(r, 0.7, 2.0)), 0, np.pi, limit=200
         )[0]
         assert seg.length == pytest.approx(expected, abs=1e-7)
+
+    @pytest.mark.parametrize("closed", ["spindle_closed", "teardrop_closed"])
+    def test_radial_finish_matches_flow(self, closed, request):
+        # the converged shot is finished radially from the band entry; an
+        # honest flow from the same launch must land on the same tip
+        for seg in request.getfixturevalue(closed).segments:
+            tip = seg.path.surface.tips[seg.path.end_tip]
+            flow = shoot_from_tip(seg.path.surface, seg.path.start_tip,
+                                  seg.link_a, seg.length + 1.0)
+            assert flow.end_kind == "tip" and flow.end_tip == tip.tip_id
+            assert abs(flow.length - seg.length) < 1e-9
+            # theta whips round at the tip-hit cutoff; read it inside the band
+            theta = flow.state(flow.length - D_REF / 2).p[1]
+            assert abs(tip.link_coord(theta) - seg.link_b) < 1e-9
 
 
 class TestClosedGeodesics:
