@@ -18,17 +18,31 @@ that is also used as ground truth.  Two regimes:
   than the ladder's top (3072 nodes, nu pi + 2 x above about 3360) raises
   BesselFailureError rather than integrating with too few nodes.
 
-Zeros are located by a pi/4-spaced scan starting just below the first
-zero bound x = nu, then polished by Newton with the analytic derivative.
+Zeros come from linear algebra, not from a search on J.  The three-term
+recurrence makes 1/j_{nu,m} the positive eigenvalues of the infinite
+symmetric tridiagonal matrix with zero diagonal and off-diagonal
+1/(2 sqrt((nu+k)(nu+k+1))), k = 1, 2, ... (Ikebe 1975, Math. Comp. 29;
+Ball 2000, Math. Comp. 69).  Truncated to 1.3 (x_max - nu) + 40 rows it
+gives every zero up to x_max to about 1e-12.  The zero diagonal pairs
+the eigenvalues as +-1/j, so the square of the matrix splits into two
+tridiagonal blocks (odd and even rows) that each carry 1/j^2, and the
+eigensolve uses one block of half the size.  One Newton step with the
+in-repo J then polishes each zero; a step larger than 1e-8 raises
+BesselFailureError.  The eigenvalues know nothing of the quadrature, so
+the two check each other, and nothing here calls a library Bessel
+function: tests use those as ground truth.
+
 Everything is deterministic and vectorized over the argument.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln
 
 from .errors import BesselFailureError
@@ -40,6 +54,13 @@ _SERIES_X_MAX = 10.0
 _LAG = laggauss(80)
 _GL_RUNG = 128  # Legendre node counts are multiples of this
 _GL_TOP = 3072  # largest rule the Schlaefli integral will use
+_POLISH_TOL = 1e-8  # largest Newton step an eigenvalue zero may need
+
+
+def _nodes(span: float) -> int:
+    """Legendre node count for a total phase variation nu pi + 2 x: the
+    ladder rung at or above 0.9 span + 48."""
+    return _GL_RUNG * math.ceil((0.9 * span + 48) / _GL_RUNG)
 
 
 def _series(nu: float, x: np.ndarray, deriv: bool) -> np.ndarray:
@@ -67,7 +88,7 @@ def _series(nu: float, x: np.ndarray, deriv: bool) -> np.ndarray:
 def _schlaefli(nu: float, x: np.ndarray, deriv) -> np.ndarray:
     """deriv in {False, True, "both"}; "both" shares the phase matrix."""
     span = nu * np.pi + 2.0 * float(np.max(x, initial=0.0))
-    n = _GL_RUNG * math.ceil((0.9 * span + 48) / _GL_RUNG)
+    n = _nodes(span)
     if n > _GL_TOP:
         raise BesselFailureError(
             f"phase variation {span:.6g} needs more than {_GL_TOP} "
@@ -146,45 +167,59 @@ def bessel_j_prime(nu: float, x):
     return _eval(nu, x, deriv=True)
 
 
+def _ikebe_zeros(nu: float, cut: float) -> np.ndarray:
+    """Zeros of J_nu below cut, ascending, from the truncated Ikebe matrix
+    (accurate up to cut; see the module docstring)."""
+    m = math.ceil((1.3 * (cut - nu) + 40) / 2)  # half the matrix size
+    k = np.arange(1, 2 * m)
+    a = 0.5 / np.sqrt((nu + k) * (nu + k + 1.0))  # a[i] = a_{i+1}
+    # the odd rows of the square are B B^T, B lower bidiagonal with
+    # diagonal a_1, a_3, ... and subdiagonal a_2, a_4, ...
+    d, s = a[0::2], a[1::2]
+    diag = d * d
+    diag[1:] += s * s
+    inv_sq = eigvalsh_tridiagonal(diag, d[:-1] * s)  # 1/j^2, ascending
+    return 1.0 / np.sqrt(inv_sq[inv_sq > cut ** -2][::-1])
+
+
+def _polish(nu: float, guesses: np.ndarray):
+    """One Newton step on J_nu from each guess: (zeros, J_nu' at the
+    guesses).  The slope is off by about a relative |step| / x."""
+    j, jp = bessel_j_pair(nu, guesses)
+    step = j / jp
+    if not np.all(np.abs(step) <= _POLISH_TOL):
+        worst = float(np.max(np.abs(step)))
+        raise BesselFailureError(
+            f"eigenvalue zero of J_{nu:g} needs a Newton step of "
+            f"{worst:.3g} > {_POLISH_TOL:g}")
+    return guesses - step, jp
+
+
+@functools.lru_cache(maxsize=1)
+def _zeros_and_slopes(nu: float, x_max: float):
+    """(zeros of J_nu up to x_max, J_nu' at them), both read-only.  The
+    cone mode build asks for the slopes right after the zeros of the
+    same order, so one entry is enough."""
+    if not (math.isfinite(nu) and nu >= 0):
+        raise BesselFailureError(f"order must be finite and nonnegative: {nu}")
+    if not math.isfinite(x_max):
+        raise BesselFailureError(f"x_max must be finite: {x_max}")
+    if x_max <= nu:
+        zeros = slopes = np.array([])  # the first zero exceeds the order
+    else:
+        if _nodes(nu * math.pi + 2.0 * x_max) > _GL_TOP:
+            raise BesselFailureError(
+                f"zeros up to {x_max:g} need more than {_GL_TOP} "
+                f"Gauss-Legendre nodes to polish")
+        # the margin keeps a zero that the eigenvalue error (about 1e-12)
+        # puts just above x_max; the polished values decide
+        zeros, slopes = _polish(nu, _ikebe_zeros(nu, x_max + 1e-6))
+        keep = zeros <= x_max
+        zeros, slopes = zeros[keep], slopes[keep]
+    zeros.flags.writeable = slopes.flags.writeable = False
+    return zeros, slopes
+
+
 def bessel_j_zeros(nu: float, x_max: float) -> np.ndarray:
     """All positive zeros of J_nu up to x_max, each to ~1e-10."""
-    if x_max <= nu:
-        return np.array([])  # first zero exceeds the order
-    lo = max(nu, 1e-3)
-    # consecutive zeros are more than pi/2 apart, so this scan is exhaustive
-    grid = np.arange(lo, x_max + np.pi / 2, np.pi / 2)
-    vals = bessel_j(nu, grid)
-    sign = np.sign(vals)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(idx) == 0:
-        return np.array([])
-    a = grid[idx].copy()
-    b = grid[idx + 1].copy()
-    sa = sign[idx]
-    r = 0.5 * (a + b)
-    done = np.zeros(len(r), dtype=bool)
-    for _ in range(100):
-        f, fp = bessel_j_pair(nu, r)
-        f = np.atleast_1d(f)
-        fp = np.atleast_1d(fp)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / fp
-        newton = r - step
-        off = ~np.isfinite(newton) | (newton <= a) | (newton >= b)
-        same = np.sign(f) == sa
-        a2 = np.where(same, r, a)
-        b2 = np.where(same, b, r)
-        nxt = np.where(off, 0.5 * (a2 + b2), newton)
-        done |= np.isfinite(step) & (np.abs(step) < 5e-12 * np.maximum(1.0, r))
-        done |= (b - a) < 1e-12 * np.maximum(1.0, r)
-        a = np.where(done, a, a2)
-        b = np.where(done, b, b2)
-        r = np.where(done, r, nxt)
-        if done.all():
-            break
-    else:
-        raise BesselFailureError("zero refinement stalled")
-    for _ in range(2):
-        f, fp = bessel_j_pair(nu, r)
-        r = r - np.atleast_1d(f) / np.atleast_1d(fp)
-    return r[r <= x_max]
+    return _zeros_and_slopes(nu, x_max)[0].copy()

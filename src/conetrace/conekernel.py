@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf
 
-from .besselj import bessel_j, bessel_j_prime, bessel_j_zeros
+from .besselj import _zeros_and_slopes, bessel_j, bessel_j_zeros
 from .errors import IllConditionedError, WallInfluenceError
 
 __all__ = [
@@ -63,15 +63,19 @@ def _mode_data(rho, wall_r, x, xp, damping, mode_cutoff, zero_cutoff):
     k_max = int(np.ceil(nu_max * rho / (2 * np.pi)))
     if mode_cutoff is not None:
         k_max = min(k_max, mode_cutoff)
+    j_max = lam_max * wall_r  # the largest Bessel zero kept
     modes = []
     for k in range(0, k_max + 1):
         nu = 2 * np.pi * k / rho
-        zeros = bessel_j_zeros(nu, lam_max * wall_r)
+        zeros = bessel_j_zeros(nu, j_max)
         if len(zeros) == 0:
             break
+        # J' at the zeros from the polish step that found them (cached)
+        slopes = _zeros_and_slopes(nu, j_max)[1]
         lams = zeros / wall_r
-        norm = 2.0 / (wall_r**2 * bessel_j_prime(nu, zeros) ** 2)
-        radial = norm * bessel_j(nu, lams * x) * bessel_j(nu, lams * xp)
+        norm = 2.0 / (wall_r**2 * slopes**2)
+        jx = bessel_j(nu, lams * x)
+        radial = norm * jx * (jx if xp == x else bessel_j(nu, lams * xp))
         damp = np.exp(-(lams**2) / (2.0 * damping**2))
         modes.append((k, lams, radial * damp))
     return modes

@@ -1,8 +1,9 @@
 """Bessel J of real order: values, derivatives, zeros.
 
 Reference values come from mpmath's multiprecision series at test time,
-and zeros of integer order are cross-checked against scipy; both are
-independent of the quadrature-based implementation under test.
+and zeros are cross-checked against scipy (`jn_zeros`, and `jv` with
+bisection and Newton); all are independent of the quadrature and the eigenproblem
+under test.
 """
 
 import mpmath
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from conetrace import besselj
+from conetrace import besselj, conekernel
 from conetrace.besselj import (
     bessel_j,
     bessel_j_pair,
@@ -20,6 +21,33 @@ from conetrace.besselj import (
 from conetrace.errors import BesselFailureError
 
 mpmath.mp.dps = 30
+
+
+def reference_zeros(nu, x_max):
+    """Zeros of J_nu up to x_max from scipy's jv: sign changes on a unit
+    grid (consecutive zeros are more than 3 apart, and J_nu > 0 on
+    (0, nu]), five bisections, then Newton until the step is negligible."""
+    grid = np.arange(nu, x_max + 2.0, 1.0)
+    vals = sp.jv(nu, grid)
+    i = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
+    a, b, fa = grid[i], grid[i + 1], vals[i]
+    for _ in range(5):
+        m = 0.5 * (a + b)
+        fm = sp.jv(nu, m)
+        left = np.sign(fm) == np.sign(fa)
+        a, fa, b = np.where(left, m, a), np.where(left, fm, fa), np.where(left, b, m)
+    z = 0.5 * (a + b)
+    for _ in range(4):
+        step = sp.jv(nu, z) / sp.jvp(nu, z)
+        z = z - step
+    assert np.all(np.abs(step) <= 1e-11) and np.all((a <= z) & (z <= b))
+    return z[z <= x_max]
+
+
+def assert_zeros_match(got, ref):
+    assert len(got) == len(ref)
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-10
+
 
 # 20 (order, argument) pairs spanning series and integral regimes,
 # including order >> argument and argument >> order
@@ -98,6 +126,101 @@ class TestZeros:
         ref = float(mpmath.besseljzero(3, 5))
         zs = bessel_j_zeros(3.0, 30.0)
         assert zs[4] == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("nu,x_max", [
+        (3.0, 30.0), (0.0, 1.0), (2.5, 2.5), (2.5, 1.0), (50.0, 40.0)],
+        ids=["zeros", "none-above-order", "x_max-is-order",
+             "x_max-below-order", "order-50-x_max-40"])
+    def test_returns_1d_float_array(self, nu, x_max):
+        zs = bessel_j_zeros(nu, x_max)
+        assert isinstance(zs, np.ndarray)
+        assert zs.ndim == 1 and zs.dtype == np.float64
+        # the caller owns the array: writing to it leaves the next call alone
+        if len(zs):
+            zs[0] = -1.0
+            assert bessel_j_zeros(nu, x_max)[0] > 0
+
+    @pytest.mark.parametrize("rho", [1.5 * np.pi, 2 * np.pi],
+                             ids=["cone", "control"])
+    def test_every_mode_build_order_against_reference(self, rho,
+                                                      monkeypatch):
+        # the (nu, x_max) of criterion 3 (Lambda = 40) and of the
+        # benchmark's front workload (Lambda = 30), as the mode build asks
+        # for them; its radial factors are stubbed out, since only the
+        # zeros are checked here
+        seen = {}
+
+        def recording(nu, x_max):
+            zs = bessel_j_zeros(nu, x_max)
+            seen.setdefault(nu, []).append((x_max, zs))
+            return zs
+
+        monkeypatch.setattr(conekernel, "bessel_j_zeros", recording)
+        monkeypatch.setattr(conekernel, "bessel_j",
+                            lambda nu, x: np.ones_like(x))
+        for damping in (40.0, 30.0):
+            conekernel._mode_data.__wrapped__(rho, 2.0, 0.5, 0.5, damping,
+                                              None, None)
+        assert len(seen) > 80
+        for nu, runs in seen.items():
+            ref = reference_zeros(nu, max(x_max for x_max, _ in runs))
+            for x_max, zs in runs:
+                assert_zeros_match(zs, ref[ref <= x_max])
+
+    @pytest.mark.parametrize("nu,x_max", [
+        (0.0, 300.0), (200.0, 300.0), (0.0, 2.0), (0.5, 1679.0)],
+        ids=["order-0", "order-200", "order-0-no-zero", "ladder-top"])
+    def test_matrix_size_edges_against_reference(self, nu, x_max):
+        assert_zeros_match(bessel_j_zeros(nu, x_max),
+                           reference_zeros(nu, x_max))
+
+    @pytest.mark.parametrize("nu,k", [
+        (0.0, 1), (4.0 / 3.0, 20), (40.0, 5), (200.0, 17)])
+    def test_count_switches_at_each_zero(self, nu, k):
+        j_k = reference_zeros(nu, 300.0)[k - 1]
+        assert len(bessel_j_zeros(nu, j_k * (1 - 1e-9))) == k - 1
+        assert len(bessel_j_zeros(nu, j_k * (1 + 1e-9))) == k
+
+
+class TestZeroGuards:
+    """Bad orders and ranges raise before the Ikebe matrix is built, and
+    the Newton polish rejects an eigenvalue zero that is off."""
+
+    @pytest.fixture
+    def no_matrix(self, monkeypatch):
+        def built(nu, cut):
+            raise AssertionError(f"matrix built for nu={nu}, cut={cut}")
+        monkeypatch.setattr(besselj, "_ikebe_zeros", built)
+
+    @pytest.mark.parametrize("nu,x_max", [
+        (-1e-12, 10.0), (float("nan"), 10.0), (float("inf"), 10.0),
+        (0.5, float("nan")), (0.5, float("inf")), (0.5, -float("inf")),
+        (0.5, 1680.0), (0.5, 1e9)],
+        ids=["order-negative", "order-nan", "order-inf", "x_max-nan",
+             "x_max-inf", "x_max-minus-inf", "above-ladder-top",
+             "far-above-ladder-top"])
+    def test_raises_before_the_matrix(self, no_matrix, nu, x_max):
+        with pytest.raises(BesselFailureError):
+            bessel_j_zeros(nu, x_max)
+
+    def test_order_zero_passes(self):
+        zs = bessel_j_zeros(0.0, 10.0)
+        assert len(zs) == 3
+        assert zs[0] == pytest.approx(float(mpmath.besseljzero(0, 1)),
+                                      abs=1e-12)
+
+    def test_polish_step_below_tolerance_passes(self):
+        ref = reference_zeros(4.0 / 3.0, 100.0)
+        zeros, slopes = besselj._polish(4.0 / 3.0, ref + 1e-9)
+        assert np.max(np.abs(zeros - ref)) <= 1e-12
+        assert np.allclose(slopes, sp.jvp(4.0 / 3.0, ref), rtol=1e-8,
+                           atol=0)
+
+    def test_polish_step_above_tolerance_raises(self):
+        guesses = reference_zeros(4.0 / 3.0, 100.0)
+        guesses[7] += 1e-7
+        with pytest.raises(BesselFailureError, match="Newton step"):
+            besselj._polish(4.0 / 3.0, guesses)
 
 
 class TestRegimeEdges:

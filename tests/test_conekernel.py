@@ -9,6 +9,7 @@ takes seconds.
 import numpy as np
 import pytest
 
+from conetrace import besselj
 from conetrace.conekernel import (
     _mode_data,
     conormal_basis,
@@ -99,6 +100,25 @@ class TestKernelSeries:
         assert info.currsize == size and info.misses == size + 1
         assert flat_cone_sine_kernel_series(*args, damping=8.0) == first
         assert _mode_data.cache_info().misses == size + 2
+
+    def test_mode_build_evaluates_j_few_times_per_zero(self, monkeypatch):
+        # criterion 3's cone build: one polish evaluation per zero, and one
+        # radial evaluation since x = x'; a search for the zeros would
+        # evaluate J about a dozen times per zero
+        points = []
+        evaluate = besselj._eval
+
+        def counting(nu, x, deriv):
+            points.append(np.size(x))
+            return evaluate(nu, x, deriv)
+
+        monkeypatch.setattr(besselj, "_eval", counting)
+        besselj._zeros_and_slopes.cache_clear()
+        modes = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0,
+                                       None, None)
+        zeros = sum(len(lams) for _, lams, _ in modes)
+        assert zeros > 5000
+        assert sum(points) <= 3 * zeros
 
     def test_kernel_is_real(self):
         val = flat_cone_sine_kernel_series(RHO, 1.1, 0.8, 0.3, 0.0, 0.4, 0.9,
