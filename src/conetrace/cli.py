@@ -149,6 +149,15 @@ def cmd_predict_trace(args) -> int:
     if convention not in LENGTH_CONVENTIONS:
         raise ConfigError(
             f"'convention' must be one of {list(LENGTH_CONVENTIONS)}")
+    samples_cfg = cfg.get("model_samples")
+    if samples_cfg is not None:
+        if not isinstance(samples_cfg, dict):
+            raise ConfigError("'model_samples' must be an object")
+        ts = grid_from_config(samples_cfg.get("t_grid", {}), "t_grid")
+        sigma = samples_cfg.get("damping_sigma")
+        if sigma is not None:
+            sigma = number_from_config(
+                sigma, "model_samples 'damping_sigma'", positive=True)
     geo = _build_geodesic(cfg)
     invs = invariants_for(geo)
     pred = trace_singularity(geo, invs, length_convention=convention)
@@ -168,10 +177,7 @@ def cmd_predict_trace(args) -> int:
             str(seg.morse), _fmt(seg.theta), _fmt(dval.value.real),
             _fmt(dval.value.imag),
         ]))
-    samples_cfg = cfg.get("model_samples")
     if samples_cfg is not None:
-        ts = grid_from_config(samples_cfg.get("t_grid", {}), "t_grid")
-        sigma = samples_cfg.get("damping_sigma")
         vals = model_kernel(pred, CutoffSpec(), ts, damping_sigma=sigma)
         lines.append("# model kernel samples: t,re,im")
         for t, v in zip(ts, vals):

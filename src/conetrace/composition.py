@@ -107,6 +107,9 @@ def sphere_arc_geometry(d1: float, d2: float) -> CompositionGeometry:
                                halfwidth_long=0.45, halfwidth_trans=0.35)
 
 
+_FOLD_ROWS = 256  # (u, v) nodes per block of the folded eta sum
+
+
 def _bump(s):
     """C^inf bump on (-1, 1), value 1 at 0."""
     s = np.asarray(s, dtype=float)
@@ -166,16 +169,27 @@ def _quadrature(geom, amp12, xi, sigma_eta, scale):
     base = (amp12(uu, vv) * geom.jacobian(uu, vv)
             * _bump(uu / a) * _bump(vv / b)
             * np.exp(1j * (d1 + d2 - d_tot) * xi)
-            * (wu[:, None] * wv[None, :]))
+            * (wu[:, None] * wv[None, :])).ravel()
+    delta = (d2 - d2_star).ravel()
+    # The eta factor f = sqrt(xi) sqrt(xi + eta) exp(-eta^2/2 sigma^2) w
+    # is real and Legendre nodes are exactly antisymmetric, so pairing
+    # each eta > 0 with its mirror -eta turns sum_k f_k e^{i delta eta_k}
+    # into cos(delta eta) (f+ + f-) + i sin(delta eta) (f+ - f-), plus
+    # the middle node's f_0 when n_eta is odd: two real matrix products
+    # over the flattened (u, v) grid, taken _FOLD_ROWS rows at a time.
+    f = np.sqrt(xi) * np.sqrt(xi + eta) * np.exp(
+        -(eta**2) / (2 * sigma_eta**2)) * we
+    half = n_eta // 2
+    eta_pos = eta[n_eta - half:]
+    f_even = f[n_eta - half:] + f[half - 1::-1]
+    f_odd = f[n_eta - half:] - f[half - 1::-1]
+    f_mid = f[half] if n_eta % 2 else 0.0
     total = 0.0 + 0.0j
-    chunk = 16  # eta nodes per block: each temporary is n_u x n_v x chunk
-    for k0 in range(0, n_eta, chunk):
-        et = eta[k0:k0 + chunk]
-        wt = we[k0:k0 + chunk]
-        osc = np.exp(1j * (d2 - d2_star)[:, :, None] * et[None, None, :])
-        freq = np.sqrt(xi) * np.sqrt(xi + et) * np.exp(
-            -(et**2) / (2 * sigma_eta**2))
-        total += np.sum(base[:, :, None] * osc * (freq * wt)[None, None, :])
+    for i in range(0, len(delta), _FOLD_ROWS):
+        phase = np.outer(delta[i:i + _FOLD_ROWS], eta_pos)
+        eta_sum = (np.cos(phase) @ f_even + f_mid
+                   + 1j * (np.sin(phase) @ f_odd))
+        total += base[i:i + _FOLD_ROWS] @ eta_sum
     return total
 
 

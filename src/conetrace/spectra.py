@@ -61,9 +61,10 @@ def smoothed_wave_trace(eigs, sigma: float, t_grid) -> SmoothedTrace:
 
     Terms damped below 1e-18 of the largest damping are dropped, and
     repeated eigenvalues are merged into one term whose weight is their
-    summed damping; the sum is then a matrix product, taken over
-    _TRACE_ROWS t values at a time to bound memory.  The operation
-    sequence is fixed, so repeated runs on one machine are bit-identical.
+    summed damping.  The weights are real, so the sum is two real matrix
+    products, cos(t lam) @ w - i sin(t lam) @ w, taken over _TRACE_ROWS
+    t values at a time to bound memory.  The operation sequence is
+    fixed, so repeated runs on one machine are bit-identical.
     """
     if sigma <= 0:
         raise ValueError("need sigma > 0")
@@ -76,7 +77,9 @@ def smoothed_wave_trace(eigs, sigma: float, t_grid) -> SmoothedTrace:
     samples = np.empty(len(t_grid), dtype=complex)
     for i in range(0, len(t_grid), _TRACE_ROWS):
         rows = t_grid[i:i + _TRACE_ROWS]
-        samples[i:i + _TRACE_ROWS] = np.exp(-1j * np.outer(rows, lam)) @ weights
+        phase = np.outer(rows, lam)
+        samples[i:i + _TRACE_ROWS] = (np.cos(phase) @ weights
+                                      - 1j * (np.sin(phase) @ weights))
     return SmoothedTrace(lam, sigma, t_grid, samples)
 
 

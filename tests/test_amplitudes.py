@@ -1,5 +1,6 @@
 """Amplitude assembly: building blocks, chains, trace coefficients."""
 
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -334,6 +335,84 @@ class TestModelKernel:
         free = model_kernel(p, self.CUT, [t])[0]
         damped = model_kernel(p, self.CUT, [t], damping_sigma=400.0)[0]
         assert abs(free - damped) < 1e-3 * abs(free)
+
+    @staticmethod
+    def per_sample_reference(p, cut, ts, sigma):
+        # reference: each sample integrated on its own, one Python loop
+        # over its 64-node panels
+        def panel_gl(f, a, b, n_osc, nodes=64):
+            panels = max(4, int(np.ceil(n_osc)) * 2)
+            gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+            edges = np.linspace(a, b, panels + 1)
+            total = 0.0 + 0.0j
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                x = 0.5 * (hi - lo) * (gl_x + 1.0) + lo
+                total += 0.5 * (hi - lo) * np.sum(gl_w * f(x))
+            return total
+
+        s = p.order
+        out = []
+        for u in np.asarray(ts, dtype=float) - p.L:
+            hi = cut.upper + (8.0 * sigma if sigma is not None else 0.0)
+
+            def f(xi):
+                damp = (1.0 if sigma is None
+                        else np.exp(-(xi * xi) / (2 * sigma * sigma)))
+                return np.exp(-1j * u * xi) * cut.value(xi) * xi ** (-s) * damp
+
+            n_osc = abs(u) * (hi - cut.lower) / (2 * np.pi)
+            val = panel_gl(f, cut.lower, hi, n_osc)
+            if sigma is None:
+                val += hi ** (1.0 - s) * amp._exp_integral_e(s, 1j * u * hi)
+            out.append(val)
+        return p.coefficient * np.array(out)
+
+    @pytest.mark.parametrize("order", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("sigma", [40.0, None], ids=["damped", "undamped"])
+    def test_grouped_matches_per_sample_loop(self, order, sigma):
+        p = self.pred(order, coeff=0.8 - 0.3j)
+        # 97 samples whose |u| spans several panel counts; undamped, the
+        # panels cover only [lower, upper], so |u| must reach further, and
+        # the grid steps over u = 0, where the integral diverges for s <= 1
+        us = (np.linspace(-0.9, 0.9, 97) if sigma
+              else np.linspace(-20.0, 20.0, 97) + 0.004)
+        hi = self.CUT.upper + (8.0 * sigma if sigma else 0.0)
+        counts = np.maximum(4, 2 * np.ceil(
+            np.abs(us) * (hi - self.CUT.lower) / (2 * np.pi)))
+        assert len(np.unique(counts)) >= 3
+        got = model_kernel(p, self.CUT, p.L + us, damping_sigma=sigma)
+        ref = self.per_sample_reference(p, self.CUT, p.L + us, sigma)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("sigma", [40.0, None], ids=["damped", "undamped"])
+    def test_empty_grid(self, sigma):
+        out = model_kernel(self.pred(0.5), self.CUT, [], damping_sigma=sigma)
+        assert out.shape == (0,) and out.dtype == complex
+
+    def test_undamped_singularity_inside_a_grid(self):
+        p = self.pred(1.0)
+        with pytest.raises(QuadratureFailureError):
+            model_kernel(p, self.CUT, p.L + np.linspace(-0.5, 0.5, 41))
+
+    @pytest.mark.parametrize("sigma", [0.0, -5.0, float("nan"),
+                                       float("inf")])
+    def test_bad_damping_sigma(self, sigma):
+        with pytest.raises(ValueError):
+            model_kernel(self.pred(0.5), self.CUT, [5.1],
+                         damping_sigma=sigma)
+
+    def test_memory_bounded_by_row_blocks(self):
+        # one outer product over 20,000 samples and the ~2,000 nodes of
+        # the widest panel layout would take about 650 MB
+        p = self.pred(1.5)
+        ts = p.L + np.linspace(-0.3, 0.3, 20_000)
+        tracemalloc.start()
+        try:
+            model_kernel(p, self.CUT, ts, damping_sigma=40.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_cutoff_shape(self):
         cut = CutoffSpec(1.0, 2.0)

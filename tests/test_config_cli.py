@@ -14,7 +14,7 @@ from conetrace.config import (
 from conetrace.errors import ConfigError
 from conetrace.links import LinkSpectrum, SummationPolicy, diffraction_kernel
 from conetrace.spectra import doubled_square_spectrum, smoothed_wave_trace
-from conetrace.amplitudes import trace_singularity
+from conetrace.amplitudes import CutoffSpec, model_kernel, trace_singularity
 
 A0 = 0.75
 RHO = 1.5 * np.pi
@@ -159,6 +159,26 @@ class TestExitCodes:
         assert main(["predict-trace", "--config", cfg]) == 2
         assert "convention" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", [
+        {"damping_sigma": "40"}, {"damping_sigma": True},
+        {"damping_sigma": 0}, {"damping_sigma": -5},
+        [1.0], "sigma",
+    ], ids=["sigma-string", "sigma-bool", "sigma-zero", "sigma-negative",
+            "samples-list", "samples-string"])
+    def test_bad_model_samples_exit_2(self, tmp_path, capsys, samples):
+        if isinstance(samples, dict):
+            samples = {"t_grid": {"min": 7.0, "max": 7.5, "count": 5},
+                       **samples}
+        cfg = write_config(tmp_path, "td.json", {
+            "surface": {"builtin": "teardrop"},
+            "tip_sequence": ["tip"],
+            "seeds": [A0 * (np.pi / 4 + 0.02)],
+            "options": {"length_cap": 12.0},
+            "model_samples": samples,
+        })
+        assert main(["predict-trace", "--config", cfg]) == 2
+        assert "model_samples" in capsys.readouterr().err
+
     def test_chart_failure_exit_3(self, tmp_path, capsys):
         # the shot leaves the chart's real domain at p0 = 1.5
         cfg = write_config(tmp_path, "cone.json", {
@@ -261,6 +281,32 @@ class TestGeodesicCommands:
         assert abs(got - pred.coefficient) <= 1e-6 * abs(pred.coefficient)
         assert float(rows[0][4]) == pred.order
 
+
+    @pytest.mark.parametrize("sigma", [40.0, None],
+                             ids=["damped", "null-undamped"])
+    def test_predict_trace_model_samples(self, tmp_path, teardrop_closed,
+                                         sigma):
+        length = teardrop_closed.length
+        grid = {"min": length - 0.3, "max": length + 0.3, "count": 6}
+        cfg = write_config(tmp_path, "td.json", {
+            "surface": {"builtin": "teardrop"},
+            "tip_sequence": ["tip"],
+            "seeds": [A0 * (np.pi / 4 + 0.02)],
+            "options": {"length_cap": 12.0},
+            "model_samples": {"t_grid": grid, "damping_sigma": sigma},
+        })
+        out = tmp_path / "pred.csv"
+        assert main(["predict-trace", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        at = lines.index("# model kernel samples: t,re,im")
+        rows = np.array([[float(x) for x in ln.split(",")]
+                         for ln in lines[at + 1:]])
+        ts = np.linspace(grid["min"], grid["max"], grid["count"])
+        want = model_kernel(trace_singularity(teardrop_closed), CutoffSpec(),
+                            ts, damping_sigma=sigma)
+        assert np.allclose(rows[:, 0], ts, rtol=0, atol=1e-12)
+        got = rows[:, 1] + 1j * rows[:, 2]
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
     def test_teardrop_other_cone_angle(self, tmp_path):
         # the cap series of a0 = 0.8 used to fail inside sympy

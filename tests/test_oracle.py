@@ -9,6 +9,7 @@ from conetrace.amplitudes import (
     interior_amplitude,
     model_kernel,
 )
+from conetrace import composition
 from conetrace.composition import (
     CompositionGeometry,
     brute_force_composition,
@@ -160,3 +161,59 @@ class TestComposition:
             sphere_arc_geometry(np.pi, 0.5)
         with pytest.raises(ValueError):
             sphere_arc_geometry(1.0, 3.5)
+
+
+def complex_exp_eta_loop(geom, amp12, xi, sigma_eta, scale):
+    """The eta sum of composition._quadrature as a complex exponential
+    over n_u x n_v x 16 blocks, the form the fold replaced.  Returns
+    (value, n_eta)."""
+    a, b = geom.halfwidth_long, geom.halfwidth_trans
+    eta_max = min(4.0 * sigma_eta, 0.85 * xi)
+    zero = np.asarray(0.0, float)
+    d2_star = float(geom.dist2(zero, zero))
+    d_tot = d2_star + float(geom.dist1(zero, zero))
+    hvv = abs(composition._check_critical_point(geom))
+
+    def nodes(phase_span, floor=48):
+        return int(scale * max(floor, 0.6 * phase_span + 40))
+
+    n_u, n_v = nodes(eta_max * a * 2), nodes(xi * hvv * b**2)
+    n_eta = nodes(a * eta_max * 2)
+    tu, wu = np.polynomial.legendre.leggauss(n_u)
+    tv, wv = np.polynomial.legendre.leggauss(n_v)
+    te, we = np.polynomial.legendre.leggauss(n_eta)
+    uu, vv = np.meshgrid(a * tu, b * tv, indexing="ij")
+    eta, we = eta_max * te, eta_max * we
+    d1, d2 = geom.dist1(uu, vv), geom.dist2(uu, vv)
+    base = (amp12(uu, vv) * geom.jacobian(uu, vv)
+            * composition._bump(uu / a) * composition._bump(vv / b)
+            * np.exp(1j * (d1 + d2 - d_tot) * xi)
+            * ((a * wu)[:, None] * (b * wv)[None, :]))
+    total = 0.0 + 0.0j
+    for k0 in range(0, n_eta, 16):
+        et, wt = eta[k0:k0 + 16], we[k0:k0 + 16]
+        osc = np.exp(1j * (d2 - d2_star)[:, :, None] * et[None, None, :])
+        freq = np.sqrt(xi) * np.sqrt(xi + et) * np.exp(
+            -(et**2) / (2 * sigma_eta**2))
+        total += np.sum(base[:, :, None] * osc * (freq * wt)[None, None, :])
+    return total, n_eta
+
+
+class TestCompositionFold:
+    @pytest.mark.parametrize("case,parity", [
+        ("flat", 0),   # scale 0.75 at xi = 200: n_eta = 98
+        ("sphere", 1),  # scale 1 at xi = 200: n_eta = 131
+    ])
+    def test_fold_matches_complex_exp_loop(self, case, parity):
+        xi = 200.0
+        if case == "flat":
+            geom, scale = flat_collinear_geometry(1.0, 1.4), 0.75
+            amp12 = lambda u, v: np.full_like(u + v, 0.3 - 0.1j,
+                                              dtype=complex)
+        else:
+            geom, scale = sphere_arc_geometry(5 * np.pi / 4, np.pi / 4), 1.0
+            amp12 = lambda u, v: (1.0 + 0.2 * u - 0.1j * v * v) + 0j
+        ref, n_eta = complex_exp_eta_loop(geom, amp12, xi, xi**0.75, scale)
+        assert n_eta % 2 == parity
+        got = composition._quadrature(geom, amp12, xi, xi**0.75, scale)
+        assert abs(got - ref) <= 1e-12 * abs(ref)

@@ -20,6 +20,15 @@ def test_matches_leggauss(n):
     assert np.max(np.abs(w - w_ref)) <= 1e-12
 
 
+def test_rules_are_exactly_symmetric():
+    # composition folds its eta sum on mirrored nodes, which needs
+    # x[::-1] == -x and w[::-1] == w bit for bit, not to rounding
+    for n in range(1, 301):
+        x, w = gauss_legendre(n)
+        assert np.array_equal(x[::-1], -x), n
+        assert np.array_equal(w[::-1], w), n
+
+
 def test_rules_are_read_only():
     x, w = gauss_legendre(64)
     for arr in (x, w):
