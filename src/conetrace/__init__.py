@@ -15,12 +15,10 @@ from .links import (  # noqa: F401
     DiffractionValue,
     LinkSpectrum,
     SummationPolicy,
-    a0_b0_coefficients,
     abel_extrapolate,
     cos_sin_pi_nu_kernels,
     diffraction_kernel,
     half_kg_kernel,
-    nu_values,
     sine_front_coefficients,
 )
 from .surfaces import (  # noqa: F401
@@ -54,23 +52,17 @@ from .jacobi import (  # noqa: F401
     broken_hessian,
     integrate_jacobi,
     morse_index,
-    shape_operator,
     theta_spreading,
     wronskian_drift,
 )
 from .amplitudes import (  # noqa: F401
-    AmplitudeValue,
     CutoffSpec,
     SegmentInvariants,
     TraceSingularityPrediction,
-    compose_frequency_orders,
     interior_amplitude,
     invariants_for,
     model_kernel,
-    multi_diffraction_amplitude,
     segment_invariants,
-    short_time_amplitude,
-    single_diffraction_amplitude,
     trace_singularity,
     trace_singularity_cut_route,
 )
@@ -81,11 +73,9 @@ from .besselj import (  # noqa: F401
     bessel_j_zeros,
 )
 from .conekernel import (  # noqa: F401
-    FrontCoordinates,
     conormal_basis,
     extract_front_coefficients,
     flat_cone_sine_kernel_series,
-    front_coordinates,
     smoothed_heaviside,
     smoothed_log,
 )

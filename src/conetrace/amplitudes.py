@@ -1,51 +1,43 @@
-"""Amplitude assembly for diffractive wave propagation and the trace.
+"""Trace-singularity assembly for diffractive closed geodesics.
 
 All scalars live in the metric half-density frame with phase convention
-(sum of distances - t) * xi.  The building blocks:
-
-* interior propagation between non-conjugate points,
-* diffraction through one cone point,
-* chains of k diffractions,
-* the leading coefficient of the wave-trace singularity at the length
-  of a strictly diffractive closed geodesic,
-
-plus a numerical model kernel (the xi-integral of the symbol against
-the smooth cutoff) used to match predictions against measured traces,
-and an independent route to the trace coefficient that integrates a
-one-point cut over the closed geodesic (the stationary manifold is the
-geodesic itself; the cut integrand collapses by the shape-operator and
-Wronskian identities, which is exactly what the cross-check exercises).
+(sum of distances - t) * xi.  The module computes the interior
+half-wave amplitude between non-conjugate points (criterion 8 checks
+it against brute-force composition), the per-segment invariants of a
+closed diffractive geodesic, and the leading coefficient of the
+wave-trace singularity at its length.  An independent route to that
+coefficient integrates a one-point cut over the closed geodesic (the
+stationary manifold is the geodesic itself; the cut integrand collapses
+by the shape-operator and Wronskian identities, which is exactly what
+the cross-check exercises).  A numerical model kernel (the xi-integral
+of the symbol against the smooth cutoff) matches predictions against
+measured traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import math
 
 import numpy as np
 
 from .errors import (
-    ChainMismatchError,
     ConjugateDegeneracyError,
     NotStrictlyDiffractiveError,
     QuadratureFailureError,
 )
 from .jacobi import morse_index, theta_spreading
-from .links import DiffractionValue, SummationPolicy, diffraction_kernel
+from .links import SummationPolicy, diffraction_kernel
 from .quadrature import gauss_legendre
 
 __all__ = [
     "CutoffSpec",
-    "AmplitudeValue",
     "SegmentInvariants",
     "TraceSingularityPrediction",
-    "single_diffraction_amplitude",
     "interior_amplitude",
-    "short_time_amplitude",
-    "multi_diffraction_amplitude",
-    "compose_frequency_orders",
     "segment_invariants",
+    "invariants_for",
     "trace_singularity",
     "trace_singularity_cut_route",
     "model_kernel",
@@ -74,28 +66,12 @@ class CutoffSpec:
 
 
 @dataclass(frozen=True)
-class AmplitudeValue:
-    scalar: complex
-    frequency_order: float
-    frame: str = "metric_half_density"
-    phase_convention: str = "(sum dists - t) * xi"
-
-    def value_at(self, xi: float, cutoff: CutoffSpec = None) -> complex:
-        chi = 1.0 if cutoff is None else float(cutoff.value(xi))
-        return self.scalar * chi * xi**self.frequency_order
-
-
-@dataclass(frozen=True)
 class SegmentInvariants:
     """Per-segment bundle consumed by the amplitude assembler."""
 
     d: float
     morse: int
     theta: float
-    q_out: float = None  # link coordinate where the segment leaves its tip
-    q_in: float = None   # link coordinate where it arrives
-    start_kind: str = "tip"
-    end_kind: str = "tip"
 
     def __post_init__(self):
         if self.d <= 0 or self.theta <= 0 or self.morse < 0:
@@ -123,80 +99,14 @@ class TraceSingularityPrediction:
         return "power"
 
 
-def _dvalue(d) -> complex:
-    return d.value if isinstance(d, DiffractionValue) else complex(d)
-
-
-def single_diffraction_amplitude(D, x: float, xp: float, theta_in: float,
-                                 theta_out: float, n: int = 2) -> AmplitudeValue:
-    """Half-wave amplitude for one diffraction: in at distance x, out at
-    distance x', with spreading corrections on both legs."""
-    if x <= 0 or xp <= 0 or theta_in <= 0 or theta_out <= 0:
-        raise ValueError("distances and spreadings must be positive")
-    scalar = ((x * xp) ** (-(n - 1) / 2) / (2j * np.pi) * _dvalue(D)
-              * (theta_in * theta_out) ** -0.5)
-    return AmplitudeValue(scalar, 0.0)
-
-
-def interior_amplitude(d: float, m: int, theta: float, n: int = 2) -> AmplitudeValue:
-    """Half-wave amplitude between non-conjugate interior points."""
+def interior_amplitude(d: float, m: int, theta: float, n: int = 2) -> complex:
+    """Half-wave amplitude between non-conjugate interior points: the
+    complex scalar of the symbol, of frequency order (n - 1)/2."""
     if d <= 0 or theta <= 0:
         raise ValueError("need d > 0 and theta > 0")
-    scalar = (np.exp(-1j * np.pi * (n - 1) / 4) * 1j ** (-m)
-              * (2 * np.pi) ** (-(n + 1) / 2) * d ** (-(n - 1) / 2)
-              * theta ** -0.5)
-    return AmplitudeValue(scalar, (n - 1) / 2)
-
-
-def short_time_amplitude(d: float, t: float, n: int = 2, theta: float = 1.0,
-                         form: str = "on_front") -> AmplitudeValue:
-    """Hadamard-parametrix principal amplitude at short times.
-
-    form="lemma" keeps the explicit t-dependence
-    t (d + t)^{-(n+1)/2}; form="on_front" is its value on the front
-    t = d, where it reduces to d^{-(n-1)/2} (2 pi)^{-(n+1)/2}.
-    The two agree exactly at t = d.
-    """
-    if d <= 0 or theta <= 0:
-        raise ValueError("need d > 0 and theta > 0")
-    phase = np.exp(-1j * np.pi * (n - 1) / 4)
-    if form == "lemma":
-        scalar = (t * phase * np.pi ** (-(n + 1) / 2)
-                  * (d + t) ** (-(n + 1) / 2) * theta ** -0.5)
-    elif form == "on_front":
-        scalar = (phase * (2 * np.pi) ** (-(n + 1) / 2)
-                  * d ** (-(n - 1) / 2) * theta ** -0.5)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return AmplitudeValue(scalar, (n - 1) / 2)
-
-
-def multi_diffraction_amplitude(segments, diffractions, n: int = 2,
-                                microlocalizer_value: complex = 1.0) -> AmplitudeValue:
-    """Half-wave amplitude of an open chain with k diffractions and
-    k + 1 legs."""
-    k = len(diffractions)
-    if len(segments) != k + 1:
-        raise ChainMismatchError(
-            f"open chain needs k+1 segments for k diffractions "
-            f"(got {len(segments)} segments, k = {k})"
-        )
-    pref = (np.exp(1j * np.pi * (n - 1) * (k - 1) / 4)
-            * (2 * np.pi) ** ((n + 1) * (k - 1) / 2)
-            / (2j * np.pi) ** k)
-    scalar = complex(microlocalizer_value) * pref
-    for seg in segments:
-        scalar *= (1j ** (-seg.morse) * seg.d ** (-(n - 1) / 2)
-                   * seg.theta ** -0.5)
-    for d in diffractions:
-        scalar *= _dvalue(d)
-    return AmplitudeValue(scalar, -(k - 1) * (n - 1) / 2)
-
-
-def compose_frequency_orders(o1: float, o2: float, n: int = 2) -> float:
-    """Stationary-phase gluing of two chains loses one interior factor of
-    xi^{(n-1)/2}, making k-diffraction orders additive in k."""
-    return o1 + o2 - (n - 1) / 2
+    return (np.exp(-1j * np.pi * (n - 1) / 4) * 1j ** (-m)
+            * (2 * np.pi) ** (-(n + 1) / 2) * d ** (-(n - 1) / 2)
+            * theta ** -0.5)
 
 
 def segment_invariants(result) -> SegmentInvariants:
@@ -207,8 +117,6 @@ def segment_invariants(result) -> SegmentInvariants:
         d=result.length,
         morse=morse_index(path),
         theta=theta_spreading(path),
-        q_out=result.link_a,
-        q_in=result.link_b,
     )
 
 

@@ -43,6 +43,7 @@ from .errors import (
     NoConvergenceError,
     NonPositiveRadiusError,
     NotStrictlyDiffractiveError,
+    PolicyMismatchError,
     SeriesStartFailureError,
     StepFailureError,
     WallInfluenceError,
@@ -84,6 +85,8 @@ def cmd_link_kernel(args) -> int:
     link = link_from_config(cfg.get("link", {}))
     policy = policy_from_config(cfg.get("policy"))
     n = cfg.get("n", 2)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ConfigError(f"'n' must be an integer >= 2, not {n!r}")
     us = grid_from_config(cfg.get("u_grid", {}), "u_grid")
     lines = [_HEADER_NOTE, "u,re_d,im_d,regular"]
     n_singular = 0
@@ -120,7 +123,19 @@ def _build_geodesic(cfg):
     if unknown:
         raise ConfigError(f"unknown option {unknown[0]!r} in 'options'; "
                           f"choose from {list(GEODESIC_OPTIONS)}")
+    options = {key: number_from_config(value, f"options {key!r}", positive=True)
+               for key, value in options.items()}
+    if len(seeds) != len(tips):
+        raise ConfigError(f"need one seed per tip in 'tip_sequence' "
+                          f"({len(tips)}), got {len(seeds)}")
+    seeds = [number_from_config(s, f"seed {j}") for j, s in enumerate(seeds)]
     surface = surface_from_config(cfg.get("surface", {}))
+    if not tips:
+        raise ConfigError("'tip_sequence' needs at least one tip")
+    for name in tips:
+        if not isinstance(name, str) or name not in surface.tips:
+            raise ConfigError(f"unknown tip {name!r} in 'tip_sequence'; "
+                              f"choose from {sorted(surface.tips)}")
     return build_closed_diffractive(surface, tips, seeds, **options)
 
 
@@ -191,11 +206,18 @@ def _load_eigenvalues(spec):
         raise ConfigError("'eigenvalues' must be an object")
     if "doubled_square" in spec:
         sub = spec["doubled_square"]
-        return doubled_square_spectrum(sub.get("lambda_max", 200.0))
+        if not isinstance(sub, dict):
+            raise ConfigError("'doubled_square' must be an object")
+        lam = number_from_config(sub.get("lambda_max", 200.0),
+                                 "doubled_square 'lambda_max'", positive=True)
+        try:
+            return doubled_square_spectrum(lam)
+        except ValueError as exc:
+            raise ConfigError(f"doubled_square 'lambda_max': {exc}") from exc
     if "csv" in spec:
         try:
             return np.loadtxt(spec["csv"], comments="#", ndmin=1)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read eigenvalue CSV: {exc}") from exc
     raise ConfigError("eigenvalues need 'doubled_square' or 'csv'")
 
@@ -295,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, PolicyMismatchError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except (GeometricSetError, WallInfluenceError, NonPositiveRadiusError,

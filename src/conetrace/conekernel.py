@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,8 +26,6 @@ from .besselj import _zeros_and_slopes, bessel_j, bessel_j_zeros
 from .errors import IllConditionedError, WallInfluenceError
 
 __all__ = [
-    "FrontCoordinates",
-    "front_coordinates",
     "flat_cone_sine_kernel_series",
     "extract_front_coefficients",
     "smoothed_heaviside",
@@ -38,21 +35,6 @@ __all__ = [
 
 DEFAULT_DAMPING = 40.0
 WALL_MARGIN = 0.1
-
-
-@dataclass(frozen=True)
-class FrontCoordinates:
-    """Coordinates adapted to the diffracted front t = x + x'."""
-
-    u: float
-    delta: float
-
-
-def front_coordinates(t: float, x: float, xp: float) -> FrontCoordinates:
-    u = (x + xp) - t
-    q = t * t - (x + xp) ** 2
-    delta = math.copysign(math.sqrt(abs(q)), q) / math.sqrt(x * xp)
-    return FrontCoordinates(u, delta)
 
 
 @functools.lru_cache(maxsize=8)

@@ -46,10 +46,6 @@ class NotStrictlyDiffractiveError(ConetraceError):
     """A junction of the closed geodesic admits a geometric continuation."""
 
 
-class ChainMismatchError(ConetraceError):
-    """Segment and diffraction lists have inconsistent lengths."""
-
-
 class IllConditionedError(ConetraceError):
     """A least-squares fit matrix is numerically rank-deficient."""
 

@@ -37,6 +37,7 @@ from .surfaces import OrthogonalChart, StopRule, Surface, Tip
 
 __all__ = [
     "ChartState",
+    "ConnectResult",
     "GeodesicPath",
     "ReversedPath",
     "Junction",
@@ -139,9 +140,6 @@ class GeodesicPath(_TipFieldMixin):
         v = np.array([cap.sign * out, 0.0])
         return ChartState(cap.chart, p, v)
 
-    def point(self, s: float) -> np.ndarray:
-        return self.state(s).p
-
     def curvature(self, s: float) -> float:
         # unsimplified chart curvature is 0/0 exactly at a tip (the chart
         # raises StepFailureError there); K is continuous, so evaluate a
@@ -183,9 +181,6 @@ class ReversedPath(_TipFieldMixin):
     def state(self, s: float) -> ChartState:
         st = self.base.state(self.length - s)
         return ChartState(st.chart, st.p, -st.v)
-
-    def point(self, s: float) -> np.ndarray:
-        return self.base.point(self.length - s)
 
     def curvature(self, s: float) -> float:
         return self.base.curvature(self.length - s)

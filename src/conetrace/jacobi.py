@@ -1,4 +1,4 @@
-"""Jacobi fields along geodesic paths: spreading, Morse indices, shape.
+"""Jacobi fields along geodesic paths: spreading, Morse indices, Hessians.
 
 The scalar Jacobi equation j'' + K(s) j = 0 is integrated along a
 GeodesicPath with the path's own curvature samples.  Fields launched at
@@ -16,9 +16,10 @@ A tip-start path's tip field is solved once, over the whole path, and
 kept on the path (`path.tip_field`; the reverse field is
 `path.reversed().tip_field`).  Every function here that starts a field
 at s0 = 0 on a tip-start path reads that one solve, so Theta, the Morse
-index, the shape operator and the broken Hessian share it.  All fields
-are integrated at the fixed tolerances JACOBI_RTOL and JACOBI_ATOL,
-which is what makes the shared solve the same for every caller.
+index and the broken Hessian share it; j'/j of that field is the shape
+operator the cut route reads.  All fields are integrated at the fixed
+tolerances JACOBI_RTOL and JACOBI_ATOL, which is what makes the shared
+solve the same for every caller.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "b_jacobi_solution",
     "theta_spreading",
     "morse_index",
-    "shape_operator",
     "broken_hessian",
     "wronskian_drift",
 ]
@@ -141,13 +141,6 @@ def morse_index(path, s0: float = 0.0, s1: float = None) -> int:
         )
     start = field.s0 if s0 == 0.0 and path.start_kind == "tip" else s0
     return len(field.zeros(start, s1))
-
-
-def shape_operator(path, s: float) -> float:
-    """j'/j at s for the tip-launched field: the second fundamental form of
-    the geodesic circle about the start tip."""
-    f = path.tip_field.at(s)
-    return f.jprime / f.j
 
 
 def broken_hessian(path, s_cut: float) -> float:

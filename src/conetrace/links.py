@@ -22,12 +22,10 @@ band around that set raises GeometricSetError.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     GeometricSetError,
@@ -39,12 +37,10 @@ __all__ = [
     "LinkSpectrum",
     "SummationPolicy",
     "DiffractionValue",
-    "nu_values",
     "diffraction_kernel",
     "half_kg_kernel",
     "cos_sin_pi_nu_kernels",
     "sine_front_coefficients",
-    "a0_b0_coefficients",
     "abel_extrapolate",
     "singular_set_distance",
 ]
@@ -121,29 +117,11 @@ class DiffractionValue:
     """
 
     value: complex
-    at_pair: tuple[float, float]
     regular: bool
 
 
 def _nu_shift(n: int) -> float:
     return abs(2 - n) / 2.0
-
-
-def nu_values(link: LinkSpectrum, n: int, cutoff: int) -> list[float]:
-    """Sorted values of nu = sqrt(mu + ((2-n)/2)^2), one per mode.
-
-    Modes up to angular index ``cutoff`` inclusive are listed (index
-    k >= 1 appears twice).
-    """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    s2 = _nu_shift(n) ** 2
-    rho = link.circumference
-    out = [np.sqrt(s2)]
-    for k in range(1, cutoff + 1):
-        nu = np.sqrt((2 * np.pi * k / rho) ** 2 + s2)
-        out.extend([nu, nu])
-    return out
 
 
 def _wrap(u: float, rho: float) -> float:
@@ -166,15 +144,6 @@ def singular_set_distance(link: LinkSpectrum, t: float, y: float, y_prime: float
     return min(abs(_wrap(u - t, rho)), abs(_wrap(u + t, rho)))
 
 
-def _check_geometric(link, t, y, y_prime, tol=GEOMETRIC_TOL):
-    d = singular_set_distance(link, t, y, y_prime)
-    if d < tol:
-        raise GeometricSetError(
-            f"link pair is within {d:.2e} of the singular set of exp(-i*{t:.6g}*nu)"
-        )
-    return d
-
-
 def _closed_form_half_kg(rho: float, t: float, u: float) -> complex:
     """Closed form of the exp(-i t nu) kernel on a circle link (n = 2).
 
@@ -194,17 +163,11 @@ def _mode_weights(nus: np.ndarray, policy: SummationPolicy) -> np.ndarray:
     raise PolicyMismatchError("closed_form policy has no mode weights")
 
 
-def _kernel_of(
-    link: LinkSpectrum,
-    n: int,
-    weight_of_nu: Callable[[np.ndarray], np.ndarray],
-    y: float,
-    y_prime: float,
-    policy: SummationPolicy,
-) -> complex:
-    if policy.kind == "closed_form":
-        raise PolicyMismatchError("closed form only applies to exp(-i t nu) kernels")
-    u = y - y_prime
+def _mode_sum(link: LinkSpectrum, n: int, t: float, u: float,
+              policy: SummationPolicy) -> complex:
+    """Damped mode series of exp(-i t nu) on a circle link at offset u:
+    (w(nu_0) + 2 sum_k w(nu_k) exp(-i t nu_k) cos(2 pi k u / rho)) / rho,
+    modes damped below 1e-18 dropped."""
     rho = link.circumference
     s2 = _nu_shift(n) ** 2
     ks = np.arange(1, policy.mode_cutoff + 1)
@@ -212,9 +175,9 @@ def _kernel_of(
     damp = _mode_weights(nus, policy)
     keep = damp > 1e-18
     ks, nus, damp = ks[keep], nus[keep], damp[keep]
-    nu0 = np.sqrt(s2)
-    total = weight_of_nu(np.array([nu0]))[0] * _mode_weights(np.array([nu0]), policy)[0] / rho
-    total += np.sum(weight_of_nu(nus) * damp * 2.0 * np.cos(2 * np.pi * ks * u / rho)) / rho
+    nu0 = np.array([np.sqrt(s2)])
+    total = np.exp(-1j * t * nu0)[0] * _mode_weights(nu0, policy)[0] / rho
+    total += np.sum(np.exp(-1j * t * nus) * damp * 2.0 * np.cos(2 * np.pi * ks * u / rho)) / rho
     return complex(total)
 
 
@@ -249,13 +212,16 @@ def half_kg_kernel(
     value and leave flagging to the caller.
     """
     if policy.kind == "closed_form":
-        _check_geometric(link, t, y, y_prime)
+        d = singular_set_distance(link, t, y, y_prime)
+        if d < GEOMETRIC_TOL:
+            raise GeometricSetError(f"link pair is within {d:.2e} of the "
+                                    f"singular set of exp(-i*{t:.6g}*nu)")
         if n != 2:
             raise PolicyMismatchError("closed form requires ambient dimension 2")
         return _closed_form_half_kg(link.circumference, t, y - y_prime)
     if policy.kind == "abel" and _nu_shift(n) == 0.0:
         return _abel_half_kg_circle(link.circumference, t, y - y_prime, policy.r)
-    return _kernel_of(link, n, lambda nus: np.exp(-1j * t * nus), y, y_prime, policy)
+    return _mode_sum(link, n, t, y - y_prime, policy)
 
 
 def diffraction_kernel(
@@ -268,7 +234,7 @@ def diffraction_kernel(
     """Diffraction coefficient: the kernel of exp(-i pi nu)."""
     value = half_kg_kernel(link, n, np.pi, y, y_prime, policy)
     regular = singular_set_distance(link, np.pi, y, y_prime) > REGULARITY_BAND
-    return DiffractionValue(value=value, at_pair=(y, y_prime), regular=regular)
+    return DiffractionValue(value=value, regular=regular)
 
 
 def cos_sin_pi_nu_kernels(
@@ -306,64 +272,6 @@ def sine_front_coefficients(
     c_h = -0.5 * radial * k_sin
     c_log = -radial * k_cos / (2 * np.pi)
     return c_h, c_log
-
-
-@functools.lru_cache(maxsize=4096)
-def _mode_integral(nu: float) -> float:
-    """I(nu) = integral over s in (0, pi) of (cos(s nu) - cos(pi nu)) / (2 cos(s/2)).
-
-    The integrand has a removable singularity at s = pi: the numerator
-    vanishes linearly with cos(s/2), with limiting value nu*sin(pi*nu).
-    Quadrature runs on [0, pi - 1e-6]; the tail is a trapezoid between
-    the endpoint value and the analytic limit.
-    """
-    cpn = np.cos(np.pi * nu)
-    eps = 1e-6
-
-    def integrand(s: float) -> float:
-        return (np.cos(s * nu) - cpn) / (2 * np.cos(s / 2))
-
-    head, _ = quad(integrand, 0.0, np.pi - eps, epsabs=1e-13, epsrel=1e-13, limit=400)
-    limit = nu * np.sin(np.pi * nu)
-    tail = 0.5 * eps * (integrand(np.pi - eps) + limit)
-    return head + tail
-
-
-def a0_b0_coefficients(
-    link: LinkSpectrum,
-    n: int,
-    x: float,
-    x_prime: float,
-    y: float,
-    y_prime: float,
-    sign_delta: int,
-    policy: SummationPolicy,
-) -> tuple[complex, complex]:
-    """Constant and log coefficients of the front expansion in delta.
-
-    delta is the signed front coordinate built from t^2 - (x+x')^2;
-    sign_delta selects the side of the front the expansion is taken on.
-    """
-    if x <= 0 or x_prime <= 0:
-        raise NonPositiveRadiusError("radial coordinates must be positive")
-    if policy.kind == "closed_form":
-        raise PolicyMismatchError(
-            "the constant coefficient has no closed form; use abel or gaussian"
-        )
-    _check_geometric(link, np.pi, y, y_prime)
-
-    def weight_i(nus: np.ndarray) -> np.ndarray:
-        return np.array([_mode_integral(float(nu)) for nu in nus])
-
-    k_cos, k_sin = cos_sin_pi_nu_kernels(link, n, y, y_prime, policy)
-    k_int = _kernel_of(link, n, weight_i, y, y_prime, policy)
-    radial = (x * x_prime) ** (-(n - 1) / 2.0)
-    heaviside = 1.0 if sign_delta < 0 else 0.0
-    a0 = radial / np.pi * (
-        np.log(2 * np.sqrt(2)) * k_cos + k_int - heaviside * (np.pi / 2) * k_sin
-    )
-    b0 = -radial / np.pi * k_cos
-    return a0, b0
 
 
 def abel_extrapolate(

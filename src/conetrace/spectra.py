@@ -45,7 +45,7 @@ def doubled_square_spectrum(lambda_max: float) -> np.ndarray:
     """Sqrt-Laplace eigenvalues pi sqrt(m^2 + n^2) of the doubled unit
     square: Neumann (m, n >= 0) union Dirichlet (m, n >= 1), sorted."""
     if lambda_max > 5000:
-        raise ValueError("lambda_max beyond the supported range")
+        raise ValueError(f"lambda_max must be at most 5000, not {lambda_max:g}")
     top = int(np.floor(lambda_max / np.pi)) + 1
     m, n = np.meshgrid(np.arange(top + 1), np.arange(top + 1), indexing="ij")
     lam = np.pi * np.sqrt(m**2 + n**2)

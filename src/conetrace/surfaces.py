@@ -35,7 +35,7 @@ miss measurement exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import sympy as sp
@@ -338,7 +338,6 @@ class Surface:
     tips: dict[str, Tip] = field(default_factory=dict)
     transitions: list[Transition] = field(default_factory=list)
     atlas_rules: list[StopRule] = field(default_factory=list)
-    angle_period: float = 2 * np.pi
 
     def chart(self, name: str) -> Chart:
         return self.charts[name]
@@ -393,7 +392,7 @@ def flat_cone(rho: float, r_max: float = 50.0) -> Surface:
     atlas = [
         StopRule("polar", lambda p, v: r_max - p[0], -1.0, "atlas"),
     ]
-    return Surface({"polar": chart}, {"tip": tip}, [], atlas, angle_period=rho)
+    return Surface({"polar": chart}, {"tip": tip}, [], atlas)
 
 
 def plane(half_width: float = 100.0) -> Surface:

@@ -132,19 +132,19 @@ def _orbifold_vanishing():
 
 def _composition():
     geom = flat_collinear_geometry(1.0, 1.0)
-    a_leg = interior_amplitude(1.0, 0, 1.0).scalar
+    a_leg = interior_amplitude(1.0, 0, 1.0)
     errs = {}
     for xi in (200.0, 400.0):
         val = brute_force_composition(geom, a_leg * a_leg, xi)
-        pred = interior_amplitude(2.0, 0, 1.0).scalar * np.sqrt(xi)
+        pred = interior_amplitude(2.0, 0, 1.0) * np.sqrt(xi)
         errs[xi] = abs(val / pred - 1.0)
 
     d1, d2 = 5 * np.pi / 4, np.pi / 4
     theta = lambda d: abs(np.sin(d)) / d
-    a12 = (interior_amplitude(d1, 1, theta(d1)).scalar
-           * interior_amplitude(d2, 0, theta(d2)).scalar)
+    a12 = (interior_amplitude(d1, 1, theta(d1))
+           * interior_amplitude(d2, 0, theta(d2)))
     val = brute_force_composition(sphere_arc_geometry(d1, d2), a12, 200.0)
-    pred = interior_amplitude(d1 + d2, 1, theta(d1 + d2)).scalar * np.sqrt(200.0)
+    pred = interior_amplitude(d1 + d2, 1, theta(d1 + d2)) * np.sqrt(200.0)
     return [
         Measurement("flat collinear relative error at xi=200",
                     errs[200.0], hi=0.02),

@@ -1,7 +1,7 @@
-"""Amplitude assembly: building blocks, chains, trace coefficients."""
+"""Amplitude assembly: interior amplitudes, trace coefficients, model kernels."""
 
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,17 +12,12 @@ from conetrace.amplitudes import (
     CutoffSpec,
     SegmentInvariants,
     TraceSingularityPrediction,
-    compose_frequency_orders,
     interior_amplitude,
     model_kernel,
-    multi_diffraction_amplitude,
-    short_time_amplitude,
-    single_diffraction_amplitude,
     trace_singularity,
     trace_singularity_cut_route,
 )
 from conetrace.errors import (
-    ChainMismatchError,
     NotStrictlyDiffractiveError,
     QuadratureFailureError,
 )
@@ -51,104 +46,37 @@ class FakeGeodesic:
 class TestBuildingBlocks:
     def test_interior_unit_values(self):
         a = interior_amplitude(1.0, 0, 1.0)
-        assert a.scalar == pytest.approx(
+        assert isinstance(a, complex)
+        assert a == pytest.approx(
             np.exp(-1j * np.pi / 4) * (2 * np.pi) ** -1.5
         )
-        assert a.frequency_order == 0.5
-        assert a.frame == "metric_half_density"
 
     def test_interior_distance_scaling(self):
         a = interior_amplitude(1.0, 0, 1.0)
         b = interior_amplitude(2.0, 0, 1.0)
-        assert abs(b.scalar) / abs(a.scalar) == pytest.approx(2 ** -0.5)
+        assert abs(b) / abs(a) == pytest.approx(2 ** -0.5)
 
     def test_morse_quarter_turns(self):
         a = interior_amplitude(1.3, 2, 0.7)
         b = interior_amplitude(1.3, 3, 0.7)
-        assert b.scalar / a.scalar == pytest.approx(np.exp(-1j * np.pi / 2))
+        assert b / a == pytest.approx(np.exp(-1j * np.pi / 2))
         c = interior_amplitude(1.3, 4, 0.7)
-        assert c.scalar == pytest.approx(a.scalar * (-1.0))
+        assert c == pytest.approx(a * (-1.0))
 
     def test_morse_period_four(self):
         a = interior_amplitude(0.9, 1, 1.1)
         b = interior_amplitude(0.9, 5, 1.1)
-        assert b.scalar == pytest.approx(a.scalar)
-
-    def test_single_diffraction_vanishes_with_kernel(self):
-        a = single_diffraction_amplitude(0.0, 1.0, 1.0, 1.0, 1.0)
-        assert a.scalar == 0.0
-        assert a.frequency_order == 0.0
-
-    def test_single_diffraction_unit_values(self):
-        a = single_diffraction_amplitude(1.0, 1.0, 1.0, 1.0, 1.0)
-        assert a.scalar == pytest.approx(1.0 / (2j * np.pi))
-
-    def test_short_time_forms_agree_on_front(self):
-        for d in (0.3, 1.0, 4.7):
-            lemma = short_time_amplitude(d, d, form="lemma")
-            front = short_time_amplitude(d, d, form="on_front")
-            assert lemma.scalar == pytest.approx(front.scalar, rel=1e-14)
-            assert lemma.frequency_order == front.frequency_order == 0.5
-
-    def test_value_at_applies_cutoff_and_order(self):
-        a = interior_amplitude(1.0, 0, 1.0)
-        cut = CutoffSpec(1.0, 2.0)
-        assert a.value_at(0.5, cut) == 0.0
-        assert a.value_at(9.0, cut) == pytest.approx(a.scalar * 3.0)
+        assert b == pytest.approx(a)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             interior_amplitude(-1.0, 0, 1.0)
         with pytest.raises(ValueError):
-            single_diffraction_amplitude(1.0, 1.0, 1.0, -2.0, 1.0)
+            interior_amplitude(1.0, 0, 0.0)
         with pytest.raises(ValueError):
             SegmentInvariants(d=1.0, morse=0, theta=0.0)
-
-
-class TestChains:
-    def seg(self, d=1.0, m=0, theta=1.0):
-        return SegmentInvariants(d=d, morse=m, theta=theta)
-
-    def test_chain_needs_k_plus_one_segments(self):
-        with pytest.raises(ChainMismatchError):
-            multi_diffraction_amplitude([self.seg(), self.seg()], [1.0, 1.0])
-
-    def test_k1_reduces_to_single_diffraction(self):
-        s0 = self.seg(0.8, 1, 1.2)
-        s1 = self.seg(2.1, 2, 0.6)
-        chain = multi_diffraction_amplitude([s0, s1], [0.3 + 0.4j])
-        single = single_diffraction_amplitude(0.3 + 0.4j, 0.8, 2.1, 1.2, 0.6)
-        assert chain.scalar == pytest.approx(
-            single.scalar * 1j ** (-(s0.morse + s1.morse))
-        )
-        assert chain.frequency_order == 0.0
-
-    def test_flat_chain_modulus(self):
-        # theta = 1, m = 0 throughout: only distance factors and counting
-        segs = [self.seg(d) for d in (1.0, 2.0, 0.5)]
-        ds = [0.7, 1.3]
-        chain = multi_diffraction_amplitude(segs, ds)
-        expect = ((2 * np.pi) ** 1.5 / (2 * np.pi) ** 2
-                  * 0.7 * 1.3 * (1.0 * 2.0 * 0.5) ** -0.5)
-        assert abs(chain.scalar) == pytest.approx(expect)
-        assert chain.frequency_order == -0.5
-
-    def test_frequency_orders_compose(self):
-        def order(k):
-            segs = [self.seg()] * (k + 1)
-            return multi_diffraction_amplitude(segs, [1.0] * k).frequency_order
-
-        for k1 in (1, 2, 3):
-            for k2 in (1, 2):
-                assert compose_frequency_orders(order(k1), order(k2)) == (
-                    pytest.approx(order(k1 + k2))
-                )
-
-    def test_microlocalizer_scales_linearly(self):
-        segs = [self.seg(), self.seg()]
-        a = multi_diffraction_amplitude(segs, [1.0])
-        b = multi_diffraction_amplitude(segs, [1.0], microlocalizer_value=2j)
-        assert b.scalar == pytest.approx(2j * a.scalar)
+        with pytest.raises(ValueError):
+            SegmentInvariants(d=1.0, morse=-1, theta=1.0)
 
 
 class TestTraceCoefficient:

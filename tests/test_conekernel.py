@@ -15,7 +15,6 @@ from conetrace.conekernel import (
     conormal_basis,
     extract_front_coefficients,
     flat_cone_sine_kernel_series,
-    front_coordinates,
     smoothed_heaviside,
     smoothed_log,
 )
@@ -27,23 +26,6 @@ LIGHT = dict(damping=20.0, wall_r=1.1)
 
 def geometric_distance(x, xp, dy):
     return np.sqrt(x**2 + xp**2 - 2 * x * xp * np.cos(dy))
-
-
-class TestFrontCoordinates:
-    def test_small_offset_relation(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            x, xp = rng.uniform(0.3, 1.5, size=2)
-            u = rng.uniform(1e-8, 1e-6) * rng.choice([-1.0, 1.0])
-            t = (x + xp) - u
-            fc = front_coordinates(t, x, xp)
-            expected = np.sign(-u) * np.sqrt(2 * t / (x * xp)) * np.sqrt(abs(u))
-            assert fc.u == pytest.approx(u, rel=1e-6)
-            assert fc.delta == pytest.approx(expected, rel=1e-5)
-
-    def test_sign_flips_across_front(self):
-        assert front_coordinates(1.2, 0.5, 0.5).delta > 0
-        assert front_coordinates(0.8, 0.5, 0.5).delta < 0
 
 
 class TestKernelSeries:

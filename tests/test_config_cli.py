@@ -37,7 +37,7 @@ class TestConfigObjects:
     def test_builtin_surface(self):
         surf = surface_from_config({"builtin": "flat_cone",
                                     "params": {"rho": RHO}})
-        assert surf.angle_period == pytest.approx(RHO)
+        assert surf.tips["tip"].link.circumference == pytest.approx(RHO)
 
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError):
@@ -189,15 +189,23 @@ class TestExitCodes:
         assert main(["find-geodesics", "--config", cfg]) == 3
         assert "domain error:" in capsys.readouterr().err
 
-    def test_unknown_geodesic_option_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("payload,named", [
+        ({"options": {"length_cap": 12.0, "bogus": 1}}, "'bogus'"),
+        ({"tip_sequence": ["north"]}, "'north'"),
+        ({"seeds": [0.6, 1.2]}, "one seed per tip"),
+        ({"tip_sequence": [], "seeds": []}, "at least one tip"),
+    ], ids=["bogus-option", "unknown-tip", "seed-count", "no-tips"])
+    def test_unknown_geodesic_option_exit_2(self, tmp_path, capsys, payload,
+                                            named):
         cfg = write_config(tmp_path, "td.json", {
             "surface": {"builtin": "teardrop"},
             "tip_sequence": ["tip"],
             "seeds": [A0 * (np.pi / 4 + 0.02)],
-            "options": {"length_cap": 12.0, "bogus": 1},
+            "options": {"length_cap": 12.0},
+            **payload,
         })
         assert main(["find-geodesics", "--config", cfg]) == 2
-        assert "'bogus'" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,payload", [
         ("spectral-trace", {"sigma": True}),
@@ -205,13 +213,34 @@ class TestExitCodes:
         ("spectral-trace", {"fit": {"L": True}}),
         ("spectral-trace", {"fit": {"L": float("nan")}}),
         ("spectral-trace", {"fit": {"window": True}}),
+        ("spectral-trace", {"eigenvalues": {"doubled_square": {"lambda_max": True}}}),
+        ("spectral-trace", {"eigenvalues": {"doubled_square": {"lambda_max": -5}}}),
+        ("spectral-trace", {"eigenvalues": {"doubled_square": {"lambda_max": "abc"}}}),
+        ("spectral-trace", {"eigenvalues": {"doubled_square": {"lambda_max": 9000}}}),
+        ("spectral-trace", {"eigenvalues": {"csv": "bad.csv"}}),
         ("link-kernel", {"link": {"circumference": True}}),
         ("link-kernel", {"u_grid": {"min": 0.3, "max": "4", "count": 9}}),
         ("link-kernel", {"u_grid": {"min": False, "max": 4.0, "count": 9}}),
+        ("link-kernel", {"n": "2"}),
+        ("link-kernel", {"n": True}),
+        ("link-kernel", {"n": 1}),
+        ("link-kernel", {"n": 3}),
+        ("find-geodesics", {"seeds": ["abc"]}),
+        ("predict-trace", {"options": {"length_cap": "12"}}),
     ], ids=["sigma-bool", "sigma-string", "fit-L-bool", "fit-L-nan",
-            "fit-window-bool", "circumference-bool", "grid-max-string",
-            "grid-min-bool"])
-    def test_non_number_exit_2(self, tmp_path, capsys, command, payload):
+            "fit-window-bool", "lambda-max-bool", "lambda-max-negative",
+            "lambda-max-string", "lambda-max-too-large", "csv-row-string",
+            "circumference-bool", "grid-max-string", "grid-min-bool",
+            "n-string", "n-bool", "n-one", "n-closed-form-3", "seed-string",
+            "length-cap-string"])
+    def test_non_number_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                               payload):
+        geodesic = {
+            "surface": {"builtin": "teardrop"},
+            "tip_sequence": ["tip"],
+            "seeds": [A0 * (np.pi / 4 + 0.02)],
+            "options": {"length_cap": 12.0},
+        }
         base = {
             "spectral-trace": {
                 "eigenvalues": {"doubled_square": {"lambda_max": 60.0}},
@@ -222,7 +251,11 @@ class TestExitCodes:
                 "link": {"circumference": RHO},
                 "u_grid": {"min": 0.3, "max": RHO - 0.3, "count": 9},
             },
+            "find-geodesics": geodesic,
+            "predict-trace": geodesic,
         }[command]
+        monkeypatch.chdir(tmp_path)  # the eigenvalue CSV path is relative
+        (tmp_path / "bad.csv").write_text("abc\n")
         cfg = write_config(tmp_path, "c.json", {**base, **payload})
         assert main([command, "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err

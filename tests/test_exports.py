@@ -1,0 +1,39 @@
+"""Export lists: every exported name exists, and the package re-exports
+only names its modules declare, so a deleted name cannot linger."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import conetrace
+
+PACKAGE = Path(conetrace.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _package_imports():
+    """(module, name) for each name `__init__` imports by name."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [(node.module, alias.name)
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names if alias.name != "*"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_exist(module):
+    mod = importlib.import_module(f"conetrace.{module}")
+    missing = [name for name in getattr(mod, "__all__", ())
+               if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_package_imports_are_exported():
+    imports = _package_imports()
+    assert imports
+    undeclared = [f"{module}.{name}" for module, name in imports
+                  if name not in importlib.import_module(
+                      f"conetrace.{module}").__all__]
+    assert undeclared == []

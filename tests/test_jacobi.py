@@ -89,7 +89,9 @@ class TestSpreading:
     def test_shape_operator_flat_cone(self):
         fc = surfaces.flat_cone(1.5 * np.pi)
         path = shoot_from_tip(fc, "tip", 0.0, 4.0)
-        assert jacobi.shape_operator(path, 2.0) == pytest.approx(0.5, abs=1e-9)
+        # j'/j of the tip field: 1/x on the flat cone
+        f = path.tip_field.at(2.0)
+        assert f.jprime / f.j == pytest.approx(0.5, abs=1e-9)
 
 
 class TestWronskian:

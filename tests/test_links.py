@@ -7,17 +7,14 @@ from hypothesis import given, settings, strategies as st
 from conetrace import (
     GeometricSetError,
     LinkSpectrum,
-    PolicyMismatchError,
     SummationPolicy,
-    a0_b0_coefficients,
     abel_extrapolate,
     cos_sin_pi_nu_kernels,
     diffraction_kernel,
     half_kg_kernel,
-    nu_values,
     sine_front_coefficients,
 )
-from conetrace.links import _mode_integral, singular_set_distance
+from conetrace.links import singular_set_distance
 
 CF = SummationPolicy.closed_form()
 
@@ -27,25 +24,6 @@ def off_singular_grid(rho, t=np.pi, margin=0.1, count=50):
     grid = np.linspace(0.01, rho - 0.01, 4 * count)
     keep = [u for u in grid if singular_set_distance(link, t, u, 0.0) >= margin]
     return link, keep[:count]
-
-
-class TestNuValues:
-    def test_circle_unit(self):
-        assert nu_values(LinkSpectrum.circle(2 * np.pi), 2, 2) == pytest.approx(
-            [0, 1, 1, 2, 2]
-        )
-
-    def test_circle_half(self):
-        assert nu_values(LinkSpectrum.circle(np.pi), 2, 2) == pytest.approx(
-            [0, 2, 2, 4, 4]
-        )
-
-    def test_shift_dimension_four(self):
-        assert nu_values(LinkSpectrum.circle(2 * np.pi), 4, 1)[0] == pytest.approx(1.0)
-
-    def test_sorted(self):
-        vals = nu_values(LinkSpectrum.circle(7.0), 2, 30)
-        assert vals == sorted(vals)
 
 
 class TestDiffractionKernel:
@@ -116,14 +94,22 @@ class TestHalfKgKernel:
         )
         assert abs(v_cf - v_ab) <= 1e-6
 
-    def test_mode_wise_composition(self):
-        # exp(-i t1 nu) * exp(-i t2 nu) = exp(-i (t1+t2) nu) on each mode
-        rho = 1.5 * np.pi
-        nus = np.array(nu_values(LinkSpectrum.circle(rho), 2, 50))
-        t1, t2 = 0.7, 1.9
-        lhs = np.exp(-1j * t1 * nus) * np.exp(-1j * t2 * nus)
-        rhs = np.exp(-1j * (t1 + t2) * nus)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+    def test_shift_dimension_four(self):
+        # in ambient dimension n = 4 the link modes are shifted:
+        # nu_k = sqrt((2 pi k / rho)^2 + 1), so nu_0 = 1
+        rho, sigma, t, u = 7.0, 30.0, 0.9, 1.3
+        link = LinkSpectrum.circle(rho)
+        value = half_kg_kernel(link, 4, t, u, 0.0,
+                               SummationPolicy.gaussian(sigma))
+        ks = np.arange(1, 2000)
+        nus = np.sqrt((2 * np.pi * ks / rho) ** 2 + 1.0)
+        weights = np.exp(-nus**2 / (2 * sigma**2)) * np.exp(-1j * t * nus)
+        expected = (np.exp(-1 / (2 * sigma**2)) * np.exp(-1j * t)
+                    + 2 * np.sum(weights * np.cos(2 * np.pi * ks * u / rho))) / rho
+        assert abs(value - expected) < 1e-12
+        unshifted = half_kg_kernel(link, 2, t, u, 0.0,
+                                   SummationPolicy.gaussian(sigma))
+        assert abs(value - unshifted) > 1e-3
 
     def test_hermitian_symmetry(self):
         link = LinkSpectrum.circle(7.0)
@@ -134,12 +120,6 @@ class TestHalfKgKernel:
 
 
 class TestCosSinKernels:
-    def test_euler_identity_mode_wise(self):
-        nus = np.array(nu_values(LinkSpectrum.circle(2 * np.pi), 2, 30))
-        assert np.max(
-            np.abs(np.cos(np.pi * nus) ** 2 + np.sin(np.pi * nus) ** 2 - 1)
-        ) < 1e-12
-
     def test_orbifold_vanishing(self):
         link = LinkSpectrum.circle(np.pi)
         c, s = cos_sin_pi_nu_kernels(link, 2, 0.4, 0.0, CF)
@@ -179,41 +159,6 @@ class TestSineFrontCoefficients:
         one = sine_front_coefficients(link, 2, 1.0, 1.0, np.pi / 3, 0.0, CF)
         four = sine_front_coefficients(link, 2, 2.0, 2.0, np.pi / 3, 0.0, CF)
         assert four[0] == pytest.approx(one[0] / 2.0)
-
-
-class TestA0B0Coefficients:
-    def test_mode_integral_at_zero(self):
-        assert _mode_integral(0.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_mode_integral_vs_reference(self):
-        import mpmath
-
-        for nu in (2.0 / 3.0, 4.0 / 3.0, 2.0):
-            ref = mpmath.quad(
-                lambda s: (mpmath.cos(s * nu) - mpmath.cos(mpmath.pi * nu))
-                / (2 * mpmath.cos(s / 2)),
-                [0, mpmath.pi],
-            )
-            assert abs(_mode_integral(nu) - float(ref)) < 1e-9
-
-    def test_b0_is_twice_c_log(self):
-        # b0 log|delta| and c_log log|u| describe the same front after the
-        # change of variables |delta| ~ |2t/(x x')|^(1/2) |u|^(1/2)
-        link = LinkSpectrum.circle(1.5 * np.pi)
-        pol = SummationPolicy.gaussian(40.0)
-        for x, xp, u in [(0.5, 0.5, np.pi / 3), (1.0, 2.0, 0.8)]:
-            _, b0 = a0_b0_coefficients(link, 2, x, xp, u, 0.0, -1, pol)
-            _, c_log = sine_front_coefficients(link, 2, x, xp, u, 0.0, pol)
-            assert abs(b0 - 2 * c_log) < 1e-10
-
-    def test_heaviside_switch(self):
-        link = LinkSpectrum.circle(1.5 * np.pi)
-        pol = SummationPolicy.gaussian(40.0)
-        a_minus, _ = a0_b0_coefficients(link, 2, 0.5, 0.5, np.pi / 3, 0.0, -1, pol)
-        a_plus, _ = a0_b0_coefficients(link, 2, 0.5, 0.5, np.pi / 3, 0.0, +1, pol)
-        _, k_sin = cos_sin_pi_nu_kernels(link, 2, np.pi / 3, 0.0, pol)
-        expected = (0.5 * 0.5) ** (-0.5) / np.pi * (np.pi / 2) * k_sin
-        assert abs((a_plus - a_minus) - expected) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -121,17 +121,17 @@ class TestFitTraceSingularity:
 class TestComposition:
     def test_flat_collinear_matches_interior_amplitude(self):
         geom = flat_collinear_geometry(1.0, 1.0)
-        a_leg = interior_amplitude(1.0, 0, 1.0).scalar
+        a_leg = interior_amplitude(1.0, 0, 1.0)
         val = brute_force_composition(geom, a_leg * a_leg, 200.0)
-        pred = interior_amplitude(2.0, 0, 1.0).scalar * np.sqrt(200.0)
+        pred = interior_amplitude(2.0, 0, 1.0) * np.sqrt(200.0)
         assert abs(val / pred - 1.0) <= 0.02
 
     def test_unequal_legs(self):
         geom = flat_collinear_geometry(0.8, 1.4)
-        a12 = (interior_amplitude(0.8, 0, 1.0).scalar
-               * interior_amplitude(1.4, 0, 1.0).scalar)
+        a12 = (interior_amplitude(0.8, 0, 1.0)
+               * interior_amplitude(1.4, 0, 1.0))
         val = brute_force_composition(geom, a12, 250.0)
-        pred = interior_amplitude(2.2, 0, 1.0).scalar * np.sqrt(250.0)
+        pred = interior_amplitude(2.2, 0, 1.0) * np.sqrt(250.0)
         assert abs(val / pred - 1.0) <= 0.02
 
     def test_no_critical_point(self):
