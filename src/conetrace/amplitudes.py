@@ -173,13 +173,15 @@ def trace_singularity_cut_route(geodesic, n: int = 2,
     of the cut segment, so agreement with trace_singularity certifies
     the shape-operator and Wronskian identities behind the assembly.
 
-    Both fields are the ones kept on the path (`path.tip_field` and
-    `path.reversed().tip_field`), the same solves trace_singularity's
-    invariants read.  The check stays independent: the direct route
-    reads only the forward field's zeros and its value at the far tip,
-    while this route reads both fields at interior cut points and
-    combines them through the break Hessian; a deterministic solve
-    shared by the two routes changes none of their numbers.
+    Both fields are the ones kept on the path: `path.tip_field`, the
+    field the shot's own flow carried, and `path.reversed().tip_field`,
+    solved on its own along the stored path.  trace_singularity's
+    invariants read the same forward field.  The check stays
+    independent: the direct route reads only the forward field's zeros
+    and its value at the far tip, while this route reads both fields at
+    interior cut points and combines them through the break Hessian; a
+    deterministic field shared by the two routes changes none of their
+    numbers, and the reverse field shares no integration with either.
 
     n = 2 only (scalar Jacobi backend).
     """

@@ -80,6 +80,11 @@ def surface_from_config(spec) -> surfaces.Surface:
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("surface params must be an object")
+        # every builtin parameter is a size or a cone angle, except the
+        # perturbation eps, which may take either sign
+        params = {key: number_from_config(value, f"surface param {key!r}",
+                                          positive=key != "eps")
+                  for key, value in params.items()}
         try:
             return _BUILTINS[name](**params)
         except TypeError as exc:
@@ -87,10 +92,12 @@ def surface_from_config(spec) -> surfaces.Surface:
     if "cone_chart" in spec:
         sub = spec["cone_chart"]
         expr = _require(sub, "sqrt_h", "cone_chart surface")
+        rho = number_from_config(sub.get("rho", 2 * math.pi), "cone_chart rho",
+                                 positive=True)
+        r_max = number_from_config(sub.get("r_max", 10.0), "cone_chart r_max",
+                                   positive=True)
         try:
-            return surfaces.cone_chart_surface(
-                expr, sub.get("rho", 2 * 3.141592653589793),
-                r_max=sub.get("r_max", 10.0))
+            return surfaces.cone_chart_surface(expr, rho, r_max=r_max)
         except Exception as exc:
             raise ConfigError(f"bad cone_chart surface: {exc}") from exc
     raise ConfigError("surface spec needs 'builtin' or 'cone_chart'")
@@ -104,6 +111,13 @@ def link_from_config(spec) -> LinkSpectrum:
     return LinkSpectrum.circle(rho)
 
 
+def _mode_cutoff(spec: dict) -> int:
+    value = spec.get("mode_cutoff", 100_000)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"policy mode_cutoff must be an integer >= 1, not {value!r}")
+    return value
+
+
 def policy_from_config(spec) -> SummationPolicy:
     if spec is None:
         return SummationPolicy.closed_form()
@@ -115,12 +129,13 @@ def policy_from_config(spec) -> SummationPolicy:
             return SummationPolicy.closed_form()
         if kind == "abel":
             return SummationPolicy.abel(
-                r=spec.get("r", 1.0 - 1e-4),
-                mode_cutoff=spec.get("mode_cutoff", 100_000))
+                r=number_from_config(spec.get("r", 1.0 - 1e-4), "abel policy r"),
+                mode_cutoff=_mode_cutoff(spec))
         if kind == "gaussian":
             return SummationPolicy.gaussian(
-                sigma=_require(spec, "sigma", "gaussian policy"),
-                mode_cutoff=spec.get("mode_cutoff", 100_000))
+                sigma=number_from_config(_require(spec, "sigma", "gaussian policy"),
+                                         "gaussian policy sigma", positive=True),
+                mode_cutoff=_mode_cutoff(spec))
     except ConfigError:
         raise
     except Exception as exc:

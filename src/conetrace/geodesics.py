@@ -3,18 +3,36 @@
 Geodesics are integrated chart by chart with DOP853 at tight tolerance;
 terminal events handle tip hits (x crossing 1e-7 in a designer band),
 chart transitions (with hysteresis so a fresh leg never starts on its
-own trigger), atlas exits, and caller-supplied section stops.
+own trigger), atlas exits, and caller-supplied section stops.  A seam of
+the surface (where the metric is only finitely smooth) ends a leg too:
+the step that crossed it is solved again up to the seam, so no step of
+any leg evaluates the metric on both sides, and a fresh leg in the same
+chart starts there.  The legs' ends are where Jacobi solves along the
+stored path break (`GeodesicPath.breaks`).
+
+One ODE per shot: the state is (p, v, j, j'), the geodesic with the
+scalar Jacobi field j'' = -K j riding along, K read from the chart at
+the same point.  The DOP853 tolerance is rtol 1e-11 on every component,
+atol ATOL on (p, v) and JACOBI_ATOL on (j, j').  Events, transition maps
+and path states read (p, v) only; a chart switch carries (j, j')
+unchanged, since j is a scalar normal field.  A flow from an interior
+point starts the field at (0, 1); a shot from a tip starts it with the
+Frobenius values at x = TIP_START_X.  So every forward path's spreading
+field from s = 0 (`GeodesicPath.flow_field`, the tip field on a
+tip-start path) is the flow's own, read from the legs' dense outputs;
+the exact start sliver is filled in from the Frobenius series and a
+radial end cap into a tip is one short solve from the flow's values.
 
 Tip-to-tip segments are found by shooting: start radially at x = 1e-6
 from the source tip, stop on entry into the target tip's rotationally
 symmetric reference band, and measure the conserved angular momentum
 p_theta = G theta' about the target tip as the miss.  Newton steps use
 the exact derivative d p_theta / d theta0 = a0 (j' sqrt(G) - j
-d sqrt(G)/ds) supplied by the tip Jacobi field j, so conjugate tips are
-detected (and refused) rather than silently iterated on.  The converged
-shot is the segment: inside the band the metric is dx^2 + G dy^2, so
-radial curves are geodesics and the shot, radial to within its miss, is
-finished straight into the tip.
+d sqrt(G)/ds) from the shot's own (j, j') at band entry, so conjugate
+tips are detected (and refused) rather than silently iterated on.  The
+converged shot is the segment: inside the band the metric is
+dx^2 + G dy^2, so radial curves are geodesics and the shot, radial to
+within its miss, is finished straight into the tip.
 """
 
 from __future__ import annotations
@@ -31,6 +49,13 @@ from .errors import (
     LeftAtlasError,
     NoConvergenceError,
     StepFailureError,
+)
+from .jacobi import (
+    FROBENIUS_START_X,
+    JACOBI_ATOL,
+    JACOBI_RTOL,
+    JacobiSolution,
+    _frobenius_start,
 )
 from .links import GEOMETRIC_TOL, LinkSpectrum, singular_set_distance
 from .surfaces import OrthogonalChart, StopRule, Surface, Tip
@@ -50,9 +75,11 @@ __all__ = [
 ]
 
 TIP_HIT_X = 1e-7
-TIP_START_X = 1e-6
-RTOL, ATOL = 1e-11, 1e-12  # DOP853 tolerances of every leg
-MAX_LEGS = 400  # chart switches allowed in one flow
+TIP_START_X = FROBENIUS_START_X  # a shot launches where its tip field starts
+# DOP853 tolerances of every leg: rtol on all six components, atol on
+# (p, v); (j, j') take JACOBI_ATOL
+RTOL, ATOL = JACOBI_RTOL, 1e-12
+MAX_LEGS = 400  # legs (chart switches and seam crossings) allowed in one flow
 D_REF = 0.1  # x at which a shot enters the target tip's reference band
 NEWTON_TOL = 1e-9  # |p_theta| miss at which a shot has converged
 MAX_NEWTON = 50
@@ -86,18 +113,9 @@ class TipEnd:
     s_tip: float  # parameter value of the tip point itself
 
 
-class _TipFieldMixin:
-    @cached_property
-    def tip_field(self):
-        """Tip-launched Jacobi field over the whole path, solved on first
-        use and kept; the path must not change after that."""
-        from .jacobi import b_jacobi_solution  # local import; jacobi imports nothing here
-
-        return b_jacobi_solution(self)
-
-
-class GeodesicPath(_TipFieldMixin):
-    """Unit-speed geodesic as chart legs with dense output.
+class GeodesicPath:
+    """Unit-speed geodesic as chart legs with dense output of the flow
+    state (p, v, j, j').
 
     The parameter s is arc length.  If an end is a tip, the legs stop at
     x = 1e-6 (start) or 1e-7 (end; D_REF for a segment from
@@ -131,7 +149,12 @@ class GeodesicPath(_TipFieldMixin):
         i = min(max(i, 0), len(self.legs) - 1)
         leg = self.legs[i]
         yv = leg.sol(np.clip(s, leg.s0, leg.s1))
-        return ChartState(leg.chart, yv[:2].copy(), yv[2:].copy())
+        return ChartState(leg.chart, yv[:2].copy(), yv[2:4].copy())
+
+    @property
+    def breaks(self) -> list[float]:
+        """The legs' ends: chart switches, seams and the tip caps' edges."""
+        return self._leg_starts + [self.legs[-1].s1]
 
     def _tip_state(self, cap: TipEnd, s: float) -> ChartState:
         x = abs(s - cap.s_tip)
@@ -159,6 +182,20 @@ class GeodesicPath(_TipFieldMixin):
             worst = max(worst, abs(self.surface.chart(st.chart).norm(st.p, st.v) - 1.0))
         return worst
 
+    @cached_property
+    def flow_field(self) -> JacobiSolution:
+        """The spreading field from s = 0 that the flow carried, over
+        [0, length]; read on first use and kept, so the path must not
+        change after that (an end cap's solve happens then)."""
+        return JacobiSolution(_FlowField(self), 0.0, self.length)
+
+    @property
+    def tip_field(self) -> JacobiSolution:
+        """Tip-launched Jacobi field over the whole path: the flow's."""
+        if self.start_kind != "tip":
+            raise StepFailureError("b-Jacobi field needs a path starting at a tip")
+        return self.flow_field
+
     def reversed(self) -> "ReversedPath":
         """The one ReversedPath of this path, so its tip field is kept too."""
         if self._reversed is None:
@@ -166,8 +203,53 @@ class GeodesicPath(_TipFieldMixin):
         return self._reversed
 
 
-class ReversedPath(_TipFieldMixin):
-    """Same curve traversed backwards; shares the underlying legs."""
+class _FlowField:
+    """(j, j') of a path's flow at s (a float or an array): the legs'
+    dense outputs, the Frobenius values on a tip start's sliver, and one
+    short solve from the flow's end values across a radial end cap."""
+
+    def __init__(self, path: GeodesicPath):
+        self.legs = path.legs
+        self.starts = np.array(path._leg_starts)
+        self.c1 = (path.surface.tips[path.start_tip].c1
+                   if path._start_cap is not None else None)
+        self.cap = None
+        if path._end_cap is not None:
+            from .jacobi import integrate_jacobi  # read when run, like b_jacobi_solution
+
+            s_end = self.legs[-1].s1
+            j, jp = self.legs[-1].sol(s_end)[4:]
+            self.cap = integrate_jacobi(path, s_end, path.length, j, jp)
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        flat = s.reshape(-1)
+        out = np.empty((2, flat.size))
+        which = np.clip(np.searchsorted(self.starts, flat, side="right") - 1,
+                        0, len(self.legs) - 1)
+        for i in np.unique(which):
+            sel = which == i
+            leg = self.legs[i]
+            out[:, sel] = leg.sol(np.clip(flat[sel], leg.s0, leg.s1))[4:]
+        if self.c1 is not None:
+            sel = flat < self.legs[0].s0
+            if sel.any():
+                out[0, sel], out[1, sel] = _frobenius_start(self.c1, flat[sel])
+        if self.cap is not None:
+            sel = flat > self.legs[-1].s1
+            if sel.any():
+                out[:, sel] = self.cap.pair(flat[sel])
+        return out.reshape((2,) + s.shape)
+
+
+class ReversedPath:
+    """Same curve traversed backwards; shares the underlying legs.
+
+    It has no flow of its own (`flow_field` is None): its tip field is
+    solved along the stored path, so the two directions stay independent
+    integrations."""
+
+    flow_field = None
 
     def __init__(self, base: GeodesicPath):
         self.base = base
@@ -185,13 +267,25 @@ class ReversedPath(_TipFieldMixin):
     def curvature(self, s: float) -> float:
         return self.base.curvature(self.length - s)
 
+    @property
+    def breaks(self) -> list[float]:
+        return [self.length - b for b in reversed(self.base.breaks)]
+
+    @cached_property
+    def tip_field(self):
+        """Tip-launched Jacobi field over the whole path, solved along the
+        stored path on first use and kept."""
+        from .jacobi import b_jacobi_solution  # local import; jacobi imports nothing here
+
+        return b_jacobi_solution(self)
+
     def reversed(self) -> GeodesicPath:
         return self.base
 
 
 def _make_event(value_fn, direction):
     def ev(s, yv):
-        return value_fn(yv[:2], yv[2:])
+        return value_fn(yv[:2], yv[2:4])
 
     ev.terminal = True
     ev.direction = direction
@@ -199,8 +293,9 @@ def _make_event(value_fn, direction):
 
 
 def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
-                  stop_rules=()) -> GeodesicPath:
-    """Integrate the unit-speed geodesic from `start` for at most `length`.
+                  stop_rules=(), field_start=(0.0, 1.0)) -> GeodesicPath:
+    """Integrate the unit-speed geodesic from `start` for at most `length`,
+    with the Jacobi field that starts at (j, j') = `field_start`.
 
     Ends on: exhausted length, a tip hit, or a caller stop rule.
     Raises LeftAtlasError on atlas exit and StepFailureError if the
@@ -210,12 +305,14 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
     p = np.asarray(start.p, dtype=float)
     v = np.asarray(start.v, dtype=float)
     v = v / surface.chart(chart_name).norm(p, v)
+    field = np.asarray(field_start, dtype=float)
 
     tip_rules = surface.tip_rules(TIP_HIT_X)
     legs: list[PathLeg] = []
     s_cur = 0.0
     s_end = length
     end_kind, end_payload = "length", None
+    skip = None  # (seam, direction) the leg starts on: it must not fire at once
 
     for _ in range(MAX_LEGS):
         chart = surface.chart(chart_name)
@@ -227,19 +324,13 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
         events += [
             _make_event(lambda pp, vv, _t=t: _t.trigger(pp), -1.0) for t in transitions
         ]
+        seams = [(sm, d) for sm in surface.seams if sm.chart == chart_name
+                 for d in (-1.0, 1.0) if (sm, d) != skip]
+        events += [_make_event(lambda pp, vv, _f=sm.value: _f(pp), d)
+                   for sm, d in seams]
 
-        sol = solve_ivp(
-            chart.geodesic_rhs,
-            (s_cur, s_end),
-            np.concatenate([p, v]),
-            method="DOP853",
-            rtol=RTOL,
-            atol=ATOL,
-            dense_output=True,
-            events=events or None,
-        )
-        if not sol.success and sol.status != 1:
-            raise StepFailureError(f"geodesic integrator failed: {sol.message}")
+        sol = _solve_leg(chart, (s_cur, s_end), np.concatenate([p, v, field]),
+                         events)
         legs.append(PathLeg(chart_name, s_cur, sol.t[-1], sol.sol))
 
         if sol.status != 1:
@@ -247,7 +338,7 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
         hits = [(te[0], i) for i, te in enumerate(sol.t_events) if len(te)]
         s_ev, idx = min(hits)
         yv = sol.sol(s_ev)
-        p, v = yv[:2], yv[2:]
+        p, v, field = yv[:2], yv[2:4], yv[4:]
         if idx < len(rules):
             rule = rules[idx]
             if rule.kind == "atlas":
@@ -258,19 +349,46 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
             end_payload = rule.payload
             legs[-1] = PathLeg(chart_name, s_cur, s_ev, sol.sol)
             break
-        tr = transitions[idx - len(rules)]
+        if idx >= len(rules) + len(transitions):
+            # a seam: the step that crossed it saw the far side, so solve
+            # again from that step's start up to the seam, and begin a
+            # fresh leg in the same chart there
+            skip = seams[idx - len(rules) - len(transitions)]
+            ts = sol.sol.ts
+            s_k = ts[max(np.searchsorted(ts, s_ev), 1) - 1]
+            tail = _solve_leg(chart, (s_k, s_ev), sol.sol(s_k))
+            if s_k > s_cur:
+                legs[-1] = PathLeg(chart_name, s_cur, s_k, sol.sol)
+            else:
+                legs.pop()
+            legs.append(PathLeg(chart_name, s_k, s_ev, tail.sol))
+            p, v, field = tail.y[:2, -1], tail.y[2:4, -1], tail.y[4:, -1]
+            s_cur = s_ev
+            continue
         legs[-1] = PathLeg(chart_name, s_cur, s_ev, sol.sol)
+        s_cur = s_ev
+        skip = None
+        tr = transitions[idx - len(rules)]
         p_new = tr.map_point(p)
         v_new = tr.map_velocity(p, v)
         chart_name, p, v = tr.dst, p_new, v_new
-        s_cur = s_ev
     else:
-        raise StepFailureError("geodesic exceeded the chart-switch budget")
+        raise StepFailureError("geodesic exceeded the leg budget")
 
     path = GeodesicPath(surface, legs, legs[-1].s1, end_kind=end_kind)
     if end_kind == "tip":
         _end_at_tip(path, surface.tips[end_payload])
     return path
+
+
+def _solve_leg(chart, span, y0, events=None):
+    """DOP853 over span of the flow (p, v, j, j') in one chart."""
+    sol = solve_ivp(chart.flow_rhs, span, y0, method="DOP853", rtol=RTOL,
+                    atol=[ATOL] * 4 + [JACOBI_ATOL] * 2, dense_output=True,
+                    events=events or None)
+    if not sol.success and sol.status != 1:
+        raise StepFailureError(f"geodesic integrator failed: {sol.message}")
+    return sol
 
 
 def _end_at_tip(path: GeodesicPath, tip: Tip) -> None:
@@ -300,7 +418,8 @@ def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
     p = np.array([tip.axis_value + tip.sign * eps, theta0])
     v = np.array([tip.sign, 0.0])
     start = ChartState(tip.chart, p, v)
-    path = geodesic_flow(surface, start, length - eps, stop_rules=stop_rules)
+    path = geodesic_flow(surface, start, length - eps, stop_rules=stop_rules,
+                         field_start=_frobenius_start(tip.c1, eps))
     # re-root the parameter at the tip
     shifted = [PathLeg(l.chart, l.s0 + eps, l.s1 + eps, _ShiftedSol(l.sol, eps))
                for l in path.legs]
@@ -372,10 +491,11 @@ def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: floa
         miss = sq * sq * st.v[1]  # p_theta about the target tip
         converged = abs(miss) < NEWTON_TOL
         if converged:
-            # before the tip field is read, so its one solve spans the segment
+            # before the tip field is read, so the field covers the end cap
+            # too: one short solve, the segment's only Jacobi solve
             _end_at_tip(path, tb)
 
-        jf = path.tip_field.at(s_sec)
+        jf = path.tip_field.at(s_sec)  # the shot's own (j, j') at band entry
         # variation of p_theta under the launch angle, via the Killing field
         # of the symmetric band: eps0 tracks the parallel frame orientation
         # fixed at launch, v[0] the radial sense at the section

@@ -1,25 +1,29 @@
 """Jacobi fields along geodesic paths: spreading, Morse indices, Hessians.
 
 The scalar Jacobi equation j'' + K(s) j = 0 is integrated along a
-GeodesicPath with the path's own curvature samples.  Fields launched at
-a tip use the Frobenius start j(x) = x (1 + c1 x), j'(x) = 1 + 2 c1 x
-at a small offset, where c1 is the first radial correction of sqrt(G);
-this is exact through second order even when the curvature has a 1/x
-singularity at a non-product tip.
+GeodesicPath.  Fields launched at a tip use the Frobenius start
+j(x) = x (1 + c1 x), j'(x) = 1 + 2 c1 x at a small offset, where c1 is
+the first radial correction of sqrt(G); this is exact through second
+order even when the curvature has a 1/x singularity at a non-product
+tip.
 
 Conventions: the normalized spreading between parameters s0 < s1 is
 Theta = |j(s1)| / (s1 - s0) for the field with j(s0) = 0, j'(s0) = 1,
 so Theta = 1 on flat surfaces.  The Morse index counts interior zeros
 of that field on the open interval.
 
-A tip-start path's tip field is solved once, over the whole path, and
-kept on the path (`path.tip_field`; the reverse field is
-`path.reversed().tip_field`).  Every function here that starts a field
-at s0 = 0 on a tip-start path reads that one solve, so Theta, the Morse
-index and the broken Hessian share it; j'/j of that field is the shape
-operator the cut route reads.  All fields are integrated at the fixed
-tolerances JACOBI_RTOL and JACOBI_ATOL, which is what makes the shared
-solve the same for every caller.
+The field from s0 = 0 of a forward path is the flow's own: the
+geodesic flow carries (j, j') as two more components of each shot,
+with K read from the chart at the same point, at the per-component
+tolerances (JACOBI_RTOL, JACOBI_ATOL on j and j'), and only a radial
+end cap into a tip takes one short solve of its own (`path.tip_field`
+on a tip-start path).  The reverse field, `path.reversed().tip_field`,
+is solved once along the stored path with the path's own curvature
+samples and kept; a solve along a stored path restarts at each of the
+path's leg ends, so that no step straddles a seam of the metric.  Every function here that starts a field at s0 = 0
+reads one of these, so Theta, the Morse index and the broken Hessian
+share them; j'/j is the shape operator the cut route reads.  A field
+from s0 > 0 is its own solve at the same tolerances.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.optimize import brentq
 
 from .errors import ConjugateDegeneracyError, StepFailureError
@@ -43,7 +47,10 @@ __all__ = [
     "wronskian_drift",
 ]
 
-FROBENIUS_START_X = 1e-4
+# distance from the tip at which tip fields start, and shots launch
+# (geodesics.TIP_START_X); the start's j' misses the x^2 K / 2 term, so
+# the offset must be small: 5e-13 here, 5e-9 at 1e-4
+FROBENIUS_START_X = 1e-6
 JACOBI_RTOL = 1e-11
 JACOBI_ATOL = 1e-13
 # |j(s1)| below this times (s1 - s0) counts as a conjugate endpoint
@@ -64,12 +71,16 @@ class JacobiSolution:
         self.s0 = s0
         self.s1 = s1
 
+    def pair(self, s) -> np.ndarray:
+        """(j, j') at s (a float or an array), clamped to [s0, s1]."""
+        return self._sol(np.clip(s, self.s0, self.s1))
+
     def at(self, s: float) -> JacobiField:
-        y = self._sol(np.clip(s, self.s0, self.s1))
+        y = self.pair(s)
         return JacobiField(float(y[0]), float(y[1]))
 
     def j(self, s) -> np.ndarray:
-        return self._sol(np.clip(s, self.s0, self.s1))[0]
+        return self.pair(s)[0]
 
     def zeros(self, lo: float = None, hi: float = None, pad: float = 1e-9):
         """Zeros of j in the open interval (lo, hi)."""
@@ -89,38 +100,52 @@ class JacobiSolution:
 
 def integrate_jacobi(path, s0: float, s1: float, j0: float,
                      jprime0: float) -> JacobiSolution:
+    """The field with (j, j') = (j0, jprime0) at s0, solved along the
+    stored path piece by piece between its leg ends (`path.breaks`: chart
+    switches and seams, where K may be only finitely smooth), so that no
+    step straddles one."""
     def rhs(s, y):
         return (y[1], -path.curvature(s) * y[0])
 
-    sol = solve_ivp(rhs, (s0, s1), [j0, jprime0], method="DOP853",
-                    rtol=JACOBI_RTOL, atol=JACOBI_ATOL, dense_output=True)
-    if not sol.success:
-        raise StepFailureError(f"Jacobi integrator failed: {sol.message}")
-    return JacobiSolution(sol.sol, s0, s1)
+    ends = [s0] + [b for b in path.breaks if s0 < b < s1] + [s1]
+    ts, pieces, y = [s0], [], [j0, jprime0]
+    for a, b in zip(ends[:-1], ends[1:]):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=JACOBI_RTOL,
+                        atol=JACOBI_ATOL, dense_output=True)
+        if not sol.success:
+            raise StepFailureError(f"Jacobi integrator failed: {sol.message}")
+        ts.extend(sol.sol.ts[1:])
+        pieces.extend(sol.sol.interpolants)
+        y = sol.y[:, -1]
+    return JacobiSolution(OdeSolution(ts, pieces), s0, s1)
+
+
+def _frobenius_start(c1: float, x):
+    """(j, j') of the tip-normalized field at distance x from a tip whose
+    sqrt(G) is a0 x (1 + c1 x + ...); x may be an array."""
+    return x * (1.0 + c1 * x), 1.0 + 2.0 * c1 * x
 
 
 def b_jacobi_solution(path, s1: float = None, *,
                       x_start: float = FROBENIUS_START_X) -> JacobiSolution:
     """Tip-normalized Jacobi field (j ~ x near the tip) along a tip-start
-    path, solved afresh on every call; `path.tip_field` keeps the solve
-    over the whole path."""
+    path, solved afresh on every call along the stored path."""
     if path.start_kind != "tip":
         raise StepFailureError("b-Jacobi field needs a path starting at a tip")
-    tip = path.surface.tips[path.start_tip]
-    c1 = tip.c1
-    j0 = x_start * (1.0 + c1 * x_start)
-    jp0 = 1.0 + 2.0 * c1 * x_start
+    j0, jp0 = _frobenius_start(path.surface.tips[path.start_tip].c1, x_start)
     s1 = path.length if s1 is None else s1
     return integrate_jacobi(path, x_start, s1, j0, jp0)
 
 
 def _field_from(path, s0: float, s1: float) -> JacobiSolution:
-    # the kept tip field ends at the path's end and would clamp past it
+    # a kept field ends at the path's end and would clamp past it
     if not 0.0 <= s0 < s1 <= path.length:
         raise ValueError(f"need 0 <= s0 < s1 <= length {path.length:.6g}, "
                          f"got s0 = {s0:.6g}, s1 = {s1:.6g}")
     if s0 == 0.0 and path.start_kind == "tip":
         return path.tip_field
+    if s0 == 0.0 and path.flow_field is not None:
+        return path.flow_field
     return integrate_jacobi(path, s0, s1, 0.0, 1.0)
 
 

@@ -21,15 +21,17 @@ Charts come in two flavors:
   degenerate.  The metric is delta_ij + Q(u)(u^2 delta_ij - x_i x_j)
   with Q built from the profile; a Taylor series evaluates Q, its
   radial derivative, and the curvature without cancellation near the
-  pole.  Sympy expands only the profile f; the series of (f/u)^2 and
-  -f''/f follow from it by truncated power-series products and a
-  division.
+  pole.  Sympy's ring series (`rs_series`, exact rational arithmetic)
+  expands only the profile f; the series of (f/u)^2 and -f''/f follow
+  from it by truncated power-series products and a division.
 
 Builtins: flat cone, plane, sphere band, perturbed/symmetric spindle,
 teardrop.  The spindle and teardrop perturb g_rr by
 1 + eps * bump(r) * sin(2 theta) inside a mid band; the tip bands stay
 exactly rotationally symmetric, which keeps tip shooting and transverse
-miss measurement exact.
+miss measurement exact.  The bump is only C^2 at the band's edges, so
+those edges are the surfaces' seams: the geodesic flow ends a leg on
+each, and no integrator step reads the metric on both sides of one.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from typing import Callable
 
 import numpy as np
 import sympy as sp
+from sympy.polys.polyerrors import BasePolynomialError
+from sympy.polys.ring_series import rs_series
 
 from .errors import SeriesStartFailureError, StepFailureError
 from .links import LinkSpectrum
@@ -50,6 +54,7 @@ __all__ = [
     "Tip",
     "Transition",
     "StopRule",
+    "Seam",
     "Surface",
     "flat_cone",
     "plane",
@@ -61,6 +66,11 @@ __all__ = [
 ]
 
 _P0, _P1 = sp.symbols("p0 p1", real=True)
+
+# |K| above this, a curvature radius below the 1e-7 tip-hit distance, marks
+# a singular point of the metric: the Jacobi field riding the flow would
+# otherwise creep toward it in steps limited by the rounding of K
+MAX_CURVATURE = 1e14
 
 
 _CHART_LOCALS = {"p0": _P0, "p1": _P1, "x": _P0, "y": _P1, "r": _P0, "theta": _P1}
@@ -74,8 +84,11 @@ def _sympify(expr):
 
 def _lambdify(expr):
     """Scalar code for expr(p0, p1): `math` calls on Python floats, so a
-    Piecewise compiles to a conditional expression."""
-    return sp.lambdify((_P0, _P1), expr, modules="math")
+    Piecewise compiles to a conditional expression.  Common subexpressions
+    are computed once: the flow's right-hand side (six Christoffel symbols
+    and K) takes 2.2 us per call instead of 7.1 on the spindle chart
+    (x86, Python 3.11)."""
+    return sp.lambdify((_P0, _P1), expr, modules="math", cse=True)
 
 
 class Chart:
@@ -90,6 +103,11 @@ class Chart:
         raise NotImplementedError
 
     def curvature(self, p) -> float:
+        raise NotImplementedError
+
+    def flow_rhs(self, s, y):
+        """Geodesic flow with the Jacobi pair riding along: y is
+        (p0, p1, v0, v1, j, j') and j'' = -K(p) j at the same point."""
         raise NotImplementedError
 
     def norm(self, p, v) -> float:
@@ -123,7 +141,8 @@ class OrthogonalChart(Chart):
         self._p = _lambdify(P)
         self._q = _lambdify(Q)
         self._q_grad = _lambdify([Q0, Q1])
-        self._gammas = _lambdify(gammas)
+        # the flow reads the six symbols and K at each point in one call
+        self._gammas_k = _lambdify(gammas + [curv])
         self._curv = _lambdify(curv)
 
     def _eval(self, fn, p):
@@ -149,18 +168,22 @@ class OrthogonalChart(Chart):
         return np.array([[e, 0.0], [0.0, g]])
 
     def christoffel(self, p) -> np.ndarray:
-        g000, g001, g011, g100, g101, g111 = self._eval(self._gammas, p)
+        g000, g001, g011, g100, g101, g111, _ = self._eval(self._gammas_k, p)
         out = np.empty((2, 2, 2))
         out[0] = [[g000, g001], [g001, g011]]
         out[1] = [[g100, g101], [g101, g111]]
         return out
 
-    def geodesic_rhs(self, s, yv):
-        p0, p1, v0, v1 = yv.tolist()
-        g000, g001, g011, g100, g101, g111 = self._eval(self._gammas, (p0, p1))
+    def flow_rhs(self, s, y):
+        p0, p1, v0, v1, j, jp = y.tolist()
+        g000, g001, g011, g100, g101, g111, k = self._eval(self._gammas_k, (p0, p1))
+        if not abs(k) <= MAX_CURVATURE:
+            raise StepFailureError(
+                f"chart '{self.name}' has curvature {k:.3g} at p = ({p0:.6g}, "
+                f"{p1:.6g}): the metric is singular there")
         a0 = -(g000 * v0 * v0 + 2 * g001 * v0 * v1 + g011 * v1 * v1)
         a1 = -(g100 * v0 * v0 + 2 * g101 * v0 * v1 + g111 * v1 * v1)
-        return [v0, v1, a0, a1]
+        return [v0, v1, a0, a1, jp, -k * j]
 
     def curvature(self, p) -> float:
         return self._eval(self._curv, p)
@@ -170,6 +193,28 @@ class OrthogonalChart(Chart):
 
     def sqrt_q_grad(self, p) -> np.ndarray:
         return np.array(self._eval(self._q_grad, p))
+
+
+def _odd_series(f, u, n: int) -> list[float]:
+    """a_0 .. a_n of an odd profile f = sum a_i u^(2i+1) with a_0 = 1.
+
+    Sympy's ring series expands f in exact rational arithmetic on
+    truncated series; a profile it cannot expand, a term it leaves
+    unexpanded or a coefficient that is not a number raises
+    SeriesStartFailureError."""
+    try:
+        f_series = rs_series(f, u, 2 * n + 2).as_expr()
+        c = {int(k[0]): float(v) for k, v in sp.Poly(f_series, u).as_dict().items()}
+    # a function with no ring series (NotImplementedError, or a KeyError
+    # for its name), a power it refuses (ValueError), a term it leaves
+    # unexpanded (PolynomialError) and a symbolic coefficient (TypeError)
+    except (NotImplementedError, LookupError, ValueError, TypeError,
+            BasePolynomialError) as exc:
+        raise SeriesStartFailureError(
+            f"cap profile {f} has no power series in {u}: {exc!r}") from exc
+    if abs(c.get(1, 0.0) - 1.0) > 1e-12 or any(k % 2 == 0 for k in c):
+        raise SeriesStartFailureError("cap profile must satisfy f(u) = u + O(u^3), odd")
+    return [c.get(2 * i + 1, 0.0) for i in range(n + 1)]
 
 
 class CapChart(Chart):
@@ -194,11 +239,7 @@ class CapChart(Chart):
         # f/u = sum a_i u^(2i), a_0 = 1, through u^(2n): one series of f,
         # the rest by truncated power-series products and a division
         n = self.SERIES_ORDER
-        f_series = sp.series(f, u, 0, 2 * n + 2).removeO()
-        c = {int(k[0]): float(v) for k, v in sp.Poly(f_series, u).as_dict().items()}
-        if abs(c.get(1, 0.0) - 1.0) > 1e-12 or any(k % 2 == 0 for k in c):
-            raise SeriesStartFailureError("cap profile must satisfy f(u) = u + O(u^3), odd")
-        a = [c.get(2 * i + 1, 0.0) for i in range(n + 1)]
+        a = _odd_series(f, u, n)
         # (f/u)^2 = 1 + sum m_j u^(2j), Q = sum m_{j+1} u^(2j)
         self._q_coeffs = np.array(
             [sum(a[i] * a[j - i] for i in range(j + 1)) for j in range(1, n + 1)]
@@ -265,12 +306,12 @@ class CapChart(Chart):
                     )
         return gamma
 
-    def geodesic_rhs(self, s, yv):
-        p = np.array(yv[:2])
-        v = np.array(yv[2:])
+    def flow_rhs(self, s, y):
+        p = np.array(y[:2])
+        v = np.array(y[2:4])
         gamma = self.christoffel(p)
         acc = -np.einsum("aij,i,j->a", gamma, v, v)
-        return (v[0], v[1], acc[0], acc[1])
+        return (v[0], v[1], acc[0], acc[1], y[5], -self.curvature(p) * y[4])
 
     def curvature(self, p) -> float:
         u = float(np.hypot(p[0], p[1]))
@@ -332,12 +373,24 @@ class StopRule:
     payload: object = None
 
 
+@dataclass(frozen=True)
+class Seam:
+    """A curve value(p) = 0 in `chart` across which the metric is only
+    finitely smooth, such as the edge of a Piecewise perturbation.  The
+    geodesic flow ends a leg on it, so that no integrator step straddles
+    it."""
+
+    chart: str
+    value: Callable[[np.ndarray], float]
+
+
 @dataclass
 class Surface:
     charts: dict[str, Chart]
     tips: dict[str, Tip] = field(default_factory=dict)
     transitions: list[Transition] = field(default_factory=list)
     atlas_rules: list[StopRule] = field(default_factory=list)
+    seams: list[Seam] = field(default_factory=list)
 
     def chart(self, name: str) -> Chart:
         return self.charts[name]
@@ -365,12 +418,17 @@ def _tip_c1(sqrt_q_expr, tip_axis_value: float, sign: float) -> tuple[float, flo
     expr = sp.nsimplify(expr, rational=True)
     try:
         value_at_tip = float(sp.limit(expr, x, 0, "+"))
-        a0 = float(sp.limit(expr / x, x, 0, "+"))
+        # exact: a rounded a0 leaves (expr / (a0 x) - 1) / x ~ 1/x
+        a0_exact = sp.limit(expr / x, x, 0, "+")
+        a0 = float(a0_exact)
         if abs(value_at_tip) > 1e-12 or not np.isfinite(a0) or abs(a0) < 1e-14:
             raise SeriesStartFailureError(
                 "sqrt(G) must vanish to exactly first order at a tip"
             )
-        c1 = float(sp.limit((expr / (a0 * x) - 1) / x, x, 0, "+"))
+        c1 = float(sp.limit((expr / (a0_exact * x) - 1) / x, x, 0, "+"))
+        if not np.isfinite(c1):
+            raise SeriesStartFailureError(
+                "sqrt(G) has no finite first radial correction at a tip")
     except SeriesStartFailureError:
         raise
     except Exception as exc:
@@ -379,10 +437,16 @@ def _tip_c1(sqrt_q_expr, tip_axis_value: float, sign: float) -> tuple[float, flo
 
 
 def _bump(var, lo: float, hi: float):
-    """C^5 bump: vanishes to 6th order at both edges, max 1 at midpoint."""
+    """C^2 bump: vanishes to third order at both edges, max 1 at midpoint.
+    The edges are seams of the surfaces that use it (`_bump_seams`)."""
     width = (hi - lo) / 2.0
     core = ((var - lo) * (hi - var)) ** 3 / width**6
     return sp.Piecewise((core, sp.And(var > lo, var < hi)), (0.0, True))
+
+
+def _bump_seams(chart: str, lo: float, hi: float) -> list[Seam]:
+    """The bump's edges r = lo and r = hi, where g_rr is only C^2."""
+    return [Seam(chart, lambda p, _r=edge: p[0] - _r) for edge in (lo, hi)]
 
 
 def flat_cone(rho: float, r_max: float = 50.0) -> Surface:
@@ -432,7 +496,8 @@ def perturbed_spindle(a0: float = 0.75, eps: float = 0.05) -> Surface:
         "south": Tip("south", "polar", 0.0, 1.0, LinkSpectrum.circle(rho), a0, 0.0, band_lo),
         "north": Tip("north", "polar", np.pi, -1.0, LinkSpectrum.circle(rho), a0, 0.0, band_lo),
     }
-    return Surface({"polar": chart}, tips, [], [])
+    return Surface({"polar": chart}, tips, [], [],
+                   _bump_seams("polar", band_lo, band_hi))
 
 
 def symmetric_spindle(a0: float = 0.75) -> Surface:
@@ -503,7 +568,8 @@ def teardrop(a0: float = 0.75, eps: float = 0.05) -> Surface:
     atlas = [
         StopRule("cap", lambda p, v: 0.68 - np.hypot(p[0], p[1]), -1.0, "atlas"),
     ]
-    return Surface({"polar": chart, "cap": cap}, tips, transitions, atlas)
+    return Surface({"polar": chart, "cap": cap}, tips, transitions, atlas,
+                   _bump_seams("polar", band_lo, band_hi))
 
 
 def cone_chart_surface(sqrt_h_expr, rho: float, r_max: float = 10.0) -> Surface:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conetrace import amplitudes as amp
-from conetrace import geodesics, jacobi
+from conetrace import geodesics, jacobi, surfaces
 from conetrace.amplitudes import (
     CutoffSpec,
     SegmentInvariants,
@@ -165,6 +165,17 @@ class TestTwoPathConsistency:
         pred = trace_singularity(teardrop_closed)
         route = trace_singularity_cut_route(teardrop_closed)
         assert abs(route - pred.coefficient) / abs(pred.coefficient) < 1e-8
+
+    @pytest.mark.parametrize("eps", [0.031, 0.0639])
+    def test_gap_at_rounding_level(self, eps):
+        # both fields are solved leg by leg, never across a bump edge, so
+        # the routes agree far inside criterion 9's 1e-8
+        geo = build_closed_diffractive(
+            surfaces.teardrop(A0, eps), ["tip"], [A0 * (np.pi / 4 + 0.02)],
+            length_cap=12.0)
+        pred = trace_singularity(geo)
+        route = trace_singularity_cut_route(geo)
+        assert abs(route - pred.coefficient) / abs(pred.coefficient) < 1e-10
 
     def test_one_tip_solve_per_direction(self, teardrop, monkeypatch):
         # built here, not taken from the shared fixture, so that no tip

@@ -225,13 +225,35 @@ class TestExitCodes:
         ("link-kernel", {"n": True}),
         ("link-kernel", {"n": 1}),
         ("link-kernel", {"n": 3}),
+        ("link-kernel", {"policy": {"kind": "gaussian", "sigma": True,
+                                    "mode_cutoff": True}}),
+        ("link-kernel", {"policy": {"kind": "gaussian", "sigma": "30"}}),
+        ("link-kernel", {"policy": {"kind": "gaussian", "sigma": 30.0,
+                                    "mode_cutoff": True}}),
+        ("link-kernel", {"policy": {"kind": "abel", "mode_cutoff": 2.5}}),
+        ("link-kernel", {"policy": {"kind": "abel", "mode_cutoff": 0}}),
+        ("link-kernel", {"policy": {"kind": "abel", "r": True}}),
         ("find-geodesics", {"seeds": ["abc"]}),
+        ("find-geodesics", {"surface": {"builtin": "teardrop",
+                                        "params": {"a0": True}}}),
+        ("find-geodesics", {"surface": {"builtin": "teardrop",
+                                        "params": {"a0": -0.75}}}),
+        ("find-geodesics", {"surface": {"builtin": "teardrop",
+                                        "params": {"eps": "0.05"}}}),
+        ("find-geodesics", {"surface": {"cone_chart": {"sqrt_h": "1.1",
+                                                       "rho": True}}}),
+        ("find-geodesics", {"surface": {"cone_chart": {"sqrt_h": "1.1",
+                                                       "r_max": -1.0}}}),
         ("predict-trace", {"options": {"length_cap": "12"}}),
     ], ids=["sigma-bool", "sigma-string", "fit-L-bool", "fit-L-nan",
             "fit-window-bool", "lambda-max-bool", "lambda-max-negative",
             "lambda-max-string", "lambda-max-too-large", "csv-row-string",
             "circumference-bool", "grid-max-string", "grid-min-bool",
-            "n-string", "n-bool", "n-one", "n-closed-form-3", "seed-string",
+            "n-string", "n-bool", "n-one", "n-closed-form-3",
+            "policy-bools", "policy-sigma-string", "policy-cutoff-bool",
+            "policy-cutoff-float", "policy-cutoff-zero", "policy-r-bool",
+            "seed-string", "param-a0-bool", "param-a0-negative",
+            "param-eps-string", "cone-rho-bool", "cone-r-max-negative",
             "length-cap-string"])
     def test_non_number_exit_2(self, tmp_path, capsys, monkeypatch, command,
                                payload):

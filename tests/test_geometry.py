@@ -1,5 +1,8 @@
 """Geodesic flow, tip shooting, and closed-geodesic assembly."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -151,6 +154,60 @@ class TestConnectTips:
             assert abs(tip.link_coord(theta) - seg.link_b) < 1e-9
 
 
+class TestSeams:
+    """The g_rr bump is only finitely smooth at its edges; legs end on
+    them, so no integrator step straddles one."""
+
+    def test_legs_end_on_the_bump_edges(self, teardrop_closed):
+        path = teardrop_closed.segments[0].path
+        ends = [path.state(leg.s1).p[0] for leg in path.legs if leg.chart == "polar"]
+        for edge in (0.7, 2.0):
+            assert sum(abs(r - edge) < 1e-9 for r in ends) == 2
+
+    @pytest.mark.parametrize("closed,hi", [("spindle_closed", np.pi - 0.7),
+                                           ("teardrop_closed", 2.0)])
+    def test_loop_length_matches_tight_quadrature(self, closed, hi, request):
+        # along the invariant meridians sin(2 theta) = 1
+        geo = request.getfixturevalue(closed)
+        half = np.pi - (hi - 0.7) + quad(
+            lambda r: np.sqrt(1 + 0.05 * bump(r, 0.7, hi)), 0.7, hi,
+            epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+        assert geo.length == pytest.approx(2 * half, abs=1e-10)
+        assert max(seg.path.speed_drift() for seg in geo.segments) < 1e-10
+
+    def test_loop_length_does_not_depend_on_launch_seed(self, teardrop):
+        lengths = [build_closed_diffractive(teardrop, ["tip"],
+                                            [A0 * (np.pi / 4 + 0.02) + d],
+                                            length_cap=12.0).length
+                   for d in (-3e-6, -1e-7, 1e-7, 3e-6)]
+        assert np.ptp(lengths) < 1e-12
+
+
+def test_no_jacobi_solve_per_newton_iteration(spindle, teardrop, monkeypatch):
+    # the Newton derivative is the shot's own (j, j'): the only solve of a
+    # segment is its radial end cap from band entry into the tip
+    from conetrace import jacobi
+    solves = []
+    solve = jacobi.integrate_jacobi
+
+    def counted(path, s0, s1, j0, jp0):
+        solves.append((s0, s1))
+        return solve(path, s0, s1, j0, jp0)
+
+    monkeypatch.setattr(jacobi, "integrate_jacobi", counted)
+    for surface, tips, seeds, kw in [
+        (spindle, ["south", "north"],
+         [A0 * (np.pi / 4 + 0.02), A0 * (5 * np.pi / 4 - 0.02)], {}),
+        (teardrop, ["tip"], [A0 * (np.pi / 4 + 0.02)], {"length_cap": 12.0}),
+    ]:
+        solves.clear()
+        geo = build_closed_diffractive(surface, tips, seeds, **kw)
+        assert sum(seg.iterations for seg in geo.segments) > len(geo.segments)
+        assert len(solves) <= len(geo.segments)
+        for s0, s1 in solves:
+            assert s1 - s0 == pytest.approx(D_REF, abs=1e-6)
+
+
 class TestClosedGeodesics:
     def test_spindle_junctions_strict(self, spindle_closed):
         assert spindle_closed.strictly_diffractive
@@ -196,6 +253,13 @@ class TestTipData:
     def test_link_circumference_matches_cone_angle(self, spindle):
         for tip in spindle.tips.values():
             assert tip.link.circumference == pytest.approx(2 * np.pi * tip.a0)
+
+    def test_frobenius_c1_of_irrational_cone_angle(self):
+        # a0 = 1.2 sqrt(1.5) is irrational: c1 must come from the exact a0,
+        # a rounded one leaves a 1/x term and an infinite limit
+        tip = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5", 10.0).tips["tip"]
+        assert tip.a0 == pytest.approx(1.2 * np.sqrt(1.5))
+        assert tip.c1 == pytest.approx(-1.0 / 3.0)
 
     def test_degenerate_tip_rejected(self):
         with pytest.raises(SeriesStartFailureError):
@@ -263,6 +327,15 @@ class TestCompiledCharts:
         with pytest.raises(StepFailureError):
             shoot_from_tip(surf, "tip", 0.3, 3.0)
 
+    def test_singular_curvature_stops_the_flow(self):
+        # K ~ 1 / (4 (1.5 - p0)^2) ahead of that edge: the flow stops where
+        # |K| passes MAX_CURVATURE instead of creeping toward the edge
+        chart = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5", 10.0).chart("polar")
+        y = np.array([1.5 - 1e-8, 0.3, 1.0, 0.0, 0.1, 1.0])
+        with pytest.raises(StepFailureError, match="singular"):
+            chart.flow_rhs(0.0, y)
+        assert np.all(np.isfinite(chart.flow_rhs(0.0, y - [0.5, 0, 0, 0, 0, 0])))
+
     def test_path_curvature_finite_at_tip_ends(self, spindle_closed):
         # the chart's K is 0/0 exactly at a tip
         path = spindle_closed.segments[0].path
@@ -302,8 +375,27 @@ class TestCapSeries:
         assert cap.curvature([below, 0.0]) == pytest.approx(
             cap.curvature([above, 0.0]), rel=1e-11)
 
-    @pytest.mark.parametrize("profile", ["u + u**2", "2*u"],
-                             ids=["not-odd", "wrong-slope"])
+    @pytest.mark.parametrize("a0", [0.6, 0.75, 0.8])
+    def test_teardrop_profile_coefficients_exact(self, a0, monkeypatch):
+        # f(pi - u) = (1 + a0)/2 sin u + (1 - a0)/4 sin 2u, so the u^(2k+1)
+        # coefficient is (-1)^k / (2k+1)! [(1 + a0)/2 + (1 - a0) 2^(2k-1)]
+        seen = []
+        odd_series = surfaces._odd_series
+        monkeypatch.setattr(surfaces, "_odd_series",
+                            lambda *args: seen.append(odd_series(*args)) or seen[-1])
+        surfaces.teardrop(a0)
+        (coeffs,) = seen
+        assert len(coeffs) == surfaces.CapChart.SERIES_ORDER + 1
+        a = Fraction(str(a0))
+        for k, c in enumerate(coeffs):
+            exact = (Fraction((-1) ** k, math.factorial(2 * k + 1))
+                     * ((1 + a) / 2 + (1 - a) * Fraction(2) ** (2 * k - 1)))
+            assert abs(c - float(exact)) <= 1e-16 * abs(float(exact)), k
+
+    @pytest.mark.parametrize("profile", ["u + u**2", "2*u", "2*besselj(1, u)",
+                                         "u*sqrt(1 + u**2)"],
+                             ids=["not-odd", "wrong-slope", "no-ring-series",
+                                  "left-unexpanded"])
     def test_bad_profile_rejected(self, profile):
         u = sp.Symbol("u", positive=True)
         with pytest.raises(SeriesStartFailureError):

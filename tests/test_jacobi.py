@@ -1,12 +1,19 @@
 """Jacobi fields: spreading, Wronskians, Morse indices, broken Hessians."""
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conetrace import jacobi, surfaces
 from conetrace.errors import ConjugateDegeneracyError
-from conetrace.geodesics import ChartState, geodesic_flow, shoot_from_tip
+from conetrace.geodesics import (
+    TIP_START_X,
+    ChartState,
+    geodesic_flow,
+    shoot_from_tip,
+)
 
 A0 = 0.75
 
@@ -92,6 +99,69 @@ class TestSpreading:
         # j'/j of the tip field: 1/x on the flat cone
         f = path.tip_field.at(2.0)
         assert f.jprime / f.j == pytest.approx(0.5, abs=1e-9)
+
+
+class TestFlowField:
+    """The field the geodesic flow carries is the Jacobi field: it matches
+    a separate solve along the stored path."""
+
+    TOL = 1e-10
+
+    def assert_matches(self, field, ref, ss):
+        for s in ss:
+            got, want = field.at(s), ref.at(s)
+            assert abs(got.j - want.j) <= self.TOL, s
+            assert abs(got.jprime - want.jprime) <= self.TOL, s
+
+    @pytest.mark.parametrize("closed", ["spindle_closed", "teardrop_closed"])
+    def test_tip_field_matches_separate_solve(self, closed, request):
+        for seg in request.getfixturevalue(closed).segments:
+            path = seg.path
+            ref = jacobi.b_jacobi_solution(path)
+            ss = np.append(np.linspace(0.05, path.length, 25, endpoint=False),
+                           path.length)
+            self.assert_matches(path.tip_field, ref, ss)
+
+    def test_teardrop_loop_crosses_the_cap(self, teardrop_closed):
+        # the field rides polar -> cap -> polar (and across the seams),
+        # unchanged at each leg end
+        path = teardrop_closed.segments[0].path
+        charts = [chart for chart, _ in groupby(leg.chart for leg in path.legs)]
+        assert charts == ["polar", "cap", "polar"]
+        for prev, leg in zip(path.legs, path.legs[1:]):
+            assert np.allclose(prev.sol(leg.s0)[4:], leg.sol(leg.s0)[4:],
+                               rtol=0.0, atol=1e-15)
+
+    def test_start_sliver_is_the_frobenius_start(self):
+        surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5", 10.0)
+        c1 = surf.tips["tip"].c1
+        path = shoot_from_tip(surf, "tip", 0.0, 2.0)
+        for x in (0.0, 0.5 * TIP_START_X, TIP_START_X):
+            f = path.tip_field.at(x)
+            assert f.j == pytest.approx(x * (1 + c1 * x), abs=1e-18)
+            assert f.jprime == pytest.approx(1 + 2 * c1 * x, abs=1e-12)
+
+    def test_interior_start_matches_separate_solve(self, teardrop, monkeypatch):
+        # from a polar point through the pole cap and out again
+        start = ChartState("polar", np.array([2.0, 0.3]), np.array([1.0, 0.2]))
+        path = geodesic_flow(teardrop, start, 3.0)
+        assert {leg.chart for leg in path.legs} == {"polar", "cap"}
+        ref = jacobi.integrate_jacobi(path, 0.0, path.length, 0.0, 1.0)
+        self.assert_matches(path.flow_field, ref, np.linspace(0.0, path.length, 25))
+        # and the spreading from s = 0 reads it without a solve of its own
+        solves = []
+        solve = jacobi.integrate_jacobi
+        monkeypatch.setattr(jacobi, "integrate_jacobi",
+                            lambda *a: solves.append(a) or solve(*a))
+        assert jacobi.theta_spreading(path, 0.0, 2.0) == pytest.approx(
+            abs(ref.at(2.0).j) / 2.0, abs=self.TOL)
+        assert solves == []
+
+    def test_great_circle_field_is_sine(self, sphere):
+        start = ChartState("band", np.array([0.1, 0.2]), np.array([0.3, 1.0]))
+        path = geodesic_flow(sphere, start, 3.0)
+        for s in np.linspace(0.0, 3.0, 13):
+            assert path.flow_field.at(s).j == pytest.approx(np.sin(s), abs=1e-10)
 
 
 class TestWronskian:
