@@ -175,13 +175,14 @@ def trace_singularity_cut_route(geodesic, n: int = 2,
 
     Both fields are the ones kept on the path: `path.tip_field`, the
     field the shot's own flow carried, and `path.reversed().tip_field`,
-    solved on its own along the stored path.  trace_singularity's
-    invariants read the same forward field.  The check stays
-    independent: the direct route reads only the forward field's zeros
-    and its value at the far tip, while this route reads both fields at
-    interior cut points and combines them through the break Hessian; a
-    deterministic field shared by the two routes changes none of their
-    numbers, and the reverse field shares no integration with either.
+    carried by a reverse shot of its own from the far tip.
+    trace_singularity's invariants read the same forward field.  The
+    check stays independent: the direct route reads only the forward
+    field's zeros and its value at the far tip, while this route reads
+    both fields at interior cut points and combines them through the
+    break Hessian; a deterministic field shared by the two routes changes
+    none of their numbers, and the reverse field comes from a geodesic
+    integration of its own that shares no step with either.
 
     n = 2 only (scalar Jacobi backend).
     """

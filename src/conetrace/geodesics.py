@@ -17,11 +17,15 @@ atol ATOL on (p, v) and JACOBI_ATOL on (j, j').  Events, transition maps
 and path states read (p, v) only; a chart switch carries (j, j')
 unchanged, since j is a scalar normal field.  A flow from an interior
 point starts the field at (0, 1); a shot from a tip starts it with the
-Frobenius values at x = TIP_START_X.  So every forward path's spreading
+Frobenius values at s = x = TIP_START_X.  So every path's spreading
 field from s = 0 (`GeodesicPath.flow_field`, the tip field on a
 tip-start path) is the flow's own, read from the legs' dense outputs;
 the exact start sliver is filled in from the Frobenius series and a
 radial end cap into a tip is one short solve from the flow's values.
+A path's reverse (`GeodesicPath.reversed`) is a shot of its own from
+the path's end back to its start, finished into a start tip the way a
+converged segment is, so its field is its own flow's too; it must land
+on the path's start within REVERSE_TOL.
 
 Tip-to-tip segments are found by shooting: start radially at x = 1e-6
 from the source tip, stop on entry into the target tip's rotationally
@@ -38,7 +42,7 @@ within its miss, is finished straight into the tip.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +68,6 @@ __all__ = [
     "ChartState",
     "ConnectResult",
     "GeodesicPath",
-    "ReversedPath",
     "Junction",
     "DiffractiveGeodesic",
     "geodesic_flow",
@@ -84,6 +87,9 @@ D_REF = 0.1  # x at which a shot enters the target tip's reference band
 NEWTON_TOL = 1e-9  # |p_theta| miss at which a shot has converged
 MAX_NEWTON = 50
 DEGENERACY_TOL = 1e-8  # |d p_theta / d theta0| below this: conjugate tips
+# largest miss of a reverse shot at its base's start: length and link
+# point at a tip, chart position at an interior point
+REVERSE_TOL = 1e-9
 
 
 @dataclass
@@ -119,31 +125,25 @@ class GeodesicPath:
 
     The parameter s is arc length.  If an end is a tip, the legs stop at
     x = 1e-6 (start) or 1e-7 (end; D_REF for a segment from
-    connect_tips) and the remaining radial stretch is filled in exactly;
-    s = 0 and s = length then sit at the tips.
+    connect_tips and a reverse shot into a tip) and the remaining radial
+    stretch is filled in exactly; s = 0 and s = length then sit at the
+    tips.
     """
 
-    def __init__(self, surface, legs, length, start_kind="interior", end_kind="length",
-                 start_tip=None, end_tip=None, start_link_point=None,
-                 end_link_point=None, start_cap=None, end_cap=None):
+    def __init__(self, surface, legs, end_kind="length"):
         self.surface = surface
         self.legs = legs
-        self.length = length
-        self.start_kind = start_kind
-        self.end_kind = end_kind
-        self.start_tip = start_tip
-        self.end_tip = end_tip
-        self.start_link_point = start_link_point
-        self.end_link_point = end_link_point
-        self._start_cap = start_cap  # TipEnd or None
-        self._end_cap = end_cap
+        self.length = legs[-1].s1
+        self.start_kind, self.end_kind = "interior", end_kind
+        self.start_tip = self.end_tip = None
+        self.start_link_point = self.end_link_point = None
+        self._start_cap = self._end_cap = None  # TipEnd or None
         self._leg_starts = [leg.s0 for leg in legs]
-        self._reversed = None
 
     def state(self, s: float) -> ChartState:
-        if self.legs and s < self.legs[0].s0 and self._start_cap is not None:
+        if s < self.legs[0].s0 and self._start_cap is not None:
             return self._tip_state(self._start_cap, s)
-        if self.legs and s > self.legs[-1].s1 and self._end_cap is not None:
+        if s > self.legs[-1].s1 and self._end_cap is not None:
             return self._tip_state(self._end_cap, s)
         i = bisect.bisect_right(self._leg_starts, s) - 1
         i = min(max(i, 0), len(self.legs) - 1)
@@ -196,11 +196,47 @@ class GeodesicPath:
             raise StepFailureError("b-Jacobi field needs a path starting at a tip")
         return self.flow_field
 
-    def reversed(self) -> "ReversedPath":
-        """The one ReversedPath of this path, so its tip field is kept too."""
-        if self._reversed is None:
-            self._reversed = ReversedPath(self)
-        return self._reversed
+    def reversed(self) -> "GeodesicPath":
+        """The same curve traversed backwards: a shot of its own from this
+        path's end, kept on first use."""
+        return self._reverse
+
+    @cached_property
+    def _reverse(self) -> "GeodesicPath":
+        # it starts where this path ends and runs at most its length; from
+        # a tip start it ends like a converged connect_tips shot, on the
+        # tip's band entry (or on the tip event, inside the band) finished
+        # radially into the tip
+        surface = self.surface
+        stops = ()
+        if self.start_kind == "tip":
+            tip = surface.tips[self.start_tip]
+            stops = [_band_entry_rule(tip)]
+        if self.end_kind == "tip":
+            rev = shoot_from_tip(surface, self.end_tip, self.end_link_point,
+                                 self.length, stop_rules=stops)
+        else:
+            st = self.state(self.length)
+            rev = geodesic_flow(surface, ChartState(st.chart, st.p, -st.v),
+                                self.length, stop_rules=stops)
+        if self.start_kind == "tip":
+            if rev.end_kind == "stop":
+                _end_at_tip(rev, tip)
+            if rev.end_tip != self.start_tip:
+                miss = np.inf
+            else:
+                circ = tip.link.circumference
+                gap = np.remainder(rev.end_link_point - self.start_link_point
+                                   + circ / 2, circ) - circ / 2
+                miss = max(abs(rev.length - self.length), abs(gap))
+        else:
+            end, start = rev.state(rev.length), self.state(0.0)
+            miss = (np.max(np.abs(end.p - start.p)) if end.chart == start.chart
+                    else np.inf)
+        if not miss <= REVERSE_TOL:
+            raise NoConvergenceError(
+                f"reverse shot missed the path's start by {miss:.3e}")
+        return rev
 
 
 class _FlowField:
@@ -215,7 +251,7 @@ class _FlowField:
                    if path._start_cap is not None else None)
         self.cap = None
         if path._end_cap is not None:
-            from .jacobi import integrate_jacobi  # read when run, like b_jacobi_solution
+            from .jacobi import integrate_jacobi  # read from jacobi when run, not at import
 
             s_end = self.legs[-1].s1
             j, jp = self.legs[-1].sol(s_end)[4:]
@@ -242,47 +278,6 @@ class _FlowField:
         return out.reshape((2,) + s.shape)
 
 
-class ReversedPath:
-    """Same curve traversed backwards; shares the underlying legs.
-
-    It has no flow of its own (`flow_field` is None): its tip field is
-    solved along the stored path, so the two directions stay independent
-    integrations."""
-
-    flow_field = None
-
-    def __init__(self, base: GeodesicPath):
-        self.base = base
-        self.surface = base.surface
-        self.length = base.length
-        self.start_kind, self.end_kind = base.end_kind, base.start_kind
-        self.start_tip, self.end_tip = base.end_tip, base.start_tip
-        self.start_link_point = base.end_link_point
-        self.end_link_point = base.start_link_point
-
-    def state(self, s: float) -> ChartState:
-        st = self.base.state(self.length - s)
-        return ChartState(st.chart, st.p, -st.v)
-
-    def curvature(self, s: float) -> float:
-        return self.base.curvature(self.length - s)
-
-    @property
-    def breaks(self) -> list[float]:
-        return [self.length - b for b in reversed(self.base.breaks)]
-
-    @cached_property
-    def tip_field(self):
-        """Tip-launched Jacobi field over the whole path, solved along the
-        stored path on first use and kept."""
-        from .jacobi import b_jacobi_solution  # local import; jacobi imports nothing here
-
-        return b_jacobi_solution(self)
-
-    def reversed(self) -> GeodesicPath:
-        return self.base
-
-
 def _make_event(value_fn, direction):
     def ev(s, yv):
         return value_fn(yv[:2], yv[2:4])
@@ -293,14 +288,21 @@ def _make_event(value_fn, direction):
 
 
 def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
-                  stop_rules=(), field_start=(0.0, 1.0)) -> GeodesicPath:
+                  stop_rules=()) -> GeodesicPath:
     """Integrate the unit-speed geodesic from `start` for at most `length`,
-    with the Jacobi field that starts at (j, j') = `field_start`.
+    with the Jacobi field that starts at (j, j') = (0, 1).
 
     Ends on: exhausted length, a tip hit, or a caller stop rule.
     Raises LeftAtlasError on atlas exit and StepFailureError if the
     integrator fails.
     """
+    return _flow(surface, start, 0.0, length, (0.0, 1.0), stop_rules)
+
+
+def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
+          field_start, stop_rules) -> GeodesicPath:
+    """The flow from `start` at parameter s_start up to at most s_end, with
+    the Jacobi field that starts at (j, j') = `field_start`."""
     chart_name = start.chart
     p = np.asarray(start.p, dtype=float)
     v = np.asarray(start.v, dtype=float)
@@ -309,8 +311,7 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
 
     tip_rules = surface.tip_rules(TIP_HIT_X)
     legs: list[PathLeg] = []
-    s_cur = 0.0
-    s_end = length
+    s_cur = s_start
     end_kind, end_payload = "length", None
     skip = None  # (seam, direction) the leg starts on: it must not fire at once
 
@@ -375,7 +376,7 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
     else:
         raise StepFailureError("geodesic exceeded the leg budget")
 
-    path = GeodesicPath(surface, legs, legs[-1].s1, end_kind=end_kind)
+    path = GeodesicPath(surface, legs, end_kind)
     if end_kind == "tip":
         _end_at_tip(path, surface.tips[end_payload])
     return path
@@ -409,39 +410,20 @@ def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
                    length: float, *, stop_rules=()) -> GeodesicPath:
     """Radial launch from a tip at link arc coordinate `link_point`.
 
-    s = 0 is the tip itself; integration starts at x = TIP_START_X with
-    the head sliver filled in exactly (radial in the designer band).
+    s = 0 is the tip itself; integration starts at s = x = TIP_START_X
+    with the head sliver filled in exactly (radial in the designer band).
     """
     eps = TIP_START_X
     tip = surface.tips[tip_id]
     theta0 = tip.angle_of_link(link_point)
     p = np.array([tip.axis_value + tip.sign * eps, theta0])
     v = np.array([tip.sign, 0.0])
-    start = ChartState(tip.chart, p, v)
-    path = geodesic_flow(surface, start, length - eps, stop_rules=stop_rules,
-                         field_start=_frobenius_start(tip.c1, eps))
-    # re-root the parameter at the tip
-    shifted = [PathLeg(l.chart, l.s0 + eps, l.s1 + eps, _ShiftedSol(l.sol, eps))
-               for l in path.legs]
-    out = GeodesicPath(
-        surface, shifted, path.length + eps,
-        start_kind="tip", start_tip=tip_id,
-        start_link_point=float(np.remainder(link_point, tip.link.circumference)),
-        end_kind=path.end_kind, end_tip=path.end_tip,
-        end_link_point=path.end_link_point,
-        start_cap=TipEnd(tip_id, tip.chart, tip.axis_value, tip.sign, theta0, 0.0),
-        end_cap=(None if path._end_cap is None
-                 else replace(path._end_cap, s_tip=path._end_cap.s_tip + eps)),
-    )
-    return out
-
-
-class _ShiftedSol:
-    def __init__(self, sol, shift):
-        self.sol, self.shift = sol, shift
-
-    def __call__(self, s):
-        return self.sol(s - self.shift)
+    path = _flow(surface, ChartState(tip.chart, p, v), eps, length,
+                 _frobenius_start(tip.c1, eps), stop_rules)
+    path.start_kind, path.start_tip = "tip", tip_id
+    path.start_link_point = float(np.remainder(link_point, tip.link.circumference))
+    path._start_cap = TipEnd(tip_id, tip.chart, tip.axis_value, tip.sign, theta0, 0.0)
+    return path
 
 
 @dataclass

@@ -12,18 +12,19 @@ Theta = |j(s1)| / (s1 - s0) for the field with j(s0) = 0, j'(s0) = 1,
 so Theta = 1 on flat surfaces.  The Morse index counts interior zeros
 of that field on the open interval.
 
-The field from s0 = 0 of a forward path is the flow's own: the
-geodesic flow carries (j, j') as two more components of each shot,
-with K read from the chart at the same point, at the per-component
-tolerances (JACOBI_RTOL, JACOBI_ATOL on j and j'), and only a radial
-end cap into a tip takes one short solve of its own (`path.tip_field`
-on a tip-start path).  The reverse field, `path.reversed().tip_field`,
-is solved once along the stored path with the path's own curvature
-samples and kept; a solve along a stored path restarts at each of the
-path's leg ends, so that no step straddles a seam of the metric.  Every function here that starts a field at s0 = 0
+The field from s0 = 0 of every path is the flow's own
+(`path.flow_field`): the geodesic flow carries (j, j') as two more
+components of each shot, with K read from the chart at the same point,
+at the per-component tolerances (JACOBI_RTOL, JACOBI_ATOL on j and j'),
+and only a radial end cap into a tip takes one short solve of its own.
+The reverse field is the same for `path.reversed()`, a shot of its own
+from the path's end.  Every function here that starts a field at s0 = 0
 reads one of these, so Theta, the Morse index and the broken Hessian
 share them; j'/j is the shape operator the cut route reads.  A field
-from s0 > 0 is its own solve at the same tolerances.
+from s0 > 0 is its own solve along the stored path at the same
+tolerances, restarted at each of the path's leg ends, so that no step
+straddles a seam of the metric; `b_jacobi_solution` solves a tip field
+that way, as a reference.
 """
 
 from __future__ import annotations
@@ -142,9 +143,7 @@ def _field_from(path, s0: float, s1: float) -> JacobiSolution:
     if not 0.0 <= s0 < s1 <= path.length:
         raise ValueError(f"need 0 <= s0 < s1 <= length {path.length:.6g}, "
                          f"got s0 = {s0:.6g}, s1 = {s1:.6g}")
-    if s0 == 0.0 and path.start_kind == "tip":
-        return path.tip_field
-    if s0 == 0.0 and path.flow_field is not None:
+    if s0 == 0.0:
         return path.flow_field
     return integrate_jacobi(path, s0, s1, 0.0, 1.0)
 
@@ -164,8 +163,7 @@ def morse_index(path, s0: float = 0.0, s1: float = None) -> int:
         raise ConjugateDegeneracyError(
             "endpoint is conjugate: Morse index undefined at this tolerance"
         )
-    start = field.s0 if s0 == 0.0 and path.start_kind == "tip" else s0
-    return len(field.zeros(start, s1))
+    return len(field.zeros(s0, s1))
 
 
 def broken_hessian(path, s_cut: float) -> float:

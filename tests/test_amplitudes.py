@@ -21,7 +21,7 @@ from conetrace.errors import (
     NotStrictlyDiffractiveError,
     QuadratureFailureError,
 )
-from conetrace.geodesics import build_closed_diffractive
+from conetrace.geodesics import D_REF, build_closed_diffractive
 from conetrace.links import LinkSpectrum, SummationPolicy, diffraction_kernel
 
 A0 = 0.75
@@ -178,26 +178,28 @@ class TestTwoPathConsistency:
         assert abs(route - pred.coefficient) / abs(pred.coefficient) < 1e-10
 
     def test_one_tip_solve_per_direction(self, teardrop, monkeypatch):
-        # built here, not taken from the shared fixture, so that no tip
-        # field is already kept on its paths by an earlier test
+        # built here, not taken from the shared fixture, so that no field
+        # or reverse shot is already kept on its paths by an earlier test
         geo = build_closed_diffractive(
             teardrop, ["tip"], [A0 * (np.pi / 4 + 0.02)], length_cap=12.0)
-        solves = []
-        solve = jacobi.integrate_jacobi
-
-        def counted(*args):
-            solves.append(args[1:3])
-            return solve(*args)
-
-        monkeypatch.setattr(jacobi, "integrate_jacobi", counted)
+        shots, solves = [], []
+        shoot, solve = geodesics.shoot_from_tip, jacobi.integrate_jacobi
+        monkeypatch.setattr(geodesics, "shoot_from_tip",
+                            lambda *a, **kw: shots.append(a[1]) or shoot(*a, **kw))
+        monkeypatch.setattr(jacobi, "integrate_jacobi",
+                            lambda *a: solves.append(a[1:3]) or solve(*a))
         amp.invariants_for(geo)
         amp.invariants_for(geo)
         trace_singularity(geo)
         trace_singularity_cut_route(geo)
-        # the build solved each forward field; only the reverse ones are left
+        trace_singularity_cut_route(geo)
+        # the build carried each forward field: one reverse shot per
+        # segment is left, and its radial end cap is the only solve
+        assert shots == [seg.path.end_tip for seg in geo.segments]
         assert len(solves) == len(geo.segments)
-        for seg in geo.segments:
-            assert seg.path.reversed() is seg.path.reversed()
+        for (s0, s1), seg in zip(solves, geo.segments):
+            assert s1 == seg.path.reversed().length
+            assert s1 - s0 == pytest.approx(D_REF, abs=1e-6)
 
     def test_one_shot_per_newton_iteration(self, teardrop, monkeypatch):
         # the converged shot is the segment: no re-shoot after convergence

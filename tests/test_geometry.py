@@ -1,5 +1,6 @@
 """Geodesic flow, tip shooting, and closed-geodesic assembly."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ from conetrace import surfaces
 from conetrace.errors import (
     ConjugateDegeneracyError,
     LeftAtlasError,
+    NoConvergenceError,
     SeriesStartFailureError,
     StepFailureError,
 )
 from conetrace.geodesics import (
     D_REF,
+    REVERSE_TOL,
     ChartState,
     build_closed_diffractive,
     classify_continuation,
@@ -152,6 +155,39 @@ class TestConnectTips:
             # theta whips round at the tip-hit cutoff; read it inside the band
             theta = flow.state(flow.length - D_REF / 2).p[1]
             assert abs(tip.link_coord(theta) - seg.link_b) < 1e-9
+
+
+class TestReverseShot:
+    """`reversed()` is a shot of its own from the path's end, held to the
+    path's start by REVERSE_TOL."""
+
+    def test_plane_and_sphere_land_on_their_start(self, plane, sphere):
+        for path in (
+            geodesic_flow(plane, ChartState("cart", np.array([1.0, -2.0]),
+                                            np.array([3.0, 4.0])), 10.0),
+            geodesic_flow(sphere, ChartState("band", np.array([0.1, 0.2]),
+                                             np.array([0.3, 1.0])), 2.4),
+        ):
+            rev = path.reversed()
+            start, end = path.state(0.0), rev.state(rev.length)
+            assert rev.length == path.length and end.chart == start.chart
+            assert np.allclose(end.p, start.p, rtol=0.0, atol=1e-10)
+            assert np.allclose(end.v, -start.v, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("closed", ["spindle_closed", "teardrop_closed"])
+    def test_guard_at_its_boundary(self, closed, request):
+        for seg in request.getfixturevalue(closed).segments:
+            path = seg.path
+            rev = path.reversed()
+            assert (rev.start_tip, rev.end_tip) == (path.end_tip, path.start_tip)
+            assert abs(rev.length - path.length) < 1e-2 * REVERSE_TOL
+            assert abs(rev.end_link_point - path.start_link_point) < 1e-2 * REVERSE_TOL
+            # a launch 1e-7 off lands about 4e-8 (spindle) or 1e-7 (teardrop) off
+            moved = copy.copy(path)
+            vars(moved).pop("_reverse", None)
+            moved.end_link_point += 1e-7
+            with pytest.raises(NoConvergenceError):
+                moved.reversed()
 
 
 class TestSeams:

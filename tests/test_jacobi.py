@@ -69,11 +69,13 @@ class TestSpreading:
                 )
                 assert abs(fwd - rev) < 1e-8
 
-    def test_symmetric_check_pair(self, spindle_closed):
-        path = spindle_closed.segments[0].path
-        fwd = jacobi.theta_spreading(path)
-        bwd = jacobi.theta_spreading(path.reversed())
-        assert abs(fwd - bwd) < 1e-8
+    def test_symmetric_check_pair(self, spindle_closed, teardrop_closed):
+        # the teardrop loop crosses the pole cap both ways
+        for path in (spindle_closed.segments[0].path,
+                     teardrop_closed.segments[0].path):
+            fwd = jacobi.theta_spreading(path)
+            bwd = jacobi.theta_spreading(path.reversed())
+            assert abs(fwd - bwd) < 1e-8
 
     def test_newton_derivative_matches_endpoint_jacobi(self, spindle_closed):
         # the shooting derivative measured in the target band equals the
@@ -115,12 +117,13 @@ class TestFlowField:
 
     @pytest.mark.parametrize("closed", ["spindle_closed", "teardrop_closed"])
     def test_tip_field_matches_separate_solve(self, closed, request):
+        # each segment and its reverse shot, which is a flow of its own
         for seg in request.getfixturevalue(closed).segments:
-            path = seg.path
-            ref = jacobi.b_jacobi_solution(path)
-            ss = np.append(np.linspace(0.05, path.length, 25, endpoint=False),
-                           path.length)
-            self.assert_matches(path.tip_field, ref, ss)
+            for path in (seg.path, seg.path.reversed()):
+                ref = jacobi.b_jacobi_solution(path)
+                ss = np.append(np.linspace(0.05, path.length, 25, endpoint=False),
+                               path.length)
+                self.assert_matches(path.tip_field, ref, ss)
 
     def test_teardrop_loop_crosses_the_cap(self, teardrop_closed):
         # the field rides polar -> cap -> polar (and across the seams),
