@@ -87,7 +87,8 @@ def surface_from_config(spec) -> surfaces.Surface:
                   for key, value in params.items()}
         try:
             return _BUILTINS[name](**params)
-        except TypeError as exc:
+        # an unknown keyword, or a value the surface refuses (|eps| >= 1)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad params for surface {name!r}: {exc}") from exc
     if "cone_chart" in spec:
         sub = spec["cone_chart"]

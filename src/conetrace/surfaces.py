@@ -8,41 +8,43 @@ carries an arc-length coordinate q = a0 * theta.
 
 Charts come in two flavors:
 
-* OrthogonalChart: metric P^2 dp0^2 + Q^2 dp1^2 given by sympy
-  expressions for P and Q.  Christoffel symbols and the Gauss curvature
-  are derived symbolically and compiled to scalar Python code on the
-  `math` module (a Piecewise becomes a conditional expression), which
-  is what the ODE right-hand sides call point by point; a point off the
-  chart's real domain raises StepFailureError.  Writing the curvature
-  in terms of P and Q (not P^2, Q^2) keeps it numerically clean down to
-  x ~ 1e-7 at tips.
+* OrthogonalChart: metric P^2 dp0^2 + Q^2 dp1^2 given by its jets
+  (P, P_0, P_1, P_11, Q, Q_0, Q_1, Q_00), a subscript naming a partial
+  derivative in p0 or p1.  One formula turns them into the six
+  Christoffel symbols and the Gauss curvature, which the ODE right-hand
+  sides call point by point on Python floats; a point off the chart's
+  real domain raises StepFailureError.  Writing the curvature in terms
+  of P and Q (not P^2, Q^2) keeps it numerically clean down to
+  x ~ 1e-7 at tips.  Every builtin writes its jets as scalar `math`
+  code; a custom cone chart takes them from sympy, which only that path
+  imports.
 * CapChart: a Cartesian chart covering a smooth rotationally symmetric
   pole (the far end of a teardrop surface), where polar coordinates
   degenerate.  The metric is delta_ij + Q(u)(u^2 delta_ij - x_i x_j)
-  with Q built from the profile; a Taylor series evaluates Q, its
-  radial derivative, and the curvature without cancellation near the
-  pole.  Sympy's ring series (`rs_series`, exact rational arithmetic)
-  expands only the profile f; the series of (f/u)^2 and -f''/f follow
-  from it by truncated power-series products and a division.
+  with Q built from a profile that is a finite sine series, so the
+  profile, its derivatives and its Taylor coefficients are closed
+  forms; Taylor series of Q, its radial derivative and the curvature,
+  by truncated power-series products and a division, avoid the
+  cancellation of the closed forms near the pole.
 
 Builtins: flat cone, plane, sphere band, perturbed/symmetric spindle,
 teardrop.  The spindle and teardrop perturb g_rr by
-1 + eps * bump(r) * sin(2 theta) inside a mid band; the tip bands stay
-exactly rotationally symmetric, which keeps tip shooting and transverse
-miss measurement exact.  The bump is only C^2 at the band's edges, so
-those edges are the surfaces' seams: the geodesic flow ends a leg on
-each, and no integrator step reads the metric on both sides of one.
+1 + eps * bump(r) * sin(2 theta) inside a mid band, with |eps| < 1 so
+that g_rr stays positive; the tip bands stay exactly rotationally
+symmetric, which keeps tip shooting and transverse miss measurement
+exact.  The bump is only C^2 at the band's edges, so those edges are
+the surfaces' seams: the geodesic flow ends a leg on each, and no
+integrator step reads the metric on both sides of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-import sympy as sp
-from sympy.polys.polyerrors import BasePolynomialError
-from sympy.polys.ring_series import rs_series
 
 from .errors import SeriesStartFailureError, StepFailureError
 from .links import LinkSpectrum
@@ -65,30 +67,15 @@ __all__ = [
     "cone_chart_surface",
 ]
 
-_P0, _P1 = sp.symbols("p0 p1", real=True)
-
 # |K| above this, a curvature radius below the 1e-7 tip-hit distance, marks
 # a singular point of the metric: the Jacobi field riding the flow would
 # otherwise creep toward it in steps limited by the rounding of K
 MAX_CURVATURE = 1e14
 
-
-_CHART_LOCALS = {"p0": _P0, "p1": _P1, "x": _P0, "y": _P1, "r": _P0, "theta": _P1}
-
-
-def _sympify(expr):
-    if isinstance(expr, str):
-        return sp.sympify(expr, locals=_CHART_LOCALS)
-    return sp.sympify(expr)
-
-
-def _lambdify(expr):
-    """Scalar code for expr(p0, p1): `math` calls on Python floats, so a
-    Piecewise compiles to a conditional expression.  Common subexpressions
-    are computed once: the flow's right-hand side (six Christoffel symbols
-    and K) takes 2.2 us per call instead of 7.1 on the spindle chart
-    (x86, Python 3.11)."""
-    return sp.lambdify((_P0, _P1), expr, modules="math", cse=True)
+# what chart code raises off the chart's real domain: a `math` domain
+# error, a division by zero, or float() of the complex value that
+# Python's (-x)**0.5 gives
+_OFF_DOMAIN = (ArithmeticError, ValueError, TypeError)
 
 
 class Chart:
@@ -116,67 +103,54 @@ class Chart:
 
 
 class OrthogonalChart(Chart):
-    """Metric P(p0,p1)^2 dp0^2 + Q(p0,p1)^2 dp1^2 from sympy expressions.
+    """Metric P(p0,p1)^2 dp0^2 + Q(p0,p1)^2 dp1^2 from its jets.
 
-    Every evaluation runs on Python floats; a point where the chart has
-    no real value raises StepFailureError.
+    `jets(p0, p1)` returns (P, P_0, P_1, P_11, Q, Q_0, Q_1, Q_00) at a
+    point as floats, which is all the Christoffel symbols and
+    K = -((Q_00 P - Q_0 P_0)/P^2 + (P_11 Q - P_1 Q_1)/Q^2) / (P Q)
+    need.  Every evaluation runs on Python floats; a point where the
+    chart has no real value raises StepFailureError.
     """
 
-    def __init__(self, name: str, sqrt_e, sqrt_q):
+    def __init__(self, name: str, jets: Callable[[float, float], tuple]):
         self.name = name
-        P = _sympify(sqrt_e)
-        Q = _sympify(sqrt_q)
-        self.sqrt_e_expr, self.sqrt_q_expr = P, Q
-        P0, P1 = sp.diff(P, _P0), sp.diff(P, _P1)
-        Q0, Q1 = sp.diff(Q, _P0), sp.diff(Q, _P1)
-        gammas = [
-            P0 / P,            # G^0_00
-            P1 / P,            # G^0_01
-            -Q * Q0 / P**2,    # G^0_11
-            -P * P1 / Q**2,    # G^1_00
-            Q0 / Q,            # G^1_01
-            Q1 / Q,            # G^1_11
-        ]
-        curv = -(sp.diff(Q0 / P, _P0) + sp.diff(P1 / Q, _P1)) / (P * Q)
-        self._p = _lambdify(P)
-        self._q = _lambdify(Q)
-        self._q_grad = _lambdify([Q0, Q1])
-        # the flow reads the six symbols and K at each point in one call
-        self._gammas_k = _lambdify(gammas + [curv])
-        self._curv = _lambdify(curv)
+        self._jets = jets
 
-    def _eval(self, fn, p):
-        """fn at the chart point p: a float, or a list of floats."""
+    def _off_domain(self, p0: float, p1: float, exc: Exception) -> StepFailureError:
+        return StepFailureError(
+            f"chart '{self.name}' has no real value at p = "
+            f"({p0:.6g}, {p1:.6g}): {exc}")
+
+    def _jets_at(self, p) -> tuple:
         p0, p1 = float(p[0]), float(p[1])
         try:
-            out = fn(p0, p1)
-            if isinstance(out, list):
-                return [float(v) for v in out]
-            return float(out)
-        # off the chart's real domain `math` code raises a domain error or
-        # divides by zero, and float() refuses the complex value that
-        # Python's (-x)**0.5 gives
-        except (ArithmeticError, ValueError, TypeError) as exc:
-            raise StepFailureError(
-                f"chart '{self.name}' has no real value at p = "
-                f"({p0:.6g}, {p1:.6g}): {exc}"
-            ) from exc
+            return self._jets(p0, p1)
+        except _OFF_DOMAIN as exc:
+            raise self._off_domain(p0, p1, exc) from exc
+
+    def _gammas_k(self, p0: float, p1: float) -> tuple:
+        """G^0_00, G^0_01, G^0_11, G^1_00, G^1_01, G^1_11 and K."""
+        try:
+            P, P0, P1, P11, Q, Q0, Q1, Q00 = self._jets(p0, p1)
+            return (P0 / P, P1 / P, -Q * Q0 / (P * P),
+                    -P * P1 / (Q * Q), Q0 / Q, Q1 / Q,
+                    -((Q00 * P - Q0 * P0) / (P * P)
+                      + (P11 * Q - P1 * Q1) / (Q * Q)) / (P * Q))
+        except _OFF_DOMAIN as exc:
+            raise self._off_domain(p0, p1, exc) from exc
 
     def metric(self, p) -> np.ndarray:
-        e = self._eval(self._p, p) ** 2
-        g = self._eval(self._q, p) ** 2
-        return np.array([[e, 0.0], [0.0, g]])
+        jets = self._jets_at(p)
+        return np.array([[jets[0] ** 2, 0.0], [0.0, jets[4] ** 2]])
 
     def christoffel(self, p) -> np.ndarray:
-        g000, g001, g011, g100, g101, g111, _ = self._eval(self._gammas_k, p)
-        out = np.empty((2, 2, 2))
-        out[0] = [[g000, g001], [g001, g011]]
-        out[1] = [[g100, g101], [g101, g111]]
-        return out
+        g000, g001, g011, g100, g101, g111, _ = self._gammas_k(float(p[0]), float(p[1]))
+        return np.array([[[g000, g001], [g001, g011]],
+                         [[g100, g101], [g101, g111]]])
 
     def flow_rhs(self, s, y):
         p0, p1, v0, v1, j, jp = y.tolist()
-        g000, g001, g011, g100, g101, g111, k = self._eval(self._gammas_k, (p0, p1))
+        g000, g001, g011, g100, g101, g111, k = self._gammas_k(p0, p1)
         if not abs(k) <= MAX_CURVATURE:
             raise StepFailureError(
                 f"chart '{self.name}' has curvature {k:.3g} at p = ({p0:.6g}, "
@@ -186,139 +160,132 @@ class OrthogonalChart(Chart):
         return [v0, v1, a0, a1, jp, -k * j]
 
     def curvature(self, p) -> float:
-        return self._eval(self._curv, p)
+        return self._gammas_k(float(p[0]), float(p[1]))[6]
 
     def sqrt_q(self, p) -> float:
-        return self._eval(self._q, p)
+        return self._jets_at(p)[4]
 
     def sqrt_q_grad(self, p) -> np.ndarray:
-        return np.array(self._eval(self._q_grad, p))
+        jets = self._jets_at(p)
+        return np.array([jets[5], jets[6]])
 
 
-def _odd_series(f, u, n: int) -> list[float]:
-    """a_0 .. a_n of an odd profile f = sum a_i u^(2i+1) with a_0 = 1.
-
-    Sympy's ring series expands f in exact rational arithmetic on
-    truncated series; a profile it cannot expand, a term it leaves
-    unexpanded or a coefficient that is not a number raises
-    SeriesStartFailureError."""
-    try:
-        f_series = rs_series(f, u, 2 * n + 2).as_expr()
-        c = {int(k[0]): float(v) for k, v in sp.Poly(f_series, u).as_dict().items()}
-    # a function with no ring series (NotImplementedError, or a KeyError
-    # for its name), a power it refuses (ValueError), a term it leaves
-    # unexpanded (PolynomialError) and a symbolic coefficient (TypeError)
-    except (NotImplementedError, LookupError, ValueError, TypeError,
-            BasePolynomialError) as exc:
-        raise SeriesStartFailureError(
-            f"cap profile {f} has no power series in {u}: {exc!r}") from exc
-    if abs(c.get(1, 0.0) - 1.0) > 1e-12 or any(k % 2 == 0 for k in c):
-        raise SeriesStartFailureError("cap profile must satisfy f(u) = u + O(u^3), odd")
-    return [c.get(2 * i + 1, 0.0) for i in range(n + 1)]
+def _horner(coeffs, s: float) -> float:
+    """sum coeffs[i] s^i."""
+    out = 0.0
+    for c in reversed(coeffs):
+        out = out * s + c
+    return out
 
 
 class CapChart(Chart):
     """Cartesian chart over a smooth pole of a surface of revolution.
 
-    Built from a radial profile ftilde(u) (distance u from the pole,
-    circle length 2 pi ftilde(u)) with ftilde(u) = u + O(u^3) and odd.
-    The metric is g_ij = delta_ij + Q(u)(u^2 delta_ij - x_i x_j) with
-    Q = ((ftilde/u)^2 - 1) / u^2, evaluated by series for small u.
+    Built from the radial profile f(u) = sum_m b_m sin(m u), m = 1, 2,
+    ... (distance u from the pole, circle length 2 pi f(u));
+    `sine_coeffs` is (b_1, b_2, ...), floats or exact Fractions: the
+    Taylor coefficients of f are summed exactly from them and rounded
+    once.  A sine series is odd, and sum_m m b_m = 1 makes
+    f(u) = u + O(u^3), so the pole is smooth (another slope raises
+    SeriesStartFailureError).  The metric is
+    g_ij = delta_ij + Q(u)(u^2 delta_ij - x_i x_j) with
+    Q = ((f/u)^2 - 1) / u^2.  Below SERIES_SWITCH, Q, R = Q'(u)/u and
+    K = -f''/f come from series in u^2; above it, from f, f' and f''.
+    Every evaluation runs on Python floats.
     """
 
     SERIES_SWITCH = 0.35
     SERIES_ORDER = 8  # powers of u^2 kept
 
-    def __init__(self, name: str, profile_expr, var):
+    def __init__(self, name: str, sine_coeffs):
         self.name = name
-        u = var
-        f = _sympify(profile_expr)
-        self._f = sp.lambdify(u, f, modules="math")
-        self._fp = sp.lambdify(u, sp.diff(f, u), modules="math")
-        self._fpp = sp.lambdify(u, sp.diff(f, u, 2), modules="math")
-        # f/u = sum a_i u^(2i), a_0 = 1, through u^(2n): one series of f,
-        # the rest by truncated power-series products and a division
+        exact = [(m, Fraction(b)) for m, b in enumerate(sine_coeffs, start=1)]
+        self._sines = tuple((m, float(b)) for m, b in exact)
+        slope = float(sum(m * b for m, b in exact))
+        if not abs(slope - 1.0) <= 1e-12:
+            raise SeriesStartFailureError(
+                f"cap profile must satisfy f(u) = u + O(u^3); its slope at "
+                f"the pole is {slope!r}")
+        # f/u = sum a_i u^(2i) through u^(2n), with
+        # a_i = (-1)^i / (2i+1)! sum_m b_m m^(2i+1), each summed exactly
+        # and rounded once
         n = self.SERIES_ORDER
-        a = _odd_series(f, u, n)
+        a = [float(Fraction((-1) ** i, math.factorial(2 * i + 1))
+                   * sum(b * m ** (2 * i + 1) for m, b in exact))
+             for i in range(n + 1)]
+        self._f_coeffs = a
         # (f/u)^2 = 1 + sum m_j u^(2j), Q = sum m_{j+1} u^(2j)
-        self._q_coeffs = np.array(
-            [sum(a[i] * a[j - i] for i in range(j + 1)) for j in range(1, n + 1)]
-        )
+        q = [sum(a[i] * a[j - i] for i in range(j + 1)) for j in range(1, n + 1)]
+        self._q_coeffs = q
         # R = Q'(u)/u as a series in u^2: coefficient of u^(2i) is 2(i+1) q_{i+1}
-        self._r_coeffs = np.array(
-            [2 * (i + 1) * self._q_coeffs[i + 1] for i in range(n - 1)]
-        )
+        self._r_coeffs = [2 * (i + 1) * q[i + 1] for i in range(n - 1)]
         # -f''/f = -(f''/u) / (f/u) with f''/u = sum (2j+3)(2j+2) a_{j+1} u^(2j)
         k: list[float] = []
         for j in range(n):
             b = (2 * j + 3) * (2 * j + 2) * a[j + 1]
             k.append(-b - sum(a[i] * k[j - i] for i in range(1, j + 1)))
-        self._k_coeffs = np.array(k)
+        self._k_coeffs = k
 
-    def _q_r(self, u: float) -> tuple[float, float]:
-        """Q(u) and R(u) = Q'(u)/u."""
+    def _q_r_k(self, u: float) -> tuple[float, float, float]:
+        """Q(u), R(u) = Q'(u)/u and K(u)."""
         if u < self.SERIES_SWITCH:
             s = u * u
-            powers = s ** np.arange(len(self._q_coeffs))
-            q = float(self._q_coeffs @ powers)
-            r = float(self._r_coeffs @ powers[: len(self._r_coeffs)])
-            return q, r
-        f, fp = self._f(u), self._fp(u)
+            return (_horner(self._q_coeffs, s), _horner(self._r_coeffs, s),
+                    _horner(self._k_coeffs, s))
+        f = fp = fpp = 0.0
+        for m, b in self._sines:
+            sm, cm = math.sin(m * u), math.cos(m * u)
+            f += b * sm
+            fp += m * b * cm
+            fpp -= m * m * b * sm
         q = (f * f - u * u) / u**4
         qp = (2 * f * fp - 2 * u) / u**4 - 4 * (f * f - u * u) / u**5
-        return q, qp / u
+        return q, qp / u, -fpp / f
 
     def metric(self, p) -> np.ndarray:
-        x, y = p
-        u2 = x * x + y * y
-        q, _ = self._q_r(np.sqrt(u2))
-        return np.array(
-            [
-                [1.0 + q * (u2 - x * x), -q * x * y],
-                [-q * x * y, 1.0 + q * (u2 - y * y)],
-            ]
-        )
+        x, y = float(p[0]), float(p[1])
+        q = self._q_r_k(math.hypot(x, y))[0]
+        return np.array([[1.0 + q * y * y, -q * x * y],
+                         [-q * x * y, 1.0 + q * x * x]])
 
     def christoffel(self, p) -> np.ndarray:
-        x = np.asarray(p, dtype=float)
-        u = float(np.hypot(x[0], x[1]))
-        q, r = self._q_r(u)
-        u2 = u * u
-        delta = np.eye(2)
-        proj = u2 * delta - np.outer(x, x)
-        g = delta + q * proj
-        # dg[k, i, j] = d g_ij / d x_k
-        dg = np.empty((2, 2, 2))
-        for k in range(2):
-            dg[k] = r * x[k] * proj + q * (
-                2 * x[k] * delta
-                - np.outer(delta[k], x)
-                - np.outer(x, delta[k])
-            )
-        ginv = np.linalg.inv(g)
-        gamma = np.empty((2, 2, 2))
-        for a in range(2):
-            for i in range(2):
-                for j in range(2):
-                    gamma[a, i, j] = 0.5 * sum(
-                        ginv[a, l] * (dg[i, l, j] + dg[j, l, i] - dg[l, i, j])
-                        for l in range(2)
-                    )
-        return gamma
+        # first kind: G_l,ij = R/2 (u^2 (x_i d_lj + x_j d_li - x_l d_ij)
+        # - x_i x_j x_l) + Q (x_i d_lj + x_j d_li - 2 x_l d_ij), raised by
+        # g^-1 = I - c (u^2 I - x x^T) with c = Q / (1 + Q u^2)
+        x = (float(p[0]), float(p[1]))
+        u2 = x[0] * x[0] + x[1] * x[1]
+        q, r, _ = self._q_r_k(math.sqrt(u2))
+        c = q / (1.0 + q * u2)
+        ginv = ((1.0 - c * x[1] * x[1], c * x[0] * x[1]),
+                (c * x[0] * x[1], 1.0 - c * x[0] * x[0]))
+
+        def first(l, i, j):
+            sym = x[i] * (l == j) + x[j] * (l == i)
+            return (0.5 * r * (u2 * (sym - x[l] * (i == j)) - x[i] * x[j] * x[l])
+                    + q * (sym - 2.0 * x[l] * (i == j)))
+
+        return np.array([[[sum(ginv[a][l] * first(l, i, j) for l in range(2))
+                           for j in range(2)] for i in range(2)] for a in range(2)])
 
     def flow_rhs(self, s, y):
-        p = np.array(y[:2])
-        v = np.array(y[2:4])
-        gamma = self.christoffel(p)
-        acc = -np.einsum("aij,i,j->a", gamma, v, v)
-        return (v[0], v[1], acc[0], acc[1], y[5], -self.curvature(p) * y[4])
+        x0, x1, v0, v1, j, jp = y.tolist()
+        u2 = x0 * x0 + x1 * x1
+        q, r, k = self._q_r_k(math.sqrt(u2))
+        # G_l,ij v^i v^j = xv (R u^2 + 2Q) v_l - ((R u^2/2 + 2Q) |v|^2
+        # + R xv^2 / 2) x_l, then raised by g^-1 as in christoffel()
+        xv = x0 * v0 + x1 * v1
+        along_v = xv * (r * u2 + 2.0 * q)
+        along_x = (0.5 * r * u2 + 2.0 * q) * (v0 * v0 + v1 * v1) + 0.5 * r * xv * xv
+        w0 = along_v * v0 - along_x * x0
+        w1 = along_v * v1 - along_x * x1
+        c = q / (1.0 + q * u2)
+        cross = c * x0 * x1
+        a0 = -((1.0 - c * x1 * x1) * w0 + cross * w1)
+        a1 = -(cross * w0 + (1.0 - c * x0 * x0) * w1)
+        return [v0, v1, a0, a1, jp, -k * j]
 
     def curvature(self, p) -> float:
-        u = float(np.hypot(p[0], p[1]))
-        if u < self.SERIES_SWITCH:
-            powers = (u * u) ** np.arange(len(self._k_coeffs))
-            return float(self._k_coeffs @ powers)
-        return float(-self._fpp(u) / self._f(u))
+        return self._q_r_k(math.hypot(float(p[0]), float(p[1])))[2]
 
 
 @dataclass(frozen=True)
@@ -410,10 +377,13 @@ class Surface:
         return rules
 
 
-def _tip_c1(sqrt_q_expr, tip_axis_value: float, sign: float) -> tuple[float, float]:
-    """Expand sqrt(G) = a0 x (1 + c1 x + ...) at a tip; return (a0, c1)."""
+def _tip_c1(sqrt_q_expr, p0, tip_axis_value: float, sign: float) -> tuple[float, float]:
+    """Expand sqrt(G) = a0 x (1 + c1 x + ...) at a tip; return (a0, c1).
+    sqrt_q_expr is a sympy expression in the chart coordinate p0."""
+    import sympy as sp
+
     x = sp.Symbol("x", positive=True)
-    expr = sqrt_q_expr.subs(_P0, tip_axis_value + sign * x)
+    expr = sqrt_q_expr.subs(p0, tip_axis_value + sign * x)
     # float exponents like **0.5 block symbolic limits; rationalize them
     expr = sp.nsimplify(expr, rational=True)
     try:
@@ -436,12 +406,36 @@ def _tip_c1(sqrt_q_expr, tip_axis_value: float, sign: float) -> tuple[float, flo
     return a0, c1
 
 
-def _bump(var, lo: float, hi: float):
-    """C^2 bump: vanishes to third order at both edges, max 1 at midpoint.
-    The edges are seams of the surfaces that use it (`_bump_seams`)."""
-    width = (hi - lo) / 2.0
-    core = ((var - lo) * (hi - var)) ** 3 / width**6
-    return sp.Piecewise((core, sp.And(var > lo, var < hi)), (0.0, True))
+def _perturbed_chart(eps: float, lo: float, hi: float,
+                     profile: Callable[[float], tuple]) -> OrthogonalChart:
+    """The polar chart with P = sqrt(1 + eps b(r) sin 2 theta) and
+    Q = f(r), where profile(r) returns (f, f', f'').
+
+    b is the C^2 bump ((r - lo)(hi - r))^3 / w^6, w = (hi - lo)/2, on
+    (lo, hi) and 0 outside: it vanishes to third order at both edges and
+    reaches 1 at the midpoint, so |eps| < 1 keeps g_rr = P^2 positive.
+    The edges are seams of the surfaces that use it (`_bump_seams`).
+    """
+    if not abs(eps) < 1.0:
+        raise ValueError(
+            f"eps must lie strictly between -1 and 1, not {eps!r}: g_rr = "
+            f"1 + eps * bump * sin(2 theta) reaches 1 - |eps| <= 0 in the band")
+    scale = eps / ((hi - lo) / 2.0) ** 6
+
+    def jets(r, theta):
+        q, q0, q00 = profile(r)
+        if not lo < r < hi:
+            return 1.0, 0.0, 0.0, 0.0, q, q0, 0.0, q00
+        g = (r - lo) * (hi - r)
+        eb = scale * g * g * g  # eps b(r)
+        eb_r = 3.0 * scale * g * g * (lo + hi - 2.0 * r)  # eps b'(r)
+        s2, c2 = math.sin(2.0 * theta), math.cos(2.0 * theta)
+        p = math.sqrt(1.0 + eb * s2)
+        p1 = eb * c2 / p
+        return (p, 0.5 * eb_r * s2 / p, p1, -(2.0 * eb * s2 + p1 * p1) / p,
+                q, q0, 0.0, q00)
+
+    return OrthogonalChart("polar", jets)
 
 
 def _bump_seams(chart: str, lo: float, hi: float) -> list[Seam]:
@@ -451,7 +445,7 @@ def _bump_seams(chart: str, lo: float, hi: float) -> list[Seam]:
 
 def flat_cone(rho: float, r_max: float = 50.0) -> Surface:
     """Flat cone of circumference rho: dx^2 + x^2 dy^2, y of period rho."""
-    chart = OrthogonalChart("polar", 1, _P0)
+    chart = OrthogonalChart("polar", lambda r, y: (1.0, 0.0, 0.0, 0.0, r, 1.0, 0.0, 0.0))
     tip = Tip("tip", "polar", 0.0, 1.0, LinkSpectrum.circle(rho), 1.0, 0.0, band=r_max)
     atlas = [
         StopRule("polar", lambda p, v: r_max - p[0], -1.0, "atlas"),
@@ -460,7 +454,7 @@ def flat_cone(rho: float, r_max: float = 50.0) -> Surface:
 
 
 def plane(half_width: float = 100.0) -> Surface:
-    chart = OrthogonalChart("cart", 1, 1)
+    chart = OrthogonalChart("cart", lambda x, y: (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
     atlas = [
         StopRule("cart", lambda p, v, w=half_width: w - abs(p[0]), -1.0, "atlas"),
         StopRule("cart", lambda p, v, w=half_width: w - abs(p[1]), -1.0, "atlas"),
@@ -470,7 +464,12 @@ def plane(half_width: float = 100.0) -> Surface:
 
 def sphere_band(max_latitude: float = 1.35) -> Surface:
     """Unit sphere in latitude/longitude, away from the poles."""
-    chart = OrthogonalChart("band", 1, sp.cos(_P0))
+
+    def jets(lat, lon):
+        c = math.cos(lat)
+        return 1.0, 0.0, 0.0, 0.0, c, -math.sin(lat), 0.0, -c
+
+    chart = OrthogonalChart("band", jets)
     atlas = [
         StopRule("band", lambda p, v, m=max_latitude: m - abs(p[0]), -1.0, "atlas"),
     ]
@@ -481,16 +480,20 @@ def perturbed_spindle(a0: float = 0.75, eps: float = 0.05) -> Surface:
     """Two conic tips at r = 0 and r = pi, cone angles 2 pi a0.
 
     Metric sqrt(g_rr) = sqrt(1 + eps * bump(r) * sin(2 theta)),
-    sqrt(g_theta_theta) = a0 sin r.  The bump lives in [0.7, pi - 0.7],
-    so both tip bands are exactly rotationally symmetric.  For eps = 0
+    sqrt(g_theta_theta) = a0 sin r, with |eps| < 1 (ValueError
+    otherwise).  The bump lives in [0.7, pi - 0.7], so both tip bands
+    are exactly rotationally symmetric.  For eps = 0
     every meridian joins the tips and the tips are conjugate; eps != 0
     leaves exact tip-to-tip geodesics on the invariant meridians
     theta = pi/4 and 5 pi/4 with nonconjugate tips.
     """
     band_lo, band_hi = 0.7, np.pi - 0.7
-    pexpr = sp.sqrt(1 + eps * _bump(_P0, band_lo, band_hi) * sp.sin(2 * _P1))
-    qexpr = a0 * sp.sin(_P0)
-    chart = OrthogonalChart("polar", pexpr, qexpr)
+
+    def profile(r):
+        f = a0 * math.sin(r)
+        return f, a0 * math.cos(r), -f
+
+    chart = _perturbed_chart(eps, band_lo, band_hi, profile)
     rho = 2 * np.pi * a0
     tips = {
         "south": Tip("south", "polar", 0.0, 1.0, LinkSpectrum.circle(rho), a0, 0.0, band_lo),
@@ -507,21 +510,28 @@ def symmetric_spindle(a0: float = 0.75) -> Surface:
 def teardrop(a0: float = 0.75, eps: float = 0.05) -> Surface:
     """One conic tip (angle 2 pi a0) at r = 0, smooth pole at r = pi.
 
-    Profile f(r) = sin(r) (a0 + (1 - a0) sin^2(r/2)): slope a0 at the
-    tip, slope 1 at the pole, odd in the distance to either end so the
-    pole is genuinely smooth.  The same g_rr bump perturbation as the
-    spindle lives in r in [0.7, 2.0]; the pole cap r > pi - 0.55 is
-    covered by a Cartesian CapChart and stays exactly symmetric.
+    Profile f(r) = sin(r) (a0 + (1 - a0) sin^2(r/2))
+    = (1 + a0)/2 sin r - (1 - a0)/4 sin 2r: slope a0 at the tip, slope 1
+    at the pole, odd in the distance to either end so the pole is
+    genuinely smooth.  The same g_rr bump perturbation as the spindle,
+    |eps| < 1, lives in r in [0.7, 2.0]; the pole cap r > pi - 0.55 is
+    covered by a Cartesian CapChart on f(pi - u) =
+    (1 + a0)/2 sin u + (1 - a0)/4 sin 2u and stays exactly symmetric.
     """
     band_lo, band_hi = 0.7, 2.0
-    pexpr = sp.sqrt(1 + eps * _bump(_P0, band_lo, band_hi) * sp.sin(2 * _P1))
-    profile = sp.sin(_P0) * (a0 + (1 - a0) * sp.sin(_P0 / 2) ** 2)
-    chart = OrthogonalChart("polar", pexpr, profile)
-    u = sp.Symbol("u", positive=True)
-    cap_profile = (sp.sin(_P0) * (a0 + (1 - a0) * sp.sin(_P0 / 2) ** 2)).subs(
-        _P0, sp.pi - u
-    )
-    cap = CapChart("cap", sp.expand_trig(cap_profile), u)
+    b1, b2 = (1 + a0) / 2, (1 - a0) / 4
+
+    def profile(r):
+        s1, s2 = math.sin(r), math.sin(2.0 * r)
+        return (b1 * s1 - b2 * s2, b1 * math.cos(r) - 2.0 * b2 * math.cos(2.0 * r),
+                -b1 * s1 + 4.0 * b2 * s2)
+
+    chart = _perturbed_chart(eps, band_lo, band_hi, profile)
+    # exact coefficients of the decimal a0 names (0.6 is 3/5, not its
+    # binary neighbor), so each cap series coefficient is that profile's
+    # correctly rounded value
+    a0_exact = Fraction(str(a0))
+    cap = CapChart("cap", ((1 + a0_exact) / 2, (1 - a0_exact) / 4))
     rho = 2 * np.pi * a0
     tips = {
         "tip": Tip("tip", "polar", 0.0, 1.0, LinkSpectrum.circle(rho), a0, 0.0, band_lo)
@@ -573,12 +583,26 @@ def teardrop(a0: float = 0.75, eps: float = 0.05) -> Surface:
 
 
 def cone_chart_surface(sqrt_h_expr, rho: float, r_max: float = 10.0) -> Surface:
-    """Single-tip cone dx^2 + x^2 h(x, y) dy^2 from sqrt(h) as a sympy
-    expression in (p0, p1); used for non-product tip tests."""
-    sqrt_h = _sympify(sqrt_h_expr)
-    qexpr = _P0 * sqrt_h
-    chart = OrthogonalChart("polar", 1, qexpr)
-    a0, c1 = _tip_c1(qexpr, 0.0, 1.0)
+    """Single-tip cone dx^2 + x^2 h(x, y) dy^2 from sqrt(h), a string
+    sympy parses in (p0, p1), also spelled (x, y) or (r, theta); used for
+    non-product tip tests.  The chart's jets come from one lambdify of
+    the sympy derivatives of sqrt(G) = x sqrt(h)."""
+    import sympy as sp
+
+    p0, p1 = sp.symbols("p0 p1", real=True)
+    names = {"p0": p0, "p1": p1, "x": p0, "y": p1, "r": p0, "theta": p1}
+    qexpr = p0 * sp.sympify(sqrt_h_expr, locals=names)
+    # P = 1, so only Q's jets are compiled
+    q_jets = sp.lambdify((p0, p1), [qexpr, qexpr.diff(p0), qexpr.diff(p1),
+                                    qexpr.diff(p0, 2)], modules="math", cse=True)
+
+    def jets(x, y):
+        # float() refuses a complex value off the chart's real domain
+        q, q0, q1, q00 = (float(v) for v in q_jets(x, y))
+        return 1.0, 0.0, 0.0, 0.0, q, q0, q1, q00
+
+    chart = OrthogonalChart("polar", jets)
+    a0, c1 = _tip_c1(qexpr, p0, 0.0, 1.0)
     tip = Tip("tip", "polar", 0.0, 1.0, LinkSpectrum.circle(2 * np.pi * a0), a0, c1, band=r_max)
     atlas = [StopRule("polar", lambda p, v: r_max - p[0], -1.0, "atlas")]
     return Surface({"polar": chart}, {"tip": tip}, [], atlas)

@@ -240,6 +240,15 @@ class TestExitCodes:
                                         "params": {"a0": -0.75}}}),
         ("find-geodesics", {"surface": {"builtin": "teardrop",
                                         "params": {"eps": "0.05"}}}),
+        ("find-geodesics", {"surface": {"builtin": "perturbed_spindle",
+                                        "params": {"eps": 1.5}},
+                            "tip_sequence": ["south", "north"],
+                            "seeds": [A0 * (np.pi / 4 + 0.02),
+                                      A0 * (5 * np.pi / 4 - 0.02)]}),
+        ("predict-trace", {"surface": {"builtin": "teardrop",
+                                       "params": {"eps": 2.0}}}),
+        ("find-geodesics", {"surface": {"builtin": "teardrop",
+                                        "params": {"eps": -1.0}}}),
         ("find-geodesics", {"surface": {"cone_chart": {"sqrt_h": "1.1",
                                                        "rho": True}}}),
         ("find-geodesics", {"surface": {"cone_chart": {"sqrt_h": "1.1",
@@ -253,7 +262,8 @@ class TestExitCodes:
             "policy-bools", "policy-sigma-string", "policy-cutoff-bool",
             "policy-cutoff-float", "policy-cutoff-zero", "policy-r-bool",
             "seed-string", "param-a0-bool", "param-a0-negative",
-            "param-eps-string", "cone-rho-bool", "cone-r-max-negative",
+            "param-eps-string", "param-eps-above-one", "param-eps-two",
+            "param-eps-minus-one", "cone-rho-bool", "cone-r-max-negative",
             "length-cap-string"])
     def test_non_number_exit_2(self, tmp_path, capsys, monkeypatch, command,
                                payload):

@@ -3,6 +3,9 @@ only names its modules declare, so a deleted name cannot linger."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,23 @@ def test_package_imports_are_exported():
                   if name not in importlib.import_module(
                       f"conetrace.{module}").__all__]
     assert undeclared == []
+
+
+def test_import_leaves_sympy_unloaded():
+    # the builtin surfaces are closed forms; only a cone_chart build,
+    # which differentiates a user expression, loads sympy
+    code = "\n".join([
+        "import sys, conetrace, conetrace.cli",
+        "assert 'sympy' not in sys.modules, 'loaded by the import'",
+        "conetrace.perturbed_spindle(); conetrace.teardrop()",
+        "assert 'sympy' not in sys.modules, 'loaded by a builtin build'",
+        "tip = conetrace.cone_chart_surface('1.2*(1+p0)**0.5', 10.0).tips['tip']",
+        "assert 'sympy' in sys.modules",
+        "print(tip.c1)",
+    ])
+    path = [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) == pytest.approx(0.5)

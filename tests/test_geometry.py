@@ -279,6 +279,28 @@ class TestClosedGeodesics:
         assert classify_continuation(narrow, 0.0, 0.5 * np.pi) == "geometric"
 
 
+class TestPerturbationGuard:
+    """g_rr = 1 + eps b(r) sin 2 theta and the bump b reaches 1 at the band
+    midpoint, so the metric is Riemannian exactly when |eps| < 1."""
+
+    BUILDS = {"spindle": (surfaces.perturbed_spindle, np.pi / 2),
+              "teardrop": (surfaces.teardrop, 1.35)}
+
+    @pytest.mark.parametrize("name", BUILDS)
+    @pytest.mark.parametrize("eps", [1 - 1e-9, -(1 - 1e-9)])
+    def test_just_inside_builds(self, name, eps):
+        build, mid = self.BUILDS[name]
+        chart = build(eps=eps).chart("polar")
+        theta = 3 * np.pi / 4 if eps > 0 else np.pi / 4  # eps sin 2 theta < 0
+        assert chart.metric([mid, theta])[0, 0] == pytest.approx(1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("name", BUILDS)
+    @pytest.mark.parametrize("eps", [1.0, -1.0, 1.5])
+    def test_at_and_past_the_bound_raises(self, name, eps):
+        with pytest.raises(ValueError, match="eps"):
+            self.BUILDS[name][0](eps=eps)
+
+
 class TestTipData:
     def test_custom_chart_frobenius(self):
         surf = surfaces.cone_chart_surface("1.2*(1+p0)**0.5", 10.0)
@@ -302,11 +324,29 @@ class TestTipData:
             surfaces.cone_chart_surface("p0", 10.0)  # sqrt(G) ~ x^2
 
 
-def _numpy_reference(chart):
-    """The chart's metric, Christoffel symbols, K, sqrt(G) and its gradient,
-    derived here from its P and Q and lambdified with numpy."""
-    p0, p1 = sp.symbols("p0 p1", real=True)  # the symbols charts are built on
-    P, Q = chart.sqrt_e_expr, chart.sqrt_q_expr
+def _sympy_bump(r, lo, hi):
+    core = ((r - lo) * (hi - r)) ** 3 / ((hi - lo) / 2.0) ** 6
+    return sp.Piecewise((core, sp.And(r > lo, r < hi)), (0.0, True))
+
+
+def _reference_pq(surface):
+    """sqrt(g_rr) and sqrt(g_theta_theta) of the fixture surfaces' polar
+    charts as sympy expressions in (p0, p1): the charts' own definitions,
+    which their closed-form jets must reproduce."""
+    p0, p1 = sp.symbols("p0 p1", real=True)
+    if surface == "cone_chart":
+        return p0, p1, sp.Integer(1), p0 * 1.2 * (1 + p0) ** 0.5
+    hi = np.pi - 0.7 if surface == "spindle" else 2.0
+    P = sp.sqrt(1 + 0.05 * _sympy_bump(p0, 0.7, hi) * sp.sin(2 * p1))
+    if surface == "spindle":
+        return p0, p1, P, A0 * sp.sin(p0)
+    return p0, p1, P, sp.sin(p0) * (A0 + (1 - A0) * sp.sin(p0 / 2) ** 2)
+
+
+def _numpy_reference(p0, p1, P, Q):
+    """Metric, Christoffel symbols, K, sqrt(G) and its gradient of the
+    metric P^2 dp0^2 + Q^2 dp1^2, derived symbolically from P and Q and
+    lambdified with numpy."""
     coords = (p0, p1)
     g = sp.diag(P**2, Q**2)
     ginv = sp.diag(1 / P**2, 1 / Q**2)
@@ -334,28 +374,33 @@ def cone_chart():
 
 
 class TestCompiledCharts:
-    """Charts run as scalar `math` code; numpy code of the same
-    expressions is the reference, just inside and outside each bump edge."""
+    """Charts run as scalar closed-form (builtins) or lambdified (cone
+    chart) jets; numpy code of the symbolic derivatives of P and Q is the
+    reference, near each tip and just inside and outside each bump edge."""
 
     REL, ABS = 1e-13, 1e-15
 
     # the spindle's bump edges are 0.7 and pi - 0.7, the teardrop's 0.7 and 2.0
     EDGES = (0.7, np.pi - 0.7, 2.0)
+    TIP_X = (1e-7, 1e-5, 1e-3, 0.1, 1.0)
+    TIPS = {"spindle": (0.0, np.pi), "teardrop": (0.0,), "cone_chart": (0.0,)}
 
     @pytest.mark.parametrize("surface", ["spindle", "teardrop", "cone_chart"])
     def test_matches_numpy_reference(self, request, surface):
         chart = request.getfixturevalue(surface).chart("polar")
-        ref = _numpy_reference(chart)
-        for edge in self.EDGES:
-            for r in (edge - 1e-3, edge - 1e-9, edge + 1e-9, edge + 1e-3):
-                for theta in (0.3, np.pi / 4 + 0.1, 4.0):
-                    p = np.array([r, theta])
-                    for method in ref:
-                        got = np.asarray(getattr(chart, method)(p), dtype=float)
-                        want = np.asarray(ref[method](r, theta), dtype=float)
-                        assert got.shape == want.shape
-                        assert np.allclose(got, want, rtol=self.REL, atol=self.ABS), (
-                            surface, method, r, theta)
+        ref = _numpy_reference(*_reference_pq(surface))
+        radii = [edge + d for edge in self.EDGES for d in (-1e-3, -1e-9, 1e-9, 1e-3)]
+        radii += [tip + x if tip == 0.0 else tip - x
+                  for tip in self.TIPS[surface] for x in self.TIP_X]
+        for r in radii:
+            for theta in (0.3, np.pi / 4 + 0.1, 4.0):
+                p = np.array([r, theta])
+                for method in ref:
+                    got = np.asarray(getattr(chart, method)(p), dtype=float)
+                    want = np.asarray(ref[method](r, theta), dtype=float)
+                    assert got.shape == want.shape
+                    assert np.allclose(got, want, rtol=self.REL, atol=self.ABS), (
+                        surface, method, r, theta)
 
     def test_off_domain_raises_step_failure(self):
         # sqrt(G) = 1.2 p0 (1.5 - p0)^0.5 has no real value past p0 = 1.5
@@ -394,8 +439,8 @@ def test_teardrop_builds_for_cone_angle(teardrop_at):
 
 
 class TestCapSeries:
-    """The cap series comes from the profile alone, by power-series
-    products and a division; check it at its edges."""
+    """The cap's series come from the sine coefficients of its profile, by
+    power-series products and a division; check them at their edges."""
 
     def test_pole_curvature(self, teardrop_at):
         a0, surf = teardrop_at
@@ -406,21 +451,16 @@ class TestCapSeries:
         cap = teardrop_at[1].chart("cap")
         below = cap.SERIES_SWITCH * (1 - 1e-12)
         above = cap.SERIES_SWITCH * (1 + 1e-12)
-        for series, closed in zip(cap._q_r(below), cap._q_r(above)):
+        for series, closed in zip(cap._q_r_k(below), cap._q_r_k(above)):
             assert series == pytest.approx(closed, rel=1e-11)
         assert cap.curvature([below, 0.0]) == pytest.approx(
             cap.curvature([above, 0.0]), rel=1e-11)
 
     @pytest.mark.parametrize("a0", [0.6, 0.75, 0.8])
-    def test_teardrop_profile_coefficients_exact(self, a0, monkeypatch):
+    def test_teardrop_profile_coefficients_exact(self, a0):
         # f(pi - u) = (1 + a0)/2 sin u + (1 - a0)/4 sin 2u, so the u^(2k+1)
         # coefficient is (-1)^k / (2k+1)! [(1 + a0)/2 + (1 - a0) 2^(2k-1)]
-        seen = []
-        odd_series = surfaces._odd_series
-        monkeypatch.setattr(surfaces, "_odd_series",
-                            lambda *args: seen.append(odd_series(*args)) or seen[-1])
-        surfaces.teardrop(a0)
-        (coeffs,) = seen
+        coeffs = surfaces.teardrop(a0).chart("cap")._f_coeffs
         assert len(coeffs) == surfaces.CapChart.SERIES_ORDER + 1
         a = Fraction(str(a0))
         for k, c in enumerate(coeffs):
@@ -428,11 +468,66 @@ class TestCapSeries:
                      * ((1 + a) / 2 + (1 - a) * Fraction(2) ** (2 * k - 1)))
             assert abs(c - float(exact)) <= 1e-16 * abs(float(exact)), k
 
-    @pytest.mark.parametrize("profile", ["u + u**2", "2*u", "2*besselj(1, u)",
-                                         "u*sqrt(1 + u**2)"],
-                             ids=["not-odd", "wrong-slope", "no-ring-series",
-                                  "left-unexpanded"])
-    def test_bad_profile_rejected(self, profile):
-        u = sp.Symbol("u", positive=True)
+    @pytest.mark.parametrize("sines", [[2.0]], ids=["wrong-slope"])
+    def test_bad_profile_rejected(self, sines):
+        # sum_m m b_m is the profile's slope at the pole, which must be 1
         with pytest.raises(SeriesStartFailureError):
-            surfaces.CapChart("cap", sp.sympify(profile, locals={"u": u}), u)
+            surfaces.CapChart("cap", sines)
+
+    def test_slope_tolerance_at_its_boundary(self):
+        surfaces.CapChart("cap", [0.9, 0.05 * (1 + 5e-12)])
+        with pytest.raises(SeriesStartFailureError):
+            surfaces.CapChart("cap", [0.9, 0.05 * (1 + 5e-11)])
+
+
+def _numpy_cap(cap, p):
+    """The cap's metric, Christoffel symbols and flow acceleration by the
+    general formulas in numpy (np.linalg.inv, np.einsum and the sum over
+    metric derivatives), from the chart's own Q and R = Q'(u)/u."""
+    x = np.asarray(p, dtype=float)
+    u = float(np.hypot(x[0], x[1]))
+    q, r, _ = cap._q_r_k(u)
+    delta = np.eye(2)
+    proj = u * u * delta - np.outer(x, x)
+    g = delta + q * proj
+    dg = np.empty((2, 2, 2))  # dg[k, i, j] = d g_ij / d x_k
+    for k in range(2):
+        dg[k] = r * x[k] * proj + q * (2 * x[k] * delta - np.outer(delta[k], x)
+                                       - np.outer(x, delta[k]))
+    ginv = np.linalg.inv(g)
+    gamma = np.empty((2, 2, 2))
+    for a in range(2):
+        for i in range(2):
+            for j in range(2):
+                gamma[a, i, j] = 0.5 * sum(
+                    ginv[a, l] * (dg[i, l, j] + dg[j, l, i] - dg[l, i, j])
+                    for l in range(2))
+    return g, gamma
+
+
+class TestScalarCap:
+    """The cap's scalar float code against the general numpy formulas, at
+    the pole, on both sides of the series switch and at the chart switch
+    back to polar coordinates; K against -f''/f from sympy."""
+
+    REL, ABS = 1e-13, 1e-15
+
+    @pytest.mark.parametrize("u", [0.0, 0.35 - 1e-9, 0.35 + 1e-9, 0.55])
+    def test_matches_numpy_formulas(self, teardrop_at, u):
+        a0, surf = teardrop_at
+        cap = surf.chart("cap")
+        w = sp.Symbol("w")
+        f = (1 + a0) / 2 * sp.sin(w) + (1 - a0) / 4 * sp.sin(2 * w)
+        for phi in (0.0, 0.7, 2.5, -1.9):
+            p = np.array([u * np.cos(phi), u * np.sin(phi)])
+            g, gamma = _numpy_cap(cap, p)
+            assert np.allclose(cap.metric(p), g, rtol=self.REL, atol=self.ABS)
+            assert np.allclose(cap.christoffel(p), gamma, rtol=self.REL, atol=self.ABS)
+            v = np.array([0.6, -0.8]) / np.sqrt(np.array([0.6, -0.8]) @ g @ [0.6, -0.8])
+            y = np.concatenate([p, v, [0.2, 1.1]])
+            k = cap.curvature(p)
+            want = [*v, *-np.einsum("aij,i,j->a", gamma, v, v), 1.1, -k * 0.2]
+            assert np.allclose(cap.flow_rhs(0.0, y), want, rtol=self.REL, atol=self.ABS)
+            if u > 0:
+                k_ref = float(-sp.diff(f, w, 2).subs(w, u) / f.subs(w, u))
+                assert k == pytest.approx(k_ref, rel=self.REL)
