@@ -12,6 +12,9 @@ by the shape-operator and Wronskian identities, which is exactly what
 the cross-check exercises).  A numerical model kernel (the xi-integral
 of the symbol against the smooth cutoff) matches predictions against
 measured traces.
+
+Surfaces are two-dimensional (the formulas keep n, as DIMENSION = 2), and
+every diffraction coefficient is the closed form (POLICY), n = 2 only.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ __all__ = [
 
 # length prefactor of the trace coefficient: primitive length or full length
 LENGTH_CONVENTIONS = ("L0", "L")
+DIMENSION = 2  # surface dimension n
+POLICY = SummationPolicy.closed_form()  # summation of every diffraction coefficient
+CUT_NODES = 16  # Gauss-Legendre nodes per segment of the cut route
 
 
 @dataclass(frozen=True)
@@ -99,11 +105,12 @@ class TraceSingularityPrediction:
         return "power"
 
 
-def interior_amplitude(d: float, m: int, theta: float, n: int = 2) -> complex:
+def interior_amplitude(d: float, m: int, theta: float) -> complex:
     """Half-wave amplitude between non-conjugate interior points: the
     complex scalar of the symbol, of frequency order (n - 1)/2."""
     if d <= 0 or theta <= 0:
         raise ValueError("need d > 0 and theta > 0")
+    n = DIMENSION
     return (np.exp(-1j * np.pi * (n - 1) / 4) * 1j ** (-m)
             * (2 * np.pi) ** (-(n + 1) / 2) * d ** (-(n - 1) / 2)
             * theta ** -0.5)
@@ -124,8 +131,7 @@ def invariants_for(geodesic):
     return [segment_invariants(seg) for seg in geodesic.segments]
 
 
-def trace_singularity(geodesic, invariants=None, n: int = 2,
-                      policy: SummationPolicy = None,
+def trace_singularity(geodesic, invariants=None,
                       length_convention: str = "L0") -> TraceSingularityPrediction:
     """Leading coefficient of the wave-trace singularity at the length of
     a strictly diffractive closed geodesic.
@@ -143,12 +149,12 @@ def trace_singularity(geodesic, invariants=None, n: int = 2,
         )
     if invariants is None:
         invariants = invariants_for(geodesic)
-    policy = policy or SummationPolicy.closed_form()
+    n = DIMENSION
     k = len(geodesic.segments)
     prod = 1.0 + 0.0j
     for seg, junc in zip(invariants, geodesic.junctions):
         dval = diffraction_kernel(junc.link, n, junc.link_in, junc.link_out,
-                                  policy)
+                                  POLICY)
         prod *= (1j ** (-seg.morse) * dval.value
                  * seg.d ** (-(n - 1) / 2) * seg.theta ** -0.5)
     length = geodesic.primitive_length if length_convention == "L0" else geodesic.length
@@ -161,9 +167,7 @@ def trace_singularity(geodesic, invariants=None, n: int = 2,
     )
 
 
-def trace_singularity_cut_route(geodesic, n: int = 2,
-                                policy: SummationPolicy = None,
-                                nodes: int = 16) -> complex:
+def trace_singularity_cut_route(geodesic) -> complex:
     """Independent route to the trace coefficient: cut the closed
     geodesic at a moving point on each segment and integrate the
     stationary-manifold density built from fresh Jacobi data.
@@ -183,23 +187,18 @@ def trace_singularity_cut_route(geodesic, n: int = 2,
     break Hessian; a deterministic field shared by the two routes changes
     none of their numbers, and the reverse field comes from a geodesic
     integration of its own that shares no step with either.
-
-    n = 2 only (scalar Jacobi backend).
     """
-    if n != 2:
-        raise NotImplementedError("cut-route cross-check is n = 2 only")
     if not geodesic.strictly_diffractive:
         raise NotStrictlyDiffractiveError(
             "trace singularity requires a strictly diffractive geodesic"
         )
-    policy = policy or SummationPolicy.closed_form()
     k = len(geodesic.segments)
     invs = invariants_for(geodesic)
     dvals = [
-        diffraction_kernel(j.link, n, j.link_in, j.link_out, policy).value
+        diffraction_kernel(j.link, DIMENSION, j.link_in, j.link_out, POLICY).value
         for j in geodesic.junctions
     ]
-    gl_x, gl_w = gauss_legendre(nodes)
+    gl_x, gl_w = gauss_legendre(CUT_NODES)
 
     total = 0.0 + 0.0j
     for c, seg in enumerate(geodesic.segments):

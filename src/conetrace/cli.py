@@ -7,7 +7,8 @@ spectral traces.  All runs are deterministic: identical configs give
 byte-identical outputs.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 domain
-guard or chart/atlas failure, 4 search failure, 5 degeneracy.
+guard, chart/atlas failure or ill-conditioned fit, 4 search failure,
+5 degeneracy.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__, verify
 from .amplitudes import (
+    DIMENSION,
     LENGTH_CONVENTIONS,
+    POLICY,
     CutoffSpec,
     TraceSingularityPrediction,
     invariants_for,
@@ -39,6 +43,7 @@ from .errors import (
     ConfigError,
     ConjugateDegeneracyError,
     GeometricSetError,
+    IllConditionedError,
     LeftAtlasError,
     NoConvergenceError,
     NonPositiveRadiusError,
@@ -49,7 +54,7 @@ from .errors import (
     WallInfluenceError,
 )
 from .geodesics import build_closed_diffractive
-from .links import SummationPolicy, diffraction_kernel
+from .links import diffraction_kernel
 from .spectra import (
     doubled_square_spectrum,
     fit_trace_singularity,
@@ -160,7 +165,7 @@ def cmd_find_geodesics(args) -> int:
 
 def cmd_predict_trace(args) -> int:
     cfg = load_config(args.config)
-    convention = args.convention or cfg.get("convention", "L0")
+    convention = cfg.get("convention", "L0")
     if convention not in LENGTH_CONVENTIONS:
         raise ConfigError(
             f"'convention' must be one of {list(LENGTH_CONVENTIONS)}")
@@ -176,7 +181,6 @@ def cmd_predict_trace(args) -> int:
     geo = _build_geodesic(cfg)
     invs = invariants_for(geo)
     pred = trace_singularity(geo, invs, length_convention=convention)
-    policy = SummationPolicy.closed_form()
     lines = [
         _HEADER_NOTE,
         "length,primitive_length,k,n,order,re_coeff,im_coeff,"
@@ -184,7 +188,7 @@ def cmd_predict_trace(args) -> int:
     ]
     for j, (seg, junc) in enumerate(zip(invs, geo.junctions)):
         dval = diffraction_kernel(junc.link, pred.n, junc.link_in,
-                                  junc.link_out, policy)
+                                  junc.link_out, POLICY)
         lines.append(",".join([
             _fmt(pred.L), _fmt(pred.L0), str(pred.k), str(pred.n),
             _fmt(pred.order), _fmt(pred.coefficient.real),
@@ -216,9 +220,16 @@ def _load_eigenvalues(spec):
             raise ConfigError(f"doubled_square 'lambda_max': {exc}") from exc
     if "csv" in spec:
         try:
-            return np.loadtxt(spec["csv"], comments="#", ndmin=1)
+            with warnings.catch_warnings():
+                # an empty file is refused below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                eigs = np.loadtxt(spec["csv"], comments="#", ndmin=1)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read eigenvalue CSV: {exc}") from exc
+        if eigs.size == 0 or not np.all(np.isfinite(eigs) & (eigs >= 0.0)):
+            raise ConfigError("eigenvalue CSV must hold sqrt-Laplace "
+                              "eigenvalues: at least one, each finite and >= 0")
+        return eigs
     raise ConfigError("eigenvalues need 'doubled_square' or 'csv'")
 
 
@@ -240,7 +251,7 @@ def cmd_spectral_trace(args) -> int:
         window = number_from_config(fit_cfg.get("window", 0.35), "fit 'window'",
                                     positive=True)
         unit = TraceSingularityPrediction(
-            L=length, L0=length, k=k, n=2, order=k / 2.0,
+            L=length, L0=length, k=k, n=DIMENSION, order=k / 2.0,
             coefficient=1.0 + 0.0j)
         C, resid = fit_trace_singularity(
             trace, length, unit, CutoffSpec(), window=window)
@@ -298,8 +309,6 @@ def _build_parser():
     p.set_defaults(fn=cmd_find_geodesics)
     p = sub.add_parser("predict-trace", help="predict a trace singularity")
     common(p)
-    p.add_argument("--convention", choices=LENGTH_CONVENTIONS, default=None,
-                   help="length prefactor convention")
     p.set_defaults(fn=cmd_predict_trace)
     p = sub.add_parser("spectral-trace", help="smoothed trace from a spectrum")
     common(p)
@@ -321,7 +330,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except (GeometricSetError, WallInfluenceError, NonPositiveRadiusError,
-            StepFailureError, LeftAtlasError, SeriesStartFailureError) as exc:
+            StepFailureError, LeftAtlasError, SeriesStartFailureError,
+            IllConditionedError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
     except NoConvergenceError as exc:

@@ -13,7 +13,7 @@ amplitude.  Evaluating this integral numerically, with no stationary
 phase input, gives an independent check on the composition constants
 and the conjugate-point index bookkeeping.
 
-A Gaussian localizer of width sigma_eta ~ xi^{3/4} tames the eta axis;
+A Gaussian localizer of width sigma_eta = xi^{3/4} tames the eta axis;
 its smearing of the time-matching constraint biases the result by
 O((sigma_eta * halfwidth)^{-2}), well below the O(1/xi) accuracy of the
 leading amplitude itself.  Smooth bump cutoffs confine w.
@@ -108,6 +108,7 @@ def sphere_arc_geometry(d1: float, d2: float) -> CompositionGeometry:
 
 
 _FOLD_ROWS = 256  # (u, v) nodes per block of the folded eta sum
+REFINE_TOL = 0.01  # largest relative coarse/fine gap of a converged value
 
 
 def _bump(s):
@@ -193,28 +194,26 @@ def _quadrature(geom, amp12, xi, sigma_eta, scale):
     return total
 
 
-def brute_force_composition(geom: CompositionGeometry, amp12, xi: float,
-                            sigma_eta: float = None,
-                            refine_tol: float = 0.01) -> complex:
+def brute_force_composition(geom: CompositionGeometry, amp12,
+                            xi: float) -> complex:
     """Direct quadrature of the composed-amplitude integral at output
     frequency xi.
 
     amp12(u, v) is the product of the two leg amplitudes on the chart
     (a constant for leading-order checks).  The integral is evaluated
     twice with node counts in ratio 4:3 on every axis; disagreement
-    beyond refine_tol raises QuadratureDivergence, otherwise the finer
+    beyond REFINE_TOL raises QuadratureDivergence, otherwise the finer
     value is returned.
     """
     if xi <= 0:
         raise ValueError("need xi > 0")
-    if sigma_eta is None:
-        sigma_eta = xi**0.75
+    sigma_eta = xi**0.75
     if not callable(amp12):
         const = complex(amp12)
         amp12 = lambda u, v: np.full_like(u + v, const, dtype=complex)
     coarse = _quadrature(geom, amp12, xi, sigma_eta, scale=0.75)
     fine = _quadrature(geom, amp12, xi, sigma_eta, scale=1.0)
-    if abs(fine - coarse) > refine_tol * abs(fine):
+    if abs(fine - coarse) > REFINE_TOL * abs(fine):
         raise QuadratureDivergenceError(
             f"node refinement moved the value by "
             f"{abs(fine - coarse) / abs(fine):.2e} relative"

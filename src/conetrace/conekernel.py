@@ -38,13 +38,11 @@ WALL_MARGIN = 0.1
 
 
 @functools.lru_cache(maxsize=8)
-def _mode_data(rho, wall_r, x, xp, damping, mode_cutoff, zero_cutoff):
-    lam_max = 5.0 * damping if zero_cutoff is None else zero_cutoff
+def _mode_data(rho, wall_r, x, xp, damping):
+    lam_max = 5.0 * damping
     z_arg = lam_max * max(x, xp)
     nu_max = z_arg + 8.0 * max(z_arg, 1.0) ** (1.0 / 3.0) + 10.0
     k_max = int(np.ceil(nu_max * rho / (2 * np.pi)))
-    if mode_cutoff is not None:
-        k_max = min(k_max, mode_cutoff)
     j_max = lam_max * wall_r  # the largest Bessel zero kept
     modes = []
     for k in range(0, k_max + 1):
@@ -71,17 +69,17 @@ def flat_cone_sine_kernel_series(
     y: float,
     xp: float,
     yp: float,
-    mode_cutoff: int = None,
-    zero_cutoff: float = None,
+    *,
     damping: float = DEFAULT_DAMPING,
 ) -> complex:
     """Damped eigen-sum of sin(t sqrt(Delta))/sqrt(Delta) on the
-    truncated cone, as a Schwartz kernel against the area measure."""
+    truncated cone, as a Schwartz kernel against the area measure; the
+    sum stops at lambda = 5 damping, where the damp is exp(-12.5)."""
     if x + xp + abs(t) > 2 * wall_r - WALL_MARGIN:
         raise WallInfluenceError(
             "wall too close: finite propagation speed no longer shields it"
         )
-    modes = _mode_data(rho, wall_r, x, xp, damping, mode_cutoff, zero_cutoff)
+    modes = _mode_data(rho, wall_r, x, xp, damping)
     alpha = 2 * np.pi / rho
     total = 0.0
     for k, lams, weights in modes:
@@ -156,19 +154,18 @@ def extract_front_coefficients(
     values,
     t0: float,
     damping: float = DEFAULT_DAMPING,
-    blind_width: float = None,
 ):
     """Fit samples near the front t0 to the smoothed singular basis.
 
     The smoothing applied to every basis function is the same Gaussian
     window carried by the damped mode sum, so the comparison with exact
-    front coefficients is direct rather than asymptotic.  Returns
-    (c_H, c_log, rms residual).
+    front coefficients is direct rather than asymptotic.  Samples within
+    2.5 / damping (2.5 window widths) of the front are left out.
+    Returns (c_H, c_log, rms residual).
     """
     t_samples = np.asarray(t_samples, dtype=float)
     values = np.asarray(values)
-    blind = 2.5 / damping if blind_width is None else blind_width
-    keep = np.abs(t_samples - t0) >= blind
+    keep = np.abs(t_samples - t0) >= 2.5 / damping
     tau = t_samples[keep] - t0
     vals = values[keep]
     design = conormal_basis(tau, damping)

@@ -2,7 +2,8 @@
 
 Configs are plain JSON.  A surface is either a named builtin with
 keyword parameters or a single-tip cone chart given by a sympy
-expression for sqrt(h) in the metric dx^2 + x^2 h(x, y) dy^2.  Links
+expression for sqrt(h) in the metric dx^2 + x^2 h(x, y) dy^2 and an
+optional chart radius r_max.  Links
 are circles given by their circumference.
 """
 
@@ -32,6 +33,7 @@ _BUILTINS = {
     "symmetric_spindle": surfaces.symmetric_spindle,
     "teardrop": surfaces.teardrop,
 }
+_CONE_CHART_KEYS = ("sqrt_h", "r_max")  # the link follows from sqrt_h
 
 
 def load_config(path: str) -> dict:
@@ -92,13 +94,17 @@ def surface_from_config(spec) -> surfaces.Surface:
             raise ConfigError(f"bad params for surface {name!r}: {exc}") from exc
     if "cone_chart" in spec:
         sub = spec["cone_chart"]
+        if not isinstance(sub, dict):
+            raise ConfigError("cone_chart spec must be an object")
+        unknown = sorted(set(sub) - set(_CONE_CHART_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in cone_chart; "
+                              f"choose from {list(_CONE_CHART_KEYS)}")
         expr = _require(sub, "sqrt_h", "cone_chart surface")
-        rho = number_from_config(sub.get("rho", 2 * math.pi), "cone_chart rho",
-                                 positive=True)
         r_max = number_from_config(sub.get("r_max", 10.0), "cone_chart r_max",
                                    positive=True)
         try:
-            return surfaces.cone_chart_surface(expr, rho, r_max=r_max)
+            return surfaces.cone_chart_surface(expr, r_max=r_max)
         except Exception as exc:
             raise ConfigError(f"bad cone_chart surface: {exc}") from exc
     raise ConfigError("surface spec needs 'builtin' or 'cone_chart'")

@@ -90,6 +90,7 @@ DEGENERACY_TOL = 1e-8  # |d p_theta / d theta0| below this: conjugate tips
 # largest miss of a reverse shot at its base's start: length and link
 # point at a tip, chart position at an interior point
 REVERSE_TOL = 1e-9
+SPEED_SAMPLES = 50  # points at which speed_drift reads |speed - 1|
 
 
 @dataclass
@@ -174,8 +175,8 @@ class GeodesicPath:
         st = self.state(s)
         return self.surface.chart(st.chart).curvature(st.p)
 
-    def speed_drift(self, samples: int = 50) -> float:
-        ss = np.linspace(self.legs[0].s0, self.legs[-1].s1, samples)
+    def speed_drift(self) -> float:
+        ss = np.linspace(self.legs[0].s0, self.legs[-1].s1, SPEED_SAMPLES)
         worst = 0.0
         for s in ss:
             st = self.state(s)
@@ -505,11 +506,11 @@ def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: floa
     )
 
 
-def classify_continuation(link: LinkSpectrum, q_in: float, q_out: float,
-                          tol: float = GEOMETRIC_TOL) -> str:
+def classify_continuation(link: LinkSpectrum, q_in: float, q_out: float) -> str:
     """'geometric' when some link geodesic of length pi joins the two
-    arrival directions (wrapped arcs count), else 'strictly_diffractive'."""
-    if singular_set_distance(link, np.pi, q_in, q_out) < tol:
+    arrival directions (wrapped arcs count) to within GEOMETRIC_TOL, else
+    'strictly_diffractive'."""
+    if singular_set_distance(link, np.pi, q_in, q_out) < GEOMETRIC_TOL:
         return "geometric"
     return "strictly_diffractive"
 

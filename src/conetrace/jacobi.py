@@ -56,6 +56,8 @@ JACOBI_RTOL = 1e-11
 JACOBI_ATOL = 1e-13
 # |j(s1)| below this times (s1 - s0) counts as a conjugate endpoint
 MORSE_DEGENERACY_TOL = 1e-8
+ZERO_PAD = 1e-9  # zeros are searched this far inside an interval's ends
+WRONSKIAN_CHECKS = 20  # points at which wronskian_drift reads W
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,14 @@ class JacobiSolution:
     def j(self, s) -> np.ndarray:
         return self.pair(s)[0]
 
-    def zeros(self, lo: float = None, hi: float = None, pad: float = 1e-9):
+    def zeros(self, lo: float = None, hi: float = None):
         """Zeros of j in the open interval (lo, hi)."""
         lo = self.s0 if lo is None else lo
         hi = self.s1 if hi is None else hi
-        if hi - lo <= 2 * pad:
+        if hi - lo <= 2 * ZERO_PAD:
             return []
-        grid = np.linspace(lo + pad, hi - pad, max(400, int(200 * (hi - lo))))
+        grid = np.linspace(lo + ZERO_PAD, hi - ZERO_PAD,
+                           max(400, int(200 * (hi - lo))))
         vals = self.j(grid)
         out = []
         sign = np.sign(vals)
@@ -184,14 +187,14 @@ def broken_hessian(path, s_cut: float) -> float:
     return fa.jprime / fa.j + fb.jprime / fb.j
 
 
-def wronskian_drift(path, s0: float = 0.0, s1: float = None,
-                    checks: int = 20) -> float:
-    """Max |W - 1| of the fundamental pair; 0 for an exact integration."""
+def wronskian_drift(path, s0: float = 0.0, s1: float = None) -> float:
+    """Max |W - 1| of the fundamental pair at WRONSKIAN_CHECKS even points
+    of [s0, s1]; 0 for an exact integration."""
     s1 = path.length if s1 is None else s1
     a = integrate_jacobi(path, s0, s1, 1.0, 0.0)
     b = integrate_jacobi(path, s0, s1, 0.0, 1.0)
     worst = 0.0
-    for s in np.linspace(s0, s1, checks):
+    for s in np.linspace(s0, s1, WRONSKIAN_CHECKS):
         fa, fb = a.at(s), b.at(s)
         worst = max(worst, abs(fa.j * fb.jprime - fa.jprime * fb.j - 1.0))
     return worst

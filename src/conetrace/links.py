@@ -23,7 +23,7 @@ band around that set raises GeometricSetError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +49,8 @@ __all__ = [
 GEOMETRIC_TOL = 1e-6
 #: proximity band inside which values are flagged as unreliable
 REGULARITY_BAND = 1e-3
+#: damping parameters r at which `abel_extrapolate` samples an Abel sum
+ABEL_RS = (1 - 1e-3, 1 - 1e-4, 1 - 1e-5)
 
 
 @dataclass(frozen=True)
@@ -274,13 +276,11 @@ def sine_front_coefficients(
     return c_h, c_log
 
 
-def abel_extrapolate(
-    eval_at_r: Callable[[float], complex],
-    rs: Sequence[float] = (1 - 1e-3, 1 - 1e-4, 1 - 1e-5),
-) -> complex:
-    """Extrapolate an Abel-damped sum to r -> 1 (Neville in 1 - r)."""
-    eps = [1.0 - r for r in rs]
-    table = [complex(eval_at_r(r)) for r in rs]
+def abel_extrapolate(eval_at_r: Callable[[float], complex]) -> complex:
+    """Extrapolate an Abel-damped sum to r -> 1 (Neville in 1 - r) from
+    its values at ABEL_RS."""
+    eps = [1.0 - r for r in ABEL_RS]
+    table = [complex(eval_at_r(r)) for r in ABEL_RS]
     m = len(table)
     for level in range(1, m):
         table = [

@@ -89,12 +89,17 @@ def fit_trace_singularity(trace: SmoothedTrace, length: float, prediction,
 
     Complex least squares of the trace samples near the length against
     {model kernel with the trace's own Gaussian damping, 1, (t - L)}.
-    Returns (C_meas, rms residual).
+    Returns (C_meas, rms residual).  A window with fewer samples than
+    these 3 unknowns, or a condition number above 1e8, raises
+    IllConditionedError.
     """
     cutoff = cutoff or CutoffSpec()
     mask = np.abs(trace.t_grid - length) <= window
     ts = trace.t_grid[mask]
     vals = trace.samples[mask]
+    if len(ts) < 3:
+        raise IllConditionedError(f"trace fit window holds {len(ts)} samples, "
+                                  f"fewer than the 3 unknowns")
     unit = replace(prediction, L=length, L0=length, coefficient=1.0 + 0.0j)
     kernel = model_kernel(unit, cutoff, ts, damping_sigma=trace.sigma)
     design = np.column_stack([kernel, np.ones_like(ts), ts - length])

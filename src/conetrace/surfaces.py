@@ -79,14 +79,11 @@ _OFF_DOMAIN = (ArithmeticError, ValueError, TypeError)
 
 
 class Chart:
-    """Base chart interface: metric, Christoffel symbols, curvature."""
+    """Base chart interface: metric, curvature and the geodesic flow."""
 
     name: str
 
     def metric(self, p) -> np.ndarray:
-        raise NotImplementedError
-
-    def christoffel(self, p) -> np.ndarray:
         raise NotImplementedError
 
     def curvature(self, p) -> float:
@@ -142,11 +139,6 @@ class OrthogonalChart(Chart):
     def metric(self, p) -> np.ndarray:
         jets = self._jets_at(p)
         return np.array([[jets[0] ** 2, 0.0], [0.0, jets[4] ** 2]])
-
-    def christoffel(self, p) -> np.ndarray:
-        g000, g001, g011, g100, g101, g111, _ = self._gammas_k(float(p[0]), float(p[1]))
-        return np.array([[[g000, g001], [g001, g011]],
-                         [[g100, g101], [g101, g111]]])
 
     def flow_rhs(self, s, y):
         p0, p1, v0, v1, j, jp = y.tolist()
@@ -248,31 +240,16 @@ class CapChart(Chart):
         return np.array([[1.0 + q * y * y, -q * x * y],
                          [-q * x * y, 1.0 + q * x * x]])
 
-    def christoffel(self, p) -> np.ndarray:
-        # first kind: G_l,ij = R/2 (u^2 (x_i d_lj + x_j d_li - x_l d_ij)
-        # - x_i x_j x_l) + Q (x_i d_lj + x_j d_li - 2 x_l d_ij), raised by
-        # g^-1 = I - c (u^2 I - x x^T) with c = Q / (1 + Q u^2)
-        x = (float(p[0]), float(p[1]))
-        u2 = x[0] * x[0] + x[1] * x[1]
-        q, r, _ = self._q_r_k(math.sqrt(u2))
-        c = q / (1.0 + q * u2)
-        ginv = ((1.0 - c * x[1] * x[1], c * x[0] * x[1]),
-                (c * x[0] * x[1], 1.0 - c * x[0] * x[0]))
-
-        def first(l, i, j):
-            sym = x[i] * (l == j) + x[j] * (l == i)
-            return (0.5 * r * (u2 * (sym - x[l] * (i == j)) - x[i] * x[j] * x[l])
-                    + q * (sym - 2.0 * x[l] * (i == j)))
-
-        return np.array([[[sum(ginv[a][l] * first(l, i, j) for l in range(2))
-                           for j in range(2)] for i in range(2)] for a in range(2)])
-
     def flow_rhs(self, s, y):
         x0, x1, v0, v1, j, jp = y.tolist()
         u2 = x0 * x0 + x1 * x1
         q, r, k = self._q_r_k(math.sqrt(u2))
+        # Christoffel symbols of the first kind:
+        # G_l,ij = R/2 (u^2 (x_i d_lj + x_j d_li - x_l d_ij) - x_i x_j x_l)
+        # + Q (x_i d_lj + x_j d_li - 2 x_l d_ij), so
         # G_l,ij v^i v^j = xv (R u^2 + 2Q) v_l - ((R u^2/2 + 2Q) |v|^2
-        # + R xv^2 / 2) x_l, then raised by g^-1 as in christoffel()
+        # + R xv^2 / 2) x_l, then raised by g^-1 = I - c (u^2 I - x x^T)
+        # with c = Q / (1 + Q u^2)
         xv = x0 * v0 + x1 * v1
         along_v = xv * (r * u2 + 2.0 * q)
         along_x = (0.5 * r * u2 + 2.0 * q) * (v0 * v0 + v1 * v1) + 0.5 * r * xv * xv
@@ -582,11 +559,12 @@ def teardrop(a0: float = 0.75, eps: float = 0.05) -> Surface:
                    _bump_seams("polar", band_lo, band_hi))
 
 
-def cone_chart_surface(sqrt_h_expr, rho: float, r_max: float = 10.0) -> Surface:
+def cone_chart_surface(sqrt_h_expr, *, r_max: float = 10.0) -> Surface:
     """Single-tip cone dx^2 + x^2 h(x, y) dy^2 from sqrt(h), a string
     sympy parses in (p0, p1), also spelled (x, y) or (r, theta); used for
     non-product tip tests.  The chart's jets come from one lambdify of
-    the sympy derivatives of sqrt(G) = x sqrt(h)."""
+    the sympy derivatives of sqrt(G) = x sqrt(h).  The link circumference
+    is 2 pi a0, with a0 = sqrt(h) at the tip."""
     import sympy as sp
 
     p0, p1 = sp.symbols("p0 p1", real=True)

@@ -159,8 +159,7 @@ class TestZeros:
         monkeypatch.setattr(conekernel, "bessel_j",
                             lambda nu, x: np.ones_like(x))
         for damping in (40.0, 30.0):
-            conekernel._mode_data.__wrapped__(rho, 2.0, 0.5, 0.5, damping,
-                                              None, None)
+            conekernel._mode_data.__wrapped__(rho, 2.0, 0.5, 0.5, damping)
         assert len(seen) > 80
         for nu, runs in seen.items():
             ref = reference_zeros(nu, max(x_max for x_max, _ in runs))

@@ -96,8 +96,7 @@ class TestKernelSeries:
 
         monkeypatch.setattr(besselj, "_eval", counting)
         besselj._zeros_and_slopes.cache_clear()
-        modes = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0,
-                                       None, None)
+        modes = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0)
         zeros = sum(len(lams) for _, lams, _ in modes)
         assert zeros > 5000
         assert sum(points) <= 3 * zeros

@@ -1,6 +1,7 @@
 """Config parsing and CLI plumbing: delegation, determinism, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -194,7 +195,12 @@ class TestExitCodes:
         ({"tip_sequence": ["north"]}, "'north'"),
         ({"seeds": [0.6, 1.2]}, "one seed per tip"),
         ({"tip_sequence": [], "seeds": []}, "at least one tip"),
-    ], ids=["bogus-option", "unknown-tip", "seed-count", "no-tips"])
+        ({"surface": {"cone_chart": ["sqrt_h"]}}, "must be an object"),
+        ({"surface": {"cone_chart": {"sqrt_h": "1.1", "rho": 7.0}}}, "'rho'"),
+        ({"surface": {"cone_chart": {"sqrt_h": "1.1", "r_max": 5.0,
+                                     "bogus": 1}}}, "'bogus'"),
+    ], ids=["bogus-option", "unknown-tip", "seed-count", "no-tips",
+            "cone-list", "cone-rho", "cone-unknown-key"])
     def test_unknown_geodesic_option_exit_2(self, tmp_path, capsys, payload,
                                             named):
         cfg = write_config(tmp_path, "td.json", {
@@ -300,9 +306,10 @@ class TestExitCodes:
         ["spectral-trace", "--config", "c.json", "--convention", "L"],
         ["verify", "--suite", "link", "--convention", "L"],
         ["verify", "--suite", "link", "--config", "c.json"],
+        ["predict-trace", "--config", "c.json", "--convention", "L"],
     ], ids=["threads", "tol", "convention-link-kernel",
             "convention-find-geodesics", "convention-spectral-trace",
-            "convention-verify", "config-verify"])
+            "convention-verify", "config-verify", "convention-predict-trace"])
     def test_unread_option_rejected(self, argv):
         # options no command reads are not accepted: argparse exits 2
         with pytest.raises(SystemExit) as exc:
@@ -450,3 +457,54 @@ class TestSpectralTraceCommand:
         main(["spectral-trace", "--config", cfg, "--out", str(a)])
         main(["spectral-trace", "--config", cfg, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def csv_config(self, tmp_path, text):
+        (tmp_path / "eigs.csv").write_text(text)
+        return write_config(tmp_path, "csv.json", {
+            "eigenvalues": {"csv": str(tmp_path / "eigs.csv")},
+            "sigma": 12.0,
+            "t_grid": {"min": 0.5, "max": 1.5, "count": 11},
+        })
+
+    def test_csv_zero_eigenvalue_runs(self, tmp_path):
+        out = tmp_path / "tr.csv"
+        assert main(["spectral-trace", "--config",
+                     self.csv_config(tmp_path, "0.0\n1.0\n"),
+                     "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        trace = smoothed_wave_trace([0.0, 1.0], 12.0, np.linspace(0.5, 1.5, 11))
+        assert [float(row[1]) for row in rows] == list(trace.samples.real)
+
+    @pytest.mark.parametrize("text", [
+        "1.0\n-1e-300\n", "-5.0\n1.0\n", "1.0\ninf\n", "1.0\nnan\n3.0\n",
+        "", "# no values\n",
+    ], ids=["tiny-negative", "negative", "inf", "nan", "empty", "comment-only"])
+    def test_csv_not_a_spectrum_exit_2(self, tmp_path, capsys, text):
+        cfg = self.csv_config(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["spectral-trace", "--config", cfg]) == 2
+        assert not caught
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "eigenvalue CSV" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("length,window,count,code", [
+        (100.0, 0.35, 0, 3), (0.9, 0.01, 1, 3), (0.9, 0.02, 2, 3),
+        (0.9, 0.025, 3, 0),
+    ], ids=["0-samples", "1-sample", "2-samples", "3-samples"])
+    def test_fit_window_sample_count(self, tmp_path, capsys, length, window,
+                                     count, code):
+        # three unknowns: the kernel's coefficient, a constant and a slope
+        grid = np.linspace(0.0, 1.0, 50)
+        assert np.count_nonzero(np.abs(grid - length) <= window) == count
+        cfg = write_config(tmp_path, "fw.json", {
+            "eigenvalues": {"doubled_square": {"lambda_max": 60.0}},
+            "sigma": 12.0,
+            "t_grid": {"min": 0.0, "max": 1.0, "count": 50},
+            "fit": {"L": length, "window": window},
+        })
+        assert main(["spectral-trace", "--config", cfg]) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            assert "domain error" in err and f"holds {count} samples" in err

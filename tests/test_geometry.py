@@ -108,7 +108,7 @@ class TestFlow:
         # a meridian continues straight through the pole cap
         path = shoot_from_tip(teardrop, "tip", A0 * np.pi / 4, 4.0)
         assert {leg.chart for leg in path.legs} == {"polar", "cap"}
-        assert path.speed_drift(60) < 1e-9
+        assert path.speed_drift() < 1e-9
         st = path.state(4.0)
         assert st.chart == "polar"
         # emerged on the opposite meridian
@@ -303,7 +303,7 @@ class TestPerturbationGuard:
 
 class TestTipData:
     def test_custom_chart_frobenius(self):
-        surf = surfaces.cone_chart_surface("1.2*(1+p0)**0.5", 10.0)
+        surf = surfaces.cone_chart_surface("1.2*(1+p0)**0.5")
         tip = surf.tips["tip"]
         assert tip.a0 == pytest.approx(1.2)
         assert tip.c1 == pytest.approx(0.5)
@@ -315,13 +315,13 @@ class TestTipData:
     def test_frobenius_c1_of_irrational_cone_angle(self):
         # a0 = 1.2 sqrt(1.5) is irrational: c1 must come from the exact a0,
         # a rounded one leaves a 1/x term and an infinite limit
-        tip = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5", 10.0).tips["tip"]
+        tip = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5").tips["tip"]
         assert tip.a0 == pytest.approx(1.2 * np.sqrt(1.5))
         assert tip.c1 == pytest.approx(-1.0 / 3.0)
 
     def test_degenerate_tip_rejected(self):
         with pytest.raises(SeriesStartFailureError):
-            surfaces.cone_chart_surface("p0", 10.0)  # sqrt(G) ~ x^2
+            surfaces.cone_chart_surface("p0")  # sqrt(G) ~ x^2
 
 
 def _sympy_bump(r, lo, hi):
@@ -343,10 +343,16 @@ def _reference_pq(surface):
     return p0, p1, P, sp.sin(p0) * (A0 + (1 - A0) * sp.sin(p0 / 2) ** 2)
 
 
+# three velocities whose quadratic forms v^i v^j span all three (i, j):
+# the flow's accelerations -G^a_ij v^i v^j at them pin all six symbols
+VELOCITIES = ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8))
+
+
 def _numpy_reference(p0, p1, P, Q):
-    """Metric, Christoffel symbols, K, sqrt(G) and its gradient of the
-    metric P^2 dp0^2 + Q^2 dp1^2, derived symbolically from P and Q and
-    lambdified with numpy."""
+    """Metric, K, sqrt(G) and its gradient of the metric
+    P^2 dp0^2 + Q^2 dp1^2, keyed by chart method, and its Christoffel
+    symbols G^a_ij, all derived symbolically from P and Q and lambdified
+    with numpy."""
     coords = (p0, p1)
     g = sp.diag(P**2, Q**2)
     ginv = sp.diag(1 / P**2, 1 / Q**2)
@@ -359,18 +365,18 @@ def _numpy_reference(p0, p1, P, Q):
     curv = -(sp.diff(sp.diff(Q, p0) / P, p0) + sp.diff(sp.diff(P, p1) / Q, p1)) / (P * Q)
     funcs = {
         "metric": [[P**2, 0], [0, Q**2]],
-        "christoffel": gammas,
         "curvature": curv,
         "sqrt_q": Q,
         "sqrt_q_grad": [sp.diff(Q, p0), sp.diff(Q, p1)],
     }
-    return {name: sp.lambdify(coords, expr, modules="numpy")
-            for name, expr in funcs.items()}
+    return ({name: sp.lambdify(coords, expr, modules="numpy")
+             for name, expr in funcs.items()},
+            sp.lambdify(coords, gammas, modules="numpy"))
 
 
 @pytest.fixture(scope="module")
 def cone_chart():
-    return surfaces.cone_chart_surface("1.2*(1+p0)**0.5", 10.0)
+    return surfaces.cone_chart_surface("1.2*(1+p0)**0.5")
 
 
 class TestCompiledCharts:
@@ -388,7 +394,7 @@ class TestCompiledCharts:
     @pytest.mark.parametrize("surface", ["spindle", "teardrop", "cone_chart"])
     def test_matches_numpy_reference(self, request, surface):
         chart = request.getfixturevalue(surface).chart("polar")
-        ref = _numpy_reference(*_reference_pq(surface))
+        ref, ref_gamma = _numpy_reference(*_reference_pq(surface))
         radii = [edge + d for edge in self.EDGES for d in (-1e-3, -1e-9, 1e-9, 1e-3)]
         radii += [tip + x if tip == 0.0 else tip - x
                   for tip in self.TIPS[surface] for x in self.TIP_X]
@@ -401,17 +407,23 @@ class TestCompiledCharts:
                     assert got.shape == want.shape
                     assert np.allclose(got, want, rtol=self.REL, atol=self.ABS), (
                         surface, method, r, theta)
+                gamma = np.asarray(ref_gamma(r, theta), dtype=float)
+                for v in VELOCITIES:
+                    got = chart.flow_rhs(0.0, np.array([r, theta, *v, 0.2, 1.1]))
+                    want = -np.einsum("aij,i,j->a", gamma, v, v)
+                    assert np.allclose(got[2:4], want, rtol=self.REL,
+                                       atol=self.ABS), (surface, v, r, theta)
 
     def test_off_domain_raises_step_failure(self):
         # sqrt(G) = 1.2 p0 (1.5 - p0)^0.5 has no real value past p0 = 1.5
-        surf = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5", 10.0)
+        surf = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5")
         with pytest.raises(StepFailureError):
             shoot_from_tip(surf, "tip", 0.3, 3.0)
 
     def test_singular_curvature_stops_the_flow(self):
         # K ~ 1 / (4 (1.5 - p0)^2) ahead of that edge: the flow stops where
         # |K| passes MAX_CURVATURE instead of creeping toward the edge
-        chart = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5", 10.0).chart("polar")
+        chart = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5").chart("polar")
         y = np.array([1.5 - 1e-8, 0.3, 1.0, 0.0, 0.1, 1.0])
         with pytest.raises(StepFailureError, match="singular"):
             chart.flow_rhs(0.0, y)
@@ -481,9 +493,9 @@ class TestCapSeries:
 
 
 def _numpy_cap(cap, p):
-    """The cap's metric, Christoffel symbols and flow acceleration by the
-    general formulas in numpy (np.linalg.inv, np.einsum and the sum over
-    metric derivatives), from the chart's own Q and R = Q'(u)/u."""
+    """The cap's metric and Christoffel symbols by the general formulas
+    in numpy (np.linalg.inv and the sum over metric derivatives), from
+    the chart's own Q and R = Q'(u)/u."""
     x = np.asarray(p, dtype=float)
     u = float(np.hypot(x[0], x[1]))
     q, r, _ = cap._q_r_k(u)
@@ -522,12 +534,12 @@ class TestScalarCap:
             p = np.array([u * np.cos(phi), u * np.sin(phi)])
             g, gamma = _numpy_cap(cap, p)
             assert np.allclose(cap.metric(p), g, rtol=self.REL, atol=self.ABS)
-            assert np.allclose(cap.christoffel(p), gamma, rtol=self.REL, atol=self.ABS)
-            v = np.array([0.6, -0.8]) / np.sqrt(np.array([0.6, -0.8]) @ g @ [0.6, -0.8])
-            y = np.concatenate([p, v, [0.2, 1.1]])
             k = cap.curvature(p)
-            want = [*v, *-np.einsum("aij,i,j->a", gamma, v, v), 1.1, -k * 0.2]
-            assert np.allclose(cap.flow_rhs(0.0, y), want, rtol=self.REL, atol=self.ABS)
+            for v in VELOCITIES:
+                y = np.concatenate([p, v, [0.2, 1.1]])
+                want = [*v, *-np.einsum("aij,i,j->a", gamma, v, v), 1.1, -k * 0.2]
+                assert np.allclose(cap.flow_rhs(0.0, y), want, rtol=self.REL,
+                                   atol=self.ABS), v
             if u > 0:
                 k_ref = float(-sp.diff(f, w, 2).subs(w, u) / f.subs(w, u))
                 assert k == pytest.approx(k_ref, rel=self.REL)

@@ -136,7 +136,7 @@ class TestFlowField:
                                rtol=0.0, atol=1e-15)
 
     def test_start_sliver_is_the_frobenius_start(self):
-        surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5", 10.0)
+        surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5")
         c1 = surf.tips["tip"].c1
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
         for x in (0.0, 0.5 * TIP_START_X, TIP_START_X):
@@ -234,7 +234,7 @@ class TestBrokenHessian:
 
     def test_frobenius_start_self_consistent(self):
         # non-product tip: curvature ~ c/x, the series start must absorb it
-        surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5", 10.0)
+        surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5")
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
         a = jacobi.b_jacobi_solution(path, 1.5, x_start=1e-4).at(1.5)
         b = jacobi.b_jacobi_solution(path, 1.5, x_start=1e-5).at(1.5)

@@ -146,10 +146,11 @@ class TestComposition:
         with pytest.raises(NoCriticalPointError):
             brute_force_composition(geom, 1.0, 200.0)
 
-    def test_refinement_divergence_guard(self):
+    def test_refinement_divergence_guard(self, monkeypatch):
+        monkeypatch.setattr(composition, "REFINE_TOL", 1e-12)
         geom = flat_collinear_geometry(1.0, 1.0)
         with pytest.raises(QuadratureDivergenceError):
-            brute_force_composition(geom, 1.0, 200.0, refine_tol=1e-12)
+            brute_force_composition(geom, 1.0, 200.0)
 
     def test_xi_guard(self):
         geom = flat_collinear_geometry(1.0, 1.0)

@@ -42,8 +42,7 @@ def test_criterion_3_mode_build_shares_few_rules():
     # criterion 3's cone (rho = 1.5 pi, Lambda = 40) evaluates J_nu at
     # thousands of distinct (nu, x); the node ladder keeps the rules few
     gauss_legendre.cache_clear()
-    modes = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0,
-                                   None, None)
+    modes = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0)
     assert len(modes) > 50
     info = gauss_legendre.cache_info()
     assert 0 < info.currsize <= 24
