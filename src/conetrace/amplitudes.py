@@ -177,9 +177,11 @@ def trace_singularity_cut_route(geodesic) -> complex:
     of the cut segment, so agreement with trace_singularity certifies
     the shape-operator and Wronskian identities behind the assembly.
 
-    Both fields are the ones kept on the path: `path.tip_field`, the
-    field the shot's own flow carried, and `path.reversed().tip_field`,
-    carried by a reverse shot of its own from the far tip.
+    Both fields are the ones kept on the path: `path.flow_field`, the
+    field the segment's own shot carried from its start tip, and
+    `path.reversed().flow_field`, carried by a reverse shot of its own
+    from the far tip.  Each segment and its reverse shot start at a tip,
+    so both are tip-launched fields.
     trace_singularity's invariants read the same forward field.  The
     check stays independent: the direct route reads only the forward
     field's zeros and its value at the far tip, while this route reads
@@ -204,8 +206,8 @@ def trace_singularity_cut_route(geodesic) -> complex:
     for c, seg in enumerate(geodesic.segments):
         path = seg.path
         d_c = seg.length
-        sol_a = path.tip_field
-        sol_b = path.reversed().tip_field
+        sol_a = path.flow_field
+        sol_b = path.reversed().flow_field
         zeros_a = np.array(sol_a.zeros())
         zeros_b = np.array(sol_b.zeros())
 

@@ -264,7 +264,7 @@ def cmd_spectral_trace(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite == "all":
-        names = list(verify.SUITES)
+        names = verify.ALL
     elif args.suite in verify.SUITES:
         names = [args.suite]
     else:
@@ -316,7 +316,8 @@ def _build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--suite", required=True,
-                   help="suite name (link, composition, spectral) or 'all'")
+                   help=f"suite name ({', '.join(verify.SUITES)}) or 'all' "
+                        f"({', '.join(verify.ALL)})")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -23,7 +23,8 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from .besselj import _zeros_and_slopes, bessel_j, bessel_j_zeros
-from .errors import IllConditionedError, WallInfluenceError
+from .errors import WallInfluenceError
+from .fitting import guarded_lstsq
 
 __all__ = [
     "flat_cone_sine_kernel_series",
@@ -161,18 +162,14 @@ def extract_front_coefficients(
     window carried by the damped mode sum, so the comparison with exact
     front coefficients is direct rather than asymptotic.  Samples within
     2.5 / damping (2.5 window widths) of the front are left out.
-    Returns (c_H, c_log, rms residual).
+    Returns (c_H, c_log, rms residual).  Fewer samples outside that zone
+    than the basis's 9 columns, or a condition number above 1e8, raises
+    IllConditionedError.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     values = np.asarray(values)
     keep = np.abs(t_samples - t0) >= 2.5 / damping
     tau = t_samples[keep] - t0
     vals = values[keep]
-    design = conormal_basis(tau, damping)
-    cond = np.linalg.cond(design)
-    if cond > 1e8:
-        raise IllConditionedError(f"front fit condition number {cond:.2e}")
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    resid = vals - design @ coef
-    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
+    coef, rms = guarded_lstsq(conormal_basis(tau, damping), vals, "front fit")
     return coef[2], coef[3], rms

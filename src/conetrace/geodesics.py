@@ -190,13 +190,6 @@ class GeodesicPath:
         change after that (an end cap's solve happens then)."""
         return JacobiSolution(_FlowField(self), 0.0, self.length)
 
-    @property
-    def tip_field(self) -> JacobiSolution:
-        """Tip-launched Jacobi field over the whole path: the flow's."""
-        if self.start_kind != "tip":
-            raise StepFailureError("b-Jacobi field needs a path starting at a tip")
-        return self.flow_field
-
     def reversed(self) -> "GeodesicPath":
         """The same curve traversed backwards: a shot of its own from this
         path's end, kept on first use."""
@@ -478,7 +471,7 @@ def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: floa
             # too: one short solve, the segment's only Jacobi solve
             _end_at_tip(path, tb)
 
-        jf = path.tip_field.at(s_sec)  # the shot's own (j, j') at band entry
+        jf = path.flow_field.at(s_sec)  # the shot's own (j, j') at band entry
         # variation of p_theta under the launch angle, via the Killing field
         # of the symmetric band: eps0 tracks the parallel frame orientation
         # fixed at launch, v[0] the radial sense at the section

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .amplitudes import CutoffSpec, model_kernel
-from .errors import IllConditionedError
+from .fitting import guarded_lstsq
 
 __all__ = [
     "SmoothedTrace",
@@ -97,15 +97,8 @@ def fit_trace_singularity(trace: SmoothedTrace, length: float, prediction,
     mask = np.abs(trace.t_grid - length) <= window
     ts = trace.t_grid[mask]
     vals = trace.samples[mask]
-    if len(ts) < 3:
-        raise IllConditionedError(f"trace fit window holds {len(ts)} samples, "
-                                  f"fewer than the 3 unknowns")
     unit = replace(prediction, L=length, L0=length, coefficient=1.0 + 0.0j)
     kernel = model_kernel(unit, cutoff, ts, damping_sigma=trace.sigma)
     design = np.column_stack([kernel, np.ones_like(ts), ts - length])
-    cond = np.linalg.cond(design)
-    if cond > 1e8:
-        raise IllConditionedError(f"trace fit condition number {cond:.2e}")
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    resid = vals - design @ coef
-    return coef[0], float(np.sqrt(np.mean(np.abs(resid) ** 2)))
+    coef, rms = guarded_lstsq(design, vals, "trace fit")
+    return coef[0], rms

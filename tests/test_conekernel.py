@@ -18,7 +18,7 @@ from conetrace.conekernel import (
     smoothed_heaviside,
     smoothed_log,
 )
-from conetrace.errors import WallInfluenceError
+from conetrace.errors import IllConditionedError, WallInfluenceError
 
 RHO = 3 * np.pi / 2
 LIGHT = dict(damping=20.0, wall_r=1.1)
@@ -157,6 +157,25 @@ class TestExtractor:
         a = extract_front_coefficients(ts, vals, 1.0, damping=self.DAMPING)
         b = extract_front_coefficients(ts, spoiled, 1.0, damping=self.DAMPING)
         assert a == b
+
+    @pytest.mark.parametrize("count", [8, 9])
+    def test_sample_count_guard(self, count):
+        # fewer samples than the 9 basis columns fit any values exactly;
+        # the one at the front sits in the blind zone and does not count
+        outside = [-0.15, -0.13, -0.11, -0.09, -0.07, 0.07, 0.09, 0.11, 0.13]
+        tau = np.array([0.0] + outside[:count])
+        target = [0.3, 0.2, 2.0, -0.5, 0.0, 0.0, 0.1, 0.0, 0.0]
+        vals = conormal_basis(tau, self.DAMPING) @ np.asarray(target)
+        if count < 9:
+            with pytest.raises(IllConditionedError,
+                               match=f"holds {count} samples"):
+                extract_front_coefficients(1.0 + tau, vals, 1.0,
+                                           damping=self.DAMPING)
+        else:
+            c_h, c_log, _ = extract_front_coefficients(1.0 + tau, vals, 1.0,
+                                                       damping=self.DAMPING)
+            assert c_h == pytest.approx(2.0, abs=1e-8)
+            assert c_log == pytest.approx(-0.5, abs=1e-8)
 
 
 class TestSmoothedBasis:

@@ -398,7 +398,8 @@ class TestGeodesicCommands:
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite,criterion", [("composition", 8),
-                                                 ("spectral", 10)])
+                                                 ("spectral", 10),
+                                                 ("assembly", 9)])
     def test_suite_report(self, tmp_path, suite, criterion):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["verify", "--suite", suite, "--out", str(a)]) == 0
@@ -414,6 +415,12 @@ class TestVerifyCommand:
         for m in result["measurements"]:
             assert np.isfinite(m["value"])
             assert m["min"] is not None or m["max"] is not None
+
+    def test_all_is_the_quick_suites(self, tmp_path):
+        out = tmp_path / "all.json"
+        assert main(["verify", "--suite", "all", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [r["criterion"] for r in report["results"]] == [1, 2, 8, 10]
 
 
 class TestSpectralTraceCommand:

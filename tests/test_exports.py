@@ -42,6 +42,36 @@ def test_package_imports_are_exported():
     assert undeclared == []
 
 
+def _run_fresh(code):
+    path = [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_verify_import_builds_nothing():
+    # the registry builds its surfaces, geodesics and mode sums when a
+    # criterion runs, not when conetrace.verify is imported
+    code = "\n".join([
+        "import conetrace",
+        "from conetrace import conekernel, geodesics, surfaces",
+        "built = []",
+        "def count(cls):",
+        "    init = cls.__init__",
+        "    def counted(self, *a, **kw):",
+        "        built.append(cls.__name__)",
+        "        init(self, *a, **kw)",
+        "    cls.__init__ = counted",
+        "count(surfaces.Surface); count(geodesics.GeodesicPath)",
+        "import conetrace.verify",
+        "assert conekernel._mode_data.cache_info().currsize == 0",
+        "print(len(built))",
+    ])
+    run = _run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0"
+
+
 def test_import_leaves_sympy_unloaded():
     # the builtin surfaces are closed forms; only a cone_chart build,
     # which differentiates a user expression, loads sympy
@@ -54,9 +84,6 @@ def test_import_leaves_sympy_unloaded():
         "assert 'sympy' in sys.modules",
         "print(tip.c1)",
     ])
-    path = [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
+    run = _run_fresh(code)
     assert run.returncode == 0, run.stderr
     assert float(run.stdout) == pytest.approx(0.5)

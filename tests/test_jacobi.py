@@ -99,7 +99,7 @@ class TestSpreading:
         fc = surfaces.flat_cone(1.5 * np.pi)
         path = shoot_from_tip(fc, "tip", 0.0, 4.0)
         # j'/j of the tip field: 1/x on the flat cone
-        f = path.tip_field.at(2.0)
+        f = path.flow_field.at(2.0)
         assert f.jprime / f.j == pytest.approx(0.5, abs=1e-9)
 
 
@@ -123,7 +123,7 @@ class TestFlowField:
                 ref = jacobi.b_jacobi_solution(path)
                 ss = np.append(np.linspace(0.05, path.length, 25, endpoint=False),
                                path.length)
-                self.assert_matches(path.tip_field, ref, ss)
+                self.assert_matches(path.flow_field, ref, ss)
 
     def test_teardrop_loop_crosses_the_cap(self, teardrop_closed):
         # the field rides polar -> cap -> polar (and across the seams),
@@ -140,7 +140,7 @@ class TestFlowField:
         c1 = surf.tips["tip"].c1
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
         for x in (0.0, 0.5 * TIP_START_X, TIP_START_X):
-            f = path.tip_field.at(x)
+            f = path.flow_field.at(x)
             assert f.j == pytest.approx(x * (1 + c1 * x), abs=1e-18)
             assert f.jprime == pytest.approx(1 + 2 * c1 * x, abs=1e-12)
 
