@@ -4,19 +4,33 @@ Cone mode sums need J_nu for arbitrary real order nu = 2 pi |k| / rho,
 so the function is implemented in-repo rather than taken from a library
 that is also used as ground truth.  Two regimes:
 
-* ascending power series for small argument (or argument well below the
-  order), summed with log-gamma terms to dodge overflow,
+* ascending power series for small argument (x <= 10) or argument at
+  most half the order (x <= nu / 2), its first 60 terms summed in one
+  shot, with log-gamma terms to dodge overflow.  The alternating terms
+  cancel, so the accuracy is absolute, not relative to J_nu.  Against
+  mpmath the error is about 1.5e-12 at x = 10 for small orders, and
+  below 1e-18 where x <= nu / 2 with nu >= 20; there J_nu itself is so
+  small that the relative error can be large (1e-5 at nu = 160,
+  x = 79.9, and the wrong sign at nu = 400, x = 199),
 * Schlaefli's integral representation elsewhere,
       J_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt
               - sin(nu pi)/pi int_0^inf exp(-nu t - x sinh t) dt,
   with Gauss-Legendre on the oscillatory part and scaled Gauss-Laguerre
-  on the monotone tail.  The Legendre node count tracks the total phase
-  variation nu pi + 2 x, rounded up to the next rung of a ladder of
-  multiples of 128 nodes, so that the many (nu, x) of a mode build share
-  a handful of rules from the package's cached rule source
-  (`quadrature.gauss_legendre`).  A phase variation that would need more
-  than the ladder's top (3072 nodes, nu pi + 2 x above about 3360) raises
-  BesselFailureError rather than integrating with too few nodes.
+  on the monotone tail.  The Legendre rule is sized by the integrand's
+  top frequency: the phase nu t - x sin t has slope nu - x cos t, at
+  most nu + x, and the rule takes 0.8 (nu + x) + 40 nodes rounded up to
+  a multiple of 64 (x the largest argument of the batch).  The total
+  phase variation nu pi + 2 x, which overstates the work, would ask for
+  three to four times as many.  On a scan of 13 orders from 0 to 800,
+  each at 7 arguments spread over the domain, 0.8 (nu + x) + 40 is at
+  least 1.21 times the smallest node count that puts both J and J'
+  within 2e-13 of scipy's jv; the tightest points lie at x = nu / 2.
+  Rounding up to a multiple of 64 lets the many (nu, x) of a mode build
+  share a handful of rules from the package's cached rule source
+  (`quadrature.gauss_legendre`).  The rule is checked on the
+  domain nu pi + 2 x <= 3360, where it never takes more than 1408
+  nodes; a phase variation beyond it raises BesselFailureError rather
+  than integrating where nothing was checked.
 
 Zeros come from linear algebra, not from a search on J.  The three-term
 recurrence makes 1/j_{nu,m} the positive eigenvalues of the infinite
@@ -51,48 +65,54 @@ from .quadrature import gauss_legendre
 __all__ = ["bessel_j", "bessel_j_prime", "bessel_j_pair", "bessel_j_zeros"]
 
 _SERIES_X_MAX = 10.0
+_SERIES_TERMS = 60
 _LAG = laggauss(80)
-_GL_RUNG = 128  # Legendre node counts are multiples of this
-_GL_TOP = 3072  # largest rule the Schlaefli integral will use
+_GL_RUNG = 64  # Legendre node counts are multiples of this
+_SPAN_TOP = 3360.0  # largest phase variation nu pi + 2 x supported
 _POLISH_TOL = 1e-8  # largest Newton step an eigenvalue zero may need
 
 
-def _nodes(span: float) -> int:
-    """Legendre node count for a total phase variation nu pi + 2 x: the
-    ladder rung at or above 0.9 span + 48."""
-    return _GL_RUNG * math.ceil((0.9 * span + 48) / _GL_RUNG)
+def _nodes(nu: float, x_max: float) -> int:
+    """Legendre node count for the Schlaefli integral up to x_max: the
+    rung at or above 0.8 (nu + x_max) + 40, nu + x_max being the top
+    frequency of its integrand."""
+    return _GL_RUNG * math.ceil((0.8 * (nu + x_max) + 40) / _GL_RUNG)
 
 
-def _series(nu: float, x: np.ndarray, deriv: bool) -> np.ndarray:
-    out = np.zeros_like(x)
-    lx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0) / 2.0), 0.0)
-    for m in range(0, 60):
-        lg = gammaln(m + 1.0) + gammaln(nu + m + 1.0)
-        expo = (2 * m + nu) * lx - lg
-        term = (-1.0) ** m * np.exp(expo)
-        if deriv:
-            term = term * (2 * m + nu) / np.where(x > 0, x, 1.0)
-        out += np.where(x > 0, term, 0.0)
-        if np.all(np.abs(term) < 1e-18 * (1.0 + np.abs(out))) and m > nu / 2 + 3:
-            break
-    if not deriv:
-        out = np.where(x == 0.0, 1.0 if nu == 0.0 else 0.0, out)
-    else:
-        if nu == 1.0:
-            out = np.where(x == 0.0, 0.5, out)
-        else:
-            out = np.where(x == 0.0, 0.0, out)
-    return out
+def _check_span(nu: float, x_max: float, what: str) -> None:
+    span = nu * math.pi + 2.0 * x_max
+    if span > _SPAN_TOP:
+        raise BesselFailureError(
+            f"{what}: phase variation {span:.6g} exceeds {_SPAN_TOP:g}, "
+            f"the domain the Gauss-Legendre rule is checked on")
+
+
+def _series(nu: float, x: np.ndarray, deriv):
+    """The first _SERIES_TERMS terms of the ascending series, one column
+    of terms per point, summed in one shot; deriv as for _schlaefli.
+    The sum runs down the columns, so it adds the terms in order."""
+    m = np.arange(_SERIES_TERMS, dtype=float)[:, None]
+    power = 2.0 * m + nu
+    pos = x > 0  # x = 0 takes the limits below
+    xs = np.where(pos, x, 1.0)
+    terms = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(
+        power * np.log(xs / 2.0) - (gammaln(m + 1.0) + gammaln(nu + m + 1.0)))
+    j = d = None
+    if deriv is not True:
+        j = np.where(pos, terms.sum(axis=0), 1.0 if nu == 0.0 else 0.0)
+    if deriv is not False:
+        d = np.where(pos, (terms * power / xs).sum(axis=0),
+                     0.5 if nu == 1.0 else 0.0)
+    if deriv == "both":
+        return j, d
+    return j if deriv is False else d
 
 
 def _schlaefli(nu: float, x: np.ndarray, deriv) -> np.ndarray:
     """deriv in {False, True, "both"}; "both" shares the phase matrix."""
-    span = nu * np.pi + 2.0 * float(np.max(x, initial=0.0))
-    n = _nodes(span)
-    if n > _GL_TOP:
-        raise BesselFailureError(
-            f"phase variation {span:.6g} needs more than {_GL_TOP} "
-            f"Gauss-Legendre nodes")
+    x_max = float(np.max(x, initial=0.0))
+    _check_span(nu, x_max, f"J_{nu:g} at {x_max:g}")
+    n = _nodes(nu, x_max)
     t, w = gauss_legendre(n)
     theta = 0.5 * np.pi * (t + 1.0)
     wt = 0.5 * np.pi * w
@@ -133,17 +153,12 @@ def _eval(nu: float, x, deriv):
     out = np.empty_like(arr)
     out_d = np.empty_like(arr) if both else None
     small = (arr <= _SERIES_X_MAX) | (arr <= 0.5 * nu)
-    if np.any(small):
-        if both:
-            out[small] = _series(nu, arr[small], False)
-            out_d[small] = _series(nu, arr[small], True)
-        else:
-            out[small] = _series(nu, arr[small], deriv)
-    if np.any(~small):
-        if both:
-            out[~small], out_d[~small] = _schlaefli(nu, arr[~small], "both")
-        else:
-            out[~small] = _schlaefli(nu, arr[~small], deriv)
+    for part, fn in ((small, _series), (~small, _schlaefli)):
+        if np.any(part):
+            if both:
+                out[part], out_d[part] = fn(nu, arr[part], "both")
+            else:
+                out[part] = fn(nu, arr[part], deriv)
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     if both:
         if scalar:
@@ -207,10 +222,7 @@ def _zeros_and_slopes(nu: float, x_max: float):
     if x_max <= nu:
         zeros = slopes = np.array([])  # the first zero exceeds the order
     else:
-        if _nodes(nu * math.pi + 2.0 * x_max) > _GL_TOP:
-            raise BesselFailureError(
-                f"zeros up to {x_max:g} need more than {_GL_TOP} "
-                f"Gauss-Legendre nodes to polish")
+        _check_span(nu, x_max, f"zeros of J_{nu:g} up to {x_max:g}")
         # the margin keeps a zero that the eigenvalue error (about 1e-12)
         # puts just above x_max; the polished values decide
         zeros, slopes = _polish(nu, _ikebe_zeros(nu, x_max + 1e-6))

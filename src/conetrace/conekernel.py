@@ -40,12 +40,16 @@ WALL_MARGIN = 0.1
 
 @functools.lru_cache(maxsize=8)
 def _mode_data(rho, wall_r, x, xp, damping):
+    """The damped modes as three flat read-only arrays (k, lambda, w),
+    one entry per angular mode k and radial zero, ascending in k and
+    then in lambda; w is the damped radial factor over lambda, so the
+    kernel is the sum of angular(k) w sin(t lambda) / rho."""
     lam_max = 5.0 * damping
     z_arg = lam_max * max(x, xp)
     nu_max = z_arg + 8.0 * max(z_arg, 1.0) ** (1.0 / 3.0) + 10.0
     k_max = int(np.ceil(nu_max * rho / (2 * np.pi)))
     j_max = lam_max * wall_r  # the largest Bessel zero kept
-    modes = []
+    ks, lams, weights = [], [], []
     for k in range(0, k_max + 1):
         nu = 2 * np.pi * k / rho
         zeros = bessel_j_zeros(nu, j_max)
@@ -53,13 +57,18 @@ def _mode_data(rho, wall_r, x, xp, damping):
             break
         # J' at the zeros from the polish step that found them (cached)
         slopes = _zeros_and_slopes(nu, j_max)[1]
-        lams = zeros / wall_r
+        lam = zeros / wall_r
         norm = 2.0 / (wall_r**2 * slopes**2)
-        jx = bessel_j(nu, lams * x)
-        radial = norm * jx * (jx if xp == x else bessel_j(nu, lams * xp))
-        damp = np.exp(-(lams**2) / (2.0 * damping**2))
-        modes.append((k, lams, radial * damp))
-    return modes
+        jx = bessel_j(nu, lam * x)
+        radial = norm * jx * (jx if xp == x else bessel_j(nu, lam * xp))
+        damp = np.exp(-(lam**2) / (2.0 * damping**2))
+        ks.append(np.full(len(lam), k))
+        lams.append(lam)
+        weights.append(radial * damp / lam)
+    out = tuple(np.concatenate(a) for a in (ks, lams, weights))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def flat_cone_sine_kernel_series(
@@ -80,13 +89,10 @@ def flat_cone_sine_kernel_series(
         raise WallInfluenceError(
             "wall too close: finite propagation speed no longer shields it"
         )
-    modes = _mode_data(rho, wall_r, x, xp, damping)
-    alpha = 2 * np.pi / rho
-    total = 0.0
-    for k, lams, weights in modes:
-        angular = 1.0 if k == 0 else 2.0 * math.cos(k * alpha * (y - yp))
-        total += angular * float(np.sum(weights * np.sin(t * lams) / lams))
-    return complex(total / rho)
+    k, lam, weight = _mode_data(rho, wall_r, x, xp, damping)
+    angular = np.where(k == 0, 1.0, 2.0 * np.cos(k * (2 * np.pi / rho)
+                                                 * (y - yp)))
+    return complex((angular * weight) @ np.sin(t * lam) / rho)
 
 
 def smoothed_heaviside(tau, damping: float):
@@ -136,16 +142,23 @@ def conormal_basis(tau, damping: float) -> np.ndarray:
     practical fit window, and without them the step coefficient
     absorbs a large bias.
     """
+    # |tau| and tau|tau| smooth in closed form: for X ~ N(tau, sig^2),
+    # E|X| = g + tau erf and E[X|X|] = (tau^2 + sig^2) erf + tau g,
+    # with g = sig sqrt(2/pi) exp(-tau^2 / (2 sig^2)) and erf at
+    # tau / (sig sqrt 2); only the log family needs quadrature
+    sig = 1.0 / damping
+    g = sig * np.sqrt(2.0 / np.pi) * np.exp(-(tau**2) / (2 * sig**2))
+    e = erf(tau / (sig * np.sqrt(2.0)))
     cols = [
         np.ones_like(tau),
         tau,
         smoothed_heaviside(tau, damping),
         smoothed_log(tau, damping),
-        _smoothed(abs, tau, damping),
+        g + tau * e,
         _smoothed(lambda z: z * _safe_log(z), tau, damping),
         tau**2,
         _smoothed(lambda z: z * z * _safe_log(z), tau, damping),
-        _smoothed(lambda z: z * abs(z), tau, damping),
+        (tau**2 + sig**2) * e + tau * g,
     ]
     return np.column_stack(cols)
 

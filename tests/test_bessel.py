@@ -224,7 +224,7 @@ class TestZeroGuards:
 
 class TestRegimeEdges:
     """Both sides of each switch: series vs Schlaefli integral, and the
-    top of the Gauss-Legendre node ladder."""
+    edge of the domain the Gauss-Legendre rule is checked on."""
 
     X_MAX = besselj._SERIES_X_MAX
 
@@ -245,15 +245,96 @@ class TestRegimeEdges:
             float(mpmath.besselj(nu, x, derivative=1)), abs=1e-10, rel=1e-9)
 
     def test_below_ladder_top(self):
-        # nu pi + 2 x = 3359.6 asks for 3072 nodes, the top rung
+        # nu pi + 2 x = 3359.6, just inside the domain the rule is
+        # checked on
         x = 1679.0
         assert 0.5 * np.pi + 2 * x < 3360.0
         ref = float(mpmath.besselj(0.5, x))
         assert bessel_j(0.5, x) == pytest.approx(ref, abs=1e-10, rel=1e-9)
 
     def test_above_ladder_top_raises(self):
-        # nu pi + 2 x = 3361.6 would need more nodes than the top rung
+        # nu pi + 2 x = 3361.6 lies outside that domain
         with pytest.raises(BesselFailureError, match="Gauss-Legendre"):
             bessel_j(0.5, 1680.0)
         with pytest.raises(BesselFailureError):
             bessel_j_zeros(0.5, 1700.0)
+
+
+def _rung_tops():
+    """(nu, x, rung) just below each switch of the Legendre node rule,
+    where it has the fewest nodes per unit of nu + x: the rule takes
+    0.8 (nu + x) + 40 nodes rounded up to 64 m, and reaches 64 m at
+    nu + x = 80 m - 50.  Only points in the Schlaefli regime count."""
+    cases = []
+    for nu in (0.0, 4.0 / 3.0, 40.0, 118.0, 600.0):
+        for m in range(1, 30):
+            x = (80.0 * m - 50.0 - nu) * (1 - 1e-9)
+            if x > max(10.0, nu / 2) and nu * np.pi + 2 * x <= 3360.0:
+                cases.append((nu, x, 64 * m))
+    return cases
+
+
+class TestNodeRule:
+    """J and J' from the smallest rule the Schlaefli integral takes."""
+
+    @pytest.mark.parametrize("nu,x,rung", _rung_tops(),
+                             ids=lambda v: f"{v:.6g}")
+    def test_just_below_each_rung_switch(self, nu, x, rung):
+        assert besselj._nodes(nu, x) == rung
+        j, jp = bessel_j_pair(nu, x)
+        assert abs(j - float(mpmath.besselj(nu, x))) <= 1e-12
+        assert abs(jp - float(mpmath.besselj(nu, x, derivative=1))) <= 1e-12
+
+    @pytest.mark.parametrize("nu,x", [
+        (0.0, 10.0 * (1 + 1e-9)), (4.0 / 3.0, 10.0 * (1 + 1e-9)),
+        (40.0, 20.0 * (1 + 1e-9)), (118.0, 59.0 * (1 + 1e-9)),
+        (600.0, 300.0 * (1 + 1e-9))],
+        ids=["series-max-nu0", "series-max-nu4_3", "half-order-40",
+             "half-order-118", "half-order-600"])
+    def test_schlaefli_side_of_regime_switch(self, nu, x):
+        j, jp = bessel_j_pair(nu, x)
+        assert abs(j - float(mpmath.besselj(nu, x))) <= 1e-12
+        assert abs(jp - float(mpmath.besselj(nu, x, derivative=1))) <= 1e-12
+
+
+def _loop_series(nu, x, deriv):
+    """The ascending series as a loop over its terms, with an early stop."""
+    out = np.zeros_like(x)
+    lx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0) / 2.0), 0.0)
+    for m in range(0, 60):
+        lg = sp.gammaln(m + 1.0) + sp.gammaln(nu + m + 1.0)
+        expo = (2 * m + nu) * lx - lg
+        term = (-1.0) ** m * np.exp(expo)
+        if deriv:
+            term = term * (2 * m + nu) / np.where(x > 0, x, 1.0)
+        out += np.where(x > 0, term, 0.0)
+        if (np.all(np.abs(term) < 1e-18 * (1.0 + np.abs(out)))
+                and m > nu / 2 + 3):
+            break
+    if not deriv:
+        return np.where(x == 0.0, 1.0 if nu == 0.0 else 0.0, out)
+    return np.where(x == 0.0, 0.5 if nu == 1.0 else 0.0, out)
+
+
+class TestSeries:
+    """The ascending series, summed in one shot over 60 terms."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 4.0 / 3.0, 2.5, 10.0,
+                                    20.0, 40.0, 118.0, 400.0])
+    def test_matches_term_loop(self, nu):
+        xs = np.concatenate([[0.0], np.linspace(0.05, max(10.0, nu / 2),
+                                                200)])
+        j, jp = besselj._series(nu, xs, "both")
+        assert np.max(np.abs(j - _loop_series(nu, xs, False))) <= 1e-15
+        assert np.max(np.abs(jp - _loop_series(nu, xs, True))) <= 1e-15
+        assert np.array_equal(besselj._series(nu, xs, False), j)
+        assert np.array_equal(besselj._series(nu, xs, True), jp)
+
+    @pytest.mark.parametrize("nu,x", [(118.0, 58.9), (160.0, 79.9),
+                                      (400.0, 199.0)])
+    def test_absolute_accuracy_below_half_order(self, nu, x):
+        # the alternating terms cancel here, so the value is accurate in
+        # absolute terms only: at (400, 199) even its sign is wrong
+        j, jp = bessel_j_pair(nu, x)
+        assert abs(j - float(mpmath.besselj(nu, x))) <= 1e-12
+        assert abs(jp - float(mpmath.besselj(nu, x, derivative=1))) <= 1e-12

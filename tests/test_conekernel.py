@@ -12,6 +12,7 @@ import pytest
 from conetrace import besselj
 from conetrace.conekernel import (
     _mode_data,
+    _smoothed,
     conormal_basis,
     extract_front_coefficients,
     flat_cone_sine_kernel_series,
@@ -96,10 +97,40 @@ class TestKernelSeries:
 
         monkeypatch.setattr(besselj, "_eval", counting)
         besselj._zeros_and_slopes.cache_clear()
-        modes = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0)
-        zeros = sum(len(lams) for _, lams, _ in modes)
+        _, lams, _ = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0)
+        zeros = len(lams)
         assert zeros > 5000
         assert sum(points) <= 3 * zeros
+
+    @pytest.mark.parametrize("rho", [RHO, 2 * np.pi], ids=["cone", "control"])
+    @pytest.mark.parametrize("xp,yp", [(0.3, 0.2), (0.42, 1.3)],
+                             ids=["same-radius", "other-radius"])
+    def test_flat_sum_matches_per_mode_loop(self, rho, xp, yp):
+        # the warm sum as a loop over the angular modes, one np.sum per
+        # mode, on the same mode data
+        x, y, damping = 0.3, 0.2, LIGHT["damping"]
+        k, lam, weight = _mode_data(rho, LIGHT["wall_r"], x, xp, damping)
+        alpha = 2 * np.pi / rho
+        for t in (0.35, 0.7, 0.8):
+            total = 0.0
+            for mode in np.unique(k):
+                part = k == mode
+                angular = (1.0 if mode == 0
+                           else 2.0 * np.cos(mode * alpha * (y - yp)))
+                total += angular * float(np.sum(weight[part]
+                                                * np.sin(t * lam[part])))
+            got = flat_cone_sine_kernel_series(rho, LIGHT["wall_r"], t, x, y,
+                                               xp, yp, damping=damping)
+            assert got.real == pytest.approx(total / rho, rel=1e-13, abs=0)
+
+    def test_mode_arrays_are_flat_and_read_only(self):
+        k, lam, weight = _mode_data(RHO, LIGHT["wall_r"], 0.3, 0.4,
+                                    LIGHT["damping"])
+        assert k.shape == lam.shape == weight.shape and k.ndim == 1
+        assert np.all(np.diff(k) >= 0) and k[0] == 0
+        for arr in (k, lam, weight):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_kernel_is_real(self):
         val = flat_cone_sine_kernel_series(RHO, 1.1, 0.8, 0.3, 0.0, 0.4, 0.9,
@@ -191,6 +222,17 @@ class TestSmoothedBasis:
         expect = np.log(0.5) - sig**2 / (2 * 0.25)
         assert smoothed_log(0.5, 40.0) == pytest.approx(expect, abs=1e-5)
         assert smoothed_log(-0.5, 40.0) == pytest.approx(expect, abs=1e-5)
+
+    @pytest.mark.parametrize("damping", [30.0, 40.0])
+    def test_closed_form_columns_match_quadrature(self, damping):
+        # |tau| and tau|tau| against the quadrature convolution the log
+        # family still uses
+        tau = np.linspace(-0.15, 0.15, 121)
+        basis = conormal_basis(tau, damping)
+        assert np.max(np.abs(basis[:, 4] - _smoothed(abs, tau, damping))) \
+            <= 1e-12
+        assert np.max(np.abs(basis[:, 8] - _smoothed(lambda z: z * abs(z),
+                                                     tau, damping))) <= 1e-12
 
     def test_basis_shape(self):
         tau = np.linspace(-0.2, 0.2, 11)

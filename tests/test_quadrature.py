@@ -1,4 +1,4 @@
-"""The shared Gauss-Legendre rule source and the Bessel node ladder.
+"""The shared Gauss-Legendre rule source and the Bessel node rule.
 
 numpy's `leggauss` is the reference rule; the work-count check guards
 the Bessel oracle against building one rule per (order, argument).
@@ -40,10 +40,11 @@ def test_rules_are_read_only():
 
 def test_criterion_3_mode_build_shares_few_rules():
     # criterion 3's cone (rho = 1.5 pi, Lambda = 40) evaluates J_nu at
-    # thousands of distinct (nu, x); the node ladder keeps the rules few
+    # thousands of distinct (nu, x); the node rule's rungs keep the rules
+    # few
     gauss_legendre.cache_clear()
-    modes = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0)
-    assert len(modes) > 50
+    k, _, _ = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0)
+    assert len(np.unique(k)) > 50
     info = gauss_legendre.cache_info()
     assert 0 < info.currsize <= 24
     assert info.hits > 10 * info.misses
