@@ -11,6 +11,7 @@ control for the trace-singularity machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +26,8 @@ __all__ = [
     "fit_trace_singularity",
 ]
 
-_TRACE_ROWS = 32  # t values per block of the trace's matrix product
+_TRACE_ROWS = 32  # most grid steps per block, and most anchors per product
+_GRID_ULPS = 64  # tolerated distance of a t sample from t_0 + j h, in ulp
 
 
 @dataclass(frozen=True)
@@ -43,43 +45,97 @@ class SmoothedTrace:
 
 def doubled_square_spectrum(lambda_max: float) -> np.ndarray:
     """Sqrt-Laplace eigenvalues pi sqrt(m^2 + n^2) of the doubled unit
-    square: Neumann (m, n >= 0) union Dirichlet (m, n >= 1), sorted."""
+    square: Neumann (m, n >= 0) union Dirichlet (m, n >= 1), sorted.
+
+    No sort is needed: the integer norms q = m^2 + n^2 are counted, and
+    each q gives pi sqrt(q), repeated by its multiplicity, in increasing
+    q.  Distinct q give distinct values, so the array equals a stable
+    sort of every pi sqrt(m^2 + n^2) bit for bit.
+    """
     if lambda_max > 5000:
         raise ValueError(f"lambda_max must be at most 5000, not {lambda_max:g}")
-    top = int(np.floor(lambda_max / np.pi)) + 1
-    m, n = np.meshgrid(np.arange(top + 1), np.arange(top + 1), indexing="ij")
-    lam = np.pi * np.sqrt(m**2 + n**2)
-    neumann = lam.ravel()
-    dirichlet = lam[1:, 1:].ravel()
-    eigs = np.concatenate([neumann, dirichlet])
-    eigs = eigs[eigs <= lambda_max]
-    return np.sort(eigs, kind="stable")
+    top = max(int(np.floor(lambda_max / np.pi)) + 1, 0)
+    sq = np.arange(top + 1) ** 2
+    # Dirichlet counts are Neumann counts less the m = 0 and n = 0 axes;
+    # q > top^2 gives pi sqrt(q) > lambda_max
+    counts = 2 * np.bincount((sq[:, None] + sq[None, :]).ravel())[:top * top + 1]
+    counts[sq[1:]] -= 2
+    counts[0] -= 1
+    q = np.flatnonzero(counts)
+    lam = np.pi * np.sqrt(q)
+    keep = lam <= lambda_max
+    return np.repeat(lam[keep], counts[q[keep]])
+
+
+def _phasors(t, lam) -> np.ndarray:
+    """exp(-i t lam) over the outer product of t and lam."""
+    phase = np.outer(t, lam)
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
+
+
+def _grid_step(t_grid: np.ndarray) -> float:
+    """Step h of an evenly spaced grid t_j = t_0 + j h; ValueError when
+    some t_j is farther than _GRID_ULPS ulp of max|t| from t_0 + j h."""
+    n = len(t_grid)
+    if n < 2:
+        return 0.0
+    h = (t_grid[-1] - t_grid[0]) / (n - 1)
+    gap = np.max(np.abs(t_grid - (t_grid[0] + np.arange(n) * h)))
+    tol = _GRID_ULPS * np.spacing(np.max(np.abs(t_grid)))
+    if not gap <= tol:
+        raise ValueError(
+            f"t_grid must be evenly spaced: a sample is {gap:.3e} from "
+            f"t_0 + j h (allowed: {tol:.3e})")
+    return float(h)
 
 
 def smoothed_wave_trace(eigs, sigma: float, t_grid) -> SmoothedTrace:
-    """Sum of exp(-lam^2/(2 sigma^2)) e^{-i t lam} over the spectrum.
+    """Sum of exp(-lam^2/(2 sigma^2)) e^{-i t lam} over the spectrum, on
+    an evenly spaced grid t_j = t_0 + j h.
 
     Terms damped below 1e-18 of the largest damping are dropped, and
     repeated eigenvalues are merged into one term whose weight is their
-    summed damping.  The weights are real, so the sum is two real matrix
-    products, cos(t lam) @ w - i sin(t lam) @ w, taken over _TRACE_ROWS
-    t values at a time to bound memory.  The operation sequence is
-    fixed, so repeated runs on one machine are bit-identical.
+    summed damping.  Only eigenvalues with lam^2 <= lam_min^2 +
+    84 sigma^2 reach the exponential: ln 1e18 < 42, so that prefilter
+    keeps a superset of the cut, and the cut itself is unchanged.
+
+    The grid is cut into blocks of R = min(_TRACE_ROWS, ceil(sqrt(n)))
+    samples.  With j = b R + r, e^{-i t_j lam} = e^{-i t_{bR} lam}
+    e^{-i r h lam}: the anchors t_{bR} are the grid's own values, and
+    one complex product, (anchor * w) @ step.T, gives the samples of up
+    to _TRACE_ROWS blocks.  That takes (ceil(n/R) + R) cos/sin pairs per
+    eigenvalue instead of n.  A grid with some t_j more than _GRID_ULPS
+    (64) ulp of max|t| from t_0 + j h is refused with ValueError, as
+    are a sigma that is not finite and positive and a non-finite
+    eigenvalue.  The operation sequence is fixed, so repeated runs on
+    one machine are bit-identical.
     """
-    if sigma <= 0:
-        raise ValueError("need sigma > 0")
-    eigs = np.asarray(eigs, dtype=float)
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"need a finite sigma > 0, not {sigma!r}")
+    eigs = np.asarray(eigs, dtype=float).ravel()
+    if not np.all(np.isfinite(eigs)):
+        raise ValueError("eigenvalues must be finite")
     t_grid = np.asarray(t_grid, dtype=float)
-    damp = np.exp(-(eigs**2) / (2.0 * sigma**2))
+    h = _grid_step(t_grid)
+    sq = eigs**2
+    near = eigs[sq <= sq.min(initial=np.inf) + 84.0 * sigma**2]
+    damp = np.exp(-(near**2) / (2.0 * sigma**2))
     keep = damp > 1e-18 * damp.max(initial=0.0)
-    lam, which = np.unique(eigs[keep], return_inverse=True)
+    lam, which = np.unique(near[keep], return_inverse=True)
     weights = np.bincount(which, weights=damp[keep])
-    samples = np.empty(len(t_grid), dtype=complex)
-    for i in range(0, len(t_grid), _TRACE_ROWS):
-        rows = t_grid[i:i + _TRACE_ROWS]
-        phase = np.outer(rows, lam)
-        samples[i:i + _TRACE_ROWS] = (np.cos(phase) @ weights
-                                      - 1j * (np.sin(phase) @ weights))
+    n = len(t_grid)
+    rows = min(_TRACE_ROWS, max(1, math.ceil(math.sqrt(n))))
+    step = _phasors(np.arange(rows) * h, lam)
+    anchors = t_grid[::rows]
+    samples = np.empty(n, dtype=complex)
+    for i in range(0, len(anchors), _TRACE_ROWS):
+        block = _phasors(anchors[i:i + _TRACE_ROWS], lam) * weights
+        lo = i * rows
+        samples[lo:lo + len(block) * rows] = (block @ step.T).ravel()[:n - lo]
     return SmoothedTrace(lam, sigma, t_grid, samples)
 
 

@@ -6,10 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from conetrace import conekernel, links
+from conetrace import conekernel, geodesics, links, surfaces
 from conetrace.conekernel import flat_cone_sine_kernel_series
-from conetrace.errors import GeometricSetError, WallInfluenceError
-from conetrace.geodesics import classify_continuation
+from conetrace.errors import (
+    ConjugateDegeneracyError,
+    GeometricSetError,
+    WallInfluenceError,
+)
+from conetrace.geodesics import classify_continuation, connect_tips
 from conetrace.links import LinkSpectrum, SummationPolicy, diffraction_kernel
 
 LINK = LinkSpectrum.circle(3 * np.pi)
@@ -53,3 +57,32 @@ def test_wall_margin_boundary(side):
             flat_cone_sine_kernel_series(*args, damping=8.0)
     else:
         assert math.isfinite(flat_cone_sine_kernel_series(*args, damping=8.0).real)
+
+
+class _Recorder:
+    """Stands in for a tolerance and records each value compared to it."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __gt__(self, value):
+        self.seen.append(value)
+        return False
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["inside", "outside"])
+def test_degeneracy_tol_boundary(monkeypatch, side):
+    # a nearly symmetric spindle: |d p_theta / d theta0| is about 1.6 eps
+    # at every Newton step, far below 1 but far above the default 1e-8
+    spindle = surfaces.perturbed_spindle(eps=1e-4)
+    seed = 0.75 * (np.pi / 4 + 0.02)
+    probe = _Recorder()
+    monkeypatch.setattr(geodesics, "DEGENERACY_TOL", probe)
+    connect_tips(spindle, "south", "north", seed)
+    smallest = min(probe.seen)
+    monkeypatch.setattr(geodesics, "DEGENERACY_TOL", smallest * (1 + side * 1e-3))
+    if side > 0:
+        with pytest.raises(ConjugateDegeneracyError):
+            connect_tips(spindle, "south", "north", seed)
+    else:
+        assert connect_tips(spindle, "south", "north", seed).miss < 1e-9

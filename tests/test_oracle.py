@@ -53,6 +53,24 @@ class TestDoubledSquareSpectrum:
         with pytest.raises(ValueError):
             doubled_square_spectrum(6000.0)
 
+    @pytest.mark.parametrize("lambda_max", [50.0, 120.0, 2000.0, 5000.0,
+                                            5 * np.pi])
+    def test_equals_sorted_enumeration(self, lambda_max):
+        # reference: every pi sqrt(m^2 + n^2) on the square grid, cut at
+        # lambda_max and stably sorted
+        k = np.arange(int(np.floor(lambda_max / np.pi)) + 2)
+        lam = np.pi * np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
+        ref = np.concatenate([lam.ravel(), lam[1:, 1:].ravel()])
+        ref = np.sort(ref[ref <= lambda_max], kind="stable")
+        assert np.array_equal(doubled_square_spectrum(lambda_max), ref)
+
+    def test_cut_is_inclusive(self):
+        # 5 pi = pi sqrt(25): (5, 0), (0, 5), (3, 4), (4, 3) Neumann and
+        # (3, 4), (4, 3) Dirichlet
+        eigs = doubled_square_spectrum(5 * np.pi)
+        assert eigs[-1] == 5 * np.pi
+        assert np.sum(eigs == 5 * np.pi) == 6
+
 
 class TestSmoothedTrace:
     def test_single_eigenvalue_exact(self):
@@ -78,18 +96,26 @@ class TestSmoothedTrace:
         assert np.allclose(shifted.samples,
                            base.samples * np.exp(-1j * ts * 0.7), atol=1e-9)
 
-    @pytest.mark.parametrize("lambda_max", [220.0, 2000.0])
-    def test_matches_per_t_loop(self, lambda_max):
+    @staticmethod
+    def _check_per_t_loop(lambda_max, ts):
         # reference: the plain sum over every eigenvalue, one t at a time;
-        # dropping terms damped below 1e-18 and merging repeats only
-        # reorders and truncates the sum at rounding level
+        # dropping terms damped below 1e-18, merging repeats and factoring
+        # the phases over the grid's blocks only reorder and truncate the
+        # sum at rounding level
         sigma = 40.0
         eigs = doubled_square_spectrum(lambda_max)
-        ts = np.linspace(1.3, 3.7, 41)
         damp = np.exp(-(eigs**2) / (2.0 * sigma**2))
         ref = np.array([np.sum(damp * np.exp(-1j * t * eigs)) for t in ts])
         got = smoothed_wave_trace(eigs, sigma, ts).samples
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("lambda_max", [220.0, 2000.0])
+    def test_matches_per_t_loop(self, lambda_max):
+        self._check_per_t_loop(lambda_max, np.linspace(1.3, 3.7, 41))
+
+    @pytest.mark.parametrize("lambda_max", [220.0, 2000.0])
+    def test_matches_per_t_loop_arange(self, lambda_max):
+        self._check_per_t_loop(lambda_max, np.arange(1.3, 3.7, 0.06))
 
     def test_determinism(self):
         eigs = doubled_square_spectrum(80.0)
@@ -101,6 +127,62 @@ class TestSmoothedTrace:
     def test_sigma_guard(self):
         with pytest.raises(ValueError):
             smoothed_wave_trace([1.0], 0.0, [0.0])
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_nonfinite_sigma_refused(self, sigma):
+        # NaN fails every comparison, so sigma <= 0 alone would let it in
+        with pytest.raises(ValueError):
+            smoothed_wave_trace([1.0, 2.0], sigma, [0.0, 1.0])
+
+    def test_nonfinite_eigenvalue_refused(self):
+        # a NaN would make the largest damping NaN and silently keep no term
+        with pytest.raises(ValueError):
+            smoothed_wave_trace([1.0, np.nan], 5.0, [0.0, 1.0])
+
+    def test_prefilter_keeps_the_cut(self):
+        # plant the two adjacent floats that straddle the 1e-18 damping
+        # cut; the trace must keep exactly the set the plain rule keeps
+        sigma = 40.0
+
+        def kept(lam):
+            return np.exp(-lam**2 / (2 * sigma**2)) > 1e-18
+
+        lo, hi = 300.0, 400.0
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if kept(mid) else (lo, mid)
+        eigs = np.concatenate([doubled_square_spectrum(420.0), [lo, hi]])
+        damp = np.exp(-eigs**2 / (2 * sigma**2))
+        plain = np.unique(eigs[damp > 1e-18 * damp.max()])
+        got = smoothed_wave_trace(eigs, sigma, [0.0, 1.0]).eigenvalues
+        assert lo in got and hi not in got
+        assert np.array_equal(got, plain)
+
+    def test_shuffled_spectrum(self):
+        # a CSV spectrum need not be sorted
+        eigs = doubled_square_spectrum(2000.0)
+        shuffled = np.random.default_rng(3).permutation(eigs)
+        ts = np.arange(3.1, 3.7, 0.004)
+        ref = smoothed_wave_trace(eigs, 40.0, ts).samples
+        got = smoothed_wave_trace(shuffled, 40.0, ts).samples
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ulps, ok", [(32, True), (128, False)])
+    def test_even_grid_guard_boundary(self, ulps, ok):
+        # the guard allows 64 ulp of max|t|; linspace itself is within 2
+        ts = np.linspace(1.3, 3.7, 41)
+        ts[17] += ulps * np.spacing(3.7)
+        if ok:
+            assert len(smoothed_wave_trace([2.0, 5.0], 5.0, ts).samples) == 41
+        else:
+            with pytest.raises(ValueError):
+                smoothed_wave_trace([2.0, 5.0], 5.0, ts)
+
+    def test_one_point_grid(self):
+        tr = smoothed_wave_trace([3.0, 4.0], 5.0, [0.7])
+        expect = (np.exp(-9.0 / 50.0) * np.exp(-2.1j)
+                  + np.exp(-16.0 / 50.0) * np.exp(-2.8j))
+        assert abs(tr.samples[0] - expect) < 1e-15
 
 
 class TestFitTraceSingularity:
