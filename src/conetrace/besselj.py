@@ -4,13 +4,15 @@ Cone mode sums need J_nu for arbitrary real order nu = 2 pi |k| / rho,
 so the function is implemented in-repo rather than taken from a library
 that is also used as ground truth.  Two regimes:
 
-* ascending power series for small argument (x <= 10) or argument at
+* ascending power series for small argument (x <= 4) or argument at
   most half the order (x <= nu / 2), its first 60 terms summed in one
   shot, with log-gamma terms to dodge overflow.  The alternating terms
-  cancel, so the accuracy is absolute, not relative to J_nu.  Against
-  mpmath the error is about 1.5e-12 at x = 10 for small orders, and
-  below 1e-18 where x <= nu / 2 with nu >= 20; there J_nu itself is so
-  small that the relative error can be large (1e-5 at nu = 160,
+  cancel, so the accuracy is absolute, not relative to J_nu, and it
+  worsens with x: against mpmath the error on orders up to 8 is at most
+  about 4e-15 at x = 4 (4e-12 at x = 10), where the integral below errs
+  by at most about 3.4e-15, so the switch sits at x = 4.  Where
+  x <= nu / 2 with nu >= 20 the error is below 1e-18; there J_nu itself
+  is so small that the relative error can be large (1e-5 at nu = 160,
   x = 79.9, and the wrong sign at nu = 400, x = 199),
 * Schlaefli's integral representation elsewhere,
       J_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt
@@ -31,6 +33,20 @@ that is also used as ground truth.  Two regimes:
   domain nu pi + 2 x <= 3360, where it never takes more than 1408
   nodes; a phase variation beyond it raises BesselFailureError rather
   than integrating where nothing was checked.
+  The node count is even and the nodes mirror about pi / 2, where
+  sin t is even, so the phase at the mirror pi - t of a node t is
+  nu pi - nu t - x sin t.  Expanding both cosines around x sin t folds
+  the Legendre sum onto the half of the nodes below pi / 2, whose part
+  of J and J' (the Laguerre tail aside) is
+      J  = (C a + S b) / pi,    J' = (C (b sin t) - S (a sin t)) / pi,
+  with C and S the matrices cos(x sin t) and sin(x sin t) over points
+  and half-nodes, and per-node weights
+      a = w (cos(nu t) (1 + cos(nu pi)) + sin(nu pi) sin(nu t)),
+      b = w (sin(nu t) (1 - cos(nu pi)) + sin(nu pi) cos(nu t)).
+  So J and J' together take one cos and one sin per point and
+  half-node, half the trig work of evaluating the two phase matrices
+  on every node.  cos(nu pi) and sin(nu pi) come from nu reduced mod 2,
+  which keeps them accurate at large orders.
 
 Zeros come from linear algebra, not from a search on J.  The three-term
 recurrence makes 1/j_{nu,m} the positive eigenvalues of the infinite
@@ -64,7 +80,7 @@ from .quadrature import gauss_legendre
 
 __all__ = ["bessel_j", "bessel_j_prime", "bessel_j_pair", "bessel_j_zeros"]
 
-_SERIES_X_MAX = 10.0
+_SERIES_X_MAX = 4.0
 _SERIES_TERMS = 60
 _LAG = laggauss(80)
 _GL_RUNG = 64  # Legendre node counts are multiples of this
@@ -109,22 +125,31 @@ def _series(nu: float, x: np.ndarray, deriv):
 
 
 def _schlaefli(nu: float, x: np.ndarray, deriv) -> np.ndarray:
-    """deriv in {False, True, "both"}; "both" shares the phase matrix."""
+    """deriv in {False, True, "both"}; "both" shares the trig matrices.
+    The Legendre integral is folded onto the nodes below pi / 2 (see
+    the module docstring)."""
     x_max = float(np.max(x, initial=0.0))
     _check_span(nu, x_max, f"J_{nu:g} at {x_max:g}")
-    n = _nodes(nu, x_max)
-    t, w = gauss_legendre(n)
-    theta = 0.5 * np.pi * (t + 1.0)
-    wt = 0.5 * np.pi * w
+    half = _nodes(nu, x_max) // 2
+    t, w = gauss_legendre(2 * half)
+    theta = 0.5 * np.pi * (t[:half] + 1.0)
+    wt = 0.5 * np.pi * w[:half]
     sin_theta = np.sin(theta)
-    phase = nu * theta[None, :] - x[:, None] * sin_theta[None, :]
+    # fmod is exact, so cos and sin of nu pi stay accurate at large nu
+    r = math.fmod(nu, 2.0)
+    c, s = math.cos(math.pi * r), math.sin(math.pi * r)
+    cos_nt, sin_nt = np.cos(nu * theta), np.sin(nu * theta)
+    # the cos and sin weights of the node and its mirror pi - theta
+    a = wt * (cos_nt * (1.0 + c) + s * sin_nt)
+    b = wt * (sin_nt * (1.0 - c) + s * cos_nt)
+    arg = x[:, None] * sin_theta[None, :]
+    cos_arg, sin_arg = np.cos(arg), np.sin(arg)
     both = deriv == "both"
     want_d = both or deriv is True
     want_j = both or deriv is False
-    main_j = np.cos(phase) @ wt / np.pi if want_j else None
-    main_d = ((np.sin(phase) * sin_theta[None, :]) @ wt / np.pi
+    main_j = (cos_arg @ a + sin_arg @ b) / np.pi if want_j else None
+    main_d = ((cos_arg @ (b * sin_theta) - sin_arg @ (a * sin_theta)) / np.pi
               if want_d else None)
-    s = math.sin(nu * math.pi)
     if abs(s) > 1e-15:
         u, lw = _LAG
         scale = nu + x[:, None] + 1.0

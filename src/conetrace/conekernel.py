@@ -10,7 +10,13 @@ ground truth the link-spectrum front coefficients are tested against.
 
 The damp is a convolution in time with a Gaussian of width 1/Lambda, so
 the front-fitting basis functions are smoothed with the exact same
-window before the least squares.
+window before the least squares.  Every basis column is smoothed in
+closed form: |tau| and tau|tau| through erf and the Gaussian, and the
+log family log|tau|, tau log|tau| and tau^2 log|tau| through the
+noncentral chi-square law of tau^2, a Poisson mixture of digamma values
+(`conormal_basis`).  No quadrature is left in the fit.
+
+A damping that is not finite and positive is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import digamma, erf
 
 from .besselj import _zeros_and_slopes, bessel_j, bessel_j_zeros
 from .errors import WallInfluenceError
@@ -36,6 +41,11 @@ __all__ = [
 
 DEFAULT_DAMPING = 40.0
 WALL_MARGIN = 0.1
+
+
+def _check_damping(damping) -> None:
+    if not (math.isfinite(damping) and damping > 0):
+        raise ValueError(f"damping must be finite and positive: {damping}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -65,7 +75,9 @@ def _mode_data(rho, wall_r, x, xp, damping):
         ks.append(np.full(len(lam), k))
         lams.append(lam)
         weights.append(radial * damp / lam)
-    out = tuple(np.concatenate(a) for a in (ks, lams, weights))
+    # no modes at all below lambda = 5 damping leaves the lists empty
+    out = tuple(np.concatenate(a) if a else np.empty(0)
+                for a in (ks, lams, weights))
     for a in out:
         a.flags.writeable = False
     return out
@@ -85,6 +97,7 @@ def flat_cone_sine_kernel_series(
     """Damped eigen-sum of sin(t sqrt(Delta))/sqrt(Delta) on the
     truncated cone, as a Schwartz kernel against the area measure; the
     sum stops at lambda = 5 damping, where the damp is exp(-12.5)."""
+    _check_damping(damping)
     if x + xp + abs(t) > 2 * wall_r - WALL_MARGIN:
         raise WallInfluenceError(
             "wall too close: finite propagation speed no longer shields it"
@@ -97,40 +110,67 @@ def flat_cone_sine_kernel_series(
 
 def smoothed_heaviside(tau, damping: float):
     """H(tau) convolved with the Gaussian time window of width 1/damping."""
+    _check_damping(damping)
     return 0.5 * (1.0 + erf(np.asarray(tau, dtype=float) * damping / np.sqrt(2.0)))
 
 
-def _safe_log(z):
-    return math.log(max(abs(z), 1e-300))
+_POISSON_GRID = 1 << 18
+
+
+def _log_moments(tau, damping: float):
+    """(E log|X|, E[X log|X|], E[X^2 log|X|]) for X ~ N(tau, sig^2),
+    sig = 1 / damping, in closed form.
+
+    X^2 / sig^2 is noncentral chi-square with one degree of freedom, a
+    Poisson(lam) mixture of chi-square with 2 j + 1 degrees, lam =
+    tau^2 / (2 sig^2).  So E log|X| = log sig + (log 2 + E psi(J + 1/2))
+    / 2 with J ~ Poisson(lam), E[X log|X|] = tau (E log|X| + E[1 / (2 J
+    + 1)]), and Stein's identity E[X g(X)] = tau E g + sig^2 E g' with
+    g = x log|x| gives the third.
+
+    The Poisson weights are built in log space, as a running sum of
+    log(lam / i) (the ratio of successive weights) across the window
+    lam -+ (10 sqrt(lam) + 20), outside which they fall below e^-50,
+    and normalised over it; log-gamma at large arguments would carry a
+    rounding error of about 1e-7 at lam = 5e7.  Rows are summed in
+    blocks of at most _POISSON_GRID terms, so memory stays bounded
+    however far tau lies from the front.
+    """
+    tau = np.asarray(tau, dtype=float)
+    sig = 1.0 / damping
+    lam = (tau.ravel() * damping) ** 2 / 2.0
+    reach = np.ceil(10.0 * np.sqrt(lam) + 20.0)
+    lo = np.maximum(np.floor(lam) - reach, 0.0)
+    width = int(2 * reach.max(initial=0.0)) + 1
+    e_psi = np.empty_like(lam)
+    e_inv = np.empty_like(lam)
+    rows = max(1, _POISSON_GRID // width)
+    for start in range(0, lam.size, rows):
+        part = slice(start, start + rows)
+        j = lo[part, None] + np.arange(width)
+        lp = lam[part, None]
+        # log(lam / i) for the step from i - 1 to i; -inf at lam = 0
+        with np.errstate(divide="ignore"):
+            step = np.log1p((lp - j[:, 1:]) / j[:, 1:])
+        logw = np.concatenate([np.zeros_like(lp), np.cumsum(step, axis=1)],
+                              axis=1)
+        wts = np.exp(logw - logw.max(axis=1, keepdims=True))
+        wts /= wts.sum(axis=1, keepdims=True)
+        e_psi[part] = np.sum(wts * digamma(j + 0.5), axis=1)
+        e_inv[part] = np.sum(wts / (j + 0.5), axis=1)
+    e_log = (math.log(2.0) - 2.0 * math.log(damping)
+             + e_psi.reshape(tau.shape)) / 2.0
+    e_xlog = tau * (e_log + e_inv.reshape(tau.shape) / 2.0)
+    e_x2log = tau * e_xlog + sig**2 * (e_log + 1.0)
+    return e_log, e_xlog, e_x2log
 
 
 def smoothed_log(tau, damping: float):
-    """log|tau| convolved with the same Gaussian window."""
-    out = _smoothed(_safe_log, np.atleast_1d(np.asarray(tau, dtype=float)),
-                    damping)
-    return out if np.asarray(tau).ndim else float(out[0])
-
-
-def _smoothed(fn, tau, damping: float):
-    """fn convolved with the Gaussian window, by quadrature at each tau."""
-    sig = 1.0 / damping
-
-    def density(s):
-        return np.exp(-(s**2) / (2 * sig**2)) / (sig * np.sqrt(2 * np.pi))
-
-    out = np.empty_like(tau)
-    for i, tv in enumerate(tau):
-        # keep the singular point clear of the quadrature endpoints
-        lim = max(8 * sig, abs(tv) + 2 * sig)
-        pts = [tv] if abs(tv) < lim else []
-        out[i] = quad(
-            lambda s: fn(tv - s) * density(s),
-            -lim,
-            lim,
-            points=pts,
-            limit=200,
-        )[0]
-    return out
+    """log|tau| convolved with the same Gaussian window, in closed form
+    (see `conormal_basis`)."""
+    _check_damping(damping)
+    out = _log_moments(tau, damping)[0]
+    return out if np.asarray(tau).ndim else float(out)
 
 
 def conormal_basis(tau, damping: float) -> np.ndarray:
@@ -141,23 +181,29 @@ def conormal_basis(tau, damping: float) -> np.ndarray:
     scaled offset t0 (t - t0) / (x x'), which is not small over a
     practical fit window, and without them the step coefficient
     absorbs a large bias.
+
+    Every column is smoothed in closed form.  For X ~ N(tau, sig^2),
+    sig = 1 / damping: E|X| = g + tau erf and E[X|X|] = (tau^2 + sig^2)
+    erf + tau g, with g = sig sqrt(2/pi) exp(-tau^2 / (2 sig^2)) and erf
+    at tau / (sig sqrt 2); the log family E log|X|, E[X log|X|] and
+    E[X^2 log|X|] are Poisson mixtures of digamma values and of 1 / (j
+    + 1/2), with lam = tau^2 / (2 sig^2), summed over O(sqrt(lam)) terms
+    around lam (see `_log_moments`).
     """
-    # |tau| and tau|tau| smooth in closed form: for X ~ N(tau, sig^2),
-    # E|X| = g + tau erf and E[X|X|] = (tau^2 + sig^2) erf + tau g,
-    # with g = sig sqrt(2/pi) exp(-tau^2 / (2 sig^2)) and erf at
-    # tau / (sig sqrt 2); only the log family needs quadrature
+    _check_damping(damping)
     sig = 1.0 / damping
     g = sig * np.sqrt(2.0 / np.pi) * np.exp(-(tau**2) / (2 * sig**2))
     e = erf(tau / (sig * np.sqrt(2.0)))
+    e_log, e_xlog, e_x2log = _log_moments(tau, damping)
     cols = [
         np.ones_like(tau),
         tau,
         smoothed_heaviside(tau, damping),
-        smoothed_log(tau, damping),
+        e_log,
         g + tau * e,
-        _smoothed(lambda z: z * _safe_log(z), tau, damping),
+        e_xlog,
         tau**2,
-        _smoothed(lambda z: z * z * _safe_log(z), tau, damping),
+        e_x2log,
         (tau**2 + sig**2) * e + tau * g,
     ]
     return np.column_stack(cols)
@@ -177,9 +223,14 @@ def extract_front_coefficients(
     2.5 / damping (2.5 window widths) of the front are left out.
     Returns (c_H, c_log, rms residual).  Fewer samples outside that zone
     than the basis's 9 columns, or a condition number above 1e8, raises
-    IllConditionedError.
+    IllConditionedError; a damping that is not finite and positive, a
+    sample time that is not finite, or a value outside the zone that is
+    not finite raises ValueError.
     """
+    _check_damping(damping)
     t_samples = np.asarray(t_samples, dtype=float)
+    if not np.all(np.isfinite(t_samples)):
+        raise ValueError("front fit sample times must be finite")
     values = np.asarray(values)
     keep = np.abs(t_samples - t0) >= 2.5 / damping
     tau = t_samples[keep] - t0

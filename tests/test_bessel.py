@@ -244,6 +244,18 @@ class TestRegimeEdges:
         assert jp == pytest.approx(
             float(mpmath.besselj(nu, x, derivative=1)), abs=1e-10, rel=1e-9)
 
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 0.5, 2.5, 4.0 / 3.0,
+                                    8.0 / 3.0, 4.0])
+    @pytest.mark.parametrize("side", [1 - 1e-9, 1 + 1e-9],
+                             ids=["series", "integral"])
+    def test_series_switch_at_rounding_level(self, nu, side):
+        # the switch sits where the series error (growing with x) meets
+        # the integral's, both a few 1e-15
+        x = self.X_MAX * side
+        j, jp = bessel_j_pair(nu, x)
+        assert abs(j - float(mpmath.besselj(nu, x))) <= 1e-13
+        assert abs(jp - float(mpmath.besselj(nu, x, derivative=1))) <= 1e-13
+
     def test_below_ladder_top(self):
         # nu pi + 2 x = 3359.6, just inside the domain the rule is
         # checked on
@@ -269,7 +281,8 @@ def _rung_tops():
     for nu in (0.0, 4.0 / 3.0, 40.0, 118.0, 600.0):
         for m in range(1, 30):
             x = (80.0 * m - 50.0 - nu) * (1 - 1e-9)
-            if x > max(10.0, nu / 2) and nu * np.pi + 2 * x <= 3360.0:
+            if (x > max(besselj._SERIES_X_MAX, nu / 2)
+                    and nu * np.pi + 2 * x <= 3360.0):
                 cases.append((nu, x, 64 * m))
     return cases
 
@@ -286,7 +299,8 @@ class TestNodeRule:
         assert abs(jp - float(mpmath.besselj(nu, x, derivative=1))) <= 1e-12
 
     @pytest.mark.parametrize("nu,x", [
-        (0.0, 10.0 * (1 + 1e-9)), (4.0 / 3.0, 10.0 * (1 + 1e-9)),
+        (0.0, besselj._SERIES_X_MAX * (1 + 1e-9)),
+        (4.0 / 3.0, besselj._SERIES_X_MAX * (1 + 1e-9)),
         (40.0, 20.0 * (1 + 1e-9)), (118.0, 59.0 * (1 + 1e-9)),
         (600.0, 300.0 * (1 + 1e-9))],
         ids=["series-max-nu0", "series-max-nu4_3", "half-order-40",
@@ -295,6 +309,33 @@ class TestNodeRule:
         j, jp = bessel_j_pair(nu, x)
         assert abs(j - float(mpmath.besselj(nu, x))) <= 1e-12
         assert abs(jp - float(mpmath.besselj(nu, x, derivative=1))) <= 1e-12
+
+
+class TestFoldedIntegral:
+    """The Schlaefli integral folded onto the Legendre nodes below pi / 2,
+    called directly, against mpmath.  Even and odd integer orders zero
+    one of the weights 1 +- cos(nu pi) and sin(nu pi) itself."""
+
+    @pytest.mark.parametrize("nu,xs", [
+        (0.0, [4.5, 37.0, 211.3]), (2.0, [5.0, 37.0, 211.3]),
+        (40.0, [20.5, 60.0, 211.3]),
+        (1.0, [4.5, 37.0, 211.3]), (3.0, [5.0, 37.0, 211.3]),
+        (41.0, [20.5, 60.0, 211.3]),
+        (0.5, [4.5, 37.0, 211.3]), (40.5, [20.5, 60.0, 211.3]),
+        # the top argument sits just below the switch from 128 to 192 nodes
+        (4.0 / 3.0, [4.5, 37.0, (160.0 - 50.0 - 4.0 / 3.0) * (1 - 1e-9)]),
+    ], ids=["even-0", "even-2", "even-40", "odd-1", "odd-3", "odd-41",
+            "half-0.5", "half-40.5", "4_3-rung"])
+    def test_against_multiprecision(self, nu, xs):
+        xs = np.array(xs)
+        j = besselj._schlaefli(nu, xs, False)
+        jp = besselj._schlaefli(nu, xs, True)
+        pair = besselj._schlaefli(nu, xs, "both")
+        assert np.array_equal(pair[0], j) and np.array_equal(pair[1], jp)
+        ref = [float(mpmath.besselj(nu, x)) for x in xs]
+        ref_d = [float(mpmath.besselj(nu, x, derivative=1)) for x in xs]
+        assert np.max(np.abs(j - ref)) <= 1e-13
+        assert np.max(np.abs(jp - ref_d)) <= 1e-13
 
 
 def _loop_series(nu, x, deriv):

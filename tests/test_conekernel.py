@@ -6,13 +6,16 @@ and the extractor are exercised at a light damping where a mode build
 takes seconds.
 """
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conetrace import besselj
 from conetrace.conekernel import (
     _mode_data,
-    _smoothed,
     conormal_basis,
     extract_front_coefficients,
     flat_cone_sine_kernel_series,
@@ -23,6 +26,46 @@ from conetrace.errors import IllConditionedError, WallInfluenceError
 
 RHO = 3 * np.pi / 2
 LIGHT = dict(damping=20.0, wall_r=1.1)
+BAD_DAMPINGS = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), -5.0]
+TINY = math.ulp(0.0)  # the smallest positive float
+
+
+def _smoothed(fn, tau, damping: float):
+    """fn convolved with the Gaussian window, by quadrature at each tau:
+    the reference for the closed-form |tau| and tau|tau| columns."""
+    sig = 1.0 / damping
+
+    def density(s):
+        return np.exp(-(s**2) / (2 * sig**2)) / (sig * np.sqrt(2 * np.pi))
+
+    out = np.empty_like(tau)
+    for i, tv in enumerate(tau):
+        # keep the singular point clear of the quadrature endpoints
+        lim = max(8 * sig, abs(tv) + 2 * sig)
+        pts = [tv] if abs(tv) < lim else []
+        out[i] = quad(
+            lambda s: fn(tv - s) * density(s),
+            -lim,
+            lim,
+            points=pts,
+            limit=200,
+        )[0]
+    return out
+
+
+def _mp_log_moment(tau, sig, power):
+    """E[X^power log|X|] for X ~ N(tau, sig^2) by mpmath quadrature over
+    +-40 standard deviations, split at the singular point."""
+    with mpmath.workdps(30):
+        tau, sig = mpmath.mpf(tau), mpmath.mpf(sig)
+        z0 = -tau / sig
+        pts = sorted({-40, 0, 40} | ({z0} if -40 < z0 < 40 else set()))
+
+        def f(z):
+            x = tau + sig * z
+            return x**power * mpmath.log(abs(x)) * mpmath.npdf(z)
+
+        return float(mpmath.quad(f, [mpmath.mpf(p) for p in pts]))
 
 
 def geometric_distance(x, xp, dy):
@@ -209,6 +252,21 @@ class TestExtractor:
             assert c_log == pytest.approx(-0.5, abs=1e-8)
 
 
+    def test_non_finite_samples_refused(self):
+        target = [0.3, 0.2, 2.0, -0.5, 0.0, 0.0, 0.1, 0.0, 0.0]
+        ts, vals = self.synth(target)
+        spoiled = vals.copy()
+        spoiled[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_front_coefficients(ts, spoiled, 1.0, damping=self.DAMPING)
+        for bad in (np.nan, np.inf):
+            times = ts.copy()
+            times[0] = bad
+            with pytest.raises(ValueError, match="sample times"):
+                extract_front_coefficients(times, vals, 1.0,
+                                           damping=self.DAMPING)
+
+
 class TestSmoothedBasis:
     def test_heaviside_limits(self):
         assert smoothed_heaviside(-0.5, 40.0) == pytest.approx(0.0, abs=1e-12)
@@ -225,8 +283,7 @@ class TestSmoothedBasis:
 
     @pytest.mark.parametrize("damping", [30.0, 40.0])
     def test_closed_form_columns_match_quadrature(self, damping):
-        # |tau| and tau|tau| against the quadrature convolution the log
-        # family still uses
+        # |tau| and tau|tau| against the quadrature convolution
         tau = np.linspace(-0.15, 0.15, 121)
         basis = conormal_basis(tau, damping)
         assert np.max(np.abs(basis[:, 4] - _smoothed(abs, tau, damping))) \
@@ -237,3 +294,66 @@ class TestSmoothedBasis:
     def test_basis_shape(self):
         tau = np.linspace(-0.2, 0.2, 11)
         assert conormal_basis(tau, 40.0).shape == (11, 9)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1e-3, 1.0, 10.0, 100.0, 1e4])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_log_family_against_multiprecision(self, ratio, sign):
+        # columns 3, 5 and 7: E log|X|, E[X log|X|], E[X^2 log|X|] for
+        # X ~ N(tau, sig^2), with |tau| / sig from the front itself to
+        # far outside the window
+        damping = 40.0
+        tau = sign * ratio / damping
+        row = conormal_basis(np.array([tau]), damping)[0]
+        for col, power in ((3, 0), (5, 1), (7, 2)):
+            ref = _mp_log_moment(tau, 1.0 / damping, power)
+            assert abs(row[col] - ref) <= 4e-15 * max(1.0, abs(ref))
+        assert smoothed_log(tau, damping) == row[3]
+
+    def test_log_family_parity(self):
+        # log|tau| and tau^2 log|tau| are even, tau log|tau| is odd, and
+        # the closed form keeps that exactly
+        tau = np.concatenate([[0.0], np.geomspace(1e-6, 3.0, 40)])
+        plus = conormal_basis(tau, 40.0)
+        minus = conormal_basis(-tau, 40.0)
+        assert np.array_equal(plus[:, 3], minus[:, 3])
+        assert np.array_equal(plus[:, 5], -minus[:, 5])
+        assert np.array_equal(plus[:, 7], minus[:, 7])
+
+    def test_smoothed_log_shapes(self):
+        tau = np.linspace(-0.2, 0.2, 12).reshape(3, 4)
+        grid = smoothed_log(tau, 40.0)
+        assert grid.shape == (3, 4)
+        assert grid[1, 2] == smoothed_log(float(tau[1, 2]), 40.0)
+        assert isinstance(smoothed_log(0.1, 40.0), float)
+
+
+class TestDampingGuard:
+    """A damping that is not finite and positive is refused up front."""
+
+    CALLS = {
+        "kernel": lambda d: flat_cone_sine_kernel_series(
+            RHO, 1.1, 0.8, 0.3, 0.2, 0.4, 1.1, damping=d),
+        "basis": lambda d: conormal_basis(np.linspace(-0.1, 0.1, 5), d),
+        "heaviside": lambda d: smoothed_heaviside(0.1, d),
+        "log": lambda d: smoothed_log(0.1, d),
+        "fit": lambda d: extract_front_coefficients(
+            1.0 + np.linspace(-0.15, 0.15, 61), np.ones(61), 1.0, damping=d),
+    }
+
+    @pytest.mark.parametrize("damping", BAD_DAMPINGS, ids=repr)
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused(self, call, damping):
+        with pytest.raises(ValueError, match="damping must be finite"):
+            self.CALLS[call](damping)
+
+    def test_smallest_positive_accepted(self):
+        # no mode lies below lambda = 5 damping, so the sum is empty
+        assert self.CALLS["kernel"](TINY) == 0.0
+        assert self.CALLS["heaviside"](TINY) == 0.5
+        assert math.isfinite(self.CALLS["log"](TINY))
+        with np.errstate(invalid="ignore", over="ignore"):
+            basis = self.CALLS["basis"](TINY)
+        assert basis.shape == (5, 9)
+        # the blind zone 2.5 / damping swallows every sample
+        with pytest.raises(IllConditionedError, match="holds 0 samples"):
+            self.CALLS["fit"](TINY)

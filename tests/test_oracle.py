@@ -199,6 +199,16 @@ class TestFitTraceSingularity:
         C, res = fit_trace_singularity(trace, 1.7, pred, cut)
         assert abs(C - (0.8 - 0.3j)) <= 0.01 * abs(0.8 - 0.3j)
 
+    def test_non_finite_sample_refused(self):
+        pred = TraceSingularityPrediction(
+            L=1.7, L0=1.7, k=1, n=2, order=0.5, coefficient=1.0)
+        ts = np.arange(1.35, 2.05, 0.004)
+        vals = np.ones(len(ts), dtype=complex)
+        vals[40] = complex(np.nan, 0.0)
+        trace = SmoothedTrace(np.array([]), 40.0, ts, vals)
+        with pytest.raises(ValueError, match="trace fit holds non-finite"):
+            fit_trace_singularity(trace, 1.7, pred, CutoffSpec())
+
 
 class TestComposition:
     def test_flat_collinear_matches_interior_amplitude(self):
