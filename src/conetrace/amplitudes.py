@@ -266,14 +266,18 @@ def model_kernel(prediction, cutoff: CutoffSpec, t_grid,
     samples near the front by up to about 1e-4 of the peak.  Samples
     that share a count share one set of nodes and one weighted symbol,
     and their sum is a matrix product taken _KERNEL_ROWS samples at a
-    time, which bounds memory for any grid length.
+    time, which bounds memory for any grid length.  A NaN or infinite
+    sample time raises ValueError.
     """
     if damping_sigma is not None and not (math.isfinite(damping_sigma)
                                           and damping_sigma > 0):
         raise ValueError(
             f"damping_sigma must be finite and > 0, not {damping_sigma!r}")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("model_kernel needs finite sample times")
     s = prediction.order
-    us = np.asarray(t_grid, dtype=float) - prediction.L
+    us = t_grid - prediction.L
     damped = damping_sigma is not None
     if not damped and s <= 1.0 and np.any(us == 0.0):
         raise QuadratureFailureError(

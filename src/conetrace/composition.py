@@ -17,6 +17,18 @@ A Gaussian localizer of width sigma_eta = xi^{3/4} tames the eta axis;
 its smearing of the time-matching constraint biases the result by
 O((sigma_eta * halfwidth)^{-2}), well below the O(1/xi) accuracy of the
 leading amplitude itself.  Smooth bump cutoffs confine w.
+
+Every axis is a Gauss-Legendre rule.  The eta rule enters only through
+the trig sum S(delta) = sum_k f_k exp(i delta eta_k) of the time
+mismatch delta = d2(w) - d2*, so S is not summed at every w node.  On
+the span mid +- R of delta over the box, S(mid + R s) is entire of
+exponential type c = R eta_max in s, and its Chebyshev coefficients are
+bounded by 2 |J_n(c)| sum |f_k|, which fall below rounding once
+n > c + O(c^{1/3}).  S is sampled at the deg + 1 Chebyshev points of
+deg = ceil(c + 8 c^{1/3} + 24) and interpolated; that is
+(deg + 1) n_eta trig values instead of n_u n_v n_eta.  A result whose
+last Chebyshev coefficients are not below rounding relative to the
+largest raises QuadratureDivergenceError.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
 
 from .errors import NoCriticalPointError, QuadratureDivergenceError
 from .quadrature import gauss_legendre
@@ -107,8 +120,22 @@ def sphere_arc_geometry(d1: float, d2: float) -> CompositionGeometry:
                                halfwidth_long=0.45, halfwidth_trans=0.35)
 
 
-_FOLD_ROWS = 256  # (u, v) nodes per block of the folded eta sum
 REFINE_TOL = 0.01  # largest relative coarse/fine gap of a converged value
+# the eta sum's interpolant is refused unless its last _TAIL_COEFFS
+# Chebyshev coefficients are below _TAIL_TOL of the largest; rounding
+# leaves them at up to about 9e-16 in criterion 8's cases, and four
+# consecutive ones hold both parities
+_TAIL_COEFFS = 4
+_TAIL_TOL = 1e-14
+
+
+def _chebyshev_degree(c):
+    """Degree at which the Chebyshev series of a trig sum of exponential
+    type c on [-1, 1] has fallen below rounding: past n = c the bound
+    2 |J_n(c)| decays like Ai(2^{1/3} (n - c) / c^{1/3}), then faster
+    than geometrically.  Criterion 8's sums reach rounding about 12
+    degrees past c + 8 c^{1/3}; the last 24 are twice that."""
+    return math.ceil(c + 8.0 * c ** (1.0 / 3.0) + 24.0)
 
 
 def _bump(s):
@@ -174,10 +201,13 @@ def _quadrature(geom, amp12, xi, sigma_eta, scale):
     delta = (d2 - d2_star).ravel()
     # The eta factor f = sqrt(xi) sqrt(xi + eta) exp(-eta^2/2 sigma^2) w
     # is real and Legendre nodes are exactly antisymmetric, so pairing
-    # each eta > 0 with its mirror -eta turns sum_k f_k e^{i delta eta_k}
-    # into cos(delta eta) (f+ + f-) + i sin(delta eta) (f+ - f-), plus
-    # the middle node's f_0 when n_eta is odd: two real matrix products
-    # over the flattened (u, v) grid, taken _FOLD_ROWS rows at a time.
+    # each eta > 0 with its mirror -eta turns S(delta) = sum_k f_k
+    # e^{i delta eta_k} into cos(delta eta) (f+ + f-) + i sin(delta eta)
+    # (f+ - f-), plus the middle node's f_0 when n_eta is odd.  S is
+    # summed this way only at the deg + 1 Chebyshev points of
+    # [min delta, max delta] (the module docstring gives the degree and
+    # the tail guard); the total is base @ S(delta), with S(delta) read
+    # off the interpolant.
     f = np.sqrt(xi) * np.sqrt(xi + eta) * np.exp(
         -(eta**2) / (2 * sigma_eta**2)) * we
     half = n_eta // 2
@@ -185,13 +215,28 @@ def _quadrature(geom, amp12, xi, sigma_eta, scale):
     f_even = f[n_eta - half:] + f[half - 1::-1]
     f_odd = f[n_eta - half:] - f[half - 1::-1]
     f_mid = f[half] if n_eta % 2 else 0.0
-    total = 0.0 + 0.0j
-    for i in range(0, len(delta), _FOLD_ROWS):
-        phase = np.outer(delta[i:i + _FOLD_ROWS], eta_pos)
-        eta_sum = (np.cos(phase) @ f_even + f_mid
-                   + 1j * (np.sin(phase) @ f_odd))
-        total += base[i:i + _FOLD_ROWS] @ eta_sum
-    return total
+
+    def eta_sum(d):
+        phase = np.outer(d, eta_pos)
+        return (np.cos(phase) @ f_even + f_mid
+                + 1j * (np.sin(phase) @ f_odd))
+
+    lo, hi = delta.min(), delta.max()
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if not math.isfinite(rad):
+        raise QuadratureDivergenceError(
+            "leg distance is not finite on the (u, v) grid")
+    if rad == 0.0:
+        return base.sum() * eta_sum(np.array([mid]))[0]
+    coef = chebinterpolate(lambda s: eta_sum(mid + rad * s),
+                           _chebyshev_degree(rad * eta_max))
+    size = np.abs(coef)
+    tail = size[-_TAIL_COEFFS:].max() / size.max()
+    if not tail <= _TAIL_TOL:
+        raise QuadratureDivergenceError(
+            f"eta-sum interpolant of degree {len(coef) - 1} ends at "
+            f"{tail:.2e} of its largest Chebyshev coefficient")
+    return base @ chebval((delta - mid) / rad, coef)
 
 
 def brute_force_composition(geom: CompositionGeometry, amp12,
@@ -205,14 +250,18 @@ def brute_force_composition(geom: CompositionGeometry, amp12,
     beyond REFINE_TOL raises QuadratureDivergence, otherwise the finer
     value is returned.
     """
-    if xi <= 0:
-        raise ValueError("need xi > 0")
+    if not (math.isfinite(xi) and xi > 0):
+        raise ValueError(f"need finite xi > 0, not {xi!r}")
     sigma_eta = xi**0.75
     if not callable(amp12):
         const = complex(amp12)
         amp12 = lambda u, v: np.full_like(u + v, const, dtype=complex)
     coarse = _quadrature(geom, amp12, xi, sigma_eta, scale=0.75)
     fine = _quadrature(geom, amp12, xi, sigma_eta, scale=1.0)
+    # NaN fails every comparison, so the gap test alone would pass it
+    if not (np.isfinite(coarse) and np.isfinite(fine)):
+        raise QuadratureDivergenceError(
+            f"non-finite quadrature value: coarse {coarse}, fine {fine}")
     if abs(fine - coarse) > REFINE_TOL * abs(fine):
         raise QuadratureDivergenceError(
             f"node refinement moved the value by "

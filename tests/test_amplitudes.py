@@ -332,6 +332,15 @@ class TestModelKernel:
             model_kernel(self.pred(0.5), self.CUT, [5.1],
                          damping_sigma=sigma)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sigma", [40.0, None], ids=["damped", "undamped"])
+    def test_nonfinite_sample_time_refused(self, bad, sigma):
+        # cast to a panel count, a NaN or infinite |u| used to warn and
+        # give NaN samples
+        with pytest.raises(ValueError, match="finite sample times"):
+            model_kernel(self.pred(0.5), self.CUT, [5.1, bad, 4.9],
+                         damping_sigma=sigma)
+
     def test_memory_bounded_by_row_blocks(self):
         # one outer product over 20,000 samples and the ~2,000 nodes of
         # the widest panel layout would take about 650 MB

@@ -1,5 +1,7 @@
 """Doubled-square spectrum, smoothed traces, and brute-force composition."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from conetrace.composition import (
     sphere_arc_geometry,
 )
 from conetrace.errors import NoCriticalPointError, QuadratureDivergenceError
+from conetrace.quadrature import gauss_legendre
 from conetrace.spectra import (
     SmoothedTrace,
     doubled_square_spectrum,
@@ -249,6 +252,31 @@ class TestComposition:
         with pytest.raises(ValueError):
             brute_force_composition(geom, 1.0, -5.0)
 
+    @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_xi_refused(self, xi):
+        # NaN passed a plain xi <= 0 test and came back as nan + nan j;
+        # inf overflowed in the node count
+        geom = flat_collinear_geometry(1.0, 1.0)
+        with pytest.raises(ValueError, match="need finite xi > 0"):
+            brute_force_composition(geom, 1.0, xi)
+
+    def test_nonfinite_amplitude_refused(self):
+        # a NaN gap fails the refinement test's comparison, so it used to
+        # pass as converged
+        geom = flat_collinear_geometry(1.0, 1.0)
+        with pytest.raises(QuadratureDivergenceError, match="non-finite"):
+            brute_force_composition(geom, complex(np.nan, 0.0), 200.0)
+
+    def test_nonfinite_leg_distance_refused(self):
+        # a NaN distance makes the delta span NaN, which has no degree
+        def dist2(u, v):
+            return np.where(u > 0.44, np.nan, np.hypot(1.0 - u, v))
+
+        geom = CompositionGeometry(lambda u, v: np.hypot(1.0 + u, v), dist2,
+                                   lambda u, v: np.ones_like(u + v))
+        with pytest.raises(QuadratureDivergenceError, match="not finite"):
+            brute_force_composition(geom, 1.0, 200.0)
+
     def test_sphere_geometry_guards(self):
         with pytest.raises(ValueError):
             sphere_arc_geometry(np.pi, 0.5)
@@ -256,10 +284,10 @@ class TestComposition:
             sphere_arc_geometry(1.0, 3.5)
 
 
-def complex_exp_eta_loop(geom, amp12, xi, sigma_eta, scale):
-    """The eta sum of composition._quadrature as a complex exponential
-    over n_u x n_v x 16 blocks, the form the fold replaced.  Returns
-    (value, n_eta)."""
+def _composition_grid(geom, amp12, xi, sigma_eta, scale, rule):
+    """The (u, v) factor base, the time mismatch delta, both n_u x n_v,
+    and the eta nodes and weights of composition._quadrature, with the
+    Legendre rules taken from rule(n)."""
     a, b = geom.halfwidth_long, geom.halfwidth_trans
     eta_max = min(4.0 * sigma_eta, 0.85 * xi)
     zero = np.asarray(0.0, float)
@@ -272,24 +300,67 @@ def complex_exp_eta_loop(geom, amp12, xi, sigma_eta, scale):
 
     n_u, n_v = nodes(eta_max * a * 2), nodes(xi * hvv * b**2)
     n_eta = nodes(a * eta_max * 2)
-    tu, wu = np.polynomial.legendre.leggauss(n_u)
-    tv, wv = np.polynomial.legendre.leggauss(n_v)
-    te, we = np.polynomial.legendre.leggauss(n_eta)
+    tu, wu = rule(n_u)
+    tv, wv = rule(n_v)
+    te, we = rule(n_eta)
     uu, vv = np.meshgrid(a * tu, b * tv, indexing="ij")
-    eta, we = eta_max * te, eta_max * we
     d1, d2 = geom.dist1(uu, vv), geom.dist2(uu, vv)
     base = (amp12(uu, vv) * geom.jacobian(uu, vv)
             * composition._bump(uu / a) * composition._bump(vv / b)
             * np.exp(1j * (d1 + d2 - d_tot) * xi)
             * ((a * wu)[:, None] * (b * wv)[None, :]))
+    return base, d2 - d2_star, eta_max * te, eta_max * we
+
+
+def complex_exp_eta_loop(geom, amp12, xi, sigma_eta, scale):
+    """The eta sum of composition._quadrature as a complex exponential
+    over n_u x n_v x 16 blocks, on numpy's leggauss rules.  Returns
+    (value, n_eta)."""
+    base, delta, eta, we = _composition_grid(
+        geom, amp12, xi, sigma_eta, scale, np.polynomial.legendre.leggauss)
+    n_eta = len(eta)
     total = 0.0 + 0.0j
     for k0 in range(0, n_eta, 16):
         et, wt = eta[k0:k0 + 16], we[k0:k0 + 16]
-        osc = np.exp(1j * (d2 - d2_star)[:, :, None] * et[None, None, :])
+        osc = np.exp(1j * delta[:, :, None] * et[None, None, :])
         freq = np.sqrt(xi) * np.sqrt(xi + et) * np.exp(
             -(et**2) / (2 * sigma_eta**2))
         total += np.sum(base[:, :, None] * osc * (freq * wt)[None, None, :])
     return total, n_eta
+
+
+def folded_eta_sum(geom, amp12, xi, sigma_eta, scale):
+    """The eta sum of composition._quadrature summed at every (u, v)
+    node, folded on the mirrored Legendre nodes into cos and sin sums
+    and taken 256 nodes at a time: the form the Chebyshev interpolant
+    replaced.  It uses the package's rules, so the two differ only in
+    how S(delta) is evaluated."""
+    base, delta, eta, we = _composition_grid(
+        geom, amp12, xi, sigma_eta, scale, gauss_legendre)
+    base, delta = base.ravel(), delta.ravel()
+    n_eta = len(eta)
+    f = np.sqrt(xi) * np.sqrt(xi + eta) * np.exp(
+        -(eta**2) / (2 * sigma_eta**2)) * we
+    half = n_eta // 2
+    eta_pos = eta[n_eta - half:]
+    f_even = f[n_eta - half:] + f[half - 1::-1]
+    f_odd = f[n_eta - half:] - f[half - 1::-1]
+    f_mid = f[half] if n_eta % 2 else 0.0
+    total = 0.0 + 0.0j
+    for i in range(0, len(delta), 256):
+        phase = np.outer(delta[i:i + 256], eta_pos)
+        eta_sum = (np.cos(phase) @ f_even + f_mid
+                   + 1j * (np.sin(phase) @ f_odd))
+        total += base[i:i + 256] @ eta_sum
+    return total
+
+
+def _const_amp(u, v):
+    return np.full_like(u + v, 0.3 - 0.1j, dtype=complex)
+
+
+def _sphere_amp(u, v):
+    return (1.0 + 0.2 * u - 0.1j * v * v) + 0j
 
 
 class TestCompositionFold:
@@ -301,12 +372,83 @@ class TestCompositionFold:
         xi = 200.0
         if case == "flat":
             geom, scale = flat_collinear_geometry(1.0, 1.4), 0.75
-            amp12 = lambda u, v: np.full_like(u + v, 0.3 - 0.1j,
-                                              dtype=complex)
+            amp12 = _const_amp
         else:
             geom, scale = sphere_arc_geometry(5 * np.pi / 4, np.pi / 4), 1.0
-            amp12 = lambda u, v: (1.0 + 0.2 * u - 0.1j * v * v) + 0j
+            amp12 = _sphere_amp
         ref, n_eta = complex_exp_eta_loop(geom, amp12, xi, xi**0.75, scale)
         assert n_eta % 2 == parity
         got = composition._quadrature(geom, amp12, xi, xi**0.75, scale)
         assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+class TestChebyshevEtaSum:
+    """composition._quadrature against the per-node folded sum, and its
+    tail guard at the degree boundary."""
+
+    @pytest.mark.parametrize("scale", [0.75, 1.0])
+    @pytest.mark.parametrize("xi,d1,d2", [
+        (200.0, 1.0, 1.0), (250.0, 0.8, 1.4), (400.0, 1.0, 1.0)])
+    def test_flat_matches_folded_sum(self, xi, d1, d2, scale):
+        geom = flat_collinear_geometry(d1, d2)
+        ref = folded_eta_sum(geom, _const_amp, xi, xi**0.75, scale)
+        got = composition._quadrature(geom, _const_amp, xi, xi**0.75, scale)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("scale", [0.75, 1.0])
+    def test_sphere_matches_folded_sum(self, scale):
+        geom = sphere_arc_geometry(5 * np.pi / 4, np.pi / 4)
+        ref = folded_eta_sum(geom, _sphere_amp, 200.0, 200.0**0.75, scale)
+        got = composition._quadrature(geom, _sphere_amp, 200.0,
+                                      200.0**0.75, scale)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_constant_mismatch(self):
+        # d2 moves at the center, so the critical point is sound, but it
+        # is constant on every node: the delta span is 0 and S is one
+        # value
+        def dist2(u, v):
+            return 1.0 + np.where(np.abs(u) < 1e-4, u, 0.0) + 0.0 * v
+
+        geom = CompositionGeometry(lambda u, v: np.hypot(1.0 + u, v), dist2,
+                                   lambda u, v: np.ones_like(u + v))
+        xi, sigma_eta = 200.0, 200.0**0.75
+        base, delta, eta, we = _composition_grid(
+            geom, _const_amp, xi, sigma_eta, 1.0, gauss_legendre)
+        assert np.all(delta == 0.0)
+        # the (u, v) sum cancels to about 4e-6 of sum |base| |S|, so the
+        # two summation orders agree to rounding of that size, not of
+        # the result's
+        size = np.abs(base).sum() * abs(np.sum(np.sqrt(xi) * np.sqrt(
+            xi + eta) * np.exp(-(eta**2) / (2 * sigma_eta**2)) * we))
+        ref = folded_eta_sum(geom, _const_amp, xi, sigma_eta, 1.0)
+        got = composition._quadrature(geom, _const_amp, xi, sigma_eta, 1.0)
+        assert abs(got - ref) <= 1e-15 * size
+
+    @pytest.mark.parametrize("rule", [
+        lambda c: math.floor(c) - 3,                 # below the band limit
+        lambda c: math.ceil(c + 8.0 * c ** (1 / 3)),  # the rule less its 24
+    ], ids=["below_band_limit", "without_margin"])
+    @pytest.mark.parametrize("xi", [200.0, 400.0])
+    def test_tail_guard_refuses_short_degree(self, monkeypatch, rule, xi):
+        monkeypatch.setattr(composition, "_chebyshev_degree", rule)
+        geom = flat_collinear_geometry(1.0, 1.0)
+        with pytest.raises(QuadratureDivergenceError, match="interpolant"):
+            composition._quadrature(geom, _const_amp, xi, xi**0.75, 1.0)
+
+    @pytest.mark.parametrize("xi", [200.0, 400.0])
+    def test_tail_guard_passes_shipped_degree(self, monkeypatch, xi):
+        # the shipped rule's last coefficients sit at rounding, at least
+        # ten times under the guard
+        seen = []
+        real = composition.chebinterpolate
+
+        def spy(func, deg):
+            coef = real(func, deg)
+            seen.append(np.abs(coef[-4:]).max() / np.abs(coef).max())
+            return coef
+
+        monkeypatch.setattr(composition, "chebinterpolate", spy)
+        geom = flat_collinear_geometry(1.0, 1.0)
+        composition._quadrature(geom, _const_amp, xi, xi**0.75, 1.0)
+        assert seen and seen[0] <= 0.1 * composition._TAIL_TOL
