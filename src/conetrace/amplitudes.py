@@ -19,9 +19,9 @@ every diffraction coefficient is the closed form (POLICY), n = 2 only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,6 +246,7 @@ def trace_singularity_cut_route(geodesic) -> complex:
 
 _PANEL_NODES = 64  # Gauss-Legendre nodes per model-kernel panel
 _KERNEL_ROWS = 32  # t samples per block of the model kernel's matrix product
+_NODE_SETS = 128  # cached (order, cutoff, hi, panel count, sigma) node sets
 
 
 def model_kernel(prediction, cutoff: CutoffSpec, t_grid,
@@ -264,10 +265,11 @@ def model_kernel(prediction, cutoff: CutoffSpec, t_grid,
     xi = upper, inside the first panel, so the quadrature error depends
     on the panel layout: one layout sized for the largest |u| moves
     samples near the front by up to about 1e-4 of the peak.  Samples
-    that share a count share one set of nodes and one weighted symbol,
-    and their sum is a matrix product taken _KERNEL_ROWS samples at a
-    time, which bounds memory for any grid length.  A NaN or infinite
-    sample time raises ValueError.
+    that share a count share one set of nodes and one weighted symbol g,
+    kept across calls.  g is real, so their sum is the pair of real
+    matrix products cos(u xi) @ g - i sin(u xi) @ g, taken _KERNEL_ROWS
+    samples at a time, which bounds memory for any grid length.  A NaN
+    or infinite sample time raises ValueError.
     """
     if damping_sigma is not None and not (math.isfinite(damping_sigma)
                                           and damping_sigma > 0):
@@ -292,17 +294,23 @@ def model_kernel(prediction, cutoff: CutoffSpec, t_grid,
         idx = np.flatnonzero(panels == count)
         for i in range(0, len(idx), _KERNEL_ROWS):
             rows = idx[i:i + _KERNEL_ROWS]
-            out[rows] = np.exp(-1j * np.outer(us[rows], xi)) @ g
+            phase = np.outer(us[rows], xi)
+            out[rows] = np.cos(phase) @ g - 1j * (np.sin(phase) @ g)
     if not damped:
         for i, u in enumerate(us):
             out[i] += hi ** (1.0 - s) * _exp_integral_e(s, 1j * u * hi)
     return prediction.coefficient * out
 
 
+@functools.lru_cache(maxsize=_NODE_SETS)
 def _symbol_nodes(s, cutoff, hi, panels, sigma):
     """Nodes xi of `panels` equal Gauss-Legendre panels on
     [cutoff.lower, hi] and the real weighted symbol
-    w chi(xi) xi^{-s} [exp(-xi^2/(2 sigma^2))] at them."""
+    w chi(xi) xi^{-s} [exp(-xi^2/(2 sigma^2))] at them.
+
+    Every trace fit of one order, cutoff and damping asks for the same
+    few panel counts, so the sets are cached; both arrays are read-only,
+    as every caller shares them."""
     gl_x, gl_w = gauss_legendre(_PANEL_NODES)
     edges = np.linspace(cutoff.lower, hi, panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
@@ -310,6 +318,8 @@ def _symbol_nodes(s, cutoff, hi, panels, sigma):
     g = (half * gl_w).ravel() * cutoff.value(xi) * xi ** (-s)
     if sigma is not None:
         g *= np.exp(-(xi * xi) / (2 * sigma * sigma))
+    xi.setflags(write=False)
+    g.setflags(write=False)
     return xi, g
 
 
@@ -330,20 +340,20 @@ def _exp_integral_e(s: float, z: complex) -> complex:
         w, lw = _LAGUERRE_NODES
         vals = lw * (1.0 + w / z) ** (-s)
         return np.exp(-z) * np.sum(vals) / z
-    from scipy.special import gamma, psi
-
     total = 0.0 + 0.0j
     if abs(s - round(s)) < 1e-12 and s >= 1:
         m = int(round(s))
         logz = np.log(z)
+        # digamma at a positive integer: psi(m) = -gamma + H_{m-1}
+        psi_m = -np.euler_gamma + math.fsum(1.0 / j for j in range(1, m))
         for k in range(0, 60):
             if k == m - 1:
-                total += (-z) ** k / math.factorial(k) * (psi(m) - logz)
+                total += (-z) ** k / math.factorial(k) * (psi_m - logz)
             else:
                 total += -((-z) ** k) / (math.factorial(k) * (1.0 - m + k))
         return total
     for k in range(0, 60):
         term = (-z) ** k / (math.factorial(k) * (1.0 - s + k))
         total -= term
-    total += gamma(1.0 - s) * z ** (s - 1.0)
+    total += math.gamma(1.0 - s) * z ** (s - 1.0)
     return total

@@ -11,6 +11,7 @@ control for the trace-singularity machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -51,9 +52,20 @@ def doubled_square_spectrum(lambda_max: float) -> np.ndarray:
     each q gives pi sqrt(q), repeated by its multiplicity, in increasing
     q.  Distinct q give distinct values, so the array equals a stable
     sort of every pi sqrt(m^2 + n^2) bit for bit.
+
+    The last spectrum built is kept, so repeated calls at one lambda_max
+    build it once per process; the array is read-only, as every caller
+    shares it.
     """
     if lambda_max > 5000:
         raise ValueError(f"lambda_max must be at most 5000, not {lambda_max:g}")
+    return _doubled_square_spectrum(float(lambda_max))
+
+
+# The public function stays undecorated so that span tracing, which wraps
+# plain functions only, still sees every call.
+@functools.lru_cache(maxsize=1)
+def _doubled_square_spectrum(lambda_max: float) -> np.ndarray:
     top = max(int(np.floor(lambda_max / np.pi)) + 1, 0)
     sq = np.arange(top + 1) ** 2
     # Dirichlet counts are Neumann counts less the m = 0 and n = 0 axes;
@@ -64,7 +76,9 @@ def doubled_square_spectrum(lambda_max: float) -> np.ndarray:
     q = np.flatnonzero(counts)
     lam = np.pi * np.sqrt(q)
     keep = lam <= lambda_max
-    return np.repeat(lam[keep], counts[q[keep]])
+    out = np.repeat(lam[keep], counts[q[keep]])
+    out.setflags(write=False)
+    return out
 
 
 def _phasors(t, lam) -> np.ndarray:

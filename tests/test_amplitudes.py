@@ -3,6 +3,7 @@
 import tracemalloc
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -353,6 +354,18 @@ class TestModelKernel:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 0.5, 1.5])
+    @pytest.mark.parametrize("z", [0.004j, -0.3j, 0.7j, 1.9j, -1.99j,
+                                   0.2 + 0.5j, 1.1 - 1.3j, 1.5])
+    def test_exp_integral_small_z_matches_mpmath(self, s, z):
+        # the convergent expansion at |z| < 2: the log branch at integer s
+        # (psi(m) = -gamma + H_{m-1}) and Gamma(1 - s) z^{s-1} otherwise
+        assert abs(z) < 2.0
+        with mpmath.workdps(30):
+            ref = complex(mpmath.expint(s, z))
+        got = amp._exp_integral_e(s, z)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
     def test_cutoff_shape(self):
         cut = CutoffSpec(1.0, 2.0)

@@ -465,6 +465,21 @@ class TestSpectralTraceCommand:
         main(["spectral-trace", "--config", cfg, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_cached_builds_leave_reruns_identical(self, tmp_path):
+        # spectral-trace with a fit and verify --suite all share the kept
+        # spectrum and the model kernel's cached node sets; interleaved,
+        # each rerun must match its first run byte for byte
+        cfg = self.config(tmp_path, with_fit=True)
+        outs = {name: tmp_path / name for name in
+                ("tr-a.csv", "all-a.json", "tr-b.csv", "all-b.json")}
+        for name, path in outs.items():
+            argv = (["spectral-trace", "--config", cfg] if name.startswith("tr")
+                    else ["verify", "--suite", "all"])
+            assert main(argv + ["--out", str(path)]) == 0
+        assert outs["tr-a.csv"].read_bytes() == outs["tr-b.csv"].read_bytes()
+        assert outs["all-a.json"].read_bytes() == outs["all-b.json"].read_bytes()
+        assert "# fit" in outs["tr-a.csv"].read_text()
+
     def csv_config(self, tmp_path, text):
         (tmp_path / "eigs.csv").write_text(text)
         return write_config(tmp_path, "csv.json", {

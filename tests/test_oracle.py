@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from conetrace.amplitudes import (
     CutoffSpec,
@@ -11,7 +12,7 @@ from conetrace.amplitudes import (
     interior_amplitude,
     model_kernel,
 )
-from conetrace import composition
+from conetrace import amplitudes, composition
 from conetrace.composition import (
     CompositionGeometry,
     brute_force_composition,
@@ -73,6 +74,22 @@ class TestDoubledSquareSpectrum:
         eigs = doubled_square_spectrum(5 * np.pi)
         assert eigs[-1] == 5 * np.pi
         assert np.sum(eigs == 5 * np.pi) == 6
+
+    def test_cached_spectrum_is_read_only(self):
+        eigs = doubled_square_spectrum(50.0)
+        assert not eigs.flags.writeable
+        with pytest.raises(ValueError):
+            eigs[0] = 1.0
+
+    def test_second_call_equals_first(self):
+        # a call at another lambda_max in between replaces the kept
+        # spectrum, so the last call builds it again
+        first = doubled_square_spectrum(120.0)
+        again = doubled_square_spectrum(120.0)
+        doubled_square_spectrum(50.0)
+        rebuilt = doubled_square_spectrum(120.0)
+        assert np.array_equal(again, first)
+        assert np.array_equal(rebuilt, first)
 
 
 class TestSmoothedTrace:
@@ -201,6 +218,14 @@ class TestFitTraceSingularity:
         trace = SmoothedTrace(np.array([]), sigma, ts, vals)
         C, res = fit_trace_singularity(trace, 1.7, pred, cut)
         assert abs(C - (0.8 - 0.3j)) <= 0.01 * abs(0.8 - 0.3j)
+
+    def test_kernel_nodes_are_read_only(self):
+        # the fit's model kernel shares its cached node sets across calls
+        xi, g = amplitudes._symbol_nodes(1.5, CutoffSpec(), 322.0, 8, 40.0)
+        assert len(xi) == len(g) == 8 * amplitudes._PANEL_NODES
+        assert not xi.flags.writeable and not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0] = 0.0
 
     def test_non_finite_sample_refused(self):
         pred = TraceSingularityPrediction(
@@ -402,6 +427,38 @@ class TestChebyshevEtaSum:
         got = composition._quadrature(geom, _sphere_amp, 200.0,
                                       200.0**0.75, scale)
         assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("case", [
+        ("flat", 200.0, 1.0, 1.0, 0.75), ("flat", 200.0, 1.0, 1.0, 1.0),
+        ("flat", 250.0, 0.8, 1.4, 0.75), ("flat", 250.0, 0.8, 1.4, 1.0),
+        ("flat", 400.0, 1.0, 1.0, 0.75), ("flat", 400.0, 1.0, 1.0, 1.0),
+        ("sphere", 200.0, 5 * np.pi / 4, np.pi / 4, 0.75),
+        ("sphere", 200.0, 5 * np.pi / 4, np.pi / 4, 1.0),
+    ], ids=lambda c: "-".join(str(round(v, 3)) if isinstance(v, float)
+                              else v for v in c))
+    def test_moments_match_chebval(self, monkeypatch, case):
+        # reference: the interpolant summed by chebval's Clenshaw at every
+        # (u, v) node, with the coefficients the quadrature itself made
+        kind, xi, d1, d2, scale = case
+        if kind == "flat":
+            geom, amp12 = flat_collinear_geometry(d1, d2), _const_amp
+        else:
+            geom, amp12 = sphere_arc_geometry(d1, d2), _sphere_amp
+        seen = []
+        real = composition.chebinterpolate
+
+        def spy(func, deg):
+            seen.append(real(func, deg))
+            return seen[-1]
+
+        monkeypatch.setattr(composition, "chebinterpolate", spy)
+        got = composition._quadrature(geom, amp12, xi, xi**0.75, scale)
+        base, delta, _, _ = _composition_grid(
+            geom, amp12, xi, xi**0.75, scale, gauss_legendre)
+        lo, hi = delta.min(), delta.max()
+        x = (delta.ravel() - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+        ref = base.ravel() @ chebval(x, seen[0])
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_constant_mismatch(self):
         # d2 moves at the center, so the critical point is sound, but it
