@@ -1,14 +1,19 @@
 """Geodesic flow, tip shooting, and closed diffractive geodesics.
 
-Geodesics are integrated chart by chart with DOP853 at tight tolerance;
-terminal events handle tip hits (x crossing 1e-7 in a designer band),
-chart transitions (with hysteresis so a fresh leg never starts on its
-own trigger), atlas exits, and caller-supplied section stops.  A seam of
-the surface (where the metric is only finitely smooth) ends a leg too:
-the step that crossed it is solved again up to the seam, so no step of
-any leg evaluates the metric on both sides, and a fresh leg in the same
-chart starts there.  The legs' ends are where Jacobi solves along the
-stored path break (`GeodesicPath.breaks`).
+Geodesics are integrated chart by chart with the in-repo DOP853 kernel
+(`ode`) at tight tolerance; terminal events handle tip hits (x crossing
+1e-7 in a designer band), chart transitions (with hysteresis so a fresh
+leg never starts on its own trigger), atlas exits, and caller-supplied
+section stops.  A seam of the surface (where the metric is only finitely
+smooth) ends a leg too.  Each leg integrates the smooth piece of the
+metric that it starts in, continued past the seams (`Chart.leg_rhs`), so
+the step that crosses a seam is accepted like any other; the leg is then
+solved again from that step's start up to the seam, so that it ends on a
+step's end, and a fresh leg in the same chart starts there on the other
+piece.  No leg evaluates two pieces.  The legs' ends are where Jacobi
+solves along the stored path break (`GeodesicPath.breaks`).  A start
+position or velocity that is not finite, or a velocity of length zero,
+is refused with ValueError.
 
 One ODE per shot: the state is (p, v, j, j'), the geodesic with the
 scalar Jacobi field j'' = -K j riding along, K read from the chart at
@@ -46,8 +51,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import ode
 from .errors import (
     ConjugateDegeneracyError,
     LeftAtlasError,
@@ -82,6 +87,7 @@ TIP_START_X = FROBENIUS_START_X  # a shot launches where its tip field starts
 # DOP853 tolerances of every leg: rtol on all six components, atol on
 # (p, v); (j, j') take JACOBI_ATOL
 RTOL, ATOL = JACOBI_RTOL, 1e-12
+_FLOW_ATOL = np.array([ATOL] * 4 + [JACOBI_ATOL] * 2)
 MAX_LEGS = 400  # legs (chart switches and seam crossings) allowed in one flow
 D_REF = 0.1  # x at which a shot enters the target tip's reference band
 NEWTON_TOL = 1e-9  # |p_theta| miss at which a shot has converged
@@ -105,7 +111,7 @@ class PathLeg:
     chart: str
     s0: float
     s1: float
-    sol: object  # dense OdeSolution over [s0, s1]
+    sol: ode.Solution  # dense output over [s0, s1]
 
 
 @dataclass
@@ -146,11 +152,15 @@ class GeodesicPath:
             return self._tip_state(self._start_cap, s)
         if s > self.legs[-1].s1 and self._end_cap is not None:
             return self._tip_state(self._end_cap, s)
+        leg, yv = self._flow_state(s)
+        return ChartState(leg.chart, yv[:2], yv[2:4])
+
+    def _flow_state(self, s: float):
+        """The leg that holds s, and the flow's (p, v, j, j') there, s
+        clamped to the legs' span."""
         i = bisect.bisect_right(self._leg_starts, s) - 1
-        i = min(max(i, 0), len(self.legs) - 1)
-        leg = self.legs[i]
-        yv = leg.sol(np.clip(s, leg.s0, leg.s1))
-        return ChartState(leg.chart, yv[:2].copy(), yv[2:4].copy())
+        leg = self.legs[min(max(i, 0), len(self.legs) - 1)]
+        return leg, leg.sol(min(max(float(s), leg.s0), leg.s1))
 
     @property
     def breaks(self) -> list[float]:
@@ -241,6 +251,7 @@ class _FlowField:
     def __init__(self, path: GeodesicPath):
         self.legs = path.legs
         self.starts = np.array(path._leg_starts)
+        self.flow_state = path._flow_state
         self.c1 = (path.surface.tips[path.start_tip].c1
                    if path._start_cap is not None else None)
         self.cap = None
@@ -252,6 +263,13 @@ class _FlowField:
             self.cap = integrate_jacobi(path, s_end, path.length, j, jp)
 
     def __call__(self, s):
+        if np.ndim(s) == 0:
+            s = float(s)
+            if self.c1 is not None and s < self.legs[0].s0:
+                return np.array(_frobenius_start(self.c1, s))
+            if self.cap is not None and s > self.legs[-1].s1:
+                return self.cap.pair(s)
+            return self.flow_state(s)[1][4:]
         s = np.asarray(s, dtype=float)
         flat = s.reshape(-1)
         out = np.empty((2, flat.size))
@@ -270,15 +288,6 @@ class _FlowField:
             if sel.any():
                 out[:, sel] = self.cap.pair(flat[sel])
         return out.reshape((2,) + s.shape)
-
-
-def _make_event(value_fn, direction):
-    def ev(s, yv):
-        return value_fn(yv[:2], yv[2:4])
-
-    ev.terminal = True
-    ev.direction = direction
-    return ev
 
 
 def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
@@ -300,7 +309,15 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
     chart_name = start.chart
     p = np.asarray(start.p, dtype=float)
     v = np.asarray(start.v, dtype=float)
-    v = v / surface.chart(chart_name).norm(p, v)
+    if not np.isfinite(p).all():
+        raise ValueError(f"start position {p} is not finite")
+    if not np.isfinite(v).all():
+        raise ValueError(f"start velocity {v} is not finite")
+    speed = surface.chart(chart_name).norm(p, v)
+    if not 0.0 < speed < np.inf:
+        raise ValueError(f"start velocity {v} at {p} has length {speed}, "
+                         f"not a positive finite one")
+    v = v / speed
     field = np.asarray(field_start, dtype=float)
 
     tip_rules = surface.tip_rules(TIP_HIT_X)
@@ -315,25 +332,23 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
         rules += [r for r in surface.atlas_rules if r.chart == chart_name]
         rules += [r for r in stop_rules if r.chart == chart_name]
         transitions = [t for t in surface.transitions if t.src == chart_name]
-        events = [_make_event(r.value, r.direction) for r in rules]
-        events += [
-            _make_event(lambda pp, vv, _t=t: _t.trigger(pp), -1.0) for t in transitions
-        ]
+        events = [(lambda y, _f=r.value: _f(y[:2], y[2:4]), r.direction)
+                  for r in rules]
+        events += [(lambda y, _t=t: _t.trigger(y[:2]), -1.0) for t in transitions]
         seams = [(sm, d) for sm in surface.seams if sm.chart == chart_name
                  for d in (-1.0, 1.0) if (sm, d) != skip]
-        events += [_make_event(lambda pp, vv, _f=sm.value: _f(pp), d)
-                   for sm, d in seams]
+        events += [(lambda y, _f=sm.value: _f(y[:2]), d) for sm, d in seams]
 
-        sol = _solve_leg(chart, (s_cur, s_end), np.concatenate([p, v, field]),
-                         events)
-        legs.append(PathLeg(chart_name, s_cur, sol.t[-1], sol.sol))
+        # a leg in a chart with seams integrates the smooth piece it
+        # starts in, so the step that crosses a seam is not rejected
+        rhs = chart.leg_rhs(p, v)
+        run = _solve_leg(rhs, s_cur, s_end, np.concatenate([p, v, field]), events)
+        legs.append(PathLeg(chart_name, s_cur, run.t, run.sol))
 
-        if sol.status != 1:
+        if run.event is None:
             break
-        hits = [(te[0], i) for i, te in enumerate(sol.t_events) if len(te)]
-        s_ev, idx = min(hits)
-        yv = sol.sol(s_ev)
-        p, v, field = yv[:2], yv[2:4], yv[4:]
+        s_ev, idx = run.t, run.event
+        p, v, field = run.y[:2], run.y[2:4], run.y[4:]
         if idx < len(rules):
             rule = rules[idx]
             if rule.kind == "atlas":
@@ -342,25 +357,24 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
                 )
             end_kind = rule.kind
             end_payload = rule.payload
-            legs[-1] = PathLeg(chart_name, s_cur, s_ev, sol.sol)
             break
         if idx >= len(rules) + len(transitions):
-            # a seam: the step that crossed it saw the far side, so solve
-            # again from that step's start up to the seam, and begin a
-            # fresh leg in the same chart there
+            # a seam: solve again from the start of the step that crossed
+            # it up to the seam, so the leg ends on a step's end (order 8)
+            # rather than on the interpolant the event was placed on
+            # (order 7), and begin a fresh leg in the same chart there
             skip = seams[idx - len(rules) - len(transitions)]
-            ts = sol.sol.ts
+            ts = run.sol.ts
             s_k = ts[max(np.searchsorted(ts, s_ev), 1) - 1]
-            tail = _solve_leg(chart, (s_k, s_ev), sol.sol(s_k))
+            tail = _solve_leg(rhs, s_k, s_ev, run.sol(s_k))
             if s_k > s_cur:
-                legs[-1] = PathLeg(chart_name, s_cur, s_k, sol.sol)
+                legs[-1] = PathLeg(chart_name, s_cur, s_k, run.sol)
             else:
                 legs.pop()
             legs.append(PathLeg(chart_name, s_k, s_ev, tail.sol))
-            p, v, field = tail.y[:2, -1], tail.y[2:4, -1], tail.y[4:, -1]
+            p, v, field = tail.y[:2], tail.y[2:4], tail.y[4:]
             s_cur = s_ev
             continue
-        legs[-1] = PathLeg(chart_name, s_cur, s_ev, sol.sol)
         s_cur = s_ev
         skip = None
         tr = transitions[idx - len(rules)]
@@ -376,14 +390,9 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
     return path
 
 
-def _solve_leg(chart, span, y0, events=None):
-    """DOP853 over span of the flow (p, v, j, j') in one chart."""
-    sol = solve_ivp(chart.flow_rhs, span, y0, method="DOP853", rtol=RTOL,
-                    atol=[ATOL] * 4 + [JACOBI_ATOL] * 2, dense_output=True,
-                    events=events or None)
-    if not sol.success and sol.status != 1:
-        raise StepFailureError(f"geodesic integrator failed: {sol.message}")
-    return sol
+def _solve_leg(rhs, s0, s1, y0, events=()) -> ode.Result:
+    """DOP853 over [s0, s1] of the flow (p, v, j, j') in one chart."""
+    return ode.solve(rhs, s0, s1, y0, rtol=RTOL, atol=_FLOW_ATOL, events=events)
 
 
 def _end_at_tip(path: GeodesicPath, tip: Tip) -> None:

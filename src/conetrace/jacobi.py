@@ -24,7 +24,9 @@ share them; j'/j is the shape operator the cut route reads.  A field
 from s0 > 0 is its own solve along the stored path at the same
 tolerances, restarted at each of the path's leg ends, so that no step
 straddles a seam of the metric; `b_jacobi_solution` solves a tip field
-that way, as a reference.
+that way, as a reference.  Every solve runs on the in-repo DOP853 kernel
+(`ode`), and the zeros behind the Morse index are placed by its Brent
+root finder.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
-from scipy.optimize import brentq
 
+from . import ode
 from .errors import ConjugateDegeneracyError, StepFailureError
 
 __all__ = [
@@ -76,6 +77,8 @@ class JacobiSolution:
 
     def pair(self, s) -> np.ndarray:
         """(j, j') at s (a float or an array), clamped to [s0, s1]."""
+        if np.ndim(s) == 0:
+            return self._sol(min(max(float(s), self.s0), self.s1))
         return self._sol(np.clip(s, self.s0, self.s1))
 
     def at(self, s: float) -> JacobiField:
@@ -97,8 +100,8 @@ class JacobiSolution:
         out = []
         sign = np.sign(vals)
         for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            out.append(brentq(lambda s: float(self.j(s)), grid[i], grid[i + 1],
-                              xtol=1e-12))
+            out.append(ode.brent(lambda s: float(self.j(s)), grid[i], grid[i + 1],
+                                 xtol=1e-12))
         return out
 
 
@@ -112,16 +115,12 @@ def integrate_jacobi(path, s0: float, s1: float, j0: float,
         return (y[1], -path.curvature(s) * y[0])
 
     ends = [s0] + [b for b in path.breaks if s0 < b < s1] + [s1]
-    ts, pieces, y = [s0], [], [j0, jprime0]
+    pieces, y = [], [j0, jprime0]
     for a, b in zip(ends[:-1], ends[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=JACOBI_RTOL,
-                        atol=JACOBI_ATOL, dense_output=True)
-        if not sol.success:
-            raise StepFailureError(f"Jacobi integrator failed: {sol.message}")
-        ts.extend(sol.sol.ts[1:])
-        pieces.extend(sol.sol.interpolants)
-        y = sol.y[:, -1]
-    return JacobiSolution(OdeSolution(ts, pieces), s0, s1)
+        run = ode.solve(rhs, a, b, y, rtol=JACOBI_RTOL, atol=JACOBI_ATOL)
+        pieces.append(run.sol)
+        y = run.y
+    return JacobiSolution(ode.Solution.joined(pieces), s0, s1)
 
 
 def _frobenius_start(c1: float, x):

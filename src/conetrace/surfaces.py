@@ -33,12 +33,15 @@ teardrop.  The spindle and teardrop perturb g_rr by
 that g_rr stays positive; the tip bands stay exactly rotationally
 symmetric, which keeps tip shooting and transverse miss measurement
 exact.  The bump is only C^2 at the band's edges, so those edges are
-the surfaces' seams: the geodesic flow ends a leg on each, and no
+the surfaces' seams: the geodesic flow ends a leg on each, and each leg
+integrates one smooth piece of the metric, the band's polynomial or the
+flat exterior, continued past the edges (`Chart.leg_rhs`), so no
 integrator step reads the metric on both sides of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,6 +75,11 @@ __all__ = [
 # otherwise creep toward it in steps limited by the rounding of K
 MAX_CURVATURE = 1e14
 
+# how far along its start velocity a leg looks to pick the piece of a
+# piecewise metric it runs in, so that a leg starting on a seam (to
+# rounding) takes the side it moves into
+SEAM_LOOKAHEAD = 1e-9
+
 # what chart code raises off the chart's real domain: a `math` domain
 # error, a division by zero, or float() of the complex value that
 # Python's (-x)**0.5 gives
@@ -94,6 +102,12 @@ class Chart:
         (p0, p1, v0, v1, j, j') and j'' = -K(p) j at the same point."""
         raise NotImplementedError
 
+    def leg_rhs(self, p, v):
+        """The flow_rhs that a leg starting at p with velocity v
+        integrates: the chart's own, unless its metric is only piecewise
+        smooth (see OrthogonalChart)."""
+        return self.flow_rhs
+
     def norm(self, p, v) -> float:
         g = self.metric(p)
         return float(np.sqrt(v @ g @ v))
@@ -107,11 +121,20 @@ class OrthogonalChart(Chart):
     K = -((Q_00 P - Q_0 P_0)/P^2 + (P_11 Q - P_1 Q_1)/Q^2) / (P Q)
     need.  Every evaluation runs on Python floats; a point where the
     chart has no real value raises StepFailureError.
+
+    A metric that is only piecewise smooth, with the pieces meeting on
+    the surface's seams, also gives `piece(p, v)`: the jets of the piece
+    that a leg starting at p with velocity v runs in, continued smoothly
+    past its seams.  Each leg integrates that piece alone (`leg_rhs`),
+    so the step that crosses a seam, on which the leg ends, sees one
+    smooth metric and is not rejected down to a sliver.
     """
 
-    def __init__(self, name: str, jets: Callable[[float, float], tuple]):
+    def __init__(self, name: str, jets: Callable[[float, float], tuple],
+                 piece: Callable[[np.ndarray, np.ndarray], Callable] = None):
         self.name = name
         self._jets = jets
+        self._piece = piece
 
     def _off_domain(self, p0: float, p1: float, exc: Exception) -> StepFailureError:
         return StepFailureError(
@@ -125,10 +148,11 @@ class OrthogonalChart(Chart):
         except _OFF_DOMAIN as exc:
             raise self._off_domain(p0, p1, exc) from exc
 
-    def _gammas_k(self, p0: float, p1: float) -> tuple:
-        """G^0_00, G^0_01, G^0_11, G^1_00, G^1_01, G^1_11 and K."""
+    def _gammas_k(self, p0: float, p1: float, jets=None) -> tuple:
+        """G^0_00, G^0_01, G^0_11, G^1_00, G^1_01, G^1_11 and K, from the
+        chart's jets or the given piece's."""
         try:
-            P, P0, P1, P11, Q, Q0, Q1, Q00 = self._jets(p0, p1)
+            P, P0, P1, P11, Q, Q0, Q1, Q00 = (jets or self._jets)(p0, p1)
             return (P0 / P, P1 / P, -Q * Q0 / (P * P),
                     -P * P1 / (Q * Q), Q0 / Q, Q1 / Q,
                     -((Q00 * P - Q0 * P0) / (P * P)
@@ -140,9 +164,9 @@ class OrthogonalChart(Chart):
         jets = self._jets_at(p)
         return np.array([[jets[0] ** 2, 0.0], [0.0, jets[4] ** 2]])
 
-    def flow_rhs(self, s, y):
+    def flow_rhs(self, s, y, _jets=None):
         p0, p1, v0, v1, j, jp = y.tolist()
-        g000, g001, g011, g100, g101, g111, k = self._gammas_k(p0, p1)
+        g000, g001, g011, g100, g101, g111, k = self._gammas_k(p0, p1, _jets)
         if not abs(k) <= MAX_CURVATURE:
             raise StepFailureError(
                 f"chart '{self.name}' has curvature {k:.3g} at p = ({p0:.6g}, "
@@ -150,6 +174,11 @@ class OrthogonalChart(Chart):
         a0 = -(g000 * v0 * v0 + 2 * g001 * v0 * v1 + g011 * v1 * v1)
         a1 = -(g100 * v0 * v0 + 2 * g101 * v0 * v1 + g111 * v1 * v1)
         return [v0, v1, a0, a1, jp, -k * j]
+
+    def leg_rhs(self, p, v):
+        if self._piece is None:
+            return self.flow_rhs
+        return functools.partial(self.flow_rhs, _jets=self._piece(p, v))
 
     def curvature(self, p) -> float:
         return self._gammas_k(float(p[0]), float(p[1]))[6]
@@ -392,6 +421,11 @@ def _perturbed_chart(eps: float, lo: float, hi: float,
     (lo, hi) and 0 outside: it vanishes to third order at both edges and
     reaches 1 at the midpoint, so |eps| < 1 keeps g_rr = P^2 positive.
     The edges are seams of the surfaces that use it (`_bump_seams`).
+    The chart's pieces are the band's polynomial and the flat exterior,
+    each continued past the edges; a leg takes the piece its start lies
+    in, or on an edge (within SEAM_LOOKAHEAD |v_r|) the one that v_r
+    points into.  The two differ by O(eps d^3 / w^3) at a distance d
+    beyond an edge.
     """
     if not abs(eps) < 1.0:
         raise ValueError(
@@ -399,10 +433,12 @@ def _perturbed_chart(eps: float, lo: float, hi: float,
             f"1 + eps * bump * sin(2 theta) reaches 1 - |eps| <= 0 in the band")
     scale = eps / ((hi - lo) / 2.0) ** 6
 
-    def jets(r, theta):
+    def flat(r, theta):
         q, q0, q00 = profile(r)
-        if not lo < r < hi:
-            return 1.0, 0.0, 0.0, 0.0, q, q0, 0.0, q00
+        return 1.0, 0.0, 0.0, 0.0, q, q0, 0.0, q00
+
+    def band(r, theta):
+        q, q0, q00 = profile(r)
         g = (r - lo) * (hi - r)
         eb = scale * g * g * g  # eps b(r)
         eb_r = 3.0 * scale * g * g * (lo + hi - 2.0 * r)  # eps b'(r)
@@ -412,7 +448,14 @@ def _perturbed_chart(eps: float, lo: float, hi: float,
         return (p, 0.5 * eb_r * s2 / p, p1, -(2.0 * eb * s2 + p1 * p1) / p,
                 q, q0, 0.0, q00)
 
-    return OrthogonalChart("polar", jets)
+    def jets(r, theta):
+        return (band if lo < r < hi else flat)(r, theta)
+
+    def piece(p, v):
+        r = float(p[0]) + SEAM_LOOKAHEAD * float(v[0])
+        return band if lo < r < hi else flat
+
+    return OrthogonalChart("polar", jets, piece)
 
 
 def _bump_seams(chart: str, lo: float, hi: float) -> list[Seam]:

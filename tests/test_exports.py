@@ -87,3 +87,16 @@ def test_import_leaves_sympy_unloaded():
     run = _run_fresh(code)
     assert run.returncode == 0, run.stderr
     assert float(run.stdout) == pytest.approx(0.5)
+
+
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # the geodesic flow, the Jacobi solves and their root finding run on
+    # conetrace.ode
+    code = "\n".join([
+        "import sys, conetrace.cli",
+        "print(sorted(m for m in sys.modules",
+        "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))",
+    ])
+    run = _run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

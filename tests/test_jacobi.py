@@ -125,6 +125,17 @@ class TestFlowField:
                                path.length)
                 self.assert_matches(path.flow_field, ref, ss)
 
+    def test_float_and_array_reads_agree(self, teardrop_closed):
+        # a float takes its own path through the start sliver, the legs
+        # and the end cap; an array is summed in another order
+        path = teardrop_closed.segments[0].path
+        field = path.flow_field
+        ss = np.concatenate([[0.0, 0.5 * path.legs[0].s0],
+                             np.linspace(path.legs[0].s0, path.legs[-1].s1, 40),
+                             [0.5 * (path.legs[-1].s1 + path.length), path.length]])
+        np.testing.assert_allclose(np.array([field.pair(s) for s in ss]).T,
+                                   field.pair(ss), rtol=1e-14, atol=1e-15)
+
     def test_teardrop_loop_crosses_the_cap(self, teardrop_closed):
         # the field rides polar -> cap -> polar (and across the seams),
         # unchanged at each leg end
