@@ -11,9 +11,14 @@ the step that crosses a seam is accepted like any other; the leg is then
 solved again from that step's start up to the seam, so that it ends on a
 step's end, and a fresh leg in the same chart starts there on the other
 piece.  No leg evaluates two pieces.  The legs' ends are where Jacobi
-solves along the stored path break (`GeodesicPath.breaks`).  A start
-position or velocity that is not finite, or a velocity of length zero,
-is refused with ValueError.
+solves along the stored path break (`GeodesicPath.breaks`).  A leg
+that starts on the seam it has just crossed takes the far side's piece.
+A start position or velocity that is not finite, or a velocity of
+length zero, is refused with ValueError.  A leg's dense output is built
+when it is first read (`ode`), so a StepFailureError that the chart
+raises only at a dense-output stage of some step comes out of the
+later call that reads it (`GeodesicPath.state`, `flow_field`, a Jacobi
+solve along the path), not out of the flow.
 
 One ODE per shot: the state is (p, v, j, j'), the geodesic with the
 scalar Jacobi field j'' = -K j riding along, K read from the chart at
@@ -264,6 +269,8 @@ class _FlowField:
 
     def __call__(self, s):
         if np.ndim(s) == 0:
+            # a float, as Brent's method on j reads it: about 9 us here,
+            # 75 us through the masks and searches of the array path
             s = float(s)
             if self.c1 is not None and s < self.legs[0].s0:
                 return np.array(_frobenius_start(self.c1, s))
@@ -340,8 +347,10 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
         events += [(lambda y, _f=sm.value: _f(y[:2]), d) for sm, d in seams]
 
         # a leg in a chart with seams integrates the smooth piece it
-        # starts in, so the step that crosses a seam is not rejected
-        rhs = chart.leg_rhs(p, v)
+        # starts in, so the step that crosses a seam is not rejected; a
+        # leg that starts on the seam it has just crossed takes the piece
+        # on the far side, which rounding of p alone could not tell
+        rhs = chart.leg_rhs(p, skip[1] if skip is not None else 0.0)
         run = _solve_leg(rhs, s_cur, s_end, np.concatenate([p, v, field]), events)
         legs.append(PathLeg(chart_name, s_cur, run.t, run.sol))
 

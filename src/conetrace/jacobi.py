@@ -77,8 +77,6 @@ class JacobiSolution:
 
     def pair(self, s) -> np.ndarray:
         """(j, j') at s (a float or an array), clamped to [s0, s1]."""
-        if np.ndim(s) == 0:
-            return self._sol(min(max(float(s), self.s0), self.s1))
         return self._sol(np.clip(s, self.s0, self.s1))
 
     def at(self, s: float) -> JacobiField:

@@ -30,7 +30,11 @@ What differs is the cost of a step:
 A non-finite state or error estimate raises StepFailureError at once,
 where scipy shrinks the step to its floor first; so does a step that
 falls below ten units in the last place of t.  Integration runs forward
-only (t1 >= t0).
+only (t1 >= t0).  Because a step's three dense-output stages run when
+its interpolant is first read, an exception that `fun` raises only on
+one of them comes out of that read, a `Solution` call that may come
+long after `solve` returned, and not out of `solve`; scipy, asked for
+dense output, evaluates them during the solve.
 """
 
 from __future__ import annotations
@@ -236,7 +240,11 @@ del _row, _col, _value, _entries
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
 EPS = float(np.finfo(float).eps)
-EVENT_TOL = 4 * EPS  # Brent's xtol and rtol when an event is placed
+# Brent's method stops once the bracket's half-width is below
+# (xtol + BRENT_RTOL |x|) / 2, or fails after BRENT_MAXITER iterations
+# (brentq's defaults); an event is placed with xtol = BRENT_RTOL
+BRENT_RTOL = 4 * EPS
+BRENT_MAXITER = 100
 
 # E5 and E3 padded to K's 16 rows, so one product gives both estimates
 _E53 = np.zeros((2, N_EXTENDED))
@@ -310,11 +318,10 @@ class Solution:
         self.steps = list(steps)
 
     def __call__(self, t):
-        if isinstance(t, (float, int)):
-            return self.steps[self._index(t)](float(t))
+        if np.ndim(t) == 0:
+            t = float(t)
+            return self.steps[self._index(t)](t)
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self.steps[self._index(float(t))](float(t))
         flat = t.reshape(-1)
         which = np.clip(np.searchsorted(self.ts, flat, side="left") - 1,
                         0, len(self.steps) - 1)
@@ -457,7 +464,7 @@ def solve(fun, t0: float, t1: float, y0, *, rtol: float, atol,
             for i, ((gv, direction), a, b) in enumerate(zip(events, g, g_new)):
                 if _crossed(a, b, direction):
                     root = brent(lambda s, _gv=gv: _gv(step(s)), step.t0, t,
-                                 xtol=EVENT_TOL, rtol=EVENT_TOL)
+                                 xtol=BRENT_RTOL)
                     if hit is None or root < hit[0]:
                         hit = (root, i)
             if hit is not None:
@@ -467,15 +474,14 @@ def solve(fun, t0: float, t1: float, y0, *, rtol: float, atol,
     return Result(t, y, Solution(ts, steps), None)
 
 
-def brent(f, a: float, b: float, *, xtol: float = 2e-12,
-          rtol: float = 4 * EPS, maxiter: int = 100) -> float:
+def brent(f, a: float, b: float, *, xtol: float) -> float:
     """A zero of f between a and b, where f(a) and f(b) differ in sign,
     by Brent's method (R. P. Brent, *Algorithms for Minimization without
     Derivatives*, 1973, ch. 4), iteration for iteration as
-    scipy.optimize.brentq runs it: done once the bracket's half-width is
-    below (xtol + rtol |x|) / 2.  ValueError for a bracket without a
-    sign change or a NaN value of f, NoConvergenceError after `maxiter`
-    iterations."""
+    scipy.optimize.brentq runs it with its default rtol and maxiter: done
+    once the bracket's half-width is below (xtol + BRENT_RTOL |x|) / 2.
+    ValueError for a bracket without a sign change or a NaN value of f,
+    NoConvergenceError after BRENT_MAXITER iterations."""
     def value(x):
         fx = float(f(x))
         if math.isnan(fx):
@@ -491,7 +497,7 @@ def brent(f, a: float, b: float, *, xtol: float = 2e-12,
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (math.copysign(1.0, fpre)
                                         != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -499,7 +505,7 @@ def brent(f, a: float, b: float, *, xtol: float = 2e-12,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -523,4 +529,5 @@ def brent(f, a: float, b: float, *, xtol: float = 2e-12,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise NoConvergenceError(f"Brent's method did not converge in {maxiter} iterations")
+    raise NoConvergenceError(
+        f"Brent's method did not converge in {BRENT_MAXITER} iterations")

@@ -75,9 +75,9 @@ __all__ = [
 # otherwise creep toward it in steps limited by the rounding of K
 MAX_CURVATURE = 1e14
 
-# how far along its start velocity a leg looks to pick the piece of a
-# piecewise metric it runs in, so that a leg starting on a seam (to
-# rounding) takes the side it moves into
+# how far past a seam a leg that starts on it, having just crossed it,
+# looks for the piece of a piecewise metric it runs in: far beyond the
+# rounding of the seam's location (about 1e-12), far short of the band
 SEAM_LOOKAHEAD = 1e-9
 
 # what chart code raises off the chart's real domain: a `math` domain
@@ -102,10 +102,12 @@ class Chart:
         (p0, p1, v0, v1, j, j') and j'' = -K(p) j at the same point."""
         raise NotImplementedError
 
-    def leg_rhs(self, p, v):
-        """The flow_rhs that a leg starting at p with velocity v
-        integrates: the chart's own, unless its metric is only piecewise
-        smooth (see OrthogonalChart)."""
+    def leg_rhs(self, p, crossing: float):
+        """The flow_rhs that a leg starting at p integrates: the
+        chart's own, unless its metric is only piecewise smooth (see
+        OrthogonalChart).  `crossing` is +1 or -1 for a leg that starts on
+        a seam the flow has just crossed, the direction in which the
+        seam's value changed sign, and 0 for any other leg."""
         return self.flow_rhs
 
     def norm(self, p, v) -> float:
@@ -123,15 +125,15 @@ class OrthogonalChart(Chart):
     chart has no real value raises StepFailureError.
 
     A metric that is only piecewise smooth, with the pieces meeting on
-    the surface's seams, also gives `piece(p, v)`: the jets of the piece
-    that a leg starting at p with velocity v runs in, continued smoothly
-    past its seams.  Each leg integrates that piece alone (`leg_rhs`),
-    so the step that crosses a seam, on which the leg ends, sees one
-    smooth metric and is not rejected down to a sliver.
+    the surface's seams, also gives `piece(p, crossing)`: the jets of
+    the piece that a leg starting at p runs in (see `leg_rhs`),
+    continued smoothly past its seams.  Each leg integrates that piece
+    alone, so the step that crosses a seam, on which the leg ends, sees
+    one smooth metric and is not rejected down to a sliver.
     """
 
     def __init__(self, name: str, jets: Callable[[float, float], tuple],
-                 piece: Callable[[np.ndarray, np.ndarray], Callable] = None):
+                 piece: Callable[[np.ndarray, float], Callable] = None):
         self.name = name
         self._jets = jets
         self._piece = piece
@@ -175,10 +177,10 @@ class OrthogonalChart(Chart):
         a1 = -(g100 * v0 * v0 + 2 * g101 * v0 * v1 + g111 * v1 * v1)
         return [v0, v1, a0, a1, jp, -k * j]
 
-    def leg_rhs(self, p, v):
+    def leg_rhs(self, p, crossing: float):
         if self._piece is None:
             return self.flow_rhs
-        return functools.partial(self.flow_rhs, _jets=self._piece(p, v))
+        return functools.partial(self.flow_rhs, _jets=self._piece(p, crossing))
 
     def curvature(self, p) -> float:
         return self._gammas_k(float(p[0]), float(p[1]))[6]
@@ -422,10 +424,12 @@ def _perturbed_chart(eps: float, lo: float, hi: float,
     reaches 1 at the midpoint, so |eps| < 1 keeps g_rr = P^2 positive.
     The edges are seams of the surfaces that use it (`_bump_seams`).
     The chart's pieces are the band's polynomial and the flat exterior,
-    each continued past the edges; a leg takes the piece its start lies
-    in, or on an edge (within SEAM_LOOKAHEAD |v_r|) the one that v_r
-    points into.  The two differ by O(eps d^3 / w^3) at a distance d
-    beyond an edge.
+    each continued past the edges.  A leg takes the piece its start
+    lies in; a leg that starts on an edge it has just crossed takes the
+    one on the far side, at r + SEAM_LOOKAHEAD crossing (the seams'
+    values r - lo and r - hi rise with r), whatever the rounding of its
+    start or however small its v_r.  The two pieces differ by
+    O(eps d^3 / w^3) at a distance d beyond an edge.
     """
     if not abs(eps) < 1.0:
         raise ValueError(
@@ -451,8 +455,8 @@ def _perturbed_chart(eps: float, lo: float, hi: float,
     def jets(r, theta):
         return (band if lo < r < hi else flat)(r, theta)
 
-    def piece(p, v):
-        r = float(p[0]) + SEAM_LOOKAHEAD * float(v[0])
+    def piece(p, crossing):
+        r = float(p[0]) + SEAM_LOOKAHEAD * crossing
         return band if lo < r < hi else flat
 
     return OrthogonalChart("polar", jets, piece)

@@ -231,27 +231,47 @@ class TestSeams:
                                          ("teardrop", 2.0)])
     def test_pieces_match_the_piecewise_jets_on_their_side(self, name, hi, request):
         chart = request.getfixturevalue(name).chart("polar")
-        still = np.array([0.0, 1.0])  # no radial motion: the side is the position's
         for theta in (0.3, np.pi / 4, 2.0):
             for d in np.logspace(-9, -3, 7):
                 for r in (0.7 - d, 0.7 + d, hi - d, hi + d):
                     p = np.array([r, theta])
-                    assert chart._piece(p, still)(r, theta) == chart._jets(r, theta)
+                    assert chart._piece(p, 0.0)(r, theta) == chart._jets(r, theta)
                     y = np.array([r, theta, 0.3, 0.7, 0.1, 1.0])
-                    assert chart.leg_rhs(p, still)(0.0, y) == chart.flow_rhs(0.0, y)
+                    assert chart.leg_rhs(p, 0.0)(0.0, y) == chart.flow_rhs(0.0, y)
 
     @pytest.mark.parametrize("name,hi", [("spindle", np.pi - 0.7),
                                          ("teardrop", 2.0)])
-    def test_piece_on_a_seam_is_the_side_v_r_points_into(self, name, hi, request):
+    def test_piece_after_a_seam_is_the_far_side(self, name, hi, request):
         chart = request.getfixturevalue(name).chart("polar")
-        r_band = 0.5 * (0.7 + hi)
-        band = chart._piece([r_band, 0.0], [0.0, 1.0])
-        flat = chart._piece([0.3, 0.0], [0.0, 1.0])
+        band = chart._piece([0.5 * (0.7 + hi), 0.0], 0.0)
+        flat = chart._piece([0.3, 0.0], 0.0)
         assert band is not flat
+        # the seams' values r - 0.7 and r - hi rise with r
         for edge, inward in ((0.7, 1.0), (hi, -1.0)):
-            for r in (edge - 1e-13, edge, edge + 1e-13):
-                assert chart._piece([r, 0.5], [inward, 0.1]) is band
-                assert chart._piece([r, 0.5], [-inward, 0.1]) is flat
+            for r in (edge - 1e-12, edge, edge + 1e-12):
+                assert chart._piece([r, 0.5], inward) is band
+                assert chart._piece([r, 0.5], -inward) is flat
+
+    @pytest.mark.parametrize("edge,outward", [(0.7, -1.0), (np.pi - 0.7, 1.0)])
+    def test_near_tangent_crossing_runs_on_the_far_side(self, spindle, edge, outward):
+        # from one ulp outside an edge along its parallel the geodesic
+        # drifts into the band and crosses with |v_r| near 1e-8, where a
+        # piece chosen from the start's rounding and v_r would be the
+        # flat side's, continued across the band with no seam to end it
+        chart = spindle.chart("polar")
+        band = chart._piece([1.5, 0.0], 0.0)
+        for theta in (0.1, 1.0, 2.5, 4.0):
+            start = ChartState("polar",
+                               np.array([np.nextafter(edge, outward * np.inf), theta]),
+                               np.array([0.0, 1.0]))
+            path = geodesic_flow(spindle, start, 0.3)
+            last = path.legs[-1]
+            crossed = path.state(last.s0)
+            assert abs(crossed.p[0] - edge) < 1e-12
+            assert 0 < -outward * crossed.v[0] < 1e-6
+            assert last.sol.steps[0].fun.keywords["_jets"] is band
+            assert all(leg.sol.steps[0].fun.keywords["_jets"] is not band
+                       for leg in path.legs[:-1] if leg.s1 > leg.s0)
 
     def test_loop_length_does_not_depend_on_launch_seed(self, teardrop):
         lengths = [build_closed_diffractive(teardrop, ["tip"],

@@ -47,7 +47,7 @@ def _spindle_leg():
     leg = next(leg for leg in path.legs
                if abs(path.state(leg.s0).p[0] - 0.7) < 1e-9)
     y0 = leg.sol(leg.s0)
-    rhs = spindle.chart("polar").leg_rhs(y0[:2], y0[2:4])
+    rhs = spindle.chart("polar").leg_rhs(y0[:2], 1.0)  # crossed rising
     seam = (lambda y: y[0] - (np.pi - 0.7), 1.0)
     return rhs, leg.s0, leg.s0 + 5.0, y0, seam, FLOW_ATOL
 
@@ -110,6 +110,31 @@ def test_rhs_exception_propagates():
         ode.solve(fun, 0.0, 1.0, [1.0, 0.0], rtol=RTOL, atol=1e-13)
 
 
+def test_rhs_exception_at_a_dense_stage_comes_from_the_read():
+    # dense output is built when a step's interpolant is first read, so
+    # an RHS that fails only at one of its extra stages lets the solve
+    # finish and fails the read of that step, not of the others
+    class Probe(Exception):
+        pass
+
+    clean = ode.solve(_oscillator, 0.0, 10.0, [1.0, 0.0], rtol=RTOL, atol=1e-13)
+    t0, t1 = clean.sol.ts[3], clean.sol.ts[4]
+    dense_stage = t0 + ode.C[ode.N_STAGES + 1] * (t1 - t0)
+
+    def fun(t, y):
+        if t == dense_stage:
+            raise Probe
+        return _oscillator(t, y)
+
+    run = ode.solve(fun, 0.0, 10.0, [1.0, 0.0], rtol=RTOL, atol=1e-13)
+    np.testing.assert_array_equal(run.y, clean.y)
+    run.sol(0.5 * (clean.sol.ts[2] + t0))
+    with pytest.raises(Probe):
+        run.sol(0.5 * (t0 + t1))
+    with pytest.raises(Probe):
+        run.sol(np.array([t1 - 1e-3, 9.0]))
+
+
 def test_non_finite_state_fails_at_once():
     # scipy shrinks the step to its floor first, at hundreds of calls
     calls_after = []
@@ -149,7 +174,10 @@ def test_dense_output_is_built_when_read():
     (lambda x: x * math.exp(x) - 1, 0.0, 1.0, 1e-12),
 ])
 def test_brent_matches_brentq(f, a, b, xtol):
-    assert ode.brent(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+    # brent's rtol and maxiter are brentq's defaults
+    assert ode.BRENT_RTOL == 4 * np.finfo(float).eps and ode.BRENT_MAXITER == 100
+    assert ode.brent(f, a, b, xtol=xtol) == brentq(
+        f, a, b, xtol=xtol, rtol=ode.BRENT_RTOL, maxiter=ode.BRENT_MAXITER)
 
 
 def test_brent_gives_up_where_brentq_does():
@@ -163,4 +191,4 @@ def test_brent_gives_up_where_brentq_does():
 
 def test_brent_needs_a_sign_change():
     with pytest.raises(ValueError):
-        ode.brent(lambda x: x * x + 1, -1.0, 1.0)
+        ode.brent(lambda x: x * x + 1, -1.0, 1.0, xtol=1e-12)
