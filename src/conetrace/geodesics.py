@@ -26,19 +26,24 @@ the same point.  The DOP853 tolerance is rtol 1e-11 on every component,
 atol ATOL on (p, v) and JACOBI_ATOL on (j, j').  Events, transition maps
 and path states read (p, v) only; a chart switch carries (j, j')
 unchanged, since j is a scalar normal field.  A flow from an interior
-point starts the field at (0, 1); a shot from a tip starts it with the
-Frobenius values at s = x = TIP_START_X.  So every path's spreading
-field from s = 0 (`GeodesicPath.flow_field`, the tip field on a
-tip-start path) is the flow's own, read from the legs' dense outputs;
-the exact start sliver is filled in from the Frobenius series and a
-radial end cap into a tip is one short solve from the flow's values.
-A path's reverse (`GeodesicPath.reversed`) is a shot of its own from
-the path's end back to its start, finished into a start tip the way a
-converged segment is, so its field is its own flow's too; it must land
-on the path's start within REVERSE_TOL.
+point starts the field at (0, 1).  A shot from a tip starts where
+numerics are needed, at the edge x0 = min(band, length) of the tip's
+designer band: there the metric is dx^2 + Q(x, y)^2 dy^2, so the radial
+line y = y0 is a geodesic, d/dy0 is a Jacobi field of length Q, and the
+tip field is exactly j = Q(x, y0)/a0 with j' = Q_x(x, y0)/a0; the flow
+starts from that state, and the head [0, x0] is read from the same
+closed form.  A flow that starts on a seam (the band's edge on the
+builtins) starts as a leg that has just crossed it.  So every path's
+spreading field from s = 0 (`GeodesicPath.flow_field`, the tip field on
+a tip-start path) is the flow's own, read from the closed-form head and
+the legs' dense outputs; a radial end cap into a tip is one short solve
+from the flow's values.  A path's reverse (`GeodesicPath.reversed`) is a
+shot of its own from the path's end back to its start, finished into a
+start tip the way a converged segment is, so its field is its own
+flow's too; it must land on the path's start within REVERSE_TOL.
 
-Tip-to-tip segments are found by shooting: start radially at x = 1e-6
-from the source tip, stop on entry into the target tip's rotationally
+Tip-to-tip segments are found by shooting: start radially at the edge
+of the source tip's band, stop on entry into the target tip's rotationally
 symmetric reference band, and measure the conserved angular momentum
 p_theta = G theta' about the target tip as the miss.  Newton steps use
 the exact derivative d p_theta / d theta0 = a0 (j' sqrt(G) - j
@@ -52,8 +57,9 @@ within its miss, is finished straight into the tip.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -64,15 +70,9 @@ from .errors import (
     NoConvergenceError,
     StepFailureError,
 )
-from .jacobi import (
-    FROBENIUS_START_X,
-    JACOBI_ATOL,
-    JACOBI_RTOL,
-    JacobiSolution,
-    _frobenius_start,
-)
+from .jacobi import JACOBI_ATOL, JACOBI_RTOL, JacobiSolution
 from .links import GEOMETRIC_TOL, LinkSpectrum, singular_set_distance
-from .surfaces import OrthogonalChart, StopRule, Surface, Tip
+from .surfaces import SEAM_LOOKAHEAD, OrthogonalChart, StopRule, Surface, Tip
 
 __all__ = [
     "ChartState",
@@ -88,7 +88,6 @@ __all__ = [
 ]
 
 TIP_HIT_X = 1e-7
-TIP_START_X = FROBENIUS_START_X  # a shot launches where its tip field starts
 # DOP853 tolerances of every leg: rtol on all six components, atol on
 # (p, v); (j, j') take JACOBI_ATOL
 RTOL, ATOL = JACOBI_RTOL, 1e-12
@@ -136,10 +135,10 @@ class GeodesicPath:
     state (p, v, j, j').
 
     The parameter s is arc length.  If an end is a tip, the legs stop at
-    x = 1e-6 (start) or 1e-7 (end; D_REF for a segment from
-    connect_tips and a reverse shot into a tip) and the remaining radial
-    stretch is filled in exactly; s = 0 and s = length then sit at the
-    tips.
+    the edge of the tip's designer band (start) or at x = 1e-7 (end;
+    D_REF for a segment from connect_tips and a reverse shot into a tip)
+    and the remaining radial stretch is filled in exactly; s = 0 and
+    s = length then sit at the tips.
     """
 
     def __init__(self, surface, legs, end_kind="length"):
@@ -215,19 +214,22 @@ class GeodesicPath:
         # it starts where this path ends and runs at most its length; from
         # a tip start it ends like a converged connect_tips shot, on the
         # tip's band entry (or on the tip event, inside the band) finished
-        # radially into the tip
+        # radially into the tip.  Its budget then stops short of that tip:
+        # a last step clipped to end on the tip itself evaluates the flow
+        # at x = 0, where the chart has no value, before the band-entry
+        # event of the same step is checked
         surface = self.surface
-        stops = ()
+        stops, budget = (), self.length
         if self.start_kind == "tip":
             tip = surface.tips[self.start_tip]
-            stops = [_band_entry_rule(tip)]
+            stops, budget = [_band_entry_rule(tip)], self.length - D_REF / 2
         if self.end_kind == "tip":
             rev = shoot_from_tip(surface, self.end_tip, self.end_link_point,
-                                 self.length, stop_rules=stops)
+                                 budget, stop_rules=stops)
         else:
             st = self.state(self.length)
             rev = geodesic_flow(surface, ChartState(st.chart, st.p, -st.v),
-                                self.length, stop_rules=stops)
+                                budget, stop_rules=stops)
         if self.start_kind == "tip":
             if rev.end_kind == "stop":
                 _end_at_tip(rev, tip)
@@ -249,16 +251,21 @@ class GeodesicPath:
 
 
 class _FlowField:
-    """(j, j') of a path's flow at s (a float or an array): the legs'
-    dense outputs, the Frobenius values on a tip start's sliver, and one
-    short solve from the flow's end values across a radial end cap."""
+    """(j, j') of a path's flow at s (a float or an array): the closed
+    form on a tip start's head (`_radial_field`), the legs' dense
+    outputs, and one short solve from the flow's end values across a
+    radial end cap."""
 
     def __init__(self, path: GeodesicPath):
         self.legs = path.legs
         self.starts = np.array(path._leg_starts)
         self.flow_state = path._flow_state
-        self.c1 = (path.surface.tips[path.start_tip].c1
-                   if path._start_cap is not None else None)
+        self.head = None
+        start = path._start_cap
+        if start is not None:
+            self.head = partial(
+                _radial_field, path.surface.chart(start.chart),
+                path.surface.tips[start.tip_id], start.angle)
         self.cap = None
         if path._end_cap is not None:
             from .jacobi import integrate_jacobi  # read from jacobi when run, not at import
@@ -272,8 +279,8 @@ class _FlowField:
             # a float, as Brent's method on j reads it: about 9 us here,
             # 75 us through the masks and searches of the array path
             s = float(s)
-            if self.c1 is not None and s < self.legs[0].s0:
-                return np.array(_frobenius_start(self.c1, s))
+            if self.head is not None and s < self.legs[0].s0:
+                return self.head(s)
             if self.cap is not None and s > self.legs[-1].s1:
                 return self.cap.pair(s)
             return self.flow_state(s)[1][4:]
@@ -286,15 +293,44 @@ class _FlowField:
             sel = which == i
             leg = self.legs[i]
             out[:, sel] = leg.sol(np.clip(flat[sel], leg.s0, leg.s1))[4:]
-        if self.c1 is not None:
+        if self.head is not None:
             sel = flat < self.legs[0].s0
             if sel.any():
-                out[0, sel], out[1, sel] = _frobenius_start(self.c1, flat[sel])
+                out[:, sel] = np.array([self.head(x) for x in flat[sel]]).T
         if self.cap is not None:
             sel = flat > self.legs[-1].s1
             if sel.any():
                 out[:, sel] = self.cap.pair(flat[sel])
         return out.reshape((2,) + s.shape)
+
+    def knots(self):
+        """The start of every step the flow and the end cap took, and
+        (j, j') stored there (`JacobiSolution.zeros`): each leg's steps
+        that start inside it, since a leg cut short by a seam tail keeps
+        the steps past its end, then the cap's."""
+        ss, ys = [], []
+        for leg in self.legs:
+            for step in leg.sol.steps:
+                if step.t0 >= leg.s1:
+                    break
+                ss.append(step.t0)
+                ys.append(step.y0[4:])
+        s, y = np.array(ss), np.array(ys).reshape(-1, 2).T
+        if self.cap is not None:
+            cs, cy = self.cap.knots()
+            s, y = np.concatenate([s, cs]), np.concatenate([y, cy], axis=1)
+        return s, y
+
+
+def _radial_field(chart: OrthogonalChart, tip: Tip, angle: float,
+                  x: float) -> np.ndarray:
+    """(j, j') of the tip field at distance x from `tip` along the radial
+    line at `angle`, inside the tip's designer band.  The metric there is
+    dx^2 + Q(x, y)^2 dy^2, so radial lines are geodesics and the
+    variation d/d angle is a Jacobi field of length Q: the field with
+    j ~ x at the tip is exactly j = Q/a0, j' = Q_x/a0."""
+    p = (tip.axis_value + tip.sign * x, angle)
+    return np.array([chart.sqrt_q(p), tip.sign * chart.sqrt_q_grad(p)[0]]) / tip.a0
 
 
 def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
@@ -331,7 +367,16 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
     legs: list[PathLeg] = []
     s_cur = s_start
     end_kind, end_payload = "length", None
-    skip = None  # (seam, direction) the leg starts on: it must not fire at once
+    # (seam, direction) the leg starts on: it must not fire at once.  A
+    # start on a seam is a leg that has just crossed it in the direction
+    # in which v carries the seam's value
+    skip = None
+    for sm in surface.seams:
+        if sm.chart == chart_name and sm.value(p) == 0.0:
+            ahead = sm.value(p + SEAM_LOOKAHEAD * v)
+            if ahead != 0.0:
+                skip = (sm, math.copysign(1.0, ahead))
+                break
 
     for _ in range(MAX_LEGS):
         chart = surface.chart(chart_name)
@@ -373,9 +418,10 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
             # rather than on the interpolant the event was placed on
             # (order 7), and begin a fresh leg in the same chart there
             skip = seams[idx - len(rules) - len(transitions)]
-            ts = run.sol.ts
-            s_k = ts[max(np.searchsorted(ts, s_ev), 1) - 1]
-            tail = _solve_leg(rhs, s_k, s_ev, run.sol(s_k))
+            k = max(np.searchsorted(run.sol.ts, s_ev), 1) - 1
+            step = run.sol.steps[k]  # the step that crossed, from s_k
+            s_k = step.t0
+            tail = _solve_leg(rhs, s_k, s_ev, step.y0)
             if s_k > s_cur:
                 legs[-1] = PathLeg(chart_name, s_cur, s_k, run.sol)
             else:
@@ -422,16 +468,21 @@ def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
                    length: float, *, stop_rules=()) -> GeodesicPath:
     """Radial launch from a tip at link arc coordinate `link_point`.
 
-    s = 0 is the tip itself; integration starts at s = x = TIP_START_X
-    with the head sliver filled in exactly (radial in the designer band).
+    s = 0 is the tip itself.  The flow starts at the edge of the tip's
+    designer band, s = x0 = min(band, length), from the exact state
+    there: the radial line and the tip field j = Q/a0 (`_radial_field`),
+    which also fills in the head [0, x0].  On a chart whose band is all
+    of it, such as the flat cone, a shot shorter than the band is all
+    head and its one leg has length zero.
     """
-    eps = TIP_START_X
     tip = surface.tips[tip_id]
+    chart = surface.chart(tip.chart)
     theta0 = tip.angle_of_link(link_point)
-    p = np.array([tip.axis_value + tip.sign * eps, theta0])
+    x0 = min(tip.band, length)
+    p = np.array([tip.axis_value + tip.sign * x0, theta0])
     v = np.array([tip.sign, 0.0])
-    path = _flow(surface, ChartState(tip.chart, p, v), eps, length,
-                 _frobenius_start(tip.c1, eps), stop_rules)
+    path = _flow(surface, ChartState(tip.chart, p, v), x0, length,
+                 _radial_field(chart, tip, theta0, x0), stop_rules)
     path.start_kind, path.start_tip = "tip", tip_id
     path.start_link_point = float(np.remainder(link_point, tip.link.circumference))
     path._start_cap = TipEnd(tip_id, tip.chart, tip.axis_value, tip.sign, theta0, 0.0)

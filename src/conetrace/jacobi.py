@@ -1,11 +1,7 @@
 """Jacobi fields along geodesic paths: spreading, Morse indices, Hessians.
 
 The scalar Jacobi equation j'' + K(s) j = 0 is integrated along a
-GeodesicPath.  Fields launched at a tip use the Frobenius start
-j(x) = x (1 + c1 x), j'(x) = 1 + 2 c1 x at a small offset, where c1 is
-the first radial correction of sqrt(G); this is exact through second
-order even when the curvature has a 1/x singularity at a non-product
-tip.
+GeodesicPath.
 
 Conventions: the normalized spreading between parameters s0 < s1 is
 Theta = |j(s1)| / (s1 - s0) for the field with j(s0) = 0, j'(s0) = 1,
@@ -15,18 +11,25 @@ of that field on the open interval.
 The field from s0 = 0 of every path is the flow's own
 (`path.flow_field`): the geodesic flow carries (j, j') as two more
 components of each shot, with K read from the chart at the same point,
-at the per-component tolerances (JACOBI_RTOL, JACOBI_ATOL on j and j'),
-and only a radial end cap into a tip takes one short solve of its own.
-The reverse field is the same for `path.reversed()`, a shot of its own
-from the path's end.  Every function here that starts a field at s0 = 0
-reads one of these, so Theta, the Morse index and the broken Hessian
-share them; j'/j is the shape operator the cut route reads.  A field
-from s0 > 0 is its own solve along the stored path at the same
+at the per-component tolerances (JACOBI_RTOL, JACOBI_ATOL on j and j').
+A tip-launched field is exact in closed form across the tip's designer
+band, j = Q/a0 with sqrt(G) = Q, and the flow starts from it at the
+band's edge; only a radial end cap into a tip takes one short solve of
+its own.  The reverse field is the same for `path.reversed()`, a shot of
+its own from the path's end.  Every function here that starts a field
+at s0 = 0 reads one of these, so Theta, the Morse index and the broken
+Hessian share them; j'/j is the shape operator the cut route reads.  A
+field from s0 > 0 is its own solve along the stored path at the same
 tolerances, restarted at each of the path's leg ends, so that no step
-straddles a seam of the metric; `b_jacobi_solution` solves a tip field
-that way, as a reference.  Every solve runs on the in-repo DOP853 kernel
-(`ode`), and the zeros behind the Morse index are placed by its Brent
-root finder.
+straddles a seam of the metric.  `b_jacobi_solution` solves a tip field
+that way from the Frobenius start j(x) = x (1 + c1 x), j'(x) = 1 + 2 c1 x
+at a small offset, where c1 is the first radial correction of sqrt(G)
+(exact through second order even when the curvature has a 1/x
+singularity at a non-product tip); it is the reference the closed-form
+head is checked against.  Every solve runs on the in-repo DOP853 kernel
+(`ode`).  The zeros behind the Morse index are bracketed by j at the
+integrator's step ends, which the solves store, and placed by its Brent
+root finder (`JacobiSolution.zeros`).
 """
 
 from __future__ import annotations
@@ -49,15 +52,16 @@ __all__ = [
     "wronskian_drift",
 ]
 
-# distance from the tip at which tip fields start, and shots launch
-# (geodesics.TIP_START_X); the start's j' misses the x^2 K / 2 term, so
-# the offset must be small: 5e-13 here, 5e-9 at 1e-4
+# distance from the tip at which b_jacobi_solution starts its field;
+# the start's j' misses the x^2 K / 2 term, so the offset must be small:
+# 5e-13 here, 5e-9 at 1e-4
 FROBENIUS_START_X = 1e-6
 JACOBI_RTOL = 1e-11
 JACOBI_ATOL = 1e-13
 # |j(s1)| below this times (s1 - s0) counts as a conjugate endpoint
 MORSE_DEGENERACY_TOL = 1e-8
 ZERO_PAD = 1e-9  # zeros are searched this far inside an interval's ends
+ZERO_SAMPLES = 32  # points at which j is read on a piece that may hide zeros
 WRONSKIAN_CHECKS = 20  # points at which wronskian_drift reads W
 
 
@@ -86,21 +90,77 @@ class JacobiSolution:
     def j(self, s) -> np.ndarray:
         return self.pair(s)[0]
 
+    def knots(self):
+        """The start of each integrator step behind the field, and the
+        (j, j') stored there: s of shape (m,), values of shape (2, m)."""
+        return self._sol.knots()
+
     def zeros(self, lo: float = None, hi: float = None):
-        """Zeros of j in the open interval (lo, hi)."""
+        """Zeros of j in the open interval (lo, hi), searched ZERO_PAD
+        inside its ends.
+
+        The knots inside the interval, with the (j, j') the integrator
+        stored there, and the interval's two ends cut it into pieces that
+        each lie in one integrator step (or in a tip's closed-form head).
+        A piece whose ends differ in sign holds a zero, which Brent's
+        method places on the interpolant.  A piece can also hide zeros
+        that its ends' signs do not show; the cubic Hermite interpolant of
+        its ends' (j, j') flags such a piece (`_hermite_flags`), and only a
+        flagged piece is sampled, at ZERO_SAMPLES points, its sign changes
+        bracketed the same way.  So no interpolant is read but at the
+        interval's ends, on a flagged piece and where a zero is placed.
+        """
         lo = self.s0 if lo is None else lo
         hi = self.s1 if hi is None else hi
-        if hi - lo <= 2 * ZERO_PAD:
+        a, b = lo + ZERO_PAD, hi - ZERO_PAD
+        if not a < b:
             return []
-        grid = np.linspace(lo + ZERO_PAD, hi - ZERO_PAD,
-                           max(400, int(200 * (hi - lo))))
-        vals = self.j(grid)
+        ks, ky = self.knots()
+        inside = (a < ks) & (ks < b)
+        s = np.concatenate([[a], ks[inside], [b]])
+        j, jp = np.column_stack([self.pair(a), ky[:, inside], self.pair(b)])
+        flagged = _hermite_flags(np.diff(s), j[:-1], jp[:-1], j[1:], jp[1:])
         out = []
-        sign = np.sign(vals)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            out.append(ode.brent(lambda s: float(self.j(s)), grid[i], grid[i + 1],
-                                 xtol=1e-12))
+        for i in np.nonzero(flagged | (j[:-1] * j[1:] < 0))[0]:
+            if flagged[i]:
+                grid = np.linspace(s[i], s[i + 1], ZERO_SAMPLES)
+                vals = self.j(grid)
+            else:
+                grid, vals = s[i:i + 2], j[i:i + 2]
+            for k in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
+                out.append(ode.brent(lambda t: float(self.j(t)), grid[k],
+                                     grid[k + 1], xtol=1e-12))
         return out
+
+
+def _hermite_flags(h, j0, d0, j1, d1) -> np.ndarray:
+    """Whether each piece, of length h with (j, j') = (j0, d0) and
+    (j1, d1) at its ends, may hide zeros of j that the signs of j0 and j1
+    do not show.  The cubic Hermite interpolant p of those values flags
+    it when p has more zeros in the piece than those signs show, or when
+    |p| has a local minimum inside that is not a zero: j turns back
+    toward zero there and may reach it."""
+    # p = j0 + m0 x + c x^2 + e x^3 on x in [0, 1]; p' has the Bernstein
+    # coefficients m0, m0 + c, m1, so where all three share a strict
+    # sign p is monotone and the piece is not flagged
+    m0, m1 = h * d0, h * d1
+    c = 3.0 * (j1 - j0) - 2.0 * m0 - m1
+    e = 2.0 * (j0 - j1) + m0 + m1
+    mid = m0 + c
+    monotone = (((m0 > 0) & (mid > 0) & (m1 > 0))
+                | ((m0 < 0) & (mid < 0) & (m1 < 0)))
+    flags = np.zeros(h.shape, dtype=bool)
+    for i in np.nonzero(~monotone)[0]:
+        roots = np.roots([3.0 * e[i], 2.0 * c[i], m0[i]])
+        xs = np.sort(roots[np.isreal(roots)].real)
+        xs = xs[(0.0 < xs) & (xs < 1.0)]
+        p = j0[i] + xs * (m0[i] + xs * (c[i] + xs * e[i]))
+        turns_back = p * (2.0 * c[i] + 6.0 * e[i] * xs) > 0
+        seq = np.concatenate([[j0[i]], p, [j1[i]]])
+        extra = (np.count_nonzero(seq[:-1] * seq[1:] < 0)
+                 > int(j0[i] * j1[i] < 0))
+        flags[i] = extra or turns_back.any()
+    return flags
 
 
 def integrate_jacobi(path, s0: float, s1: float, j0: float,

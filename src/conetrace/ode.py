@@ -338,6 +338,12 @@ class Solution:
         W[:, 7] = 1.0
         return np.einsum("mk,mkn->nm", W, G).reshape((-1,) + t.shape)
 
+    def knots(self):
+        """Each step's start time and the state stored there, shape
+        (n, steps): the solution at every step boundary but the last,
+        read without building an interpolant."""
+        return self.ts[:-1], np.array([step.y0 for step in self.steps]).T
+
     def _index(self, t: float) -> int:
         i = bisect.bisect_left(self._ts, t) - 1
         return min(max(i, 0), len(self.steps) - 1)

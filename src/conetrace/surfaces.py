@@ -301,9 +301,11 @@ class Tip:
     """A cone point sitting on the p0-axis of a polar-type chart.
 
     x = sign * (p0 - axis_value) is the distance to the tip inside the
-    designer band; the link arc coordinate is q = (a0 * p1) mod rho.
-    c1 is the first radial correction of sqrt(G) = a0 x (1 + c1 x + ...),
-    feeding the series start of tip Jacobi fields.
+    designer band x < band, where the metric is dx^2 + Q^2 dy^2 (a shot
+    starts at its edge in closed form, `geodesics.shoot_from_tip`); the
+    link arc coordinate is q = (a0 * p1) mod rho.  c1 is the first radial
+    correction of sqrt(G) = a0 x (1 + c1 x + ...), feeding the series
+    start of the reference tip field `jacobi.b_jacobi_solution`.
     """
 
     tip_id: str

@@ -168,6 +168,17 @@ class TestTwoPathConsistency:
         route = trace_singularity_cut_route(geo)
         assert abs(route - pred.coefficient) / abs(pred.coefficient) < 1e-10
 
+    def test_reverse_shots_of_the_negative_eps_spindle(self):
+        # with the seed-0 seeds at eps = -0.05, segment 0's reverse shot,
+        # budgeted to the full length, clipped its last step onto the
+        # start tip and failed there
+        geo = build_closed_diffractive(
+            surfaces.perturbed_spindle(A0, -0.05), ["south", "north"],
+            [A0 * (np.pi / 4 + 0.02), A0 * (5 * np.pi / 4 - 0.02)])
+        pred = trace_singularity(geo)
+        route = trace_singularity_cut_route(geo)
+        assert abs(route - pred.coefficient) / abs(pred.coefficient) < 1e-8
+
     def test_one_tip_solve_per_direction(self, teardrop, monkeypatch):
         # built here, not taken from the shared fixture, so that no field
         # or reverse shot is already kept on its paths by an earlier test

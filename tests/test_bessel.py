@@ -3,13 +3,17 @@
 Reference values come from mpmath's multiprecision series at test time,
 and zeros are cross-checked against scipy (`jn_zeros`, and `jv` with
 bisection and Newton); all are independent of the quadrature and the eigenproblem
-under test.
+under test.  The Ikebe matrix's row rule is checked against a larger
+truncation of the same matrix, unsquared.
 """
+
+import math
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy.linalg import eigvalsh_tridiagonal
 
 from conetrace import besselj, conekernel
 from conetrace.besselj import (
@@ -172,6 +176,28 @@ class TestZeros:
     def test_matrix_size_edges_against_reference(self, nu, x_max):
         assert_zeros_match(bessel_j_zeros(nu, x_max),
                            reference_zeros(nu, x_max))
+
+    def test_row_rule_against_a_larger_matrix(self):
+        # the eigenvalue zeros from 1.1 (cut - nu) + 4 cut^(1/3) + 10 rows
+        # against the unsquared matrix of 3 (cut - nu) + 300 rows, near
+        # the turning point cut ~ nu (where 1.1 (cut - nu) + 20 rows miss
+        # by 7e-6 at nu = 320, cut = 343) and far past it
+        pairs = [(nu, cut) for nu in (0.0, 2.5, 55.5, 160.0, 277.0, 320.0, 370.0)
+                 for cut in (nu + 3.0, nu + 23.0, 1.5 * nu + 50.0)
+                 if nu * np.pi + 2.0 * cut <= 3360.0]
+        found = 0
+        for nu, cut in pairs + [(0.0, 900.0), (100.0, 600.0)]:
+            n = math.ceil(3.0 * (cut - nu) + 300.0)
+            k = np.arange(1, n)
+            inv = eigvalsh_tridiagonal(
+                np.zeros(n), 0.5 / np.sqrt((nu + k) * (nu + k + 1.0)),
+                select="v", select_range=(1.0 / cut, np.inf))
+            ref = np.sort(1.0 / inv)
+            got = besselj._ikebe_zeros(nu, cut)
+            assert len(got) == len(ref)
+            assert np.max(np.abs(got - ref) / ref, initial=0.0) <= 1e-13, (nu, cut)
+            found += len(got)
+        assert found > 600
 
     @pytest.mark.parametrize("nu,k", [
         (0.0, 1), (4.0 / 3.0, 20), (40.0, 5), (200.0, 17)])

@@ -190,6 +190,18 @@ class TestReverseShot:
             assert np.allclose(end.p, start.p, rtol=0.0, atol=1e-10)
             assert np.allclose(end.v, -start.v, rtol=0.0, atol=1e-10)
 
+    def test_reverse_into_a_tip_stops_short_of_it(self):
+        # the reverse of a path from a tip runs at most its length less
+        # D_REF / 2: on the flat cone a budget of the full length clipped
+        # the last step of the 4.0 shot's reverse onto the tip, where the
+        # chart divides by r = 0, before that step's band entry was seen
+        fc = surfaces.flat_cone(1.5 * np.pi)
+        for length in (1.0, 2.0, 4.0, 7.5):
+            rev = shoot_from_tip(fc, "tip", 0.2, length).reversed()
+            assert rev.end_tip == "tip"
+            assert rev.length == pytest.approx(length, abs=1e-12)
+            assert rev.end_link_point == pytest.approx(0.2, abs=1e-12)
+
     @pytest.mark.parametrize("closed", ["spindle_closed", "teardrop_closed"])
     def test_guard_at_its_boundary(self, closed, request):
         for seg in request.getfixturevalue(closed).segments:
@@ -211,10 +223,33 @@ class TestSeams:
     them, so no integrator step straddles one."""
 
     def test_legs_end_on_the_bump_edges(self, teardrop_closed):
+        # the loop meets each edge twice, 0.7 first where it leaves the
+        # tip's band: that is its first leg's start; and no step of a leg
+        # lies on both sides of an edge (a leg's end on one is rounded)
         path = teardrop_closed.segments[0].path
-        ends = [path.state(leg.s1).p[0] for leg in path.legs if leg.chart == "polar"]
+        polar = [leg for leg in path.legs if leg.chart == "polar"]
+        ends = [leg.sol(leg.s1)[0] for leg in polar]
+        bounds = [path.state(polar[0].s0).p[0]] + ends
         for edge in (0.7, 2.0):
-            assert sum(abs(r - edge) < 1e-9 for r in ends) == 2
+            assert sum(abs(r - edge) < 1e-9 for r in bounds) == 2
+        for leg, end in zip(polar, ends):
+            rs = np.array([step.y0[0] for step in leg.sol.steps if step.t0 < leg.s1]
+                          + [end])
+            for edge in (0.7, 2.0):
+                side = np.where(abs(rs - edge) < 1e-9, 0.0, np.sign(rs - edge))
+                assert (side >= 0).all() or (side <= 0).all()
+
+    def test_shot_starts_on_the_band_edge(self, spindle):
+        # a shot's flow starts on the seam at its tip band's edge as a leg
+        # that has just crossed it: on the band's piece, not stopped there
+        chart = spindle.chart("polar")
+        band = chart._piece([1.5, 0.0], 0.0)
+        for tip, edge in (("south", 0.7), ("north", np.pi - 0.7)):
+            path = shoot_from_tip(spindle, tip, 0.6, 1.0)
+            first = path.legs[0]
+            assert (first.s0, first.s1) == (0.7, 1.0)
+            assert path.state(first.s0).p[0] == edge
+            assert first.sol.steps[0].fun.keywords["_jets"] is band
 
     @pytest.mark.parametrize("closed,hi", [("spindle_closed", np.pi - 0.7),
                                            ("teardrop_closed", 2.0)])
@@ -308,8 +343,10 @@ def test_no_jacobi_solve_per_newton_iteration(spindle, teardrop, monkeypatch):
 
 def test_flow_rhs_calls_of_the_seed0_builds(monkeypatch):
     # each leg runs on one smooth piece of the metric, so the steps that
-    # cross the bump's edges are accepted, not rejected down to slivers:
-    # 3,786 and 3,537 calls, against 5,646 and 5,616 on the piecewise jets
+    # cross the bump's edges are accepted, not rejected down to slivers,
+    # and each shot starts at its tip band's edge: 3,276 and 3,228 calls,
+    # against 3,786 and 3,537 from x = 1e-6 and 5,646 and 5,616 on the
+    # piecewise jets
     calls = []
     for cls in (surfaces.OrthogonalChart, surfaces.CapChart):
         def counted(self, s, y, *args, _rhs=cls.flow_rhs, **kw):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conetrace import jacobi, surfaces
+from conetrace import amplitudes, jacobi, ode, surfaces
 from conetrace.errors import ConjugateDegeneracyError
 from conetrace.geodesics import (
-    TIP_START_X,
     ChartState,
+    build_closed_diffractive,
     geodesic_flow,
     shoot_from_tip,
 )
@@ -126,7 +126,7 @@ class TestFlowField:
                 self.assert_matches(path.flow_field, ref, ss)
 
     def test_float_and_array_reads_agree(self, teardrop_closed):
-        # a float takes its own path through the start sliver, the legs
+        # a float takes its own path through the closed-form head, the legs
         # and the end cap; an array is summed in another order
         path = teardrop_closed.segments[0].path
         field = path.flow_field
@@ -147,13 +147,48 @@ class TestFlowField:
                                rtol=0.0, atol=1e-15)
 
     def test_start_sliver_is_the_frobenius_start(self):
+        # the closed-form head behaves as j ~ x at the tip: its first two
+        # terms are the Frobenius start's, at a non-product tip
+        # (sqrt(G) = 1.3 x sqrt(1 + x/2), c1 = 1/4; the next terms of j
+        # and j' are -x^3/32 and -3 x^2/32)
         surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5")
         c1 = surf.tips["tip"].c1
+        assert c1 == pytest.approx(0.25, abs=1e-15)
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
-        for x in (0.0, 0.5 * TIP_START_X, TIP_START_X):
+        for x in (0.0, 1e-7, 1e-6, 1e-4):
             f = path.flow_field.at(x)
-            assert f.j == pytest.approx(x * (1 + c1 * x), abs=1e-18)
-            assert f.jprime == pytest.approx(1 + 2 * c1 * x, abs=1e-12)
+            assert f.j == pytest.approx(x * (1 + c1 * x), abs=x**3 / 16 + 1e-18)
+            assert f.jprime == pytest.approx(1 + 2 * c1 * x, abs=x**2 / 8 + 1e-15)
+
+    def test_head_matches_separate_solve(self, spindle_closed, teardrop_closed):
+        # across the designer band the closed form is the field that a
+        # solve from the Frobenius start finds
+        for closed in (spindle_closed, teardrop_closed):
+            for seg in closed.segments:
+                for path in (seg.path, seg.path.reversed()):
+                    x0 = path.legs[0].s0
+                    assert x0 == pytest.approx(0.7, abs=1e-15)
+                    ref = jacobi.b_jacobi_solution(path, x0)
+                    self.assert_matches(path.flow_field, ref,
+                                        np.linspace(1e-3, x0, 15))
+
+    def test_shot_shorter_than_its_band(self):
+        # the flat cone's and a cone chart's band is the whole chart: a
+        # shorter shot is all head, with one leg of length zero
+        for surf, field in [
+            (surfaces.flat_cone(1.5 * np.pi), lambda s: (s, 1.0)),
+            (surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5"),
+             lambda s: (s * np.sqrt(1 + s / 2),
+                        np.sqrt(1 + s / 2) + s / (4 * np.sqrt(1 + s / 2)))),
+        ]:
+            path = shoot_from_tip(surf, "tip", 0.2, 3.0)
+            assert [(leg.s0, leg.s1) for leg in path.legs] == [(3.0, 3.0)]
+            assert path.length == 3.0
+            for s in (0.0, 1.0, 3.0):
+                f = path.flow_field.at(s)
+                assert (f.j, f.jprime) == pytest.approx(field(s), abs=1e-13)
+                assert path.state(s).p == pytest.approx([s, 0.2 / surf.tips["tip"].a0])
+            assert path.flow_field.zeros() == []
 
     def test_interior_start_matches_separate_solve(self, teardrop, monkeypatch):
         # from a polar point through the pole cap and out again
@@ -236,6 +271,98 @@ class TestMorse:
         assert whole == m1 + m2 + (1 if h < 0 else 0)
 
 
+def grid_zeros(field, lo, hi):
+    """The zero search that `JacobiSolution.zeros` replaced, kept as its
+    reference: j read on max(400, 200 (hi - lo)) even points of
+    [lo + ZERO_PAD, hi - ZERO_PAD], each sign change placed by Brent's
+    method."""
+    grid = np.linspace(lo + jacobi.ZERO_PAD, hi - jacobi.ZERO_PAD,
+                       max(400, int(200 * (hi - lo))))
+    sign = np.sign(field.j(grid))
+    return [ode.brent(lambda s: float(field.j(s)), grid[i], grid[i + 1], xtol=1e-12)
+            for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
+
+
+def seed0_geodesics(eps):
+    """The seed-0 spindle and teardrop geodesics, at the given eps."""
+    return [
+        build_closed_diffractive(surfaces.perturbed_spindle(A0, eps),
+                                 ["south", "north"],
+                                 [A0 * (np.pi / 4 + 0.02), A0 * (5 * np.pi / 4 - 0.02)]),
+        build_closed_diffractive(surfaces.teardrop(A0, eps), ["tip"],
+                                 [A0 * (np.pi / 4 + 0.02)], length_cap=12.0),
+    ]
+
+
+class TestZeros:
+    """Zeros are bracketed by j at the integrator's step ends."""
+
+    @pytest.mark.parametrize("eps", [0.05, -0.05, 0.01, -0.01])
+    def test_step_ends_match_the_grid_scan(self, eps):
+        found = 0
+        for geo in seed0_geodesics(eps):
+            for seg in geo.segments:
+                path = seg.path
+                fields = [(path.flow_field, 0.0, path.length),
+                          (path.reversed().flow_field, 0.0, path.length),
+                          (jacobi.integrate_jacobi(path, 1.0, path.length, 0.0, 1.0),
+                           1.0, path.length),
+                          (path.flow_field, 0.3, 0.6 * path.length)]
+                for field, lo, hi in fields:
+                    want = grid_zeros(field, lo, hi)
+                    got = field.zeros(lo, hi)
+                    assert len(got) == len(want)
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                    found += len(got)
+        assert found > 0
+
+    def test_two_zeros_inside_one_step(self):
+        # j = cos s with knots at 1 and 5 only: j > 0 at both ends of that
+        # piece, and zeros at pi/2 and 3 pi/2 inside it
+        class Cosine:
+            def __call__(self, s):
+                return np.array([np.cos(s), -np.sin(s)])
+
+            def knots(self):
+                s = np.array([0.0, 1.0, 5.0])
+                return s, self(s)
+
+        field = jacobi.JacobiSolution(Cosine(), 0.0, 6.0)
+        assert np.cos(1.0) > 0 and np.cos(5.0) > 0
+        np.testing.assert_allclose(field.zeros(), [np.pi / 2, 1.5 * np.pi],
+                                   rtol=0.0, atol=1e-12)
+
+    def test_hermite_flags(self):
+        # on unit pieces: a line through zero and a hump are not flagged; a
+        # valley that turns back short of zero, one that dips through it,
+        # and three zeros between ends of opposite sign are
+        pieces = [(1.0, -2.0, -1.0, -2.0),
+                  (1.0, 2.0, 1.0, -2.0),
+                  (1.0, -3.0, 1.0, 3.0),
+                  (1.0, -6.0, 1.0, 6.0),
+                  (0.8, -6.6, -0.8, -6.6)]
+        j0, d0, j1, d1 = np.array(pieces).T
+        flags = jacobi._hermite_flags(np.ones(len(pieces)), j0, d0, j1, d1)
+        assert flags.tolist() == [False, False, True, True, True]
+
+    def test_dense_outputs_of_a_seed0_pass(self, monkeypatch):
+        # the seed-0 predict_curved pass builds 110 step interpolants, 310
+        # when every zero search read j on a grid
+        built = []
+        coefficients = ode._Step.coefficients
+
+        def counted(step):
+            if step._G is None:
+                built.append(step.t0)
+            return coefficients(step)
+
+        monkeypatch.setattr(ode._Step, "coefficients", counted)
+        for geo in seed0_geodesics(0.05):
+            amplitudes.trace_singularity(geo)
+            amplitudes.trace_singularity_cut_route(geo)
+        assert len(built) <= 200
+
+
 class TestBrokenHessian:
     def test_flat_value(self, plane):
         path = geodesic_flow(
@@ -244,15 +371,15 @@ class TestBrokenHessian:
         assert jacobi.broken_hessian(path, 1.0) == pytest.approx(1.5, abs=1e-10)
 
     def test_frobenius_start_self_consistent(self):
-        # non-product tip: curvature ~ c/x, the series start must absorb it
+        # non-product tip: curvature ~ c/x.  Solves from the series start
+        # at three offsets absorb it and land on the closed-form head
         surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5")
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
-        a = jacobi.b_jacobi_solution(path, 1.5, x_start=1e-4).at(1.5)
-        b = jacobi.b_jacobi_solution(path, 1.5, x_start=1e-5).at(1.5)
-        c = jacobi.b_jacobi_solution(path, 1.5, x_start=1e-6).at(1.5)
-        assert abs(a.j - b.j) < 1e-8
-        assert abs(b.j - c.j) < 1e-9
-        assert abs(a.jprime - b.jprime) < 1e-8
+        head = path.flow_field.at(1.5)
+        for x_start, tol in ((1e-4, 1e-8), (1e-5, 1e-9), (1e-6, 1e-9)):
+            f = jacobi.b_jacobi_solution(path, 1.5, x_start=x_start).at(1.5)
+            assert abs(f.j - head.j) < tol
+            assert abs(f.jprime - head.jprime) < tol
 
 
 @settings(max_examples=15, deadline=None)
