@@ -34,6 +34,7 @@ root finder (`JacobiSolution.zeros`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,15 +152,20 @@ def _hermite_flags(h, j0, d0, j1, d1) -> np.ndarray:
                 | ((m0 < 0) & (mid < 0) & (m1 < 0)))
     flags = np.zeros(h.shape, dtype=bool)
     for i in np.nonzero(~monotone)[0]:
-        roots = np.roots([3.0 * e[i], 2.0 * c[i], m0[i]])
-        xs = np.sort(roots[np.isreal(roots)].real)
-        xs = xs[(0.0 < xs) & (xs < 1.0)]
-        p = j0[i] + xs * (m0[i] + xs * (c[i] + xs * e[i]))
-        turns_back = p * (2.0 * c[i] + 6.0 * e[i] * xs) > 0
-        seq = np.concatenate([[j0[i]], p, [j1[i]]])
-        extra = (np.count_nonzero(seq[:-1] * seq[1:] < 0)
-                 > int(j0[i] * j1[i] < 0))
-        flags[i] = extra or turns_back.any()
+        ja, jb, m, q2, q3 = (float(v[i]) for v in (j0, j1, m0, c, e))
+        # the roots of p' = m + 2 q2 x + 3 q3 x^2 in (0, 1), ascending
+        if q3 == 0.0:
+            xs = [-m / (2.0 * q2)] if q2 != 0.0 else []
+        else:
+            disc = q2 * q2 - 3.0 * q3 * m
+            xs = [] if disc < 0.0 else sorted(
+                (-q2 + sign * math.sqrt(disc)) / (3.0 * q3) for sign in (-1.0, 1.0))
+        xs = [x for x in xs if 0.0 < x < 1.0]
+        p = [ja + x * (m + x * (q2 + x * q3)) for x in xs]
+        turns_back = any(px * (2.0 * q2 + 6.0 * q3 * x) > 0 for px, x in zip(p, xs))
+        seq = [ja] + p + [jb]
+        extra = sum(u * w < 0 for u, w in zip(seq, seq[1:])) > (ja * jb < 0)
+        flags[i] = extra or turns_back
     return flags
 
 
