@@ -136,8 +136,9 @@ def trace_singularity(geodesic, invariants=None,
     """Leading coefficient of the wave-trace singularity at the length of
     a strictly diffractive closed geodesic.
 
-    length_convention "L0" scales by the primitive length, "L" by the
-    full length; any other value raises ValueError.
+    length_convention "L0" scales by the primitive length, the length of
+    the stationary set (T0 in Duistermaat and Guillemin, Invent. Math.
+    1975), "L" by the full length; any other value raises ValueError.
     """
     if length_convention not in LENGTH_CONVENTIONS:
         raise ValueError(
@@ -169,26 +170,26 @@ def trace_singularity(geodesic, invariants=None,
 
 def trace_singularity_cut_route(geodesic) -> complex:
     """Independent route to the trace coefficient: cut the closed
-    geodesic at a moving point on each segment and integrate the
-    stationary-manifold density built from fresh Jacobi data.
+    geodesic at a moving point on each segment of the primitive geodesic
+    (the stationary manifold, T0) and integrate the density built from
+    fresh Jacobi data; each cut's "rest" product runs over the whole cycle.
 
     Every per-node quantity (spreadings, Morse counts, the one-point
     break Hessian) is recomputed from the two tip-launched Jacobi fields
     of the cut segment, so agreement with trace_singularity certifies
     the shape-operator and Wronskian identities behind the assembly.
 
-    Both fields are the ones kept on the path: `path.flow_field`, the
-    field the segment's own shot carried from its start tip, and
+    Both fields are the ones kept on the path: `path.flow_field`, carried
+    by the segment's own shot from its start tip, and
     `path.reversed().flow_field`, carried by a reverse shot of its own
-    from the far tip.  Each segment and its reverse shot start at a tip,
-    so both are tip-launched fields.
-    trace_singularity's invariants read the same forward field.  The
-    check stays independent: the direct route reads only the forward
-    field's zeros and its value at the far tip, while this route reads
-    both fields at interior cut points and combines them through the
-    break Hessian; a deterministic field shared by the two routes changes
-    none of their numbers, and the reverse field comes from a geodesic
-    integration of its own that shares no step with either.
+    from the far tip.  trace_singularity's invariants read the same
+    forward field.  The check stays independent: the direct route reads
+    only the forward field's zeros and its value at the far tip, while
+    this route reads both fields at interior cut points and combines
+    them through the break Hessian; a deterministic field shared by the
+    two routes changes none of their numbers, and the reverse field comes
+    from a geodesic integration of its own that shares no step with
+    either.
     """
     if not geodesic.strictly_diffractive:
         raise NotStrictlyDiffractiveError(
@@ -203,7 +204,7 @@ def trace_singularity_cut_route(geodesic) -> complex:
     gl_x, gl_w = gauss_legendre(CUT_NODES)
 
     total = 0.0 + 0.0j
-    for c, seg in enumerate(geodesic.segments):
+    for c, seg in enumerate(geodesic.segments[:k // geodesic.iterate_count]):
         path = seg.path
         d_c = seg.length
         sol_a = path.flow_field

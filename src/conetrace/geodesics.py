@@ -10,15 +10,15 @@ metric that it starts in, continued past the seams (`Chart.leg_rhs`), so
 the step that crosses a seam is accepted like any other; the leg is then
 solved again from that step's start up to the seam, so that it ends on a
 step's end, and a fresh leg in the same chart starts there on the other
-piece.  No leg evaluates two pieces.  The legs' ends are where Jacobi
-solves along the stored path break (`GeodesicPath.breaks`).  A leg
-that starts on the seam it has just crossed takes the far side's piece.
+piece.  No leg evaluates two pieces.  A solve along the stored path
+(`jacobi.integrate_jacobi`) restarts at the legs' ends (`GeodesicPath.breaks`).
+A leg that starts on the seam it has just crossed takes the far side's piece.
 A start position or velocity that is not finite, or a velocity of
 length zero, is refused with ValueError.  A leg's dense output is built
 when it is first read (`ode`), so a StepFailureError that the chart
 raises only at a dense-output stage of some step comes out of the
-later call that reads it (`GeodesicPath.state`, `flow_field`, a Jacobi
-solve along the path), not out of the flow.
+later call that reads it (`GeodesicPath.state`, `flow_field` and the
+Jacobi fields read from it), not out of the flow.
 
 One ODE per shot: the state is (p, v, j, j'), the geodesic with the
 scalar Jacobi field j'' = -K j riding along, K read from the chart at

@@ -1,7 +1,6 @@
 """Jacobi fields along geodesic paths: spreading, Morse indices, Hessians.
 
-The scalar Jacobi equation j'' + K(s) j = 0 is integrated along a
-GeodesicPath.
+Fields of the scalar Jacobi equation j'' + K(s) j = 0 along a GeodesicPath.
 
 Conventions: the normalized spreading between parameters s0 < s1 is
 Theta = |j(s1)| / (s1 - s0) for the field with j(s0) = 0, j'(s0) = 1,
@@ -14,22 +13,16 @@ components of each shot, with K read from the chart at the same point,
 at the per-component tolerances (JACOBI_RTOL, JACOBI_ATOL on j and j').
 A tip-launched field is exact in closed form across the tip's designer
 band, j = Q/a0 with sqrt(G) = Q, and the flow starts from it at the
-band's edge; only a radial end cap into a tip takes one short solve of
-its own.  The reverse field is the same for `path.reversed()`, a shot of
-its own from the path's end.  Every function here that starts a field
-at s0 = 0 reads one of these, so Theta, the Morse index and the broken
-Hessian share them; j'/j is the shape operator the cut route reads.  A
-field from s0 > 0 is its own solve along the stored path at the same
-tolerances, restarted at each of the path's leg ends, so that no step
-straddles a seam of the metric.  `b_jacobi_solution` solves a tip field
-that way from the Frobenius start j(x) = x (1 + c1 x), j'(x) = 1 + 2 c1 x
-at a small offset, where c1 is the first radial correction of sqrt(G)
-(exact through second order even when the curvature has a 1/x
-singularity at a non-product tip); it is the reference the closed-form
-head is checked against.  Every solve runs on the in-repo DOP853 kernel
-(`ode`).  The zeros behind the Morse index are bracketed by j at the
-integrator's step ends, which the solves store, and placed by its Brent
-root finder (`JacobiSolution.zeros`).
+band's edge; only a radial end cap into a tip is solved along the
+stored path (`integrate_jacobi`).  The reverse field is the same for
+`path.reversed()`, a shot of its own from the path's end.  Theta, the
+Morse index and the broken Hessian from s0 = 0 read these; j'/j is the
+shape operator the cut route reads.  Unless the path's ends are
+conjugate the two are a fundamental pair: a field from s0 > 0 is their
+combination (`_EndPair`), and `wronskian_drift` reads their Wronskian.
+The zeros behind the Morse index are bracketed by j at the integrator's
+step ends, which the flows store, and placed by Brent's method
+(`JacobiSolution.zeros`).
 """
 
 from __future__ import annotations
@@ -40,27 +33,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ode
-from .errors import ConjugateDegeneracyError, StepFailureError
+from .errors import ConjugateDegeneracyError
 
 __all__ = [
     "JacobiField",
     "JacobiSolution",
     "integrate_jacobi",
-    "b_jacobi_solution",
     "theta_spreading",
     "morse_index",
     "broken_hessian",
     "wronskian_drift",
 ]
 
-# distance from the tip at which b_jacobi_solution starts its field;
-# the start's j' misses the x^2 K / 2 term, so the offset must be small:
-# 5e-13 here, 5e-9 at 1e-4
-FROBENIUS_START_X = 1e-6
 JACOBI_RTOL = 1e-11
 JACOBI_ATOL = 1e-13
 # |j(s1)| below this times (s1 - s0) counts as a conjugate endpoint
 MORSE_DEGENERACY_TOL = 1e-8
+# |a(L)| below this times L: conjugate ends for `_EndPair`, whose field errs
+# by up to about 3e-9 just above it (sphere arcs of length near pi)
+END_PAIR_TOL = 1e-3
 ZERO_PAD = 1e-9  # zeros are searched this far inside an interval's ends
 ZERO_SAMPLES = 32  # points at which j is read on a piece that may hide zeros
 WRONSKIAN_CHECKS = 20  # points at which wronskian_drift reads W
@@ -187,42 +178,56 @@ def integrate_jacobi(path, s0: float, s1: float, j0: float,
     return JacobiSolution(ode.Solution.joined(pieces), s0, s1)
 
 
-def _frobenius_start(c1: float, x):
-    """(j, j') of the tip-normalized field at distance x from a tip whose
-    sqrt(G) is a0 x (1 + c1 x + ...); x may be an array."""
-    return x * (1.0 + c1 * x), 1.0 + 2.0 * c1 * x
+class _EndPair:
+    """The field with j(s0) = 0, j'(s0) = 1 as (a(s0) c - c(s0) a) / W(s0),
+    with a = `path.flow_field` and c the reverse shot's field read at L - s,
+    its slope negated.  W = a c' - a' c is -a(L) at s = L, and the field
+    errs by about a's and c's error over |a(L)|, so a path with
+    |a(L)| < END_PAIR_TOL L (conjugate ends) raises ConjugateDegeneracyError."""
 
+    def __init__(self, path, s0: float):
+        self.length, self.a = path.length, path.flow_field
+        if abs(self.a.at(self.length).j) < END_PAIR_TOL * self.length:
+            raise ConjugateDegeneracyError("the path's ends are conjugate: no end pair")
+        self.c = path.reversed().flow_field
+        a, ap, c, cp = self.ends(s0)
+        w = a * cp - ap * c
+        self.ka, self.kc = -c / w, a / w
 
-def b_jacobi_solution(path, s1: float = None, *,
-                      x_start: float = FROBENIUS_START_X) -> JacobiSolution:
-    """Tip-normalized Jacobi field (j ~ x near the tip) along a tip-start
-    path, solved afresh on every call along the stored path."""
-    if path.start_kind != "tip":
-        raise StepFailureError("b-Jacobi field needs a path starting at a tip")
-    j0, jp0 = _frobenius_start(path.surface.tips[path.start_tip].c1, x_start)
-    s1 = path.length if s1 is None else s1
-    return integrate_jacobi(path, x_start, s1, j0, jp0)
+    def ends(self, s):
+        """(a, a', c, c') at s, a float or an array."""
+        a, ap = self.a.pair(s)
+        c, cp = self.c.pair(self.length - s)
+        return a, ap, c, -cp
+
+    def __call__(self, s):
+        a, ap, c, cp = self.ends(s)
+        return np.array([self.ka * a + self.kc * c, self.ka * ap + self.kc * cp])
+
+    def knots(self):
+        """The step starts of both end fields, in s, and (j, j') there."""
+        s = np.union1d(self.a.knots()[0], self.length - self.c.knots()[0])
+        return s, self(s)
 
 
 def _field_from(path, s0: float, s1: float) -> JacobiSolution:
+    """j(s0) = 0, j'(s0) = 1 over [s0, s1]: the flow's field or `_EndPair`."""
     # a kept field ends at the path's end and would clamp past it
     if not 0.0 <= s0 < s1 <= path.length:
         raise ValueError(f"need 0 <= s0 < s1 <= length {path.length:.6g}, "
                          f"got s0 = {s0:.6g}, s1 = {s1:.6g}")
-    if s0 == 0.0:
-        return path.flow_field
-    return integrate_jacobi(path, s0, s1, 0.0, 1.0)
+    return path.flow_field if s0 == 0.0 else JacobiSolution(_EndPair(path, s0), s0, s1)
 
 
 def theta_spreading(path, s0: float = 0.0, s1: float = None) -> float:
-    """Normalized geodesic spreading |j(s1)|/(s1 - s0); 1 on flat surfaces."""
+    """Spreading |j(s1)|/(s1 - s0) of `_field_from`'s field; 1 on flat surfaces."""
     s1 = path.length if s1 is None else s1
     field = _field_from(path, s0, s1)
     return abs(field.at(s1).j) / (s1 - s0)
 
 
 def morse_index(path, s0: float = 0.0, s1: float = None) -> int:
-    """Interior zero count of the spreading field on (s0, s1)."""
+    """Interior zero count on (s0, s1) of the field from s0 (`_field_from`)."""
     s1 = path.length if s1 is None else s1
     field = _field_from(path, s0, s1)
     if abs(field.at(s1).j) < MORSE_DEGENERACY_TOL * (s1 - s0):
@@ -251,13 +256,10 @@ def broken_hessian(path, s_cut: float) -> float:
 
 
 def wronskian_drift(path, s0: float = 0.0, s1: float = None) -> float:
-    """Max |W - 1| of the fundamental pair at WRONSKIAN_CHECKS even points
-    of [s0, s1]; 0 for an exact integration."""
+    """Max |W(s)/W(s0) - 1| of the path's end pair (`_EndPair`) at
+    WRONSKIAN_CHECKS even points of [s0, s1]; 0 for exact integrations.
+    The pair comes from two separate shots, so this checks both."""
     s1 = path.length if s1 is None else s1
-    a = integrate_jacobi(path, s0, s1, 1.0, 0.0)
-    b = integrate_jacobi(path, s0, s1, 0.0, 1.0)
-    worst = 0.0
-    for s in np.linspace(s0, s1, WRONSKIAN_CHECKS):
-        fa, fb = a.at(s), b.at(s)
-        worst = max(worst, abs(fa.j * fb.jprime - fa.jprime * fb.j - 1.0))
-    return worst
+    a, ap, c, cp = _EndPair(path, s0).ends(np.linspace(s0, s1, WRONSKIAN_CHECKS))
+    w = a * cp - ap * c
+    return float(np.max(np.abs(w / w[0] - 1.0)))

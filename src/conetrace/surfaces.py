@@ -304,8 +304,8 @@ class Tip:
     designer band x < band, where the metric is dx^2 + Q^2 dy^2 (a shot
     starts at its edge in closed form, `geodesics.shoot_from_tip`); the
     link arc coordinate is q = (a0 * p1) mod rho.  c1 is the first radial
-    correction of sqrt(G) = a0 x (1 + c1 x + ...), feeding the series
-    start of the reference tip field `jacobi.b_jacobi_solution`.
+    correction of sqrt(G) = a0 x (1 + c1 x + ...), from which the tests
+    start the reference tip field they check the closed form against.
     """
 
     tip_id: str

@@ -21,16 +21,16 @@ Registered criteria:
    match a fit to the exact flat-cone Bessel mode sum at cone angle
    3 pi / 2, and the round cone (angle 2 pi) shows no front;
 4. a tip-launched field on a flat cone spreads exactly: Theta = 1;
-5. the Wronskian of the fundamental Jacobi pair stays 1 along random
-   segments of flat, spherical and spindle paths;
+5. the Wronskian of each path's end pair of Jacobi fields stays constant
+   along random segments of flat, spherical and spindle paths;
 6. the spreading Theta of a segment is the same read forwards and
-   backwards;
+   backwards, each from its own path's end pair;
 7. the Morse index is additive over a broken sphere arc, with the broken
    Hessian's sign supplying the index lost at the break;
 8. brute-force composition of two half-wave legs reproduces the
    stationary-phase constants, conjugate-point phase included;
-9. the assembled trace coefficient and the cut-route integral agree on
-   the spindle (k = 2) and teardrop (k = 1) closed geodesics;
+9. the trace coefficient and the cut-route integral agree on the spindle
+   (k = 2) and teardrop (k = 1) closed geodesics, once and taken twice;
 10. the doubled square's corner loop, which diffracts only through cone
    angles pi, is silent in the exact smoothed trace, while the geometric
    length 2 rings.
@@ -217,18 +217,18 @@ A0 = 0.75  # the spindle's and the teardrop's a0: tip link circumference 2 pi a0
 
 
 @functools.cache
-def _spindle_closed():
-    """The spindle's two-segment closed geodesic from the documented seeds."""
+def _spindle_closed(r):
+    """The spindle's closed geodesic from the documented seeds, r times."""
     return build_closed_diffractive(
-        surfaces.perturbed_spindle(), ["south", "north"],
-        [A0 * (np.pi / 4 + 0.02), A0 * (5 * np.pi / 4 - 0.02)])
+        surfaces.perturbed_spindle(), ["south", "north"] * r,
+        [A0 * (np.pi / 4 + 0.02), A0 * (5 * np.pi / 4 - 0.02)] * r)
 
 
 @functools.cache
-def _teardrop_closed():
-    """The teardrop's one-segment loop from the documented seed."""
+def _teardrop_closed(r):
+    """The teardrop's loop from the documented seed, r times."""
     return build_closed_diffractive(
-        surfaces.teardrop(), ["tip"], [A0 * (np.pi / 4 + 0.02)],
+        surfaces.teardrop(), ["tip"] * r, [A0 * (np.pi / 4 + 0.02)] * r,
         length_cap=12.0)
 
 
@@ -244,8 +244,8 @@ def _segment_paths():
                                          np.array([0.0, 1.0])), 2.9),
         geodesic_flow(sphere, ChartState("band", np.array([0.2, 0.1]),
                                          np.array([0.5, 1.0])), 2.5),
-        _spindle_closed().segments[0].path,
-        _spindle_closed().segments[1].path,
+        _spindle_closed(1).segments[0].path,
+        _spindle_closed(1).segments[1].path,
     )
 
 
@@ -344,8 +344,10 @@ def _composition():
 
 def _two_routes():
     out = []
-    for name, geo in (("spindle k=2", _spindle_closed()),
-                      ("teardrop k=1", _teardrop_closed())):
+    for name, geo in (("spindle k=2", _spindle_closed(1)),
+                      ("teardrop k=1", _teardrop_closed(1)),
+                      ("spindle k=2 taken twice", _spindle_closed(2)),
+                      ("teardrop k=1 taken twice", _teardrop_closed(2))):
         direct = trace_singularity(geo).coefficient
         cut = trace_singularity_cut_route(geo)
         out.append(Measurement(f"{name} |direct - cut route| / |direct|",
@@ -408,8 +410,8 @@ SUITES = {
 }
 
 #: the suites `--suite all` runs: the quick ones.  front, jacobi and
-#: assembly take seconds each, and the benchmark's oracle_suites workload
-#: times `all`, so a slow suite here would move its wall time.
+#: assembly build cone mode sums or closed geodesics, and the benchmark's
+#: oracle_suites workload times `all`, so they would move its wall time.
 ALL = ("link", "composition", "spectral")
 
 

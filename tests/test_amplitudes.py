@@ -179,6 +179,24 @@ class TestTwoPathConsistency:
         route = trace_singularity_cut_route(geo)
         assert abs(route - pred.coefficient) / abs(pred.coefficient) < 1e-8
 
+    @pytest.mark.parametrize("name,tips,seeds,kw,r", [
+        ("teardrop", ["tip"], [A0 * (np.pi / 4 + 0.02)], {"length_cap": 12.0}, 2),
+        ("teardrop", ["tip"], [A0 * (np.pi / 4 + 0.02)], {"length_cap": 12.0}, 3),
+        ("spindle", ["south", "north"],
+         [A0 * (np.pi / 4 + 0.02), A0 * (5 * np.pi / 4 - 0.02)], {}, 2),
+    ], ids=["teardrop-r2", "teardrop-r3", "spindle-r2"])
+    def test_iterates_are_cut_once(self, name, tips, seeds, kw, r, request):
+        # the cut runs over the primitive geodesic once: cutting all k
+        # segments of an r-fold iterate gave r times the direct value
+        geo = build_closed_diffractive(request.getfixturevalue(name),
+                                       tips * r, seeds * r, **kw)
+        primitive = request.getfixturevalue(f"{name}_closed")
+        assert geo.iterate_count == r
+        assert geo.primitive_length == pytest.approx(primitive.length, abs=1e-12)
+        pred = trace_singularity(geo)
+        route = trace_singularity_cut_route(geo)
+        assert abs(route - pred.coefficient) / abs(pred.coefficient) < 1e-10
+
     def test_one_tip_solve_per_direction(self, teardrop, monkeypatch):
         # built here, not taken from the shared fixture, so that no field
         # or reverse shot is already kept on its paths by an earlier test

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conetrace import amplitudes, jacobi, ode, surfaces
+from conetrace import amplitudes, jacobi, ode, surfaces, verify
 from conetrace.errors import ConjugateDegeneracyError
 from conetrace.geodesics import (
     ChartState,
@@ -16,6 +16,29 @@ from conetrace.geodesics import (
 )
 
 A0 = 0.75
+# distance from the tip at which b_jacobi_solution starts its field; the
+# start's j' misses the x^2 K / 2 term, so the offset must be small: 5e-13
+# here, 5e-9 at 1e-4
+FROBENIUS_START_X = 1e-6
+
+
+def _frobenius_start(c1, x):
+    """(j, j') of the tip-normalized field at distance x from a tip whose
+    sqrt(G) is a0 x (1 + c1 x + ...)."""
+    return x * (1.0 + c1 * x), 1.0 + 2.0 * c1 * x
+
+
+def b_jacobi_solution(path, s1=None, *, x_start=FROBENIUS_START_X):
+    """The tip-normalized field (j ~ x near the tip) along a tip-start
+    path, solved along the stored path from the Frobenius start
+    j = x (1 + c1 x), j' = 1 + 2 c1 x at x_start, with c1 the first
+    radial correction of sqrt(G) (exact through second order even where
+    the curvature has a 1/x singularity at a non-product tip).  It is
+    independent of the flow's closed-form head and the reference the
+    tests check that head against."""
+    j0, jp0 = _frobenius_start(path.surface.tips[path.start_tip].c1, x_start)
+    s1 = path.length if s1 is None else s1
+    return jacobi.integrate_jacobi(path, x_start, s1, j0, jp0)
 
 
 def sphere_arc(sphere, length):
@@ -88,11 +111,11 @@ class TestSpreading:
         chart = surface.chart(tip_b.chart)
         s_sec = path.length - 0.1
         st = path.state(s_sec)
-        jf = jacobi.b_jacobi_solution(path, s_sec).at(s_sec)
+        jf = b_jacobi_solution(path, s_sec).at(s_sec)
         sq = chart.sqrt_q(st.p)
         dsq_dr = float(chart.sqrt_q_grad(st.p)[0])
         deriv = 0.75 * (jf.jprime * sq * st.v[0] - jf.j * dsq_dr)
-        j_end = jacobi.b_jacobi_solution(path).at(path.length).j
+        j_end = b_jacobi_solution(path).at(path.length).j
         assert abs(abs(deriv) - 0.75 * tip_b.a0 * abs(j_end)) < 1e-6
 
     def test_shape_operator_flat_cone(self):
@@ -120,7 +143,7 @@ class TestFlowField:
         # each segment and its reverse shot, which is a flow of its own
         for seg in request.getfixturevalue(closed).segments:
             for path in (seg.path, seg.path.reversed()):
-                ref = jacobi.b_jacobi_solution(path)
+                ref = b_jacobi_solution(path)
                 ss = np.append(np.linspace(0.05, path.length, 25, endpoint=False),
                                path.length)
                 self.assert_matches(path.flow_field, ref, ss)
@@ -168,7 +191,7 @@ class TestFlowField:
                 for path in (seg.path, seg.path.reversed()):
                     x0 = path.legs[0].s0
                     assert x0 == pytest.approx(0.7, abs=1e-15)
-                    ref = jacobi.b_jacobi_solution(path, x0)
+                    ref = b_jacobi_solution(path, x0)
                     self.assert_matches(path.flow_field, ref,
                                         np.linspace(1e-3, x0, 15))
 
@@ -211,6 +234,77 @@ class TestFlowField:
         path = geodesic_flow(sphere, start, 3.0)
         for s in np.linspace(0.0, 3.0, 13):
             assert path.flow_field.at(s).j == pytest.approx(np.sin(s), abs=1e-10)
+
+
+class TestEndPair:
+    """A field from s0 > 0 is the combination of the path's two end fields
+    that vanishes at s0 with slope 1; a solve along the stored path is the
+    reference."""
+
+    TOL = 1e-9
+
+    def test_matches_separate_solve(self, sphere, spindle_closed, teardrop_closed):
+        # s0 in a start tip's closed-form head (x < 0.7), mid-path, and in
+        # the radial end cap (the last D_REF = 0.1) of a tip-to-tip segment
+        paths = [seg.path for seg in spindle_closed.segments]
+        paths += [teardrop_closed.segments[0].path, sphere_arc(sphere, 2.8),
+                  sphere_arc(sphere, 4.0)]
+        for path in paths:
+            length = path.length
+            for s0 in (0.3, 0.5 * length, length - 0.05):
+                field = jacobi._field_from(path, s0, length)
+                ref = jacobi.integrate_jacobi(path, s0, length, 0.0, 1.0)
+                ss = np.linspace(s0, length, 15)
+                np.testing.assert_allclose(field.pair(ss), ref.pair(ss),
+                                           rtol=0.0, atol=self.TOL)
+
+    def test_criteria_4_to_7_solve_only_end_caps(self, monkeypatch):
+        # built afresh, so that the first run makes every shot it reads
+        verify._segment_paths.cache_clear()
+        verify._spindle_closed.cache_clear()
+        solves = []
+        solve = jacobi.integrate_jacobi
+
+        def counted(path, s0, s1, j0, jp0):
+            solves.append((path, s0, s1))
+            return solve(path, s0, s1, j0, jp0)
+
+        monkeypatch.setattr(jacobi, "integrate_jacobi", counted)
+        for criterion in (4, 5, 6, 7):
+            assert verify.run(criterion).passed
+        # the radial end caps of the two spindle segments, of their reverse
+        # shots and of the shots back from those (criterion 6's backward
+        # side), each solved once when its flow's field is first read
+        assert len(solves) == 6
+        for path, s0, s1 in solves:
+            assert path.end_kind == "tip"
+            assert (s0, s1) == (path.legs[-1].s1, path.length)
+        solves.clear()
+        for criterion in (4, 5, 6, 7):
+            verify.run(criterion)
+        assert solves == []
+
+    # on the unit sphere W = -a(L) = -sin(L), and the pair is refused when
+    # |sin L| < END_PAIR_TOL L: for L = pi +- delta, delta below about
+    # END_PAIR_TOL pi
+    @pytest.mark.parametrize("side", [-1, 1], ids=["short", "long"])
+    def test_conjugate_ends_guard_edge(self, sphere, side):
+        edge = jacobi.END_PAIR_TOL * np.pi
+        outside = sphere_arc(sphere, np.pi + side * 1.1 * edge)
+        field = jacobi._field_from(outside, 1.0, outside.length)
+        ss = np.linspace(1.0, outside.length, 9)
+        np.testing.assert_allclose(field.pair(ss),
+                                   [np.sin(ss - 1.0), np.cos(ss - 1.0)],
+                                   rtol=0.0, atol=1e-8)
+        assert jacobi.wronskian_drift(outside) < 1e-8
+        inside = sphere_arc(sphere, np.pi + side * 0.9 * edge)
+        for read in (jacobi.theta_spreading, jacobi.morse_index,
+                     jacobi.wronskian_drift):
+            with pytest.raises(ConjugateDegeneracyError):
+                read(inside, 1.0)
+        # a field from s0 = 0 is the flow's own and needs no pair
+        assert jacobi.theta_spreading(inside) == pytest.approx(
+            abs(np.sin(inside.length)) / inside.length, abs=1e-10)
 
 
 class TestWronskian:
@@ -307,6 +401,8 @@ class TestZeros:
                           (path.reversed().flow_field, 0.0, path.length),
                           (jacobi.integrate_jacobi(path, 1.0, path.length, 0.0, 1.0),
                            1.0, path.length),
+                          (jacobi._field_from(path, 1.0, path.length),
+                           1.0, path.length),
                           (path.flow_field, 0.3, 0.6 * path.length)]
                 for field, lo, hi in fields:
                     want = grid_zeros(field, lo, hi)
@@ -377,7 +473,7 @@ class TestBrokenHessian:
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
         head = path.flow_field.at(1.5)
         for x_start, tol in ((1e-4, 1e-8), (1e-5, 1e-9), (1e-6, 1e-9)):
-            f = jacobi.b_jacobi_solution(path, 1.5, x_start=x_start).at(1.5)
+            f = b_jacobi_solution(path, 1.5, x_start=x_start).at(1.5)
             assert abs(f.j - head.j) < tol
             assert abs(f.jprime - head.jprime) < tol
 
