@@ -46,8 +46,6 @@ __all__ = [
     "model_kernel",
 ]
 
-# length prefactor of the trace coefficient: primitive length or full length
-LENGTH_CONVENTIONS = ("L0", "L")
 DIMENSION = 2  # surface dimension n
 POLICY = SummationPolicy.closed_form()  # summation of every diffraction coefficient
 CUT_NODES = 16  # Gauss-Legendre nodes per segment of the cut route
@@ -92,7 +90,6 @@ class TraceSingularityPrediction:
     n: int
     order: float
     coefficient: complex
-    length_convention: str = "L0"
 
     @property
     def model(self) -> str:
@@ -131,19 +128,13 @@ def invariants_for(geodesic):
     return [segment_invariants(seg) for seg in geodesic.segments]
 
 
-def trace_singularity(geodesic, invariants=None,
-                      length_convention: str = "L0") -> TraceSingularityPrediction:
+def trace_singularity(geodesic, invariants=None) -> TraceSingularityPrediction:
     """Leading coefficient of the wave-trace singularity at the length of
     a strictly diffractive closed geodesic.
 
-    length_convention "L0" scales by the primitive length, the length of
-    the stationary set (T0 in Duistermaat and Guillemin, Invent. Math.
-    1975), "L" by the full length; any other value raises ValueError.
+    It scales by the primitive length, the length of the stationary set
+    (T0 in Duistermaat and Guillemin, Invent. Math. 1975).
     """
-    if length_convention not in LENGTH_CONVENTIONS:
-        raise ValueError(
-            f"length_convention must be one of {LENGTH_CONVENTIONS}, "
-            f"not {length_convention!r}")
     if not geodesic.strictly_diffractive:
         raise NotStrictlyDiffractiveError(
             "trace singularity requires a strictly diffractive geodesic"
@@ -158,13 +149,11 @@ def trace_singularity(geodesic, invariants=None,
                                   POLICY)
         prod *= (1j ** (-seg.morse) * dval.value
                  * seg.d ** (-(n - 1) / 2) * seg.theta ** -0.5)
-    length = geodesic.primitive_length if length_convention == "L0" else geodesic.length
-    coeff = (length * (2 * np.pi) ** (k * n / 2)
+    coeff = (geodesic.primitive_length * (2 * np.pi) ** (k * n / 2)
              * np.exp(1j * k * np.pi * (n - 3) / 4) * prod)
     return TraceSingularityPrediction(
         L=geodesic.length, L0=geodesic.primitive_length, k=k, n=n,
         order=k * (n - 1) / 2, coefficient=coeff,
-        length_convention=length_convention,
     )
 
 
@@ -182,14 +171,15 @@ def trace_singularity_cut_route(geodesic) -> complex:
     Both fields are the ones kept on the path: `path.flow_field`, carried
     by the segment's own shot from its start tip, and
     `path.reversed().flow_field`, carried by a reverse shot of its own
-    from the far tip.  trace_singularity's invariants read the same
-    forward field.  The check stays independent: the direct route reads
-    only the forward field's zeros and its value at the far tip, while
-    this route reads both fields at interior cut points and combines
-    them through the break Hessian; a deterministic field shared by the
-    two routes changes none of their numbers, and the reverse field comes
-    from a geodesic integration of its own that shares no step with
-    either.
+    from the far tip; each solves its radial end cap into the tip when
+    first read.  trace_singularity's invariants read the same forward
+    field, and an iterate's segments are its primitive's own paths.  The
+    check stays independent: the direct route reads only the forward
+    field's zeros and its value at the far tip, while this route reads
+    both fields at interior cut points and combines them through the
+    break Hessian; a deterministic field shared by the two routes changes
+    none of their numbers, and the reverse field comes from a geodesic
+    integration of its own that shares no step with either.
     """
     if not geodesic.strictly_diffractive:
         raise NotStrictlyDiffractiveError(

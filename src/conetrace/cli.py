@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__, verify
 from .amplitudes import (
     DIMENSION,
-    LENGTH_CONVENTIONS,
     POLICY,
     CutoffSpec,
     TraceSingularityPrediction,
@@ -32,6 +31,7 @@ from .amplitudes import (
     model_kernel,
 )
 from .config import (
+    check_keys,
     grid_from_config,
     link_from_config,
     load_config,
@@ -87,6 +87,7 @@ def _write_lines(out_path, lines):
 
 def cmd_link_kernel(args) -> int:
     cfg = load_config(args.config)
+    check_keys(cfg, ("link", "policy", "n", "u_grid"), "the link-kernel config")
     link = link_from_config(cfg.get("link", {}))
     policy = policy_from_config(cfg.get("policy"))
     n = cfg.get("n", 2)
@@ -114,6 +115,7 @@ def cmd_link_kernel(args) -> int:
 
 # config "options": the keyword parameters of the closed-geodesic search
 GEODESIC_OPTIONS = ("length_cap",)
+GEODESIC_KEYS = ("surface", "tip_sequence", "seeds", "options")
 
 
 def _build_geodesic(cfg):
@@ -124,10 +126,7 @@ def _build_geodesic(cfg):
     options = cfg.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError("'options' must be an object")
-    unknown = sorted(set(options) - set(GEODESIC_OPTIONS))
-    if unknown:
-        raise ConfigError(f"unknown option {unknown[0]!r} in 'options'; "
-                          f"choose from {list(GEODESIC_OPTIONS)}")
+    check_keys(options, GEODESIC_OPTIONS, "'options'")
     options = {key: number_from_config(value, f"options {key!r}", positive=True)
                for key, value in options.items()}
     if len(seeds) != len(tips):
@@ -146,6 +145,7 @@ def _build_geodesic(cfg):
 
 def cmd_find_geodesics(args) -> int:
     cfg = load_config(args.config)
+    check_keys(cfg, GEODESIC_KEYS, "the find-geodesics config")
     geo = _build_geodesic(cfg)
     lines = [
         _HEADER_NOTE,
@@ -165,14 +165,12 @@ def cmd_find_geodesics(args) -> int:
 
 def cmd_predict_trace(args) -> int:
     cfg = load_config(args.config)
-    convention = cfg.get("convention", "L0")
-    if convention not in LENGTH_CONVENTIONS:
-        raise ConfigError(
-            f"'convention' must be one of {list(LENGTH_CONVENTIONS)}")
+    check_keys(cfg, GEODESIC_KEYS + ("model_samples",), "the predict-trace config")
     samples_cfg = cfg.get("model_samples")
     if samples_cfg is not None:
         if not isinstance(samples_cfg, dict):
             raise ConfigError("'model_samples' must be an object")
+        check_keys(samples_cfg, ("t_grid", "damping_sigma"), "'model_samples'")
         ts = grid_from_config(samples_cfg.get("t_grid", {}), "t_grid")
         sigma = samples_cfg.get("damping_sigma")
         if sigma is not None:
@@ -180,7 +178,7 @@ def cmd_predict_trace(args) -> int:
                 sigma, "model_samples 'damping_sigma'", positive=True)
     geo = _build_geodesic(cfg)
     invs = invariants_for(geo)
-    pred = trace_singularity(geo, invs, length_convention=convention)
+    pred = trace_singularity(geo, invs)
     lines = [
         _HEADER_NOTE,
         "length,primitive_length,k,n,order,re_coeff,im_coeff,"
@@ -208,10 +206,14 @@ def cmd_predict_trace(args) -> int:
 def _load_eigenvalues(spec):
     if not isinstance(spec, dict):
         raise ConfigError("'eigenvalues' must be an object")
+    check_keys(spec, ("doubled_square", "csv"), "'eigenvalues'")
+    if len(spec) > 1:  # one source would be left unread
+        raise ConfigError("eigenvalues take 'doubled_square' or 'csv', not both")
     if "doubled_square" in spec:
         sub = spec["doubled_square"]
         if not isinstance(sub, dict):
             raise ConfigError("'doubled_square' must be an object")
+        check_keys(sub, ("lambda_max",), "'doubled_square'")
         lam = number_from_config(sub.get("lambda_max", 200.0),
                                  "doubled_square 'lambda_max'", positive=True)
         try:
@@ -235,6 +237,8 @@ def _load_eigenvalues(spec):
 
 def cmd_spectral_trace(args) -> int:
     cfg = load_config(args.config)
+    check_keys(cfg, ("eigenvalues", "sigma", "t_grid", "fit"),
+               "the spectral-trace config")
     eigs = _load_eigenvalues(cfg.get("eigenvalues", {}))
     sigma = number_from_config(cfg.get("sigma"), "'sigma'", positive=True)
     ts = grid_from_config(cfg.get("t_grid", {}), "t_grid")
@@ -244,6 +248,9 @@ def cmd_spectral_trace(args) -> int:
         lines.append(",".join([_fmt(t), _fmt(v.real), _fmt(v.imag)]))
     fit_cfg = cfg.get("fit")
     if fit_cfg is not None:
+        if not isinstance(fit_cfg, dict):
+            raise ConfigError("'fit' must be an object")
+        check_keys(fit_cfg, ("L", "k", "window"), "'fit'")
         length = number_from_config(fit_cfg.get("L"), "fit 'L'")
         k = fit_cfg.get("k", 1)
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:

@@ -4,7 +4,9 @@ Configs are plain JSON.  A surface is either a named builtin with
 keyword parameters or a single-tip cone chart given by a sympy
 expression for sqrt(h) in the metric dx^2 + x^2 h(x, y) dy^2 and an
 optional chart radius r_max.  Links
-are circles given by their circumference.
+are circles given by their circumference.  Every object a run reads
+accepts only the keys it reads (`check_keys`): a misspelt key is a
+config error, not a silent default.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "policy_from_config",
     "grid_from_config",
     "number_from_config",
+    "check_keys",
 ]
 
 _BUILTINS = {
@@ -34,6 +37,8 @@ _BUILTINS = {
     "teardrop": surfaces.teardrop,
 }
 _CONE_CHART_KEYS = ("sqrt_h", "r_max")  # the link follows from sqrt_h
+_POLICY_KEYS = {"closed_form": ("kind",), "abel": ("kind", "r", "mode_cutoff"),
+                "gaussian": ("kind", "sigma", "mode_cutoff")}
 
 
 def load_config(path: str) -> dict:
@@ -51,6 +56,14 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a JSON object")
     return cfg
+
+
+def check_keys(spec: dict, allowed, where: str) -> None:
+    """ConfigError naming the first key of `spec` not in `allowed`."""
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; "
+                          f"choose from {list(allowed)}")
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -73,6 +86,7 @@ def surface_from_config(spec) -> surfaces.Surface:
     if not isinstance(spec, dict):
         raise ConfigError("surface spec must be an object")
     if "builtin" in spec:
+        check_keys(spec, ("builtin", "params"), "surface")
         name = spec["builtin"]
         if name not in _BUILTINS:
             raise ConfigError(
@@ -93,13 +107,11 @@ def surface_from_config(spec) -> surfaces.Surface:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad params for surface {name!r}: {exc}") from exc
     if "cone_chart" in spec:
+        check_keys(spec, ("cone_chart",), "surface")
         sub = spec["cone_chart"]
         if not isinstance(sub, dict):
             raise ConfigError("cone_chart spec must be an object")
-        unknown = sorted(set(sub) - set(_CONE_CHART_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in cone_chart; "
-                              f"choose from {list(_CONE_CHART_KEYS)}")
+        check_keys(sub, _CONE_CHART_KEYS, "cone_chart")
         expr = _require(sub, "sqrt_h", "cone_chart surface")
         r_max = number_from_config(sub.get("r_max", 10.0), "cone_chart r_max",
                                    positive=True)
@@ -113,6 +125,7 @@ def surface_from_config(spec) -> surfaces.Surface:
 def link_from_config(spec) -> LinkSpectrum:
     if not isinstance(spec, dict) or "circumference" not in spec:
         raise ConfigError("link spec needs a 'circumference' entry")
+    check_keys(spec, ("circumference",), "link")
     rho = number_from_config(spec["circumference"], "link circumference",
                              positive=True)
     return LinkSpectrum.circle(rho)
@@ -131,9 +144,10 @@ def policy_from_config(spec) -> SummationPolicy:
     if not isinstance(spec, dict):
         raise ConfigError("policy spec must be an object")
     kind = spec.get("kind", "closed_form")
+    if not isinstance(kind, str) or kind not in _POLICY_KEYS:
+        raise ConfigError(f"unknown policy kind {kind!r}")
+    check_keys(spec, _POLICY_KEYS[kind], f"{kind} policy")
     try:
-        if kind == "closed_form":
-            return SummationPolicy.closed_form()
         if kind == "abel":
             return SummationPolicy.abel(
                 r=number_from_config(spec.get("r", 1.0 - 1e-4), "abel policy r"),
@@ -147,7 +161,7 @@ def policy_from_config(spec) -> SummationPolicy:
         raise
     except Exception as exc:
         raise ConfigError(f"bad policy spec: {exc}") from exc
-    raise ConfigError(f"unknown policy kind {kind!r}")
+    return SummationPolicy.closed_form()
 
 
 def grid_from_config(spec, where: str = "grid"):
@@ -155,6 +169,7 @@ def grid_from_config(spec, where: str = "grid"):
 
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} spec must be an object")
+    check_keys(spec, ("min", "max", "count"), where)
     lo = number_from_config(_require(spec, "min", where), f"{where} min")
     hi = number_from_config(_require(spec, "max", where), f"{where} max")
     count = _require(spec, "count", where)

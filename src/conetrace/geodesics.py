@@ -10,11 +10,15 @@ metric that it starts in, continued past the seams (`Chart.leg_rhs`), so
 the step that crosses a seam is accepted like any other; the leg is then
 solved again from that step's start up to the seam, so that it ends on a
 step's end, and a fresh leg in the same chart starts there on the other
-piece.  No leg evaluates two pieces.  A solve along the stored path
+piece; the leg before keeps only its steps before the crossing one.  No
+leg evaluates two pieces, and each leg's run covers exactly its span, so
+a path joins its legs' runs into one dense output (`GeodesicPath.flow`),
+through which every read of the flow goes; a leg's end belongs to it, as
+a step's end does to the step.  A solve along the stored path
 (`jacobi.integrate_jacobi`) restarts at the legs' ends (`GeodesicPath.breaks`).
 A leg that starts on the seam it has just crossed takes the far side's piece.
 A start position or velocity that is not finite, or a velocity of
-length zero, is refused with ValueError.  A leg's dense output is built
+length zero, is refused with ValueError.  A step's dense output is built
 when it is first read (`ode`), so a StepFailureError that the chart
 raises only at a dense-output stage of some step comes out of the
 later call that reads it (`GeodesicPath.state`, `flow_field` and the
@@ -36,22 +40,25 @@ closed form.  A flow that starts on a seam (the band's edge on the
 builtins) starts as a leg that has just crossed it.  So every path's
 spreading field from s = 0 (`GeodesicPath.flow_field`, the tip field on
 a tip-start path) is the flow's own, read from the closed-form head and
-the legs' dense outputs; a radial end cap into a tip is one short solve
-from the flow's values.  A path's reverse (`GeodesicPath.reversed`) is a
-shot of its own from the path's end back to its start, finished into a
-start tip the way a converged segment is, so its field is its own
-flow's too; it must land on the path's start within REVERSE_TOL.
+the joined flow; a radial end cap into a tip is one short solve from the
+flow's values, made when the field is first read.  A path's reverse
+(`GeodesicPath.reversed`) is a shot of its own from the path's end back
+to its start, finished into a start tip the way a converged segment is,
+so its field is its own flow's too; it must land on the path's start
+within REVERSE_TOL.
 
 Tip-to-tip segments are found by shooting: start radially at the edge
 of the source tip's band, stop on entry into the target tip's rotationally
 symmetric reference band, and measure the conserved angular momentum
 p_theta = G theta' about the target tip as the miss.  Newton steps use
 the exact derivative d p_theta / d theta0 = a0 (j' sqrt(G) - j
-d sqrt(G)/ds) from the shot's own (j, j') at band entry, so conjugate
-tips are detected (and refused) rather than silently iterated on.  The
-converged shot is the segment: inside the band the metric is
-dx^2 + G dy^2, so radial curves are geodesics and the shot, radial to
-within its miss, is finished straight into the tip.
+d sqrt(G)/ds) from the shot's own (j, j') at band entry, read with its
+(p, v) from the flow's end state, so conjugate tips are detected (and
+refused) rather than silently iterated on.  The converged shot is the
+segment: inside the band the metric is dx^2 + G dy^2, so radial curves
+are geodesics and the shot, radial to within its miss, is finished
+straight into the tip.  A closed geodesic connects each distinct
+(tip, next tip, seed) once, so an iterate reuses its primitive's shots.
 """
 
 from __future__ import annotations
@@ -120,19 +127,17 @@ class PathLeg:
 
 @dataclass
 class TipEnd:
-    """Radial extension of a path into a tip across [s_from, s_to]."""
+    """Radial extension of a path into `tip` along the radial line at
+    `angle`; the tip point itself sits at s = s_tip."""
 
-    tip_id: str
-    chart: str
-    axis_value: float
-    sign: float
+    tip: Tip
     angle: float
-    s_tip: float  # parameter value of the tip point itself
+    s_tip: float
 
 
 class GeodesicPath:
-    """Unit-speed geodesic as chart legs with dense output of the flow
-    state (p, v, j, j').
+    """Unit-speed geodesic as chart legs with one dense output of the
+    flow state (p, v, j, j'), `flow`: the legs' runs joined.
 
     The parameter s is arc length.  If an end is a tip, the legs stop at
     the edge of the tip's designer band (start) or at x = 1e-7 (end;
@@ -144,39 +149,43 @@ class GeodesicPath:
     def __init__(self, surface, legs, end_kind="length"):
         self.surface = surface
         self.legs = legs
-        self.length = legs[-1].s1
+        self.s0, self.s1 = legs[0].s0, legs[-1].s1  # the legs' span
+        self.length = self.s1
         self.start_kind, self.end_kind = "interior", end_kind
         self.start_tip = self.end_tip = None
         self.start_link_point = self.end_link_point = None
         self._start_cap = self._end_cap = None  # TipEnd or None
-        self._leg_starts = [leg.s0 for leg in legs]
+        self._leg_ends = [leg.s1 for leg in legs]
+        # the legs' runs, each over exactly its leg, as one dense output
+        self.flow = ode.Solution.joined([leg.sol for leg in legs])
 
     def state(self, s: float) -> ChartState:
-        if s < self.legs[0].s0 and self._start_cap is not None:
+        if s < self.s0 and self._start_cap is not None:
             return self._tip_state(self._start_cap, s)
-        if s > self.legs[-1].s1 and self._end_cap is not None:
+        if s > self.s1 and self._end_cap is not None:
             return self._tip_state(self._end_cap, s)
-        leg, yv = self._flow_state(s)
-        return ChartState(leg.chart, yv[:2], yv[2:4])
+        chart, yv = self._flow_state(s)
+        return ChartState(chart, yv[:2], yv[2:4])
 
     def _flow_state(self, s: float):
-        """The leg that holds s, and the flow's (p, v, j, j') there, s
-        clamped to the legs' span."""
-        i = bisect.bisect_right(self._leg_starts, s) - 1
-        leg = self.legs[min(max(i, 0), len(self.legs) - 1)]
-        return leg, leg.sol(min(max(float(s), leg.s0), leg.s1))
+        """The chart of the leg that holds s, and the flow's (p, v, j, j')
+        there, s clamped to the legs' span.  A leg's end belongs to it,
+        as a step's end does to the step in `ode.Solution`."""
+        s = min(max(float(s), self.s0), self.s1)
+        i = min(bisect.bisect_left(self._leg_ends, s), len(self.legs) - 1)
+        return self.legs[i].chart, self.flow(s)
 
     @property
     def breaks(self) -> list[float]:
         """The legs' ends: chart switches, seams and the tip caps' edges."""
-        return self._leg_starts + [self.legs[-1].s1]
+        return [self.s0] + self._leg_ends
 
     def _tip_state(self, cap: TipEnd, s: float) -> ChartState:
-        x = abs(s - cap.s_tip)
+        tip, x = cap.tip, abs(s - cap.s_tip)
         out = 1.0 if cap.s_tip <= s else -1.0  # velocity points toward growing s
-        p = np.array([cap.axis_value + cap.sign * x, cap.angle])
-        v = np.array([cap.sign * out, 0.0])
-        return ChartState(cap.chart, p, v)
+        p = np.array([tip.axis_value + tip.sign * x, cap.angle])
+        v = np.array([tip.sign * out, 0.0])
+        return ChartState(tip.chart, p, v)
 
     def curvature(self, s: float) -> float:
         # unsimplified chart curvature is 0/0 exactly at a tip (the chart
@@ -190,7 +199,7 @@ class GeodesicPath:
         return self.surface.chart(st.chart).curvature(st.p)
 
     def speed_drift(self) -> float:
-        ss = np.linspace(self.legs[0].s0, self.legs[-1].s1, SPEED_SAMPLES)
+        ss = np.linspace(self.s0, self.s1, SPEED_SAMPLES)
         worst = 0.0
         for s in ss:
             st = self.state(s)
@@ -221,7 +230,7 @@ class GeodesicPath:
         surface = self.surface
         stops, budget = (), self.length
         if self.start_kind == "tip":
-            tip = surface.tips[self.start_tip]
+            tip = self._start_cap.tip
             stops, budget = [_band_entry_rule(tip)], self.length - D_REF / 2
         if self.end_kind == "tip":
             rev = shoot_from_tip(surface, self.end_tip, self.end_link_point,
@@ -252,70 +261,51 @@ class GeodesicPath:
 
 class _FlowField:
     """(j, j') of a path's flow at s (a float or an array): the closed
-    form on a tip start's head (`_radial_field`), the legs' dense
-    outputs, and one short solve from the flow's end values across a
+    form on a tip start's head (`_radial_field`), the path's joined flow
+    solution, and one short solve from the flow's end values across a
     radial end cap."""
 
     def __init__(self, path: GeodesicPath):
-        self.legs = path.legs
-        self.starts = np.array(path._leg_starts)
-        self.flow_state = path._flow_state
+        self.flow, self.s0, self.s1 = path.flow, path.s0, path.s1
         self.head = None
         start = path._start_cap
         if start is not None:
-            self.head = partial(
-                _radial_field, path.surface.chart(start.chart),
-                path.surface.tips[start.tip_id], start.angle)
+            self.head = partial(_radial_field, path.surface.chart(start.tip.chart),
+                                start.tip, start.angle)
         self.cap = None
         if path._end_cap is not None:
             from .jacobi import integrate_jacobi  # read from jacobi when run, not at import
 
-            s_end = self.legs[-1].s1
-            j, jp = self.legs[-1].sol(s_end)[4:]
-            self.cap = integrate_jacobi(path, s_end, path.length, j, jp)
+            j, jp = self.flow(self.s1)[4:]
+            self.cap = integrate_jacobi(path, self.s1, path.length, j, jp)
 
     def __call__(self, s):
         if np.ndim(s) == 0:
             # a float, as Brent's method on j reads it: about 9 us here,
             # 75 us through the masks and searches of the array path
             s = float(s)
-            if self.head is not None and s < self.legs[0].s0:
+            if self.head is not None and s < self.s0:
                 return self.head(s)
-            if self.cap is not None and s > self.legs[-1].s1:
+            if self.cap is not None and s > self.s1:
                 return self.cap.pair(s)
-            return self.flow_state(s)[1][4:]
+            return self.flow(min(max(s, self.s0), self.s1))[4:]
         s = np.asarray(s, dtype=float)
-        flat = s.reshape(-1)
-        out = np.empty((2, flat.size))
-        which = np.clip(np.searchsorted(self.starts, flat, side="right") - 1,
-                        0, len(self.legs) - 1)
-        for i in np.unique(which):
-            sel = which == i
-            leg = self.legs[i]
-            out[:, sel] = leg.sol(np.clip(flat[sel], leg.s0, leg.s1))[4:]
+        out = self.flow(np.clip(s, self.s0, self.s1))[4:]
         if self.head is not None:
-            sel = flat < self.legs[0].s0
+            sel = s < self.s0
             if sel.any():
-                out[:, sel] = np.array([self.head(x) for x in flat[sel]]).T
+                out[:, sel] = np.array([self.head(x) for x in s[sel]]).T
         if self.cap is not None:
-            sel = flat > self.legs[-1].s1
+            sel = s > self.s1
             if sel.any():
-                out[:, sel] = self.cap.pair(flat[sel])
-        return out.reshape((2,) + s.shape)
+                out[:, sel] = self.cap.pair(s[sel])
+        return out
 
     def knots(self):
         """The start of every step the flow and the end cap took, and
-        (j, j') stored there (`JacobiSolution.zeros`): each leg's steps
-        that start inside it, since a leg cut short by a seam tail keeps
-        the steps past its end, then the cap's."""
-        ss, ys = [], []
-        for leg in self.legs:
-            for step in leg.sol.steps:
-                if step.t0 >= leg.s1:
-                    break
-                ss.append(step.t0)
-                ys.append(step.y0[4:])
-        s, y = np.array(ss), np.array(ys).reshape(-1, 2).T
+        (j, j') stored there (`JacobiSolution.zeros`)."""
+        s, y = self.flow.knots()
+        y = y[4:]
         if self.cap is not None:
             cs, cy = self.cap.knots()
             s, y = np.concatenate([s, cs]), np.concatenate([y, cy], axis=1)
@@ -416,14 +406,16 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
             # a seam: solve again from the start of the step that crossed
             # it up to the seam, so the leg ends on a step's end (order 8)
             # rather than on the interpolant the event was placed on
-            # (order 7), and begin a fresh leg in the same chart there
+            # (order 7); the leg keeps its steps before that one, and a
+            # fresh leg in the same chart begins at its start
             skip = seams[idx - len(rules) - len(transitions)]
             k = max(np.searchsorted(run.sol.ts, s_ev), 1) - 1
             step = run.sol.steps[k]  # the step that crossed, from s_k
             s_k = step.t0
             tail = _solve_leg(rhs, s_k, s_ev, step.y0)
             if s_k > s_cur:
-                legs[-1] = PathLeg(chart_name, s_cur, s_k, run.sol)
+                sol = ode.Solution(run.sol.ts[:k + 1], run.sol.steps[:k])
+                legs[-1] = PathLeg(chart_name, s_cur, s_k, sol)
             else:
                 legs.pop()
             legs.append(PathLeg(chart_name, s_k, s_ev, tail.sol))
@@ -454,14 +446,12 @@ def _end_at_tip(path: GeodesicPath, tip: Tip) -> None:
     """End `path` at `tip` along the radial line from its last leg's end,
     which must lie in the tip's designer band (radial curves are
     geodesics there)."""
-    s_end = path.legs[-1].s1
-    st = path.state(s_end)
-    path.length = s_end + tip.x_of(st.p)
+    st = path.state(path.s1)
+    path.length = path.s1 + tip.x_of(st.p)
     path.end_kind = "tip"
     path.end_tip = tip.tip_id
     path.end_link_point = tip.link_coord(st.p[1])
-    path._end_cap = TipEnd(tip.tip_id, tip.chart, tip.axis_value, tip.sign,
-                           st.p[1], path.length)
+    path._end_cap = TipEnd(tip, st.p[1], path.length)
 
 
 def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
@@ -485,7 +475,7 @@ def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
                  _radial_field(chart, tip, theta0, x0), stop_rules)
     path.start_kind, path.start_tip = "tip", tip_id
     path.start_link_point = float(np.remainder(link_point, tip.link.circumference))
-    path._start_cap = TipEnd(tip_id, tip.chart, tip.axis_value, tip.sign, theta0, 0.0)
+    path._start_cap = TipEnd(tip, theta0, 0.0)
     return path
 
 
@@ -530,28 +520,22 @@ def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: floa
                 f"shot from '{tip_a}' never entered the reference band of "
                 f"'{tip_b}' (ended: {path.end_kind})"
             )
-        s_sec = path.legs[-1].s1
-        st = path.state(s_sec)
-        sq = chart_b.sqrt_q(st.p)
-        miss = sq * sq * st.v[1]  # p_theta about the target tip
-        converged = abs(miss) < NEWTON_TOL
-        if converged:
-            # before the tip field is read, so the field covers the end cap
-            # too: one short solve, the segment's only Jacobi solve
-            _end_at_tip(path, tb)
-
-        jf = path.flow_field.at(s_sec)  # the shot's own (j, j') at band entry
+        _, y = path._flow_state(path.length)  # the shot's end, at band entry
+        p, v, j, jp = y[:2], y[2:4], y[4], y[5]
+        sq = chart_b.sqrt_q(p)
+        miss = sq * sq * v[1]  # p_theta about the target tip
         # variation of p_theta under the launch angle, via the Killing field
         # of the symmetric band: eps0 tracks the parallel frame orientation
         # fixed at launch, v[0] the radial sense at the section
-        dsq_dr = float(chart_b.sqrt_q_grad(st.p)[0])
-        deriv = ta.sign * ta.a0 * (jf.jprime * sq * st.v[0] - jf.j * dsq_dr)
+        dsq_dr = float(chart_b.sqrt_q_grad(p)[0])
+        deriv = ta.sign * ta.a0 * (jp * sq * v[0] - j * dsq_dr)
         if abs(deriv) < DEGENERACY_TOL:
             raise ConjugateDegeneracyError(
                 f"tips '{tip_a}' and '{tip_b}' are conjugate along this shot "
                 f"(transverse derivative {deriv:.3e})"
             )
-        if converged:
+        if abs(miss) < NEWTON_TOL:
+            _end_at_tip(path, tb)
             return ConnectResult(
                 path=path,
                 link_a=path.start_link_point,
@@ -606,16 +590,18 @@ def build_closed_diffractive(surface: Surface, tip_sequence, seeds, *,
     """Assemble a closed geodesic through the given cyclic tip sequence.
 
     seeds[j] is the launch link coordinate for the segment from
-    tip_sequence[j] to tip_sequence[(j+1) % k].
+    tip_sequence[j] to tip_sequence[(j+1) % k].  Each distinct (tip,
+    next tip, seed) is connected once, so the segments of an iterate
+    given as `tips * r, seeds * r` are the primitive's own.
     """
     k = len(tip_sequence)
     if len(seeds) != k:
         raise ValueError("need one seed per segment")
-    segments = [
-        connect_tips(surface, tip_sequence[j], tip_sequence[(j + 1) % k],
-                     seeds[j], length_cap=length_cap)
-        for j in range(k)
-    ]
+    keys = [(tip_sequence[j], tip_sequence[(j + 1) % k], float(seeds[j]))
+            for j in range(k)]
+    connected = {key: connect_tips(surface, *key, length_cap=length_cap)
+                 for key in dict.fromkeys(keys)}
+    segments = [connected[key] for key in keys]
     junctions = []
     for j in range(k):
         tip = surface.tips[tip_sequence[j]]

@@ -119,27 +119,6 @@ class TestTraceCoefficient:
                                            coefficient=1.0 + 0.0j)
         assert built.model == "log"
 
-    def test_length_convention_ratio(self):
-        link = LinkSpectrum.circle(1.5 * np.pi)
-        seg = SegmentInvariants(d=2.0, morse=0, theta=1.0)
-        geo = FakeGeodesic(
-            (seg,) * 2, (FakeJunction(link, 0.0, 0.6),) * 2, 8.0, 4.0
-        )
-        a = trace_singularity(geo, invariants=[seg] * 2, length_convention="L0")
-        b = trace_singularity(geo, invariants=[seg] * 2, length_convention="L")
-        assert b.coefficient / a.coefficient == pytest.approx(2.0)
-
-    @pytest.mark.parametrize("convention", ["l0", "bogus"])
-    def test_unknown_length_convention_rejected(self, convention):
-        link = LinkSpectrum.circle(1.5 * np.pi)
-        seg = SegmentInvariants(d=2.0, morse=0, theta=1.0)
-        geo = FakeGeodesic(
-            (seg,) * 2, (FakeJunction(link, 0.0, 0.6),) * 2, 8.0, 4.0
-        )
-        with pytest.raises(ValueError, match="length_convention"):
-            trace_singularity(geo, invariants=[seg] * 2,
-                              length_convention=convention)
-
     def test_flat_cone_value_explicit(self):
         # one segment of length d through a single cone point: the
         # coefficient is L0 * 2 pi * e^{-i pi/4} * D * d^{-1/2}
@@ -213,12 +192,14 @@ class TestTwoPathConsistency:
         trace_singularity(geo)
         trace_singularity_cut_route(geo)
         trace_singularity_cut_route(geo)
-        # the build carried each forward field: one reverse shot per
-        # segment is left, and its radial end cap is the only solve
+        # the build carried each forward field and left its radial end cap
+        # to the first read: one reverse shot per segment is left, and one
+        # cap solve per direction, each D_REF long, is the only solve
         assert shots == [seg.path.end_tip for seg in geo.segments]
-        assert len(solves) == len(geo.segments)
-        for (s0, s1), seg in zip(solves, geo.segments):
-            assert s1 == seg.path.reversed().length
+        ends = ([seg.path.length for seg in geo.segments]
+                + [seg.path.reversed().length for seg in geo.segments])
+        assert [s1 for _, s1 in solves] == ends
+        for s0, s1 in solves:
             assert s1 - s0 == pytest.approx(D_REF, abs=1e-6)
 
     def test_one_shot_per_newton_iteration(self, teardrop, monkeypatch):

@@ -150,6 +150,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("convention", ["l0", "bogus", 1])
     def test_unknown_convention_exit_2(self, tmp_path, capsys, convention):
+        # the length convention is retired: the key is refused whatever
+        # its value, as any key the run does not read
         cfg = write_config(tmp_path, "td.json", {
             "surface": {"builtin": "teardrop"},
             "tip_sequence": ["tip"],
@@ -260,6 +262,28 @@ class TestExitCodes:
         ("find-geodesics", {"surface": {"cone_chart": {"sqrt_h": "1.1",
                                                        "r_max": -1.0}}}),
         ("predict-trace", {"options": {"length_cap": "12"}}),
+        # a key that no part of the run reads: a misspelt one, one of
+        # another policy kind, or a second eigenvalue source
+        ("predict-trace", {"model_sample": {"t_grid": {"min": -0.1, "max": 0.1,
+                                                       "count": 5}}}),
+        ("predict-trace", {"model_samples": {"t_grid": {"min": -0.1, "max": 0.1,
+                                                        "count": 5},
+                                             "damping_sigm": 40.0}}),
+        ("find-geodesics", {"seed": [0.6]}),
+        ("find-geodesics", {"surface": {"builtin": "teardrop",
+                                        "param": {"a0": 0.8}}}),
+        ("spectral-trace", {"fit": {"L": 1.0, "windw": 0.3}}),
+        ("spectral-trace", {"fit": [1.0]}),
+        ("spectral-trace", {"eigenvalues": {"doubled_sqare": {"lambda_max": 60.0}}}),
+        ("spectral-trace", {"eigenvalues": {"doubled_square": {"lambda_mx": 60.0}}}),
+        ("spectral-trace", {"eigenvalues": {"doubled_square": {"lambda_max": 60.0},
+                                            "csv": "bad.csv"}}),
+        ("spectral-trace", {"t_grd": {"min": 0.5, "max": 1.5, "count": 11}}),
+        ("link-kernel", {"link": {"circumference": RHO, "circ": RHO}}),
+        ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": 9,
+                                    "step": 0.1}}),
+        ("link-kernel", {"policy": {"kind": "abel", "sigma": 30.0}}),
+        ("link-kernel", {"policy": {"kind": ["abel"]}}),
     ], ids=["sigma-bool", "sigma-string", "fit-L-bool", "fit-L-nan",
             "fit-window-bool", "lambda-max-bool", "lambda-max-negative",
             "lambda-max-string", "lambda-max-too-large", "csv-row-string",
@@ -270,7 +294,11 @@ class TestExitCodes:
             "seed-string", "param-a0-bool", "param-a0-negative",
             "param-eps-string", "param-eps-above-one", "param-eps-two",
             "param-eps-minus-one", "cone-rho-bool", "cone-r-max-negative",
-            "length-cap-string"])
+            "length-cap-string", "typo-model-samples", "typo-damping-sigma",
+            "typo-seeds", "typo-surface-params", "typo-fit-window", "fit-list",
+            "typo-doubled-square", "typo-lambda-max", "two-eigenvalue-sources",
+            "typo-t-grid", "typo-link", "typo-grid-key",
+            "policy-key-of-other-kind", "policy-kind-list"])
     def test_non_number_exit_2(self, tmp_path, capsys, monkeypatch, command,
                                payload):
         geodesic = {
