@@ -14,7 +14,9 @@ window before the least squares.  Every basis column is smoothed in
 closed form: |tau| and tau|tau| through erf and the Gaussian, and the
 log family log|tau|, tau log|tau| and tau^2 log|tau| through the
 noncentral chi-square law of tau^2, a Poisson mixture of digamma values
-(`conormal_basis`).  No quadrature is left in the fit.
+at half-integers (`conormal_basis`).  No quadrature is left in the fit,
+and no library special function: erf is `math.erf` elementwise, and
+psi comes from its recurrence and asymptotic series (`_digamma`).
 
 A damping that is not finite and positive is refused with ValueError.
 """
@@ -25,7 +27,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import digamma, erf
 
 from .besselj import _zeros_and_slopes, bessel_j, bessel_j_zeros
 from .errors import WallInfluenceError
@@ -108,10 +109,41 @@ def flat_cone_sine_kernel_series(
     return complex((angular * weight) @ np.sin(t * lam) / rho)
 
 
+def _erf(z):
+    """erf of a float or an array of any shape, by math.erf."""
+    z = np.asarray(z, dtype=float)
+    return np.array([math.erf(v) for v in z.ravel().tolist()]).reshape(z.shape)
+
+
+# psi runs on its asymptotic series from this argument on, and below it
+# takes this many steps of its recurrence
+_PSI_SHIFT = 10
+# B_2k / (2 k), k = 1..8: the coefficients of y^(-2 k) in that series;
+# the first term left out is below 4e-18 at y = 10
+_PSI_SERIES = (1.0 / 12, -1.0 / 120, 1.0 / 252, -1.0 / 240, 1.0 / 132,
+               -691.0 / 32760, 1.0 / 12, -3617.0 / 8160)
+
+
+def _digamma(x: np.ndarray) -> np.ndarray:
+    """psi(x) for an array x >= 1/2: psi(y) ~ log y - 1 / (2 y) - sum_k
+    B_2k / (2 k y^2k) for y >= _PSI_SHIFT, and below it the recurrence
+    psi(x) = psi(x + _PSI_SHIFT) - sum_{i < _PSI_SHIFT} 1 / (x + i)."""
+    small = x < _PSI_SHIFT
+    y = np.where(small, x + _PSI_SHIFT, x)
+    inv_sq = 1.0 / (y * y)
+    tail = 0.0
+    for c in reversed(_PSI_SERIES):
+        tail = (tail + c) * inv_sq
+    out = np.log(y) - 0.5 / y - tail
+    xs = x[small]
+    out[small] -= sum(1.0 / (xs + i) for i in range(_PSI_SHIFT))
+    return out
+
+
 def smoothed_heaviside(tau, damping: float):
     """H(tau) convolved with the Gaussian time window of width 1/damping."""
     _check_damping(damping)
-    return 0.5 * (1.0 + erf(np.asarray(tau, dtype=float) * damping / np.sqrt(2.0)))
+    return 0.5 * (1.0 + _erf(np.asarray(tau, dtype=float) * damping / np.sqrt(2.0)))
 
 
 _POISSON_GRID = 1 << 18
@@ -156,7 +188,7 @@ def _log_moments(tau, damping: float):
                               axis=1)
         wts = np.exp(logw - logw.max(axis=1, keepdims=True))
         wts /= wts.sum(axis=1, keepdims=True)
-        e_psi[part] = np.sum(wts * digamma(j + 0.5), axis=1)
+        e_psi[part] = np.sum(wts * _digamma(j + 0.5), axis=1)
         e_inv[part] = np.sum(wts / (j + 0.5), axis=1)
     e_log = (math.log(2.0) - 2.0 * math.log(damping)
              + e_psi.reshape(tau.shape)) / 2.0
@@ -193,7 +225,7 @@ def conormal_basis(tau, damping: float) -> np.ndarray:
     _check_damping(damping)
     sig = 1.0 / damping
     g = sig * np.sqrt(2.0 / np.pi) * np.exp(-(tau**2) / (2 * sig**2))
-    e = erf(tau / (sig * np.sqrt(2.0)))
+    e = _erf(tau / (sig * np.sqrt(2.0)))
     e_log, e_xlog, e_x2log = _log_moments(tau, damping)
     cols = [
         np.ones_like(tau),

@@ -338,7 +338,8 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
 def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
           field_start, stop_rules) -> GeodesicPath:
     """The flow from `start` at parameter s_start up to at most s_end, with
-    the Jacobi field that starts at (j, j') = `field_start`."""
+    the Jacobi field that starts at (j, j') = `field_start`.  A flow whose
+    budget ends on a tip ends at that tip."""
     chart_name = start.chart
     p = np.asarray(start.p, dtype=float)
     v = np.asarray(start.v, dtype=float)
@@ -386,7 +387,21 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
         # leg that starts on the seam it has just crossed takes the piece
         # on the far side, which rounding of p alone could not tell
         rhs = chart.leg_rhs(p, skip[1] if skip is not None else 0.0)
-        run = _solve_leg(rhs, s_cur, s_end, np.concatenate([p, v, field]), events)
+        y0 = np.concatenate([p, v, field])
+        try:
+            run = _solve_leg(rhs, s_cur, s_end, y0, events)
+        except StepFailureError:
+            # a budget that ends on a tip clips the last step onto it,
+            # where the chart has no value, before the tip-hit event
+            # inside that step is seen; half the hit radius short of the
+            # tip, the event fires
+            s_short = s_end - TIP_HIT_X / 2
+            if s_short <= s_cur or not any(r.kind == "tip" for r in rules):
+                raise
+            run = _solve_leg(rhs, s_cur, s_short, y0, events)
+            if not (run.event is not None and run.event < len(rules)
+                    and rules[run.event].kind == "tip"):
+                raise
         legs.append(PathLeg(chart_name, s_cur, run.t, run.sol))
 
         if run.event is None:

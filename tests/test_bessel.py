@@ -365,11 +365,14 @@ class TestFoldedIntegral:
 
 
 def _loop_series(nu, x, deriv):
-    """The ascending series as a loop over its terms, with an early stop."""
+    """The ascending series as a loop over its terms, with an early stop.
+    Its log-gamma is `_series`' own, math.lgamma: the alternating terms
+    cancel, and at x = 10 a last-bit difference in a log term shows as
+    2.5e-12, which would hide the summation this checks."""
     out = np.zeros_like(x)
     lx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0) / 2.0), 0.0)
     for m in range(0, 60):
-        lg = sp.gammaln(m + 1.0) + sp.gammaln(nu + m + 1.0)
+        lg = math.lgamma(m + 1.0) + math.lgamma(nu + m + 1.0)
         expo = (2 * m + nu) * lx - lg
         term = (-1.0) ** m * np.exp(expo)
         if deriv:
@@ -396,6 +399,19 @@ class TestSeries:
         assert np.max(np.abs(jp - _loop_series(nu, xs, True))) <= 1e-15
         assert np.array_equal(besselj._series(nu, xs, False), j)
         assert np.array_equal(besselj._series(nu, xs, True), jp)
+
+    @pytest.mark.parametrize("nu,x", [
+        (0.0, 4.0), (1.0, 4.0), (4.0 / 3.0, 4.0), (8.0, 4.0), (40.0, 4.0),
+        (370.0, 4.0), (20.0, 10.0), (100.0, 50.0), (250.0, 125.0),
+        (370.0, 185.0)])
+    def test_at_the_switches_against_multiprecision(self, nu, x):
+        # at x = 4 within the rounding-level bound of the switch, and at
+        # x = nu / 2, up to the largest order of a mode build, within the
+        # absolute bound below half the order
+        j, jp = besselj._series(nu, np.array([x]), "both")
+        tol = 1e-13 if x <= besselj._SERIES_X_MAX else 1e-12
+        assert abs(j[0] - float(mpmath.besselj(nu, x))) <= tol
+        assert abs(jp[0] - float(mpmath.besselj(nu, x, derivative=1))) <= tol
 
     @pytest.mark.parametrize("nu,x", [(118.0, 58.9), (160.0, 79.9),
                                       (400.0, 199.0)])

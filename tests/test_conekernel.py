@@ -11,10 +11,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sp
 from scipy.integrate import quad
 
 from conetrace import besselj
 from conetrace.conekernel import (
+    _digamma,
     _mode_data,
     conormal_basis,
     extract_front_coefficients,
@@ -325,6 +327,40 @@ class TestSmoothedBasis:
         assert grid.shape == (3, 4)
         assert grid[1, 2] == smoothed_log(float(tau[1, 2]), 40.0)
         assert isinstance(smoothed_log(0.1, 40.0), float)
+
+
+class TestSpecialFunctions:
+    """The package's own erf and digamma against scipy's."""
+
+    def test_digamma_at_half_integers(self):
+        # psi(j + 1/2) for every j to 2e4 (across the recurrence's switch
+        # at 10), then log-spaced to 1e8, past the Poisson window at
+        # lam = 5e7; within four units in the last place of psi, or of
+        # psi(10.5) = 2.4, from which the recurrence subtracts
+        j = np.concatenate([np.arange(20001.0),
+                            np.round(np.geomspace(2e4, 1e8, 2000))])
+        ref = sp.digamma(j + 0.5)
+        ulp = np.spacing(np.maximum(np.abs(ref), 2.4))
+        assert np.all(np.abs(_digamma(j + 0.5) - ref) <= 4 * ulp)
+
+    @pytest.mark.parametrize("tau", [0.013, np.linspace(-0.1, 0.1, 41),
+                                     np.linspace(-0.1, 0.1, 45).reshape(5, 9)],
+                             ids=["scalar", "1-D", "2-D"])
+    def test_erf_columns_against_scipy(self, tau):
+        damping = 40.0
+        sig = 1.0 / damping
+        e = sp.erf(np.asarray(tau) / (sig * np.sqrt(2.0)))
+        g = sig * np.sqrt(2.0 / np.pi) * np.exp(-np.asarray(tau)**2
+                                                 / (2 * sig**2))
+        h = smoothed_heaviside(tau, damping)
+        assert np.shape(h) == np.shape(tau)
+        assert np.max(np.abs(h - 0.5 * (1.0 + e))) <= 1e-15
+        # the basis stacks each column's values side by side
+        cols = np.split(conormal_basis(np.asarray(tau), damping), 9, axis=1)
+        for k, ref in ((2, 0.5 * (1.0 + e)), (4, g + tau * e),
+                       (8, (np.square(tau) + sig**2) * e + tau * g)):
+            assert np.max(np.abs(cols[k] - np.reshape(ref, cols[k].shape))) \
+                <= 1e-15, k
 
 
 class TestDampingGuard:

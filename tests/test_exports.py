@@ -100,3 +100,17 @@ def test_import_leaves_scipy_integrate_and_optimize_unloaded():
     run = _run_fresh(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # the Legendre rules, log-gamma, erf and digamma are the package's
+    # own; scipy.linalg stays, for the Ikebe eigensolve of Bessel zeros
+    code = "\n".join([
+        "import sys, conetrace.cli",
+        "assert 'scipy.linalg' in sys.modules",
+        "print(sorted(m for m in sys.modules",
+        "             if m.split('.')[:2] == ['scipy', 'special']))",
+    ])
+    run = _run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -66,6 +66,21 @@ class TestFlow:
         assert back.end_link_point == pytest.approx(0.3, abs=1e-9)
         assert back.length == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("budget", [3.0, 4.0, 4.5, 5.0])
+    def test_budget_ending_on_a_tip(self, budget):
+        # the tip lies 4.0 ahead; a budget of exactly 4.0 clipped the last
+        # step onto it, where the chart divides by r = 0, before the
+        # tip-hit event inside that step was seen
+        fc = surfaces.flat_cone(1.5 * np.pi)
+        start = ChartState("polar", np.array([4.0, 0.2]), np.array([-1.0, 0.0]))
+        path = geodesic_flow(fc, start, budget)
+        if budget < 4.0:
+            assert path.end_kind == "length" and path.length == budget
+        else:
+            assert path.end_kind == "tip" and path.end_tip == "tip"
+            assert path.length == pytest.approx(4.0, abs=1e-14)
+            assert path.end_link_point == pytest.approx(0.2, abs=1e-12)
+
     def test_angular_momentum_conserved_in_tip_band(self, spindle):
         chart = spindle.chart("polar")
         start = ChartState("polar", np.array([0.4, 1.0]), np.array([1.0, 0.5]))

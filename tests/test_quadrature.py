@@ -1,15 +1,28 @@
 """The shared Gauss-Legendre rule source and the Bessel node rule.
 
-numpy's `leggauss` is the reference rule; the work-count check guards
-the Bessel oracle against building one rule per (order, argument).
+numpy's `leggauss`, scipy's `roots_legendre` and Newton on mpmath's
+P_n are the reference rules; the work-count check guards the Bessel
+oracle against building one rule per (order, argument).
 """
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_legendre
 
+from conetrace import amplitudes, besselj, quadrature
 from conetrace.conekernel import _mode_data
 from conetrace.quadrature import gauss_legendre
+
+# every node count the package builds: the Schlaefli rungs, the cut
+# route's and the model-kernel panels' rules, and the sizes composition
+# builds in `verify --suite all`
+BUILT = sorted({*range(besselj._GL_RUNG, 1408 + 1, besselj._GL_RUNG),
+                amplitudes.CUT_NODES, amplitudes._PANEL_NODES,
+                52, 69, 74, 98, 131, 167, 223})
 
 
 @pytest.mark.parametrize("n", [64, 128, 1024])
@@ -20,13 +33,67 @@ def test_matches_leggauss(n):
     assert np.max(np.abs(w - w_ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", BUILT)
+def test_matches_roots_legendre(n):
+    # weights are compared absolutely: scipy's Golub-Welsch rule errs by
+    # up to 7e-9 relative at the 1e-5 end weights of its larger rules
+    x, w = gauss_legendre(n)
+    x_ref, w_ref = roots_legendre(n)
+    assert np.max(np.abs(x - x_ref)) <= 5e-16
+    assert np.max(np.abs(w - w_ref)) <= 2e-13
+
+
+def _mp_rule_point(n, x0):
+    """The node of P_n nearest x0 and its weight, by Newton in mpmath."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x0))
+        for _ in range(2):
+            p, q = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+            x -= p * (1 - x * x) / (n * (q - x * p))
+        p, q = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+        dp = n * (q - x * p) / (1 - x * x)
+        return float(x), float(2 / ((1 - x * x) * dp**2))
+
+
+@pytest.mark.parametrize("n", [16, 131, 1408])
+def test_against_multiprecision(n):
+    # an end node, a near-end node and a middle node; the end weights
+    # are accurate in absolute terms (the angle of an end node is fixed
+    # only to rounding of x over sin theta)
+    x, w = gauss_legendre(n)
+    for i in (0, 2, n // 2):
+        x_ref, w_ref = _mp_rule_point(n, x[i])
+        assert abs(x[i] - x_ref) <= 2.3e-16, i
+        assert abs(w[i] - w_ref) <= 1e-14 * w_ref + 2e-16, i
+
+
 def test_rules_are_exactly_symmetric():
     # composition folds its eta sum on mirrored nodes, which needs
     # x[::-1] == -x and w[::-1] == w bit for bit, not to rounding
-    for n in range(1, 301):
+    for n in [*range(1, 301), *BUILT]:
         x, w = gauss_legendre(n)
         assert np.array_equal(x[::-1], -x), n
         assert np.array_equal(w[::-1], w), n
+        assert abs(float(np.sum(w)) - 2.0) <= 1e-15, n
+        assert np.all(np.diff(x) > 0), n
+
+
+def test_node_count_must_be_a_positive_integer():
+    for n in (0, -3, 2.5):
+        with pytest.raises(ValueError):
+            gauss_legendre(n)
+
+
+def test_one_newton_pass_from_the_starts():
+    # from n = 52 on, the asymptotic starts put the first Newton
+    # correction below the stop, so a rule costs two runs of the
+    # recurrence (one Newton pass and the weight pass)
+    for n in [n for n in BUILT if n >= 52]:
+        theta = quadrature._start(n)
+        x = np.cos(theta)
+        p, q = quadrature._legendre_pair(n, x)
+        step = p * np.sin(theta) / (n * (q - x * p))
+        assert np.max(np.abs(step)) < quadrature._NEWTON_STOP, n
 
 
 def test_rules_are_read_only():
