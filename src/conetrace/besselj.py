@@ -9,12 +9,12 @@ that is also used as ground truth.  Two regimes:
   shot, each as exp of its logarithm to dodge overflow (math.lgamma for
   log Gamma(nu + m + 1), a module constant for log m!).  The
   alternating terms cancel, so the accuracy is absolute, not relative
-  to J_nu, and it worsens with x: against mpmath the error on orders up to 8 is at most
-  about 4e-15 at x = 4 (4e-12 at x = 10), where the integral below errs
-  by at most about 3.4e-15, so the switch sits at x = 4.  Where
-  x <= nu / 2 with nu >= 20 the error is below 1e-18; there J_nu itself
-  is so small that the relative error can be large (1e-5 at nu = 160,
-  x = 79.9, and the wrong sign at nu = 400, x = 199),
+  to J_nu, and it worsens with x: against mpmath the error on orders up
+  to 8 is at most about 4e-15 at x = 4 (4e-12 at x = 10), where the
+  integral below errs by at most about 3.4e-15, so the switch sits at
+  x = 4.  Where x <= nu / 2 with nu >= 20 the error is below 1e-18;
+  there J_nu itself is so small that the relative error can be large
+  (1e-5 at nu = 160, x = 79.9, and the wrong sign at nu = 400, x = 199),
 * Schlaefli's integral representation elsewhere,
       J_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt
               - sin(nu pi)/pi int_0^inf exp(-nu t - x sinh t) dt,
@@ -89,7 +89,8 @@ __all__ = ["bessel_j", "bessel_j_prime", "bessel_j_pair", "bessel_j_zeros"]
 _SERIES_X_MAX = 4.0
 _SERIES_TERMS = 60
 # log m! of each term m of the series, one row per term
-_LOG_FACTORIAL = np.array([[math.lgamma(m + 1.0)] for m in range(_SERIES_TERMS)])
+_LOG_FACTORIAL = np.array([math.lgamma(m + 1.0)
+                           for m in range(_SERIES_TERMS)])[:, None]
 _LAG = laggauss(80)
 _GL_RUNG = 64  # Legendre node counts are multiples of this
 _SPAN_TOP = 3360.0  # largest phase variation nu pi + 2 x supported
@@ -119,7 +120,8 @@ def _series(nu: float, x: np.ndarray, deriv):
     power = 2.0 * m + nu
     pos = x > 0  # x = 0 takes the limits below
     xs = np.where(pos, x, 1.0)
-    log_gamma = [[math.lgamma(nu + k + 1.0)] for k in range(_SERIES_TERMS)]
+    log_gamma = np.array([math.lgamma(nu + k + 1.0)
+                          for k in range(_SERIES_TERMS)])[:, None]
     terms = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(
         power * np.log(xs / 2.0) - (_LOG_FACTORIAL + log_gamma))
     j = d = None

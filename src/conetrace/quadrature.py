@@ -8,11 +8,11 @@ Sci. Comput. 35, 2013):
 
 * Tricomi's start x ~ (1 - (n - 1) / (8 n^3) - (39 - 28 / sin^2 t) /
   (384 n^4)) cos t, t = pi (4 k - 1) / (4 n + 2), errs most at the
-  nodes nearest x = 1 (3.5e-5 in theta at n = 52).  The first
-  len(_J0_ZEROS) of them start instead from Olver's Bessel form
-  theta ~ phi + (phi cot phi - 1) / (8 phi rho^2), phi = j_{0,k} / rho,
-  rho = n + 1/2, within 1e-9 from n = 52 on.  So from n = 52 on the
-  first Newton correction is already below _NEWTON_STOP.
+  nodes nearest x = 1 (3.5e-5 in theta at n = 52).  The six nearest
+  start instead from Olver's Bessel form theta ~ phi + (phi cot phi -
+  1) / (8 phi rho^2), phi = j_{0,k} / rho, rho = n + 1/2, within 1e-9
+  from n = 52 on.  So from n = 52 on the first Newton correction is
+  already below _NEWTON_STOP.
 * Newton stops once its largest correction is below _NEWTON_STOP; the
   next error is about cot(theta) / 2 times that correction squared,
   which leaves x within rounding.  One more run of the recurrence, the
@@ -28,12 +28,14 @@ Sci. Comput. 35, 2013):
   which the folded sums of `besselj` and `composition` need.  An odd
   rule's middle node is 0.
 
-Against mpmath the nodes are within 1.5e-16 and the weights within
-5e-15 relative in the interior and 5e-12 at the end nodes of the
-1408-point rule, whose weights are 1e-6; scipy's `roots_legendre`
-(Golub-Welsch with one Newton polish) errs there by 3.4e-9.  Rules are
-cached per node count in a small LRU and handed out read-only, so a
-caller cannot alter a rule another caller shares.
+Against mpmath the nodes are within 1.5e-16 and the interior weights
+within 5e-15 relative.  The angle of an end node is fixed only to the
+rounding of x over sin theta, so an end weight is accurate in absolute
+terms, within 2e-16: 1e-11 relative at n = 704, whose end weight is
+1.5e-5, where scipy's `roots_legendre` (Golub-Welsch with one Newton
+polish) errs by 7e-9.  Rules are cached per node count in a small LRU
+and handed out read-only, so a caller cannot alter a rule another
+caller shares.
 """
 
 from __future__ import annotations
