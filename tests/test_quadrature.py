@@ -5,8 +5,6 @@ P_n are the reference rules; the work-count check guards the Bessel
 oracle against building one rule per (order, argument).
 """
 
-import math
-
 import mpmath
 import numpy as np
 import pytest
