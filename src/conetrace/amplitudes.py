@@ -175,11 +175,11 @@ def trace_singularity_cut_route(geodesic) -> complex:
     first read.  trace_singularity's invariants read the same forward
     field, and an iterate's segments are its primitive's own paths.  The
     check stays independent: the direct route reads only the forward
-    field's zeros and its value at the far tip, while this route reads
-    both fields at interior cut points and combines them through the
-    break Hessian; a deterministic field shared by the two routes changes
-    none of their numbers, and the reverse field comes from a geodesic
-    integration of its own that shares no step with either.
+    field's zero count and its value at the far tip, while this route
+    reads both fields at interior cut points and combines them through
+    the break Hessian; a deterministic field shared by the two routes
+    changes none of their numbers, and the reverse field comes from a
+    geodesic integration of its own that shares no step with either.
     """
     if not geodesic.strictly_diffractive:
         raise NotStrictlyDiffractiveError(
@@ -199,19 +199,16 @@ def trace_singularity_cut_route(geodesic) -> complex:
         d_c = seg.length
         sol_a = path.flow_field
         sol_b = path.reversed().flow_field
-        zeros_a = np.array(sol_a.zeros())
-        zeros_b = np.array(sol_b.zeros())
-
         ells = 0.5 * d_c * (gl_x + 1.0)
         weights = 0.5 * d_c * gl_w
+        counts_a = sol_a.zero_count(ells).tolist()
+        counts_b = sol_b.zero_count(d_c - ells).tolist()
         cut_integral = 0.0 + 0.0j
-        for ell, w in zip(ells, weights):
+        for ell, w, m_a, m_b in zip(ells, weights, counts_a, counts_b):
             fa = sol_a.at(ell)
             fb = sol_b.at(d_c - ell)
             if abs(fa.j) < 1e-12 or abs(fb.j) < 1e-12:
                 raise ConjugateDegeneracyError("cut node sits on a conjugate point")
-            m_a = int(np.count_nonzero(zeros_a < ell))
-            m_b = int(np.count_nonzero(zeros_b < d_c - ell))
             theta_a = abs(fa.j) / ell
             theta_b = abs(fb.j) / (d_c - ell)
             h = fa.jprime / fa.j + fb.jprime / fb.j

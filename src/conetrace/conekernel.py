@@ -207,7 +207,9 @@ def smoothed_log(tau, damping: float):
 
 def conormal_basis(tau, damping: float) -> np.ndarray:
     """Smoothed front basis: {1, tau, H, log} plus the subleading
-    conormal family {|tau|, tau log, tau^2, tau^2 log, tau|tau|}.
+    conormal family {|tau|, tau log, tau^2, tau^2 log, tau|tau|}, one row
+    per sample: shape (1, 9) for a float tau, (n, 9) for a 1-D tau of n
+    samples; a tau of more dimensions raises ValueError.
 
     The subleading columns matter: the front expansion runs in the
     scaled offset t0 (t - t0) / (x x'), which is not small over a
@@ -223,6 +225,8 @@ def conormal_basis(tau, damping: float) -> np.ndarray:
     around lam (see `_log_moments`).
     """
     _check_damping(damping)
+    if np.ndim(tau) > 1:
+        raise ValueError(f"tau must be a float or 1-D, got shape {np.shape(tau)}")
     sig = 1.0 / damping
     g = sig * np.sqrt(2.0 / np.pi) * np.exp(-(tau**2) / (2 * sig**2))
     e = _erf(tau / (sig * np.sqrt(2.0)))

@@ -281,7 +281,7 @@ class _FlowField:
 
     def __call__(self, s):
         if np.ndim(s) == 0:
-            # a float, as Brent's method on j reads it: about 9 us here,
+            # a float, as `JacobiSolution.at` reads it: about 9 us here,
             # 75 us through the masks and searches of the array path
             s = float(s)
             if self.head is not None and s < self.s0:
@@ -290,20 +290,23 @@ class _FlowField:
                 return self.cap.pair(s)
             return self.flow(min(max(s, self.s0), self.s1))[4:]
         s = np.asarray(s, dtype=float)
-        out = self.flow(np.clip(s, self.s0, self.s1))[4:]
-        if self.head is not None:
-            sel = s < self.s0
-            if sel.any():
-                out[:, sel] = np.array([self.head(x) for x in s[sel]]).T
-        if self.cap is not None:
-            sel = s > self.s1
-            if sel.any():
-                out[:, sel] = self.cap.pair(s[sel])
+        out = np.empty((2,) + s.shape)
+        head = (s < self.s0) & (self.head is not None)
+        cap = (s > self.s1) & (self.cap is not None)
+        # the flow is read only where s lies on it, so that no head or cap
+        # point builds the interpolant of the flow's first or last step
+        on = ~(head | cap)
+        if on.any():
+            out[:, on] = self.flow(np.clip(s[on], self.s0, self.s1))[4:]
+        if head.any():
+            out[:, head] = np.array([self.head(x) for x in s[head]]).T
+        if cap.any():
+            out[:, cap] = self.cap.pair(s[cap])
         return out
 
     def knots(self):
         """The start of every step the flow and the end cap took, and
-        (j, j') stored there (`JacobiSolution.zeros`)."""
+        (j, j') stored there (`JacobiSolution.zero_count`)."""
         s, y = self.flow.knots()
         y = y[4:]
         if self.cap is not None:

@@ -20,9 +20,9 @@ Morse index and the broken Hessian from s0 = 0 read these; j'/j is the
 shape operator the cut route reads.  Unless the path's ends are
 conjugate the two are a fundamental pair: a field from s0 > 0 is their
 combination (`_EndPair`), and `wronskian_drift` reads their Wronskian.
-The zeros behind the Morse index are bracketed by j at the integrator's
-step ends, which the flows store, and placed by Brent's method
-(`JacobiSolution.zeros`).
+The Morse index is a Sturm count (`JacobiSolution.zero_count`): the
+number of half-turns of the Prüfer angle atan2(j, j'), unwrapped across
+the (j, j') that the flows store at the integrator's step ends.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ MORSE_DEGENERACY_TOL = 1e-8
 # |a(L)| below this times L: conjugate ends for `_EndPair`, whose field errs
 # by up to about 3e-9 just above it (sphere arcs of length near pi)
 END_PAIR_TOL = 1e-3
-ZERO_PAD = 1e-9  # zeros are searched this far inside an interval's ends
-ZERO_SAMPLES = 32  # points at which j is read on a piece that may hide zeros
+# the largest Prüfer-angle step between two knots that `zero_count`
+# unwraps without reading the interpolant between them
+PHASE_STEP_MAX = math.pi / 2
 WRONSKIAN_CHECKS = 20  # points at which wronskian_drift reads W
 
 
@@ -70,6 +71,7 @@ class JacobiSolution:
         self._sol = sol
         self.s0 = s0
         self.s1 = s1
+        self._phases = None
 
     def pair(self, s) -> np.ndarray:
         """(j, j') at s (a float or an array), clamped to [s0, s1]."""
@@ -87,77 +89,51 @@ class JacobiSolution:
         (j, j') stored there: s of shape (m,), values of shape (2, m)."""
         return self._sol.knots()
 
-    def zeros(self, lo: float = None, hi: float = None):
-        """Zeros of j in the open interval (lo, hi), searched ZERO_PAD
-        inside its ends.
+    def zero_count(self, s):
+        """Zeros of j in (s0, s), for s (a float or an array) in [s0, s1],
+        of a field that starts at a zero with j'(s0) > 0.
 
-        The knots inside the interval, with the (j, j') the integrator
-        stored there, and the interval's two ends cut it into pieces that
-        each lie in one integrator step (or in a tip's closed-form head).
-        A piece whose ends differ in sign holds a zero, which Brent's
-        method places on the interpolant.  A piece can also hide zeros
-        that its ends' signs do not show; the cubic Hermite interpolant of
-        its ends' (j, j') flags such a piece (`_hermite_flags`), and only a
-        flagged piece is sampled, at ZERO_SAMPLES points, its sign changes
-        bracketed the same way.  So no interpolant is read but at the
-        interval's ends, on a flagged piece and where a zero is placed.
-        """
-        lo = self.s0 if lo is None else lo
-        hi = self.s1 if hi is None else hi
-        a, b = lo + ZERO_PAD, hi - ZERO_PAD
-        if not a < b:
-            return []
-        ks, ky = self.knots()
-        inside = (a < ks) & (ks < b)
-        s = np.concatenate([[a], ks[inside], [b]])
-        j, jp = np.column_stack([self.pair(a), ky[:, inside], self.pair(b)])
-        flagged = _hermite_flags(np.diff(s), j[:-1], jp[:-1], j[1:], jp[1:])
-        out = []
-        for i in np.nonzero(flagged | (j[:-1] * j[1:] < 0))[0]:
-            if flagged[i]:
-                grid = np.linspace(s[i], s[i + 1], ZERO_SAMPLES)
-                vals = self.j(grid)
-            else:
-                grid, vals = s[i:i + 2], j[i:i + 2]
-            for k in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
-                out.append(ode.brent(lambda t: float(self.j(t)), grid[k],
-                                     grid[k + 1], xtol=1e-12))
-        return out
+        Sturm's count: the Prüfer angle theta = atan2(j, j') moves at
+        theta' = (j'^2 + K j^2) / (j^2 + j'^2), which is 1 wherever j = 0,
+        so each zero of j is an upward crossing of a multiple of pi and the
+        count is floor(theta(s) / pi), with theta(s0) = 0.  theta is
+        unwrapped across the knots (`_knot_phases`) and from the knot
+        below s to s."""
+        ks, theta = self._knot_phases()
+        s = np.clip(s, self.s0, self.s1)
+        below = theta[np.searchsorted(ks, s, side="right") - 1]
+        j, jp = self.pair(s)
+        phase = below + _wrapped(np.arctan2(j, jp) - below)
+        # theta never falls below 0, its value at s0: only rounding does
+        count = np.floor(np.maximum(phase, 0.0) / math.pi).astype(int)
+        return int(count) if np.ndim(count) == 0 else count
+
+    def _knot_phases(self):
+        """s0, the knots inside (s0, s1) and s1, with theta unwrapped
+        across them from theta(s0) = 0.  Every interval whose wrapped phase
+        step is not below PHASE_STEP_MAX is halved, reading the
+        interpolant, until all steps are below it: that catches a turn
+        hidden by sparse knots, and a tip's closed-form head, where no
+        knot lies."""
+        if self._phases is None:
+            ks, ky = self.knots()
+            inside = (self.s0 < ks) & (ks < self.s1)
+            s = np.concatenate([[self.s0], ks[inside], [self.s1]])
+            phase = np.arctan2(*np.column_stack([(0.0, 1.0), ky[:, inside],
+                                                 self.pair(self.s1)]))
+            while (wide := np.nonzero(np.abs(_wrapped(np.diff(phase)))
+                                      >= PHASE_STEP_MAX)[0]).size:
+                mid = 0.5 * (s[wide] + s[wide + 1])
+                s = np.insert(s, wide + 1, mid)
+                phase = np.insert(phase, wide + 1, np.arctan2(*self.pair(mid)))
+            theta = np.concatenate([[0.0], np.cumsum(_wrapped(np.diff(phase)))])
+            self._phases = s, theta
+        return self._phases
 
 
-def _hermite_flags(h, j0, d0, j1, d1) -> np.ndarray:
-    """Whether each piece, of length h with (j, j') = (j0, d0) and
-    (j1, d1) at its ends, may hide zeros of j that the signs of j0 and j1
-    do not show.  The cubic Hermite interpolant p of those values flags
-    it when p has more zeros in the piece than those signs show, or when
-    |p| has a local minimum inside that is not a zero: j turns back
-    toward zero there and may reach it."""
-    # p = j0 + m0 x + c x^2 + e x^3 on x in [0, 1]; p' has the Bernstein
-    # coefficients m0, m0 + c, m1, so where all three share a strict
-    # sign p is monotone and the piece is not flagged
-    m0, m1 = h * d0, h * d1
-    c = 3.0 * (j1 - j0) - 2.0 * m0 - m1
-    e = 2.0 * (j0 - j1) + m0 + m1
-    mid = m0 + c
-    monotone = (((m0 > 0) & (mid > 0) & (m1 > 0))
-                | ((m0 < 0) & (mid < 0) & (m1 < 0)))
-    flags = np.zeros(h.shape, dtype=bool)
-    for i in np.nonzero(~monotone)[0]:
-        ja, jb, m, q2, q3 = (float(v[i]) for v in (j0, j1, m0, c, e))
-        # the roots of p' = m + 2 q2 x + 3 q3 x^2 in (0, 1), ascending
-        if q3 == 0.0:
-            xs = [-m / (2.0 * q2)] if q2 != 0.0 else []
-        else:
-            disc = q2 * q2 - 3.0 * q3 * m
-            xs = [] if disc < 0.0 else sorted(
-                (-q2 + sign * math.sqrt(disc)) / (3.0 * q3) for sign in (-1.0, 1.0))
-        xs = [x for x in xs if 0.0 < x < 1.0]
-        p = [ja + x * (m + x * (q2 + x * q3)) for x in xs]
-        turns_back = any(px * (2.0 * q2 + 6.0 * q3 * x) > 0 for px, x in zip(p, xs))
-        seq = [ja] + p + [jb]
-        extra = sum(u * w < 0 for u, w in zip(seq, seq[1:])) > (ja * jb < 0)
-        flags[i] = extra or turns_back
-    return flags
+def _wrapped(d):
+    """d moved by a multiple of 2 pi into [-pi, pi)."""
+    return np.remainder(d + math.pi, 2.0 * math.pi) - math.pi
 
 
 def integrate_jacobi(path, s0: float, s1: float, j0: float,
@@ -234,7 +210,7 @@ def morse_index(path, s0: float = 0.0, s1: float = None) -> int:
         raise ConjugateDegeneracyError(
             "endpoint is conjugate: Morse index undefined at this tolerance"
         )
-    return len(field.zeros(s0, s1))
+    return field.zero_count(s1)
 
 
 def broken_hessian(path, s_cut: float) -> float:

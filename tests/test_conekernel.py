@@ -296,6 +296,13 @@ class TestSmoothedBasis:
     def test_basis_shape(self):
         tau = np.linspace(-0.2, 0.2, 11)
         assert conormal_basis(tau, 40.0).shape == (11, 9)
+        assert conormal_basis(0.1, 40.0).shape == (1, 9)
+
+    def test_basis_refuses_a_grid_of_tau(self):
+        # a (5, 9) tau once gave a (5, 81) array, each column's values
+        # side by side
+        with pytest.raises(ValueError, match=r"\(5, 9\)"):
+            conormal_basis(np.linspace(-0.1, 0.1, 45).reshape(5, 9), 40.0)
 
     @pytest.mark.parametrize("ratio", [0.0, 1e-3, 1.0, 10.0, 100.0, 1e4])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -355,8 +362,9 @@ class TestSpecialFunctions:
         h = smoothed_heaviside(tau, damping)
         assert np.shape(h) == np.shape(tau)
         assert np.max(np.abs(h - 0.5 * (1.0 + e))) <= 1e-15
-        # the basis stacks each column's values side by side
-        cols = np.split(conormal_basis(np.asarray(tau), damping), 9, axis=1)
+        if np.ndim(tau) > 1:  # one row per sample: the basis takes 1-D tau
+            return
+        cols = np.split(conormal_basis(tau, damping), 9, axis=1)
         for k, ref in ((2, 0.5 * (1.0 + e)), (4, g + tau * e),
                        (8, (np.square(tau) + sig**2) * e + tau * g)):
             assert np.max(np.abs(cols[k] - np.reshape(ref, cols[k].shape))) \

@@ -211,7 +211,7 @@ class TestFlowField:
                 f = path.flow_field.at(s)
                 assert (f.j, f.jprime) == pytest.approx(field(s), abs=1e-13)
                 assert path.state(s).p == pytest.approx([s, 0.2 / surf.tips["tip"].a0])
-            assert path.flow_field.zeros() == []
+            assert path.flow_field.zero_count(path.length) == 0
 
     def test_interior_start_matches_separate_solve(self, teardrop, monkeypatch):
         # from a polar point through the pole cap and out again
@@ -355,6 +355,17 @@ class TestMorse:
         assert whole == m1 + m2 + (1 if h < 0 else 0)
         assert h == pytest.approx(-2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("eps", [0.05, 0.01, -0.05, -0.01])
+    def test_sign_rule_on_the_seed0_builds(self, eps):
+        # the index follows the sign of eps sin 2 theta on the invariant
+        # meridians (theta = pi/4 here): each spindle segment's is 1 for
+        # eps > 0 and 0 for eps < 0, the teardrop loop's 2 against 1
+        spindle, teardrop = seed0_geodesics(eps)
+        assert [inv.morse for inv in amplitudes.invariants_for(spindle)] == (
+            [1, 1] if eps > 0 else [0, 0])
+        assert [inv.morse for inv in amplitudes.invariants_for(teardrop)] == (
+            [2] if eps > 0 else [1])
+
     def test_additivity_on_spindle_segment(self, spindle_closed):
         path = spindle_closed.segments[0].path
         cut = 0.45 * path.length
@@ -365,16 +376,16 @@ class TestMorse:
         assert whole == m1 + m2 + (1 if h < 0 else 0)
 
 
-def grid_zeros(field, lo, hi):
-    """The zero search that `JacobiSolution.zeros` replaced, kept as its
-    reference: j read on max(400, 200 (hi - lo)) even points of
-    [lo + ZERO_PAD, hi - ZERO_PAD], each sign change placed by Brent's
-    method."""
-    grid = np.linspace(lo + jacobi.ZERO_PAD, hi - jacobi.ZERO_PAD,
-                       max(400, int(200 * (hi - lo))))
+GRID_PAD = 1e-9  # the grid scan starts and ends this far inside its interval
+
+
+def grid_zero_count(field, lo, hi):
+    """The zero search that the Prüfer-angle count replaced, kept as its
+    reference: the sign changes of j on max(400, 200 (hi - lo)) even
+    points of [lo + GRID_PAD, hi - GRID_PAD]."""
+    grid = np.linspace(lo + GRID_PAD, hi - GRID_PAD, max(400, int(200 * (hi - lo))))
     sign = np.sign(field.j(grid))
-    return [ode.brent(lambda s: float(field.j(s)), grid[i], grid[i + 1], xtol=1e-12)
-            for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
+    return int(np.count_nonzero(sign[:-1] * sign[1:] < 0))
 
 
 def seed0_geodesics(eps):
@@ -388,8 +399,25 @@ def seed0_geodesics(eps):
     ]
 
 
+class _Sine:
+    """j = sin(s + shift), whose Prüfer angle is s + shift, behind the
+    given knots; every s at which it is read is kept in `reads`."""
+
+    def __init__(self, knots, shift=0.0):
+        self.ks, self.shift, self.reads = np.asarray(knots), shift, []
+
+    def __call__(self, s):
+        self.reads += np.atleast_1d(s).tolist()
+        return np.array([np.sin(s + self.shift), np.cos(s + self.shift)])
+
+    def knots(self):
+        return self.ks, np.array([np.sin(self.ks + self.shift),
+                                  np.cos(self.ks + self.shift)])
+
+
 class TestZeros:
-    """Zeros are bracketed by j at the integrator's step ends."""
+    """Zeros are counted by the Prüfer angle, unwrapped across the
+    integrator's step ends."""
 
     @pytest.mark.parametrize("eps", [0.05, -0.05, 0.01, -0.01])
     def test_step_ends_match_the_grid_scan(self, eps):
@@ -397,53 +425,49 @@ class TestZeros:
         for geo in seed0_geodesics(eps):
             for seg in geo.segments:
                 path = seg.path
-                fields = [(path.flow_field, 0.0, path.length),
-                          (path.reversed().flow_field, 0.0, path.length),
-                          (jacobi.integrate_jacobi(path, 1.0, path.length, 0.0, 1.0),
-                           1.0, path.length),
-                          (jacobi._field_from(path, 1.0, path.length),
-                           1.0, path.length),
-                          (path.flow_field, 0.3, 0.6 * path.length)]
-                for field, lo, hi in fields:
-                    want = grid_zeros(field, lo, hi)
-                    got = field.zeros(lo, hi)
-                    assert len(got) == len(want)
-                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-                    found += len(got)
+                length = path.length
+                fields = [(path.flow_field, 0.0),
+                          (path.reversed().flow_field, 0.0),
+                          (jacobi.integrate_jacobi(path, 1.0, length, 0.0, 1.0), 1.0),
+                          (jacobi._field_from(path, 1.0, length), 1.0)]
+                for field, lo in fields:
+                    # j(lo) is zero to rounding, which must not count
+                    assert field.zero_count(lo) == 0
+                    count = field.zero_count(length)
+                    assert count == grid_zero_count(field, lo, length)
+                    found += count
+                # zeros inside an interval: a difference of two counts
+                field = path.flow_field
+                assert (field.zero_count(0.6 * length) - field.zero_count(0.3)
+                        == grid_zero_count(field, 0.3, 0.6 * length))
         assert found > 0
 
     def test_two_zeros_inside_one_step(self):
-        # j = cos s with knots at 1 and 5 only: j > 0 at both ends of that
-        # piece, and zeros at pi/2 and 3 pi/2 inside it
-        class Cosine:
-            def __call__(self, s):
-                return np.array([np.cos(s), -np.sin(s)])
-
-            def knots(self):
-                s = np.array([0.0, 1.0, 5.0])
-                return s, self(s)
-
-        field = jacobi.JacobiSolution(Cosine(), 0.0, 6.0)
+        # j = cos s from its zero at -pi/2, with knots at 1 and 5 only:
+        # j > 0 at both ends of that step, and zeros at pi/2 and 3 pi/2
+        # inside it
+        field = jacobi.JacobiSolution(_Sine([-np.pi / 2, 1.0, 5.0], np.pi / 2),
+                                      -np.pi / 2, 6.0)
         assert np.cos(1.0) > 0 and np.cos(5.0) > 0
-        np.testing.assert_allclose(field.zeros(), [np.pi / 2, 1.5 * np.pi],
-                                   rtol=0.0, atol=1e-12)
+        assert field.zero_count(6.0) == 2
+        assert field.zero_count(np.array([0.0, 2.0, 4.0, 6.0])).tolist() == [0, 1, 1, 2]
 
-    def test_hermite_flags(self):
-        # on unit pieces: a line through zero and a hump are not flagged; a
-        # valley that turns back short of zero, one that dips through it,
-        # and three zeros between ends of opposite sign are
-        pieces = [(1.0, -2.0, -1.0, -2.0),
-                  (1.0, 2.0, 1.0, -2.0),
-                  (1.0, -3.0, 1.0, 3.0),
-                  (1.0, -6.0, 1.0, 6.0),
-                  (0.8, -6.6, -0.8, -6.6)]
-        j0, d0, j1, d1 = np.array(pieces).T
-        flags = jacobi._hermite_flags(np.ones(len(pieces)), j0, d0, j1, d1)
-        assert flags.tolist() == [False, False, True, True, True]
+    @pytest.mark.parametrize("side", [-1, 1], ids=["under", "over"])
+    def test_phase_step_guard_edge(self, side):
+        # j = sin s turns by its step's length: a step just under
+        # PHASE_STEP_MAX is unwrapped from its ends, one just over it is
+        # halved once; the only other read is the end s1
+        a, b = 2.5, 2.5 + jacobi.PHASE_STEP_MAX + side * 1e-9
+        stub = _Sine([0.0, 1.25, a, b])
+        field = jacobi.JacobiSolution(stub, 0.0, b + 0.25)
+        assert field.zero_count(b + 0.25) == 1
+        halved = [0.5 * (a + b)] if side > 0 else []
+        assert stub.reads == [b + 0.25] + halved + [b + 0.25]
 
     def test_dense_outputs_of_a_seed0_pass(self, monkeypatch):
-        # the seed-0 predict_curved pass builds 110 step interpolants, 310
-        # when every zero search read j on a grid
+        # the seed-0 predict_curved pass builds 106 step interpolants (110
+        # with the zeros placed by Brent's method, 310 when every zero
+        # search read j on a grid)
         built = []
         coefficients = ode._Step.coefficients
 
