@@ -69,7 +69,6 @@ from .amplitudes import (  # noqa: F401
 from .besselj import (  # noqa: F401
     bessel_j,
     bessel_j_pair,
-    bessel_j_prime,
     bessel_j_zeros,
 )
 from .conekernel import (  # noqa: F401

@@ -2,7 +2,11 @@
 
 Cone mode sums need J_nu for arbitrary real order nu = 2 pi |k| / rho,
 so the function is implemented in-repo rather than taken from a library
-that is also used as ground truth.  Two regimes:
+that is also used as ground truth.  One routine gives J and J' together:
+`bessel_j_pair` returns both and `bessel_j` the first, so the mode
+build, the zero polish and any Newton iteration on J run one code path.
+It refuses a negative or non-finite order or argument with
+BesselFailureError.  Two regimes:
 
 * ascending power series for small argument (x <= 4) or argument at
   most half the order (x <= nu / 2), its first 60 terms summed in one
@@ -84,7 +88,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .errors import BesselFailureError
 from .quadrature import gauss_legendre
 
-__all__ = ["bessel_j", "bessel_j_prime", "bessel_j_pair", "bessel_j_zeros"]
+__all__ = ["bessel_j", "bessel_j_pair", "bessel_j_zeros"]
 
 _SERIES_X_MAX = 4.0
 _SERIES_TERMS = 60
@@ -112,10 +116,10 @@ def _check_span(nu: float, x_max: float, what: str) -> None:
             f"the domain the Gauss-Legendre rule is checked on")
 
 
-def _series(nu: float, x: np.ndarray, deriv):
-    """The first _SERIES_TERMS terms of the ascending series, one column
-    of terms per point, summed in one shot; deriv as for _schlaefli.
-    The sum runs down the columns, so it adds the terms in order."""
+def _series(nu: float, x: np.ndarray):
+    """(J, J') from the first _SERIES_TERMS terms of the ascending series,
+    one column of terms per point, summed in one shot.  The sum runs
+    down the columns, so it adds the terms in order."""
     m = np.arange(_SERIES_TERMS, dtype=float)[:, None]
     power = 2.0 * m + nu
     pos = x > 0  # x = 0 takes the limits below
@@ -124,21 +128,16 @@ def _series(nu: float, x: np.ndarray, deriv):
                           for k in range(_SERIES_TERMS)])[:, None]
     terms = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(
         power * np.log(xs / 2.0) - (_LOG_FACTORIAL + log_gamma))
-    j = d = None
-    if deriv is not True:
-        j = np.where(pos, terms.sum(axis=0), 1.0 if nu == 0.0 else 0.0)
-    if deriv is not False:
-        d = np.where(pos, (terms * power / xs).sum(axis=0),
-                     0.5 if nu == 1.0 else 0.0)
-    if deriv == "both":
-        return j, d
-    return j if deriv is False else d
+    j = np.where(pos, terms.sum(axis=0), 1.0 if nu == 0.0 else 0.0)
+    d = np.where(pos, (terms * power / xs).sum(axis=0),
+                 0.5 if nu == 1.0 else 0.0)
+    return j, d
 
 
-def _schlaefli(nu: float, x: np.ndarray, deriv) -> np.ndarray:
-    """deriv in {False, True, "both"}; "both" shares the trig matrices.
-    The Legendre integral is folded onto the nodes below pi / 2 (see
-    the module docstring)."""
+def _schlaefli(nu: float, x: np.ndarray):
+    """(J, J') from Schlaefli's integral, both from the same trig
+    matrices; the Legendre integral is folded onto the nodes below
+    pi / 2 (see the module docstring)."""
     x_max = float(np.max(x, initial=0.0))
     _check_span(nu, x_max, f"J_{nu:g} at {x_max:g}")
     half = _nodes(nu, x_max) // 2
@@ -155,12 +154,8 @@ def _schlaefli(nu: float, x: np.ndarray, deriv) -> np.ndarray:
     b = wt * (sin_nt * (1.0 - c) + s * cos_nt)
     arg = x[:, None] * sin_theta[None, :]
     cos_arg, sin_arg = np.cos(arg), np.sin(arg)
-    both = deriv == "both"
-    want_d = both or deriv is True
-    want_j = both or deriv is False
-    main_j = (cos_arg @ a + sin_arg @ b) / np.pi if want_j else None
-    main_d = ((cos_arg @ (b * sin_theta) - sin_arg @ (a * sin_theta)) / np.pi
-              if want_d else None)
+    j = (cos_arg @ a + sin_arg @ b) / np.pi
+    d = (cos_arg @ (b * sin_theta) - sin_arg @ (a * sin_theta)) / np.pi
     if abs(s) > 1e-15:
         u, lw = _LAG
         scale = nu + x[:, None] + 1.0
@@ -169,53 +164,39 @@ def _schlaefli(nu: float, x: np.ndarray, deriv) -> np.ndarray:
         # weights; the exponent stays bounded by the scale choice
         f = np.exp(-x[:, None] * (np.sinh(tt) - tt)
                    - (nu + x[:, None]) * tt + u[None, :])
-        if want_j:
-            main_j = main_j - (s / np.pi) * (f @ lw / scale[:, 0])
-        if want_d:
-            main_d = main_d + (s / np.pi) * ((f * np.sinh(tt)) @ lw
-                                             / scale[:, 0])
-    if both:
-        return main_j, main_d
-    return main_j if deriv is False else main_d
+        j = j - (s / np.pi) * (f @ lw / scale[:, 0])
+        d = d + (s / np.pi) * ((f * np.sinh(tt)) @ lw / scale[:, 0])
+    return j, d
 
 
-def _eval(nu: float, x, deriv):
-    if nu < 0:
-        raise BesselFailureError("order must be nonnegative")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < 0):
-        raise BesselFailureError("argument must be nonnegative")
-    both = deriv == "both"
-    out = np.empty_like(arr)
-    out_d = np.empty_like(arr) if both else None
-    small = (arr <= _SERIES_X_MAX) | (arr <= 0.5 * nu)
+def _pair(nu: float, x):
+    """(J_nu(x), J_nu'(x)): floats for a float x, arrays of x's shape
+    otherwise.  The public functions both call this and never each
+    other, so each public call is one span to the benchmark's tracer."""
+    if not 0.0 <= nu < math.inf:
+        raise BesselFailureError(f"order must be finite and nonnegative: {nu}")
+    arr = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= arr) & (arr < math.inf)):
+        raise BesselFailureError("argument must be finite and nonnegative")
+    flat = np.atleast_1d(arr)
+    j, d = np.empty_like(flat), np.empty_like(flat)
+    small = (flat <= _SERIES_X_MAX) | (flat <= 0.5 * nu)
     for part, fn in ((small, _series), (~small, _schlaefli)):
         if np.any(part):
-            if both:
-                out[part], out_d[part] = fn(nu, arr[part], "both")
-            else:
-                out[part] = fn(nu, arr[part], deriv)
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    if both:
-        if scalar:
-            return float(out[0]), float(out_d[0])
-        return out, out_d
-    return float(out[0]) if scalar else out
+            j[part], d[part] = fn(nu, flat[part])
+    if arr.ndim == 0:
+        return float(j[0]), float(d[0])
+    return j, d
 
 
 def bessel_j_pair(nu: float, x):
-    """(J_nu(x), J_nu'(x)) with shared quadrature work."""
-    return _eval(nu, x, "both")
+    """(J_nu(x), J_nu'(x)) for real nu >= 0 and x >= 0 (scalar or array)."""
+    return _pair(nu, x)
 
 
 def bessel_j(nu: float, x):
     """J_nu(x) for real nu >= 0 and x >= 0 (scalar or array)."""
-    return _eval(nu, x, deriv=False)
-
-
-def bessel_j_prime(nu: float, x):
-    """d/dx J_nu(x)."""
-    return _eval(nu, x, deriv=True)
+    return _pair(nu, x)[0]
 
 
 def _ikebe_zeros(nu: float, cut: float) -> np.ndarray:

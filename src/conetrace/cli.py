@@ -33,6 +33,7 @@ from .amplitudes import (
 from .config import (
     check_keys,
     grid_from_config,
+    integer_from_config,
     link_from_config,
     load_config,
     number_from_config,
@@ -90,9 +91,7 @@ def cmd_link_kernel(args) -> int:
     check_keys(cfg, ("link", "policy", "n", "u_grid"), "the link-kernel config")
     link = link_from_config(cfg.get("link", {}))
     policy = policy_from_config(cfg.get("policy"))
-    n = cfg.get("n", 2)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise ConfigError(f"'n' must be an integer >= 2, not {n!r}")
+    n = integer_from_config(cfg.get("n", 2), "'n'", minimum=2)
     us = grid_from_config(cfg.get("u_grid", {}), "u_grid")
     lines = [_HEADER_NOTE, "u,re_d,im_d,regular"]
     n_singular = 0
@@ -252,9 +251,7 @@ def cmd_spectral_trace(args) -> int:
             raise ConfigError("'fit' must be an object")
         check_keys(fit_cfg, ("L", "k", "window"), "'fit'")
         length = number_from_config(fit_cfg.get("L"), "fit 'L'")
-        k = fit_cfg.get("k", 1)
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ConfigError("fit 'k' must be a positive integer")
+        k = integer_from_config(fit_cfg.get("k", 1), "fit 'k'", minimum=1)
         window = number_from_config(fit_cfg.get("window", 0.35), "fit 'window'",
                                     positive=True)
         unit = TraceSingularityPrediction(
@@ -287,12 +284,7 @@ def cmd_verify(args) -> int:
         "passed": ok,
         "results": [v.report() for v in verdicts],
     }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write_lines(args.out, [json.dumps(report, indent=2, sort_keys=True)])
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "policy_from_config",
     "grid_from_config",
     "number_from_config",
+    "integer_from_config",
     "check_keys",
 ]
 
@@ -82,6 +83,14 @@ def number_from_config(value, what: str, *, positive: bool = False) -> float:
     return float(value)
 
 
+def integer_from_config(value, what: str, *, minimum: int) -> int:
+    """A JSON integer of at least `minimum`.  Booleans and floats are
+    refused, so neither `true` nor `2.0` runs as an integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, not {value!r}")
+    return value
+
+
 def surface_from_config(spec) -> surfaces.Surface:
     if not isinstance(spec, dict):
         raise ConfigError("surface spec must be an object")
@@ -132,10 +141,8 @@ def link_from_config(spec) -> LinkSpectrum:
 
 
 def _mode_cutoff(spec: dict) -> int:
-    value = spec.get("mode_cutoff", 100_000)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"policy mode_cutoff must be an integer >= 1, not {value!r}")
-    return value
+    return integer_from_config(spec.get("mode_cutoff", 100_000),
+                               "policy mode_cutoff", minimum=1)
 
 
 def policy_from_config(spec) -> SummationPolicy:
@@ -172,9 +179,8 @@ def grid_from_config(spec, where: str = "grid"):
     check_keys(spec, ("min", "max", "count"), where)
     lo = number_from_config(_require(spec, "min", where), f"{where} min")
     hi = number_from_config(_require(spec, "max", where), f"{where} max")
-    count = _require(spec, "count", where)
-    if not isinstance(count, int) or count < 2:
-        raise ConfigError(f"{where} count must be an integer >= 2")
+    count = integer_from_config(_require(spec, "count", where),
+                                f"{where} count", minimum=2)
     if not hi > lo:
         raise ConfigError(f"{where} needs max > min")
     return np.linspace(lo, hi, count)

@@ -81,9 +81,6 @@ class JacobiSolution:
         y = self.pair(s)
         return JacobiField(float(y[0]), float(y[1]))
 
-    def j(self, s) -> np.ndarray:
-        return self.pair(s)[0]
-
     def knots(self):
         """The start of each integrator step behind the field, and the
         (j, j') stored there: s of shape (m,), values of shape (2, m)."""

@@ -19,7 +19,6 @@ from conetrace import besselj, conekernel
 from conetrace.besselj import (
     bessel_j,
     bessel_j_pair,
-    bessel_j_prime,
     bessel_j_zeros,
 )
 from conetrace.errors import BesselFailureError
@@ -74,18 +73,27 @@ class TestValues:
     @pytest.mark.parametrize("nu,x", REFERENCE_POINTS[::3])
     def test_derivative_against_multiprecision(self, nu, x):
         ref = float(mpmath.besselj(nu, x, derivative=1))
-        assert bessel_j_prime(nu, x) == pytest.approx(ref, abs=1e-10, rel=1e-9)
+        assert bessel_j_pair(nu, x)[1] == pytest.approx(ref, abs=1e-10, rel=1e-9)
 
     def test_pair_matches_separate_calls(self):
-        xs = np.linspace(0.1, 60.0, 40)
-        j, jp = bessel_j_pair(4.0 / 3.0, xs)
-        assert np.allclose(j, bessel_j(4.0 / 3.0, xs), rtol=0, atol=1e-14)
-        assert np.allclose(jp, bessel_j_prime(4.0 / 3.0, xs), rtol=0, atol=1e-14)
+        # bessel_j is the pair's first component, bit for bit, for an
+        # array and for each float, which stays a Python float
+        for nu, xs in [
+            (2.5, [0.0, 0.3, 4.0]),  # series, x <= 4
+            (40.0, [4.5, 12.0, 20.0]),  # series, x <= nu / 2
+            (3.0, [4.5, 37.0, 211.3]),  # Schlaefli, no Laguerre tail
+            (4.0 / 3.0, [4.5, 37.0, 211.3]),  # Schlaefli with the tail
+        ]:
+            xs = np.array(xs)
+            assert np.array_equal(bessel_j(nu, xs), bessel_j_pair(nu, xs)[0])
+            for x in xs:
+                j = bessel_j(nu, float(x))
+                assert type(j) is float and j == bessel_j_pair(nu, float(x))[0]
 
     def test_special_values_at_zero(self):
         assert bessel_j(0.0, 0.0) == 1.0
         assert bessel_j(2.0, 0.0) == 0.0
-        assert bessel_j_prime(1.0, 0.0) == 0.5
+        assert bessel_j_pair(1.0, 0.0)[1] == 0.5
 
     def test_vectorized_matches_scalar(self):
         # node counts adapt to the largest argument in the batch, so the
@@ -100,6 +108,19 @@ class TestValues:
             bessel_j(-0.5, 1.0)
         with pytest.raises(BesselFailureError):
             bessel_j(1.0, -2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("array", [False, True], ids=["float", "array"])
+    def test_non_finite_input_is_refused(self, bad, array):
+        # a non-finite order or argument, on either side of the series
+        # switch, is refused before any arithmetic
+        wrap = (lambda v: np.array([0.5, v])) if array else (lambda v: v)
+        for fn in (bessel_j, bessel_j_pair):
+            for x in (1.0, 10.0):
+                with pytest.raises(BesselFailureError, match="order"):
+                    fn(bad, wrap(x))
+            with pytest.raises(BesselFailureError, match="argument"):
+                fn(1.0, wrap(bad))
 
 
 class TestZeros:
@@ -354,10 +375,7 @@ class TestFoldedIntegral:
             "half-0.5", "half-40.5", "4_3-rung"])
     def test_against_multiprecision(self, nu, xs):
         xs = np.array(xs)
-        j = besselj._schlaefli(nu, xs, False)
-        jp = besselj._schlaefli(nu, xs, True)
-        pair = besselj._schlaefli(nu, xs, "both")
-        assert np.array_equal(pair[0], j) and np.array_equal(pair[1], jp)
+        j, jp = besselj._schlaefli(nu, xs)
         ref = [float(mpmath.besselj(nu, x)) for x in xs]
         ref_d = [float(mpmath.besselj(nu, x, derivative=1)) for x in xs]
         assert np.max(np.abs(j - ref)) <= 1e-13
@@ -394,11 +412,9 @@ class TestSeries:
     def test_matches_term_loop(self, nu):
         xs = np.concatenate([[0.0], np.linspace(0.05, max(10.0, nu / 2),
                                                 200)])
-        j, jp = besselj._series(nu, xs, "both")
+        j, jp = besselj._series(nu, xs)
         assert np.max(np.abs(j - _loop_series(nu, xs, False))) <= 1e-15
         assert np.max(np.abs(jp - _loop_series(nu, xs, True))) <= 1e-15
-        assert np.array_equal(besselj._series(nu, xs, False), j)
-        assert np.array_equal(besselj._series(nu, xs, True), jp)
 
     @pytest.mark.parametrize("nu,x", [
         (0.0, 4.0), (1.0, 4.0), (4.0 / 3.0, 4.0), (8.0, 4.0), (40.0, 4.0),
@@ -408,7 +424,7 @@ class TestSeries:
         # at x = 4 within the rounding-level bound of the switch, and at
         # x = nu / 2, up to the largest order of a mode build, within the
         # absolute bound below half the order
-        j, jp = besselj._series(nu, np.array([x]), "both")
+        j, jp = besselj._series(nu, np.array([x]))
         tol = 1e-13 if x <= besselj._SERIES_X_MAX else 1e-12
         assert abs(j[0] - float(mpmath.besselj(nu, x))) <= tol
         assert abs(jp[0] - float(mpmath.besselj(nu, x, derivative=1))) <= tol

@@ -134,13 +134,13 @@ class TestKernelSeries:
         # radial evaluation since x = x'; a search for the zeros would
         # evaluate J about a dozen times per zero
         points = []
-        evaluate = besselj._eval
+        evaluate = besselj._pair
 
-        def counting(nu, x, deriv):
+        def counting(nu, x):
             points.append(np.size(x))
-            return evaluate(nu, x, deriv)
+            return evaluate(nu, x)
 
-        monkeypatch.setattr(besselj, "_eval", counting)
+        monkeypatch.setattr(besselj, "_pair", counting)
         besselj._zeros_and_slopes.cache_clear()
         _, lams, _ = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0)
         zeros = len(lams)

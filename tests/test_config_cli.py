@@ -8,6 +8,7 @@ import pytest
 
 from conetrace.cli import main
 from conetrace.config import (
+    integer_from_config,
     link_from_config,
     policy_from_config,
     surface_from_config,
@@ -59,6 +60,13 @@ class TestConfigObjects:
         assert policy_from_config({"kind": "abel", "r": 0.999}).r == 0.999
         with pytest.raises(ConfigError):
             policy_from_config({"kind": "cesaro"})
+
+    def test_integer(self):
+        assert integer_from_config(9, "grid count", minimum=2) == 9
+        for bad in (True, 1, 2.0, "9", None):
+            with pytest.raises(ConfigError, match="grid count must be an "
+                                                  "integer >= 2"):
+                integer_from_config(bad, "grid count", minimum=2)
 
 
 class TestLinkKernelCommand:
@@ -229,6 +237,10 @@ class TestExitCodes:
         ("link-kernel", {"link": {"circumference": True}}),
         ("link-kernel", {"u_grid": {"min": 0.3, "max": "4", "count": 9}}),
         ("link-kernel", {"u_grid": {"min": False, "max": 4.0, "count": 9}}),
+        ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": True}}),
+        ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": 1}}),
+        ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": 2.5}}),
+        ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": "9"}}),
         ("link-kernel", {"n": "2"}),
         ("link-kernel", {"n": True}),
         ("link-kernel", {"n": 1}),
@@ -288,6 +300,8 @@ class TestExitCodes:
             "fit-window-bool", "lambda-max-bool", "lambda-max-negative",
             "lambda-max-string", "lambda-max-too-large", "csv-row-string",
             "circumference-bool", "grid-max-string", "grid-min-bool",
+            "grid-count-bool", "grid-count-one", "grid-count-float",
+            "grid-count-string",
             "n-string", "n-bool", "n-one", "n-closed-form-3",
             "policy-bools", "policy-sigma-string", "policy-cutoff-bool",
             "policy-cutoff-float", "policy-cutoff-zero", "policy-r-bool",

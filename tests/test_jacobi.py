@@ -384,7 +384,7 @@ def grid_zero_count(field, lo, hi):
     reference: the sign changes of j on max(400, 200 (hi - lo)) even
     points of [lo + GRID_PAD, hi - GRID_PAD]."""
     grid = np.linspace(lo + GRID_PAD, hi - GRID_PAD, max(400, int(200 * (hi - lo))))
-    sign = np.sign(field.j(grid))
+    sign = np.sign(field.pair(grid)[0])
     return int(np.count_nonzero(sign[:-1] * sign[1:] < 0))
 
 
