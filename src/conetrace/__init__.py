@@ -47,7 +47,6 @@ from .geodesics import (  # noqa: F401
     shoot_from_tip,
 )
 from .jacobi import (  # noqa: F401
-    JacobiField,
     JacobiSolution,
     broken_hessian,
     integrate_jacobi,

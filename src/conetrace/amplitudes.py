@@ -30,7 +30,7 @@ from .errors import (
     NotStrictlyDiffractiveError,
     QuadratureFailureError,
 )
-from .jacobi import morse_index, theta_spreading
+from .jacobi import CONJUGATE_CUT_TOL, morse_index, theta_spreading
 from .links import SummationPolicy, diffraction_kernel
 from .quadrature import gauss_legendre
 
@@ -60,8 +60,8 @@ class CutoffSpec:
     upper: float = 2.0
 
     def __post_init__(self):
-        if not 0 < self.lower < self.upper:
-            raise ValueError("need 0 < lower < upper")
+        if not 0 < self.lower < self.upper < math.inf:
+            raise ValueError("need 0 < lower < upper < inf")
 
     def value(self, xi):
         t = np.clip((np.asarray(xi, dtype=float) - self.lower)
@@ -78,7 +78,8 @@ class SegmentInvariants:
     theta: float
 
     def __post_init__(self):
-        if self.d <= 0 or self.theta <= 0 or self.morse < 0:
+        if not (0 < self.d < math.inf and 0 < self.theta < math.inf
+                and self.morse >= 0):
             raise ValueError("segment invariants out of range")
 
 
@@ -105,12 +106,18 @@ class TraceSingularityPrediction:
 def interior_amplitude(d: float, m: int, theta: float) -> complex:
     """Half-wave amplitude between non-conjugate interior points: the
     complex scalar of the symbol, of frequency order (n - 1)/2."""
-    if d <= 0 or theta <= 0:
-        raise ValueError("need d > 0 and theta > 0")
+    if not (0 < d < math.inf and 0 < theta < math.inf):
+        raise ValueError(f"need finite d > 0 and theta > 0, got {d!r}, {theta!r}")
     n = DIMENSION
     return (np.exp(-1j * np.pi * (n - 1) / 4) * 1j ** (-m)
             * (2 * np.pi) ** (-(n + 1) / 2) * d ** (-(n - 1) / 2)
             * theta ** -0.5)
+
+
+# the factor W of each segment in C = L0 prod_j W D_j A_j, A_j the
+# segment's interior_amplitude
+SEGMENT_WEIGHT = ((2 * np.pi) ** (DIMENSION + 0.5)
+                  * np.exp(1j * np.pi * (DIMENSION - 2) / 2))
 
 
 def segment_invariants(result) -> SegmentInvariants:
@@ -128,40 +135,43 @@ def invariants_for(geodesic):
     return [segment_invariants(seg) for seg in geodesic.segments]
 
 
-def trace_singularity(geodesic, invariants=None) -> TraceSingularityPrediction:
-    """Leading coefficient of the wave-trace singularity at the length of
-    a strictly diffractive closed geodesic.
-
-    It scales by the primitive length, the length of the stationary set
-    (T0 in Duistermaat and Guillemin, Invent. Math. 1975).
-    """
+def _diffraction_values(geodesic) -> list:
+    """D_j at each junction of a strictly diffractive closed geodesic."""
     if not geodesic.strictly_diffractive:
         raise NotStrictlyDiffractiveError(
             "trace singularity requires a strictly diffractive geodesic"
         )
+    return [diffraction_kernel(j.link, DIMENSION, j.link_in, j.link_out,
+                               POLICY).value
+            for j in geodesic.junctions]
+
+
+def trace_singularity(geodesic, invariants=None) -> TraceSingularityPrediction:
+    """Leading coefficient C = L0 prod_j SEGMENT_WEIGHT D_j A_j of the
+    wave-trace singularity at the length of a strictly diffractive closed
+    geodesic, with D_j its diffraction coefficients and A_j the
+    interior amplitudes of its segments.  L0 is the primitive length,
+    the length of the stationary set (T0 in Duistermaat and Guillemin,
+    Invent. Math. 1975)."""
+    dvals = _diffraction_values(geodesic)
     if invariants is None:
         invariants = invariants_for(geodesic)
-    n = DIMENSION
     k = len(geodesic.segments)
-    prod = 1.0 + 0.0j
-    for seg, junc in zip(invariants, geodesic.junctions):
-        dval = diffraction_kernel(junc.link, n, junc.link_in, junc.link_out,
-                                  POLICY)
-        prod *= (1j ** (-seg.morse) * dval.value
-                 * seg.d ** (-(n - 1) / 2) * seg.theta ** -0.5)
-    coeff = (geodesic.primitive_length * (2 * np.pi) ** (k * n / 2)
-             * np.exp(1j * k * np.pi * (n - 3) / 4) * prod)
+    coeff = geodesic.primitive_length
+    for dval, seg in zip(dvals, invariants):
+        coeff *= SEGMENT_WEIGHT * dval * interior_amplitude(seg.d, seg.morse, seg.theta)
     return TraceSingularityPrediction(
-        L=geodesic.length, L0=geodesic.primitive_length, k=k, n=n,
-        order=k * (n - 1) / 2, coefficient=coeff,
+        L=geodesic.length, L0=geodesic.primitive_length, k=k, n=DIMENSION,
+        order=k * (DIMENSION - 1) / 2, coefficient=coeff,
     )
 
 
 def trace_singularity_cut_route(geodesic) -> complex:
-    """Independent route to the trace coefficient: cut the closed
-    geodesic at a moving point on each segment of the primitive geodesic
-    (the stationary manifold, T0) and integrate the density built from
-    fresh Jacobi data; each cut's "rest" product runs over the whole cycle.
+    """Independent route to the trace coefficient,
+    C = (2 pi)^(-3/2) prod_j (SEGMENT_WEIGHT D_j) sum_c I_c prod_(j != c) A_j:
+    I_c integrates over a moving cut point on segment c of the primitive
+    geodesic (the stationary manifold, T0) a density built from fresh
+    Jacobi data, and the product of amplitudes runs over the whole cycle.
 
     Every per-node quantity (spreadings, Morse counts, the one-point
     break Hessian) is recomputed from the two tip-launched Jacobi fields
@@ -176,59 +186,42 @@ def trace_singularity_cut_route(geodesic) -> complex:
     field, and an iterate's segments are its primitive's own paths.  The
     check stays independent: the direct route reads only the forward
     field's zero count and its value at the far tip, while this route
-    reads both fields at interior cut points and combines them through
-    the break Hessian; a deterministic field shared by the two routes
-    changes none of their numbers, and the reverse field comes from a
-    geodesic integration of its own that shares no step with either.
+    reads both fields at its CUT_NODES cut points, as one array read per
+    field and segment, and combines them through the break Hessian; a
+    deterministic field shared by the two routes changes none of their
+    numbers, and the reverse field comes from a geodesic integration of
+    its own that shares no step with either.
     """
-    if not geodesic.strictly_diffractive:
-        raise NotStrictlyDiffractiveError(
-            "trace singularity requires a strictly diffractive geodesic"
-        )
+    dvals = _diffraction_values(geodesic)
+    amps = [interior_amplitude(seg.d, seg.morse, seg.theta)
+            for seg in invariants_for(geodesic)]
     k = len(geodesic.segments)
-    invs = invariants_for(geodesic)
-    dvals = [
-        diffraction_kernel(j.link, DIMENSION, j.link_in, j.link_out, POLICY).value
-        for j in geodesic.junctions
-    ]
     gl_x, gl_w = gauss_legendre(CUT_NODES)
 
     total = 0.0 + 0.0j
     for c, seg in enumerate(geodesic.segments[:k // geodesic.iterate_count]):
-        path = seg.path
         d_c = seg.length
-        sol_a = path.flow_field
-        sol_b = path.reversed().flow_field
+        sol_a, sol_b = seg.path.flow_field, seg.path.reversed().flow_field
         ells = 0.5 * d_c * (gl_x + 1.0)
-        weights = 0.5 * d_c * gl_w
-        counts_a = sol_a.zero_count(ells).tolist()
-        counts_b = sol_b.zero_count(d_c - ells).tolist()
-        cut_integral = 0.0 + 0.0j
-        for ell, w, m_a, m_b in zip(ells, weights, counts_a, counts_b):
-            fa = sol_a.at(ell)
-            fb = sol_b.at(d_c - ell)
-            if abs(fa.j) < 1e-12 or abs(fb.j) < 1e-12:
-                raise ConjugateDegeneracyError("cut node sits on a conjugate point")
-            theta_a = abs(fa.j) / ell
-            theta_b = abs(fb.j) / (d_c - ell)
-            h = fa.jprime / fa.j + fb.jprime / fb.j
-            merged = (np.exp(1j * np.pi * np.sign(h) / 4)
-                      * np.exp(-1j * np.pi / 2)
-                      * 1j ** (-(m_a + m_b))
-                      * abs(h) ** -0.5
-                      * (ell * (d_c - ell)) ** -0.5
-                      * (theta_a * theta_b) ** -0.5)
-            cut_integral += w * merged
+        ells_b = d_c - ells
+        ja, jpa = sol_a.pair(ells)
+        jb, jpb = sol_b.pair(ells_b)
+        if np.abs(np.concatenate([ja, jb])).min() < CONJUGATE_CUT_TOL:
+            raise ConjugateDegeneracyError("cut node sits on a conjugate point")
+        morse = sol_a.zero_count(ells) + sol_b.zero_count(ells_b)
+        theta_a = np.abs(ja) / ells
+        theta_b = np.abs(jb) / ells_b
+        h = jpa / ja + jpb / jb
+        merged = (np.exp(1j * np.pi * np.sign(h) / 4)
+                  * np.exp(-1j * np.pi / 2)
+                  * 1j ** (-morse)
+                  * np.abs(h) ** -0.5
+                  * (ells * ells_b) ** -0.5
+                  * (theta_a * theta_b) ** -0.5)
+        cut_integral = (0.5 * d_c * gl_w) @ merged
+        total += cut_integral * np.prod(amps[:c] + amps[c + 1:])
 
-        rest = 1.0 + 0.0j
-        for j, other in enumerate(invs):
-            if j == c:
-                continue
-            rest *= (1j ** (-other.morse) * other.d ** -0.5
-                     * other.theta ** -0.5)
-        total += cut_integral * rest
-
-    pref = (2 * np.pi) ** k * np.exp(-1j * (k - 1) * np.pi / 4) * np.prod(dvals)
+    pref = (2 * np.pi) ** -1.5 * np.prod([SEGMENT_WEIGHT * dval for dval in dvals])
     return pref * total
 
 

@@ -60,6 +60,10 @@ __all__ = [
     "sphere_arc_geometry",
 ]
 
+# half-widths of the (u, v) box: along the geodesic and across it
+HALFWIDTH_LONG = 0.45
+HALFWIDTH_TRANS = 0.35
+
 
 @dataclass(frozen=True)
 class CompositionGeometry:
@@ -67,15 +71,13 @@ class CompositionGeometry:
     manifold, centered on the expected meeting point.
 
     dist1/dist2 take broadcastable arrays (u, v); jacobian is the area
-    density of the chart.  halfwidth_long is the box size along the
-    geodesic (u), halfwidth_trans across it (v).
+    density of the chart.  Every chart's box has the half-widths
+    HALFWIDTH_LONG along the geodesic (u) and HALFWIDTH_TRANS across it (v).
     """
 
     dist1: callable
     dist2: callable
     jacobian: callable
-    halfwidth_long: float = 0.45
-    halfwidth_trans: float = 0.35
 
 
 def flat_collinear_geometry(d1: float, d2: float) -> CompositionGeometry:
@@ -127,8 +129,7 @@ def sphere_arc_geometry(d1: float, d2: float) -> CompositionGeometry:
         rs = np.where(r > 0, r, 1.0)
         return np.where(r > 0, np.sin(rs) / rs, 1.0)
 
-    return CompositionGeometry(dist1, dist2, jacobian,
-                               halfwidth_long=0.45, halfwidth_trans=0.35)
+    return CompositionGeometry(dist1, dist2, jacobian)
 
 
 REFINE_TOL = 0.01  # largest relative coarse/fine gap of a converged value
@@ -176,8 +177,7 @@ def _check_critical_point(geom: CompositionGeometry):
 
 
 def _quadrature(geom, amp12, xi, sigma_eta, scale):
-    a = geom.halfwidth_long
-    b = geom.halfwidth_trans
+    a, b = HALFWIDTH_LONG, HALFWIDTH_TRANS
     # keep xi + eta positive; the Gaussian makes the clipped tail negligible
     eta_max = min(4.0 * sigma_eta, 0.85 * xi)
     d2_star = float(geom.dist2(np.asarray(0.0, float), np.asarray(0.0, float)))

@@ -99,6 +99,8 @@ def flat_cone_sine_kernel_series(
     truncated cone, as a Schwartz kernel against the area measure; the
     sum stops at lambda = 5 damping, where the damp is exp(-12.5)."""
     _check_damping(damping)
+    if not all(math.isfinite(v) for v in (t, x, y, xp, yp)):
+        raise ValueError("t, x, y, xp and yp must be finite")
     if x + xp + abs(t) > 2 * wall_r - WALL_MARGIN:
         raise WallInfluenceError(
             "wall too close: finite propagation speed no longer shields it"

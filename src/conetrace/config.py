@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from . import surfaces
 from .errors import ConfigError
 from .links import LinkSpectrum, SummationPolicy
@@ -172,8 +174,6 @@ def policy_from_config(spec) -> SummationPolicy:
 
 
 def grid_from_config(spec, where: str = "grid"):
-    import numpy as np
-
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} spec must be an object")
     check_keys(spec, ("min", "max", "count"), where)

@@ -281,8 +281,8 @@ class _FlowField:
 
     def __call__(self, s):
         if np.ndim(s) == 0:
-            # a float, as `JacobiSolution.at` reads it: about 9 us here,
-            # 75 us through the masks and searches of the array path
+            # a float, as `JacobiSolution.pair` reads one point: about 9 us
+            # here, 75 us through the masks and searches of the array path
             s = float(s)
             if self.head is not None and s < self.s0:
                 return self.head(s)
@@ -613,6 +613,8 @@ def build_closed_diffractive(surface: Surface, tip_sequence, seeds, *,
     given as `tips * r, seeds * r` are the primitive's own.
     """
     k = len(tip_sequence)
+    if k == 0:
+        raise ValueError("need at least one tip in the sequence")
     if len(seeds) != k:
         raise ValueError("need one seed per segment")
     keys = [(tip_sequence[j], tip_sequence[(j + 1) % k], float(seeds[j]))

@@ -28,7 +28,6 @@ the (j, j') that the flows store at the integrator's step ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from . import ode
 from .errors import ConjugateDegeneracyError
 
 __all__ = [
-    "JacobiField",
     "JacobiSolution",
     "integrate_jacobi",
     "theta_spreading",
@@ -49,6 +47,9 @@ JACOBI_RTOL = 1e-11
 JACOBI_ATOL = 1e-13
 # |j(s1)| below this times (s1 - s0) counts as a conjugate endpoint
 MORSE_DEGENERACY_TOL = 1e-8
+# |j| below this at a cut point: conjugate to an end of the path, for
+# `broken_hessian` and the cut route of `amplitudes`
+CONJUGATE_CUT_TOL = 1e-12
 # |a(L)| below this times L: conjugate ends for `_EndPair`, whose field errs
 # by up to about 3e-9 just above it (sphere arcs of length near pi)
 END_PAIR_TOL = 1e-3
@@ -56,12 +57,6 @@ END_PAIR_TOL = 1e-3
 # unwraps without reading the interpolant between them
 PHASE_STEP_MAX = math.pi / 2
 WRONSKIAN_CHECKS = 20  # points at which wronskian_drift reads W
-
-
-@dataclass(frozen=True)
-class JacobiField:
-    j: float
-    jprime: float
 
 
 class JacobiSolution:
@@ -76,10 +71,6 @@ class JacobiSolution:
     def pair(self, s) -> np.ndarray:
         """(j, j') at s (a float or an array), clamped to [s0, s1]."""
         return self._sol(np.clip(s, self.s0, self.s1))
-
-    def at(self, s: float) -> JacobiField:
-        y = self.pair(s)
-        return JacobiField(float(y[0]), float(y[1]))
 
     def knots(self):
         """The start of each integrator step behind the field, and the
@@ -160,7 +151,7 @@ class _EndPair:
 
     def __init__(self, path, s0: float):
         self.length, self.a = path.length, path.flow_field
-        if abs(self.a.at(self.length).j) < END_PAIR_TOL * self.length:
+        if abs(self.a.pair(self.length)[0]) < END_PAIR_TOL * self.length:
             raise ConjugateDegeneracyError("the path's ends are conjugate: no end pair")
         self.c = path.reversed().flow_field
         a, ap, c, cp = self.ends(s0)
@@ -183,27 +174,31 @@ class _EndPair:
         return s, self(s)
 
 
-def _field_from(path, s0: float, s1: float) -> JacobiSolution:
-    """j(s0) = 0, j'(s0) = 1 over [s0, s1]: the flow's field or `_EndPair`."""
+def _check_span(path, s0: float, s1: float) -> None:
     # a kept field ends at the path's end and would clamp past it
     if not 0.0 <= s0 < s1 <= path.length:
         raise ValueError(f"need 0 <= s0 < s1 <= length {path.length:.6g}, "
                          f"got s0 = {s0:.6g}, s1 = {s1:.6g}")
+
+
+def _field_from(path, s0: float, s1: float) -> JacobiSolution:
+    """j(s0) = 0, j'(s0) = 1 over [s0, s1]: the flow's field or `_EndPair`."""
+    _check_span(path, s0, s1)
     return path.flow_field if s0 == 0.0 else JacobiSolution(_EndPair(path, s0), s0, s1)
 
 
 def theta_spreading(path, s0: float = 0.0, s1: float = None) -> float:
     """Spreading |j(s1)|/(s1 - s0) of `_field_from`'s field; 1 on flat surfaces."""
     s1 = path.length if s1 is None else s1
-    field = _field_from(path, s0, s1)
-    return abs(field.at(s1).j) / (s1 - s0)
+    j, _ = _field_from(path, s0, s1).pair(s1)
+    return abs(float(j)) / (s1 - s0)
 
 
 def morse_index(path, s0: float = 0.0, s1: float = None) -> int:
     """Interior zero count on (s0, s1) of the field from s0 (`_field_from`)."""
     s1 = path.length if s1 is None else s1
     field = _field_from(path, s0, s1)
-    if abs(field.at(s1).j) < MORSE_DEGENERACY_TOL * (s1 - s0):
+    if abs(field.pair(s1)[0]) < MORSE_DEGENERACY_TOL * (s1 - s0):
         raise ConjugateDegeneracyError(
             "endpoint is conjugate: Morse index undefined at this tolerance"
         )
@@ -219,20 +214,21 @@ def broken_hessian(path, s_cut: float) -> float:
     negative H adds one to the Morse index of the concatenation:
     index(whole) = index(part1) + index(part2) + [H < 0].
     """
-    fa = _field_from(path, 0.0, s_cut).at(s_cut)
-    rev = path.reversed()
+    ja, jpa = _field_from(path, 0.0, s_cut).pair(s_cut)
     s_rev = path.length - s_cut
-    fb = _field_from(rev, 0.0, s_rev).at(s_rev)
-    if abs(fa.j) < 1e-12 or abs(fb.j) < 1e-12:
+    jb, jpb = _field_from(path.reversed(), 0.0, s_rev).pair(s_rev)
+    if abs(ja) < CONJUGATE_CUT_TOL or abs(jb) < CONJUGATE_CUT_TOL:
         raise ConjugateDegeneracyError("cut point is conjugate to an endpoint")
-    return fa.jprime / fa.j + fb.jprime / fb.j
+    return float(jpa / ja + jpb / jb)
 
 
 def wronskian_drift(path, s0: float = 0.0, s1: float = None) -> float:
     """Max |W(s)/W(s0) - 1| of the path's end pair (`_EndPair`) at
     WRONSKIAN_CHECKS even points of [s0, s1]; 0 for exact integrations.
-    The pair comes from two separate shots, so this checks both."""
+    The pair comes from two separate shots, so this checks both.  The
+    span must satisfy 0 <= s0 < s1 <= length, as for `_field_from`."""
     s1 = path.length if s1 is None else s1
+    _check_span(path, s0, s1)
     a, ap, c, cp = _EndPair(path, s0).ends(np.linspace(s0, s1, WRONSKIAN_CHECKS))
     w = a * cp - ap * c
     return float(np.max(np.abs(w / w[0] - 1.0)))

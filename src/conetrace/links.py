@@ -66,8 +66,8 @@ class LinkSpectrum:
 
     @staticmethod
     def circle(circumference: float) -> "LinkSpectrum":
-        if circumference <= 0:
-            raise NonPositiveRadiusError("circumference must be positive")
+        if not 0 < circumference < np.inf:
+            raise NonPositiveRadiusError("circumference must be finite and positive")
         return LinkSpectrum(circumference=float(circumference))
 
 
@@ -92,10 +92,11 @@ class SummationPolicy:
             raise PolicyMismatchError(f"unknown policy kind {self.kind!r}")
         if self.kind == "abel" and not (0.0 < self.r < 1.0):
             raise PolicyMismatchError("abel damping r must lie in (0, 1)")
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise PolicyMismatchError("gaussian sigma must be positive")
-        if self.mode_cutoff < 1:
-            raise PolicyMismatchError("mode_cutoff must be >= 1")
+        if self.kind == "gaussian" and not 0 < self.sigma < np.inf:
+            raise PolicyMismatchError("gaussian sigma must be finite and positive")
+        if not (isinstance(self.mode_cutoff, (int, np.integer))
+                and self.mode_cutoff is not True and self.mode_cutoff >= 1):
+            raise PolicyMismatchError("mode_cutoff must be an integer >= 1")
 
     @staticmethod
     def closed_form() -> "SummationPolicy":

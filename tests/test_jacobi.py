@@ -111,19 +111,19 @@ class TestSpreading:
         chart = surface.chart(tip_b.chart)
         s_sec = path.length - 0.1
         st = path.state(s_sec)
-        jf = b_jacobi_solution(path, s_sec).at(s_sec)
+        j, jp = b_jacobi_solution(path, s_sec).pair(s_sec)
         sq = chart.sqrt_q(st.p)
         dsq_dr = float(chart.sqrt_q_grad(st.p)[0])
-        deriv = 0.75 * (jf.jprime * sq * st.v[0] - jf.j * dsq_dr)
-        j_end = b_jacobi_solution(path).at(path.length).j
+        deriv = 0.75 * (jp * sq * st.v[0] - j * dsq_dr)
+        j_end = b_jacobi_solution(path).pair(path.length)[0]
         assert abs(abs(deriv) - 0.75 * tip_b.a0 * abs(j_end)) < 1e-6
 
     def test_shape_operator_flat_cone(self):
         fc = surfaces.flat_cone(1.5 * np.pi)
         path = shoot_from_tip(fc, "tip", 0.0, 4.0)
         # j'/j of the tip field: 1/x on the flat cone
-        f = path.flow_field.at(2.0)
-        assert f.jprime / f.j == pytest.approx(0.5, abs=1e-9)
+        j, jp = path.flow_field.pair(2.0)
+        assert jp / j == pytest.approx(0.5, abs=1e-9)
 
 
 class TestFlowField:
@@ -134,9 +134,9 @@ class TestFlowField:
 
     def assert_matches(self, field, ref, ss):
         for s in ss:
-            got, want = field.at(s), ref.at(s)
-            assert abs(got.j - want.j) <= self.TOL, s
-            assert abs(got.jprime - want.jprime) <= self.TOL, s
+            got, want = field.pair(s), ref.pair(s)
+            assert abs(got[0] - want[0]) <= self.TOL, s
+            assert abs(got[1] - want[1]) <= self.TOL, s
 
     @pytest.mark.parametrize("closed", ["spindle_closed", "teardrop_closed"])
     def test_tip_field_matches_separate_solve(self, closed, request):
@@ -179,9 +179,9 @@ class TestFlowField:
         assert c1 == pytest.approx(0.25, abs=1e-15)
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
         for x in (0.0, 1e-7, 1e-6, 1e-4):
-            f = path.flow_field.at(x)
-            assert f.j == pytest.approx(x * (1 + c1 * x), abs=x**3 / 16 + 1e-18)
-            assert f.jprime == pytest.approx(1 + 2 * c1 * x, abs=x**2 / 8 + 1e-15)
+            j, jp = path.flow_field.pair(x)
+            assert j == pytest.approx(x * (1 + c1 * x), abs=x**3 / 16 + 1e-18)
+            assert jp == pytest.approx(1 + 2 * c1 * x, abs=x**2 / 8 + 1e-15)
 
     def test_head_matches_separate_solve(self, spindle_closed, teardrop_closed):
         # across the designer band the closed form is the field that a
@@ -208,8 +208,8 @@ class TestFlowField:
             assert [(leg.s0, leg.s1) for leg in path.legs] == [(3.0, 3.0)]
             assert path.length == 3.0
             for s in (0.0, 1.0, 3.0):
-                f = path.flow_field.at(s)
-                assert (f.j, f.jprime) == pytest.approx(field(s), abs=1e-13)
+                j, jp = path.flow_field.pair(s)
+                assert (j, jp) == pytest.approx(field(s), abs=1e-13)
                 assert path.state(s).p == pytest.approx([s, 0.2 / surf.tips["tip"].a0])
             assert path.flow_field.zero_count(path.length) == 0
 
@@ -226,14 +226,14 @@ class TestFlowField:
         monkeypatch.setattr(jacobi, "integrate_jacobi",
                             lambda *a: solves.append(a) or solve(*a))
         assert jacobi.theta_spreading(path, 0.0, 2.0) == pytest.approx(
-            abs(ref.at(2.0).j) / 2.0, abs=self.TOL)
+            abs(ref.pair(2.0)[0]) / 2.0, abs=self.TOL)
         assert solves == []
 
     def test_great_circle_field_is_sine(self, sphere):
         start = ChartState("band", np.array([0.1, 0.2]), np.array([0.3, 1.0]))
         path = geodesic_flow(sphere, start, 3.0)
         for s in np.linspace(0.0, 3.0, 13):
-            assert path.flow_field.at(s).j == pytest.approx(np.sin(s), abs=1e-10)
+            assert path.flow_field.pair(s)[0] == pytest.approx(np.sin(s), abs=1e-10)
 
 
 class TestEndPair:
@@ -321,6 +321,17 @@ class TestWronskian:
                 if s1 - s0 < 0.1:
                     continue
                 assert jacobi.wronskian_drift(path, s0, s1) < 1e-8
+
+    def test_span_checked_at_its_edge(self, sphere):
+        # the span of _field_from: s1 = length reads, one ulp past it and
+        # an empty span raise instead of reading at clamped points
+        path = sphere_arc(sphere, 2.5)
+        assert jacobi.wronskian_drift(path, 0.5, path.length) < 1e-8
+        past = np.nextafter(path.length, np.inf)
+        for s0, s1 in ((0.5, past), (0.5, 9.0), (2.0, 1.0), (-1.0, 1.0),
+                       (1.0, 1.0)):
+            with pytest.raises(ValueError, match="need 0 <= s0 < s1"):
+                jacobi.wronskian_drift(path, s0, s1)
 
 
 class TestMorse:
@@ -495,11 +506,11 @@ class TestBrokenHessian:
         # at three offsets absorb it and land on the closed-form head
         surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5")
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
-        head = path.flow_field.at(1.5)
+        head = path.flow_field.pair(1.5)
         for x_start, tol in ((1e-4, 1e-8), (1e-5, 1e-9), (1e-6, 1e-9)):
-            f = b_jacobi_solution(path, 1.5, x_start=x_start).at(1.5)
-            assert abs(f.j - head.j) < tol
-            assert abs(f.jprime - head.jprime) < tol
+            f = b_jacobi_solution(path, 1.5, x_start=x_start).pair(1.5)
+            assert abs(f[0] - head[0]) < tol
+            assert abs(f[1] - head[1]) < tol
 
 
 @settings(max_examples=15, deadline=None)

@@ -313,7 +313,7 @@ def _composition_grid(geom, amp12, xi, sigma_eta, scale, rule):
     """The (u, v) factor base, the time mismatch delta, both n_u x n_v,
     and the eta nodes and weights of composition._quadrature, with the
     Legendre rules taken from rule(n)."""
-    a, b = geom.halfwidth_long, geom.halfwidth_trans
+    a, b = composition.HALFWIDTH_LONG, composition.HALFWIDTH_TRANS
     eta_max = min(4.0 * sigma_eta, 0.85 * xi)
     zero = np.asarray(0.0, float)
     d2_star = float(geom.dist2(zero, zero))
