@@ -270,8 +270,9 @@ def model_kernel(prediction, cutoff: CutoffSpec, t_grid,
     n_osc = np.abs(us) * (hi - cutoff.lower) / (2 * np.pi)
     panels = np.maximum(4, 2 * np.ceil(n_osc).astype(int))
     out = np.empty(len(us), dtype=complex)
-    for count in np.unique(panels):
-        xi, g = _symbol_nodes(s, cutoff, hi, int(count), damping_sigma)
+    # a set, not np.unique, whose first call loads numpy.ma (about 10 ms)
+    for count in sorted(set(panels.tolist())):
+        xi, g = _symbol_nodes(s, cutoff, hi, count, damping_sigma)
         idx = np.flatnonzero(panels == count)
         for i in range(0, len(idx), _KERNEL_ROWS):
             rows = idx[i:i + _KERNEL_ROWS]

@@ -4,7 +4,8 @@ Cone mode sums need J_nu for arbitrary real order nu = 2 pi |k| / rho,
 so the function is implemented in-repo rather than taken from a library
 that is also used as ground truth.  One routine gives J and J' together:
 `bessel_j_pair` returns both and `bessel_j` the first, so the mode
-build, the zero polish and any Newton iteration on J run one code path.
+build, the placement of the zeros and any other iteration on J run one
+code path.
 It refuses a negative or non-finite order or argument with
 BesselFailureError.  Two regimes:
 
@@ -53,25 +54,51 @@ BesselFailureError.  Two regimes:
   on every node.  cos(nu pi) and sin(nu pi) come from nu reduced mod 2,
   which keeps them accurate at large orders.
 
-Zeros come from linear algebra, not from a search on J.  The three-term
-recurrence makes 1/j_{nu,m} the positive eigenvalues of the infinite
-symmetric tridiagonal matrix with zero diagonal and off-diagonal
-1/(2 sqrt((nu+k)(nu+k+1))), k = 1, 2, ... (Ikebe 1975, Math. Comp. 29;
-Ball 2000, Math. Comp. 69).  Truncated to 1.1 (x_max - nu)
-+ 4 x_max^(1/3) + 10 rows it gives every zero up to x_max as the matrix
-of 3 (x_max - nu) + 300 rows does, to the eigensolve's rounding: on a
-scan of nu in [0, 370] and x_max <= 900 with nu pi + 2 x_max <= 3360,
-within 5.1e-14 relative.  The cube-root term is the width of the
-turning-point zone x ~ nu, where the eigenvectors of the zeros near
-x_max reach deepest into the matrix; without it, 1.1 (x_max - nu) + 20
-rows miss by 7e-6 at nu = 320, x_max = 343.  The zero diagonal pairs
+Zeros are counted and certified by linear algebra and placed by J.  The
+three-term recurrence makes 1/j_{nu,m} the positive eigenvalues of the
+infinite symmetric tridiagonal matrix with zero diagonal and
+off-diagonal 1/(2 sqrt((nu+k)(nu+k+1))), k = 1, 2, ... (Ikebe 1975,
+Math. Comp. 29; Ball 2000, Math. Comp. 69).  The zero diagonal pairs
 the eigenvalues as +-1/j, so the square of the matrix splits into two
-tridiagonal blocks (odd and even rows) that each carry 1/j^2, and the
-eigensolve uses one block of half the size.  One Newton step with the
-in-repo J then polishes each zero; a step larger than 1e-8 raises
-BesselFailureError.  The eigenvalues know nothing of the quadrature, so
-the two check each other, and nothing here calls a library Bessel
-function: tests use those as ground truth.
+tridiagonal blocks (odd and even rows) that each carry 1/j^2; the odd
+one is used.  Truncated to 1.1 (x_max - nu) + 4 x_max^(1/3) + 10 rows
+of the unsquared matrix, it holds every zero up to x_max as the matrix
+of 3 (x_max - nu) + 300 rows does: on a scan of nu in [0, 370] and
+x_max <= 900 with nu pi + 2 x_max <= 3360, within 5.1e-14 relative.
+The cube-root term is the width of the turning-point zone x ~ nu,
+where the eigenvectors of the zeros near x_max reach deepest into the
+matrix; without it, 1.1 (x_max - nu) + 20 rows miss by 7e-6 at
+nu = 320, x_max = 343.  A batch of orders (a cone mode build asks for
+its whole ladder of orders at once) goes through four steps:
+
+* count: the positive pivots of the LDL^T factorization of the block
+  minus 1/x^2 count the zeros below x (Sturm's count).  The blocks are
+  padded to one height with decoupled zero rows, which never count, so
+  one pass down the rows counts every order, or every zero, at once.
+  The count runs 1e-6 past x_max, and the placed zeros decide which
+  are kept, so a zero within the matrix's rounding of x_max is kept or
+  dropped by its own value;
+* start: McMahon's expansion in beta = (m + nu/2 - 1/4) pi where its
+  last term is below 1e-5 (or nu < 1), and elsewhere Olver's uniform
+  expansion nu z(zeta) + f1(zeta) / nu in the Airy zeros;
+* place: Halley's iteration on J, with J'' from Bessel's equation for
+  free.  A zero is done once its step is at most 1e-6, which the cubic
+  convergence leaves within rounding, and J' is carried to it by the
+  step's Taylor series.  With the first three Airy zeros from a table,
+  one pass settles all but a few zeros of each order;
+* certify: the counts at z (1 - 1e-8) and z (1 + 1e-8) must be m - 1
+  and m for the m-th zero z, else BesselFailureError.  A start that
+  Halley drives onto a neighbouring zero leaves a true zero of J in the
+  wrong place, which only this index check sees.
+
+The eigenvalues know nothing of the quadrature, so the two check each
+other, and nothing here calls a library Bessel function or eigensolver:
+the package needs numpy alone, and tests use those libraries as ground
+truth.  On every order of the cone mode builds of criterion 3 and of
+the benchmark's cone_front workload, and on the row-rule scan of the
+tests (34,720 zeros), the zeros match a LAPACK eigensolve of the same
+blocks followed by one Newton step of J within 2.4e-16 relative, and
+J' at them within 1.1e-13.
 
 Everything is deterministic and vectorized over the argument.
 """
@@ -82,8 +109,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import BesselFailureError
 from .quadrature import gauss_legendre
@@ -95,10 +120,22 @@ _SERIES_TERMS = 60
 # log m! of each term m of the series, one row per term
 _LOG_FACTORIAL = np.array([math.lgamma(m + 1.0)
                            for m in range(_SERIES_TERMS)])[:, None]
-_LAG = laggauss(80)
 _GL_RUNG = 64  # Legendre node counts are multiples of this
 _SPAN_TOP = 3360.0  # largest phase variation nu pi + 2 x supported
-_POLISH_TOL = 1e-8  # largest Newton step an eigenvalue zero may need
+# the zeros: the count runs _COUNT_MARGIN past x_max; a start is McMahon's
+# where its last term is below _MCMAHON_TOL; Halley ends a zero once its
+# step is at most _HALLEY_STOP, within _HALLEY_PASSES passes; the Ikebe
+# count certifies the m-th zero z at z (1 -+ _CERT_DELTA)
+_COUNT_MARGIN = 1e-6
+_MCMAHON_TOL = 1e-5
+_HALLEY_STOP = 1e-6
+_HALLEY_PASSES = 8
+_CERT_DELTA = 1e-8
+# the first zeros of Ai, and the coefficients of t^-2, ..., t^-10 in
+# the asymptotic series of the others
+_AIRY_FIRST = (-2.338107410459767, -4.08794944413097, -5.520559828095551)
+_AIRY_SERIES = (5.0 / 48.0, -5.0 / 36.0, 77125.0 / 82944.0,
+                -108056875.0 / 6967296.0, 162375596875.0 / 334430208.0)
 
 
 def _nodes(nu: float, x_max: float) -> int:
@@ -114,6 +151,15 @@ def _check_span(nu: float, x_max: float, what: str) -> None:
         raise BesselFailureError(
             f"{what}: phase variation {span:.6g} exceeds {_SPAN_TOP:g}, "
             f"the domain the Gauss-Legendre rule is checked on")
+
+
+@functools.cache
+def _laguerre():
+    """The 80-node Gauss-Laguerre rule of the Schlaefli integral's tail,
+    built on first use: only a non-integer order needs it, and most
+    commands never evaluate one."""
+    from numpy.polynomial.laguerre import laggauss
+    return laggauss(80)
 
 
 def _series(nu: float, x: np.ndarray):
@@ -157,7 +203,7 @@ def _schlaefli(nu: float, x: np.ndarray):
     j = (cos_arg @ a + sin_arg @ b) / np.pi
     d = (cos_arg @ (b * sin_theta) - sin_arg @ (a * sin_theta)) / np.pi
     if abs(s) > 1e-15:
-        u, lw = _LAG
+        u, lw = _laguerre()
         scale = nu + x[:, None] + 1.0
         tt = u[None, :] / scale
         # integrand times e^{+u}, matching the e^{-u} in the Laguerre
@@ -199,56 +245,203 @@ def bessel_j(nu: float, x):
     return _pair(nu, x)[0]
 
 
-def _ikebe_zeros(nu: float, cut: float) -> np.ndarray:
-    """Zeros of J_nu below cut, ascending, from the truncated Ikebe matrix
-    (accurate up to cut; see the module docstring)."""
-    m = math.ceil((1.1 * (cut - nu) + 4.0 * cut ** (1.0 / 3.0) + 10) / 2)  # half the rows
-    k = np.arange(1, 2 * m)
-    a = 0.5 / np.sqrt((nu + k) * (nu + k + 1.0))  # a[i] = a_{i+1}
+def _ikebe_blocks(nus: np.ndarray, cut: float):
+    """(diag, off2): the odd-row blocks of the squared Ikebe matrices of
+    the orders nus, truncated by the row rule for cut, one column per
+    order: diag[i] and off2[i] hold row i's diagonal and the square of
+    its coupling to row i + 1.  A block shorter than the tallest is
+    padded with zero rows that no coupling reaches, so their pivots are
+    -sigma and never count."""
+    # half the rows of the unsquared matrix that the row rule asks for
+    rows = np.ceil((1.1 * (cut - nus) + 4.0 * cut ** (1.0 / 3.0) + 10)
+                   / 2).astype(int)
+    k = np.arange(1, 2 * rows.max())[:, None]
+    a = 0.5 / np.sqrt((nus + k) * (nus + k + 1.0))  # a[i] = a_{i+1}
     # the odd rows of the square are B B^T, B lower bidiagonal with
     # diagonal a_1, a_3, ... and subdiagonal a_2, a_4, ...
     d, s = a[0::2], a[1::2]
     diag = d * d
     diag[1:] += s * s
-    inv_sq = eigvalsh_tridiagonal(diag, d[:-1] * s)  # 1/j^2, ascending
-    return 1.0 / np.sqrt(inv_sq[inv_sq > cut ** -2][::-1])
+    off2 = (d[:-1] * s) ** 2
+    r = np.arange(len(diag))[:, None]
+    diag[r >= rows] = 0.0
+    off2[r[:-1] + 1 >= rows] = 0.0
+    return diag, off2
 
 
-def _polish(nu: float, guesses: np.ndarray):
-    """One Newton step on J_nu from each guess: (zeros, J_nu' at the
-    guesses).  The slope is off by about a relative |step| / x."""
-    j, jp = bessel_j_pair(nu, guesses)
-    step = j / jp
-    if not np.all(np.abs(step) <= _POLISH_TOL):
-        worst = float(np.max(np.abs(step)))
+def _count_above(blocks, cols, sigma) -> np.ndarray:
+    """For each point p, the eigenvalues of block cols[p] above sigma[p]:
+    the positive pivots of the LDL^T factorization of block - sigma
+    (Sturm's count), all points in one pass down the rows."""
+    diag, off2 = blocks
+    sigma = np.broadcast_to(sigma, np.shape(cols))
+    q = diag[0][cols] - sigma
+    count = (q > 0).astype(np.int64)
+    # a zero pivot divides to -inf below it, the count of sigma + 0
+    with np.errstate(divide="ignore"):
+        for i in range(1, len(diag)):
+            q = (diag[i][cols] - sigma) - off2[i - 1][cols] / q
+            count += q > 0
+    return count
+
+
+def _airy_zeros(m: np.ndarray) -> np.ndarray:
+    """The m-th zero a_m of Ai: the first three from DLMF Table 9.9.1, the
+    rest from the asymptotic series -T(3 pi (4m-1)/8) (DLMF 9.9.6,
+    9.9.18) through t^-10, within 1.5e-10 from m = 4 on.  The series errs
+    by 5.3e-4 at best at m = 1 and by 5e-7 at m = 2, which would cost a
+    second Halley pass on nearly every order."""
+    t = 3.0 * np.pi * (4.0 * m - 1.0) / 8.0
+    u = t ** -2.0
+    tail = 0.0
+    for c in reversed(_AIRY_SERIES):
+        tail = (tail + c) * u
+    series = -t ** (2.0 / 3.0) * (1.0 + tail)
+    first = np.minimum(m, len(_AIRY_FIRST)).astype(int) - 1
+    return np.where(m <= len(_AIRY_FIRST), np.take(_AIRY_FIRST, first), series)
+
+
+def _starts(nu: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Starts for the m-th zeros of J_nu, from McMahon's expansion in
+    beta = (m + nu/2 - 1/4) pi (DLMF 10.21.19) where its last term is
+    below _MCMAHON_TOL or nu < 1, and elsewhere from Olver's uniform
+    expansion nu z(zeta) + f1(zeta) / nu with zeta = nu^(-2/3) a_m
+    (DLMF 10.20.2, 10.21.43)."""
+    b8 = 8.0 * (m + 0.5 * nu - 0.25) * np.pi
+    mu = 4.0 * nu * nu
+    c = 1.0 / b8
+    c2 = c * c
+    last = ((mu - 1.0) * (64.0 / 105.0) * c * c2 ** 3
+            * (((6949.0 * mu - 153855.0) * mu + 1585743.0) * mu - 6277237.0))
+    out = b8 / 8.0 - (mu - 1.0) * c * (
+        1.0 + c2 * ((4.0 / 3.0) * (7.0 * mu - 31.0)
+                    + c2 * (32.0 / 15.0) * ((83.0 * mu - 982.0) * mu + 3779.0)))
+    out -= last
+    olver = (np.abs(last) > _MCMAHON_TOL) & (nu >= 1.0)
+    if np.any(olver):
+        nu, m = nu[olver], m[olver]
+        zeta = nu ** (-2.0 / 3.0) * _airy_zeros(m)
+        # z(zeta) solves sqrt(z^2 - 1) - arcsec z = w; Newton from the
+        # right of the root, where the left side is increasing and convex
+        w = (2.0 / 3.0) * (-zeta) ** 1.5
+        z = np.maximum(w + 0.5 * np.pi,
+                       1.0 + (1.5 * w / math.sqrt(2.0)) ** (2.0 / 3.0))
+        for _ in range(7):
+            r = np.sqrt(z * z - 1.0)
+            z -= (r - np.arccos(1.0 / z) - w) * z / r
+        r = np.sqrt(z * z - 1.0)
+        h_sq = np.sqrt(4.0 * zeta / (1.0 - z * z))
+        b0 = (-5.0 / (48.0 * zeta * zeta)
+              + (5.0 / (24.0 * r ** 3) + 1.0 / (8.0 * r)) / np.sqrt(-zeta))
+        out[olver] = nu * z + 0.5 * z * h_sq * b0 / nu
+    return out
+
+
+def _halley(nu: float, starts: np.ndarray):
+    """(zeros, J_nu' at them) by Halley's iteration on the in-repo J from
+    the starts.  J'' = -J'/x - (1 - nu^2/x^2) J costs nothing more, so
+    the step is 2 J J' / (2 J'^2 - J J''); a zero's iteration ends once
+    its step is at most _HALLEY_STOP, after which the cubic convergence
+    leaves it within rounding, and the slope is carried to the new point
+    by its Taylor series, J' - J'' step + J''' step^2 / 2."""
+    x = starts.copy()
+    slopes = np.empty_like(x)
+    todo = np.arange(len(x))
+    for _ in range(_HALLEY_PASSES):
+        if len(todo) == 0:
+            return x, slopes
+        at = x[todo]
+        j, jp = bessel_j_pair(nu, at)
+        bend = 1.0 - (nu / at) ** 2
+        jpp = -jp / at - bend * j
+        jppp = (jp / at - jpp) / at - 2.0 * nu * nu / at ** 3 * j - bend * jp
+        step = 2.0 * j * jp / (2.0 * jp * jp - j * jpp)
+        x[todo] = at - step
+        slopes[todo] = jp - step * (jpp - 0.5 * step * jppp)
+        todo = todo[~(np.abs(step) <= _HALLEY_STOP)]  # a NaN step stays
+    if len(todo) == 0:
+        return x, slopes
+    raise BesselFailureError(
+        f"Halley's iteration on J_{nu:g} left {len(todo)} zeros unsettled "
+        f"after {_HALLEY_PASSES} passes")
+
+
+def _certify(blocks, nus, cols, index, zeros) -> None:
+    """The counts of block cols[p] at z (1 - delta) and z (1 + delta) must
+    be m - 1 and m for each zero z = zeros[p] of index m = index[p] of
+    the order nus[cols[p]], else BesselFailureError."""
+    below = _count_above(blocks, cols, (zeros * (1.0 - _CERT_DELTA)) ** -2)
+    above = _count_above(blocks, cols, (zeros * (1.0 + _CERT_DELTA)) ** -2)
+    bad = np.nonzero((below != index - 1) | (above != index))[0]
+    if len(bad):
+        p = bad[0]
         raise BesselFailureError(
-            f"eigenvalue zero of J_{nu:g} needs a Newton step of "
-            f"{worst:.3g} > {_POLISH_TOL:g}")
-    return guesses - step, jp
+            f"zero {index[p]} of J_{nus[cols[p]]:g} placed at {zeros[p]:.15g}: "
+            f"the Ikebe count finds {below[p]} zeros below it and "
+            f"{above[p]} up to it; zeros failing the count: {len(bad)}")
 
 
-@functools.lru_cache(maxsize=1)
-def _zeros_and_slopes(nu: float, x_max: float):
-    """(zeros of J_nu up to x_max, J_nu' at them), both read-only.  The
-    cone mode build asks for the slopes right after the zeros of the
-    same order, so one entry is enough."""
-    if not (math.isfinite(nu) and nu >= 0):
-        raise BesselFailureError(f"order must be finite and nonnegative: {nu}")
-    if not math.isfinite(x_max):
-        raise BesselFailureError(f"x_max must be finite: {x_max}")
-    if x_max <= nu:
-        zeros = slopes = np.array([])  # the first zero exceeds the order
-    else:
-        _check_span(nu, x_max, f"zeros of J_{nu:g} up to {x_max:g}")
-        # the margin keeps a zero that the eigenvalue error (about 1e-12)
-        # puts just above x_max; the polished values decide
-        zeros, slopes = _polish(nu, _ikebe_zeros(nu, x_max + 1e-6))
+def _solve(nus: list, x_max: float) -> list:
+    """[(zeros of J_nu up to x_max, J_nu' at them)] for the orders nus,
+    each below x_max: counted, started, placed and certified in one
+    batch."""
+    orders = np.array(nus, dtype=float)
+    # the count reaches a little past x_max, so a zero that the matrix
+    # puts just above it is still placed; the placed values decide
+    cut = x_max + _COUNT_MARGIN
+    blocks = _ikebe_blocks(orders, cut)
+    counts = _count_above(blocks, np.arange(len(nus)), cut ** -2)
+    # one entry per zero: its order's column and its index m
+    cols = np.repeat(np.arange(len(nus)), counts)
+    ends = np.cumsum(counts)
+    index = np.arange(1, len(cols) + 1) - np.repeat(ends - counts, counts)
+    starts = _starts(orders[cols], index.astype(float))
+    placed = [_halley(nu, part)
+              for nu, part in zip(nus, np.split(starts, ends[:-1]))]
+    _certify(blocks, orders, cols, index,
+             np.concatenate([zeros for zeros, _ in placed]))
+    out = []
+    for zeros, slopes in placed:
         keep = zeros <= x_max
         zeros, slopes = zeros[keep], slopes[keep]
-    zeros.flags.writeable = slopes.flags.writeable = False
-    return zeros, slopes
+        zeros.flags.writeable = slopes.flags.writeable = False
+        out.append((zeros, slopes))
+    return out
+
+
+# (nu, x_max) -> (zeros, slopes), read-only, for the orders of the
+# latest batch
+_held: dict = {}
+_EMPTY = np.array([])
+_EMPTY.flags.writeable = False
+
+
+def _zero_batch(nus, x_max: float) -> list:
+    """[(zeros of J_nu up to x_max, J_nu' at them) for nu in nus], both
+    read-only.  The orders not held are solved in one batch, and then
+    the orders of nus replace what is held, so a cone mode build that
+    asks for its ladder of orders first finds each order held when it
+    reads it through `bessel_j_zeros`."""
+    if not math.isfinite(x_max):
+        raise BesselFailureError(f"x_max must be finite: {x_max}")
+    for nu in nus:
+        if not (math.isfinite(nu) and nu >= 0):
+            raise BesselFailureError(
+                f"order must be finite and nonnegative: {nu}")
+    missing = sorted({nu for nu in nus
+                      if nu < x_max and (nu, x_max) not in _held})
+    for nu in missing:
+        _check_span(nu, x_max, f"zeros of J_{nu:g} up to {x_max:g}")
+    fresh = dict(zip(missing, _solve(missing, x_max))) if missing else {}
+    got = [fresh[nu] if nu in fresh
+           else _held.get((nu, x_max), (_EMPTY, _EMPTY)) for nu in nus]
+    if fresh:
+        _held.clear()
+        _held.update(((nu, x_max), pair) for nu, pair in zip(nus, got))
+    return got
 
 
 def bessel_j_zeros(nu: float, x_max: float) -> np.ndarray:
-    """All positive zeros of J_nu up to x_max, each to ~1e-10."""
-    return _zeros_and_slopes(nu, x_max)[0].copy()
+    """All positive zeros of J_nu up to x_max, each within rounding of
+    the in-repo J."""
+    return _zero_batch((nu,), x_max)[0][0].copy()

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .besselj import _zeros_and_slopes, bessel_j, bessel_j_zeros
+from .besselj import _zero_batch, bessel_j, bessel_j_zeros
 from .errors import WallInfluenceError
 from .fitting import guarded_lstsq
 
@@ -60,14 +60,16 @@ def _mode_data(rho, wall_r, x, xp, damping):
     nu_max = z_arg + 8.0 * max(z_arg, 1.0) ** (1.0 / 3.0) + 10.0
     k_max = int(np.ceil(nu_max * rho / (2 * np.pi)))
     j_max = lam_max * wall_r  # the largest Bessel zero kept
+    nus = [2 * np.pi * k / rho for k in range(k_max + 1)]
+    # the zeros of every order in one batch, and J' at them from the
+    # Halley steps that placed them
+    batch = _zero_batch(nus, j_max)
     ks, lams, weights = [], [], []
-    for k in range(0, k_max + 1):
-        nu = 2 * np.pi * k / rho
+    for k, nu in enumerate(nus):
         zeros = bessel_j_zeros(nu, j_max)
         if len(zeros) == 0:
             break
-        # J' at the zeros from the polish step that found them (cached)
-        slopes = _zeros_and_slopes(nu, j_max)[1]
+        slopes = batch[k][1]
         lam = zeros / wall_r
         norm = 2.0 / (wall_r**2 * slopes**2)
         jx = bessel_j(nu, lam * x)

@@ -377,11 +377,16 @@ def _doubled_square():
     peak = mag[np.abs(grid - 2.0) < 0.05].max()
     quiet = ((np.abs(grid - 2.0) > 0.3) & (np.abs(grid - corner) > 0.3)
              & (np.abs(grid - 2 * np.sqrt(2.0)) > 0.3))
+    # the median as np.median takes it, whose first call loads numpy.ma
+    # (about 10 ms)
+    quiet_mag = np.sort(mag[quiet])
+    half = len(quiet_mag) // 2
+    median = 0.5 * (quiet_mag[half] + quiet_mag[(len(quiet_mag) - 1) // 2])
     return [
         Measurement("corner-loop |C| (bound: 5 x mean quiet-length fit residual)",
                     abs(c_corner), hi=5.0 * baseline),
         Measurement("t=2 peak prominence over the quiet median",
-                    peak / np.median(mag[quiet]), lo=10.0),
+                    peak / median, lo=10.0),
     ]
 
 

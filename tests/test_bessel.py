@@ -2,10 +2,10 @@
 
 Reference values come from mpmath's multiprecision series at test time,
 and zeros are cross-checked against scipy (`jn_zeros`, and `jv` with
-bisection and Newton); all are independent of the quadrature and the eigenproblem
-under test.  The Ikebe matrix's row rule is checked against a larger
-truncation of the same matrix, unsquared.
-"""
+bisection and Newton); all are independent of the quadrature, the
+asymptotic starts and the Sturm counts under test.  The Ikebe matrix's
+row rule and its counts are checked against scipy's eigensolve of a
+larger truncation of the same matrix, unsquared."""
 
 import math
 
@@ -172,12 +172,14 @@ class TestZeros:
         # the (nu, x_max) of criterion 3 (Lambda = 40) and of the
         # benchmark's front workload (Lambda = 30), as the mode build asks
         # for them; its radial factors are stubbed out, since only the
-        # zeros are checked here
+        # zeros and the slopes J' at them, which the build reads from the
+        # same batch, are checked here
         seen = {}
 
         def recording(nu, x_max):
             zs = bessel_j_zeros(nu, x_max)
-            seen.setdefault(nu, []).append((x_max, zs))
+            slopes = besselj._zero_batch((nu,), x_max)[0][1]
+            seen.setdefault(nu, []).append((x_max, zs, slopes))
             return zs
 
         monkeypatch.setattr(conekernel, "bessel_j_zeros", recording)
@@ -186,10 +188,15 @@ class TestZeros:
         for damping in (40.0, 30.0):
             conekernel._mode_data.__wrapped__(rho, 2.0, 0.5, 0.5, damping)
         assert len(seen) > 80
+        worst = 0.0
         for nu, runs in seen.items():
-            ref = reference_zeros(nu, max(x_max for x_max, _ in runs))
-            for x_max, zs in runs:
+            ref = reference_zeros(nu, max(x_max for x_max, _, _ in runs))
+            for x_max, zs, slopes in runs:
                 assert_zeros_match(zs, ref[ref <= x_max])
+                ref_slopes = sp.jvp(nu, zs)
+                worst = max(worst, np.max(np.abs(slopes / ref_slopes - 1),
+                                          initial=0.0))
+        assert worst <= 1e-12
 
     @pytest.mark.parametrize("nu,x_max", [
         (0.0, 300.0), (200.0, 300.0), (0.0, 2.0), (0.5, 1679.0)],
@@ -199,10 +206,12 @@ class TestZeros:
                            reference_zeros(nu, x_max))
 
     def test_row_rule_against_a_larger_matrix(self):
-        # the eigenvalue zeros from 1.1 (cut - nu) + 4 cut^(1/3) + 10 rows
-        # against the unsquared matrix of 3 (cut - nu) + 300 rows, near
+        # the block of 1.1 (cut - nu) + 4 cut^(1/3) + 10 rows counts the
+        # zeros up to cut, and below and above each of them, as the
+        # unsquared matrix of 3 (cut - nu) + 300 rows places them, near
         # the turning point cut ~ nu (where 1.1 (cut - nu) + 20 rows miss
-        # by 7e-6 at nu = 320, cut = 343) and far past it
+        # by 7e-6 at nu = 320, cut = 343) and far past it; the zeros that
+        # J places match that matrix's
         pairs = [(nu, cut) for nu in (0.0, 2.5, 55.5, 160.0, 277.0, 320.0, 370.0)
                  for cut in (nu + 3.0, nu + 23.0, 1.5 * nu + 50.0)
                  if nu * np.pi + 2.0 * cut <= 3360.0]
@@ -214,11 +223,36 @@ class TestZeros:
                 np.zeros(n), 0.5 / np.sqrt((nu + k) * (nu + k + 1.0)),
                 select="v", select_range=(1.0 / cut, np.inf))
             ref = np.sort(1.0 / inv)
-            got = besselj._ikebe_zeros(nu, cut)
+            blocks = besselj._ikebe_blocks(np.array([nu]), cut)
+            cols = np.zeros(len(ref), dtype=int)
+            delta = besselj._CERT_DELTA
+            assert besselj._count_above(blocks, [0], cut ** -2.0)[0] == len(ref)
+            index = np.arange(1, len(ref) + 1)
+            assert np.array_equal(besselj._count_above(
+                blocks, cols, (ref * (1 - delta)) ** -2.0), index - 1)
+            assert np.array_equal(besselj._count_above(
+                blocks, cols, (ref * (1 + delta)) ** -2.0), index)
+            got = bessel_j_zeros(nu, cut)
             assert len(got) == len(ref)
             assert np.max(np.abs(got - ref) / ref, initial=0.0) <= 1e-13, (nu, cut)
             found += len(got)
         assert found > 600
+
+    def test_airy_zeros_against_multiprecision(self):
+        m = np.arange(1.0, 30.0)
+        ref = [float(mpmath.airyaizero(int(k))) for k in m]
+        assert np.max(np.abs(besselj._airy_zeros(m) - ref)) <= 2e-10
+
+    @pytest.mark.parametrize("nu,tol", [
+        (0.0, 3e-3), (0.75, 1e-4), (4.0 / 3.0, 2e-4), (5.0, 1e-5),
+        (10.0, 1e-6), (40.0, 1e-6), (150.5, 1e-8), (370.0, 1e-8)])
+    def test_starts_near_the_zeros(self, nu, tol):
+        # McMahon's and Olver's starts, worst at the first zero of a low
+        # order; from nu = 10 on, one Halley pass settles every zero
+        zs = reference_zeros(nu, 400.0)
+        m = np.arange(1.0, len(zs) + 1)
+        starts = besselj._starts(np.full(len(zs), nu), m)
+        assert np.max(np.abs(starts - zs)) <= tol
 
     @pytest.mark.parametrize("nu,k", [
         (0.0, 1), (4.0 / 3.0, 20), (40.0, 5), (200.0, 17)])
@@ -230,13 +264,13 @@ class TestZeros:
 
 class TestZeroGuards:
     """Bad orders and ranges raise before the Ikebe matrix is built, and
-    the Newton polish rejects an eigenvalue zero that is off."""
+    the Ikebe count refuses a placed zero that is off or out of place."""
 
     @pytest.fixture
     def no_matrix(self, monkeypatch):
-        def built(nu, cut):
-            raise AssertionError(f"matrix built for nu={nu}, cut={cut}")
-        monkeypatch.setattr(besselj, "_ikebe_zeros", built)
+        def built(nus, cut):
+            raise AssertionError(f"matrix built for nus={nus}, cut={cut}")
+        monkeypatch.setattr(besselj, "_ikebe_blocks", built)
 
     @pytest.mark.parametrize("nu,x_max", [
         (-1e-12, 10.0), (float("nan"), 10.0), (float("inf"), 10.0),
@@ -255,18 +289,61 @@ class TestZeroGuards:
         assert zs[0] == pytest.approx(float(mpmath.besseljzero(0, 1)),
                                       abs=1e-12)
 
-    def test_polish_step_below_tolerance_passes(self):
-        ref = reference_zeros(4.0 / 3.0, 100.0)
-        zeros, slopes = besselj._polish(4.0 / 3.0, ref + 1e-9)
-        assert np.max(np.abs(zeros - ref)) <= 1e-12
-        assert np.allclose(slopes, sp.jvp(4.0 / 3.0, ref), rtol=1e-8,
-                           atol=0)
+    @staticmethod
+    def _certify(zeros, nu=4.0 / 3.0, x_max=100.0):
+        blocks = besselj._ikebe_blocks(np.array([nu]), x_max)
+        besselj._certify(blocks, np.array([nu]), np.zeros(len(zeros), int),
+                         np.arange(1, len(zeros) + 1), zeros)
 
-    def test_polish_step_above_tolerance_raises(self):
-        guesses = reference_zeros(4.0 / 3.0, 100.0)
-        guesses[7] += 1e-7
-        with pytest.raises(BesselFailureError, match="Newton step"):
-            besselj._polish(4.0 / 3.0, guesses)
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["up", "down"])
+    def test_certificate_passes_a_zero_moved_by_half_delta(self, side):
+        zeros = reference_zeros(4.0 / 3.0, 100.0)
+        zeros[7] *= 1 + side * 0.5 * besselj._CERT_DELTA
+        self._certify(zeros)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["up", "down"])
+    def test_certificate_refuses_a_zero_moved_by_two_delta(self, side):
+        zeros = reference_zeros(4.0 / 3.0, 100.0)
+        zeros[7] *= 1 + side * 2.0 * besselj._CERT_DELTA
+        with pytest.raises(BesselFailureError, match="zero 8 of"):
+            self._certify(zeros)
+
+    def test_a_start_driven_onto_the_next_zero_is_refused(self, monkeypatch):
+        # the fifth start sits by the sixth zero, so Halley places that
+        # zero twice and no zero at the fifth place: each placed value is
+        # a zero of J, and only the index check of the count sees it
+        nu, x_max = 4.0 / 3.0, 100.0
+        ref = reference_zeros(nu, x_max)
+        starts = besselj._starts
+
+        def misplaced(orders, index):
+            out = starts(orders, index)
+            out[4] = ref[5] + 1e-3
+            return out
+
+        monkeypatch.setattr(besselj, "_starts", misplaced)
+        monkeypatch.setattr(besselj, "_held", {})
+        with pytest.raises(BesselFailureError, match="zero 5 of .* 5 zeros below it and 6 up to it"):
+            bessel_j_zeros(nu, x_max)
+
+    def test_halley_that_never_settles_raises(self, monkeypatch):
+        monkeypatch.setattr(besselj, "_HALLEY_STOP", -1.0)
+        monkeypatch.setattr(besselj, "_held", {})
+        with pytest.raises(BesselFailureError, match="unsettled"):
+            bessel_j_zeros(4.0 / 3.0, 30.0)
+
+    @pytest.mark.parametrize("nu,k", [
+        (0.0, 1), (4.0 / 3.0, 20), (40.0, 5), (200.0, 17)])
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    def test_count_at_x_max_a_step_from_a_zero(self, nu, k, side):
+        # an x_max 1e-14 relative (tens of ulps) from the k-th zero lies
+        # inside the count's own resolution (5.1e-14 relative); the count
+        # runs past x_max and the placed zeros decide
+        z = bessel_j_zeros(nu, 300.0)[k - 1]
+        zs = bessel_j_zeros(nu, z * (1 + side * 1e-14))
+        assert len(zs) == (k if side > 0 else k - 1)
+        if side > 0:
+            assert zs[-1] == pytest.approx(z, rel=1e-15, abs=0)
 
 
 class TestRegimeEdges:

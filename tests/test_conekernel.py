@@ -130,9 +130,10 @@ class TestKernelSeries:
         assert _mode_data.cache_info().misses == size + 2
 
     def test_mode_build_evaluates_j_few_times_per_zero(self, monkeypatch):
-        # criterion 3's cone build: one polish evaluation per zero, and one
-        # radial evaluation since x = x'; a search for the zeros would
-        # evaluate J about a dozen times per zero
+        # criterion 3's cone build: one Halley evaluation for most zeros
+        # and a second for the few started near the turning point, and
+        # one radial evaluation since x = x'; a search for the zeros
+        # would evaluate J about a dozen times per zero
         points = []
         evaluate = besselj._pair
 
@@ -141,7 +142,7 @@ class TestKernelSeries:
             return evaluate(nu, x)
 
         monkeypatch.setattr(besselj, "_pair", counting)
-        besselj._zeros_and_slopes.cache_clear()
+        monkeypatch.setattr(besselj, "_held", {})
         _, lams, _ = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0)
         zeros = len(lams)
         assert zeros > 5000

@@ -89,27 +89,31 @@ def test_import_leaves_sympy_unloaded():
     assert float(run.stdout) == pytest.approx(0.5)
 
 
-def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+def test_import_leaves_scipy_unloaded():
     # the geodesic flow, the Jacobi solves and their root finding run on
-    # conetrace.ode
+    # conetrace.ode; the Legendre rules, log-gamma, erf and digamma are
+    # the package's own; the Bessel zeros are counted on the Ikebe
+    # matrix by numpy
     code = "\n".join([
         "import sys, conetrace.cli",
-        "print(sorted(m for m in sys.modules",
-        "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     run = _run_fresh(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # the Legendre rules, log-gamma, erf and digamma are the package's
-    # own; scipy.linalg stays, for the Ikebe eigensolve of Bessel zeros
+def test_front_suite_leaves_scipy_unloaded():
+    # criterion 3 builds two cone mode sums cold, each finding its Bessel
+    # zeros in one batch, and loads no scipy module on the way
     code = "\n".join([
-        "import sys, conetrace.cli",
-        "assert 'scipy.linalg' in sys.modules",
-        "print(sorted(m for m in sys.modules",
-        "             if m.split('.')[:2] == ['scipy', 'special']))",
+        "import contextlib, io, sys",
+        "from conetrace import cli, conekernel",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['verify', '--suite', 'front'])",
+        "assert code == 0, code",
+        "assert conekernel._mode_data.cache_info().misses == 2",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     run = _run_fresh(code)
     assert run.returncode == 0, run.stderr

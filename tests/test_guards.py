@@ -94,6 +94,29 @@ def test_degeneracy_tol_boundary(monkeypatch, side):
         assert connect_tips(spindle, "south", "north", seed).miss < 1e-9
 
 
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+def test_degeneracy_tol_reached_by_eps(monkeypatch, side):
+    # the default tolerance, reached through the surface: at eps = 0 the
+    # spindle's tips are conjugate, and the seed shot's |d p_theta /
+    # d theta0| is about 1.59 eps, so connect_tips starts to refuse near
+    # eps = 6.3e-9.  A probe there places that edge, and an eps a
+    # relative 1e-3 above it passes, one below it refuses.
+    seed = 0.75 * (np.pi / 4 + 0.02)
+    probe_eps = 6.3e-9
+    probe = _Recorder()
+    with monkeypatch.context() as patched:
+        patched.setattr(geodesics, "DEGENERACY_TOL", probe)
+        connect_tips(surfaces.perturbed_spindle(eps=probe_eps), "south",
+                     "north", seed)
+    edge = probe_eps * geodesics.DEGENERACY_TOL / min(probe.seen)
+    spindle = surfaces.perturbed_spindle(eps=edge * (1 + side * 1e-3))
+    if side > 0:
+        assert connect_tips(spindle, "south", "north", seed).miss < 1e-9
+    else:
+        with pytest.raises(ConjugateDegeneracyError):
+            connect_tips(spindle, "south", "north", seed)
+
+
 # the public constructors refuse non-finite input on their own, not only
 # through the config layer; the smallest positive float still passes
 
