@@ -89,14 +89,28 @@ def test_import_leaves_sympy_unloaded():
     assert float(run.stdout) == pytest.approx(0.5)
 
 
-def test_import_leaves_scipy_unloaded():
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
     # the geodesic flow, the Jacobi solves and their root finding run on
-    # conetrace.ode; the Legendre rules, log-gamma, erf and digamma are
-    # the package's own; the Bessel zeros are counted on the Ikebe
-    # matrix by numpy
+    # conetrace.ode
     code = "\n".join([
         "import sys, conetrace.cli",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(sorted(m for m in sys.modules",
+        "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))",
+    ])
+    run = _run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # the Legendre rules, log-gamma, erf and digamma are the package's
+    # own; the Bessel zeros are counted on the Ikebe matrix by numpy, so
+    # scipy.linalg stays unloaded too
+    code = "\n".join([
+        "import sys, conetrace.cli",
+        "assert 'scipy.linalg' not in sys.modules",
+        "print(sorted(m for m in sys.modules",
+        "             if m.split('.')[:2] == ['scipy', 'special']))",
     ])
     run = _run_fresh(code)
     assert run.returncode == 0, run.stderr
