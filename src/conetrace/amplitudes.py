@@ -32,7 +32,7 @@ from .errors import (
 )
 from .jacobi import CONJUGATE_CUT_TOL, morse_index, theta_spreading
 from .links import SummationPolicy, diffraction_kernel
-from .quadrature import gauss_legendre
+from .quadrature import gauss_laguerre, gauss_legendre
 
 __all__ = [
     "CutoffSpec",
@@ -305,7 +305,7 @@ def _symbol_nodes(s, cutoff, hi, panels, sigma):
     return xi, g
 
 
-_LAGUERRE_NODES = np.polynomial.laguerre.laggauss(96)
+_TAIL_NODES = 96  # Gauss-Laguerre nodes of the undamped kernel's tail
 
 
 def _exp_integral_e(s: float, z: complex) -> complex:
@@ -319,7 +319,7 @@ def _exp_integral_e(s: float, z: complex) -> complex:
             raise QuadratureFailureError("E_s(0) diverges for s <= 1")
         return 1.0 / (s - 1.0)
     if abs(z) >= 2.0:
-        w, lw = _LAGUERRE_NODES
+        w, lw = gauss_laguerre(_TAIL_NODES)
         vals = lw * (1.0 + w / z) ** (-s)
         return np.exp(-z) * np.sum(vals) / z
     total = 0.0 + 0.0j

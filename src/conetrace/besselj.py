@@ -105,13 +105,12 @@ Everything is deterministic and vectorized over the argument.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .errors import BesselFailureError
-from .quadrature import gauss_legendre
+from .quadrature import gauss_laguerre, gauss_legendre
 
 __all__ = ["bessel_j", "bessel_j_pair", "bessel_j_zeros"]
 
@@ -121,6 +120,7 @@ _SERIES_TERMS = 60
 _LOG_FACTORIAL = np.array([math.lgamma(m + 1.0)
                            for m in range(_SERIES_TERMS)])[:, None]
 _GL_RUNG = 64  # Legendre node counts are multiples of this
+_TAIL_NODES = 80  # Laguerre nodes of the Schlaefli integral's tail
 _SPAN_TOP = 3360.0  # largest phase variation nu pi + 2 x supported
 # the zeros: the count runs _COUNT_MARGIN past x_max; a start is McMahon's
 # where its last term is below _MCMAHON_TOL; Halley ends a zero once its
@@ -151,15 +151,6 @@ def _check_span(nu: float, x_max: float, what: str) -> None:
         raise BesselFailureError(
             f"{what}: phase variation {span:.6g} exceeds {_SPAN_TOP:g}, "
             f"the domain the Gauss-Legendre rule is checked on")
-
-
-@functools.cache
-def _laguerre():
-    """The 80-node Gauss-Laguerre rule of the Schlaefli integral's tail,
-    built on first use: only a non-integer order needs it, and most
-    commands never evaluate one."""
-    from numpy.polynomial.laguerre import laggauss
-    return laggauss(80)
 
 
 def _series(nu: float, x: np.ndarray):
@@ -203,7 +194,7 @@ def _schlaefli(nu: float, x: np.ndarray):
     j = (cos_arg @ a + sin_arg @ b) / np.pi
     d = (cos_arg @ (b * sin_theta) - sin_arg @ (a * sin_theta)) / np.pi
     if abs(s) > 1e-15:
-        u, lw = _laguerre()
+        u, lw = gauss_laguerre(_TAIL_NODES)
         scale = nu + x[:, None] + 1.0
         tt = u[None, :] / scale
         # integrand times e^{+u}, matching the e^{-u} in the Laguerre

@@ -88,16 +88,15 @@ def _write_lines(out_path, lines):
 
 def cmd_link_kernel(args) -> int:
     cfg = load_config(args.config)
-    check_keys(cfg, ("link", "policy", "n", "u_grid"), "the link-kernel config")
+    check_keys(cfg, ("link", "policy", "u_grid"), "the link-kernel config")
     link = link_from_config(cfg.get("link", {}))
     policy = policy_from_config(cfg.get("policy"))
-    n = integer_from_config(cfg.get("n", 2), "'n'", minimum=2)
     us = grid_from_config(cfg.get("u_grid", {}), "u_grid")
     lines = [_HEADER_NOTE, "u,re_d,im_d,regular"]
     n_singular = 0
     for u in us:
         try:
-            dval = diffraction_kernel(link, n, float(u), 0.0, policy)
+            dval = diffraction_kernel(link, DIMENSION, float(u), 0.0, policy)
             lines.append(",".join([
                 _fmt(u), _fmt(dval.value.real), _fmt(dval.value.imag),
                 "1" if dval.regular else "0",

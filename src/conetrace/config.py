@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from . import surfaces
-from .errors import ConfigError
-from .links import LinkSpectrum, SummationPolicy
+from .errors import ConfigError, PolicyMismatchError
+from .links import DEFAULT_ABEL_R, LinkSpectrum, SummationPolicy
 
 __all__ = [
     "load_config",
@@ -40,8 +40,7 @@ _BUILTINS = {
     "teardrop": surfaces.teardrop,
 }
 _CONE_CHART_KEYS = ("sqrt_h", "r_max")  # the link follows from sqrt_h
-_POLICY_KEYS = {"closed_form": ("kind",), "abel": ("kind", "r", "mode_cutoff"),
-                "gaussian": ("kind", "sigma", "mode_cutoff")}
+_POLICY_KEYS = {"closed_form": ("kind",), "abel": ("kind", "r")}
 
 
 def load_config(path: str) -> dict:
@@ -142,11 +141,6 @@ def link_from_config(spec) -> LinkSpectrum:
     return LinkSpectrum.circle(rho)
 
 
-def _mode_cutoff(spec: dict) -> int:
-    return integer_from_config(spec.get("mode_cutoff", 100_000),
-                               "policy mode_cutoff", minimum=1)
-
-
 def policy_from_config(spec) -> SummationPolicy:
     if spec is None:
         return SummationPolicy.closed_form()
@@ -154,23 +148,16 @@ def policy_from_config(spec) -> SummationPolicy:
         raise ConfigError("policy spec must be an object")
     kind = spec.get("kind", "closed_form")
     if not isinstance(kind, str) or kind not in _POLICY_KEYS:
-        raise ConfigError(f"unknown policy kind {kind!r}")
+        raise ConfigError(f"unknown policy kind {kind!r}; "
+                          f"choose from {list(_POLICY_KEYS)}")
     check_keys(spec, _POLICY_KEYS[kind], f"{kind} policy")
+    if kind == "closed_form":
+        return SummationPolicy.closed_form()
+    r = number_from_config(spec.get("r", DEFAULT_ABEL_R), "abel policy r")
     try:
-        if kind == "abel":
-            return SummationPolicy.abel(
-                r=number_from_config(spec.get("r", 1.0 - 1e-4), "abel policy r"),
-                mode_cutoff=_mode_cutoff(spec))
-        if kind == "gaussian":
-            return SummationPolicy.gaussian(
-                sigma=number_from_config(_require(spec, "sigma", "gaussian policy"),
-                                         "gaussian policy sigma", positive=True),
-                mode_cutoff=_mode_cutoff(spec))
-    except ConfigError:
-        raise
-    except Exception as exc:
+        return SummationPolicy.abel(r)
+    except PolicyMismatchError as exc:
         raise ConfigError(f"bad policy spec: {exc}") from exc
-    return SummationPolicy.closed_form()
 
 
 def grid_from_config(spec, where: str = "grid"):

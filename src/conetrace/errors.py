@@ -15,7 +15,8 @@ class GeometricSetError(ConetraceError):
 
 
 class PolicyMismatchError(ConetraceError):
-    """Summation policy is incompatible with the link kind or request."""
+    """Unknown summation policy, or an ambient dimension n != 2, which
+    no circle-link kernel takes."""
 
 
 class NonPositiveRadiusError(ConetraceError):

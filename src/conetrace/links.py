@@ -1,8 +1,11 @@
 """Spectral model of a cone link and its functional-calculus kernels.
 
 A cone point of a conic surface is described by its link: a circle of some
-circumference rho.  Everything the wave trace needs from the link is a
-kernel of a function of nu = sqrt(Delta_link + ((2-n)/2)^2):
+circumference rho.  The link of an n-dimensional cone carries
+nu = sqrt(Delta_link + ((2-n)/2)^2) (Cheeger and Taylor); a circle is
+the link of a 2-dimensional cone, where nu = sqrt(Delta_link), so every
+kernel here takes n = 2 only.  Everything the wave trace needs from the
+link is a kernel of a function of nu:
 
 * the diffraction coefficient, the kernel of exp(-i pi nu),
 * the half-Klein-Gordon propagator exp(-i t nu) at general time t,
@@ -10,10 +13,11 @@ kernel of a function of nu = sqrt(Delta_link + ((2-n)/2)^2):
 * the front coefficients of the single-diffraction sine kernel built
   from them.
 
-Mode sums are distributional and need a summation policy: a closed form
-(n = 2 only), Abel damping r^nu with r < 1, or Gaussian damping
-exp(-nu^2 / (2 sigma^2)).  The closed form is validated against the Abel
-series in the test suite before anything else relies on it.
+Mode sums are distributional and need a summation policy: the closed
+form (a pair of cotangents), or the Abel-damped series with damping
+r^nu, r < 1, summed exactly.  The closed form is validated against the
+extrapolated Abel series in the test suite before anything else relies
+on it.
 
 Kernels are singular exactly where the two link points are joined by a
 link geodesic (wrapping allowed) of length |t|; evaluation inside a guard
@@ -51,6 +55,8 @@ GEOMETRIC_TOL = 1e-6
 REGULARITY_BAND = 1e-3
 #: damping parameters r at which `abel_extrapolate` samples an Abel sum
 ABEL_RS = (1 - 1e-3, 1 - 1e-4, 1 - 1e-5)
+#: damping r of an Abel policy that does not name one
+DEFAULT_ABEL_R = 1.0 - 1e-4
 
 
 @dataclass(frozen=True)
@@ -64,51 +70,40 @@ class LinkSpectrum:
 
     circumference: float
 
+    def __post_init__(self) -> None:
+        if not 0 < self.circumference < np.inf:
+            raise NonPositiveRadiusError("circumference must be finite and positive")
+
     @staticmethod
     def circle(circumference: float) -> "LinkSpectrum":
-        if not 0 < circumference < np.inf:
-            raise NonPositiveRadiusError("circumference must be finite and positive")
         return LinkSpectrum(circumference=float(circumference))
 
 
 @dataclass(frozen=True)
 class SummationPolicy:
-    """How to sum a distributional mode series.
+    """How to sum a distributional mode series on a circle link.
 
-    kind "closed_form" (n = 2 only), "abel" with damping
-    r^nu, or "gaussian" with damping exp(-nu^2/(2 sigma^2)); mode_cutoff
-    bounds the number of angular modes actually summed (the Abel series
-    of exp(-i t nu) on a circle link in n = 2 is geometric and is summed
-    in closed form).
+    kind "closed_form", the cotangent pair, or "abel", the series damped
+    by r^nu, 0 < r < 1, summed exactly (it is geometric in the mode
+    index).  Both need ambient dimension n = 2.
     """
 
     kind: str
-    r: float = 1.0 - 1e-4
-    sigma: float = 30.0
-    mode_cutoff: int = 100_000
+    r: float = DEFAULT_ABEL_R
 
     def __post_init__(self) -> None:
-        if self.kind not in ("closed_form", "abel", "gaussian"):
+        if self.kind not in ("closed_form", "abel"):
             raise PolicyMismatchError(f"unknown policy kind {self.kind!r}")
         if self.kind == "abel" and not (0.0 < self.r < 1.0):
             raise PolicyMismatchError("abel damping r must lie in (0, 1)")
-        if self.kind == "gaussian" and not 0 < self.sigma < np.inf:
-            raise PolicyMismatchError("gaussian sigma must be finite and positive")
-        if not (isinstance(self.mode_cutoff, (int, np.integer))
-                and self.mode_cutoff is not True and self.mode_cutoff >= 1):
-            raise PolicyMismatchError("mode_cutoff must be an integer >= 1")
 
     @staticmethod
     def closed_form() -> "SummationPolicy":
         return SummationPolicy(kind="closed_form")
 
     @staticmethod
-    def abel(r: float = 1.0 - 1e-4, mode_cutoff: int = 100_000) -> "SummationPolicy":
-        return SummationPolicy(kind="abel", r=r, mode_cutoff=mode_cutoff)
-
-    @staticmethod
-    def gaussian(sigma: float, mode_cutoff: int = 100_000) -> "SummationPolicy":
-        return SummationPolicy(kind="gaussian", sigma=sigma, mode_cutoff=mode_cutoff)
+    def abel(r: float = DEFAULT_ABEL_R) -> "SummationPolicy":
+        return SummationPolicy(kind="abel", r=r)
 
 
 @dataclass(frozen=True)
@@ -121,10 +116,6 @@ class DiffractionValue:
 
     value: complex
     regular: bool
-
-
-def _nu_shift(n: int) -> float:
-    return abs(2 - n) / 2.0
 
 
 def _wrap(u: float, rho: float) -> float:
@@ -158,32 +149,6 @@ def _closed_form_half_kg(rho: float, t: float, u: float) -> complex:
     return 0.5j / rho * (1.0 / np.tan(a) - 1.0 / np.tan(b))
 
 
-def _mode_weights(nus: np.ndarray, policy: SummationPolicy) -> np.ndarray:
-    if policy.kind == "abel":
-        return policy.r**nus
-    if policy.kind == "gaussian":
-        return np.exp(-(nus**2) / (2 * policy.sigma**2))
-    raise PolicyMismatchError("closed_form policy has no mode weights")
-
-
-def _mode_sum(link: LinkSpectrum, n: int, t: float, u: float,
-              policy: SummationPolicy) -> complex:
-    """Damped mode series of exp(-i t nu) on a circle link at offset u:
-    (w(nu_0) + 2 sum_k w(nu_k) exp(-i t nu_k) cos(2 pi k u / rho)) / rho,
-    modes damped below 1e-18 dropped."""
-    rho = link.circumference
-    s2 = _nu_shift(n) ** 2
-    ks = np.arange(1, policy.mode_cutoff + 1)
-    nus = np.sqrt((2 * np.pi * ks / rho) ** 2 + s2)
-    damp = _mode_weights(nus, policy)
-    keep = damp > 1e-18
-    ks, nus, damp = ks[keep], nus[keep], damp[keep]
-    nu0 = np.array([np.sqrt(s2)])
-    total = np.exp(-1j * t * nu0)[0] * _mode_weights(nu0, policy)[0] / rho
-    total += np.sum(np.exp(-1j * t * nus) * damp * 2.0 * np.cos(2 * np.pi * ks * u / rho)) / rho
-    return complex(total)
-
-
 def _abel_half_kg_circle(rho: float, t: float, u: float, r: float) -> complex:
     """Abel-damped exp(-i t nu) mode series on a circle link (n = 2).
 
@@ -210,21 +175,22 @@ def half_kg_kernel(
 ) -> complex:
     """Kernel of exp(-i t nu) at a pair of link points.
 
-    The singular-set guard raises only for the closed form, whose value
-    is an actual pole there; damped policies return the finite smoothed
-    value and leave flagging to the caller.
+    A circle is the link of a 2-dimensional cone only, so every policy
+    raises PolicyMismatchError for n != 2.  The singular-set guard
+    raises only for the closed form, whose value is an actual pole
+    there; the Abel policy returns the finite damped value and leaves
+    flagging to the caller.
     """
-    if policy.kind == "closed_form":
-        d = singular_set_distance(link, t, y, y_prime)
-        if d < GEOMETRIC_TOL:
-            raise GeometricSetError(f"link pair is within {d:.2e} of the "
-                                    f"singular set of exp(-i*{t:.6g}*nu)")
-        if n != 2:
-            raise PolicyMismatchError("closed form requires ambient dimension 2")
-        return _closed_form_half_kg(link.circumference, t, y - y_prime)
-    if policy.kind == "abel" and _nu_shift(n) == 0.0:
+    if n != 2:
+        raise PolicyMismatchError(
+            f"a circle link is the link of a 2-dimensional cone, not n = {n!r}")
+    if policy.kind == "abel":
         return _abel_half_kg_circle(link.circumference, t, y - y_prime, policy.r)
-    return _mode_sum(link, n, t, y - y_prime, policy)
+    d = singular_set_distance(link, t, y, y_prime)
+    if d < GEOMETRIC_TOL:
+        raise GeometricSetError(f"link pair is within {d:.2e} of the "
+                                f"singular set of exp(-i*{t:.6g}*nu)")
+    return _closed_form_half_kg(link.circumference, t, y - y_prime)
 
 
 def diffraction_kernel(

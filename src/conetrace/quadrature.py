@@ -1,10 +1,11 @@
-"""Gauss-Legendre rules on [-1, 1], built once per node count.
+"""Gauss-Legendre and Gauss-Laguerre rules, built once per node count.
 
 Every Legendre quadrature in the package takes its nodes and weights
-from `gauss_legendre`.  The nodes are the zeros of P_n, found by
-Newton's method in the angle theta (x = cos theta) on the three-term
-recurrence, from asymptotic starts, as in Hale and Townsend (SIAM J.
-Sci. Comput. 35, 2013):
+from `gauss_legendre`, and every Laguerre one from `gauss_laguerre`
+(numpy's `laggauss`, built on first use).  The Legendre nodes are the
+zeros of P_n, found by Newton's method in the angle theta (x = cos
+theta) on the three-term recurrence, from asymptotic starts, as in Hale
+and Townsend (SIAM J. Sci. Comput. 35, 2013):
 
 * Tricomi's start x ~ (1 - (n - 1) / (8 n^3) - (39 - 28 / sin^2 t) /
   (384 n^4)) cos t, t = pi (4 k - 1) / (4 n + 2), errs most at the
@@ -44,8 +45,9 @@ import functools
 import math
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 
-__all__ = ["gauss_legendre"]
+__all__ = ["gauss_legendre", "gauss_laguerre"]
 
 _NEWTON_STOP = 1e-8
 # the first zeros of J_0 (Abramowitz and Stegun, table 9.5)
@@ -107,6 +109,19 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     w *= 2.0 / (2.0 * math.fsum(w[:half]) + math.fsum(w[half:]))
     nodes = np.concatenate([-x[:half], x[half:], x[:half][::-1]])
     weights = np.concatenate([w, w[:half][::-1]])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.cache
+def gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of numpy's n-point Gauss-Laguerre rule for the
+    weight e^{-x} on [0, inf), read-only.  Each rule is built on first
+    use, not at import: only a Bessel function of non-integer order and
+    an undamped model kernel integrate a tail, and most commands
+    evaluate neither."""
+    nodes, weights = laggauss(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

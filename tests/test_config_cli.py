@@ -58,6 +58,9 @@ class TestConfigObjects:
     def test_policy(self):
         assert policy_from_config(None).kind == "closed_form"
         assert policy_from_config({"kind": "abel", "r": 0.999}).r == 0.999
+        assert policy_from_config({"kind": "abel"}) == SummationPolicy.abel()
+        with pytest.raises(ConfigError, match="bad policy spec"):
+            policy_from_config({"kind": "abel", "r": 1.0})
         with pytest.raises(ConfigError):
             policy_from_config({"kind": "cesaro"})
 
@@ -89,6 +92,19 @@ class TestLinkKernelCommand:
             ref = diffraction_kernel(link, 2, u, 0.0, pol).value
             assert float(row[1]) == ref.real
             assert float(row[2]) == ref.imag
+
+    def test_abel_policy_matches_library(self, tmp_path):
+        cfg = write_config(tmp_path, "abel.json", {
+            "link": {"circumference": RHO},
+            "policy": {"kind": "abel", "r": 0.999},
+            "u_grid": {"min": 0.3, "max": RHO - 0.3, "count": 9},
+        })
+        out = tmp_path / "abel.csv"
+        assert main(["link-kernel", "--config", cfg, "--out", str(out)]) == 0
+        link, pol = LinkSpectrum.circle(RHO), SummationPolicy.abel(0.999)
+        for row in read_rows(out)[1]:
+            ref = diffraction_kernel(link, 2, float(row[0]), 0.0, pol).value
+            assert (float(row[1]), float(row[2])) == (ref.real, ref.imag)
 
     def test_units_header_present(self, tmp_path):
         out = tmp_path / "lk.csv"
@@ -241,6 +257,8 @@ class TestExitCodes:
         ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": 1}}),
         ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": 2.5}}),
         ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": "9"}}),
+        # keys retired with the Gaussian policy and the dimension n:
+        # refused whatever their value (test_retired_link_key_exit_2)
         ("link-kernel", {"n": "2"}),
         ("link-kernel", {"n": True}),
         ("link-kernel", {"n": 1}),
@@ -339,6 +357,31 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "c.json", {**base, **payload})
         assert main([command, "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload,named", [
+        ({"n": 2}, "'n'"),
+        ({"n": 4}, "'n'"),
+        ({"policy": {"kind": "gaussian", "sigma": 30.0}}, "'gaussian'"),
+        ({"policy": {"kind": "gaussian"}}, "'gaussian'"),
+        ({"policy": {"kind": "abel", "mode_cutoff": 100_000}}, "'mode_cutoff'"),
+        ({"policy": {"kind": "abel", "r": 0.999, "sigma": 30.0}}, "'sigma'"),
+        ({"policy": {"mode_cutoff": 1}}, "'mode_cutoff'"),
+        ({"policy": {"kind": "closed_form", "sigma": 30.0}}, "'sigma'"),
+    ], ids=["n-two", "n-four", "gaussian-sigma", "gaussian-bare",
+            "abel-cutoff", "abel-sigma", "closed-form-cutoff",
+            "closed-form-sigma"])
+    def test_retired_link_key_exit_2(self, tmp_path, capsys, payload, named):
+        # circle links are 2-D links under two policies, closed form and
+        # Abel; a retired key is refused with its name, even at a value
+        # the parent accepted
+        cfg = write_config(tmp_path, "lk.json", {
+            "link": {"circumference": RHO},
+            "u_grid": {"min": 0.3, "max": RHO - 0.3, "count": 9},
+            **payload,
+        })
+        assert main(["link-kernel", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
 
     @pytest.mark.parametrize("argv", [
         ["link-kernel", "--config", "c.json", "--threads", "2"],

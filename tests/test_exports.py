@@ -50,11 +50,16 @@ def _run_fresh(code):
 
 
 def test_verify_import_builds_nothing():
-    # the registry builds its surfaces, geodesics and mode sums when a
-    # criterion runs, not when conetrace.verify is imported
+    # the registry builds its surfaces, geodesics and mode sums, and the
+    # package its quadrature rules, when a computation runs, not when
+    # conetrace.verify or conetrace.cli is imported
     code = "\n".join([
+        "import numpy.polynomial.laguerre as laguerre",
+        "rules = []",
+        "laggauss = laguerre.laggauss",
+        "laguerre.laggauss = lambda n: rules.append(n) or laggauss(n)",
         "import conetrace",
-        "from conetrace import conekernel, geodesics, surfaces",
+        "from conetrace import conekernel, geodesics, quadrature, surfaces",
         "built = []",
         "def count(cls):",
         "    init = cls.__init__",
@@ -63,8 +68,11 @@ def test_verify_import_builds_nothing():
         "        init(self, *a, **kw)",
         "    cls.__init__ = counted",
         "count(surfaces.Surface); count(geodesics.GeodesicPath)",
-        "import conetrace.verify",
+        "import conetrace.verify, conetrace.cli",
         "assert conekernel._mode_data.cache_info().currsize == 0",
+        "assert quadrature.gauss_legendre.cache_info().currsize == 0",
+        "assert quadrature.gauss_laguerre.cache_info().currsize == 0",
+        "assert rules == [], rules",
         "print(len(built))",
     ])
     run = _run_fresh(code)

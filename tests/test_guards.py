@@ -122,33 +122,42 @@ def test_degeneracy_tol_reached_by_eps(monkeypatch, side):
 
 def test_link_circle_smallest_positive():
     assert LinkSpectrum.circle(TINY).circumference == TINY
+    assert LinkSpectrum(TINY).circumference == TINY
 
 
 @NON_FINITE
 def test_link_circle_non_finite(bad):
     with pytest.raises(NonPositiveRadiusError):
         LinkSpectrum.circle(bad)
+    with pytest.raises(NonPositiveRadiusError):
+        LinkSpectrum(bad)
 
 
-def test_gaussian_policy_smallest_positive():
-    assert SummationPolicy.gaussian(TINY).sigma == TINY
+@pytest.mark.parametrize("bad", [0.0, -1.0, -TINY])
+@pytest.mark.parametrize("make", [LinkSpectrum, LinkSpectrum.circle],
+                         ids=["init", "circle"])
+def test_link_non_positive(make, bad):
+    # the dataclass checks itself, so no kernel sees a link of no cone
+    with pytest.raises(NonPositiveRadiusError):
+        make(bad)
+
+
+def test_abel_policy_smallest_positive():
+    assert SummationPolicy.abel(TINY).r == TINY
+    below_one = math.nextafter(1.0, 0.0)
+    assert SummationPolicy.abel(below_one).r == below_one
 
 
 @NON_FINITE
-def test_gaussian_policy_non_finite(bad):
+def test_abel_policy_non_finite(bad):
     with pytest.raises(PolicyMismatchError):
-        SummationPolicy.gaussian(bad)
+        SummationPolicy.abel(bad)
 
 
-def test_mode_cutoff_one():
-    assert SummationPolicy.abel(mode_cutoff=1).mode_cutoff == 1
-    assert SummationPolicy.gaussian(1.0, mode_cutoff=np.int64(1)).mode_cutoff == 1
-
-
-@pytest.mark.parametrize("cutoff", [0, 2.5, 1.0, True, math.nan, math.inf])
-def test_mode_cutoff_not_an_integer_from_one(cutoff):
+@pytest.mark.parametrize("bad", [0.0, 1.0], ids=["zero", "one"])
+def test_abel_policy_closed_ends(bad):
     with pytest.raises(PolicyMismatchError):
-        SummationPolicy.abel(mode_cutoff=cutoff)
+        SummationPolicy.abel(bad)
 
 
 def test_cutoff_largest_finite_upper():

@@ -1,5 +1,7 @@
 """Tests for link kernels: closed form vs Abel series, guards, coefficients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conetrace import (
     GeometricSetError,
     LinkSpectrum,
+    PolicyMismatchError,
     SummationPolicy,
     abel_extrapolate,
     cos_sin_pi_nu_kernels,
@@ -14,9 +17,10 @@ from conetrace import (
     half_kg_kernel,
     sine_front_coefficients,
 )
-from conetrace.links import singular_set_distance
+from conetrace.links import DEFAULT_ABEL_R, singular_set_distance
 
 CF = SummationPolicy.closed_form()
+ABEL = SummationPolicy.abel()
 
 
 def off_singular_grid(rho, t=np.pi, margin=0.1, count=50):
@@ -65,21 +69,23 @@ class TestDiffractionKernel:
 
 class TestHalfKgKernel:
     def test_identity_time_is_smoothed_delta(self):
+        # at t = 0 the Abel sum is the Poisson kernel of the circle,
+        # (1 - q^2) / (1 - 2 q cos u + q^2) / (2 pi) with q = r here: it
+        # grows at u = 0 as r -> 1 and stays bounded at u = pi
         link = LinkSpectrum.circle(2 * np.pi)
-        near = [
-            abs(half_kg_kernel(link, 2, 0.0, 0.0, 0.0, SummationPolicy.gaussian(s, 10000)))
-            for s in (20.0, 40.0, 80.0)
-        ]
-        far = [
-            abs(half_kg_kernel(link, 2, 0.0, np.pi, 0.0, SummationPolicy.gaussian(s, 10000)))
-            for s in (20.0, 40.0, 80.0)
-        ]
+        rs = (0.9, 0.99, 0.999)
+        near = [abs(half_kg_kernel(link, 2, 0.0, 0.0, 0.0, SummationPolicy.abel(r)))
+                for r in rs]
+        far = [abs(half_kg_kernel(link, 2, 0.0, np.pi, 0.0, SummationPolicy.abel(r)))
+               for r in rs]
         assert near[0] < near[1] < near[2]
         assert max(far) < 1.0
+        for r, value in zip(rs, near):
+            assert value == pytest.approx((1 + r) / (1 - r) / (2 * np.pi), rel=1e-12)
 
     def test_reproduces_diffraction_at_pi(self):
         link = LinkSpectrum.circle(1.5 * np.pi)
-        for pol in (CF, SummationPolicy.abel(), SummationPolicy.gaussian(30.0)):
+        for pol in (CF, ABEL):
             a = half_kg_kernel(link, 2, np.pi, 1.0, 0.0, pol)
             b = diffraction_kernel(link, 2, 1.0, 0.0, pol).value
             assert abs(a - b) < 1e-10
@@ -94,26 +100,9 @@ class TestHalfKgKernel:
         )
         assert abs(v_cf - v_ab) <= 1e-6
 
-    def test_shift_dimension_four(self):
-        # in ambient dimension n = 4 the link modes are shifted:
-        # nu_k = sqrt((2 pi k / rho)^2 + 1), so nu_0 = 1
-        rho, sigma, t, u = 7.0, 30.0, 0.9, 1.3
-        link = LinkSpectrum.circle(rho)
-        value = half_kg_kernel(link, 4, t, u, 0.0,
-                               SummationPolicy.gaussian(sigma))
-        ks = np.arange(1, 2000)
-        nus = np.sqrt((2 * np.pi * ks / rho) ** 2 + 1.0)
-        weights = np.exp(-nus**2 / (2 * sigma**2)) * np.exp(-1j * t * nus)
-        expected = (np.exp(-1 / (2 * sigma**2)) * np.exp(-1j * t)
-                    + 2 * np.sum(weights * np.cos(2 * np.pi * ks * u / rho))) / rho
-        assert abs(value - expected) < 1e-12
-        unshifted = half_kg_kernel(link, 2, t, u, 0.0,
-                                   SummationPolicy.gaussian(sigma))
-        assert abs(value - unshifted) > 1e-3
-
     def test_hermitian_symmetry(self):
         link = LinkSpectrum.circle(7.0)
-        for pol in (SummationPolicy.abel(), SummationPolicy.gaussian(30.0)):
+        for pol in (CF, ABEL):
             a = half_kg_kernel(link, 2, np.pi, 1.3, 0.2, pol)
             b = half_kg_kernel(link, 2, -np.pi, 0.2, 1.3, pol)
             assert abs(a - np.conj(b)) < 1e-12
@@ -140,10 +129,9 @@ class TestCosSinKernels:
 
     def test_consistency_with_half_kg(self):
         link = LinkSpectrum.circle(7.0)
-        pol = SummationPolicy.gaussian(30.0)
-        c, s = cos_sin_pi_nu_kernels(link, 2, 1.1, 0.0, pol)
-        km = half_kg_kernel(link, 2, np.pi, 1.1, 0.0, pol)
-        kp = half_kg_kernel(link, 2, -np.pi, 1.1, 0.0, pol)
+        c, s = cos_sin_pi_nu_kernels(link, 2, 1.1, 0.0, ABEL)
+        km = half_kg_kernel(link, 2, np.pi, 1.1, 0.0, ABEL)
+        kp = half_kg_kernel(link, 2, -np.pi, 1.1, 0.0, ABEL)
         assert abs((c - 1j * s) - km) < 1e-12
         assert abs((c + 1j * s) - kp) < 1e-12
 
@@ -184,10 +172,37 @@ def test_property_closed_form_vs_abel(rho, frac):
     yp=st.floats(0.0, 6.0),
 )
 def test_property_hermitian_symmetry(y, yp):
+    # the Abel policy has no singular-set guard: near the set the damped
+    # value is large but finite, and still Hermitian
     link = LinkSpectrum.circle(7.0)
-    try:
-        a = half_kg_kernel(link, 2, np.pi, y, yp, SummationPolicy.gaussian(25.0))
-        b = half_kg_kernel(link, 2, -np.pi, yp, y, SummationPolicy.gaussian(25.0))
-    except GeometricSetError:
-        return
+    a = half_kg_kernel(link, 2, np.pi, y, yp, ABEL)
+    b = half_kg_kernel(link, 2, -np.pi, yp, y, ABEL)
     assert abs(a - np.conj(b)) < 1e-12
+
+
+class TestPolicy:
+    def test_fields_are_kind_and_r(self):
+        assert [f.name for f in dataclasses.fields(SummationPolicy)] == ["kind", "r"]
+
+    def test_one_abel_default(self):
+        assert ABEL.r == SummationPolicy("abel").r == DEFAULT_ABEL_R
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cesaro", "Abel"])
+    def test_unknown_kind_refused(self, kind):
+        with pytest.raises(PolicyMismatchError, match="unknown policy kind"):
+            SummationPolicy(kind)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("pol", [CF, ABEL], ids=["closed_form", "abel"])
+    def test_circle_links_are_two_dimensional(self, pol, n):
+        # a circle is the link of a cone only in dimension 2; every kernel
+        # refuses another n rather than return a value for no cone
+        link = LinkSpectrum.circle(1.5 * np.pi)
+        with pytest.raises(PolicyMismatchError, match=f"n = {n}"):
+            half_kg_kernel(link, n, np.pi, 1.0, 0.0, pol)
+        with pytest.raises(PolicyMismatchError):
+            diffraction_kernel(link, n, 1.0, 0.0, pol)
+        with pytest.raises(PolicyMismatchError):
+            cos_sin_pi_nu_kernels(link, n, 1.0, 0.0, pol)
+        with pytest.raises(PolicyMismatchError):
+            sine_front_coefficients(link, n, 1.0, 1.0, 1.0, 0.0, pol)

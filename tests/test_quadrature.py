@@ -1,4 +1,5 @@
-"""The shared Gauss-Legendre rule source and the Bessel node rule.
+"""The shared Gauss-Legendre and Gauss-Laguerre rule sources and the
+Bessel node rule.
 
 numpy's `leggauss`, scipy's `roots_legendre` and Newton on mpmath's
 P_n are the reference rules; the work-count check guards the Bessel
@@ -8,12 +9,13 @@ oracle against building one rule per (order, argument).
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_legendre
 
 from conetrace import amplitudes, besselj, quadrature
 from conetrace.conekernel import _mode_data
-from conetrace.quadrature import gauss_legendre
+from conetrace.quadrature import gauss_laguerre, gauss_legendre
 
 # every node count the package builds: the Schlaefli rungs, the cut
 # route's and the model-kernel panels' rules, and the sizes composition
@@ -101,6 +103,18 @@ def test_rules_are_read_only():
             arr[0] = 0.0
     # the cached rule is what every caller gets, unchanged
     assert gauss_legendre(64)[0] is x
+
+
+@pytest.mark.parametrize("n", [besselj._TAIL_NODES, amplitudes._TAIL_NODES])
+def test_laguerre_rule_is_laggauss_shared_read_only(n):
+    # the Schlaefli tail and the undamped model kernel's tail read the
+    # same cached rule, bit for bit numpy's
+    x, w = gauss_laguerre(n)
+    x_ref, w_ref = laggauss(n)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    assert gauss_laguerre(n)[1] is w
 
 
 def test_criterion_3_mode_build_shares_few_rules():
