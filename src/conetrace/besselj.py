@@ -197,12 +197,13 @@ def _schlaefli(nu: float, x: np.ndarray):
         u, lw = gauss_laguerre(_TAIL_NODES)
         scale = nu + x[:, None] + 1.0
         tt = u[None, :] / scale
+        sinh_tt = np.sinh(tt)
         # integrand times e^{+u}, matching the e^{-u} in the Laguerre
         # weights; the exponent stays bounded by the scale choice
-        f = np.exp(-x[:, None] * (np.sinh(tt) - tt)
+        f = np.exp(-x[:, None] * (sinh_tt - tt)
                    - (nu + x[:, None]) * tt + u[None, :])
         j = j - (s / np.pi) * (f @ lw / scale[:, 0])
-        d = d + (s / np.pi) * ((f * np.sinh(tt)) @ lw / scale[:, 0])
+        d = d + (s / np.pi) * ((f * sinh_tt) @ lw / scale[:, 0])
     return j, d
 
 

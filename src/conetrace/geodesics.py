@@ -40,24 +40,32 @@ closed form.  A flow that starts on a seam (the band's edge on the
 builtins) starts as a leg that has just crossed it.  So every path's
 spreading field from s = 0 (`GeodesicPath.flow_field`, the tip field on
 a tip-start path) is the flow's own, read from the closed-form head and
-the joined flow; a radial end cap into a tip is one short solve from the
-flow's values, made when the field is first read.  A path's reverse
+the joined flow; a radial end cap into a tip is one solve across the
+band from the flow's values at its edge, made when the field is first
+read.  A path's reverse
 (`GeodesicPath.reversed`) is a shot of its own from the path's end back
 to its start, finished into a start tip the way a converged segment is,
-so its field is its own flow's too; it must land on the path's start
-within REVERSE_TOL.
+so its field is its own flow's too; from an end tip it leaves with the
+angular momentum that the path arrived with, so that it retraces the
+path, and it must land on the path's start within REVERSE_TOL.
 
 Tip-to-tip segments are found by shooting: start radially at the edge
-of the source tip's band, stop on entry into the target tip's rotationally
-symmetric reference band, and measure the conserved angular momentum
-p_theta = G theta' about the target tip as the miss.  Newton steps use
-the exact derivative d p_theta / d theta0 = a0 (j' sqrt(G) - j
-d sqrt(G)/ds) from the shot's own (j, j') at band entry, read with its
-(p, v) from the flow's end state, so conjugate tips are detected (and
-refused) rather than silently iterated on.  The converged shot is the
-segment: inside the band the metric is dx^2 + G dy^2, so radial curves
-are geodesics and the shot, radial to within its miss, is finished
-straight into the tip.  A closed geodesic connects each distinct
+of the source tip's band, stop on entry into the target tip's designer
+band (x = band, `_band_edge`), and measure the angular momentum
+p_theta = G theta' about the target tip as the miss.  Inside that band
+the metric is dx^2 + G(x) dy^2, so by Clairaut's relation p_theta is
+conserved across it, and so is its derivative; the shot has nothing
+left to tell once it is in.  Newton steps use the exact derivative
+d p_theta / d theta0 = a0 (j' sqrt(G) - j d sqrt(G)/ds) from the shot's
+own (j, j') at band entry, read with its (p, v) from the flow's end
+state, so conjugate tips are detected (and refused) rather than
+silently iterated on.  On the builtins the band's edge is a seam, the
+g_rr bump's edge, and the shot ends on that seam's crossing, whose leg
+ends on a step's end (the tail re-solve above); elsewhere the edge is a
+seam of the shot's own.  The converged shot is the segment: radial
+curves are geodesics in the band and the shot, radial to within its
+miss, is finished straight into the tip, the field across that end cap
+solved from the band's edge.  A closed geodesic connects each distinct
 (tip, next tip, seed) once, so an iterate reuses its primitive's shots.
 """
 
@@ -79,7 +87,7 @@ from .errors import (
 )
 from .jacobi import JACOBI_ATOL, JACOBI_RTOL, JacobiSolution
 from .links import GEOMETRIC_TOL, LinkSpectrum, singular_set_distance
-from .surfaces import SEAM_LOOKAHEAD, OrthogonalChart, StopRule, Surface, Tip
+from .surfaces import SEAM_LOOKAHEAD, OrthogonalChart, Seam, Surface, Tip
 
 __all__ = [
     "ChartState",
@@ -100,7 +108,6 @@ TIP_HIT_X = 1e-7
 RTOL, ATOL = JACOBI_RTOL, 1e-12
 _FLOW_ATOL = np.array([ATOL] * 4 + [JACOBI_ATOL] * 2)
 MAX_LEGS = 400  # legs (chart switches and seam crossings) allowed in one flow
-D_REF = 0.1  # x at which a shot enters the target tip's reference band
 NEWTON_TOL = 1e-9  # |p_theta| miss at which a shot has converged
 MAX_NEWTON = 50
 DEGENERACY_TOL = 1e-8  # |d p_theta / d theta0| below this: conjugate tips
@@ -140,10 +147,11 @@ class GeodesicPath:
     flow state (p, v, j, j'), `flow`: the legs' runs joined.
 
     The parameter s is arc length.  If an end is a tip, the legs stop at
-    the edge of the tip's designer band (start) or at x = 1e-7 (end;
-    D_REF for a segment from connect_tips and a reverse shot into a tip)
-    and the remaining radial stretch is filled in exactly; s = 0 and
-    s = length then sit at the tips.
+    the edge of the tip's designer band (a start, and the end of a
+    segment from connect_tips or of a reverse shot into a tip, which
+    stop on entry into the band) or at x = 1e-7 (a flow whose budget
+    ends on the tip), and the remaining radial stretch is filled in
+    exactly; s = 0 and s = length then sit at the tips.
     """
 
     def __init__(self, surface, legs, end_kind="length"):
@@ -221,26 +229,37 @@ class GeodesicPath:
     @cached_property
     def _reverse(self) -> "GeodesicPath":
         # it starts where this path ends and runs at most its length; from
-        # a tip start it ends like a converged connect_tips shot, on the
-        # tip's band entry (or on the tip event, inside the band) finished
-        # radially into the tip.  Its budget then stops short of that tip:
-        # a last step clipped to end on the tip itself evaluates the flow
-        # at x = 0, where the chart has no value, before the band-entry
-        # event of the same step is checked
+        # a tip start it ends like a converged connect_tips shot, on entry
+        # into the tip's band, finished radially into the tip.  Its budget
+        # stops half the band short of the tip: a last step clipped to end
+        # on the tip itself evaluates the flow at x = 0, where the chart
+        # has no value, before the band entry in that step is seen.  A
+        # path no longer than the band never left it (all head, as on the
+        # flat cone, whose band is its whole chart): its reverse is the
+        # radial line back, with nothing to integrate
         surface = self.surface
-        stops, budget = (), self.length
+        into, budget, head = None, self.length, False
         if self.start_kind == "tip":
             tip = self._start_cap.tip
-            stops, budget = [_band_entry_rule(tip)], self.length - D_REF / 2
+            head = self.length <= tip.band
+            into = tip.tip_id
+            budget = 0.0 if head else self.length - tip.band / 2
         if self.end_kind == "tip":
+            # turned around, the shot leaves the band's edge with the
+            # angular momentum that this path arrived with, and so retraces
+            # it: a radial launch dropped the converged shot's miss, and
+            # the flow carried that change of direction to the far tip
+            # about 3 times larger (1.2e-11 on the seed-0 teardrop loop)
+            _, y = self._flow_state(self.s1)
+            arrived = surface.chart(self._end_cap.tip.chart).sqrt_q(y[:2]) ** 2 * y[3]
             rev = shoot_from_tip(surface, self.end_tip, self.end_link_point,
-                                 budget, stop_rules=stops)
+                                 budget, into=into, p_theta=-arrived)
         else:
             st = self.state(self.length)
             rev = geodesic_flow(surface, ChartState(st.chart, st.p, -st.v),
-                                budget, stop_rules=stops)
+                                budget, into=into)
         if self.start_kind == "tip":
-            if rev.end_kind == "stop":
+            if rev.end_kind == "stop" or head:
                 _end_at_tip(rev, tip)
             if rev.end_tip != self.start_tip:
                 miss = np.inf
@@ -262,7 +281,7 @@ class GeodesicPath:
 class _FlowField:
     """(j, j') of a path's flow at s (a float or an array): the closed
     form on a tip start's head (`_radial_field`), the path's joined flow
-    solution, and one short solve from the flow's end values across a
+    solution, and one solve from the flow's end values across a
     radial end cap."""
 
     def __init__(self, path: GeodesicPath):
@@ -327,22 +346,23 @@ def _radial_field(chart: OrthogonalChart, tip: Tip, angle: float,
 
 
 def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
-                  stop_rules=()) -> GeodesicPath:
+                  into: str | None = None) -> GeodesicPath:
     """Integrate the unit-speed geodesic from `start` for at most `length`,
     with the Jacobi field that starts at (j, j') = (0, 1).
 
-    Ends on: exhausted length, a tip hit, or a caller stop rule.
-    Raises LeftAtlasError on atlas exit and StepFailureError if the
-    integrator fails.
+    Ends on: exhausted length, a tip hit, or entry into the designer
+    band of tip `into` (end kind "stop").  Raises LeftAtlasError on atlas
+    exit and StepFailureError if the integrator fails.
     """
-    return _flow(surface, start, 0.0, length, (0.0, 1.0), stop_rules)
+    return _flow(surface, start, 0.0, length, (0.0, 1.0), into)
 
 
 def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
-          field_start, stop_rules) -> GeodesicPath:
+          field_start, into) -> GeodesicPath:
     """The flow from `start` at parameter s_start up to at most s_end, with
     the Jacobi field that starts at (j, j') = `field_start`.  A flow whose
-    budget ends on a tip ends at that tip."""
+    budget ends on a tip ends at that tip; a flow into tip `into` ends on
+    the inward crossing of its band's edge."""
     chart_name = start.chart
     p = np.asarray(start.p, dtype=float)
     v = np.asarray(start.v, dtype=float)
@@ -358,6 +378,11 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
     field = np.asarray(field_start, dtype=float)
 
     tip_rules = surface.tip_rules(TIP_HIT_X)
+    # (seam, direction) whose crossing ends a flow into a tip
+    edge = None if into is None else _band_edge(surface, surface.tips[into])
+    all_seams = surface.seams
+    if edge is not None and edge[0] not in all_seams:
+        all_seams = all_seams + [edge[0]]
     legs: list[PathLeg] = []
     s_cur = s_start
     end_kind, end_payload = "length", None
@@ -365,7 +390,7 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
     # start on a seam is a leg that has just crossed it in the direction
     # in which v carries the seam's value
     skip = None
-    for sm in surface.seams:
+    for sm in all_seams:
         if sm.chart == chart_name and sm.value(p) == 0.0:
             ahead = sm.value(p + SEAM_LOOKAHEAD * v)
             if ahead != 0.0:
@@ -376,12 +401,11 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
         chart = surface.chart(chart_name)
         rules = [r for r in tip_rules if r.chart == chart_name]
         rules += [r for r in surface.atlas_rules if r.chart == chart_name]
-        rules += [r for r in stop_rules if r.chart == chart_name]
         transitions = [t for t in surface.transitions if t.src == chart_name]
         events = [(lambda y, _f=r.value: _f(y[:2], y[2:4]), r.direction)
                   for r in rules]
         events += [(lambda y, _t=t: _t.trigger(y[:2]), -1.0) for t in transitions]
-        seams = [(sm, d) for sm in surface.seams if sm.chart == chart_name
+        seams = [(sm, d) for sm in all_seams if sm.chart == chart_name
                  for d in (-1.0, 1.0) if (sm, d) != skip]
         events += [(lambda y, _f=sm.value: _f(y[:2]), d) for sm, d in seams]
 
@@ -439,6 +463,9 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
             legs.append(PathLeg(chart_name, s_k, s_ev, tail.sol))
             p, v, field = tail.y[:2], tail.y[2:4], tail.y[4:]
             s_cur = s_ev
+            if skip == edge:
+                end_kind = "stop"
+                break
             continue
         s_cur = s_ev
         skip = None
@@ -473,7 +500,8 @@ def _end_at_tip(path: GeodesicPath, tip: Tip) -> None:
 
 
 def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
-                   length: float, *, stop_rules=()) -> GeodesicPath:
+                   length: float, *, into: str | None = None,
+                   p_theta: float = 0.0) -> GeodesicPath:
     """Radial launch from a tip at link arc coordinate `link_point`.
 
     s = 0 is the tip itself.  The flow starts at the edge of the tip's
@@ -481,7 +509,11 @@ def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
     there: the radial line and the tip field j = Q/a0 (`_radial_field`),
     which also fills in the head [0, x0].  On a chart whose band is all
     of it, such as the flat cone, a shot shorter than the band is all
-    head and its one leg has length zero.
+    head and its one leg has length zero.  A shot `into` a tip ends on
+    entry into that tip's band, as `geodesic_flow` does.  A nonzero
+    `p_theta` = Q^2 theta' about the tip turns the flow's start off the
+    radial line (a reverse shot's, by its path's arrival miss); the
+    head stays radial.
     """
     tip = surface.tips[tip_id]
     chart = surface.chart(tip.chart)
@@ -489,8 +521,10 @@ def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
     x0 = min(tip.band, length)
     p = np.array([tip.axis_value + tip.sign * x0, theta0])
     v = np.array([tip.sign, 0.0])
+    if p_theta:
+        v[1] = p_theta / chart.sqrt_q(p) ** 2  # _flow makes v unit
     path = _flow(surface, ChartState(tip.chart, p, v), x0, length,
-                 _radial_field(chart, tip, theta0, x0), stop_rules)
+                 _radial_field(chart, tip, theta0, x0), into)
     path.start_kind, path.start_tip = "tip", tip_id
     path.start_link_point = float(np.remainder(link_point, tip.link.circumference))
     path._start_cap = TipEnd(tip, theta0, 0.0)
@@ -507,46 +541,59 @@ class ConnectResult:
     miss: float
 
 
-def _band_entry_rule(tip: Tip) -> StopRule:
-    return StopRule(
-        chart=tip.chart,
-        value=lambda p, v, _t=tip: _t.x_of(p) - D_REF,
-        direction=-1.0,
-        kind="stop",
-    )
+def _band_edge(surface: Surface, tip: Tip) -> tuple[Seam, float]:
+    """The edge x = band of `tip`'s designer band as a seam, with the
+    direction in which its value moves on the way in.  Where a seam of
+    the surface vanishes on the edge (the g_rr bump's edge on the
+    builtins), it is that seam: a shot ends on its crossing, whose leg
+    ends on a step's end, and not at a second event in the same place."""
+    x = tip.axis_value + tip.sign * tip.band
+    on_edge = [np.array([x, y]) for y in (0.0, 1.0, 2.0)]
+    seam = next((sm for sm in surface.seams if sm.chart == tip.chart
+                 and all(sm.value(p) == 0.0 for p in on_edge)), None)
+    if seam is None:
+        seam = Seam(tip.chart, lambda p: tip.x_of(p) - tip.band)
+    outside = np.array([x + tip.sign * SEAM_LOOKAHEAD, 0.0])
+    return seam, -math.copysign(1.0, seam.value(outside))
+
+
+def _band_reading(chart_b: OrthogonalChart, ta: Tip, y) -> tuple[float, float]:
+    """The miss p_theta about the target tip and its derivative in the
+    launch angle at tip `ta`, from the flow state y = (p, v, j, j') of a
+    shot in the target's band (chart `chart_b`)."""
+    p, v, j, jp = y[:2], y[2:4], y[4], y[5]
+    sq = chart_b.sqrt_q(p)
+    miss = sq * sq * v[1]
+    # variation of p_theta under the launch angle, via the Killing field
+    # of the symmetric band: eps0 tracks the parallel frame orientation
+    # fixed at launch, v[0] the radial sense at the section
+    dsq_dr = float(chart_b.sqrt_q_grad(p)[0])
+    return miss, ta.sign * ta.a0 * (jp * sq * v[0] - j * dsq_dr)
 
 
 def connect_tips(surface: Surface, tip_a: str, tip_b: str, seed_link_point: float,
                  *, length_cap: float = 50.0) -> ConnectResult:
     """Newton-shoot a geodesic from tip_a into tip_b.
 
-    Works for tip_a == tip_b (a loop): the section event only arms once
-    the trajectory has left and re-entered the reference band.
+    Works for tip_a == tip_b (a loop): the shot starts on the band's edge
+    moving out, so only its return into the band ends it.
     """
     ta, tb = surface.tips[tip_a], surface.tips[tip_b]
     chart_b = surface.chart(tb.chart)
     if not isinstance(chart_b, OrthogonalChart):
         raise StepFailureError("target tip must live in an orthogonal polar chart")
-    rule = _band_entry_rule(tb)
     theta0 = ta.angle_of_link(float(seed_link_point))
 
     for it in range(1, MAX_NEWTON + 1):
         path = shoot_from_tip(surface, tip_a, ta.a0 * theta0, length_cap,
-                              stop_rules=[rule])
+                              into=tip_b)
         if path.end_kind != "stop":
             raise NoConvergenceError(
-                f"shot from '{tip_a}' never entered the reference band of "
+                f"shot from '{tip_a}' never entered the band of "
                 f"'{tip_b}' (ended: {path.end_kind})"
             )
-        _, y = path._flow_state(path.length)  # the shot's end, at band entry
-        p, v, j, jp = y[:2], y[2:4], y[4], y[5]
-        sq = chart_b.sqrt_q(p)
-        miss = sq * sq * v[1]  # p_theta about the target tip
-        # variation of p_theta under the launch angle, via the Killing field
-        # of the symmetric band: eps0 tracks the parallel frame orientation
-        # fixed at launch, v[0] the radial sense at the section
-        dsq_dr = float(chart_b.sqrt_q_grad(p)[0])
-        deriv = ta.sign * ta.a0 * (jp * sq * v[0] - j * dsq_dr)
+        # the shot's end, at band entry
+        miss, deriv = _band_reading(chart_b, ta, path._flow_state(path.length)[1])
         if abs(deriv) < DEGENERACY_TOL:
             raise ConjugateDegeneracyError(
                 f"tips '{tip_a}' and '{tip_b}' are conjugate along this shot "

@@ -302,8 +302,11 @@ class Tip:
 
     x = sign * (p0 - axis_value) is the distance to the tip inside the
     designer band x < band, where the metric is dx^2 + Q^2 dy^2 (a shot
-    starts at its edge in closed form, `geodesics.shoot_from_tip`); the
-    link arc coordinate is q = (a0 * p1) mod rho.  c1 is the first radial
+    starts at its edge in closed form, `geodesics.shoot_from_tip`, and a
+    shot into the tip stops on entry into it, `geodesics.connect_tips`:
+    with Q = Q(x), as on the builtins, the miss p_theta = Q^2 y' is
+    conserved across the band); the link arc coordinate is
+    q = (a0 * p1) mod rho.  c1 is the first radial
     correction of sqrt(G) = a0 x (1 + c1 x + ...), from which the tests
     start the reference tip field they check the closed form against.
     """
@@ -346,7 +349,7 @@ class StopRule:
     chart: str
     value: Callable[[np.ndarray, np.ndarray], float]  # of (p, v)
     direction: float
-    kind: str  # "tip" | "atlas" | "stop"
+    kind: str  # "tip" | "atlas"
     payload: object = None
 
 

@@ -22,7 +22,7 @@ from conetrace.errors import (
     NotStrictlyDiffractiveError,
     QuadratureFailureError,
 )
-from conetrace.geodesics import D_REF, build_closed_diffractive
+from conetrace.geodesics import build_closed_diffractive
 from conetrace.links import LinkSpectrum, SummationPolicy, diffraction_kernel
 
 A0 = 0.75
@@ -194,13 +194,15 @@ class TestTwoPathConsistency:
         trace_singularity_cut_route(geo)
         # the build carried each forward field and left its radial end cap
         # to the first read: one reverse shot per segment is left, and one
-        # cap solve per direction, each D_REF long, is the only solve
+        # cap solve per direction, across the tip's band (0.7 wide on both
+        # builtins) from the band's edge where the shot stopped, is the only
+        # solve
         assert shots == [seg.path.end_tip for seg in geo.segments]
         ends = ([seg.path.length for seg in geo.segments]
                 + [seg.path.reversed().length for seg in geo.segments])
         assert [s1 for _, s1 in solves] == ends
         for s0, s1 in solves:
-            assert s1 - s0 == pytest.approx(D_REF, abs=1e-6)
+            assert s1 - s0 == pytest.approx(0.7, abs=1e-9)
 
     def test_one_shot_per_newton_iteration(self, teardrop, monkeypatch):
         # the converged shot is the segment: no re-shoot after convergence

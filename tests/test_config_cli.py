@@ -257,19 +257,6 @@ class TestExitCodes:
         ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": 1}}),
         ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": 2.5}}),
         ("link-kernel", {"u_grid": {"min": 0.3, "max": 4.0, "count": "9"}}),
-        # keys retired with the Gaussian policy and the dimension n:
-        # refused whatever their value (test_retired_link_key_exit_2)
-        ("link-kernel", {"n": "2"}),
-        ("link-kernel", {"n": True}),
-        ("link-kernel", {"n": 1}),
-        ("link-kernel", {"n": 3}),
-        ("link-kernel", {"policy": {"kind": "gaussian", "sigma": True,
-                                    "mode_cutoff": True}}),
-        ("link-kernel", {"policy": {"kind": "gaussian", "sigma": "30"}}),
-        ("link-kernel", {"policy": {"kind": "gaussian", "sigma": 30.0,
-                                    "mode_cutoff": True}}),
-        ("link-kernel", {"policy": {"kind": "abel", "mode_cutoff": 2.5}}),
-        ("link-kernel", {"policy": {"kind": "abel", "mode_cutoff": 0}}),
         ("link-kernel", {"policy": {"kind": "abel", "r": True}}),
         ("find-geodesics", {"seeds": ["abc"]}),
         ("find-geodesics", {"surface": {"builtin": "teardrop",
@@ -319,10 +306,7 @@ class TestExitCodes:
             "lambda-max-string", "lambda-max-too-large", "csv-row-string",
             "circumference-bool", "grid-max-string", "grid-min-bool",
             "grid-count-bool", "grid-count-one", "grid-count-float",
-            "grid-count-string",
-            "n-string", "n-bool", "n-one", "n-closed-form-3",
-            "policy-bools", "policy-sigma-string", "policy-cutoff-bool",
-            "policy-cutoff-float", "policy-cutoff-zero", "policy-r-bool",
+            "grid-count-string", "policy-r-bool",
             "seed-string", "param-a0-bool", "param-a0-negative",
             "param-eps-string", "param-eps-above-one", "param-eps-two",
             "param-eps-minus-one", "cone-rho-bool", "cone-r-max-negative",
@@ -367,13 +351,28 @@ class TestExitCodes:
         ({"policy": {"kind": "abel", "r": 0.999, "sigma": 30.0}}, "'sigma'"),
         ({"policy": {"mode_cutoff": 1}}, "'mode_cutoff'"),
         ({"policy": {"kind": "closed_form", "sigma": 30.0}}, "'sigma'"),
+        # values the retired keys' own checks once refused: the key is
+        # refused now, before any value is read
+        ({"n": "2"}, "'n'"),
+        ({"n": True}, "'n'"),
+        ({"n": 1}, "'n'"),
+        ({"n": 3}, "'n'"),
+        ({"policy": {"kind": "gaussian", "sigma": True, "mode_cutoff": True}},
+         "'gaussian'"),
+        ({"policy": {"kind": "gaussian", "sigma": "30"}}, "'gaussian'"),
+        ({"policy": {"kind": "gaussian", "sigma": 30.0, "mode_cutoff": True}},
+         "'gaussian'"),
+        ({"policy": {"kind": "abel", "mode_cutoff": 2.5}}, "'mode_cutoff'"),
+        ({"policy": {"kind": "abel", "mode_cutoff": 0}}, "'mode_cutoff'"),
     ], ids=["n-two", "n-four", "gaussian-sigma", "gaussian-bare",
             "abel-cutoff", "abel-sigma", "closed-form-cutoff",
-            "closed-form-sigma"])
+            "closed-form-sigma",
+            "n-string", "n-bool", "n-one", "n-closed-form-3",
+            "policy-bools", "policy-sigma-string", "policy-cutoff-bool",
+            "policy-cutoff-float", "policy-cutoff-zero"])
     def test_retired_link_key_exit_2(self, tmp_path, capsys, payload, named):
         # circle links are 2-D links under two policies, closed form and
-        # Abel; a retired key is refused with its name, even at a value
-        # the parent accepted
+        # Abel; a retired key is refused with its name, whatever its value
         cfg = write_config(tmp_path, "lk.json", {
             "link": {"circumference": RHO},
             "u_grid": {"min": 0.3, "max": RHO - 0.3, "count": 9},

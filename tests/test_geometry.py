@@ -1,6 +1,7 @@
 """Geodesic flow, tip shooting, and closed-geodesic assembly."""
 
 import copy
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from conetrace import geodesics, surfaces
 from conetrace.errors import (
@@ -19,7 +21,6 @@ from conetrace.errors import (
     StepFailureError,
 )
 from conetrace.geodesics import (
-    D_REF,
     REVERSE_TOL,
     ChartState,
     build_closed_diffractive,
@@ -184,8 +185,68 @@ class TestConnectTips:
             assert flow.end_kind == "tip" and flow.end_tip == tip.tip_id
             assert abs(flow.length - seg.length) < 1e-9
             # theta whips round at the tip-hit cutoff; read it inside the band
-            theta = flow.state(flow.length - D_REF / 2).p[1]
+            theta = flow.state(flow.length - tip.band / 2).p[1]
             assert abs(tip.link_coord(theta) - seg.link_b) < 1e-9
+
+
+class TestBandStop:
+    """A shot into a tip stops on entry into the tip's designer band.
+    Inside it the metric is dx^2 + Q(x)^2 dy^2, so by Clairaut's relation
+    the miss p_theta = Q^2 theta' and its Newton derivative are conserved
+    across the band: the shot would read the same further in."""
+
+    @pytest.mark.parametrize("name,eps,tips", [
+        ("spindle", 0.05, ("south", "north")),
+        ("spindle", -0.05, ("south", "north")),
+        ("teardrop", 0.05, ("tip", "tip")),
+    ], ids=["spindle", "spindle-negative-eps", "teardrop"])
+    def test_miss_and_derivative_read_the_same_deeper_in(self, name, eps, tips):
+        build = {"spindle": surfaces.perturbed_spindle,
+                 "teardrop": surfaces.teardrop}[name]
+        surface = build(a0=A0, eps=eps)
+        ta, tb = (surface.tips[t] for t in tips)
+        chart = surface.chart(tb.chart)
+        seed = A0 * (np.pi / 4 + 0.02)  # the seed-0 builds' first Newton shot
+        shot = shoot_from_tip(surface, ta.tip_id, seed, 12.0, into=tb.tip_id)
+        assert shot.end_kind == "stop"
+        assert tb.x_of(shot.state(shot.s1).p) == pytest.approx(tb.band, abs=1e-9)
+        edge = geodesics._band_reading(chart, ta, shot._flow_state(shot.s1)[1])
+        assert abs(edge[0]) > 1e-4  # a shot Newton has still to correct
+        # the same launch flowed on, read at x = 0.1 on its way in (it
+        # turns about x = |p_theta| / a0, closer in)
+        on = shoot_from_tip(surface, ta.tip_id, seed, shot.s1 + 0.65)
+        s = brentq(lambda s: tb.x_of(on.state(s).p) - 0.1, shot.s1, on.s1,
+                   xtol=1e-14)
+        miss, deriv = geodesics._band_reading(chart, ta, on._flow_state(s)[1])
+        assert miss == pytest.approx(edge[0], rel=0.0, abs=1e-12)
+        # the derivative, about 0.1, drifts by the flow's own error on the
+        # way in, monotonically: 1.1e-12 on the teardrop, 1e-11 of it, the
+        # integrator's rtol
+        assert deriv == pytest.approx(edge[1], rel=0.0, abs=2e-12)
+
+    def test_the_builtins_band_edges_are_their_seams(self, spindle, teardrop):
+        # the shot ends on the bump's seam crossing itself, not at a second
+        # event in the same place, crossed inward (r falls into the south
+        # tip and the teardrop's, rises into the north tip)
+        for surface, tip, inward in [(spindle, "south", -1.0),
+                                     (spindle, "north", 1.0),
+                                     (teardrop, "tip", -1.0)]:
+            seam, direction = geodesics._band_edge(surface, surface.tips[tip])
+            assert seam in surface.seams and direction == inward
+
+    def test_an_edge_that_is_no_seam_stops_the_shot(self, spindle, spindle_closed):
+        # with the south band narrowed to 0.5, its edge is no seam of the
+        # surface: the shot ends on a seam of its own there, and Newton
+        # lands on the same segment, the band being symmetric out to 0.7
+        south = dataclasses.replace(spindle.tips["south"], band=0.5)
+        narrowed = dataclasses.replace(spindle, tips={**spindle.tips, "south": south})
+        ref = spindle_closed.segments[1]
+        seg = connect_tips(narrowed, "north", "south", A0 * (5 * np.pi / 4 - 0.02))
+        assert seg.path.state(seg.path.s1).p[0] == pytest.approx(0.5, abs=1e-9)
+        assert seg.miss < 1e-9
+        assert seg.length == pytest.approx(ref.length, abs=1e-12)
+        assert seg.link_a == pytest.approx(ref.link_a, abs=1e-10)
+        assert seg.link_b == pytest.approx(ref.link_b, abs=1e-10)
 
 
 class TestReverseShot:
@@ -206,10 +267,11 @@ class TestReverseShot:
             assert np.allclose(end.v, -start.v, rtol=0.0, atol=1e-10)
 
     def test_reverse_into_a_tip_stops_short_of_it(self):
-        # the reverse of a path from a tip runs at most its length less
-        # D_REF / 2: on the flat cone a budget of the full length clipped
-        # the last step of the 4.0 shot's reverse onto the tip, where the
-        # chart divides by r = 0, before that step's band entry was seen
+        # the flat cone's band is its whole chart, so these shots are all
+        # head and never leave it: each reverse is the radial line back,
+        # with no flow to integrate, finished into the tip (a reverse
+        # budgeted the full length once clipped the last step of the 4.0
+        # shot's reverse onto the tip, where the chart divides by r = 0)
         fc = surfaces.flat_cone(1.5 * np.pi)
         for length in (1.0, 2.0, 4.0, 7.5):
             rev = shoot_from_tip(fc, "tip", 0.2, length).reversed()
@@ -360,8 +422,9 @@ def test_no_jacobi_solve_per_newton_iteration(spindle, teardrop, monkeypatch):
 def test_flow_rhs_calls_of_the_seed0_builds(monkeypatch):
     # each leg runs on one smooth piece of the metric, so the steps that
     # cross the bump's edges are accepted, not rejected down to slivers,
-    # and each shot starts at its tip band's edge: 3,276 and 3,228 calls,
-    # against 3,786 and 3,537 from x = 1e-6 and 5,646 and 5,616 on the
+    # and each shot starts at its tip band's edge and ends on the target
+    # tip's: 1,908 and 2,550 calls, against 3,276 and 3,228 running on to
+    # x = 0.1, 3,786 and 3,537 from x = 1e-6 and 5,646 and 5,616 on the
     # piecewise jets
     calls = []
     for cls in (surfaces.OrthogonalChart, surfaces.CapChart):
@@ -378,6 +441,44 @@ def test_flow_rhs_calls_of_the_seed0_builds(monkeypatch):
         calls.clear()
         build_closed_diffractive(surface, tips, seeds, **kw)
         assert len(calls) <= 4500, tips
+
+
+def test_flow_work_of_the_seed0_predictions(monkeypatch):
+    # the RHS evaluations of the six-component flow (every shot, reverse
+    # shots included) through the seed-0 builds and both trace routes:
+    # 8,256 when every shot ran on to x = 0.1, 6,012 with each shot into
+    # a tip ended on the seam at its band's edge; the count repeats
+    # exactly, and the bound is about 1.5% above it (a stop just inside
+    # the edge, with a sliver leg after the seam, reads 6,180).  The
+    # two-component cap solves of the fields, 186 before and 378 after,
+    # are not counted
+    from conetrace import amplitudes, ode
+
+    calls = []
+    solve = ode.solve
+
+    def counted(fun, t0, t1, y0, **kw):
+        if len(y0) == 6:
+            def fun(t, y, _f=fun):
+                calls.append(t)
+                return _f(t, y)
+        return solve(fun, t0, t1, y0, **kw)
+
+    monkeypatch.setattr(ode, "solve", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        for surface, tips, seeds, kw in [
+            (surfaces.perturbed_spindle(a0=A0, eps=0.05), ["south", "north"],
+             [A0 * (np.pi / 4 + 0.02), A0 * (5 * np.pi / 4 - 0.02)], {}),
+            (surfaces.teardrop(a0=A0, eps=0.05), ["tip"],
+             [A0 * (np.pi / 4 + 0.02)], {"length_cap": 12.0}),
+        ]:
+            geo = build_closed_diffractive(surface, tips, seeds, **kw)
+            amplitudes.trace_singularity(geo, amplitudes.invariants_for(geo))
+            amplitudes.trace_singularity_cut_route(geo)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 6100
 
 
 class TestClosedGeodesics:

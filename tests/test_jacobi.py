@@ -245,7 +245,8 @@ class TestEndPair:
 
     def test_matches_separate_solve(self, sphere, spindle_closed, teardrop_closed):
         # s0 in a start tip's closed-form head (x < 0.7), mid-path, and in
-        # the radial end cap (the last D_REF = 0.1) of a tip-to-tip segment
+        # the radial end cap (the last 0.7, across the target tip's band) of
+        # a tip-to-tip segment
         paths = [seg.path for seg in spindle_closed.segments]
         paths += [teardrop_closed.segments[0].path, sphere_arc(sphere, 2.8),
                   sphere_arc(sphere, 4.0)]
