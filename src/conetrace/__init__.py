@@ -26,12 +26,10 @@ from .surfaces import (  # noqa: F401
     OrthogonalChart,
     Surface,
     Tip,
-    cone_chart_surface,
     flat_cone,
     perturbed_spindle,
     plane,
     sphere_band,
-    symmetric_spindle,
     teardrop,
 )
 from .geodesics import (  # noqa: F401

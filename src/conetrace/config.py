@@ -1,12 +1,12 @@
 """Run configuration: JSON loading, schema checks, object construction.
 
-Configs are plain JSON.  A surface is either a named builtin with
-keyword parameters or a single-tip cone chart given by a sympy
-expression for sqrt(h) in the metric dx^2 + x^2 h(x, y) dy^2 and an
-optional chart radius r_max.  Links
-are circles given by their circumference.  Every object a run reads
-accepts only the keys it reads (`check_keys`): a misspelt key is a
-config error, not a silent default.
+Configs are plain JSON.  A surface is a named builtin with keyword
+parameters: the perturbed spindle or the teardrop, the two surfaces
+with closed geodesics through their tips, which are all that
+`find-geodesics` and `predict-trace` can succeed on.  Links are circles
+given by their circumference.  Every object a run reads accepts only
+the keys it reads (`check_keys`): a misspelt key is a config error, not
+a silent default.
 """
 
 from __future__ import annotations
@@ -32,14 +32,9 @@ __all__ = [
 ]
 
 _BUILTINS = {
-    "plane": surfaces.plane,
-    "flat_cone": surfaces.flat_cone,
-    "sphere_band": surfaces.sphere_band,
     "perturbed_spindle": surfaces.perturbed_spindle,
-    "symmetric_spindle": surfaces.symmetric_spindle,
     "teardrop": surfaces.teardrop,
 }
-_CONE_CHART_KEYS = ("sqrt_h", "r_max")  # the link follows from sqrt_h
 _POLICY_KEYS = {"closed_form": ("kind",), "abel": ("kind", "r")}
 
 
@@ -95,41 +90,24 @@ def integer_from_config(value, what: str, *, minimum: int) -> int:
 def surface_from_config(spec) -> surfaces.Surface:
     if not isinstance(spec, dict):
         raise ConfigError("surface spec must be an object")
-    if "builtin" in spec:
-        check_keys(spec, ("builtin", "params"), "surface")
-        name = spec["builtin"]
-        if name not in _BUILTINS:
-            raise ConfigError(
-                f"unknown builtin surface {name!r}; "
-                f"choose from {sorted(_BUILTINS)}"
-            )
-        params = spec.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("surface params must be an object")
-        # every builtin parameter is a size or a cone angle, except the
-        # perturbation eps, which may take either sign
-        params = {key: number_from_config(value, f"surface param {key!r}",
-                                          positive=key != "eps")
-                  for key, value in params.items()}
-        try:
-            return _BUILTINS[name](**params)
-        # an unknown keyword, or a value the surface refuses (|eps| >= 1)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad params for surface {name!r}: {exc}") from exc
-    if "cone_chart" in spec:
-        check_keys(spec, ("cone_chart",), "surface")
-        sub = spec["cone_chart"]
-        if not isinstance(sub, dict):
-            raise ConfigError("cone_chart spec must be an object")
-        check_keys(sub, _CONE_CHART_KEYS, "cone_chart")
-        expr = _require(sub, "sqrt_h", "cone_chart surface")
-        r_max = number_from_config(sub.get("r_max", 10.0), "cone_chart r_max",
-                                   positive=True)
-        try:
-            return surfaces.cone_chart_surface(expr, r_max=r_max)
-        except Exception as exc:
-            raise ConfigError(f"bad cone_chart surface: {exc}") from exc
-    raise ConfigError("surface spec needs 'builtin' or 'cone_chart'")
+    check_keys(spec, ("builtin", "params"), "surface")
+    name = _require(spec, "builtin", "surface")
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise ConfigError(f"unknown builtin surface {name!r}; "
+                          f"choose from {sorted(_BUILTINS)}")
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("surface params must be an object")
+    # every builtin parameter is a cone angle, except the perturbation
+    # eps, which may take either sign
+    params = {key: number_from_config(value, f"surface param {key!r}",
+                                      positive=key != "eps")
+              for key, value in params.items()}
+    try:
+        return _BUILTINS[name](**params)
+    # an unknown keyword, or a value the surface refuses (|eps| >= 1)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad params for surface {name!r}: {exc}") from exc
 
 
 def link_from_config(spec) -> LinkSpectrum:

@@ -22,8 +22,10 @@ What differs is the cost of a step:
   step keeps, and each stage's argument is one row combination
   y + (h A)[s] @ K;
 * a step's dense output (three more stages and the D @ K product) is
-  built only when its interpolant is first read: event location reads
-  the last step's, and a path's samples read a few others;
+  built only when its interpolant is first read inside the step: event
+  location reads the last step's, and a path's samples read a few
+  others; a read at the step's end, such as a run's end state, is
+  y0 + (y1 - y0), the interpolant's value there, and builds nothing;
 * `Solution` evaluates one time by a bisection and seven weights, and
   many times by one product over the steps they fall in.
 
@@ -291,6 +293,10 @@ class _Step:
 
     def __call__(self, t: float) -> np.ndarray:
         x = (t - self.t0) / self.h
+        if x == 1.0 and self._G is None:
+            # the step's end: every weight but those of F_0 = y1 - y0 and
+            # y0 is 0, so the interpolant reads y0 + F_0 without being built
+            return self.y0 + (self.y1 - self.y0)
         u = 1.0 - x
         w1 = x * u
         w2 = w1 * x

@@ -16,8 +16,7 @@ Charts come in two flavors:
   real domain raises StepFailureError.  Writing the curvature in terms
   of P and Q (not P^2, Q^2) keeps it numerically clean down to
   x ~ 1e-7 at tips.  Every builtin writes its jets as scalar `math`
-  code; a custom cone chart takes them from sympy, which only that path
-  imports.
+  code, so building a surface needs no symbolic algebra.
 * CapChart: a Cartesian chart covering a smooth rotationally symmetric
   pole (the far end of a teardrop surface), where polar coordinates
   degenerate.  The metric is delta_ij + Q(u)(u^2 delta_ij - x_i x_j)
@@ -27,8 +26,10 @@ Charts come in two flavors:
   by truncated power-series products and a division, avoid the
   cancellation of the closed forms near the pole.
 
-Builtins: flat cone, plane, sphere band, perturbed/symmetric spindle,
-teardrop.  The spindle and teardrop perturb g_rr by
+Builtins: flat cone, plane, sphere band, perturbed spindle, teardrop.
+Only the last two have closed geodesics through their tips, so only
+they are config builtins; the other three serve the verify criteria and
+the tests.  The spindle and teardrop perturb g_rr by
 1 + eps * bump(r) * sin(2 theta) inside a mid band, with |eps| < 1 so
 that g_rr stays positive; the tip bands stay exactly rotationally
 symmetric, which keeps tip shooting and transverse miss measurement
@@ -65,9 +66,7 @@ __all__ = [
     "plane",
     "sphere_band",
     "perturbed_spindle",
-    "symmetric_spindle",
     "teardrop",
-    "cone_chart_surface",
 ]
 
 # |K| above this, a curvature radius below the 1e-7 tip-hit distance, marks
@@ -390,35 +389,6 @@ class Surface:
         return rules
 
 
-def _tip_c1(sqrt_q_expr, p0, tip_axis_value: float, sign: float) -> tuple[float, float]:
-    """Expand sqrt(G) = a0 x (1 + c1 x + ...) at a tip; return (a0, c1).
-    sqrt_q_expr is a sympy expression in the chart coordinate p0."""
-    import sympy as sp
-
-    x = sp.Symbol("x", positive=True)
-    expr = sqrt_q_expr.subs(p0, tip_axis_value + sign * x)
-    # float exponents like **0.5 block symbolic limits; rationalize them
-    expr = sp.nsimplify(expr, rational=True)
-    try:
-        value_at_tip = float(sp.limit(expr, x, 0, "+"))
-        # exact: a rounded a0 leaves (expr / (a0 x) - 1) / x ~ 1/x
-        a0_exact = sp.limit(expr / x, x, 0, "+")
-        a0 = float(a0_exact)
-        if abs(value_at_tip) > 1e-12 or not np.isfinite(a0) or abs(a0) < 1e-14:
-            raise SeriesStartFailureError(
-                "sqrt(G) must vanish to exactly first order at a tip"
-            )
-        c1 = float(sp.limit((expr / (a0_exact * x) - 1) / x, x, 0, "+"))
-        if not np.isfinite(c1):
-            raise SeriesStartFailureError(
-                "sqrt(G) has no finite first radial correction at a tip")
-    except SeriesStartFailureError:
-        raise
-    except Exception as exc:
-        raise SeriesStartFailureError(f"tip expansion of sqrt(G) failed: {exc}") from exc
-    return a0, c1
-
-
 def _perturbed_chart(eps: float, lo: float, hi: float,
                      profile: Callable[[float], tuple]) -> OrthogonalChart:
     """The polar chart with P = sqrt(1 + eps b(r) sin 2 theta) and
@@ -532,10 +502,6 @@ def perturbed_spindle(a0: float = 0.75, eps: float = 0.05) -> Surface:
                    _bump_seams("polar", band_lo, band_hi))
 
 
-def symmetric_spindle(a0: float = 0.75) -> Surface:
-    return perturbed_spindle(a0=a0, eps=0.0)
-
-
 def teardrop(a0: float = 0.75, eps: float = 0.05) -> Surface:
     """One conic tip (angle 2 pi a0) at r = 0, smooth pole at r = pi.
 
@@ -610,29 +576,3 @@ def teardrop(a0: float = 0.75, eps: float = 0.05) -> Surface:
     return Surface({"polar": chart, "cap": cap}, tips, transitions, atlas,
                    _bump_seams("polar", band_lo, band_hi))
 
-
-def cone_chart_surface(sqrt_h_expr, *, r_max: float = 10.0) -> Surface:
-    """Single-tip cone dx^2 + x^2 h(x, y) dy^2 from sqrt(h), a string
-    sympy parses in (p0, p1), also spelled (x, y) or (r, theta); used for
-    non-product tip tests.  The chart's jets come from one lambdify of
-    the sympy derivatives of sqrt(G) = x sqrt(h).  The link circumference
-    is 2 pi a0, with a0 = sqrt(h) at the tip."""
-    import sympy as sp
-
-    p0, p1 = sp.symbols("p0 p1", real=True)
-    names = {"p0": p0, "p1": p1, "x": p0, "y": p1, "r": p0, "theta": p1}
-    qexpr = p0 * sp.sympify(sqrt_h_expr, locals=names)
-    # P = 1, so only Q's jets are compiled
-    q_jets = sp.lambdify((p0, p1), [qexpr, qexpr.diff(p0), qexpr.diff(p1),
-                                    qexpr.diff(p0, 2)], modules="math", cse=True)
-
-    def jets(x, y):
-        # float() refuses a complex value off the chart's real domain
-        q, q0, q1, q00 = (float(v) for v in q_jets(x, y))
-        return 1.0, 0.0, 0.0, 0.0, q, q0, q1, q00
-
-    chart = OrthogonalChart("polar", jets)
-    a0, c1 = _tip_c1(qexpr, p0, 0.0, 1.0)
-    tip = Tip("tip", "polar", 0.0, 1.0, LinkSpectrum.circle(2 * np.pi * a0), a0, c1, band=r_max)
-    atlas = [StopRule("polar", lambda p, v: r_max - p[0], -1.0, "atlas")]
-    return Surface({"polar": chart}, {"tip": tip}, [], atlas)

@@ -219,6 +219,47 @@ class TestTwoPathConsistency:
         assert len(shots) == sum(seg.iterations for seg in geo.segments)
 
 
+SEED0 = {"spindle": (["south", "north"],
+                     [A0 * (np.pi / 4 + 0.02), A0 * (5 * np.pi / 4 - 0.02)]),
+         "teardrop": (["tip"], [A0 * (np.pi / 4 + 0.02)])}
+
+
+def _isometry_images():
+    """Each image of a seed-0 loop under a symmetry of the builtins:
+    theta -> theta + pi and, with eps -> -eps, theta -> -theta leave
+    1 + eps bump(r) sin 2 theta unchanged, and the spindle's loop may
+    start at either tip.  Seeds are link coordinates a0 theta on a link
+    of length 2 pi a0."""
+    rho = 2 * np.pi * A0
+    images = []
+    for name, (tips, seeds) in SEED0.items():
+        images += [
+            pytest.param(name, 0.05, tips, [(q + A0 * np.pi) % rho for q in seeds],
+                         id=f"{name}-shift"),
+            pytest.param(name, -0.05, tips, [(-q) % rho for q in seeds],
+                         id=f"{name}-mirror"),
+        ]
+    tips, seeds = SEED0["spindle"]
+    return images + [pytest.param("spindle", 0.05, tips[::-1], seeds[::-1],
+                                  id="spindle-north")]
+
+
+@pytest.mark.parametrize("name,eps,tips,seeds", _isometry_images())
+def test_isometry_images_agree(name, eps, tips, seeds, request):
+    # an isometry maps the loop onto another closed geodesic of the same
+    # length and coefficient; the image is found and assembled by its
+    # own shots, so this shares no route with criterion 9's comparison
+    build = {"spindle": surfaces.perturbed_spindle,
+             "teardrop": surfaces.teardrop}[name]
+    kw = {"length_cap": 12.0} if name == "teardrop" else {}
+    image = build_closed_diffractive(build(A0, eps), tips, seeds, **kw)
+    original = request.getfixturevalue(f"{name}_closed")
+    assert image.length == pytest.approx(original.length, rel=1e-13, abs=0)
+    want = trace_singularity(original).coefficient
+    got = trace_singularity(image).coefficient
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 class TestModelKernel:
     CUT = CutoffSpec()
 

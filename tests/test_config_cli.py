@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conetrace import cli
 from conetrace.cli import main
 from conetrace.config import (
     integer_from_config,
@@ -17,6 +18,8 @@ from conetrace.errors import ConfigError
 from conetrace.links import LinkSpectrum, SummationPolicy, diffraction_kernel
 from conetrace.spectra import doubled_square_spectrum, smoothed_wave_trace
 from conetrace.amplitudes import CutoffSpec, model_kernel, trace_singularity
+
+from cone_chart import cone_chart_surface
 
 A0 = 0.75
 RHO = 1.5 * np.pi
@@ -37,9 +40,9 @@ def read_rows(path):
 
 class TestConfigObjects:
     def test_builtin_surface(self):
-        surf = surface_from_config({"builtin": "flat_cone",
-                                    "params": {"rho": RHO}})
-        assert surf.tips["tip"].link.circumference == pytest.approx(RHO)
+        surf = surface_from_config({"builtin": "teardrop",
+                                    "params": {"a0": 0.6}})
+        assert surf.tips["tip"].link.circumference == pytest.approx(1.2 * np.pi)
 
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError):
@@ -47,7 +50,7 @@ class TestConfigObjects:
 
     def test_bad_params(self):
         with pytest.raises(ConfigError):
-            surface_from_config({"builtin": "plane", "params": {"radius": 1}})
+            surface_from_config({"builtin": "teardrop", "params": {"radius": 1}})
 
     def test_link(self):
         link = link_from_config({"circumference": RHO})
@@ -206,27 +209,76 @@ class TestExitCodes:
         assert main(["predict-trace", "--config", cfg]) == 2
         assert "model_samples" in capsys.readouterr().err
 
-    def test_chart_failure_exit_3(self, tmp_path, capsys):
-        # the shot leaves the chart's real domain at p0 = 1.5
+    def test_chart_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # on the tests' cone chart sqrt(G) = 1.2 p0 (1.5 - p0)^0.5 the shot
+        # leaves the chart's real domain at p0 = 1.5
+        monkeypatch.setattr(
+            cli, "surface_from_config",
+            lambda spec: cone_chart_surface("1.2*(1.5-p0)**0.5"))
         cfg = write_config(tmp_path, "cone.json", {
-            "surface": {"cone_chart": {"sqrt_h": "1.2*(1.5-p0)**0.5"}},
+            "surface": {"builtin": "teardrop"},
             "tip_sequence": ["tip"],
             "seeds": [0.3],
         })
         assert main(["find-geodesics", "--config", cfg]) == 3
         assert "domain error:" in capsys.readouterr().err
 
+    def test_search_failure_exit_4(self, tmp_path, capsys):
+        # a length cap shorter than the way from the tip back into its band
+        cfg = write_config(tmp_path, "td.json", {
+            "surface": {"builtin": "teardrop"},
+            "tip_sequence": ["tip"],
+            "seeds": [A0 * (np.pi / 4 + 0.02)],
+            "options": {"length_cap": 1.0},
+        })
+        assert main(["find-geodesics", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("search failure:")
+        assert "never entered the band" in err
+
+    def test_degeneracy_exit_5(self, tmp_path, capsys):
+        # at eps = 0 every meridian joins the spindle's tips: conjugate
+        cfg = write_config(tmp_path, "sp.json", {
+            "surface": {"builtin": "perturbed_spindle", "params": {"eps": 0}},
+            "tip_sequence": ["south", "north"],
+            "seeds": [A0 * (np.pi / 4 + 0.02), A0 * (5 * np.pi / 4 - 0.02)],
+        })
+        assert main(["predict-trace", "--config", cfg]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("degeneracy:") and "conjugate" in err
+
     @pytest.mark.parametrize("payload,named", [
         ({"options": {"length_cap": 12.0, "bogus": 1}}, "'bogus'"),
         ({"tip_sequence": ["north"]}, "'north'"),
         ({"seeds": [0.6, 1.2]}, "one seed per tip"),
         ({"tip_sequence": [], "seeds": []}, "at least one tip"),
-        ({"surface": {"cone_chart": ["sqrt_h"]}}, "must be an object"),
-        ({"surface": {"cone_chart": {"sqrt_h": "1.1", "rho": 7.0}}}, "'rho'"),
+        # retired surfaces, on which no run could succeed: the sympy cone
+        # chart (every geodesic from its tip leaves the atlas), the plane
+        # and sphere band (no tip), the flat cone (rays that never come
+        # back) and the symmetric spindle (conjugate tips); each is
+        # refused by name, whatever its spec
+        ({"surface": {"cone_chart": {"sqrt_h": "1.2*(1.5-p0)**0.5"}}},
+         "'cone_chart'"),
+        ({"surface": {"cone_chart": ["sqrt_h"]}}, "'cone_chart'"),
+        ({"surface": {"cone_chart": {"sqrt_h": "1.1", "rho": 7.0}}},
+         "'cone_chart'"),
         ({"surface": {"cone_chart": {"sqrt_h": "1.1", "r_max": 5.0,
-                                     "bogus": 1}}}, "'bogus'"),
+                                     "bogus": 1}}}, "'cone_chart'"),
+        ({"surface": {"cone_chart": {"sqrt_h": "1.1", "rho": True}}},
+         "'cone_chart'"),
+        ({"surface": {"cone_chart": {"sqrt_h": "1.1", "r_max": -1.0}}},
+         "'cone_chart'"),
+        ({"surface": {"builtin": "plane"}}, "'plane'"),
+        ({"surface": {"builtin": "sphere_band"}}, "'sphere_band'"),
+        ({"surface": {"builtin": "flat_cone", "params": {"rho": RHO}}},
+         "'flat_cone'"),
+        ({"surface": {"builtin": "symmetric_spindle"}}, "'symmetric_spindle'"),
+        # a name that is not a string is refused, not looked up
+        ({"surface": {"builtin": ["teardrop"]}}, "['teardrop']"),
     ], ids=["bogus-option", "unknown-tip", "seed-count", "no-tips",
-            "cone-list", "cone-rho", "cone-unknown-key"])
+            "cone-chart", "cone-list", "cone-rho", "cone-unknown-key",
+            "cone-rho-bool", "cone-r-max-negative", "plane", "sphere-band",
+            "flat-cone", "symmetric-spindle", "builtin-list"])
     def test_unknown_geodesic_option_exit_2(self, tmp_path, capsys, payload,
                                             named):
         cfg = write_config(tmp_path, "td.json", {
@@ -274,10 +326,6 @@ class TestExitCodes:
                                        "params": {"eps": 2.0}}}),
         ("find-geodesics", {"surface": {"builtin": "teardrop",
                                         "params": {"eps": -1.0}}}),
-        ("find-geodesics", {"surface": {"cone_chart": {"sqrt_h": "1.1",
-                                                       "rho": True}}}),
-        ("find-geodesics", {"surface": {"cone_chart": {"sqrt_h": "1.1",
-                                                       "r_max": -1.0}}}),
         ("predict-trace", {"options": {"length_cap": "12"}}),
         # a key that no part of the run reads: a misspelt one, one of
         # another policy kind, or a second eigenvalue source
@@ -309,10 +357,10 @@ class TestExitCodes:
             "grid-count-string", "policy-r-bool",
             "seed-string", "param-a0-bool", "param-a0-negative",
             "param-eps-string", "param-eps-above-one", "param-eps-two",
-            "param-eps-minus-one", "cone-rho-bool", "cone-r-max-negative",
-            "length-cap-string", "typo-model-samples", "typo-damping-sigma",
-            "typo-seeds", "typo-surface-params", "typo-fit-window", "fit-list",
-            "typo-doubled-square", "typo-lambda-max", "two-eigenvalue-sources",
+            "param-eps-minus-one", "length-cap-string", "typo-model-samples",
+            "typo-damping-sigma", "typo-seeds", "typo-surface-params",
+            "typo-fit-window", "fit-list", "typo-doubled-square",
+            "typo-lambda-max", "two-eigenvalue-sources",
             "typo-t-grid", "typo-link", "typo-grid-key",
             "policy-key-of-other-kind", "policy-kind-list"])
     def test_non_number_exit_2(self, tmp_path, capsys, monkeypatch, command,

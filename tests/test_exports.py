@@ -3,6 +3,7 @@ only names its modules declare, so a deleted name cannot linger."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -80,21 +81,32 @@ def test_verify_import_builds_nothing():
     assert run.stdout.strip() == "0"
 
 
-def test_import_leaves_sympy_unloaded():
-    # the builtin surfaces are closed forms; only a cone_chart build,
-    # which differentiates a user expression, loads sympy
+def test_import_leaves_sympy_unloaded(tmp_path):
+    # every surface the package builds is a closed form: sympy stays
+    # unloaded through the import, both builtin builds and a prediction,
+    # and the retired sympy-built cone chart and the spindle alias are
+    # not exported
+    config = tmp_path / "spindle.json"
+    config.write_text(json.dumps({
+        "surface": {"builtin": "perturbed_spindle"},
+        "tip_sequence": ["south", "north"],
+        "seeds": [0.6040486225480862, 2.930243112740431],
+    }))
     code = "\n".join([
         "import sys, conetrace, conetrace.cli",
         "assert 'sympy' not in sys.modules, 'loaded by the import'",
         "conetrace.perturbed_spindle(); conetrace.teardrop()",
         "assert 'sympy' not in sys.modules, 'loaded by a builtin build'",
-        "tip = conetrace.cone_chart_surface('1.2*(1+p0)**0.5').tips['tip']",
-        "assert 'sympy' in sys.modules",
-        "print(tip.c1)",
+        f"argv = ['predict-trace', '--config', {str(config)!r},",
+        f"        '--out', {str(tmp_path / 'spindle.csv')!r}]",
+        "assert conetrace.cli.main(argv) == 0",
+        "assert 'sympy' not in sys.modules, 'loaded by predict-trace'",
+        "print(sorted({'cone_chart_surface', 'symmetric_spindle'}",
+        "             & set(dir(conetrace))))",
     ])
     run = _run_fresh(code)
     assert run.returncode == 0, run.stderr
-    assert float(run.stdout) == pytest.approx(0.5)
+    assert run.stdout.strip() == "[]"
 
 
 def test_import_leaves_scipy_integrate_and_optimize_unloaded():

@@ -31,6 +31,8 @@ from conetrace.geodesics import (
 )
 from conetrace.links import LinkSpectrum
 
+from cone_chart import cone_chart_surface
+
 A0 = 0.75
 
 
@@ -161,7 +163,7 @@ class TestConnectTips:
         assert spindle_closed.segments[0].length == pytest.approx(expected, abs=1e-8)
 
     def test_conjugate_tips_refused(self):
-        sym = surfaces.symmetric_spindle()
+        sym = surfaces.perturbed_spindle(eps=0.0)
         with pytest.raises(ConjugateDegeneracyError):
             connect_tips(sym, "south", "north", A0 * 0.3)
 
@@ -555,7 +557,7 @@ class TestPerturbationGuard:
 
 class TestTipData:
     def test_custom_chart_frobenius(self):
-        surf = surfaces.cone_chart_surface("1.2*(1+p0)**0.5")
+        surf = cone_chart_surface("1.2*(1+p0)**0.5")
         tip = surf.tips["tip"]
         assert tip.a0 == pytest.approx(1.2)
         assert tip.c1 == pytest.approx(0.5)
@@ -567,13 +569,13 @@ class TestTipData:
     def test_frobenius_c1_of_irrational_cone_angle(self):
         # a0 = 1.2 sqrt(1.5) is irrational: c1 must come from the exact a0,
         # a rounded one leaves a 1/x term and an infinite limit
-        tip = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5").tips["tip"]
+        tip = cone_chart_surface("1.2*(1.5-p0)**0.5").tips["tip"]
         assert tip.a0 == pytest.approx(1.2 * np.sqrt(1.5))
         assert tip.c1 == pytest.approx(-1.0 / 3.0)
 
     def test_degenerate_tip_rejected(self):
         with pytest.raises(SeriesStartFailureError):
-            surfaces.cone_chart_surface("p0")  # sqrt(G) ~ x^2
+            cone_chart_surface("p0")  # sqrt(G) ~ x^2
 
 
 def _sympy_bump(r, lo, hi):
@@ -628,7 +630,7 @@ def _numpy_reference(p0, p1, P, Q):
 
 @pytest.fixture(scope="module")
 def cone_chart():
-    return surfaces.cone_chart_surface("1.2*(1+p0)**0.5")
+    return cone_chart_surface("1.2*(1+p0)**0.5")
 
 
 class TestCompiledCharts:
@@ -668,14 +670,14 @@ class TestCompiledCharts:
 
     def test_off_domain_raises_step_failure(self):
         # sqrt(G) = 1.2 p0 (1.5 - p0)^0.5 has no real value past p0 = 1.5
-        surf = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5")
+        surf = cone_chart_surface("1.2*(1.5-p0)**0.5")
         with pytest.raises(StepFailureError):
             shoot_from_tip(surf, "tip", 0.3, 3.0)
 
     def test_singular_curvature_stops_the_flow(self):
         # K ~ 1 / (4 (1.5 - p0)^2) ahead of that edge: the flow stops where
         # |K| passes MAX_CURVATURE instead of creeping toward the edge
-        chart = surfaces.cone_chart_surface("1.2*(1.5-p0)**0.5").chart("polar")
+        chart = cone_chart_surface("1.2*(1.5-p0)**0.5").chart("polar")
         y = np.array([1.5 - 1e-8, 0.3, 1.0, 0.0, 0.1, 1.0])
         with pytest.raises(StepFailureError, match="singular"):
             chart.flow_rhs(0.0, y)

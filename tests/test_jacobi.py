@@ -15,6 +15,8 @@ from conetrace.geodesics import (
     shoot_from_tip,
 )
 
+from cone_chart import cone_chart_surface
+
 A0 = 0.75
 # distance from the tip at which b_jacobi_solution starts its field; the
 # start's j' misses the x^2 K / 2 term, so the offset must be small: 5e-13
@@ -174,7 +176,7 @@ class TestFlowField:
         # terms are the Frobenius start's, at a non-product tip
         # (sqrt(G) = 1.3 x sqrt(1 + x/2), c1 = 1/4; the next terms of j
         # and j' are -x^3/32 and -3 x^2/32)
-        surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5")
+        surf = cone_chart_surface("1.3*(1+p0/2)**0.5")
         c1 = surf.tips["tip"].c1
         assert c1 == pytest.approx(0.25, abs=1e-15)
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
@@ -200,7 +202,7 @@ class TestFlowField:
         # shorter shot is all head, with one leg of length zero
         for surf, field in [
             (surfaces.flat_cone(1.5 * np.pi), lambda s: (s, 1.0)),
-            (surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5"),
+            (cone_chart_surface("1.3*(1+p0/2)**0.5"),
              lambda s: (s * np.sqrt(1 + s / 2),
                         np.sqrt(1 + s / 2) + s / (4 * np.sqrt(1 + s / 2)))),
         ]:
@@ -505,7 +507,7 @@ class TestBrokenHessian:
     def test_frobenius_start_self_consistent(self):
         # non-product tip: curvature ~ c/x.  Solves from the series start
         # at three offsets absorb it and land on the closed-form head
-        surf = surfaces.cone_chart_surface("1.3*(1+p0/2)**0.5")
+        surf = cone_chart_surface("1.3*(1+p0/2)**0.5")
         path = shoot_from_tip(surf, "tip", 0.0, 2.0)
         head = path.flow_field.pair(1.5)
         for x_start, tol in ((1e-4, 1e-8), (1e-5, 1e-9), (1e-6, 1e-9)):

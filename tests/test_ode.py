@@ -166,6 +166,28 @@ def test_dense_output_is_built_when_read():
     assert run.sol(mid)[0] == pytest.approx(math.cos(mid), abs=1e-10)
 
 
+@pytest.mark.parametrize("case", [_oscillator_case, _spindle_leg],
+                         ids=["oscillator", "spindle_leg"])
+def test_step_end_is_read_without_its_interpolant(case):
+    # at x = 1 every weight but those of y0 and F_0 = y1 - y0 is 0, so a
+    # run's end reads the interpolant's value bit for bit, unbuilt
+    fun, t0, t1, y0, _, atol = case()
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return fun(t, y)
+
+    run = ode.solve(counted, t0, t1, y0, rtol=RTOL, atol=atol)
+    before = len(calls)
+    last, end = run.sol.steps[-1], run.sol.ts[-1]
+    got = run.sol(end)
+    assert last._G is None and len(calls) == before
+    last.coefficients()
+    np.testing.assert_array_equal(got, last(end))
+    np.testing.assert_array_equal(got, run.sol(np.array([end]))[:, 0])
+
+
 @pytest.mark.parametrize("f,a,b,xtol", [
     (lambda x: math.cos(x) - x, 0.0, 1.0, 2e-12),
     (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 2e-12),
