@@ -10,8 +10,8 @@ It refuses a negative or non-finite order or argument with
 BesselFailureError.  Two regimes:
 
 * ascending power series for small argument (x <= 4) or argument at
-  most half the order (x <= nu / 2), its first 60 terms summed in one
-  shot, each as exp of its logarithm to dodge overflow (math.lgamma for
+  most half the order (x <= nu / 2), its first 60 terms summed in
+  order, each as exp of its logarithm to dodge overflow (math.lgamma for
   log Gamma(nu + m + 1), a module constant for log m!).  The
   alternating terms cancel, so the accuracy is absolute, not relative
   to J_nu, and it worsens with x: against mpmath the error on orders up
@@ -27,7 +27,7 @@ BesselFailureError.  Two regimes:
   on the monotone tail.  The Legendre rule is sized by the integrand's
   top frequency: the phase nu t - x sin t has slope nu - x cos t, at
   most nu + x, and the rule takes 0.8 (nu + x) + 40 nodes rounded up to
-  a multiple of 64 (x the largest argument of the batch).  The total
+  a multiple of 64, each point on its own rung.  The total
   phase variation nu pi + 2 x, which overstates the work, would ask for
   three to four times as many.  On a scan of 13 orders from 0 to 800,
   each at 7 arguments spread over the domain, 0.8 (nu + x) + 40 is at
@@ -40,19 +40,27 @@ BesselFailureError.  Two regimes:
   nodes; a phase variation beyond it raises BesselFailureError rather
   than integrating where nothing was checked.
   The node count is even and the nodes mirror about pi / 2, where
-  sin t is even, so the phase at the mirror pi - t of a node t is
-  nu pi - nu t - x sin t.  Expanding both cosines around x sin t folds
-  the Legendre sum onto the half of the nodes below pi / 2, whose part
-  of J and J' (the Laguerre tail aside) is
-      J  = (C a + S b) / pi,    J' = (C (b sin t) - S (a sin t)) / pi,
-  with C and S the matrices cos(x sin t) and sin(x sin t) over points
-  and half-nodes, and per-node weights
-      a = w (cos(nu t) (1 + cos(nu pi)) + sin(nu pi) sin(nu t)),
-      b = w (sin(nu t) (1 - cos(nu pi)) + sin(nu pi) cos(nu t)).
+  sin t is even: at t = pi / 2 +- tau the phase is
+  nu pi / 2 - x cos tau +- nu tau, so a node's cosine and its mirror's
+  add to 2 cos(nu tau) cos(x sin t - nu pi / 2).  That folds the
+  Legendre sum onto the half of the nodes below pi / 2, whose part of J
+  and J' (the Laguerre tail aside) is
+      J  = sum W cos(phi) / pi,    J' = -sum W sin t sin(phi) / pi,
+  with phi = x sin t - nu pi / 2 over points and half-nodes and the
+  per-node weight W = 2 w cos(nu tau), w the node's Legendre weight.
   So J and J' together take one cos and one sin per point and
-  half-node, half the trig work of evaluating the two phase matrices
-  on every node.  cos(nu pi) and sin(nu pi) come from nu reduced mod 2,
-  which keeps them accurate at large orders.
+  half-node, half the trig work of evaluating the phase on every node.
+  nu pi / 2 comes from nu reduced mod 4, which keeps it accurate at
+  large orders.
+
+A call takes an array of orders that broadcasts with the arguments (a
+scalar order takes the same path), so a cone mode build evaluates all
+its orders at once.  The Schlaefli points are grouped by rung and, in a
+rung, sorted by order; they go in chunks of at most 2^13 point-nodes,
+and a chunk builds the weights W of the orders it holds, so the orders
+of a rung share one Legendre rule and no weight table spans a whole
+rung.  A point's J and J' depend on its own order and argument alone:
+a batch gives every point its scalar call's values, bit for bit.
 
 Zeros are counted and certified by linear algebra and placed by J.  The
 three-term recurrence makes 1/j_{nu,m} the positive eigenvalues of the
@@ -82,14 +90,21 @@ its whole ladder of orders at once) goes through four steps:
   last term is below 1e-5 (or nu < 1), and elsewhere Olver's uniform
   expansion nu z(zeta) + f1(zeta) / nu in the Airy zeros;
 * place: Halley's iteration on J, with J'' from Bessel's equation for
-  free.  A zero is done once its step is at most 1e-6, which the cubic
-  convergence leaves within rounding, and J' is carried to it by the
-  step's Taylor series.  With the first three Airy zeros from a table,
-  one pass settles all but a few zeros of each order;
+  free, over every zero of the batch: each pass evaluates all the
+  unsettled zeros of every order in one `bessel_j_pair` call.  A zero
+  is done once its step is at most 1e-6, which the cubic convergence
+  leaves within rounding, and J' is carried to it by the step's Taylor
+  series.  With the first three Airy zeros from a table, one pass
+  settles all but a few zeros of the ladder, and a second the rest;
 * certify: the counts at z (1 - 1e-8) and z (1 + 1e-8) must be m - 1
   and m for the m-th zero z, else BesselFailureError.  A start that
   Halley drives onto a neighbouring zero leaves a true zero of J in the
-  wrong place, which only this index check sees.
+  wrong place, which only this index check sees.  Each zero is counted
+  on its order's block truncated by the row rule for cut = z (1 + 1e-8),
+  which holds every zero up to that cut.  Taken tallest truncation
+  first, the zeros still counting at a row are a prefix of them, so
+  the pass down the rows does about half the work of counting every
+  zero on the block for x_max.
 
 The eigenvalues know nothing of the quadrature, so the two check each
 other, and nothing here calls a library Bessel function or eigensolver:
@@ -97,10 +112,14 @@ the package needs numpy alone, and tests use those libraries as ground
 truth.  On every order of the cone mode builds of criterion 3 and of
 the benchmark's cone_front workload, and on the row-rule scan of the
 tests (34,720 zeros), the zeros match a LAPACK eigensolve of the same
-blocks followed by one Newton step of J within 2.4e-16 relative, and
-J' at them within 1.1e-13.
+blocks followed by one Newton step of J within 3.4e-16 relative (all
+but the first zero of J_1, at x = 3.83 in the series regime: 6.7e-16,
+and 9.2e-16 from mpmath's), and J' at them within 1.2e-13; against
+scipy, the mode builds' zeros lie within 1.0e-15 relative of its jv's
+and J' at them within 2.0e-13 of its jvp.
 
-Everything is deterministic and vectorized over the argument.
+Everything is deterministic and vectorized over the order and the
+argument.
 """
 
 from __future__ import annotations
@@ -122,6 +141,9 @@ _LOG_FACTORIAL = np.array([math.lgamma(m + 1.0)
 _GL_RUNG = 64  # Legendre node counts are multiples of this
 _TAIL_NODES = 80  # Laguerre nodes of the Schlaefli integral's tail
 _SPAN_TOP = 3360.0  # largest phase variation nu pi + 2 x supported
+# the series and the integral build their matrices of points by terms or
+# nodes in chunks of at most this many elements
+_CHUNK = 1 << 13
 # the zeros: the count runs _COUNT_MARGIN past x_max; a start is McMahon's
 # where its last term is below _MCMAHON_TOL; Halley ends a zero once its
 # step is at most _HALLEY_STOP, within _HALLEY_PASSES passes; the Ikebe
@@ -138,103 +160,173 @@ _AIRY_SERIES = (5.0 / 48.0, -5.0 / 36.0, 77125.0 / 82944.0,
                 -108056875.0 / 6967296.0, 162375596875.0 / 334430208.0)
 
 
-def _nodes(nu: float, x_max: float) -> int:
-    """Legendre node count for the Schlaefli integral up to x_max: the
-    rung at or above 0.8 (nu + x_max) + 40, nu + x_max being the top
-    frequency of its integrand."""
-    return _GL_RUNG * math.ceil((0.8 * (nu + x_max) + 40) / _GL_RUNG)
+def _nodes(nu, x):
+    """Legendre node count for the Schlaefli integral at each point: the
+    rung at or above 0.8 (nu + x) + 40, nu + x being the top frequency
+    of its integrand."""
+    return _GL_RUNG * np.ceil((0.8 * (nu + x) + 40) / _GL_RUNG).astype(int)
 
 
-def _check_span(nu: float, x_max: float, what: str) -> None:
-    span = nu * math.pi + 2.0 * x_max
-    if span > _SPAN_TOP:
+def _check_span(nu, x, what: str) -> None:
+    """Refuse a point of the 1-D nu and x, broadcast together, whose phase
+    variation nu pi + 2 x exceeds _SPAN_TOP; `what` names the worst
+    point, formatted with its nu and x."""
+    span = nu * math.pi + 2.0 * x
+    if np.any(span > _SPAN_TOP):
+        worst = np.argmax(span)
+        name = what.format(nu=np.broadcast_to(nu, span.shape)[worst],
+                           x=np.broadcast_to(x, span.shape)[worst])
         raise BesselFailureError(
-            f"{what}: phase variation {span:.6g} exceeds {_SPAN_TOP:g}, "
-            f"the domain the Gauss-Legendre rule is checked on")
+            f"{name}: phase variation {span[worst]:.6g} exceeds "
+            f"{_SPAN_TOP:g}, the domain the Gauss-Legendre rule is checked on")
 
 
-def _series(nu: float, x: np.ndarray):
+def _series(nu, x: np.ndarray):
     """(J, J') from the first _SERIES_TERMS terms of the ascending series,
-    one column of terms per point, summed in one shot.  The sum runs
-    down the columns, so it adds the terms in order."""
+    nu broadcast against the 1-D x: one column of terms per point, in
+    chunks of at most _CHUNK terms, summed down the columns in order."""
+    nu = np.broadcast_to(nu, x.shape)
+    orders, which = np.unique(nu, return_inverse=True)
+    # log Gamma(nu + m + 1), one row per term m and one column per order,
+    # taken one float at a time
+    log_gamma = np.fromiter(
+        (math.lgamma(v + m + 1.0) for m in range(_SERIES_TERMS)
+         for v in orders.tolist()),
+        float, _SERIES_TERMS * len(orders)).reshape(_SERIES_TERMS, -1)
     m = np.arange(_SERIES_TERMS, dtype=float)[:, None]
-    power = 2.0 * m + nu
-    pos = x > 0  # x = 0 takes the limits below
-    xs = np.where(pos, x, 1.0)
-    log_gamma = np.array([math.lgamma(nu + k + 1.0)
-                          for k in range(_SERIES_TERMS)])[:, None]
-    terms = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(
-        power * np.log(xs / 2.0) - (_LOG_FACTORIAL + log_gamma))
-    j = np.where(pos, terms.sum(axis=0), 1.0 if nu == 0.0 else 0.0)
-    d = np.where(pos, (terms * power / xs).sum(axis=0),
-                 0.5 if nu == 1.0 else 0.0)
+    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    j, d = np.empty_like(x), np.empty_like(x)
+    size = _CHUNK // _SERIES_TERMS
+    for lo in range(0, len(x), size):
+        part = slice(lo, lo + size)
+        xp, order = x[part], nu[part]
+        pos = xp > 0  # x = 0 takes the limits below
+        xs = np.where(pos, xp, 1.0)
+        power = 2.0 * m + order
+        terms = log_gamma[:, which[part]]
+        terms += _LOG_FACTORIAL
+        np.subtract(power * np.log(xs / 2.0), terms, out=terms)
+        np.exp(terms, out=terms)
+        terms *= sign
+        power *= terms
+        power /= xs
+        # cumsum adds in order whatever the number of columns, where a
+        # sum over a single column would add the terms pairwise
+        j[part] = np.where(pos, np.cumsum(terms, axis=0, out=terms)[-1],
+                           np.where(order == 0.0, 1.0, 0.0))
+        d[part] = np.where(pos, np.cumsum(power, axis=0, out=power)[-1],
+                           np.where(order == 1.0, 0.5, 0.0))
     return j, d
 
 
-def _schlaefli(nu: float, x: np.ndarray):
-    """(J, J') from Schlaefli's integral, both from the same trig
-    matrices; the Legendre integral is folded onto the nodes below
-    pi / 2 (see the module docstring)."""
-    x_max = float(np.max(x, initial=0.0))
-    _check_span(nu, x_max, f"J_{nu:g} at {x_max:g}")
-    half = _nodes(nu, x_max) // 2
-    t, w = gauss_legendre(2 * half)
-    theta = 0.5 * np.pi * (t[:half] + 1.0)
-    wt = 0.5 * np.pi * w[:half]
-    sin_theta = np.sin(theta)
-    # fmod is exact, so cos and sin of nu pi stay accurate at large nu
-    r = math.fmod(nu, 2.0)
-    c, s = math.cos(math.pi * r), math.sin(math.pi * r)
-    cos_nt, sin_nt = np.cos(nu * theta), np.sin(nu * theta)
-    # the cos and sin weights of the node and its mirror pi - theta
-    a = wt * (cos_nt * (1.0 + c) + s * sin_nt)
-    b = wt * (sin_nt * (1.0 - c) + s * cos_nt)
-    arg = x[:, None] * sin_theta[None, :]
-    cos_arg, sin_arg = np.cos(arg), np.sin(arg)
-    j = (cos_arg @ a + sin_arg @ b) / np.pi
-    d = (cos_arg @ (b * sin_theta) - sin_arg @ (a * sin_theta)) / np.pi
-    if abs(s) > 1e-15:
+def _schlaefli(nu, x: np.ndarray):
+    """(J, J') from Schlaefli's integral, nu broadcast against the 1-D x,
+    both from the same trig matrices; the Legendre integral is folded
+    onto the nodes below pi / 2 (see the module docstring).  Each point
+    takes its own rung, and the points of a rung go in chunks of at most
+    _CHUNK point-nodes, each chunk with one row of weights per order."""
+    nu = np.broadcast_to(nu, x.shape)
+    _check_span(nu, x, "J_{nu:g} at {x:g}")
+    half = _nodes(nu, x) // 2
+    j, d = np.empty_like(x), np.empty_like(x)
+    for h in np.unique(half).tolist():
+        points = np.flatnonzero(half == h)
+        # by order, so that each chunk takes a run of neighbouring orders;
+        # which[i] is the rank of the order of points[i] among the rung's
+        ladder = nu[points]
+        by_order = np.argsort(ladder, kind="stable")
+        points, ladder = points[by_order], ladder[by_order]
+        fresh = np.concatenate([[True], ladder[1:] != ladder[:-1]])
+        orders, which = ladder[fresh], np.cumsum(fresh) - 1
+        # the phase shift nu pi / 2 of each order, from nu mod 4, which is
+        # exact, so the shift stays accurate at large nu
+        shift = 0.5 * np.pi * np.fmod(orders, 4.0)
+        t, w = gauss_legendre(2 * h)
+        tau = 0.5 * np.pi * t[:h]  # t - pi / 2 at the nodes below pi / 2
+        wt = np.pi * w[:h]
+        sin_t = np.cos(tau)
+        size = max(1, _CHUNK // h)
+        for lo in range(0, len(points), size):
+            p = points[lo:lo + size]
+            row = which[lo:lo + size]
+            run = slice(row[0], row[-1] + 1)
+            row = row - row[0]
+            # the weight of a node and its mirror, one row per point
+            weight = (wt * np.cos(orders[run, None] * tau))[row]
+            phase = x[p, None] * sin_t
+            phase -= shift[run][row, None]
+            cos_phase = np.cos(phase)
+            sin_phase = np.sin(phase, out=phase)
+            cos_phase *= weight
+            sin_phase *= weight
+            sin_phase *= sin_t
+            j[p] = cos_phase.sum(axis=1)
+            d[p] = sin_phase.sum(axis=1)
+    j /= np.pi
+    d /= -np.pi
+    s = np.sin(np.pi * np.fmod(nu, 2.0))
+    tail = np.flatnonzero(np.abs(s) > 1e-15)
+    if len(tail):
         u, lw = gauss_laguerre(_TAIL_NODES)
-        scale = nu + x[:, None] + 1.0
-        tt = u[None, :] / scale
-        sinh_tt = np.sinh(tt)
-        # integrand times e^{+u}, matching the e^{-u} in the Laguerre
-        # weights; the exponent stays bounded by the scale choice
-        f = np.exp(-x[:, None] * (sinh_tt - tt)
-                   - (nu + x[:, None]) * tt + u[None, :])
-        j = j - (s / np.pi) * (f @ lw / scale[:, 0])
-        d = d + (s / np.pi) * ((f * sinh_tt) @ lw / scale[:, 0])
+        size = _CHUNK // _TAIL_NODES
+        for lo in range(0, len(tail), size):
+            p = tail[lo:lo + size]
+            xp, top = x[p, None], nu[p, None] + x[p, None]
+            scale = top + 1.0
+            tt = u / scale
+            sinh_tt = np.sinh(tt)
+            # integrand times e^{+u}, matching the e^{-u} in the Laguerre
+            # weights; the exponent stays bounded by the scale choice
+            f = np.exp(-xp * (sinh_tt - tt) - top * tt + u) * lw
+            j[p] -= (s[p] / np.pi) * (f.sum(axis=1) / scale[:, 0])
+            d[p] += (s[p] / np.pi) * ((f * sinh_tt).sum(axis=1) / scale[:, 0])
     return j, d
 
 
-def _pair(nu: float, x):
-    """(J_nu(x), J_nu'(x)): floats for a float x, arrays of x's shape
-    otherwise.  The public functions both call this and never each
-    other, so each public call is one span to the benchmark's tracer."""
-    if not 0.0 <= nu < math.inf:
-        raise BesselFailureError(f"order must be finite and nonnegative: {nu}")
+def _pair(nu, x):
+    """(J_nu(x), J_nu'(x)) with nu and x broadcast together: floats where
+    both are floats, arrays of the broadcast shape otherwise.  The public
+    functions both call this and never each other, so each public call
+    is one span to the benchmark's tracer."""
+    orders = np.asarray(nu, dtype=float)
     arr = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(orders.shape, arr.shape)
+    bad = ~((0.0 <= orders) & (orders < math.inf))
+    if np.any(bad):
+        raise BesselFailureError(
+            f"order must be finite and nonnegative: {orders[bad].flat[0]}")
     if not np.all((0.0 <= arr) & (arr < math.inf)):
         raise BesselFailureError("argument must be finite and nonnegative")
-    flat = np.atleast_1d(arr)
+    flat_nu = np.broadcast_to(orders, shape).ravel()
+    flat = np.broadcast_to(arr, shape).ravel()
     j, d = np.empty_like(flat), np.empty_like(flat)
-    small = (flat <= _SERIES_X_MAX) | (flat <= 0.5 * nu)
+    small = (flat <= _SERIES_X_MAX) | (flat <= 0.5 * flat_nu)
     for part, fn in ((small, _series), (~small, _schlaefli)):
         if np.any(part):
-            j[part], d[part] = fn(nu, flat[part])
-    if arr.ndim == 0:
+            j[part], d[part] = fn(flat_nu[part], flat[part])
+    if not shape:
         return float(j[0]), float(d[0])
-    return j, d
+    return j.reshape(shape), d.reshape(shape)
 
 
-def bessel_j_pair(nu: float, x):
-    """(J_nu(x), J_nu'(x)) for real nu >= 0 and x >= 0 (scalar or array)."""
+def bessel_j_pair(nu, x):
+    """(J_nu(x), J_nu'(x)) for real nu >= 0 and x >= 0, scalars or arrays
+    that broadcast together."""
     return _pair(nu, x)
 
 
-def bessel_j(nu: float, x):
-    """J_nu(x) for real nu >= 0 and x >= 0 (scalar or array)."""
+def bessel_j(nu, x):
+    """J_nu(x) for real nu >= 0 and x >= 0, scalars or arrays that
+    broadcast together."""
     return _pair(nu, x)[0]
+
+
+def _rows(nus, cut):
+    """Half the rows of the unsquared Ikebe matrix of order nus that the
+    row rule asks for to hold the zeros up to cut: the height of the
+    odd-row block."""
+    return np.ceil((1.1 * (cut - nus) + 4.0 * cut ** (1.0 / 3.0) + 10)
+                   / 2).astype(int)
 
 
 def _ikebe_blocks(nus: np.ndarray, cut: float):
@@ -244,11 +336,12 @@ def _ikebe_blocks(nus: np.ndarray, cut: float):
     its coupling to row i + 1.  A block shorter than the tallest is
     padded with zero rows that no coupling reaches, so their pivots are
     -sigma and never count."""
-    # half the rows of the unsquared matrix that the row rule asks for
-    rows = np.ceil((1.1 * (cut - nus) + 4.0 * cut ** (1.0 / 3.0) + 10)
-                   / 2).astype(int)
+    rows = _rows(nus, cut)
     k = np.arange(1, 2 * rows.max())[:, None]
-    a = 0.5 / np.sqrt((nus + k) * (nus + k + 1.0))  # a[i] = a_{i+1}
+    # a[i] = a_{i+1} = 0.5 / sqrt((nu + i + 1) (nu + i + 2)), in place
+    a = nus + k
+    a *= a + 1.0
+    np.divide(0.5, np.sqrt(a, out=a), out=a)
     # the odd rows of the square are B B^T, B lower bidiagonal with
     # diagonal a_1, a_3, ... and subdiagonal a_2, a_4, ...
     d, s = a[0::2], a[1::2]
@@ -261,20 +354,38 @@ def _ikebe_blocks(nus: np.ndarray, cut: float):
     return diag, off2
 
 
-def _count_above(blocks, cols, sigma) -> np.ndarray:
-    """For each point p, the eigenvalues of block cols[p] above sigma[p]:
-    the positive pivots of the LDL^T factorization of block - sigma
-    (Sturm's count), all points in one pass down the rows."""
+def _count_above(blocks, cols, sigma, rows=None) -> np.ndarray:
+    """For each point p, the eigenvalues above sigma[p] of block cols[p]
+    truncated to its first rows[p] rows (default: all of them): the
+    positive pivots of the LDL^T factorization of block - sigma (Sturm's
+    count), all points in one pass down the rows.  The points are taken
+    tallest truncation first, so each row updates a prefix of them."""
     diag, off2 = blocks
-    sigma = np.broadcast_to(sigma, np.shape(cols))
+    cols = np.asarray(cols)
+    height = len(diag)
+    rows = np.broadcast_to(np.minimum(height if rows is None else rows,
+                                      height), cols.shape)
+    order = np.argsort(-rows, kind="stable")
+    cols = cols[order]
+    sigma = np.broadcast_to(sigma, cols.shape)[order]
+    # reach[i]: the number of points whose truncated block has row i
+    reach = len(cols) - np.cumsum(np.bincount(rows, minlength=height))
     q = diag[0][cols] - sigma
-    count = (q > 0).astype(np.int64)
+    count = (q > 0).astype(np.int32)
     # a zero pivot divides to -inf below it, the count of sigma + 0
     with np.errstate(divide="ignore"):
-        for i in range(1, len(diag)):
-            q = (diag[i][cols] - sigma) - off2[i - 1][cols] / q
-            count += q > 0
-    return count
+        for i in range(1, height):
+            n = reach[i]
+            if n == 0:
+                break
+            c = cols[:n]
+            q = q[:n]
+            np.divide(off2[i - 1][c], q, out=q)
+            np.subtract(diag[i][c] - sigma[:n], q, out=q)
+            count[:n] += q > 0
+    out = np.empty_like(count)
+    out[order] = count
+    return out
 
 
 def _airy_zeros(m: np.ndarray) -> np.ndarray:
@@ -329,41 +440,53 @@ def _starts(nu: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _halley(nu: float, starts: np.ndarray):
-    """(zeros, J_nu' at them) by Halley's iteration on the in-repo J from
-    the starts.  J'' = -J'/x - (1 - nu^2/x^2) J costs nothing more, so
-    the step is 2 J J' / (2 J'^2 - J J''); a zero's iteration ends once
-    its step is at most _HALLEY_STOP, after which the cubic convergence
-    leaves it within rounding, and the slope is carried to the new point
-    by its Taylor series, J' - J'' step + J''' step^2 / 2."""
-    x = starts.copy()
+def _halley(nu: np.ndarray, m: np.ndarray):
+    """(zeros, J' at them) by Halley's iteration on the in-repo J from the
+    starts of the m[i]-th zero of J_nu[i]: each pass evaluates all
+    unsettled zeros of the batch in one `bessel_j_pair` call.
+    J'' = -J'/x - (1 - nu^2/x^2) J costs nothing more, so the step is
+    2 J J' / (2 J'^2 - J J''); a zero's iteration ends once its step is
+    at most _HALLEY_STOP, after which the cubic convergence leaves it
+    within rounding, and the slope is carried to the new point by its
+    Taylor series, J' - J'' step + J''' step^2 / 2."""
+    x = _starts(nu, m)
     slopes = np.empty_like(x)
     todo = np.arange(len(x))
+    at, order = x, nu  # the first pass takes every zero
     for _ in range(_HALLEY_PASSES):
         if len(todo) == 0:
             return x, slopes
-        at = x[todo]
-        j, jp = bessel_j_pair(nu, at)
-        bend = 1.0 - (nu / at) ** 2
+        j, jp = bessel_j_pair(order, at)
+        bend = 1.0 - (order / at) ** 2
         jpp = -jp / at - bend * j
-        jppp = (jp / at - jpp) / at - 2.0 * nu * nu / at ** 3 * j - bend * jp
+        jppp = ((jp / at - jpp) / at - 2.0 * order * order / at ** 3 * j
+                - bend * jp)
         step = 2.0 * j * jp / (2.0 * jp * jp - j * jpp)
         x[todo] = at - step
         slopes[todo] = jp - step * (jpp - 0.5 * step * jppp)
         todo = todo[~(np.abs(step) <= _HALLEY_STOP)]  # a NaN step stays
+        at, order = x[todo], nu[todo]
     if len(todo) == 0:
         return x, slopes
     raise BesselFailureError(
-        f"Halley's iteration on J_{nu:g} left {len(todo)} zeros unsettled "
-        f"after {_HALLEY_PASSES} passes")
+        f"Halley's iteration left {len(todo)} zeros unsettled after "
+        f"{_HALLEY_PASSES} passes, the first of J_{nu[todo[0]]:g}")
 
 
-def _certify(blocks, nus, cols, index, zeros) -> None:
-    """The counts of block cols[p] at z (1 - delta) and z (1 + delta) must
-    be m - 1 and m for each zero z = zeros[p] of index m = index[p] of
-    the order nus[cols[p]], else BesselFailureError."""
-    below = _count_above(blocks, cols, (zeros * (1.0 - _CERT_DELTA)) ** -2)
-    above = _count_above(blocks, cols, (zeros * (1.0 + _CERT_DELTA)) ** -2)
+def _certify(nus, cols, index, zeros) -> None:
+    """The Ikebe counts at z (1 - delta) and z (1 + delta) must be m - 1
+    and m for each zero z = zeros[p] of index m = index[p] of the order
+    nus[cols[p]], else BesselFailureError.  Each zero is counted on the
+    block of its order truncated by the row rule for cut = z (1 + delta),
+    which holds every zero up to that cut."""
+    if len(zeros) == 0:
+        return
+    cut = zeros * (1.0 + _CERT_DELTA)
+    blocks = _ikebe_blocks(nus, cut.max())
+    rows = _rows(nus[cols], cut)
+    below = _count_above(blocks, cols, (zeros * (1.0 - _CERT_DELTA)) ** -2,
+                         rows)
+    above = _count_above(blocks, cols, cut ** -2, rows)
     bad = np.nonzero((below != index - 1) | (above != index))[0]
     if len(bad):
         p = bad[0]
@@ -376,29 +499,24 @@ def _certify(blocks, nus, cols, index, zeros) -> None:
 def _solve(nus: list, x_max: float) -> list:
     """[(zeros of J_nu up to x_max, J_nu' at them)] for the orders nus,
     each below x_max: counted, started, placed and certified in one
-    batch."""
+    batch, each pair read-only views of the batch's arrays."""
     orders = np.array(nus, dtype=float)
     # the count reaches a little past x_max, so a zero that the matrix
     # puts just above it is still placed; the placed values decide
     cut = x_max + _COUNT_MARGIN
-    blocks = _ikebe_blocks(orders, cut)
-    counts = _count_above(blocks, np.arange(len(nus)), cut ** -2)
+    counts = _count_above(_ikebe_blocks(orders, cut), np.arange(len(nus)),
+                          cut ** -2)
     # one entry per zero: its order's column and its index m
     cols = np.repeat(np.arange(len(nus)), counts)
-    ends = np.cumsum(counts)
-    index = np.arange(1, len(cols) + 1) - np.repeat(ends - counts, counts)
-    starts = _starts(orders[cols], index.astype(float))
-    placed = [_halley(nu, part)
-              for nu, part in zip(nus, np.split(starts, ends[:-1]))]
-    _certify(blocks, orders, cols, index,
-             np.concatenate([zeros for zeros, _ in placed]))
-    out = []
-    for zeros, slopes in placed:
-        keep = zeros <= x_max
-        zeros, slopes = zeros[keep], slopes[keep]
-        zeros.flags.writeable = slopes.flags.writeable = False
-        out.append((zeros, slopes))
-    return out
+    index = (np.arange(1, len(cols) + 1)
+             - np.repeat(np.cumsum(counts) - counts, counts))
+    zeros, slopes = _halley(orders[cols], index)
+    _certify(orders, cols, index, zeros)
+    keep = zeros <= x_max
+    zeros, slopes = zeros[keep], slopes[keep]
+    zeros.flags.writeable = slopes.flags.writeable = False
+    ends = np.cumsum(np.bincount(cols[keep], minlength=len(nus)))[:-1]
+    return list(zip(np.split(zeros, ends), np.split(slopes, ends)))
 
 
 # (nu, x_max) -> (zeros, slopes), read-only, for the orders of the
@@ -416,15 +534,16 @@ def _zero_batch(nus, x_max: float) -> list:
     reads it through `bessel_j_zeros`."""
     if not math.isfinite(x_max):
         raise BesselFailureError(f"x_max must be finite: {x_max}")
-    for nu in nus:
-        if not (math.isfinite(nu) and nu >= 0):
-            raise BesselFailureError(
-                f"order must be finite and nonnegative: {nu}")
+    bad = [nu for nu in nus if not (math.isfinite(nu) and nu >= 0)]
+    if bad:
+        raise BesselFailureError(
+            f"order must be finite and nonnegative: {bad[0]}")
     missing = sorted({nu for nu in nus
                       if nu < x_max and (nu, x_max) not in _held})
-    for nu in missing:
-        _check_span(nu, x_max, f"zeros of J_{nu:g} up to {x_max:g}")
-    fresh = dict(zip(missing, _solve(missing, x_max))) if missing else {}
+    fresh = {}
+    if missing:
+        _check_span(np.array(missing), x_max, "zeros of J_{nu:g} up to {x:g}")
+        fresh = dict(zip(missing, _solve(missing, x_max)))
     got = [fresh[nu] if nu in fresh
            else _held.get((nu, x_max), (_EMPTY, _EMPTY)) for nu in nus]
     if fresh:

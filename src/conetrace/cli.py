@@ -50,7 +50,6 @@ from .errors import (
     NonPositiveRadiusError,
     NotStrictlyDiffractiveError,
     PolicyMismatchError,
-    SeriesStartFailureError,
     StepFailureError,
     WallInfluenceError,
 )
@@ -329,8 +328,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except (GeometricSetError, WallInfluenceError, NonPositiveRadiusError,
-            StepFailureError, LeftAtlasError, SeriesStartFailureError,
-            IllConditionedError) as exc:
+            StepFailureError, LeftAtlasError, IllConditionedError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
     except NoConvergenceError as exc:

@@ -8,6 +8,14 @@ exp(-lambda^2 / (2 Lambda^2)) gives a smoothed sample of the half-wave
 kernel that knows nothing about diffraction coefficients: it is the
 ground truth the link-spectrum front coefficients are tested against.
 
+A mode build is cached per (rho, R, x, x', damping): the zeros of the
+whole ladder of orders come from one batch of `besselj`, each order
+read through `bessel_j_zeros`, and every radial factor from one
+`bessel_j` call over all modes, at x and x' together.  Per build and
+angle y - y' the angular times radial weights are cached as one
+read-only vector, so a warm sample is one sin over the modes and one
+dot product.
+
 The damp is a convolution in time with a Gaussian of width 1/Lambda, so
 the front-fitting basis functions are smoothed with the exact same
 window before the least squares.  Every basis column is smoothed in
@@ -24,6 +32,7 @@ A damping that is not finite and positive is refused with ValueError.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -62,28 +71,45 @@ def _mode_data(rho, wall_r, x, xp, damping):
     j_max = lam_max * wall_r  # the largest Bessel zero kept
     nus = [2 * np.pi * k / rho for k in range(k_max + 1)]
     # the zeros of every order in one batch, and J' at them from the
-    # Halley steps that placed them
+    # Halley steps that placed them; each order is read until the first
+    # with no zero below j_max, above which no order has one
     batch = _zero_batch(nus, j_max)
-    ks, lams, weights = [], [], []
-    for k, nu in enumerate(nus):
-        zeros = bessel_j_zeros(nu, j_max)
-        if len(zeros) == 0:
-            break
-        slopes = batch[k][1]
-        lam = zeros / wall_r
-        norm = 2.0 / (wall_r**2 * slopes**2)
-        jx = bessel_j(nu, lam * x)
-        radial = norm * jx * (jx if xp == x else bessel_j(nu, lam * xp))
-        damp = np.exp(-(lam**2) / (2.0 * damping**2))
-        ks.append(np.full(len(lam), k))
-        lams.append(lam)
-        weights.append(radial * damp / lam)
-    # no modes at all below lambda = 5 damping leaves the lists empty
-    out = tuple(np.concatenate(a) if a else np.empty(0)
-                for a in (ks, lams, weights))
+    zeros = list(itertools.takewhile(
+        len, (bessel_j_zeros(nu, j_max) for nu in nus)))
+    counts = [len(z) for z in zeros]
+    lam = np.concatenate(zeros or [np.empty(0)]) / wall_r
+    # the per-order zeros are dropped once joined, and the modes' orders
+    # once evaluated, which trims the build's peak memory
+    del zeros
+    nu = np.repeat(nus[:len(counts)], counts)
+    # every radial factor in one evaluation, at x and x' together
+    if xp == x:
+        jx = jxp = bessel_j(nu, lam * x)
+    else:
+        jx, jxp = np.split(bessel_j(np.concatenate([nu, nu]),
+                                    np.concatenate([lam * x, lam * xp])), 2)
+    del nu
+    slopes = np.concatenate([s for _, s in batch[:len(counts)]]
+                            or [np.empty(0)])
+    radial = 2.0 / (wall_r**2 * slopes**2) * jx * jxp
+    damp = np.exp(-(lam**2) / (2.0 * damping**2))
+    k = np.repeat(np.arange(len(counts)), counts)
+    out = (k, lam, radial * damp / lam)
     for a in out:
         a.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _sample_weights(rho, wall_r, x, xp, damping, dy):
+    """(lambda, angular(k) w) of the mode build for these arguments at the
+    angle dy = y - y', read-only: a warm kernel sample is then one sin
+    and one dot product."""
+    k, lam, weight = _mode_data(rho, wall_r, x, xp, damping)
+    angular = np.where(k == 0, 1.0, 2.0 * np.cos(k * (2 * np.pi / rho) * dy))
+    weighted = angular * weight
+    weighted.flags.writeable = False
+    return lam, weighted
 
 
 def flat_cone_sine_kernel_series(
@@ -107,10 +133,8 @@ def flat_cone_sine_kernel_series(
         raise WallInfluenceError(
             "wall too close: finite propagation speed no longer shields it"
         )
-    k, lam, weight = _mode_data(rho, wall_r, x, xp, damping)
-    angular = np.where(k == 0, 1.0, 2.0 * np.cos(k * (2 * np.pi / rho)
-                                                 * (y - yp)))
-    return complex((angular * weight) @ np.sin(t * lam) / rho)
+    lam, weighted = _sample_weights(rho, wall_r, x, xp, damping, y - yp)
+    return complex(weighted @ np.sin(t * lam) / rho)
 
 
 def _erf(z):

@@ -47,6 +47,24 @@ def reference_zeros(nu, x_max):
     return z[z <= x_max]
 
 
+def larger_matrix_zeros(nu, cut):
+    """The zeros of J_nu up to cut from scipy's eigensolve of the
+    unsquared Ikebe matrix of 3 (cut - nu) + 300 rows."""
+    n = math.ceil(3.0 * (cut - nu) + 300.0)
+    k = np.arange(1, n)
+    inv = eigvalsh_tridiagonal(
+        np.zeros(n), 0.5 / np.sqrt((nu + k) * (nu + k + 1.0)),
+        select="v", select_range=(1.0 / cut, np.inf))
+    return np.sort(1.0 / inv)
+
+
+# (nu, cut) near the turning point cut ~ nu and far past it
+ROW_RULE_PAIRS = [(nu, cut) for nu in (0.0, 2.5, 55.5, 160.0, 277.0, 320.0, 370.0)
+                  for cut in (nu + 3.0, nu + 23.0, 1.5 * nu + 50.0)
+                  if nu * np.pi + 2.0 * cut <= 3360.0] + [(0.0, 900.0),
+                                                          (100.0, 600.0)]
+
+
 def assert_zeros_match(got, ref):
     assert len(got) == len(ref)
     assert np.max(np.abs(got - ref), initial=0.0) <= 1e-10
@@ -96,12 +114,11 @@ class TestValues:
         assert bessel_j_pair(1.0, 0.0)[1] == 0.5
 
     def test_vectorized_matches_scalar(self):
-        # node counts adapt to the largest argument in the batch, so the
-        # agreement is to quadrature accuracy rather than bit-exact
+        # each point takes its own node count, so a batch gives each
+        # point its scalar value bit for bit
         xs = np.array([0.3, 5.0, 17.0, 120.0])
         vec = bessel_j(2.5, xs)
-        assert np.allclose(vec, [bessel_j(2.5, float(x)) for x in xs],
-                           rtol=0, atol=1e-12)
+        assert np.array_equal(vec, [bessel_j(2.5, float(x)) for x in xs])
 
     def test_domain_guards(self):
         with pytest.raises(BesselFailureError):
@@ -121,6 +138,79 @@ class TestValues:
                     fn(bad, wrap(x))
             with pytest.raises(BesselFailureError, match="argument"):
                 fn(1.0, wrap(bad))
+
+
+def _mixed_rung_tops():
+    """(nu, x, rung) for six orders, each point just below a switch of
+    its own Legendre rung (see `_rung_tops`): a low, a middle and the top
+    rung of each order's Schlaefli regime."""
+    cases = []
+    for nu in (0.0, 2.0, 0.5, 4.0 / 3.0, 40.5, 118.0):
+        tops = _rung_tops((nu,))
+        cases += [tops[0], tops[len(tops) // 2], tops[-1]]
+    return cases
+
+
+class TestArrayOrders:
+    """An array of orders broadcasts with the arguments: one call
+    evaluates a batch of mixed orders, each point on its own rung."""
+
+    def test_mixed_call_against_multiprecision(self):
+        # the points of six orders in one call, shuffled, each just below
+        # a switch of its own rung, where its rule has the fewest nodes
+        cases = _mixed_rung_tops()
+        perm = np.random.default_rng(3).permutation(len(cases))
+        nus = np.array([cases[i][0] for i in perm])
+        xs = np.array([cases[i][1] for i in perm])
+        assert np.array_equal(besselj._nodes(nus, xs),
+                              [cases[i][2] for i in perm])
+        j, jp = bessel_j_pair(nus, xs)
+        for nu, x, got, got_d in zip(nus, xs, j, jp):
+            assert abs(got - float(mpmath.besselj(nu, x))) <= 1e-12, (nu, x)
+            assert abs(got_d - float(mpmath.besselj(nu, x, derivative=1))) \
+                <= 1e-12, (nu, x)
+
+    def test_a_point_does_not_depend_on_the_call(self):
+        # 1500 points of 40 orders over both regimes, integer and not,
+        # so each rung takes several chunks: every point's J and J' are
+        # its scalar call's, bit for bit
+        rng = np.random.default_rng(5)
+        orders = np.concatenate([np.arange(20.0), rng.uniform(0.0, 80.0, 20)])
+        nus = rng.choice(orders, 1500)
+        xs = rng.uniform(0.0, 300.0, 1500)
+        xs[:100] = rng.uniform(0.0, 4.0, 100)  # the series
+        j, jp = bessel_j_pair(nus, xs)
+        assert np.array_equal(j, bessel_j(nus, xs))
+        single = np.array([bessel_j_pair(nu, x) for nu, x in zip(nus, xs)])
+        assert np.array_equal(j, single[:, 0])
+        assert np.array_equal(jp, single[:, 1])
+
+    def test_orders_broadcast_with_arguments(self):
+        nus = np.array([[0.0], [4.0 / 3.0], [40.5]])
+        xs = np.array([0.0, 3.0, 25.0, 90.0])
+        j, jp = bessel_j_pair(nus, xs)
+        assert j.shape == jp.shape == (3, 4)
+        for r, nu in enumerate(nus[:, 0]):
+            assert np.array_equal(j[r], bessel_j(float(nu), xs))
+        assert bessel_j(nus[:, 0], 5.0).shape == (3,)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf],
+                             ids=["negative", "nan", "inf", "minus-inf"])
+    def test_a_bad_order_entry_raises(self, bad):
+        nus = np.array([0.0, 2.5, bad, 7.0])
+        for fn in (bessel_j, bessel_j_pair):
+            with pytest.raises(BesselFailureError, match="order"):
+                fn(nus, np.array([1.0, 10.0, 20.0, 30.0]))
+            with pytest.raises(BesselFailureError, match="order"):
+                fn(nus, 12.0)
+
+    @pytest.mark.parametrize("nus,xs", [
+        (np.ones(3), np.ones(4)), (np.ones((2, 3)), np.ones(2)),
+        ([0.0, 1.0], [1.0, 2.0, 3.0])], ids=["3-4", "2x3-2", "lists"])
+    def test_shapes_that_cannot_broadcast_raise(self, nus, xs):
+        for fn in (bessel_j, bessel_j_pair):
+            with pytest.raises(ValueError):
+                fn(nus, xs)
 
 
 class TestZeros:
@@ -212,17 +302,9 @@ class TestZeros:
         # the turning point cut ~ nu (where 1.1 (cut - nu) + 20 rows miss
         # by 7e-6 at nu = 320, cut = 343) and far past it; the zeros that
         # J places match that matrix's
-        pairs = [(nu, cut) for nu in (0.0, 2.5, 55.5, 160.0, 277.0, 320.0, 370.0)
-                 for cut in (nu + 3.0, nu + 23.0, 1.5 * nu + 50.0)
-                 if nu * np.pi + 2.0 * cut <= 3360.0]
         found = 0
-        for nu, cut in pairs + [(0.0, 900.0), (100.0, 600.0)]:
-            n = math.ceil(3.0 * (cut - nu) + 300.0)
-            k = np.arange(1, n)
-            inv = eigvalsh_tridiagonal(
-                np.zeros(n), 0.5 / np.sqrt((nu + k) * (nu + k + 1.0)),
-                select="v", select_range=(1.0 / cut, np.inf))
-            ref = np.sort(1.0 / inv)
+        for nu, cut in ROW_RULE_PAIRS:
+            ref = larger_matrix_zeros(nu, cut)
             blocks = besselj._ikebe_blocks(np.array([nu]), cut)
             cols = np.zeros(len(ref), dtype=int)
             delta = besselj._CERT_DELTA
@@ -237,6 +319,31 @@ class TestZeros:
             assert np.max(np.abs(got - ref) / ref, initial=0.0) <= 1e-13, (nu, cut)
             found += len(got)
         assert found > 600
+
+    def test_truncated_counts_match_the_full_block(self):
+        # the certificate counts each zero z on its order's block cut
+        # down by the row rule for z (1 + delta); on the pairs above, the
+        # first zero of each order and the turning point (320, 343)
+        # included, those counts at z (1 -+ delta) are the full block's
+        assert (320.0, 343.0) in ROW_RULE_PAIRS
+        delta = besselj._CERT_DELTA
+        shortest = 1.0
+        for nu, cut in ROW_RULE_PAIRS:
+            ref = larger_matrix_zeros(nu, cut)
+            blocks = besselj._ikebe_blocks(np.array([nu]), cut)
+            cols = np.zeros(len(ref), dtype=int)
+            rows = besselj._rows(np.full(len(ref), nu), ref * (1 + delta))
+            assert np.all(rows <= len(blocks[0]))
+            shortest = min(shortest, rows.min(initial=1) / len(blocks[0]))
+            index = np.arange(1, len(ref) + 1)
+            for side, want in ((1 - delta, index - 1), (1 + delta, index)):
+                sigma = (ref * side) ** -2.0
+                full = besselj._count_above(blocks, cols, sigma)
+                assert np.array_equal(full, want)
+                cut_down = besselj._count_above(blocks, cols, sigma, rows)
+                assert np.array_equal(cut_down, full), (nu, cut, side)
+        # the first zeros of the tall ladders take a fraction of the block
+        assert shortest < 0.1
 
     def test_airy_zeros_against_multiprecision(self):
         m = np.arange(1.0, 30.0)
@@ -290,9 +397,8 @@ class TestZeroGuards:
                                       abs=1e-12)
 
     @staticmethod
-    def _certify(zeros, nu=4.0 / 3.0, x_max=100.0):
-        blocks = besselj._ikebe_blocks(np.array([nu]), x_max)
-        besselj._certify(blocks, np.array([nu]), np.zeros(len(zeros), int),
+    def _certify(zeros, nu=4.0 / 3.0):
+        besselj._certify(np.array([nu]), np.zeros(len(zeros), int),
                          np.arange(1, len(zeros) + 1), zeros)
 
     @pytest.mark.parametrize("side", [1.0, -1.0], ids=["up", "down"])
@@ -396,13 +502,13 @@ class TestRegimeEdges:
             bessel_j_zeros(0.5, 1700.0)
 
 
-def _rung_tops():
+def _rung_tops(orders=(0.0, 4.0 / 3.0, 40.0, 118.0, 600.0)):
     """(nu, x, rung) just below each switch of the Legendre node rule,
     where it has the fewest nodes per unit of nu + x: the rule takes
     0.8 (nu + x) + 40 nodes rounded up to 64 m, and reaches 64 m at
     nu + x = 80 m - 50.  Only points in the Schlaefli regime count."""
     cases = []
-    for nu in (0.0, 4.0 / 3.0, 40.0, 118.0, 600.0):
+    for nu in orders:
         for m in range(1, 30):
             x = (80.0 * m - 50.0 - nu) * (1 - 1e-9)
             if (x > max(besselj._SERIES_X_MAX, nu / 2)

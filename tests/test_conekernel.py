@@ -14,10 +14,11 @@ import pytest
 import scipy.special as sp
 from scipy.integrate import quad
 
-from conetrace import besselj
+from conetrace import besselj, conekernel
 from conetrace.conekernel import (
     _digamma,
     _mode_data,
+    _sample_weights,
     conormal_basis,
     extract_front_coefficients,
     flat_cone_sine_kernel_series,
@@ -118,6 +119,7 @@ class TestKernelSeries:
         # oldest; rebuilding it gives the same value
         args = (RHO, 1.1, 0.8, 0.3, 0.2, 0.4, 1.1)
         _mode_data.cache_clear()
+        _sample_weights.cache_clear()
         first = flat_cone_sine_kernel_series(*args, damping=8.0)
         size = _mode_data.cache_info().maxsize
         for i in range(size):
@@ -130,23 +132,63 @@ class TestKernelSeries:
         assert _mode_data.cache_info().misses == size + 2
 
     def test_mode_build_evaluates_j_few_times_per_zero(self, monkeypatch):
-        # criterion 3's cone build: one Halley evaluation for most zeros
-        # and a second for the few started near the turning point, and
-        # one radial evaluation since x = x'; a search for the zeros
-        # would evaluate J about a dozen times per zero
-        points = []
-        evaluate = besselj._pair
+        # criterion 3's cone build, at x' = x and at another x': Halley
+        # passes over the whole ladder, one for most zeros and a second
+        # for the few started near the turning point, and one radial
+        # evaluation, at x and x' together; every point the evaluators
+        # see comes through those calls, and a search for the zeros would
+        # evaluate J about a dozen times per zero
+        calls = {}
 
-        def counting(nu, x):
-            points.append(np.size(x))
-            return evaluate(nu, x)
+        def counting(name, fn):
+            def counted(nu, x):
+                calls[name].append(np.size(x))
+                return fn(nu, x)
+            return counted
 
-        monkeypatch.setattr(besselj, "_pair", counting)
-        monkeypatch.setattr(besselj, "_held", {})
-        _, lams, _ = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0)
-        zeros = len(lams)
-        assert zeros > 5000
-        assert sum(points) <= 3 * zeros
+        monkeypatch.setattr(besselj, "bessel_j_pair",
+                            counting("halley", besselj.bessel_j_pair))
+        monkeypatch.setattr(conekernel, "bessel_j",
+                            counting("radial", conekernel.bessel_j))
+        for name in ("_series", "_schlaefli"):
+            monkeypatch.setattr(besselj, name,
+                                counting("evaluated", getattr(besselj, name)))
+        for xp in (0.5, 0.42):
+            calls.update(halley=[], radial=[], evaluated=[])
+            monkeypatch.setattr(besselj, "_held", {})
+            _, lams, _ = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, xp,
+                                                40.0)
+            zeros = len(lams)
+            assert zeros > 5000
+            assert calls["radial"] == [zeros * (1 if xp == 0.5 else 2)]
+            assert 1 <= len(calls["halley"]) <= 3
+            # the first pass takes every zero counted, the later ones a few
+            assert calls["halley"][0] >= zeros
+            assert sum(calls["halley"][1:]) <= 0.01 * zeros
+            assert sum(calls["evaluated"]) == (sum(calls["halley"])
+                                               + sum(calls["radial"]))
+
+    def test_warm_weights_are_cached_and_read_only(self):
+        # a warm sample is one sin and one dot product with the cached
+        # angular x radial weights, bit for bit the sum over the modes
+        rho, x, y, xp, yp = RHO, 0.3, 0.2, 0.42, 1.3
+        k, lam, weight = _mode_data(rho, LIGHT["wall_r"], x, xp,
+                                    LIGHT["damping"])
+        angular = np.where(k == 0, 1.0, 2.0 * np.cos(k * (2 * np.pi / rho)
+                                                     * (y - yp)))
+        for t in (0.35, 0.8):
+            got = flat_cone_sine_kernel_series(rho, LIGHT["wall_r"], t, x, y,
+                                               xp, yp, damping=LIGHT["damping"])
+            assert got == complex((angular * weight) @ np.sin(t * lam) / rho)
+        before = _sample_weights.cache_info().hits
+        flat_cone_sine_kernel_series(rho, LIGHT["wall_r"], 0.5, x, y, xp, yp,
+                                     damping=LIGHT["damping"])
+        assert _sample_weights.cache_info().hits == before + 1
+        lam_w, weighted = _sample_weights(rho, LIGHT["wall_r"], x, xp,
+                                          LIGHT["damping"], y - yp)
+        assert lam_w is lam
+        with pytest.raises(ValueError):
+            weighted[0] = 0.0
 
     @pytest.mark.parametrize("rho", [RHO, 2 * np.pi], ids=["cone", "control"])
     @pytest.mark.parametrize("xp,yp", [(0.3, 0.2), (0.42, 1.3)],

@@ -734,6 +734,24 @@ class TestCapSeries:
                      * ((1 + a) / 2 + (1 - a) * Fraction(2) ** (2 * k - 1)))
             assert abs(c - float(exact)) <= 1e-16 * abs(float(exact)), k
 
+    @pytest.mark.parametrize("a0", [0.3, 0.6, 0.75, 0.8, 0.95])
+    def test_teardrop_cap_slope_is_exactly_one(self, a0, monkeypatch):
+        # teardrop hands its cap the exact fractions (1 + a0)/2 and
+        # (1 - a0)/4 of the decimal a0, whose slope sum b1 + 2 b2 is 1 with
+        # no rounding, so its cap never meets the slope check's refusal
+        seen = []
+
+        class Recording(surfaces.CapChart):
+            def __init__(self, name, sine_coeffs):
+                seen.append(tuple(sine_coeffs))
+                super().__init__(name, sine_coeffs)
+
+        monkeypatch.setattr(surfaces, "CapChart", Recording)
+        surfaces.teardrop(a0)
+        assert len(seen) == 1
+        assert all(isinstance(b, Fraction) for b in seen[0])
+        assert sum(m * b for m, b in enumerate(seen[0], start=1)) == 1
+
     @pytest.mark.parametrize("sines", [[2.0]], ids=["wrong-slope"])
     def test_bad_profile_rejected(self, sines):
         # sum_m m b_m is the profile's slope at the pole, which must be 1

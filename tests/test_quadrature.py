@@ -120,10 +120,11 @@ def test_laguerre_rule_is_laggauss_shared_read_only(n):
 def test_criterion_3_mode_build_shares_few_rules():
     # criterion 3's cone (rho = 1.5 pi, Lambda = 40) evaluates J_nu at
     # thousands of distinct (nu, x); the node rule's rungs keep the rules
-    # few
+    # few, and each of the build's three evaluations (two Halley passes
+    # and the radial factors) takes each rule once for all its orders
     gauss_legendre.cache_clear()
     k, _, _ = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, 0.5, 40.0)
     assert len(np.unique(k)) > 50
     info = gauss_legendre.cache_info()
     assert 0 < info.currsize <= 24
-    assert info.hits > 10 * info.misses
+    assert info.hits + info.misses <= 3 * info.currsize
