@@ -11,7 +11,9 @@ stationary manifold is the geodesic itself; the cut integrand collapses
 by the shape-operator and Wronskian identities, which is exactly what
 the cross-check exercises).  A numerical model kernel (the xi-integral
 of the symbol against the smooth cutoff) matches predictions against
-measured traces.
+measured traces; a sample on `count` panels of 64 Legendre nodes takes
+64 + count cos/sin pairs, its phases split into panel edge and node
+offset.
 
 Surfaces are two-dimensional (the formulas keep n, as DIMENSION = 2), and
 every diffraction coefficient is the closed form (POLICY), n = 2 only.
@@ -246,11 +248,16 @@ def model_kernel(prediction, cutoff: CutoffSpec, t_grid,
     xi = upper, inside the first panel, so the quadrature error depends
     on the panel layout: one layout sized for the largest |u| moves
     samples near the front by up to about 1e-4 of the peak.  Samples
-    that share a count share one set of nodes and one weighted symbol g,
-    kept across calls.  g is real, so their sum is the pair of real
-    matrix products cos(u xi) @ g - i sin(u xi) @ g, taken _KERNEL_ROWS
-    samples at a time, which bounds memory for any grid length.  A NaN
-    or infinite sample time raises ValueError.
+    that share a count share one set of panels, kept across calls.
+    Every panel repeats one Legendre pattern: its nodes are e_p + l_k,
+    e_p the panel's lower edge and l_k the pattern's offsets, so
+    e^{-iu xi} = e^{-iu e_p} e^{-iu l_k}.  The weighted symbol is a real
+    (panels, _PANEL_NODES) table g, so the panel sums are the real
+    matrix products cos(u l) @ g.T - i sin(u l) @ g.T, and each sample
+    takes _PANEL_NODES + count cos/sin pairs instead of _PANEL_NODES
+    count.  The samples go _KERNEL_ROWS at a time, which bounds memory
+    for any grid length.  A NaN or infinite sample time raises
+    ValueError.
     """
     if damping_sigma is not None and not (math.isfinite(damping_sigma)
                                           and damping_sigma > 0):
@@ -272,12 +279,15 @@ def model_kernel(prediction, cutoff: CutoffSpec, t_grid,
     out = np.empty(len(us), dtype=complex)
     # a set, not np.unique, whose first call loads numpy.ma (about 10 ms)
     for count in sorted(set(panels.tolist())):
-        xi, g = _symbol_nodes(s, cutoff, hi, count, damping_sigma)
+        edges, offsets, g = _symbol_panels(s, cutoff, hi, count, damping_sigma)
         idx = np.flatnonzero(panels == count)
         for i in range(0, len(idx), _KERNEL_ROWS):
             rows = idx[i:i + _KERNEL_ROWS]
-            phase = np.outer(us[rows], xi)
-            out[rows] = np.cos(phase) @ g - 1j * (np.sin(phase) @ g)
+            phase = np.outer(us[rows], offsets)
+            inner = np.cos(phase) @ g.T - 1j * (np.sin(phase) @ g.T)
+            phase = np.outer(us[rows], edges)
+            inner *= np.cos(phase) - 1j * np.sin(phase)
+            out[rows] = inner.sum(axis=1)
     if not damped:
         for i, u in enumerate(us):
             out[i] += hi ** (1.0 - s) * _exp_integral_e(s, 1j * u * hi)
@@ -285,24 +295,27 @@ def model_kernel(prediction, cutoff: CutoffSpec, t_grid,
 
 
 @functools.lru_cache(maxsize=_NODE_SETS)
-def _symbol_nodes(s, cutoff, hi, panels, sigma):
-    """Nodes xi of `panels` equal Gauss-Legendre panels on
-    [cutoff.lower, hi] and the real weighted symbol
-    w chi(xi) xi^{-s} [exp(-xi^2/(2 sigma^2))] at them.
+def _symbol_panels(s, cutoff, hi, panels, sigma):
+    """(edges, offsets, g) of `panels` equal Gauss-Legendre panels on
+    [cutoff.lower, hi]: the nodes are edges[p] + offsets[k], and g[p, k]
+    is the real weighted symbol w chi(xi) xi^{-s} [exp(-xi^2/(2 sigma^2))]
+    at node k of panel p.
 
     Every trace fit of one order, cutoff and damping asks for the same
-    few panel counts, so the sets are cached; both arrays are read-only,
+    few panel counts, so the sets are cached; the arrays are read-only,
     as every caller shares them."""
     gl_x, gl_w = gauss_legendre(_PANEL_NODES)
     edges = np.linspace(cutoff.lower, hi, panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
-    xi = (half * (gl_x + 1.0) + edges[:-1, None]).ravel()
-    g = (half * gl_w).ravel() * cutoff.value(xi) * xi ** (-s)
+    xi = half * (gl_x + 1.0) + edges[:-1, None]
+    g = half * gl_w * cutoff.value(xi) * xi ** (-s)
     if sigma is not None:
         g *= np.exp(-(xi * xi) / (2 * sigma * sigma))
-    xi.setflags(write=False)
-    g.setflags(write=False)
-    return xi, g
+    edges = edges[:-1]
+    offsets = (0.5 * (hi - cutoff.lower) / panels) * (gl_x + 1.0)
+    for arr in (edges, offsets, g):
+        arr.setflags(write=False)
+    return edges, offsets, g
 
 
 _TAIL_NODES = 96  # Gauss-Laguerre nodes of the undamped kernel's tail

@@ -229,7 +229,8 @@ def _schlaefli(nu, x: np.ndarray):
     _check_span(nu, x, "J_{nu:g} at {x:g}")
     half = _nodes(nu, x) // 2
     j, d = np.empty_like(x), np.empty_like(x)
-    for h in np.unique(half).tolist():
+    # a set, not np.unique, whose first call loads numpy.ma (about 10 ms)
+    for h in sorted(set(half.tolist())):
         points = np.flatnonzero(half == h)
         # by order, so that each chunk takes a run of neighbouring orders;
         # which[i] is the rank of the order of points[i] among the rung's
@@ -440,32 +441,69 @@ def _starts(nu: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _halley_step(order: np.ndarray, at: np.ndarray):
+    """(new point, J' there, step) of one Halley step from the points at
+    toward zeros of J_order.  J'' = -J'/x - (1 - nu^2/x^2) J costs
+    nothing more, so the step is 2 J J' / (2 J'^2 - J J''), and the slope
+    is carried to the new point by its Taylor series,
+    J' - J'' step + J''' step^2 / 2.  The arithmetic runs in place on the
+    step's own arrays, each operation the one these formulas take, in
+    their order, so the results are theirs bit for bit."""
+    j, jp = bessel_j_pair(order, at)
+    # bend = 1 - (nu / x)^2
+    bend = np.divide(order, at)
+    np.multiply(bend, bend, out=bend)
+    np.subtract(1.0, bend, out=bend)
+    # jpp = -J' / x - bend J
+    jpp = np.divide(jp, at)
+    np.negative(jpp, out=jpp)
+    tmp = np.multiply(bend, j)
+    jpp -= tmp
+    # jppp = (J' / x - jpp) / x - 2 nu^2 / x^3 J - bend J'
+    jppp = np.divide(jp, at)
+    jppp -= jpp
+    jppp /= at
+    np.multiply(order, 2.0, out=tmp)
+    tmp *= order
+    cube = np.power(at, 3)
+    tmp /= cube
+    tmp *= j
+    jppp -= tmp
+    np.multiply(bend, jp, out=tmp)
+    jppp -= tmp
+    # step = 2 J J' / (2 J'^2 - J jpp), kept in bend
+    step = np.multiply(j, 2.0, out=bend)
+    step *= jp
+    np.multiply(jp, 2.0, out=cube)
+    cube *= jp
+    np.multiply(j, jpp, out=tmp)
+    cube -= tmp
+    step /= cube
+    point = np.subtract(at, step, out=cube)
+    # J' - step (jpp - step jppp / 2), kept in j
+    slope = np.multiply(step, 0.5, out=j)
+    slope *= jppp
+    np.subtract(jpp, slope, out=slope)
+    slope *= step
+    np.subtract(jp, slope, out=slope)
+    return point, slope, step
+
+
 def _halley(nu: np.ndarray, m: np.ndarray):
     """(zeros, J' at them) by Halley's iteration on the in-repo J from the
     starts of the m[i]-th zero of J_nu[i]: each pass evaluates all
-    unsettled zeros of the batch in one `bessel_j_pair` call.
-    J'' = -J'/x - (1 - nu^2/x^2) J costs nothing more, so the step is
-    2 J J' / (2 J'^2 - J J''); a zero's iteration ends once its step is
+    unsettled zeros of the batch in one `bessel_j_pair` call.  The first
+    pass takes every zero, and while it evaluates J it holds no array of
+    the batch but the starts.  A zero's iteration ends once its step is
     at most _HALLEY_STOP, after which the cubic convergence leaves it
-    within rounding, and the slope is carried to the new point by its
-    Taylor series, J' - J'' step + J''' step^2 / 2."""
-    x = _starts(nu, m)
-    slopes = np.empty_like(x)
-    todo = np.arange(len(x))
-    at, order = x, nu  # the first pass takes every zero
-    for _ in range(_HALLEY_PASSES):
+    within rounding."""
+    x, slopes, step = _halley_step(nu, _starts(nu, m))
+    todo = np.flatnonzero(~(np.abs(step) <= _HALLEY_STOP))  # a NaN stays
+    for _ in range(_HALLEY_PASSES - 1):
         if len(todo) == 0:
             return x, slopes
-        j, jp = bessel_j_pair(order, at)
-        bend = 1.0 - (order / at) ** 2
-        jpp = -jp / at - bend * j
-        jppp = ((jp / at - jpp) / at - 2.0 * order * order / at ** 3 * j
-                - bend * jp)
-        step = 2.0 * j * jp / (2.0 * jp * jp - j * jpp)
-        x[todo] = at - step
-        slopes[todo] = jp - step * (jpp - 0.5 * step * jppp)
-        todo = todo[~(np.abs(step) <= _HALLEY_STOP)]  # a NaN step stays
-        at, order = x[todo], nu[todo]
+        x[todo], slopes[todo], step = _halley_step(nu[todo], x[todo])
+        todo = todo[~(np.abs(step) <= _HALLEY_STOP)]
     if len(todo) == 0:
         return x, slopes
     raise BesselFailureError(

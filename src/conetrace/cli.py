@@ -56,7 +56,7 @@ from .errors import (
 from .geodesics import build_closed_diffractive
 from .links import diffraction_kernel
 from .spectra import (
-    doubled_square_spectrum,
+    _doubled_square_to_reach,
     fit_trace_singularity,
     smoothed_wave_trace,
 )
@@ -200,7 +200,9 @@ def cmd_predict_trace(args) -> int:
     return EXIT_OK
 
 
-def _load_eigenvalues(spec):
+def _load_eigenvalues(spec, sigma):
+    """The config's eigenvalues; a doubled square is built only as far as
+    a trace at sigma sums it."""
     if not isinstance(spec, dict):
         raise ConfigError("'eigenvalues' must be an object")
     check_keys(spec, ("doubled_square", "csv"), "'eigenvalues'")
@@ -214,7 +216,7 @@ def _load_eigenvalues(spec):
         lam = number_from_config(sub.get("lambda_max", 200.0),
                                  "doubled_square 'lambda_max'", positive=True)
         try:
-            return doubled_square_spectrum(lam)
+            return _doubled_square_to_reach(lam, sigma)
         except ValueError as exc:
             raise ConfigError(f"doubled_square 'lambda_max': {exc}") from exc
     if "csv" in spec:
@@ -236,8 +238,8 @@ def cmd_spectral_trace(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, ("eigenvalues", "sigma", "t_grid", "fit"),
                "the spectral-trace config")
-    eigs = _load_eigenvalues(cfg.get("eigenvalues", {}))
     sigma = number_from_config(cfg.get("sigma"), "'sigma'", positive=True)
+    eigs = _load_eigenvalues(cfg.get("eigenvalues", {}), sigma)
     ts = grid_from_config(cfg.get("t_grid", {}), "t_grid")
     trace = smoothed_wave_trace(eigs, sigma, ts)
     lines = [_HEADER_NOTE, "t,re_trace,im_trace"]

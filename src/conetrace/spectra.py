@@ -7,6 +7,12 @@ diffractive geodesic whose trace singularity must be silent.  Its
 spectrum is the union of the Neumann and Dirichlet spectra of the unit
 square, which is enumerable in closed form; this makes it the negative
 control for the trace-singularity machinery.
+
+A smoothed trace sums only the eigenvalues with lam^2 <= lam_min^2 +
+84 sigma^2, so the doubled square is built only that far for a trace
+(the reach rule, `_doubled_square_to_reach`), and each eigenvalue it
+sums costs 2 + ceil(n / (R _TRACE_ROWS)) cos/sin pairs for n samples
+in blocks of R, the rest being complex products.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ __all__ = [
 
 _TRACE_ROWS = 32  # most grid steps per block, and most anchors per product
 _GRID_ULPS = 64  # tolerated distance of a t sample from t_0 + j h, in ulp
+_LAMBDA_TOP = 5000.0  # largest lambda_max of a doubled-square build
+# a trace sums lam^2 <= lam_min^2 + _REACH_SQ sigma^2: beyond, a term is
+# damped by e^{-42} < 1e-18 of the largest
+_REACH_SQ = 84.0
 
 
 @dataclass(frozen=True)
@@ -57,9 +67,27 @@ def doubled_square_spectrum(lambda_max: float) -> np.ndarray:
     build it once per process; the array is read-only, as every caller
     shares it.
     """
-    if lambda_max > 5000:
-        raise ValueError(f"lambda_max must be at most 5000, not {lambda_max:g}")
+    _check_lambda_max(lambda_max)
     return _doubled_square_spectrum(float(lambda_max))
+
+
+def _check_lambda_max(lambda_max: float) -> None:
+    if lambda_max > _LAMBDA_TOP:
+        raise ValueError(f"lambda_max must be at most {_LAMBDA_TOP:g}, "
+                         f"not {lambda_max:g}")
+
+
+def _doubled_square_to_reach(lambda_max: float, sigma: float) -> np.ndarray:
+    """The doubled square's spectrum up to lambda_max as far as a trace
+    at sigma sums it: up to min(lambda_max, sqrt(84) sigma).
+
+    The spectrum holds 0, so every eigenvalue left out is damped below
+    e^{-42} < 1e-18 of the zero mode, and smoothed_wave_trace gives the
+    same samples, bit for bit, as over the whole spectrum.  lambda_max
+    is checked as given, so a value past the guard is still refused."""
+    _check_lambda_max(lambda_max)
+    return doubled_square_spectrum(
+        min(float(lambda_max), math.sqrt(_REACH_SQ) * sigma))
 
 
 # The public function stays undecorated so that span tracing, which wraps
@@ -81,13 +109,22 @@ def _doubled_square_spectrum(lambda_max: float) -> np.ndarray:
     return out
 
 
-def _phasors(t, lam) -> np.ndarray:
-    """exp(-i t lam) over the outer product of t and lam."""
-    phase = np.outer(t, lam)
-    out = np.empty(phase.shape, dtype=complex)
+def _phasors(phase) -> np.ndarray:
+    """exp(-i phase), elementwise."""
+    out = np.empty(np.shape(phase), dtype=complex)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     np.negative(out.imag, out=out.imag)
+    return out
+
+
+def _powers(first, base, count: int) -> np.ndarray:
+    """Rows first * base^r for r = 0, ..., count - 1, each row the one
+    above times base."""
+    out = np.empty((count, len(base)), dtype=complex)
+    out[0] = first
+    for r in range(1, count):
+        np.multiply(out[r - 1], base, out=out[r])
     return out
 
 
@@ -119,14 +156,18 @@ def smoothed_wave_trace(eigs, sigma: float, t_grid) -> SmoothedTrace:
 
     The grid is cut into blocks of R = min(_TRACE_ROWS, ceil(sqrt(n)))
     samples.  With j = b R + r, e^{-i t_j lam} = e^{-i t_{bR} lam}
-    e^{-i r h lam}: the anchors t_{bR} are the grid's own values, and
-    one complex product, (anchor * w) @ step.T, gives the samples of up
-    to _TRACE_ROWS blocks.  That takes (ceil(n/R) + R) cos/sin pairs per
-    eigenvalue instead of n.  A grid with some t_j more than _GRID_ULPS
-    (64) ulp of max|t| from t_0 + j h is refused with ValueError, as
-    are a sigma that is not finite and positive and a non-finite
-    eigenvalue.  The operation sequence is fixed, so repeated runs on
-    one machine are bit-identical.
+    e^{-i r h lam}, and one complex product, (anchor * w) @ step.T,
+    gives the samples of up to _TRACE_ROWS blocks.  The step table is
+    the powers of e^{-i h lam}, and the anchors of each group of
+    _TRACE_ROWS blocks are the powers of e^{-i R h lam} from the grid's
+    own value at the group's first anchor, so the recurrence is at most
+    _TRACE_ROWS products deep.  That takes 2 + ceil(n / (R _TRACE_ROWS))
+    cos/sin pairs per eigenvalue: 3 for any grid of up to 1024 samples.
+    A grid with some t_j more than _GRID_ULPS (64) ulp of max|t| from
+    t_0 + j h is refused with ValueError, as are a sigma that is not
+    finite and positive and a non-finite eigenvalue.  The operation
+    sequence is fixed, so repeated runs on one machine are
+    bit-identical.
     """
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"need a finite sigma > 0, not {sigma!r}")
@@ -136,20 +177,22 @@ def smoothed_wave_trace(eigs, sigma: float, t_grid) -> SmoothedTrace:
     t_grid = np.asarray(t_grid, dtype=float)
     h = _grid_step(t_grid)
     sq = eigs**2
-    near = eigs[sq <= sq.min(initial=np.inf) + 84.0 * sigma**2]
+    near = eigs[sq <= sq.min(initial=np.inf) + _REACH_SQ * sigma**2]
     damp = np.exp(-(near**2) / (2.0 * sigma**2))
     keep = damp > 1e-18 * damp.max(initial=0.0)
     lam, which = np.unique(near[keep], return_inverse=True)
     weights = np.bincount(which, weights=damp[keep])
     n = len(t_grid)
     rows = min(_TRACE_ROWS, max(1, math.ceil(math.sqrt(n))))
-    step = _phasors(np.arange(rows) * h, lam)
+    step = _powers(1.0, _phasors(h * lam), rows)
+    stride = _phasors((rows * h) * lam)
     anchors = t_grid[::rows]
     samples = np.empty(n, dtype=complex)
     for i in range(0, len(anchors), _TRACE_ROWS):
-        block = _phasors(anchors[i:i + _TRACE_ROWS], lam) * weights
+        count = min(_TRACE_ROWS, len(anchors) - i)
+        block = _powers(weights * _phasors(anchors[i] * lam), stride, count)
         lo = i * rows
-        samples[lo:lo + len(block) * rows] = (block @ step.T).ravel()[:n - lo]
+        samples[lo:lo + count * rows] = (block @ step.T).ravel()[:n - lo]
     return SmoothedTrace(lam, sigma, t_grid, samples)
 
 

@@ -79,7 +79,7 @@ from .links import (
     sine_front_coefficients,
     singular_set_distance,
 )
-from .spectra import doubled_square_spectrum, fit_trace_singularity, smoothed_wave_trace
+from .spectra import _doubled_square_to_reach, fit_trace_singularity, smoothed_wave_trace
 
 __all__ = ["Measurement", "Verdict", "CRITERIA", "SUITES", "ALL", "run"]
 
@@ -357,7 +357,7 @@ def _two_routes():
 
 def _doubled_square():
     sigma = 40.0
-    eigs = doubled_square_spectrum(2000.0)
+    eigs = _doubled_square_to_reach(2000.0, sigma)
     cut = CutoffSpec()
     # the corner loop passes three cone points: k = 3, order 3/2
     unit = TraceSingularityPrediction(

@@ -24,6 +24,7 @@ from conetrace.errors import (
 )
 from conetrace.geodesics import build_closed_diffractive
 from conetrace.links import LinkSpectrum, SummationPolicy, diffraction_kernel
+from spectral_reference import per_node_kernel
 
 A0 = 0.75
 
@@ -367,6 +368,22 @@ class TestModelKernel:
         assert len(np.unique(counts)) >= 3
         got = model_kernel(p, self.CUT, p.L + us, damping_sigma=sigma)
         ref = self.per_sample_reference(p, self.CUT, p.L + us, sigma)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("order", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("sigma", [40.0, None], ids=["damped", "undamped"])
+    def test_factored_matches_per_node_phases(self, order, sigma):
+        # a cos/sin pair at every node, as the kernel was summed before
+        # the panel edge and node offset phasors were split
+        p = self.pred(order, coeff=0.8 - 0.3j)
+        us = (np.linspace(-0.9, 0.9, 97) if sigma
+              else np.linspace(-20.0, 20.0, 97) + 0.004)
+        hi = self.CUT.upper + (8.0 * sigma if sigma else 0.0)
+        counts = np.maximum(4, 2 * np.ceil(
+            np.abs(us) * (hi - self.CUT.lower) / (2 * np.pi)))
+        assert len(set(counts.tolist())) >= 3
+        got = model_kernel(p, self.CUT, p.L + us, damping_sigma=sigma)
+        ref = per_node_kernel(p, self.CUT, p.L + us, damping_sigma=sigma)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("sigma", [40.0, None], ids=["damped", "undamped"])

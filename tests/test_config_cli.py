@@ -643,6 +643,18 @@ class TestSpectralTraceCommand:
         assert "config error" in captured.err and "eigenvalue CSV" in captured.err
         assert captured.out == ""
 
+    def test_lambda_max_guard_reads_the_configured_value(self, tmp_path,
+                                                          capsys):
+        # at sigma = 40 the spectrum is built only to sqrt(84) 40 = 366.6,
+        # but a lambda_max past the guard is still refused
+        cfg = write_config(tmp_path, "big.json", {
+            "eigenvalues": {"doubled_square": {"lambda_max": 9000}},
+            "sigma": 40.0,
+            "t_grid": {"min": 0.5, "max": 1.5, "count": 11},
+        })
+        assert main(["spectral-trace", "--config", cfg]) == 2
+        assert "lambda_max" in capsys.readouterr().err
+
     @pytest.mark.parametrize("length,window,count,code", [
         (100.0, 0.35, 0, 3), (0.9, 0.01, 1, 3), (0.9, 0.02, 2, 3),
         (0.9, 0.025, 3, 0),

@@ -152,3 +152,34 @@ def test_front_suite_leaves_scipy_unloaded():
     run = _run_fresh(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_runs_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique without return_* and np.median load numpy.ma (8-13 ms in
+    # a fresh process); a cold cone mode build, the quick suites and a
+    # prediction run without it
+    config = tmp_path / "spindle.json"
+    config.write_text(json.dumps({
+        "surface": {"builtin": "perturbed_spindle"},
+        "tip_sequence": ["south", "north"],
+        "seeds": [0.6040486225480862, 2.930243112740431],
+    }))
+    code = "\n".join([
+        "import contextlib, io, math, sys",
+        "from conetrace import cli, conekernel",
+        "assert 'numpy.ma' not in sys.modules, 'loaded by the import'",
+        "conekernel.flat_cone_sine_kernel_series(",
+        "    1.5 * math.pi, 2.0, 1.0, 0.5, math.pi / 3, 0.5, 0.0, damping=30.0)",
+        "assert conekernel._mode_data.cache_info().misses == 1",
+        "assert 'numpy.ma' not in sys.modules, 'loaded by a cone mode build'",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['verify', '--suite', 'all']) == 0",
+        "assert 'numpy.ma' not in sys.modules, 'loaded by verify --suite all'",
+        f"argv = ['predict-trace', '--config', {str(config)!r},",
+        f"        '--out', {str(tmp_path / 'spindle.csv')!r}]",
+        "assert cli.main(argv) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))",
+    ])
+    run = _run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -23,10 +23,12 @@ from conetrace.errors import NoCriticalPointError, QuadratureDivergenceError
 from conetrace.quadrature import gauss_legendre
 from conetrace.spectra import (
     SmoothedTrace,
+    _doubled_square_to_reach,
     doubled_square_spectrum,
     fit_trace_singularity,
     smoothed_wave_trace,
 )
+from spectral_reference import direct_trace
 
 
 class TestDoubledSquareSpectrum:
@@ -198,6 +200,50 @@ class TestSmoothedTrace:
             with pytest.raises(ValueError):
                 smoothed_wave_trace([2.0, 5.0], 5.0, ts)
 
+    @pytest.mark.parametrize("n", [1, 2, 13, 150, 500, 2000])
+    def test_recurrence_matches_direct_phasors(self, n):
+        # every phasor from its own cos/sin pair, as the trace was summed
+        # before the step table and anchors came from products
+        eigs = _doubled_square_to_reach(2000.0, 40.0)
+        ts = np.linspace(1.3, 3.7, n)
+        ref = direct_trace(eigs, 40.0, ts)
+        got = smoothed_wave_trace(eigs, 40.0, ts).samples
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_recurrence_on_perturbed_grid(self):
+        # a grid the guard accepts, 32 ulp off at an anchor (41 samples go
+        # in blocks of 7, so t_14 anchors the third block): the recurrence
+        # carries the anchors from t_0 by steps of 7 h
+        eigs = _doubled_square_to_reach(2000.0, 40.0)
+        ts = np.linspace(1.3, 3.7, 41)
+        ts[14] += 32 * np.spacing(3.7)
+        ref = direct_trace(eigs, 40.0, ts)
+        got = smoothed_wave_trace(eigs, 40.0, ts).samples
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("sigma", [12.0, 40.0])
+    def test_reach_spectrum_gives_the_same_trace(self, sigma):
+        full = doubled_square_spectrum(2000.0).copy()
+        near = _doubled_square_to_reach(2000.0, sigma)
+        assert len(near) < len(full)
+        assert near[-1] <= np.sqrt(84.0) * sigma
+        ts = np.arange(1.3, 3.7, 0.004)
+        a = smoothed_wave_trace(full, sigma, ts)
+        b = smoothed_wave_trace(near, sigma, ts)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.samples, b.samples)
+
+    def test_reach_keeps_a_smaller_lambda_max(self):
+        near = _doubled_square_to_reach(60.0, 40.0)
+        assert np.array_equal(near, doubled_square_spectrum(60.0))
+
+    def test_reach_checks_the_configured_lambda_max(self):
+        # the build stops at sqrt(84) sigma, far below the guard, but the
+        # guard reads the value asked for
+        with pytest.raises(ValueError, match="at most 5000"):
+            _doubled_square_to_reach(9000.0, 40.0)
+        assert len(_doubled_square_to_reach(5000.0, 40.0)) == 21381
+
     def test_one_point_grid(self):
         tr = smoothed_wave_trace([3.0, 4.0], 5.0, [0.7])
         expect = (np.exp(-9.0 / 50.0) * np.exp(-2.1j)
@@ -221,11 +267,13 @@ class TestFitTraceSingularity:
 
     def test_kernel_nodes_are_read_only(self):
         # the fit's model kernel shares its cached node sets across calls
-        xi, g = amplitudes._symbol_nodes(1.5, CutoffSpec(), 322.0, 8, 40.0)
-        assert len(xi) == len(g) == 8 * amplitudes._PANEL_NODES
-        assert not xi.flags.writeable and not g.flags.writeable
+        edges, offsets, g = amplitudes._symbol_panels(
+            1.5, CutoffSpec(), 322.0, 8, 40.0)
+        assert g.shape == (len(edges), len(offsets)) == (
+            8, amplitudes._PANEL_NODES)
+        assert not any(a.flags.writeable for a in (edges, offsets, g))
         with pytest.raises(ValueError):
-            g[0] = 0.0
+            g[0, 0] = 0.0
 
     def test_non_finite_sample_refused(self):
         pred = TraceSingularityPrediction(
