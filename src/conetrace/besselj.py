@@ -2,10 +2,11 @@
 
 Cone mode sums need J_nu for arbitrary real order nu = 2 pi |k| / rho,
 so the function is implemented in-repo rather than taken from a library
-that is also used as ground truth.  One routine gives J and J' together:
-`bessel_j_pair` returns both and `bessel_j` the first, so the mode
-build, the placement of the zeros and any other iteration on J run one
-code path.
+that is also used as ground truth.  One routine gives J, and J' when it
+is asked for: `bessel_j_pair` returns both and `bessel_j` computes J
+alone, skipping the derivative's series column and its Schlaefli sin
+matrix, so the mode build, the placement of the zeros and any other
+iteration on J run one code path, and J is the same bits either way.
 It refuses a negative or non-finite order or argument with
 BesselFailureError.  Two regimes:
 
@@ -49,7 +50,8 @@ BesselFailureError.  Two regimes:
   with phi = x sin t - nu pi / 2 over points and half-nodes and the
   per-node weight W = 2 w cos(nu tau), w the node's Legendre weight.
   So J and J' together take one cos and one sin per point and
-  half-node, half the trig work of evaluating the phase on every node.
+  half-node, half the trig work of evaluating the phase on every node,
+  and J alone one cos.
   nu pi / 2 comes from nu reduced mod 4, which keeps it accurate at
   large orders.
 
@@ -59,8 +61,10 @@ its orders at once.  The Schlaefli points are grouped by rung and, in a
 rung, sorted by order; they go in chunks of at most 2^13 point-nodes,
 and a chunk builds the weights W of the orders it holds, so the orders
 of a rung share one Legendre rule and no weight table spans a whole
-rung.  A point's J and J' depend on its own order and argument alone:
-a batch gives every point its scalar call's values, bit for bit.
+rung.  Each regime writes its points' values straight into the
+call's output arrays.  A point's J and J' depend on its own order and
+argument alone: a batch gives every point its scalar call's values, bit
+for bit.
 
 Zeros are counted and certified by linear algebra and placed by J.  The
 three-term recurrence makes 1/j_{nu,m} the positive eigenvalues of the
@@ -181,12 +185,12 @@ def _check_span(nu, x, what: str) -> None:
             f"{_SPAN_TOP:g}, the domain the Gauss-Legendre rule is checked on")
 
 
-def _series(nu, x: np.ndarray):
-    """(J, J') from the first _SERIES_TERMS terms of the ascending series,
-    nu broadcast against the 1-D x: one column of terms per point, in
-    chunks of at most _CHUNK terms, summed down the columns in order."""
-    nu = np.broadcast_to(nu, x.shape)
-    orders, which = np.unique(nu, return_inverse=True)
+def _series(nu, x, points, j, d=None) -> None:
+    """J, and J' if d is given, at the points of the 1-D nu and x from the
+    first _SERIES_TERMS terms of the ascending series, written into
+    j[points] and d[points]: one column of terms per point, in chunks of
+    at most _CHUNK terms, summed down the columns in order."""
+    orders, which = np.unique(nu[points], return_inverse=True)
     # log Gamma(nu + m + 1), one row per term m and one column per order,
     # taken one float at a time
     log_gamma = np.fromiter(
@@ -195,48 +199,47 @@ def _series(nu, x: np.ndarray):
         float, _SERIES_TERMS * len(orders)).reshape(_SERIES_TERMS, -1)
     m = np.arange(_SERIES_TERMS, dtype=float)[:, None]
     sign = np.where(m % 2 == 0, 1.0, -1.0)
-    j, d = np.empty_like(x), np.empty_like(x)
     size = _CHUNK // _SERIES_TERMS
-    for lo in range(0, len(x), size):
-        part = slice(lo, lo + size)
-        xp, order = x[part], nu[part]
+    for lo in range(0, len(points), size):
+        p = points[lo:lo + size]
+        xp, order = x[p], nu[p]
         pos = xp > 0  # x = 0 takes the limits below
         xs = np.where(pos, xp, 1.0)
         power = 2.0 * m + order
-        terms = log_gamma[:, which[part]]
+        terms = log_gamma[:, which[lo:lo + size]]
         terms += _LOG_FACTORIAL
         np.subtract(power * np.log(xs / 2.0), terms, out=terms)
         np.exp(terms, out=terms)
         terms *= sign
-        power *= terms
-        power /= xs
+        if d is not None:
+            power *= terms
+            power /= xs
+            d[p] = np.where(pos, np.cumsum(power, axis=0, out=power)[-1],
+                            np.where(order == 1.0, 0.5, 0.0))
         # cumsum adds in order whatever the number of columns, where a
         # sum over a single column would add the terms pairwise
-        j[part] = np.where(pos, np.cumsum(terms, axis=0, out=terms)[-1],
-                           np.where(order == 0.0, 1.0, 0.0))
-        d[part] = np.where(pos, np.cumsum(power, axis=0, out=power)[-1],
-                           np.where(order == 1.0, 0.5, 0.0))
-    return j, d
+        j[p] = np.where(pos, np.cumsum(terms, axis=0, out=terms)[-1],
+                        np.where(order == 0.0, 1.0, 0.0))
 
 
-def _schlaefli(nu, x: np.ndarray):
-    """(J, J') from Schlaefli's integral, nu broadcast against the 1-D x,
-    both from the same trig matrices; the Legendre integral is folded
-    onto the nodes below pi / 2 (see the module docstring).  Each point
-    takes its own rung, and the points of a rung go in chunks of at most
-    _CHUNK point-nodes, each chunk with one row of weights per order."""
-    nu = np.broadcast_to(nu, x.shape)
-    _check_span(nu, x, "J_{nu:g} at {x:g}")
-    half = _nodes(nu, x) // 2
-    j, d = np.empty_like(x), np.empty_like(x)
+def _schlaefli(nu, x, points, j, d=None) -> None:
+    """J, and J' if d is given, at the points of the 1-D nu and x from
+    Schlaefli's integral, written into j[points] and d[points]; the
+    Legendre integral is folded onto the nodes below pi / 2 (see the
+    module docstring), and J' takes the sin matrix that J alone skips.
+    Each point takes its own rung, and the points of a rung go in chunks
+    of at most _CHUNK point-nodes, each chunk with one row of weights
+    per order."""
+    _check_span(nu[points], x[points], "J_{nu:g} at {x:g}")
+    half = _nodes(nu[points], x[points]) // 2
     # a set, not np.unique, whose first call loads numpy.ma (about 10 ms)
     for h in sorted(set(half.tolist())):
-        points = np.flatnonzero(half == h)
+        rung = points[half == h]
         # by order, so that each chunk takes a run of neighbouring orders;
-        # which[i] is the rank of the order of points[i] among the rung's
-        ladder = nu[points]
+        # which[i] is the rank of the order of rung[i] among the rung's
+        ladder = nu[rung]
         by_order = np.argsort(ladder, kind="stable")
-        points, ladder = points[by_order], ladder[by_order]
+        rung, ladder = rung[by_order], ladder[by_order]
         fresh = np.concatenate([[True], ladder[1:] != ladder[:-1]])
         orders, which = ladder[fresh], np.cumsum(fresh) - 1
         # the phase shift nu pi / 2 of each order, from nu mod 4, which is
@@ -247,8 +250,8 @@ def _schlaefli(nu, x: np.ndarray):
         wt = np.pi * w[:h]
         sin_t = np.cos(tau)
         size = max(1, _CHUNK // h)
-        for lo in range(0, len(points), size):
-            p = points[lo:lo + size]
+        for lo in range(0, len(rung), size):
+            p = rung[lo:lo + size]
             row = which[lo:lo + size]
             run = slice(row[0], row[-1] + 1)
             row = row - row[0]
@@ -256,22 +259,22 @@ def _schlaefli(nu, x: np.ndarray):
             weight = (wt * np.cos(orders[run, None] * tau))[row]
             phase = x[p, None] * sin_t
             phase -= shift[run][row, None]
-            cos_phase = np.cos(phase)
-            sin_phase = np.sin(phase, out=phase)
+            if d is not None:
+                sin_phase = np.sin(phase)
+                sin_phase *= weight
+                sin_phase *= sin_t
+                d[p] = sin_phase.sum(axis=1) / -np.pi
+            cos_phase = np.cos(phase, out=phase)
             cos_phase *= weight
-            sin_phase *= weight
-            sin_phase *= sin_t
-            j[p] = cos_phase.sum(axis=1)
-            d[p] = sin_phase.sum(axis=1)
-    j /= np.pi
-    d /= -np.pi
-    s = np.sin(np.pi * np.fmod(nu, 2.0))
-    tail = np.flatnonzero(np.abs(s) > 1e-15)
-    if len(tail):
+            j[p] = cos_phase.sum(axis=1) / np.pi
+    s = np.sin(np.pi * np.fmod(nu[points], 2.0))
+    tail = np.abs(s) > 1e-15
+    if np.any(tail):
+        s, tail = s[tail], points[tail]
         u, lw = gauss_laguerre(_TAIL_NODES)
         size = _CHUNK // _TAIL_NODES
         for lo in range(0, len(tail), size):
-            p = tail[lo:lo + size]
+            p, sp = tail[lo:lo + size], s[lo:lo + size]
             xp, top = x[p, None], nu[p, None] + x[p, None]
             scale = top + 1.0
             tt = u / scale
@@ -279,16 +282,18 @@ def _schlaefli(nu, x: np.ndarray):
             # integrand times e^{+u}, matching the e^{-u} in the Laguerre
             # weights; the exponent stays bounded by the scale choice
             f = np.exp(-xp * (sinh_tt - tt) - top * tt + u) * lw
-            j[p] -= (s[p] / np.pi) * (f.sum(axis=1) / scale[:, 0])
-            d[p] += (s[p] / np.pi) * ((f * sinh_tt).sum(axis=1) / scale[:, 0])
-    return j, d
+            j[p] -= (sp / np.pi) * (f.sum(axis=1) / scale[:, 0])
+            if d is not None:
+                d[p] += (sp / np.pi) * ((f * sinh_tt).sum(axis=1) / scale[:, 0])
 
 
-def _pair(nu, x):
-    """(J_nu(x), J_nu'(x)) with nu and x broadcast together: floats where
-    both are floats, arrays of the broadcast shape otherwise.  The public
-    functions both call this and never each other, so each public call
-    is one span to the benchmark's tracer."""
+def _pair(nu, x, derivative: bool):
+    """(J_nu(x), J_nu'(x) if derivative else None) with nu and x broadcast
+    together: floats where both are floats, arrays of the broadcast
+    shape otherwise.  Each regime writes its points' values into the
+    output arrays in place.  The public functions both call this and
+    never each other, so each public call is one span to the
+    benchmark's tracer."""
     orders = np.asarray(nu, dtype=float)
     arr = np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(orders.shape, arr.shape)
@@ -300,26 +305,28 @@ def _pair(nu, x):
         raise BesselFailureError("argument must be finite and nonnegative")
     flat_nu = np.broadcast_to(orders, shape).ravel()
     flat = np.broadcast_to(arr, shape).ravel()
-    j, d = np.empty_like(flat), np.empty_like(flat)
+    j = np.empty_like(flat)
+    d = np.empty_like(flat) if derivative else None
     small = (flat <= _SERIES_X_MAX) | (flat <= 0.5 * flat_nu)
     for part, fn in ((small, _series), (~small, _schlaefli)):
-        if np.any(part):
-            j[part], d[part] = fn(flat_nu[part], flat[part])
+        points = np.flatnonzero(part)
+        if len(points):
+            fn(flat_nu, flat, points, j, d)
     if not shape:
-        return float(j[0]), float(d[0])
-    return j.reshape(shape), d.reshape(shape)
+        return float(j[0]), None if d is None else float(d[0])
+    return j.reshape(shape), None if d is None else d.reshape(shape)
 
 
 def bessel_j_pair(nu, x):
     """(J_nu(x), J_nu'(x)) for real nu >= 0 and x >= 0, scalars or arrays
     that broadcast together."""
-    return _pair(nu, x)
+    return _pair(nu, x, True)
 
 
 def bessel_j(nu, x):
     """J_nu(x) for real nu >= 0 and x >= 0, scalars or arrays that
-    broadcast together."""
-    return _pair(nu, x)[0]
+    broadcast together; J' is not computed."""
+    return _pair(nu, x, False)[0]
 
 
 def _rows(nus, cut):

@@ -20,8 +20,17 @@ extrapolated Abel series in the test suite before anything else relies
 on it.
 
 Kernels are singular exactly where the two link points are joined by a
-link geodesic (wrapping allowed) of length |t|; evaluation inside a guard
-band around that set raises GeometricSetError.
+link geodesic (wrapping allowed) of length |t|; closed-form evaluation
+inside a guard band around that set raises GeometricSetError.
+
+Every kernel, `singular_set_distance` and `abel_extrapolate` take link
+points as floats or as arrays that broadcast together, so a grid of
+points on one circle is one call.  Floats give a Python complex, float
+or bool; arrays give arrays of the broadcast shape, each entry bit for
+bit its point's scalar value.  On arrays the closed-form guard raises
+if any point lies inside the band, and its message names the nearest
+one; a caller that wants the other points' values leaves those points
+out first.
 """
 
 from __future__ import annotations
@@ -108,7 +117,8 @@ class SummationPolicy:
 
 @dataclass(frozen=True)
 class DiffractionValue:
-    """Value of the diffraction coefficient at a pair of link points.
+    """Value of the diffraction coefficient at a pair of link points, or
+    arrays of values and flags at arrays of pairs.
 
     regular is False when the pair sits close to the singular set of the
     kernel; the value is then unreliable and must not be consumed.
@@ -118,27 +128,34 @@ class DiffractionValue:
     regular: bool
 
 
-def _wrap(u: float, rho: float) -> float:
+def _wrap(u, rho):
     """Reduce to the fundamental interval (-rho/2, rho/2]."""
     w = np.remainder(u, rho)
-    if w > rho / 2:
-        w -= rho
-    return float(w)
+    return w - rho * (w > rho / 2)
 
 
-def singular_set_distance(link: LinkSpectrum, t: float, y: float, y_prime: float) -> float:
+def _distance(rho, t, u):
+    """Arc distance from separation u to the points +-t mod rho."""
+    return np.minimum(np.abs(_wrap(u - t, rho)), np.abs(_wrap(u + t, rho)))
+
+
+def _scalar_or_array(value, cast):
+    """A 0-d result as a Python scalar of type cast; an array as it is."""
+    return cast(value) if np.ndim(value) == 0 else value
+
+
+def singular_set_distance(link: LinkSpectrum, t, y, y_prime):
     """Arc distance from (y, y') to the singular set of exp(-i t nu).
 
     The kernel is singular where some link geodesic (wrapping allowed)
     from y' to y has length |t|, i.e. where y - y' = +-t modulo the
-    circumference.
+    circumference.  t, y and y' broadcast together; floats give a float.
     """
-    rho = link.circumference
-    u = y - y_prime
-    return min(abs(_wrap(u - t, rho)), abs(_wrap(u + t, rho)))
+    d = _distance(link.circumference, t, np.subtract(y, y_prime))
+    return _scalar_or_array(d, float)
 
 
-def _closed_form_half_kg(rho: float, t: float, u: float) -> complex:
+def _closed_form_half_kg(rho: float, t, u):
     """Closed form of the exp(-i t nu) kernel on a circle link (n = 2).
 
     Abel summation of the mode series gives a pair of cotangents; the
@@ -149,7 +166,7 @@ def _closed_form_half_kg(rho: float, t: float, u: float) -> complex:
     return 0.5j / rho * (1.0 / np.tan(a) - 1.0 / np.tan(b))
 
 
-def _abel_half_kg_circle(rho: float, t: float, u: float, r: float) -> complex:
+def _abel_half_kg_circle(rho: float, t, u, r: float):
     """Abel-damped exp(-i t nu) mode series on a circle link (n = 2).
 
     The damped series is a pair of geometric series in the mode index,
@@ -162,45 +179,54 @@ def _abel_half_kg_circle(rho: float, t: float, u: float, r: float) -> complex:
     z_plus = r**c * np.exp(1j * c * (u - t))
     z_minus = r**c * np.exp(1j * c * (-u - t))
     total = 1.0 + z_plus / (1.0 - z_plus) + z_minus / (1.0 - z_minus)
-    return complex(total / rho)
+    return total / rho
 
 
 def half_kg_kernel(
     link: LinkSpectrum,
     n: int,
-    t: float,
-    y: float,
-    y_prime: float,
+    t,
+    y,
+    y_prime,
     policy: SummationPolicy,
-) -> complex:
-    """Kernel of exp(-i t nu) at a pair of link points.
+):
+    """Kernel of exp(-i t nu) at pairs of link points.
 
-    A circle is the link of a 2-dimensional cone only, so every policy
-    raises PolicyMismatchError for n != 2.  The singular-set guard
-    raises only for the closed form, whose value is an actual pole
-    there; the Abel policy returns the finite damped value and leaves
-    flagging to the caller.
+    t, y and y' broadcast together: floats give a complex, arrays an
+    array of their broadcast shape.  A circle is the link of a
+    2-dimensional cone only, so every policy raises PolicyMismatchError
+    for n != 2.  The singular-set guard raises only for the closed form,
+    whose value is an actual pole there, and it raises if any pair lies
+    inside the band, naming the nearest; the Abel policy returns the
+    finite damped values and leaves flagging to the caller.
     """
     if n != 2:
         raise PolicyMismatchError(
             f"a circle link is the link of a 2-dimensional cone, not n = {n!r}")
+    rho = link.circumference
+    u = np.subtract(y, y_prime)
     if policy.kind == "abel":
-        return _abel_half_kg_circle(link.circumference, t, y - y_prime, policy.r)
-    d = singular_set_distance(link, t, y, y_prime)
-    if d < GEOMETRIC_TOL:
-        raise GeometricSetError(f"link pair is within {d:.2e} of the "
-                                f"singular set of exp(-i*{t:.6g}*nu)")
-    return _closed_form_half_kg(link.circumference, t, y - y_prime)
+        return _scalar_or_array(_abel_half_kg_circle(rho, t, u, policy.r), complex)
+    d = _distance(rho, t, u)
+    close = d < GEOMETRIC_TOL
+    if close.any():
+        k = np.argmin(np.where(close, d, np.inf))
+        yk, ypk, tk = (np.broadcast_to(v, d.shape).flat[k] for v in (y, y_prime, t))
+        raise GeometricSetError(
+            f"link pair ({yk:.6g}, {ypk:.6g}) is within {d.flat[k]:.2e} of the "
+            f"singular set of exp(-i*{tk:.6g}*nu)")
+    return _scalar_or_array(_closed_form_half_kg(rho, t, u), complex)
 
 
 def diffraction_kernel(
     link: LinkSpectrum,
     n: int,
-    y: float,
-    y_prime: float,
+    y,
+    y_prime,
     policy: SummationPolicy,
 ) -> DiffractionValue:
-    """Diffraction coefficient: the kernel of exp(-i pi nu)."""
+    """Diffraction coefficient: the kernel of exp(-i pi nu), with the
+    regularity flag, at one pair of link points or at arrays of them."""
     value = half_kg_kernel(link, n, np.pi, y, y_prime, policy)
     regular = singular_set_distance(link, np.pi, y, y_prime) > REGULARITY_BAND
     return DiffractionValue(value=value, regular=regular)
@@ -209,11 +235,12 @@ def diffraction_kernel(
 def cos_sin_pi_nu_kernels(
     link: LinkSpectrum,
     n: int,
-    y: float,
-    y_prime: float,
+    y,
+    y_prime,
     policy: SummationPolicy,
-) -> tuple[complex, complex]:
-    """Kernels of cos(pi nu) and sin(pi nu) under the given policy."""
+):
+    """Kernels of cos(pi nu) and sin(pi nu) under the given policy, at
+    one pair of link points or at arrays of them."""
     k_minus = half_kg_kernel(link, n, np.pi, y, y_prime, policy)
     k_plus = half_kg_kernel(link, n, -np.pi, y, y_prime, policy)
     return (k_minus + k_plus) / 2.0, (k_plus - k_minus) / 2.0j
@@ -243,16 +270,27 @@ def sine_front_coefficients(
     return c_h, c_log
 
 
-def abel_extrapolate(eval_at_r: Callable[[float], complex]) -> complex:
+def _real_quotient(z, d: float):
+    """z / d for a real d, part by part."""
+    return z.real / d + 1j * (z.imag / d)
+
+
+def abel_extrapolate(eval_at_r: Callable[[float], complex]):
     """Extrapolate an Abel-damped sum to r -> 1 (Neville in 1 - r) from
-    its values at ABEL_RS."""
+    its values at ABEL_RS: complex values give a complex, arrays an array.
+
+    Each Neville step divides its real and imaginary parts by the real
+    denominator, as Python's complex division by a real does, so an
+    array gives its points' scalar values bit for bit (numpy's complex
+    division multiplies by the reciprocal instead)."""
     eps = [1.0 - r for r in ABEL_RS]
-    table = [complex(eval_at_r(r)) for r in ABEL_RS]
+    table = [np.asarray(eval_at_r(r), dtype=complex) for r in ABEL_RS]
     m = len(table)
     for level in range(1, m):
         table = [
-            (eps[i] * table[i + 1] - eps[i + level] * table[i])
-            / (eps[i] - eps[i + level])
+            _real_quotient(eps[i] * table[i + 1] - eps[i + level] * table[i],
+                           eps[i] - eps[i + level])
             for i in range(m - level)
         ]
-    return table[0]
+    return _scalar_or_array(table[0], complex)
+

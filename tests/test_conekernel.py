@@ -137,7 +137,8 @@ class TestKernelSeries:
         # for the few started near the turning point, and one radial
         # evaluation, at x and x' together; every point the evaluators
         # see comes through those calls, and a search for the zeros would
-        # evaluate J about a dozen times per zero
+        # evaluate J about a dozen times per zero; the radial factors need
+        # J alone, so only Halley's points are evaluated with J'
         calls = {}
 
         def counting(name, fn):
@@ -146,15 +147,21 @@ class TestKernelSeries:
                 return fn(nu, x)
             return counted
 
+        def evaluating(fn):
+            def counted(nu, x, points, j, d=None):
+                calls["evaluated"].append(len(points))
+                calls["with_derivative"].append(0 if d is None else len(points))
+                return fn(nu, x, points, j, d)
+            return counted
+
         monkeypatch.setattr(besselj, "bessel_j_pair",
                             counting("halley", besselj.bessel_j_pair))
         monkeypatch.setattr(conekernel, "bessel_j",
                             counting("radial", conekernel.bessel_j))
         for name in ("_series", "_schlaefli"):
-            monkeypatch.setattr(besselj, name,
-                                counting("evaluated", getattr(besselj, name)))
+            monkeypatch.setattr(besselj, name, evaluating(getattr(besselj, name)))
         for xp in (0.5, 0.42):
-            calls.update(halley=[], radial=[], evaluated=[])
+            calls.update(halley=[], radial=[], evaluated=[], with_derivative=[])
             monkeypatch.setattr(besselj, "_held", {})
             _, lams, _ = _mode_data.__wrapped__(1.5 * np.pi, 2.0, 0.5, xp,
                                                 40.0)
@@ -167,6 +174,7 @@ class TestKernelSeries:
             assert sum(calls["halley"][1:]) <= 0.01 * zeros
             assert sum(calls["evaluated"]) == (sum(calls["halley"])
                                                + sum(calls["radial"]))
+            assert sum(calls["with_derivative"]) == sum(calls["halley"])
 
     def test_warm_weights_are_cached_and_read_only(self):
         # a warm sample is one sin and one dot product with the cached

@@ -1,7 +1,11 @@
 """Config parsing and CLI plumbing: delegation, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +144,57 @@ class TestLinkKernelCommand:
             "u_grid": {"min": np.pi - 1e-8, "max": np.pi + 1e-8, "count": 3},
         })
         assert main(["link-kernel", "--config", cfg]) == 3
+
+    def test_singular_points_take_nan_rows(self, tmp_path):
+        # on rho = 1.5 pi the pairs (pi/2, 0) and (pi, 0) lie on the
+        # singular set of exp(-i pi nu), the first by the wrapped arc
+        cfg = write_config(tmp_path, "grid.json", {
+            "link": {"circumference": RHO},
+            "u_grid": {"min": 0.0, "max": RHO, "count": 13},
+        })
+        out = tmp_path / "grid.csv"
+        assert main(["link-kernel", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 13
+        nan_rows = [j for j, row in enumerate(rows) if row[1:] == ["nan", "nan", "0"]]
+        assert nan_rows == [4, 8]
+        link, pol = LinkSpectrum.circle(RHO), SummationPolicy.closed_form()
+        for j, row in enumerate(rows):
+            if j not in nan_rows:
+                dval = diffraction_kernel(link, 2, float(row[0]), 0.0, pol)
+                assert (float(row[1]), float(row[2])) == (dval.value.real,
+                                                          dval.value.imag)
+                assert row[3] == ("1" if dval.regular else "0")
+
+    def test_abel_policy_has_no_nan_rows(self, tmp_path):
+        # the damped series is finite on the singular set: flagged, not
+        # refused
+        cfg = write_config(tmp_path, "grid.json", {
+            "link": {"circumference": RHO},
+            "policy": {"kind": "abel", "r": 0.999},
+            "u_grid": {"min": 0.0, "max": RHO, "count": 13},
+        })
+        out = tmp_path / "grid.csv"
+        assert main(["link-kernel", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert all(row[1] != "nan" for row in rows)
+        assert [row[3] for row in rows][4::4] == ["0", "0", "1"]
+
+    @pytest.mark.parametrize("top, count, code", [
+        (np.pi, 2, 3), (1.25 * np.pi, 4, 0)],
+        ids=["both-singular", "half-singular"])
+    def test_dominated_grid_exit_3(self, tmp_path, capsys, top, count, code):
+        # (pi/2, 0) and (pi, 0) are singular; a grid of more singular
+        # points than regular ones is refused and writes no table, and
+        # one of as many regular points is tabulated
+        grid = {"min": np.pi / 2, "max": top, "count": count}
+        cfg = write_config(tmp_path, "dom.json", {
+            "link": {"circumference": RHO}, "u_grid": grid})
+        out = tmp_path / "dom.csv"
+        assert main(["link-kernel", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("dominated by the singular set" in err) == (code == 3)
+        assert out.exists() == (code == 0)
 
 
 class TestExitCodes:
@@ -674,3 +729,52 @@ class TestSpectralTraceCommand:
         err = capsys.readouterr().err
         if code == 3:
             assert "domain error" in err and f"holds {count} samples" in err
+
+
+class TestOneProcess:
+    """`main` builds its parser once per process; every call still gives
+    what it gives in a process of its own."""
+
+    @staticmethod
+    def in_process(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @staticmethod
+    def fresh(argv, cwd):
+        src = str(Path(cli.__file__).parent.parent)
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run([sys.executable, "-m", "conetrace.cli", *argv],
+                              cwd=cwd, env=env, capture_output=True, text=True,
+                              timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys):
+        trace = write_config(tmp_path, "trace.json", {
+            "eigenvalues": {"doubled_square": {"lambda_max": 60.0}},
+            "sigma": 12.0,
+            "t_grid": {"min": 0.5, "max": 1.5, "count": 11},
+        })
+        typo = write_config(tmp_path, "typo.json", {
+            "link": {"circumference": RHO, "circ": RHO},
+            "u_grid": {"min": 0.3, "max": 4.0, "count": 9},
+        })
+        calls = [
+            ["verify", "--suite", "link"],
+            ["link-kernel", "--config", typo],
+            ["no-such-command"],
+            ["spectral-trace", "--config", trace],
+        ]
+        codes = [0, 2, 2, 0]
+        first = [self.in_process(argv, capsys) for argv in calls]
+        again = [self.in_process(argv, capsys) for argv in calls]
+        assert [code for code, _, _ in first] == codes
+        assert again == first
+        assert cli._build_parser() is cli._build_parser()
+        for argv, got in zip(calls, first):
+            assert got == self.fresh(argv, tmp_path), argv

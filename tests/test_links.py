@@ -17,6 +17,7 @@ from conetrace import (
     half_kg_kernel,
     sine_front_coefficients,
 )
+from conetrace import links
 from conetrace.links import DEFAULT_ABEL_R, singular_set_distance
 
 CF = SummationPolicy.closed_form()
@@ -206,3 +207,104 @@ class TestPolicy:
             cos_sin_pi_nu_kernels(link, n, 1.0, 0.0, pol)
         with pytest.raises(PolicyMismatchError):
             sine_front_coefficients(link, n, 1.0, 1.0, 1.0, 0.0, pol)
+
+
+# the grids of criteria 1 (closed form against Abel) and 2 (orbifold
+# vanishing): circumference and margin from the singular set
+CRITERION_GRIDS = [(1.5 * np.pi, 0.1), (2.5 * np.pi, 0.1), (7.0, 0.1),
+                   (np.pi, 0.02), (2 * np.pi, 0.02), (2 * np.pi / 3, 0.02)]
+
+
+def _bits(values):
+    """The bytes of values as a float or complex array, so that equality
+    is bit for bit (signed zeros included)."""
+    return np.asarray(values).tobytes()
+
+
+@pytest.mark.parametrize("rho, margin", CRITERION_GRIDS)
+class TestArraysMatchScalars:
+    """Each link function on a criterion grid in one call gives every
+    point its scalar call's value, bit for bit."""
+
+    def grid(self, rho, margin):
+        link, us = off_singular_grid(rho, margin=margin)
+        return link, np.array(us)
+
+    def test_singular_set_distance(self, rho, margin):
+        link = LinkSpectrum.circle(rho)
+        grid = np.linspace(0.01, rho - 0.01, 200)
+        got = singular_set_distance(link, np.pi, grid, 0.0)
+        assert got.shape == grid.shape
+        assert _bits(got) == _bits(
+            [singular_set_distance(link, np.pi, float(u), 0.0) for u in grid])
+
+    @pytest.mark.parametrize("pol", [CF, SummationPolicy.abel(0.999)],
+                             ids=["closed_form", "abel"])
+    def test_kernels(self, rho, margin, pol):
+        link, us = self.grid(rho, margin)
+        got = half_kg_kernel(link, 2, -np.pi, us, 0.3, pol)
+        assert _bits(got) == _bits(
+            [half_kg_kernel(link, 2, -np.pi, float(u), 0.3, pol) for u in us])
+        dval = diffraction_kernel(link, 2, us, 0.0, pol)
+        scalar = [diffraction_kernel(link, 2, float(u), 0.0, pol) for u in us]
+        assert _bits(dval.value) == _bits([d.value for d in scalar])
+        assert _bits(dval.regular) == _bits([d.regular for d in scalar])
+        cos_k, sin_k = cos_sin_pi_nu_kernels(link, 2, us, 0.0, pol)
+        pairs = [cos_sin_pi_nu_kernels(link, 2, float(u), 0.0, pol) for u in us]
+        assert _bits(cos_k) == _bits([c for c, _ in pairs])
+        assert _bits(sin_k) == _bits([s for _, s in pairs])
+
+    def test_abel_extrapolate(self, rho, margin):
+        link, us = self.grid(rho, margin)
+
+        def series(y):
+            return abel_extrapolate(lambda r: diffraction_kernel(
+                link, 2, y, 0.0, SummationPolicy.abel(r)).value)
+
+        assert _bits(series(us)) == _bits([series(float(u)) for u in us])
+
+
+class TestArrayInputs:
+    def test_floats_give_python_scalars(self):
+        link = LinkSpectrum.circle(1.5 * np.pi)
+        assert type(singular_set_distance(link, np.pi, 1.0, 0.0)) is float
+        for pol in (CF, ABEL):
+            assert type(half_kg_kernel(link, 2, np.pi, 1.0, 0.0, pol)) is complex
+            dval = diffraction_kernel(link, 2, 1.0, 0.0, pol)
+            assert type(dval.value) is complex and type(dval.regular) is bool
+        assert type(abel_extrapolate(lambda r: 1.0 / r)) is complex
+
+    def test_points_broadcast(self):
+        link = LinkSpectrum.circle(7.0)
+        ys, yps = np.array([[0.4], [1.3], [2.2]]), np.array([0.0, 0.2, 5.1, 6.0])
+        for pol in (CF, ABEL):
+            got = half_kg_kernel(link, 2, np.pi, ys, yps, pol)
+            assert got.shape == (3, 4)
+            assert got[2, 1] == half_kg_kernel(link, 2, np.pi, 2.2, 0.2, pol)
+            dval = diffraction_kernel(link, 2, ys, yps, pol)
+            assert dval.value.shape == dval.regular.shape == (3, 4)
+        assert abel_extrapolate(lambda r: np.full((2, 5), r)).shape == (2, 5)
+
+    def test_array_guard_boundary(self):
+        # the one point near the set sits tol (1 -+ 1e-3) from it, among
+        # regular points; the closed form refuses the whole array inside
+        tol = links.GEOMETRIC_TOL
+        link = LinkSpectrum.circle(3 * np.pi)
+        regular = [0.5, 2.0, 5.0]
+        with pytest.raises(GeometricSetError, match=r"\(3\.14159, 0\)"):
+            diffraction_kernel(link, 2, np.array(
+                regular + [np.pi + (1 - 1e-3) * tol]), 0.0, CF)
+        values = diffraction_kernel(link, 2, np.array(
+            regular + [np.pi + (1 + 1e-3) * tol]), 0.0, CF).value
+        assert np.all(np.isfinite(values))
+
+    def test_guard_names_the_nearest_point(self):
+        link = LinkSpectrum.circle(3 * np.pi)
+        us = np.array([1.0, np.pi + 5e-7, 2.0, np.pi - 1e-8, 4.0])
+        with pytest.raises(GeometricSetError) as exc:
+            half_kg_kernel(link, 2, np.pi, 0.0, -us, CF)
+        assert "(0, -3.14159)" in str(exc.value)
+        assert "1.00e-08" in str(exc.value)
+        # the Abel policy has no guard: its damped values stay finite
+        values = half_kg_kernel(link, 2, np.pi, 0.0, -us, ABEL)
+        assert np.all(np.isfinite(values))
