@@ -87,9 +87,10 @@ its whole ladder of orders at once) goes through four steps:
   minus 1/x^2 count the zeros below x (Sturm's count).  The blocks are
   padded to one height with decoupled zero rows, which never count, so
   one pass down the rows counts every order, or every zero, at once.
-  The count runs 1e-6 past x_max, and the placed zeros decide which
-  are kept, so a zero within the matrix's rounding of x_max is kept or
-  dropped by its own value;
+  A window (x_min, x_max] is counted at both ends, each count run 1e-6
+  past its end, in that pass (the count at x_min is the index offset);
+  the placed zeros decide, so a zero within the matrix's rounding of an
+  end is kept or dropped by its own value;
 * start: McMahon's expansion in beta = (m + nu/2 - 1/4) pi where its
   last term is below 1e-5 (or nu < 1), and elsewhere Olver's uniform
   expansion nu z(zeta) + f1(zeta) / nu in the Airy zeros;
@@ -107,8 +108,8 @@ its whole ladder of orders at once) goes through four steps:
   on its order's block truncated by the row rule for cut = z (1 + 1e-8),
   which holds every zero up to that cut.  Taken tallest truncation
   first, the zeros still counting at a row are a prefix of them, so
-  the pass down the rows does about half the work of counting every
-  zero on the block for x_max.
+  the one pass down the rows for both counts does about half the work
+  of counting every zero on the block for x_max.
 
 The eigenvalues know nothing of the quadrature, so the two check each
 other, and nothing here calls a library Bessel function or eigensolver:
@@ -529,9 +530,9 @@ def _certify(nus, cols, index, zeros) -> None:
     cut = zeros * (1.0 + _CERT_DELTA)
     blocks = _ikebe_blocks(nus, cut.max())
     rows = _rows(nus[cols], cut)
-    below = _count_above(blocks, cols, (zeros * (1.0 - _CERT_DELTA)) ** -2,
-                         rows)
-    above = _count_above(blocks, cols, cut ** -2, rows)
+    sigma = np.concatenate([(zeros * (1.0 - _CERT_DELTA)) ** -2, cut ** -2])
+    below, above = np.split(_count_above(blocks, np.tile(cols, 2), sigma,
+                                         np.tile(rows, 2)), 2)
     bad = np.nonzero((below != index - 1) | (above != index))[0]
     if len(bad):
         p = bad[0]
@@ -541,63 +542,68 @@ def _certify(nus, cols, index, zeros) -> None:
             f"{above[p]} up to it; zeros failing the count: {len(bad)}")
 
 
-def _solve(nus: list, x_max: float) -> list:
-    """[(zeros of J_nu up to x_max, J_nu' at them)] for the orders nus,
-    each below x_max: counted, started, placed and certified in one
-    batch, each pair read-only views of the batch's arrays."""
-    orders = np.array(nus, dtype=float)
-    # the count reaches a little past x_max, so a zero that the matrix
-    # puts just above it is still placed; the placed values decide
+def _solve(windows: list, x_max: float) -> list:
+    """[(zeros of J_nu in (x_min, x_max], J_nu' at them)] for the windows
+    (nu, x_min, x_max), nu below x_max: counted, started, placed and
+    certified in one batch, each pair read-only views of its arrays."""
+    orders, x_mins, _ = np.array(windows).T
+    _check_span(orders, x_max, "zeros of J_{nu:g} up to {x:g}")
+    n = len(windows)
+    # the counts run a little past each end of a window, and the placed
+    # values decide; the low one (0 at 1 < j_01 = 2.40) is the offset
     cut = x_max + _COUNT_MARGIN
-    counts = _count_above(_ikebe_blocks(orders, cut), np.arange(len(nus)),
-                          cut ** -2)
-    # one entry per zero: its order's column and its index m
-    cols = np.repeat(np.arange(len(nus)), counts)
+    low = np.maximum(x_mins - _COUNT_MARGIN, 1.0)
+    sigma = np.concatenate([np.full(n, cut ** -2), low ** -2])
+    counts, offsets = np.split(_count_above(
+        _ikebe_blocks(orders, cut), np.tile(np.arange(n), 2), sigma), 2)
+    counts -= offsets
+    # one entry per zero: its order's column and its global index m
+    cols = np.repeat(np.arange(n), counts)
     index = (np.arange(1, len(cols) + 1)
-             - np.repeat(np.cumsum(counts) - counts, counts))
+             + np.repeat(offsets - np.cumsum(counts) + counts, counts))
     zeros, slopes = _halley(orders[cols], index)
     _certify(orders, cols, index, zeros)
-    keep = zeros <= x_max
+    keep = (zeros <= x_max) & (zeros > x_mins[cols])
     zeros, slopes = zeros[keep], slopes[keep]
     zeros.flags.writeable = slopes.flags.writeable = False
-    ends = np.cumsum(np.bincount(cols[keep], minlength=len(nus)))[:-1]
+    ends = np.cumsum(np.bincount(cols[keep], minlength=n))[:-1]
     return list(zip(np.split(zeros, ends), np.split(slopes, ends)))
 
 
-# (nu, x_max) -> (zeros, slopes), read-only, for the orders of the
+# (nu, x_min, x_max) -> (zeros, slopes), read-only, for the orders of the
 # latest batch
 _held: dict = {}
 _EMPTY = np.array([])
 _EMPTY.flags.writeable = False
 
 
-def _zero_batch(nus, x_max: float) -> list:
-    """[(zeros of J_nu up to x_max, J_nu' at them) for nu in nus], both
-    read-only.  The orders not held are solved in one batch, and then
-    the orders of nus replace what is held, so a cone mode build that
-    asks for its ladder of orders first finds each order held when it
-    reads it through `bessel_j_zeros`."""
+def _zero_batch(nus, x_max: float, x_mins) -> list:
+    """[(zeros of J_nu in (x_min, x_max], J_nu' at them) for nu, x_min in
+    nus, x_mins], both read-only.  The windows not held are solved in
+    one batch, and then the windows asked for replace what is held, so a
+    cone mode build that asks for its ladder of orders first finds each
+    order held when it reads it through `bessel_j_zeros`."""
     if not math.isfinite(x_max):
         raise BesselFailureError(f"x_max must be finite: {x_max}")
-    bad = [nu for nu in nus if not (math.isfinite(nu) and nu >= 0)]
-    if bad:
-        raise BesselFailureError(
-            f"order must be finite and nonnegative: {bad[0]}")
-    missing = sorted({nu for nu in nus
-                      if nu < x_max and (nu, x_max) not in _held})
+    for what, values in (("order", nus), ("x_min", x_mins)):
+        bad = [v for v in values if not (math.isfinite(v) and v >= 0)]
+        if bad:
+            raise BesselFailureError(
+                f"{what} must be finite and nonnegative: {bad[0]}")
+    keys = [(nu, lo, x_max) for nu, lo in zip(nus, x_mins)]
+    missing = sorted({k for k in keys if max(k[:2]) < x_max} - _held.keys())
     fresh = {}
     if missing:
-        _check_span(np.array(missing), x_max, "zeros of J_{nu:g} up to {x:g}")
         fresh = dict(zip(missing, _solve(missing, x_max)))
-    got = [fresh[nu] if nu in fresh
-           else _held.get((nu, x_max), (_EMPTY, _EMPTY)) for nu in nus]
+    got = [fresh[key] if key in fresh else _held.get(key, (_EMPTY, _EMPTY))
+           for key in keys]
     if fresh:
         _held.clear()
-        _held.update(((nu, x_max), pair) for nu, pair in zip(nus, got))
+        _held.update(zip(keys, got))
     return got
 
 
-def bessel_j_zeros(nu: float, x_max: float) -> np.ndarray:
-    """All positive zeros of J_nu up to x_max, each within rounding of
-    the in-repo J."""
-    return _zero_batch((nu,), x_max)[0][0].copy()
+def bessel_j_zeros(nu: float, x_max: float, x_min: float = 0.0) -> np.ndarray:
+    """All zeros of J_nu in (x_min, x_max], none if x_min >= x_max, bit
+    for bit those of the full list, each within rounding of the in-repo J."""
+    return _zero_batch((nu,), x_max, (x_min,))[0][0].copy()

@@ -8,13 +8,17 @@ exp(-lambda^2 / (2 Lambda^2)) gives a smoothed sample of the half-wave
 kernel that knows nothing about diffraction coefficients: it is the
 ground truth the link-spectrum front coefficients are tested against.
 
-A mode build is cached per (rho, R, x, x', damping): the zeros of the
-whole ladder of orders come from one batch of `besselj`, each order
-read through `bessel_j_zeros`, and every radial factor from one
-`bessel_j` call over all modes, at x and x' together.  Per build and
-angle y - y' the angular times radial weights are cached as one
-read-only vector, so a warm sample is one sin over the modes and one
-dot product.
+A mode build is cached per (rho, R, x, x', damping).  It leaves out the
+modes whose radial factors Kapteyn's inequality (DLMF 10.14.5) puts
+below eps = 1e-12 (`_KAPTEYN_EPS`) at arguments up to z_lo(nu)
+(`_kapteyn_floor`): each order is asked only for its zeros j with
+j max(x, x') / R > z_lo(nu), and the ladder of orders ends at the first
+with z_lo(nu) > 5 Lambda max(x, x').  The zeros come from one batch of
+`besselj`, each order read through `bessel_j_zeros` on its window, and
+every radial factor from one `bessel_j` call over all modes, at x and
+x' together.  Per build and angle y - y' the angular times radial
+weights are cached as one read-only vector, so a warm sample is one sin
+over the modes and one dot product.
 
 The damp is a convolution in time with a Gaussian of width 1/Lambda, so
 the front-fitting basis functions are smoothed with the exact same
@@ -32,7 +36,6 @@ A damping that is not finite and positive is refused with ValueError.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -51,11 +54,27 @@ __all__ = [
 
 DEFAULT_DAMPING = 40.0
 WALL_MARGIN = 0.1
+_KAPTEYN_EPS = 1e-12  # see the module docstring
 
 
 def _check_damping(damping) -> None:
     if not (math.isfinite(damping) and damping > 0):
         raise ValueError(f"damping must be finite and positive: {damping}")
+
+
+def _kapteyn_floor(nus: np.ndarray) -> np.ndarray:
+    """z_lo(nu) of each order, from below up to rounding: nu s at the low
+    end of a bisection for where Kapteyn's bound on |J_nu(nu s)|, exp(nu
+    (log(s / (1 + r)) + r)) with r = sqrt(1 - s^2), rising in s, reaches
+    _KAPTEYN_EPS; 0 where it never does."""
+    log_eps = math.log(_KAPTEYN_EPS) if _KAPTEYN_EPS > 0 else -math.inf
+    lo, hi = np.zeros_like(nus), np.ones_like(nus)
+    for _ in range(52):
+        s = 0.5 * (lo + hi)
+        r = np.sqrt(1.0 - s * s)
+        below = nus * (np.log(s / (1.0 + r)) + r) <= log_eps
+        lo, hi = np.where(below, s, lo), np.where(below, hi, s)
+    return nus * lo
 
 
 @functools.lru_cache(maxsize=8)
@@ -65,23 +84,24 @@ def _mode_data(rho, wall_r, x, xp, damping):
     then in lambda; w is the damped radial factor over lambda, so the
     kernel is the sum of angular(k) w sin(t lambda) / rho."""
     lam_max = 5.0 * damping
-    z_arg = lam_max * max(x, xp)
-    nu_max = z_arg + 8.0 * max(z_arg, 1.0) ** (1.0 / 3.0) + 10.0
-    k_max = int(np.ceil(nu_max * rho / (2 * np.pi)))
     j_max = lam_max * wall_r  # the largest Bessel zero kept
-    nus = [2 * np.pi * k / rho for k in range(k_max + 1)]
+    reach = lam_max * max(x, xp, 0.0)  # the largest radial argument
+    # the orders below j_max (the first zero of J_nu lies above nu) up to
+    # the first whose floor passes reach; the floor rises with the order
+    nus = 2 * np.pi * np.arange(math.ceil(j_max * rho / (2 * np.pi))) / rho
+    floor = _kapteyn_floor(nus)
+    nus, floor = nus[floor <= reach].tolist(), floor[floor <= reach]
+    x_mins = (floor * (j_max / reach) if reach > 0 else 0.0 * floor).tolist()
     # the zeros of every order in one batch, and J' at them from the
-    # Halley steps that placed them; each order is read until the first
-    # with no zero below j_max, above which no order has one
-    batch = _zero_batch(nus, j_max)
-    zeros = list(itertools.takewhile(
-        len, (bessel_j_zeros(nu, j_max) for nu in nus)))
+    # Halley steps that placed them, each order read through its window
+    batch = _zero_batch(nus, j_max, x_mins)
+    zeros = [bessel_j_zeros(nu, j_max, lo) for nu, lo in zip(nus, x_mins)]
     counts = [len(z) for z in zeros]
-    lam = np.concatenate(zeros or [np.empty(0)]) / wall_r
+    lam = np.concatenate(zeros) / wall_r
     # the per-order zeros are dropped once joined, and the modes' orders
     # once evaluated, which trims the build's peak memory
     del zeros
-    nu = np.repeat(nus[:len(counts)], counts)
+    nu = np.repeat(nus, counts)
     # every radial factor in one evaluation, at x and x' together
     if xp == x:
         jx = jxp = bessel_j(nu, lam * x)
@@ -89,8 +109,7 @@ def _mode_data(rho, wall_r, x, xp, damping):
         jx, jxp = np.split(bessel_j(np.concatenate([nu, nu]),
                                     np.concatenate([lam * x, lam * xp])), 2)
     del nu
-    slopes = np.concatenate([s for _, s in batch[:len(counts)]]
-                            or [np.empty(0)])
+    slopes = np.concatenate([s for _, s in batch])
     radial = 2.0 / (wall_r**2 * slopes**2) * jx * jxp
     damp = np.exp(-(lam**2) / (2.0 * damping**2))
     k = np.repeat(np.arange(len(counts)), counts)

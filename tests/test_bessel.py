@@ -259,17 +259,17 @@ class TestZeros:
                              ids=["cone", "control"])
     def test_every_mode_build_order_against_reference(self, rho,
                                                       monkeypatch):
-        # the (nu, x_max) of criterion 3 (Lambda = 40) and of the
+        # the (nu, x_min, x_max) of criterion 3 (Lambda = 40) and of the
         # benchmark's front workload (Lambda = 30), as the mode build asks
         # for them; its radial factors are stubbed out, since only the
         # zeros and the slopes J' at them, which the build reads from the
         # same batch, are checked here
         seen = {}
 
-        def recording(nu, x_max):
-            zs = bessel_j_zeros(nu, x_max)
-            slopes = besselj._zero_batch((nu,), x_max)[0][1]
-            seen.setdefault(nu, []).append((x_max, zs, slopes))
+        def recording(nu, x_max, x_min):
+            zs = bessel_j_zeros(nu, x_max, x_min)
+            slopes = besselj._zero_batch((nu,), x_max, (x_min,))[0][1]
+            seen.setdefault(nu, []).append((x_min, x_max, zs, slopes))
             return zs
 
         monkeypatch.setattr(conekernel, "bessel_j_zeros", recording)
@@ -280,13 +280,51 @@ class TestZeros:
         assert len(seen) > 80
         worst = 0.0
         for nu, runs in seen.items():
-            ref = reference_zeros(nu, max(x_max for x_max, _, _ in runs))
-            for x_max, zs, slopes in runs:
-                assert_zeros_match(zs, ref[ref <= x_max])
+            ref = reference_zeros(nu, max(run[1] for run in runs))
+            for x_min, x_max, zs, slopes in runs:
+                assert_zeros_match(zs, ref[(ref > x_min) & (ref <= x_max)])
                 ref_slopes = sp.jvp(nu, zs)
                 worst = max(worst, np.max(np.abs(slopes / ref_slopes - 1),
                                           initial=0.0))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("nu,x_max,x_min", [
+        (0.0, 300.0, 0.5), (0.0, 300.0, 150.0), (4.0 / 3.0, 100.0, 2.0),
+        (40.0, 300.0, 41.0), (200.0, 300.0, 250.0), (100.0, 400.0, 396.0)],
+        ids=["below-first-zero", "order-0", "order-4/3", "order-40",
+             "order-200", "last-zeros"])
+    def test_window_is_the_full_list_above_x_min(self, nu, x_max, x_min):
+        # the window's zeros are placed from their global indices, so they
+        # are the full list's, bit for bit
+        full = bessel_j_zeros(nu, x_max)
+        got = bessel_j_zeros(nu, x_max, x_min)
+        assert len(got) > 0
+        assert np.array_equal(got, full[full > x_min])
+
+    @pytest.mark.parametrize("nu,k", [
+        (0.0, 1), (4.0 / 3.0, 20), (40.0, 5), (200.0, 17)])
+    @pytest.mark.parametrize("shift", [
+        -0.5 * besselj._COUNT_MARGIN, -1e-14, 1e-14,
+        0.5 * besselj._COUNT_MARGIN],
+        ids=["half-margin-below", "ulps-below", "ulps-above",
+             "half-margin-above"])
+    def test_x_min_a_step_from_a_zero(self, nu, k, shift):
+        # an x_min within the count's margin of the k-th zero, on each
+        # side, and within the matrix's rounding of it (1e-14 relative):
+        # the count runs past x_min and the placed zero decides
+        full = bessel_j_zeros(nu, 300.0)
+        z = full[k - 1]
+        x_min = z + shift if abs(shift) > 1e-12 else z * (1.0 + shift)
+        got = bessel_j_zeros(nu, 300.0, x_min)
+        assert np.array_equal(got, full[full > x_min])
+        assert (z in got) == (shift < 0)
+
+    @pytest.mark.parametrize("x_min", [30.0, 31.0, 1e9],
+                             ids=["at-x_max", "above", "far-above"])
+    def test_empty_window(self, x_min):
+        zs = bessel_j_zeros(3.0, 30.0, x_min)
+        assert isinstance(zs, np.ndarray)
+        assert zs.shape == (0,) and zs.dtype == np.float64
 
     @pytest.mark.parametrize("nu,x_max", [
         (0.0, 300.0), (200.0, 300.0), (0.0, 2.0), (0.5, 1679.0)],
@@ -390,6 +428,13 @@ class TestZeroGuards:
         with pytest.raises(BesselFailureError):
             bessel_j_zeros(nu, x_max)
 
+    @pytest.mark.parametrize("x_min", [
+        -1e-12, float("nan"), float("inf"), -float("inf")],
+        ids=["negative", "nan", "inf", "minus-inf"])
+    def test_bad_x_min_raises_before_the_matrix(self, no_matrix, x_min):
+        with pytest.raises(BesselFailureError, match="x_min"):
+            bessel_j_zeros(3.0, 30.0, x_min)
+
     def test_order_zero_passes(self):
         zs = bessel_j_zeros(0.0, 10.0)
         assert len(zs) == 3
@@ -431,6 +476,25 @@ class TestZeroGuards:
         monkeypatch.setattr(besselj, "_held", {})
         with pytest.raises(BesselFailureError, match="zero 5 of .* 5 zeros below it and 6 up to it"):
             bessel_j_zeros(nu, x_max)
+
+    def test_a_start_driven_onto_the_next_zero_in_a_window_is_refused(
+            self, monkeypatch):
+        # a window from between the third and fourth zeros: its second
+        # start, of the fifth zero, sits by the sixth, and the certificate
+        # names the zero by its global index, so the index offset is right
+        nu, x_max = 4.0 / 3.0, 100.0
+        ref = reference_zeros(nu, x_max)
+        starts = besselj._starts
+
+        def misplaced(orders, index):
+            out = starts(orders, index)
+            out[index == 5] = ref[5] + 1e-3
+            return out
+
+        monkeypatch.setattr(besselj, "_starts", misplaced)
+        monkeypatch.setattr(besselj, "_held", {})
+        with pytest.raises(BesselFailureError, match="zero 5 of .* 5 zeros below it and 6 up to it"):
+            bessel_j_zeros(nu, x_max, 0.5 * (ref[2] + ref[3]))
 
     def test_halley_that_never_settles_raises(self, monkeypatch):
         monkeypatch.setattr(besselj, "_HALLEY_STOP", -1.0)

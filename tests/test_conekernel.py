@@ -234,6 +234,105 @@ class TestKernelSeries:
         assert val.imag == 0.0
 
 
+def _kapteyn_bound(nu, z):
+    """Kapteyn's bound on |J_nu(z)|, 0 < z <= nu (DLMF 10.14.5), in mpmath:
+    (z / nu)^nu exp(nu r) / (1 + r)^nu with r = sqrt(1 - (z / nu)^2)."""
+    s = mpmath.mpf(z) / nu
+    r = mpmath.sqrt(1 - s * s)
+    return mpmath.exp(nu * (mpmath.log(s / (1 + r)) + r))
+
+
+def _ladder(rho, top):
+    """The mode build's orders 2 pi k / rho, k >= 1, up to top."""
+    nus = 2 * np.pi * np.arange(1, int(top * rho / (2 * np.pi)) + 1) / rho
+    return nus[nus <= top]
+
+
+class TestKapteynPruning:
+    """The mode build leaves out the modes whose radial factors Kapteyn's
+    bound puts below _KAPTEYN_EPS: the bound holds on the ladders' orders,
+    the floor sits where it reaches eps, and the pruned sum is the
+    unpruned one (_KAPTEYN_EPS = 0) to rounding."""
+
+    def test_bound_on_the_ladder_orders(self):
+        # non-integer orders (spacing 4/3), integer ones (spacing 1) and
+        # 1/2, up to 130, from far below the turning point up to it
+        nus = np.concatenate([[0.5], _ladder(RHO, 130.0),
+                              _ladder(2 * np.pi, 130.0)])
+        worst = 0.0
+        with mpmath.workdps(30):
+            for nu in nus.tolist():
+                for s in (1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.85, 0.95,
+                          0.99, 1.0):
+                    z = nu * s
+                    worst = max(worst, float(abs(mpmath.besselj(nu, z))
+                                             / _kapteyn_bound(nu, z)))
+        # the largest ratio sits at nu = 1/2, z = nu: J is 0.54 of B
+        assert 0.5 < worst < 1.0
+
+    def test_floor_is_where_the_bound_reaches_eps(self):
+        # at the floor the bound is at most eps (to the rounding of its
+        # float logarithm), and 1e-9 nu above it more; the floor rises
+        # with the order, so the ladder ends at the first order whose
+        # floor passes the largest radial argument
+        eps = conekernel._KAPTEYN_EPS
+        nus = np.concatenate([[0.0, 0.5], _ladder(RHO, 400.0)])
+        floor = conekernel._kapteyn_floor(nus)
+        assert floor[0] == 0.0 and np.all(np.diff(floor) >= 0)
+        with mpmath.workdps(30):
+            for nu, z in zip(nus[1:].tolist(), floor[1:].tolist()):
+                if z > 0:
+                    assert _kapteyn_bound(nu, z) <= eps * (1 + 1e-12)
+                    assert _kapteyn_bound(nu, z + 1e-9 * nu) > eps
+        assert floor[-1] > 300.0
+
+    @pytest.mark.parametrize("damping", [40.0, 30.0],
+                             ids=["criterion-3", "cone-front"])
+    @pytest.mark.parametrize("rho", [RHO, 2 * np.pi], ids=["cone", "control"])
+    def test_pruned_sum_against_unpruned(self, damping, rho, monkeypatch):
+        # criterion 3's grid (Lambda = 40) and the benchmark's cone_front
+        # grid (Lambda = 30), at x' = x and at another x'
+        eps = conekernel._KAPTEYN_EPS
+        x, dy, alpha = 0.5, np.pi / 3, 2 * np.pi / rho
+        for xp in (0.5, 0.42):
+            monkeypatch.setattr(conekernel, "_KAPTEYN_EPS", eps)
+            pruned = _mode_data.__wrapped__(rho, 2.0, x, xp, damping)
+            monkeypatch.setattr(conekernel, "_KAPTEYN_EPS", 0.0)
+            full = _mode_data.__wrapped__(rho, 2.0, x, xp, damping)
+            kept = set(zip(pruned[0].tolist(), pruned[1].tolist()))
+            mask = np.array([mode in kept for mode in
+                             zip(full[0].tolist(), full[1].tolist())])
+            # the kept modes are the unpruned build's, bit for bit, and
+            # about half of them are dropped
+            assert mask.sum() == len(pruned[0]) < 0.8 * len(mask)
+            for got, want in zip(pruned, full):
+                assert np.array_equal(got, want[mask])
+            assert (np.max(np.abs(full[2][~mask]))
+                    <= 1e-20 * np.max(np.abs(pruned[2])))
+            # the samples: the exactly rounded sums agree within 1e-15 of
+            # the largest sample, and the warm dot products within 1e-15
+            # of the sum of |terms|, which bounds their rounding
+            ts = x + xp + np.linspace(-0.15, 0.15, 61)
+            (dot_p, exact_p, _), (dot_f, exact_f, size_f) = [
+                self._samples(build, ts, alpha * dy, rho)
+                for build in (pruned, full)]
+            assert (np.max(np.abs(exact_p - exact_f))
+                    <= 1e-15 * np.max(np.abs(dot_f)))
+            assert np.all(np.abs(dot_p - dot_f) <= 1e-15 * size_f)
+
+    @staticmethod
+    def _samples(build, ts, angle, rho):
+        """The kernel samples at ts as the warm path sums them (one dot
+        product each), every fifth of them exactly rounded (math.fsum),
+        and the sum of the absolute terms of each."""
+        k, lam, w = build
+        weighted = np.where(k == 0, 1.0, 2.0 * np.cos(k * angle)) * w
+        terms = weighted * np.sin(np.outer(ts, lam))
+        dots = np.array([weighted @ np.sin(t * lam) for t in ts])
+        exact = np.array([math.fsum(row) for row in terms[::5].tolist()])
+        return dots / rho, exact / rho, np.abs(terms).sum(axis=1) / rho
+
+
 class TestExtractor:
     DAMPING = 40.0
 
