@@ -454,47 +454,14 @@ def _halley_step(order: np.ndarray, at: np.ndarray):
     toward zeros of J_order.  J'' = -J'/x - (1 - nu^2/x^2) J costs
     nothing more, so the step is 2 J J' / (2 J'^2 - J J''), and the slope
     is carried to the new point by its Taylor series,
-    J' - J'' step + J''' step^2 / 2.  The arithmetic runs in place on the
-    step's own arrays, each operation the one these formulas take, in
-    their order, so the results are theirs bit for bit."""
+    J' - J'' step + J''' step^2 / 2."""
     j, jp = bessel_j_pair(order, at)
-    # bend = 1 - (nu / x)^2
-    bend = np.divide(order, at)
-    np.multiply(bend, bend, out=bend)
-    np.subtract(1.0, bend, out=bend)
-    # jpp = -J' / x - bend J
-    jpp = np.divide(jp, at)
-    np.negative(jpp, out=jpp)
-    tmp = np.multiply(bend, j)
-    jpp -= tmp
-    # jppp = (J' / x - jpp) / x - 2 nu^2 / x^3 J - bend J'
-    jppp = np.divide(jp, at)
-    jppp -= jpp
-    jppp /= at
-    np.multiply(order, 2.0, out=tmp)
-    tmp *= order
-    cube = np.power(at, 3)
-    tmp /= cube
-    tmp *= j
-    jppp -= tmp
-    np.multiply(bend, jp, out=tmp)
-    jppp -= tmp
-    # step = 2 J J' / (2 J'^2 - J jpp), kept in bend
-    step = np.multiply(j, 2.0, out=bend)
-    step *= jp
-    np.multiply(jp, 2.0, out=cube)
-    cube *= jp
-    np.multiply(j, jpp, out=tmp)
-    cube -= tmp
-    step /= cube
-    point = np.subtract(at, step, out=cube)
-    # J' - step (jpp - step jppp / 2), kept in j
-    slope = np.multiply(step, 0.5, out=j)
-    slope *= jppp
-    np.subtract(jpp, slope, out=slope)
-    slope *= step
-    np.subtract(jp, slope, out=slope)
-    return point, slope, step
+    ratio = order / at
+    bend = 1.0 - ratio * ratio
+    jpp = -(jp / at) - bend * j
+    jppp = (jp / at - jpp) / at - order * 2.0 * order / at**3 * j - bend * jp
+    step = j * 2.0 * jp / (jp * 2.0 * jp - j * jpp)
+    return at - step, jp - (jpp - step * 0.5 * jppp) * step, step
 
 
 def _halley(nu: np.ndarray, m: np.ndarray):

@@ -148,6 +148,8 @@ def flat_cone_sine_kernel_series(
     _check_damping(damping)
     if not all(math.isfinite(v) for v in (t, x, y, xp, yp)):
         raise ValueError("t, x, y, xp and yp must be finite")
+    if x < 0.0 or xp < 0.0:
+        raise ValueError(f"radii x and xp must be nonnegative, not {x!r}, {xp!r}")
     if x + xp + abs(t) > 2 * wall_r - WALL_MARGIN:
         raise WallInfluenceError(
             "wall too close: finite propagation speed no longer shields it"

@@ -1,28 +1,29 @@
 """Geodesic flow, tip shooting, and closed diffractive geodesics.
 
 Geodesics are integrated chart by chart with the in-repo DOP853 kernel
-(`ode`) at tight tolerance; terminal events handle tip hits (x crossing
-1e-7 in a designer band), chart transitions (with hysteresis so a fresh
-leg never starts on its own trigger), atlas exits, and caller-supplied
-section stops.  A seam of the surface (where the metric is only finitely
-smooth) ends a leg too.  Each leg integrates the smooth piece of the
-metric that it starts in, continued past the seams (`Chart.leg_rhs`), so
-the step that crosses a seam is accepted like any other; the leg is then
+(`ode`) at tight tolerance.  A leg ends on the first of: a tip hit (x
+crossing 1e-7), which ends the flow at the tip; a wall of the atlas,
+which raises LeftAtlasError; a chart switch (with hysteresis, so a fresh
+leg never starts on its own trigger); a seam, where the metric is only
+finitely smooth, or the band's edge of the tip a shot is aimed into,
+which ends the shot.  Each leg integrates the smooth piece of the metric
+that it starts in, continued past the seams (`Chart.leg_rhs`), so the
+step that crosses a seam is accepted like any other; the leg is then
 solved again from that step's start up to the seam, so that it ends on a
 step's end, and a fresh leg in the same chart starts there on the other
-piece; the leg before keeps only its steps before the crossing one.  No
-leg evaluates two pieces, and each leg's run covers exactly its span, so
-a path joins its legs' runs into one dense output (`GeodesicPath.flow`),
-through which every read of the flow goes; a leg's end belongs to it, as
-a step's end does to the step.  A solve along the stored path
-(`jacobi.integrate_jacobi`) restarts at the legs' ends (`GeodesicPath.breaks`).
-A leg that starts on the seam it has just crossed takes the far side's piece.
-A start position or velocity that is not finite, or a velocity of
-length zero, is refused with ValueError.  A step's dense output is built
-when it is first read (`ode`), so a StepFailureError that the chart
-raises only at a dense-output stage of some step comes out of the
-later call that reads it (`GeodesicPath.state`, `flow_field` and the
-Jacobi fields read from it), not out of the flow.
+piece (the far side's, when it starts on the seam it has just crossed).
+No leg evaluates two pieces, and each leg's run covers exactly its span,
+so a path joins its legs' runs into one dense output
+(`GeodesicPath.flow`), through which every read of the flow goes; a
+leg's end belongs to it, as a step's end does to the step.  A solve
+along the stored path (`jacobi.integrate_jacobi`) restarts at the legs'
+ends (`GeodesicPath.breaks`).  A start position or velocity that is not
+finite, or a velocity of length zero, is refused with ValueError.  A
+step's dense output is built when it is first read (`ode`), so a
+StepFailureError that the chart raises only at a dense-output stage of
+some step comes out of the later call that reads it
+(`GeodesicPath.state`, `flow_field` and the Jacobi fields read from it),
+not out of the flow.
 
 One ODE per shot: the state is (p, v, j, j'), the geodesic with the
 scalar Jacobi field j'' = -K j riding along, K read from the chart at
@@ -234,9 +235,8 @@ class GeodesicPath:
         # stops half the band short of the tip: a last step clipped to end
         # on the tip itself evaluates the flow at x = 0, where the chart
         # has no value, before the band entry in that step is seen.  A
-        # path no longer than the band never left it (all head, as on the
-        # flat cone, whose band is its whole chart): its reverse is the
-        # radial line back, with nothing to integrate
+        # path no longer than the band never left it (all head): its
+        # reverse is the radial line back, with nothing to integrate
         surface = self.surface
         into, budget, head = None, self.length, False
         if self.start_kind == "tip":
@@ -351,8 +351,8 @@ def geodesic_flow(surface: Surface, start: ChartState, length: float, *,
     with the Jacobi field that starts at (j, j') = (0, 1).
 
     Ends on: exhausted length, a tip hit, or entry into the designer
-    band of tip `into` (end kind "stop").  Raises LeftAtlasError on atlas
-    exit and StepFailureError if the integrator fails.
+    band of tip `into` (end kind "stop").  Raises LeftAtlasError on a
+    wall of the atlas and StepFailureError if the integrator fails.
     """
     return _flow(surface, start, 0.0, length, (0.0, 1.0), into)
 
@@ -377,7 +377,6 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
     v = v / speed
     field = np.asarray(field_start, dtype=float)
 
-    tip_rules = surface.tip_rules(TIP_HIT_X)
     # (seam, direction) whose crossing ends a flow into a tip
     edge = None if into is None else _band_edge(surface, surface.tips[into])
     all_seams = surface.seams
@@ -385,7 +384,7 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
         all_seams = all_seams + [edge[0]]
     legs: list[PathLeg] = []
     s_cur = s_start
-    end_kind, end_payload = "length", None
+    end_kind = "length"
     # (seam, direction) the leg starts on: it must not fire at once.  A
     # start on a seam is a leg that has just crossed it in the direction
     # in which v carries the seam's value
@@ -399,15 +398,19 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
 
     for _ in range(MAX_LEGS):
         chart = surface.chart(chart_name)
-        rules = [r for r in tip_rules if r.chart == chart_name]
-        rules += [r for r in surface.atlas_rules if r.chart == chart_name]
-        transitions = [t for t in surface.transitions if t.src == chart_name]
-        events = [(lambda y, _f=r.value: _f(y[:2], y[2:4]), r.direction)
-                  for r in rules]
-        events += [(lambda y, _t=t: _t.trigger(y[:2]), -1.0) for t in transitions]
-        seams = [(sm, d) for sm in all_seams if sm.chart == chart_name
-                 for d in (-1.0, 1.0) if (sm, d) != skip]
-        events += [(lambda y, _f=sm.value: _f(y[:2]), d) for sm, d in seams]
+        # (g, direction, what g's zero meets): a Tip, a wall (Seam), a
+        # Transition, a (seam, direction); a tie in one step goes to the
+        # earlier root, then to the earlier in this list
+        events = [(lambda y, _t=tip: _t.x_of(y[:2]) - TIP_HIT_X, -1.0, tip)
+                  for tip in surface.tips.values() if tip.chart == chart_name]
+        events += [(lambda y, _f=wall.value: _f(y[:2]), -1.0, wall)
+                   for wall in surface.walls if wall.chart == chart_name]
+        events += [(lambda y, _f=tr.trigger: _f(y[:2]), -1.0, tr)
+                   for tr in surface.transitions if tr.src == chart_name]
+        events += [(lambda y, _f=sm.value: _f(y[:2]), d, (sm, d))
+                   for sm in all_seams if sm.chart == chart_name
+                   for d in (-1.0, 1.0) if (sm, d) != skip]
+        stops = [(g, d) for g, d, _ in events]
 
         # a leg in a chart with seams integrates the smooth piece it
         # starts in, so the step that crosses a seam is not rejected; a
@@ -416,41 +419,39 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
         rhs = chart.leg_rhs(p, skip[1] if skip is not None else 0.0)
         y0 = np.concatenate([p, v, field])
         try:
-            run = _solve_leg(rhs, s_cur, s_end, y0, events)
+            run = _solve_leg(rhs, s_cur, s_end, y0, stops)
         except StepFailureError:
             # a budget that ends on a tip clips the last step onto it,
             # where the chart has no value, before the tip-hit event
             # inside that step is seen; half the hit radius short of the
             # tip, the event fires
             s_short = s_end - TIP_HIT_X / 2
-            if s_short <= s_cur or not any(r.kind == "tip" for r in rules):
+            if s_short <= s_cur or not any(isinstance(e[2], Tip) for e in events):
                 raise
-            run = _solve_leg(rhs, s_cur, s_short, y0, events)
-            if not (run.event is not None and run.event < len(rules)
-                    and rules[run.event].kind == "tip"):
+            run = _solve_leg(rhs, s_cur, s_short, y0, stops)
+            if run.event is None or not isinstance(events[run.event][2], Tip):
                 raise
         legs.append(PathLeg(chart_name, s_cur, run.t, run.sol))
 
         if run.event is None:
             break
-        s_ev, idx = run.t, run.event
+        s_ev, hit = run.t, events[run.event][2]
         p, v, field = run.y[:2], run.y[2:4], run.y[4:]
-        if idx < len(rules):
-            rule = rules[idx]
-            if rule.kind == "atlas":
-                raise LeftAtlasError(
-                    f"geodesic left the atlas in chart '{chart_name}' at s = {s_ev:.6g}"
-                )
-            end_kind = rule.kind
-            end_payload = rule.payload
-            break
-        if idx >= len(rules) + len(transitions):
+        if isinstance(hit, Tip):
+            path = GeodesicPath(surface, legs, end_kind)
+            _end_at_tip(path, hit)
+            return path
+        if isinstance(hit, Seam):
+            raise LeftAtlasError(
+                f"geodesic left the atlas in chart '{chart_name}' at s = {s_ev:.6g}"
+            )
+        if isinstance(hit, tuple):
             # a seam: solve again from the start of the step that crossed
             # it up to the seam, so the leg ends on a step's end (order 8)
             # rather than on the interpolant the event was placed on
             # (order 7); the leg keeps its steps before that one, and a
             # fresh leg in the same chart begins at its start
-            skip = seams[idx - len(rules) - len(transitions)]
+            skip = hit
             k = max(np.searchsorted(run.sol.ts, s_ev), 1) - 1
             step = run.sol.steps[k]  # the step that crossed, from s_k
             s_k = step.t0
@@ -469,17 +470,10 @@ def _flow(surface: Surface, start: ChartState, s_start: float, s_end: float,
             continue
         s_cur = s_ev
         skip = None
-        tr = transitions[idx - len(rules)]
-        p_new = tr.map_point(p)
-        v_new = tr.map_velocity(p, v)
-        chart_name, p, v = tr.dst, p_new, v_new
+        chart_name, p, v = hit.dst, hit.map_point(p), hit.map_velocity(p, v)
     else:
         raise StepFailureError("geodesic exceeded the leg budget")
-
-    path = GeodesicPath(surface, legs, end_kind)
-    if end_kind == "tip":
-        _end_at_tip(path, surface.tips[end_payload])
-    return path
+    return GeodesicPath(surface, legs, end_kind)
 
 
 def _solve_leg(rhs, s0, s1, y0, events=()) -> ode.Result:
@@ -507,9 +501,8 @@ def shoot_from_tip(surface: Surface, tip_id: str, link_point: float,
     s = 0 is the tip itself.  The flow starts at the edge of the tip's
     designer band, s = x0 = min(band, length), from the exact state
     there: the radial line and the tip field j = Q/a0 (`_radial_field`),
-    which also fills in the head [0, x0].  On a chart whose band is all
-    of it, such as the flat cone, a shot shorter than the band is all
-    head and its one leg has length zero.  A shot `into` a tip ends on
+    which also fills in the head [0, x0].  A shot shorter than the band
+    is all head, and its one leg has length zero.  A shot `into` a tip ends on
     entry into that tip's band, as `geodesic_flow` does.  A nonzero
     `p_theta` = Q^2 theta' about the tip turns the flow's start off the
     radial line (a reverse shot's, by its path's arrival miss); the
@@ -621,9 +614,12 @@ def classify_continuation(link: LinkSpectrum, q_in: float, q_out: float) -> str:
     """'geometric' when some link geodesic of length pi joins the two
     arrival directions (wrapped arcs count) to within GEOMETRIC_TOL, else
     'strictly_diffractive'."""
-    if singular_set_distance(link, np.pi, q_in, q_out) < GEOMETRIC_TOL:
-        return "geometric"
-    return "strictly_diffractive"
+    return _continuation_kind(singular_set_distance(link, np.pi, q_in, q_out))
+
+
+def _continuation_kind(separation: float) -> str:
+    """The kind of a junction `separation` from the singular set at pi."""
+    return "geometric" if separation < GEOMETRIC_TOL else "strictly_diffractive"
 
 
 @dataclass(frozen=True)
@@ -674,11 +670,9 @@ def build_closed_diffractive(surface: Surface, tip_sequence, seeds, *,
         tip = surface.tips[tip_sequence[j]]
         q_in = segments[j - 1].link_b
         q_out = segments[j].link_a
-        kind = classify_continuation(tip.link, q_in, q_out)
-        junctions.append(
-            Junction(tip.tip_id, q_in, q_out, tip.link,
-                     singular_set_distance(tip.link, np.pi, q_in, q_out), kind)
-        )
+        separation = singular_set_distance(tip.link, np.pi, q_in, q_out)
+        junctions.append(Junction(tip.tip_id, q_in, q_out, tip.link, separation,
+                                  _continuation_kind(separation)))
     sig = [
         (tip_sequence[j], tip_sequence[(j + 1) % k],
          round(segments[j].link_a, 6), round(segments[j].link_b, 6),

@@ -1,10 +1,10 @@
 """Chart-based conic surfaces.
 
-A surface is an atlas of two-dimensional charts with transition maps,
-plus a list of tips (cone points).  Near a tip the metric has the
-designer form dx^2 + x^2 h(x, y) dy^2 with x the distance to the tip, so
-radial curves are the only geodesics reaching it and the link circle
-carries an arc-length coordinate q = a0 * theta.
+A surface is an atlas of two-dimensional charts with transition maps
+and walls where it ends, plus a list of tips (cone points).  Near a tip
+the metric has the designer form dx^2 + x^2 h(x, y) dy^2 with x the
+distance to the tip, so radial curves are the only geodesics reaching it
+and the link circle carries an arc-length coordinate q = a0 * theta.
 
 Charts come in two flavors:
 
@@ -59,7 +59,6 @@ __all__ = [
     "CapChart",
     "Tip",
     "Transition",
-    "StopRule",
     "Seam",
     "Surface",
     "flat_cone",
@@ -78,6 +77,11 @@ MAX_CURVATURE = 1e14
 # looks for the piece of a piecewise metric it runs in: far beyond the
 # rounding of the seam's location (about 1e-12), far short of the band
 SEAM_LOOKAHEAD = 1e-9
+
+# the walls of the flat cone, the plane and the sphere band
+FLAT_CONE_R_MAX = 50.0
+PLANE_HALF_WIDTH = 100.0
+SPHERE_BAND_MAX_LATITUDE = 1.5
 
 # what chart code raises off the chart's real domain: a `math` domain
 # error, a division by zero, or float() of the complex value that
@@ -342,22 +346,13 @@ class Transition:
 
 
 @dataclass(frozen=True)
-class StopRule:
-    """Terminal event for geodesic integration in a given chart."""
-
-    chart: str
-    value: Callable[[np.ndarray, np.ndarray], float]  # of (p, v)
-    direction: float
-    kind: str  # "tip" | "atlas"
-    payload: object = None
-
-
-@dataclass(frozen=True)
 class Seam:
-    """A curve value(p) = 0 in `chart` across which the metric is only
-    finitely smooth, such as the edge of a Piecewise perturbation.  The
-    geodesic flow ends a leg on it, so that no integrator step straddles
-    it."""
+    """A curve value(p) = 0 in `chart`, one of a surface's seams or of
+    its walls.  Across a seam the metric is only finitely smooth, such
+    as the edge of a Piecewise perturbation: the geodesic flow ends a leg
+    on it, so that no integrator step straddles it.  A wall is an edge of
+    the atlas, with value(p) > 0 inside: a flow that crosses it raises
+    LeftAtlasError."""
 
     chart: str
     value: Callable[[np.ndarray], float]
@@ -365,28 +360,16 @@ class Seam:
 
 @dataclass
 class Surface:
+    """An atlas: its charts, tips, chart switches, walls and seams."""
+
     charts: dict[str, Chart]
     tips: dict[str, Tip] = field(default_factory=dict)
     transitions: list[Transition] = field(default_factory=list)
-    atlas_rules: list[StopRule] = field(default_factory=list)
+    walls: list[Seam] = field(default_factory=list)
     seams: list[Seam] = field(default_factory=list)
 
     def chart(self, name: str) -> Chart:
         return self.charts[name]
-
-    def tip_rules(self, x_hit: float) -> list[StopRule]:
-        rules = []
-        for tip in self.tips.values():
-            rules.append(
-                StopRule(
-                    chart=tip.chart,
-                    value=lambda p, v, _t=tip, _x=x_hit: _t.x_of(p) - _x,
-                    direction=-1.0,
-                    kind="tip",
-                    payload=tip.tip_id,
-                )
-            )
-        return rules
 
 
 def _perturbed_chart(eps: float, lo: float, hi: float,
@@ -442,37 +425,33 @@ def _bump_seams(chart: str, lo: float, hi: float) -> list[Seam]:
     return [Seam(chart, lambda p, _r=edge: p[0] - _r) for edge in (lo, hi)]
 
 
-def flat_cone(rho: float, r_max: float = 50.0) -> Surface:
-    """Flat cone of circumference rho: dx^2 + x^2 dy^2, y of period rho."""
+def flat_cone(rho: float) -> Surface:
+    """Flat cone of circumference rho: dx^2 + x^2 dy^2, y of period rho, out
+    to x = FLAT_CONE_R_MAX; its tip's band is 1, so longer shots run the flow."""
     chart = OrthogonalChart("polar", lambda r, y: (1.0, 0.0, 0.0, 0.0, r, 1.0, 0.0, 0.0))
-    tip = Tip("tip", "polar", 0.0, 1.0, LinkSpectrum.circle(rho), 1.0, 0.0, band=r_max)
-    atlas = [
-        StopRule("polar", lambda p, v: r_max - p[0], -1.0, "atlas"),
-    ]
-    return Surface({"polar": chart}, {"tip": tip}, [], atlas)
+    tip = Tip("tip", "polar", 0.0, 1.0, LinkSpectrum.circle(rho), 1.0, 0.0, band=1.0)
+    walls = [Seam("polar", lambda p: FLAT_CONE_R_MAX - p[0])]
+    return Surface({"polar": chart}, {"tip": tip}, [], walls)
 
 
-def plane(half_width: float = 100.0) -> Surface:
+def plane() -> Surface:
+    """The Euclidean plane, inside the square |x|, |y| < PLANE_HALF_WIDTH."""
     chart = OrthogonalChart("cart", lambda x, y: (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
-    atlas = [
-        StopRule("cart", lambda p, v, w=half_width: w - abs(p[0]), -1.0, "atlas"),
-        StopRule("cart", lambda p, v, w=half_width: w - abs(p[1]), -1.0, "atlas"),
-    ]
-    return Surface({"cart": chart}, {}, [], atlas)
+    walls = [Seam("cart", lambda p: PLANE_HALF_WIDTH - abs(p[0])),
+             Seam("cart", lambda p: PLANE_HALF_WIDTH - abs(p[1]))]
+    return Surface({"cart": chart}, {}, [], walls)
 
 
-def sphere_band(max_latitude: float = 1.35) -> Surface:
-    """Unit sphere in latitude/longitude, away from the poles."""
+def sphere_band() -> Surface:
+    """Unit sphere in latitude/longitude, |latitude| < SPHERE_BAND_MAX_LATITUDE."""
 
     def jets(lat, lon):
         c = math.cos(lat)
         return 1.0, 0.0, 0.0, 0.0, c, -math.sin(lat), 0.0, -c
 
     chart = OrthogonalChart("band", jets)
-    atlas = [
-        StopRule("band", lambda p, v, m=max_latitude: m - abs(p[0]), -1.0, "atlas"),
-    ]
-    return Surface({"band": chart}, {}, [], atlas)
+    walls = [Seam("band", lambda p: SPHERE_BAND_MAX_LATITUDE - abs(p[0]))]
+    return Surface({"band": chart}, {}, [], walls)
 
 
 def perturbed_spindle(a0: float = 0.75, eps: float = 0.05) -> Surface:
@@ -570,9 +549,7 @@ def teardrop(a0: float = 0.75, eps: float = 0.05) -> Surface:
             map_velocity=cap_to_polar_vel,
         ),
     ]
-    atlas = [
-        StopRule("cap", lambda p, v: 0.68 - np.hypot(p[0], p[1]), -1.0, "atlas"),
-    ]
-    return Surface({"polar": chart, "cap": cap}, tips, transitions, atlas,
+    walls = [Seam("cap", lambda p: 0.68 - np.hypot(p[0], p[1]))]
+    return Surface({"polar": chart, "cap": cap}, tips, transitions, walls,
                    _bump_seams("polar", band_lo, band_hi))
 

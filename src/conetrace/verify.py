@@ -237,7 +237,7 @@ def _teardrop_closed(r):
 def _segment_paths():
     """Paths that criteria 5 and 6 draw segments from: a line in the
     plane, two sphere arcs and the spindle loop's two segments."""
-    plane, sphere = surfaces.plane(), surfaces.sphere_band(1.5)
+    plane, sphere = surfaces.plane(), surfaces.sphere_band()
     return (
         geodesic_flow(plane, ChartState("cart", np.zeros(2),
                                         np.array([0.6, 0.8])), 6.0),
@@ -282,7 +282,7 @@ def _theta_symmetry():
 
 
 def _morse_additivity():
-    sphere = surfaces.sphere_band(1.5)
+    sphere = surfaces.sphere_band()
 
     def arc(length):
         return geodesic_flow(

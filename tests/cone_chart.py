@@ -14,7 +14,9 @@ import sympy as sp
 
 from conetrace.errors import SeriesStartFailureError
 from conetrace.links import LinkSpectrum
-from conetrace.surfaces import OrthogonalChart, StopRule, Surface, Tip
+from conetrace.surfaces import OrthogonalChart, Seam, Surface, Tip
+
+R_MAX = 10.0  # the chart's wall
 
 
 def _tip_c1(sqrt_q_expr, p0, tip_axis_value: float, sign: float) -> tuple[float, float]:
@@ -44,12 +46,13 @@ def _tip_c1(sqrt_q_expr, p0, tip_axis_value: float, sign: float) -> tuple[float,
     return a0, c1
 
 
-def cone_chart_surface(sqrt_h_expr, *, r_max: float = 10.0) -> Surface:
+def cone_chart_surface(sqrt_h_expr) -> Surface:
     """Single-tip cone dx^2 + x^2 h(x, y) dy^2 from sqrt(h), a string
     sympy parses in (p0, p1), also spelled (x, y) or (r, theta).  The
     chart's jets come from one lambdify of the sympy derivatives of
     sqrt(G) = x sqrt(h).  The link circumference is 2 pi a0, with
-    a0 = sqrt(h) at the tip."""
+    a0 = sqrt(h) at the tip.  The tip's band is the whole chart, out to
+    the wall x = R_MAX."""
     p0, p1 = sp.symbols("p0 p1", real=True)
     names = {"p0": p0, "p1": p1, "x": p0, "y": p1, "r": p0, "theta": p1}
     qexpr = p0 * sp.sympify(sqrt_h_expr, locals=names)
@@ -64,6 +67,6 @@ def cone_chart_surface(sqrt_h_expr, *, r_max: float = 10.0) -> Surface:
 
     chart = OrthogonalChart("polar", jets)
     a0, c1 = _tip_c1(qexpr, p0, 0.0, 1.0)
-    tip = Tip("tip", "polar", 0.0, 1.0, LinkSpectrum.circle(2 * np.pi * a0), a0, c1, band=r_max)
-    atlas = [StopRule("polar", lambda p, v: r_max - p[0], -1.0, "atlas")]
-    return Surface({"polar": chart}, {"tip": tip}, [], atlas)
+    tip = Tip("tip", "polar", 0.0, 1.0, LinkSpectrum.circle(2 * np.pi * a0), a0, c1, band=R_MAX)
+    walls = [Seam("polar", lambda p: R_MAX - p[0])]
+    return Surface({"polar": chart}, {"tip": tip}, [], walls)

@@ -17,7 +17,7 @@ def plane():
 
 @pytest.fixture(scope="session")
 def sphere():
-    return surfaces.sphere_band(1.5)
+    return surfaces.sphere_band()
 
 
 @pytest.fixture(scope="session")

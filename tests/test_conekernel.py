@@ -228,6 +228,20 @@ class TestKernelSeries:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("x,xp", [(-TINY, 0.1), (0.1, -TINY), (-0.2, -0.1)])
+    def test_negative_radius_refused(self, x, xp):
+        # up front, not as a BesselFailureError from the radial factors
+        with pytest.raises(ValueError, match="nonnegative"):
+            flat_cone_sine_kernel_series(RHO, 2.0, 0.5, x, 0.0, xp, 0.0,
+                                         damping=10.0)
+
+    def test_tip_to_tip_sample(self):
+        # x = x' = 0 (and -0.0) is the tip, where only the k = 0 modes count
+        for zero in (0.0, -0.0):
+            got = flat_cone_sine_kernel_series(RHO, 2.0, 0.5, zero, 0.0, zero,
+                                               1.0, damping=10.0)
+            assert got == pytest.approx(0.4440326155023793, rel=1e-13, abs=0)
+
     def test_kernel_is_real(self):
         val = flat_cone_sine_kernel_series(RHO, 1.1, 0.8, 0.3, 0.0, 0.4, 0.9,
                                            damping=LIGHT["damping"])

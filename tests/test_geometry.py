@@ -123,6 +123,46 @@ class TestFlow:
                 300.0,
             )
 
+    # (surface, chart, start, velocity, distance to the wall ahead): each
+    # start runs straight at a wall at unit speed
+    WALLS = {
+        "plane +x": (surfaces.plane, "cart",
+                     [surfaces.PLANE_HALF_WIDTH - 1.0, 3.0], [1.0, 0.0], 1.0),
+        "plane -x": (surfaces.plane, "cart",
+                     [1.0 - surfaces.PLANE_HALF_WIDTH, 3.0], [-1.0, 0.0], 1.0),
+        "plane +y": (surfaces.plane, "cart",
+                     [3.0, surfaces.PLANE_HALF_WIDTH - 1.0], [0.0, 1.0], 1.0),
+        "plane -y": (surfaces.plane, "cart",
+                     [3.0, 1.0 - surfaces.PLANE_HALF_WIDTH], [0.0, -1.0], 1.0),
+        # along a meridian, latitude is arc length
+        "sphere north": (surfaces.sphere_band, "band",
+                         [surfaces.SPHERE_BAND_MAX_LATITUDE - 0.1, 0.2],
+                         [1.0, 0.0], 0.1),
+        "sphere south": (surfaces.sphere_band, "band",
+                         [0.1 - surfaces.SPHERE_BAND_MAX_LATITUDE, 0.2],
+                         [-1.0, 0.0], 0.1),
+        "flat cone": (lambda: surfaces.flat_cone(1.5 * np.pi), "polar",
+                      [surfaces.FLAT_CONE_R_MAX - 1.0, 0.3], [1.0, 0.0], 1.0),
+        # from beyond the switch back to the polar chart (u = 0.55),
+        # outward along a radial line to the cap chart's wall u = 0.68
+        "teardrop cap": (surfaces.teardrop, "cap", [0.6, 0.0], [1.0, 0.0],
+                         0.68 - 0.6),
+    }
+
+    @pytest.mark.parametrize("wall", WALLS)
+    def test_wall_at_its_boundary(self, wall):
+        # a budget that ends a hair inside the wall returns; a hair past
+        # it, the flow leaves the atlas
+        build, chart, p, v, distance = self.WALLS[wall]
+        surf = build()
+        start = ChartState(chart, np.array(p), np.array(v))
+        inside = geodesic_flow(surf, start, distance - 1e-9)
+        assert inside.end_kind == "length"
+        assert inside.length == distance - 1e-9
+        assert inside.state(inside.length).chart == chart
+        with pytest.raises(LeftAtlasError, match=f"chart '{chart}'"):
+            geodesic_flow(surf, start, distance + 1e-9)
+
     @pytest.mark.parametrize("p,v,what", [
         ([0.0, 0.0], [0.0, 0.0], "velocity"),
         ([0.0, 0.0], [np.inf, 0.0], "velocity"),

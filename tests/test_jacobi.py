@@ -198,18 +198,18 @@ class TestFlowField:
                                         np.linspace(1e-3, x0, 15))
 
     def test_shot_shorter_than_its_band(self):
-        # the flat cone's and a cone chart's band is the whole chart: a
-        # shorter shot is all head, with one leg of length zero
-        for surf, field in [
-            (surfaces.flat_cone(1.5 * np.pi), lambda s: (s, 1.0)),
-            (cone_chart_surface("1.3*(1+p0/2)**0.5"),
+        # a shot shorter than its tip's band (1 on the flat cone, the whole
+        # chart on a cone chart) is all head, with one leg of length zero
+        for surf, length, field in [
+            (surfaces.flat_cone(1.5 * np.pi), 0.75, lambda s: (s, 1.0)),
+            (cone_chart_surface("1.3*(1+p0/2)**0.5"), 3.0,
              lambda s: (s * np.sqrt(1 + s / 2),
                         np.sqrt(1 + s / 2) + s / (4 * np.sqrt(1 + s / 2)))),
         ]:
-            path = shoot_from_tip(surf, "tip", 0.2, 3.0)
-            assert [(leg.s0, leg.s1) for leg in path.legs] == [(3.0, 3.0)]
-            assert path.length == 3.0
-            for s in (0.0, 1.0, 3.0):
+            path = shoot_from_tip(surf, "tip", 0.2, length)
+            assert [(leg.s0, leg.s1) for leg in path.legs] == [(length, length)]
+            assert path.length == length
+            for s in (0.0, length / 3, length):
                 j, jp = path.flow_field.pair(s)
                 assert (j, jp) == pytest.approx(field(s), abs=1e-13)
                 assert path.state(s).p == pytest.approx([s, 0.2 / surf.tips["tip"].a0])
@@ -519,7 +519,7 @@ class TestBrokenHessian:
 @settings(max_examples=15, deadline=None)
 @given(d=st.floats(0.3, 2.9), cut_frac=st.floats(0.15, 0.85))
 def test_property_sphere_additivity(d, cut_frac):
-    sphere = surfaces.sphere_band(1.5)
+    sphere = surfaces.sphere_band()
     path = sphere_arc(sphere, d)
     cut = cut_frac * d
     whole = jacobi.morse_index(path)
